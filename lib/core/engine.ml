@@ -51,6 +51,12 @@ type t = {
          restores (enough) injectivity; loops whose bodies contain more than
          one distinct operation still converge. *)
   mutable nthreads : int;
+  mutable nfinished : int;  (* threads in [Finished]: [all_finished] is O(1) *)
+  mutable enabled : B.t;
+      (* Enabled set of the current state. Thread and object state change
+         only inside [start] and [step], so it is recomputed once at the end
+         of each; every reader (the search, the trace, [deadlocked]) shares
+         that one value. *)
   mutable failure : (int * failure) option;
   trace : Trace.t;
   mutable steps : int;
@@ -79,7 +85,12 @@ let observer_key : observer option ref Domain.DLS.key =
 
 let set_observer f = Domain.DLS.get observer_key := f
 
-let record_failure t tid f = if t.failure = None then t.failure <- Some (tid, f)
+let record_failure t tid f =
+  match t.failure with None -> t.failure <- Some (tid, f) | Some _ -> ()
+
+let finish t tid =
+  t.threads.(tid) <- Finished;
+  t.nfinished <- t.nfinished + 1
 
 (* Run [body] as thread [tid] until its first scheduling point (or
    completion). The deep handler stays installed for the thread's lifetime:
@@ -91,15 +102,16 @@ let start_thread t tid body =
        counter would make single-operation spin loops produce infinitely
        many signatures, breaking cycle detection. *)
     (match t.prev_op.(tid) with
-     | Some prev when prev = op -> t.op_repeat.(tid) <- min (t.op_repeat.(tid) + 1) 4
+     | Some prev when Op.equal prev op ->
+       t.op_repeat.(tid) <- Int.min (t.op_repeat.(tid) + 1) 4
      | Some _ | None -> t.op_repeat.(tid) <- 0);
     t.prev_op.(tid) <- Some op
   in
   let handler : (unit, unit) Effect.Deep.handler =
-    { retc = (fun () -> t.threads.(tid) <- Finished);
+    { retc = (fun () -> finish t tid);
       exnc =
         (fun exn ->
-          t.threads.(tid) <- Finished;
+          finish t tid;
           match exn with
           | Runtime.Assertion_failure m -> record_failure t tid (Assertion m)
           | Objects.Sync_error m -> record_failure t tid (Sync_misuse m)
@@ -155,6 +167,31 @@ let add_thread t body =
   start_thread t tid body;
   tid
 
+(* A join target outside the allocated range is treated as not finished:
+   tids are dense and may be created later by spawns, so joining one that
+   never materializes is a deadlock, not a no-op. *)
+let finished t tid =
+  tid >= 0 && tid < t.nthreads
+  && (match t.threads.(tid) with Finished -> true | Parked _ | Running -> false)
+
+(* [Join] is decided here, against the thread table; the store decides every
+   other operation and never consults [finished]. *)
+let never_finished (_ : int) = false
+
+let op_enabled t (op : Op.t) =
+  match op with
+  | Join j -> finished t j
+  | op -> Objects.enabled t.prog_store ~finished:never_finished op
+
+let refresh_enabled t =
+  let es = ref B.empty in
+  for tid = 0 to t.nthreads - 1 do
+    match t.threads.(tid) with
+    | Parked p -> if op_enabled t p.op then es := B.add tid !es
+    | Running | Finished -> ()
+  done;
+  t.enabled <- !es
+
 let start (prog : Program.t) =
   let active = active () in
   (match !active with
@@ -173,6 +210,8 @@ let start (prog : Program.t) =
       prev_op = Array.make 8 None;
       op_repeat = Array.make 8 0;
       nthreads = 0;
+      nfinished = 0;
+      enabled = B.empty;
       failure = None;
       trace = Trace.create ();
       steps = 0;
@@ -187,15 +226,11 @@ let start (prog : Program.t) =
   in
   active := Some t;
   List.iter (fun body -> ignore (add_thread t body)) booted.Program.threads;
+  refresh_enabled t;
   t
 
 let nthreads t = t.nthreads
 let steps t = t.steps
-
-(* A join target outside the allocated range is treated as not finished:
-   tids are dense and may be created later by spawns, so joining one that
-   never materializes is a deadlock, not a no-op. *)
-let finished t tid = tid >= 0 && tid < t.nthreads && t.threads.(tid) = Finished
 
 let pending t tid =
   if tid < 0 || tid >= t.nthreads then invalid_arg "Engine.pending";
@@ -203,17 +238,7 @@ let pending t tid =
   | Parked p -> Some p.op
   | Running | Finished -> None
 
-let enabled t tid =
-  match t.threads.(tid) with
-  | Parked p -> Objects.enabled t.prog_store ~finished:(finished t) p.op
-  | Running | Finished -> false
-
-let enabled_set t =
-  let rec go tid acc =
-    if tid >= t.nthreads then acc
-    else go (tid + 1) (if enabled t tid then B.add tid acc else acc)
-  in
-  go 0 B.empty
+let enabled_set t = t.enabled
 
 let would_yield t tid =
   match t.threads.(tid) with
@@ -237,14 +262,15 @@ let count_op t tid (op : Op.t) =
   t.last_stepped <- tid
 
 let step t ~tid ~alt =
-  if t.failure <> None then invalid_arg "Engine.step: execution already failed";
+  (match t.failure with
+   | Some _ -> invalid_arg "Engine.step: execution already failed"
+   | None -> ());
   match t.threads.(tid) with
   | Running | Finished -> invalid_arg "Engine.step: thread not parked"
   | Parked p ->
-    if not (Objects.enabled t.prog_store ~finished:(finished t) p.op) then
-      invalid_arg "Engine.step: thread not enabled";
+    if not (B.mem tid t.enabled) then invalid_arg "Engine.step: thread not enabled";
     let yielded = Objects.would_yield t.prog_store p.op in
-    let enabled_before = enabled_set t in
+    let enabled_before = t.enabled in
     let result =
       match p.op with
       | Op.Spawn ->
@@ -285,26 +311,29 @@ let step t ~tid ~alt =
          match p.op with Op.Spawn -> (Runtime.ctx ()).spawn_result | _ -> result
        in
        f ~tid ~op:p.op ~result);
-    if t.failure = None then begin
-      t.threads.(tid) <- Running;
-      let c = Runtime.ctx () in
-      let saved_tid = c.current_tid in
-      let saved_in = c.in_thread in
-      c.current_tid <- tid;
-      c.in_thread <- true;
-      Effect.Deep.continue p.k result;
-      c.current_tid <- saved_tid;
-      c.in_thread <- saved_in
-    end
+    (match t.failure with
+     | Some _ -> ()
+     | None ->
+       t.threads.(tid) <- Running;
+       let c = Runtime.ctx () in
+       let saved_tid = c.current_tid in
+       let saved_in = c.in_thread in
+       c.current_tid <- tid;
+       c.in_thread <- true;
+       Effect.Deep.continue p.k result;
+       c.current_tid <- saved_tid;
+       c.in_thread <- saved_in);
+    (* The stepped thread and any child it spawned have parked or finished. *)
+    refresh_enabled t
 
 let failure t = t.failure
 
-let all_finished t =
-  let rec go tid = tid >= t.nthreads || (t.threads.(tid) = Finished && go (tid + 1)) in
-  go 0
+let all_finished t = t.nfinished = t.nthreads
 
 let deadlocked t =
-  (not (all_finished t)) && B.is_empty (enabled_set t) && t.failure = None
+  (not (all_finished t))
+  && B.is_empty t.enabled
+  && (match t.failure with None -> true | Some _ -> false)
 
 let trace t = t.trace
 let store t = t.prog_store

@@ -50,7 +50,10 @@ val nthreads : t -> int
 val steps : t -> int
 
 val enabled_set : t -> B.t
-(** Threads whose pending operation is currently enabled. *)
+(** Threads whose pending operation is currently enabled. O(1): the set is
+    recomputed once at the end of {!start} and of each {!step}, the only
+    points where thread or object state changes, and every caller (the
+    search, the trace's [enabled] field, {!deadlocked}) reads that value. *)
 
 val pending : t -> int -> Op.t option
 (** Pending operation of a live thread; [None] once finished. *)
@@ -71,6 +74,8 @@ val failure : t -> (int * failure) option
 (** Safety violation encountered so far, with the offending thread. *)
 
 val all_finished : t -> bool
+(** Every thread has returned or raised. O(1): a finished-thread count kept
+    up to date by each thread's effect handler, compared with {!nthreads}. *)
 
 val deadlocked : t -> bool
 (** No thread is enabled, yet not all have finished. Under the fair scheduler

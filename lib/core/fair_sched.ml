@@ -50,9 +50,17 @@ let add_thread t =
   yc.(n - 1) <- 0;
   { t with n; p; e; d; s; yc }
 
-(* T = ES \ pre(P, ES); pre(P, X) = { x | ∃y. (x,y) ∈ P ∧ y ∈ X }. *)
+(* T = ES \ pre(P, ES); pre(P, X) = { x | ∃y. (x,y) ∈ P ∧ y ∈ X }. Runs on
+   every transition, so it walks the enabled bits with a loop rather than a
+   [B.filter] closure. *)
 let schedulable t ~enabled =
-  B.filter (fun x -> B.is_empty (B.inter t.p.(x) enabled)) enabled
+  let ts = ref enabled and rest = ref enabled in
+  while not (B.is_empty !rest) do
+    let x = B.min_elt !rest in
+    rest := B.remove x !rest;
+    if not (B.is_empty (B.inter t.p.(x) enabled)) then ts := B.remove x !ts
+  done;
+  !ts
 
 let priority_blocked t ~enabled = B.diff enabled (schedulable t ~enabled)
 

@@ -20,7 +20,7 @@
     search re-executes from the initial state on every backtrack, recomputing
     the scheduler along the replay, so the pre-step value is always dead on
     the hot path and copying all five per-thread arrays per transition was
-    pure overhead (see [bench fair_sched]). Callers that must keep an old
+    pure overhead (see [bench fairsched]). Callers that must keep an old
     state alive (tests, snapshotting) take an explicit {!copy} first;
     [create], [add_thread] and [copy] still return fresh values that share no
     arrays with their input.

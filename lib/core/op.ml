@@ -29,6 +29,28 @@ let obj_of = function
   | Var_read o | Var_write o | Var_rmw o -> Some o
   | Yield | Sleep | Join _ | Spawn | Choose _ -> None
 
+let equal a b =
+  match (a, b) with
+  | Lock x, Lock y
+  | Try_lock x, Try_lock y
+  | Timed_lock x, Timed_lock y
+  | Unlock x, Unlock y
+  | Sem_wait x, Sem_wait y
+  | Sem_try_wait x, Sem_try_wait y
+  | Sem_timed_wait x, Sem_timed_wait y
+  | Sem_post x, Sem_post y
+  | Ev_wait x, Ev_wait y
+  | Ev_timed_wait x, Ev_timed_wait y
+  | Ev_set x, Ev_set y
+  | Ev_reset x, Ev_reset y
+  | Var_read x, Var_read y
+  | Var_write x, Var_write y
+  | Var_rmw x, Var_rmw y
+  | Join x, Join y
+  | Choose x, Choose y -> Int.equal x y
+  | Yield, Yield | Sleep, Sleep | Spawn, Spawn -> true
+  | _ -> false
+
 let is_blocking_kind = function
   | Lock _ | Sem_wait _ | Ev_wait _ | Join _ -> true
   | Try_lock _ | Timed_lock _ | Unlock _ | Sem_try_wait _ | Sem_timed_wait _

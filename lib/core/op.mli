@@ -36,6 +36,10 @@ type t =
       (** [Choose n]: nondeterministic data choice among [n] alternatives;
           always enabled. The demonic scheduler branches on the value. *)
 
+val equal : t -> t -> bool
+(** Structural equality without the polymorphic compare (a C call), for the
+    engine's per-transition bookkeeping. *)
+
 val obj_of : t -> obj option
 (** The synchronization object the operation touches, if any. Two operations
     on distinct objects are independent (used by sleep-set POR). *)

@@ -496,7 +496,7 @@ let execute_path st ~systematic =
     last_yielded := yielded;
     if yielded then st.yields <- st.yields + 1;
     st.transitions <- st.transitions + 1;
-    st.max_depth <- max st.max_depth (Engine.steps run);
+    st.max_depth <- Int.max st.max_depth (Engine.steps run);
     record_state st run
   in
   let random_from tset =
@@ -594,10 +594,6 @@ let execute_path st ~systematic =
                 | [] ->
                   (* everything pruned by sleep sets *)
                   st.sleep_set_prunes <- st.sleep_set_prunes + 1;
-                  if Sys.getenv_opt "FAIRMC_DEBUG" <> None then
-                    Format.eprintf
-                      "PRUNE: depth=%d nframes=%d steps=%d tset=%a last=%d budget=%d@."
-                      !depth st.nframes steps B.pp tset !last !budget;
                   P_pruned
                 | a :: rest ->
                   (match st.meters with Some m -> M.incr m.m_fresh_steps | None -> ());
@@ -620,14 +616,6 @@ let execute_path st ~systematic =
       end
   in
   let outcome = loop () in
-  if Sys.getenv_opt "FAIRMC_DEBUG" <> None then begin
-    let ends = match outcome with
-      | P_terminated -> "term" | P_deadlock -> "dead" | P_safety _ -> "safe"
-      | P_divergence _ -> "div" | P_nonterminating -> "nonterm" | P_pruned -> "pruned"
-      | P_stopped -> "stopped" | P_frontier -> "frontier" in
-    Format.eprintf "path[%s len=%d]: %s@." ends (Engine.steps run)
-      (String.concat "" (List.map (fun (t, _) -> string_of_int t) (Trace.decisions (Engine.trace run))))
-  end;
   if spans_on then begin
     let t_end = Obs.Span.start () in
     let total_us = Obs.Span.elapsed_us_between t_path t_end in
@@ -648,8 +636,8 @@ let execute_path st ~systematic =
         ~phase:"fresh" ~dur_us:f ()
     | None -> ()
   end;
-  st.sync_ops_per_exec <- max st.sync_ops_per_exec (Engine.sync_ops run);
-  st.max_threads <- max st.max_threads (Engine.nthreads run);
+  st.sync_ops_per_exec <- Int.max st.sync_ops_per_exec (Engine.sync_ops run);
+  st.max_threads <- Int.max st.max_threads (Engine.nthreads run);
   (outcome, run)
 
 (* Advance the DFS to the next unexplored decision; false when exhausted.

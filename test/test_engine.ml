@@ -16,44 +16,92 @@ let drive p schedule =
   List.iter (fun tid -> Engine.step run ~tid ~alt:0) schedule;
   run
 
+(* The engine keeps the enabled set and a finished-thread count up to date
+   instead of scanning on every query; both must agree with a scan of the
+   pending operations, a [Join] counting as enabled once its target has
+   finished. *)
+let cached_state_exact run =
+  let n = Engine.nthreads run in
+  let finished tid = tid >= 0 && tid < n && Engine.pending run tid = None in
+  let scan = ref B.empty and all_done = ref true in
+  for tid = 0 to n - 1 do
+    match Engine.pending run tid with
+    | None -> ()
+    | Some op ->
+      all_done := false;
+      if Objects.enabled (Engine.store run) ~finished op then scan := B.add tid !scan
+  done;
+  B.equal (Engine.enabled_set run) !scan && Engine.all_finished run = !all_done
+
+(* One random walk of at most 200 steps. Returns the run, its decisions, and
+   whether [cached_state_exact] held after [start] and after every step. *)
+let random_walk prog seed =
+  let rng = Fairmc_util.Rng.make (Int64.of_int seed) in
+  let run = Engine.start prog in
+  let exact = ref (cached_state_exact run) in
+  let decisions = ref [] in
+  let steps = ref 0 in
+  while
+    (not (Engine.all_finished run))
+    && Engine.failure run = None
+    && (not (B.is_empty (Engine.enabled_set run)))
+    && !steps < 200
+  do
+    let es = Engine.enabled_set run in
+    let tid = B.nth es (Fairmc_util.Rng.int rng (B.cardinal es)) in
+    let alt =
+      let n = Engine.alternatives run tid in
+      if n = 1 then 0 else Fairmc_util.Rng.int rng n
+    in
+    Engine.step run ~tid ~alt;
+    exact := !exact && cached_state_exact run;
+    decisions := (tid, alt) :: !decisions;
+    incr steps
+  done;
+  (run, List.rev !decisions, !exact)
+
+let registry name = (Option.get (Fairmc_workloads.Registry.find name)).program
+
+(* Threads that fail during a step: an assertion raised inside the last live
+   thread (it finishes, and with it the program), and a mutex misuse trapped
+   by the engine (the thread stays parked) next to a joiner. *)
+let failing_progs =
+  [ prog "assert-in-step" (fun () ->
+        [ (fun () ->
+            Sync.join 1;
+            Sync.fail "boom");
+          (fun () -> Sync.yield ()) ]);
+    prog "misuse-in-step" (fun () ->
+        let m = Sync.Mutex.create () in
+        [ (fun () ->
+            Sync.yield ();
+            Sync.Mutex.unlock m);
+          (fun () -> Sync.join 0) ]) ]
+
 (* Random schedules replay to identical states: the stateless-checking
-   determinism contract, as a property over arbitrary walks. *)
+   determinism contract, as a property over arbitrary walks. Each walk also
+   holds the engine's cached enabled set and finished count to a scan, on
+   programs that join (wsq), spawn during a step (singularity) and fail
+   during a step. *)
 let qprops =
   [ QCheck.Test.make ~name:"random walks replay deterministically" ~count:40
       QCheck.(int_bound 10_000)
       (fun seed ->
-        let prog = Fairmc_workloads.Wsq.program ~stealers:1 Fairmc_workloads.Wsq.Correct in
-        let rng = Fairmc_util.Rng.make (Int64.of_int seed) in
-        (* One random walk records decisions... *)
-        let run = Engine.start prog in
-        let decisions = ref [] in
-        let steps = ref 0 in
-        while
-          (not (Engine.all_finished run))
-          && Engine.failure run = None
-          && (not (B.is_empty (Engine.enabled_set run)))
-          && !steps < 200
-        do
-          let es = Engine.enabled_set run in
-          let tid = B.nth es (Fairmc_util.Rng.int rng (B.cardinal es)) in
-          let alt =
-            let n = Engine.alternatives run tid in
-            if n = 1 then 0 else Fairmc_util.Rng.int rng n
-          in
-          Engine.step run ~tid ~alt;
-          decisions := (tid, alt) :: !decisions;
-          incr steps
-        done;
-        let sig1 = Engine.state_signature run in
-        let trace1 = Trace.decisions (Engine.trace run) in
-        Engine.stop run;
-        (* ... which replays to the same signature and trace. *)
-        let run2 = Engine.start prog in
-        List.iter (fun (tid, alt) -> Engine.step run2 ~tid ~alt) (List.rev !decisions);
-        let sig2 = Engine.state_signature run2 in
-        let trace2 = Trace.decisions (Engine.trace run2) in
-        Engine.stop run2;
-        sig1 = sig2 && trace1 = trace2) ]
+        List.for_all
+          (fun prog ->
+            (* One random walk records decisions... *)
+            let run, decisions, exact = random_walk prog seed in
+            let sig1 = Engine.state_signature run in
+            let trace1 = Trace.decisions (Engine.trace run) in
+            Engine.stop run;
+            (* ... which replays to the same signature and trace. *)
+            let run2 = Engine.start prog in
+            List.iter (fun (tid, alt) -> Engine.step run2 ~tid ~alt) decisions;
+            let sig2 = Engine.state_signature run2 in
+            let trace2 = Trace.decisions (Engine.trace run2) in
+            Engine.stop run2;
+            exact && sig1 = sig2 && trace1 = trace2)
+          (registry "wsq-1s-correct" :: registry "singularity-lite-2s-1a" :: failing_progs)) ]
 
 let suite =
   List.map (QCheck_alcotest.to_alcotest ~long:false) qprops

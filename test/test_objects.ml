@@ -111,4 +111,21 @@ let suite =
         let m = O.register s O.Mutex ~init:0 in
         let v = O.register s ~name:"x" O.Var ~init:0 in
         Alcotest.(check string) "mutex name" "mutex#0" (O.name s m);
-        Alcotest.(check string) "custom name" "x" (O.name s v)) ]
+        Alcotest.(check string) "custom name" "x" (O.name s v));
+    Alcotest.test_case "Op.equal is structural equality" `Quick (fun () ->
+        let ops =
+          List.concat_map
+            (fun o ->
+              Op.
+                [ Lock o; Try_lock o; Timed_lock o; Unlock o; Sem_wait o; Sem_try_wait o;
+                  Sem_timed_wait o; Sem_post o; Ev_wait o; Ev_timed_wait o; Ev_set o;
+                  Ev_reset o; Var_read o; Var_write o; Var_rmw o; Join o; Choose o ])
+            [ 0; 1 ]
+          @ Op.[ Yield; Sleep; Spawn ]
+        in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b -> check (Op.to_string a ^ " = " ^ Op.to_string b) (a = b) (Op.equal a b))
+              ops)
+          ops) ]

@@ -135,4 +135,17 @@ let suite =
         let r = Search.run dfs (W.Litmus.race_assert ()) in
         check "first_error_execution set" true (r.stats.first_error_execution <> None);
         check "first_error_time set" true (r.stats.first_error_time <> None);
-        check "found_error" true (Report.found_error r)) ]
+        check "found_error" true (Report.found_error r));
+    Alcotest.test_case "a transition allocates at most 100 minor words" `Quick (fun () ->
+        (* Every path re-executes its prefix from the initial state, so what
+           one transition allocates multiplies through every verdict. A
+           closure or boxed value added to the per-transition path (engine
+           step, enabled set, fair scheduler, search loop) shows here as a
+           deterministic count, free of timing noise. *)
+        let p = (Option.get (W.Registry.find "wsq-1s-correct")).W.Registry.program in
+        let cfg = { Search_config.default with mode = Search_config.Context_bounded 2 } in
+        let before = Gc.minor_words () in
+        let r = Search.run cfg p in
+        let per = (Gc.minor_words () -. before) /. float_of_int r.stats.transitions in
+        check "verified" true (r.verdict = Report.Verified);
+        check (Printf.sprintf "%.1f minor words per transition <= 100" per) true (per <= 100.)) ]
