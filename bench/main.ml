@@ -654,10 +654,10 @@ let telemetry_overhead () =
           ("overhead_pct", Json.Float overhead) ])
     arms
 
-(* Fair_sched.step used to copy all five relation arrays per transition;
-   it now mutates in place (snapshots take an explicit Fair_sched.copy).
-   This experiment quantifies that delta: the same update stream applied
-   through the in-place step vs. through copy-then-step (the old cost). *)
+(* Fair_sched.step mutates in place, and callers that keep an old state
+   take an explicit Fair_sched.copy. This experiment measures what a copy
+   per transition would cost: the same update stream applied through the
+   in-place step vs. through copy-then-step. *)
 let fair_sched_step () =
   header "Fair scheduler: in-place step vs copy-per-step";
   line "%-24s %14s %14s %9s" "configuration" "steps" "steps/sec" "vs copy";

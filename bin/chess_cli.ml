@@ -35,8 +35,17 @@ let strategy =
 let no_fair =
   Arg.(value & flag & info [ "no-fair" ] ~doc:"Disable the fair scheduler (paper baseline).")
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let fair_k =
-  Arg.(value & opt int 1 & info [ "k" ] ~docv:"K" ~doc:"Process every K-th yield (Section 3).")
+  Arg.(value & opt positive_int 1
+       & info [ "k" ] ~docv:"K" ~doc:"Process every K-th yield (Section 3); K >= 1.")
 
 let depth_bound =
   Arg.(value & opt (some int) None

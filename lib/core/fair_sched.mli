@@ -19,11 +19,21 @@
     [step] updates the scheduler {e in place} and returns it: the stateless
     search re-executes from the initial state on every backtrack, recomputing
     the scheduler along the replay, so the pre-step value is always dead on
-    the hot path and copying all five per-thread arrays per transition was
-    pure overhead (see [bench fairsched]). Callers that must keep an old
-    state alive (tests, snapshotting) take an explicit {!copy} first;
-    [create], [add_thread] and [copy] still return fresh values that share no
-    arrays with their input.
+    the hot path. Callers that must keep an old state alive (tests,
+    snapshotting) take an explicit {!copy} first; [create], [add_thread] and
+    [copy] still return fresh values that share no arrays with their input.
+
+    The representation makes a transition that is not a (k-th) yield cost
+    O(1), independent of the thread count. [P] is stored by sink with a
+    running edge count, so line 13 is one store and [schedulable] returns
+    [enabled] untouched while [P] is empty. [S] and [E] are kept as
+    timestamps against a transition counter — each thread's last
+    transition, the transition that opened each window, and the transition
+    from which each thread has been continuously enabled — and are
+    materialized only when read. [D] is stored, since a transition changes
+    only the chosen thread's. A (k-th) yield materializes the yielding
+    thread's [E] and [S] in O(n) and adds the edges of [H]; {!sets} costs
+    O(n) too.
 
     The [k] parameter implements the paper's final remark in Section 3:
     process only every [k]-th yield of each thread, which extends soundness
@@ -35,7 +45,9 @@ val create : nthreads:int -> ?k:int -> unit -> t
 (** Initial scheduler state for threads [0 .. nthreads-1]: [P] empty and each
     window initialized per the paper ([E(u) = {}], [D(u) = S(u) = Tid]) so
     that the first yield of any thread leaves [P] unchanged.
-    @param k process every [k]-th yield; default 1. *)
+    @param k process every [k]-th yield; default 1.
+    @raise Invalid_argument if [k < 1] or [nthreads] exceeds the bitset
+    capacity ({!Fairmc_util.Bitset.max_capacity}[ + 1] threads). *)
 
 val nthreads : t -> int
 
@@ -53,7 +65,7 @@ val add_thread : t -> t
 val schedulable : t -> enabled:Fairmc_util.Bitset.t -> Fairmc_util.Bitset.t
 (** Line 7: [T = ES \ pre(P, ES)] — the enabled threads not deprioritized
     below another enabled thread. By Theorem 3, the result is empty iff
-    [enabled] is empty. *)
+    [enabled] is empty. [enabled] holds thread ids of [t] only. *)
 
 type obs = {
   mutable edges_added : int;  (** edges inserted by yield penalties (line 24) *)
@@ -61,8 +73,7 @@ type obs = {
   mutable penalties : int;  (** (k-th) yields that closed a window *)
 }
 (** Accumulator for priority-relation updates, filled by [step] when passed.
-    Counting is exact and costs a few extra bitset cardinals per step, which
-    is why it is opt-in — the observability layer passes one cell for the
+    Counting is exact; the observability layer passes one cell for the
     whole search and exports it into the metrics registry. *)
 
 val obs_create : unit -> obs
@@ -77,27 +88,21 @@ val step :
   t
 (** Lines 12–29: update after [chosen] executed one transition. [yielded] is
     [yield(curr, chosen)] — whether that transition was a yield; [es_before]
-    and [es_after] are the enabled sets of the states around the transition.
-    Mutates [t] in place and returns it; take a {!copy} first if the pre-step
-    state must survive. *)
+    and [es_after] are the enabled sets of the states around the transition,
+    holding thread ids of [t] only (call {!add_thread} for a thread the
+    transition spawned first). Mutates [t] in place and returns it; take a
+    {!copy} first if the pre-step state must survive. *)
 
 val edge_count : t -> int
-(** Current size of the priority relation [P]. *)
+(** Current size of the priority relation [P]; O(1). *)
 
 (** {1 Introspection (tests, theorems, diagnostics)} *)
 
 val priority_pairs : t -> (int * int) list
-(** Current edges [(t, u)] of [P]. *)
-
-val priority_blocked : t -> enabled:Fairmc_util.Bitset.t -> Fairmc_util.Bitset.t
-(** Enabled threads excluded from the schedulable set by [P]; a context
-    switch forced this way is a fairness preemption, which context-bounded
-    search must not count (paper §4). *)
+(** Current edges [(t, u)] of [P], by [t] descending, then [u] ascending. *)
 
 val sets : t -> tid:int -> Fairmc_util.Bitset.t * Fairmc_util.Bitset.t * Fairmc_util.Bitset.t
-(** [(E t, D t, S t)] — window sets for [tid]. *)
+(** [(E t, D t, S t)] — window sets for [tid], materialized in O(n). *)
 
 val is_acyclic : t -> bool
 (** The loop invariant of Theorem 3. Always true; exposed for tests. *)
-
-val pp : Format.formatter -> t -> unit

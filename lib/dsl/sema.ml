@@ -55,6 +55,10 @@ let check (prog : program) =
       | Devent (p, n, auto) -> declare p n (Event auto)
       | Dthread (p, n, body) ->
         if List.mem_assoc n !threads then err p "duplicate thread %s" n;
+        (* Thread ids are bitset elements, as in the engine and the scheduler. *)
+        if List.length !threads > Fairmc_util.Bitset.max_capacity then
+          err p "thread %s: program %s declares more than %d threads" n prog.prog_name
+            (Fairmc_util.Bitset.max_capacity + 1);
         threads := (n, (p, body)) :: !threads)
     prog.decls;
   let threads = List.rev !threads in

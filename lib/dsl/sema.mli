@@ -4,8 +4,9 @@
     confusion (locking a semaphore), assignments to undeclared variables,
     more than one effectful primitive (trylock/timedlock/timedwait/semtry/
     choose) in a single statement (a statement is one atomic transition, so
-    it can carry at most one scheduler interaction), and synchronization or
-    choice inside [atomic] blocks. *)
+    it can carry at most one scheduler interaction), synchronization or
+    choice inside [atomic] blocks, and more threads than a thread-id bitset
+    holds ({!Fairmc_util.Bitset.max_capacity}[ + 1]). *)
 
 type gkind =
   | Scalar

@@ -105,10 +105,11 @@ let to_config t =
     static_por = t.js_static_por }
 
 let validate t =
-  let unknown = List.filter (fun n -> analysis_of_name n = None) t.js_analyses in
-  match unknown with
-  | [] -> Ok ()
-  | l -> Error (Printf.sprintf "unknown analyses: %s" (String.concat ", " l))
+  if t.js_fair_k < 1 then Error (Printf.sprintf "fair_k must be >= 1, got %d" t.js_fair_k)
+  else
+    match List.filter (fun n -> analysis_of_name n = None) t.js_analyses with
+    | [] -> Ok ()
+    | l -> Error (Printf.sprintf "unknown analyses: %s" (String.concat ", " l))
 
 (* ------------------------------------------------------------------ *)
 (* Program resolution (mirrors the chess check CLI).                   *)

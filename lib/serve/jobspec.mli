@@ -51,7 +51,7 @@ val to_config : t -> Fairmc_core.Search_config.t
 
 val validate : t -> (unit, string) result
 (** Reject specs that cannot faithfully rebuild a config (unknown analysis
-    names). *)
+    names) or that no search accepts ([js_fair_k < 1]). *)
 
 val resolve :
   t -> (Fairmc_core.Program.t * Fairmc_util.Json.t option, string) result

@@ -573,6 +573,25 @@ let differential_tests =
         check_int "same state count" sa.SC.Stateful.states sv.SC.Stateful.states;
         check "both complete" true (sa.SC.Stateful.complete && sv.SC.Stateful.complete)) ]
 
+let limit_tests =
+  [ Alcotest.test_case "thread limit: 62 threads search, 63 are a static error" `Quick
+      (fun () ->
+        (* One thread per line after the declaration of x. *)
+        let src n =
+          "var x = 0;\n"
+          ^ String.concat "" (List.init n (Printf.sprintf "thread t%d { x = x + 1; }\n"))
+        in
+        let r =
+          Search.run { Search_config.default with max_executions = Some 3 } (load (src 62))
+        in
+        check "62 threads reach a verdict" true (r.verdict = Report.Limits_reached);
+        check_int "executions" 3 r.stats.executions;
+        match load (src 63) with
+        | exception D.Sema.Error (_, pos) ->
+          check_int "error at the 63rd thread" 64 pos.D.Ast.line
+        | _ -> Alcotest.fail "63 threads accepted") ]
+
 let suite =
   lexer_tests @ parser_tests @ sema_tests @ exec_tests @ differential_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) differential_qprops
+  @ limit_tests

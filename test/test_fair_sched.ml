@@ -1,9 +1,12 @@
 (* Tests for Algorithm 1 (the fair scheduler): initialization conventions,
    the paper's Figure 4 emulation step by step, the acyclicity invariant of
-   Theorem 3, and qcheck properties over random update sequences. *)
+   Theorem 3, qcheck properties over random update sequences, and a
+   differential check against the literal implementation in
+   [Fair_sched_ref]. *)
 
 module B = Fairmc_util.Bitset
 module FS = Fairmc_core.Fair_sched
+module Ref = Fair_sched_ref
 
 let set = Alcotest.testable B.pp B.equal
 
@@ -164,6 +167,68 @@ let unit_tests =
           Alcotest.fail "bad tid accepted"
         with Invalid_argument _ -> ()) ]
 
+(* Drive Fair_sched and the literal reference through one random update
+   sequence and compare every observable after every step: threads spawned
+   at random points, [es_before] sometimes unrelated to the previous
+   [es_after], chosen threads sometimes outside the schedulable set. *)
+let differential ~seed ~steps =
+  let rng = Fairmc_util.Rng.make (Int64.of_int seed) in
+  let rint b = Fairmc_util.Rng.int rng b and rbool () = Fairmc_util.Rng.bool rng in
+  let max_n = 8 in
+  let n0 = 1 + rint max_n and k = 1 + rint 3 and with_obs = rbool () in
+  let fs = ref (FS.create ~nthreads:n0 ~k ()) and rf = ref (Ref.create ~nthreads:n0 ~k ()) in
+  let obs = FS.obs_create () and robs = Ref.obs_create () in
+  let subset n = B.unsafe_of_int (rint (1 lsl n)) in
+  let es_prev = ref (subset n0) in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "seed %d: %s" seed m) fmt in
+  let str = B.to_int in
+  let show_pairs l = String.concat " " (List.map (fun (x, y) -> Printf.sprintf "(%d,%d)" x y) l) in
+  for i = 1 to steps do
+    if FS.nthreads !fs < max_n && rint 12 = 0 then begin
+      fs := FS.add_thread !fs;
+      rf := Ref.add_thread !rf
+    end;
+    let n = FS.nthreads !fs in
+    let es_before = if rint 4 = 0 then subset n else !es_prev in
+    let ts = Ref.schedulable !rf ~enabled:es_before in
+    let chosen = if B.is_empty ts || rint 4 = 0 then rint n else B.nth ts (rint (B.cardinal ts)) in
+    let yielded = rint 3 = 0 in
+    let es_after = subset n in
+    es_prev := es_after;
+    if with_obs then begin
+      fs := FS.step ~obs !fs ~chosen ~yielded ~es_before ~es_after;
+      rf := Ref.step ~obs:robs !rf ~chosen ~yielded ~es_before ~es_after
+    end
+    else begin
+      fs := FS.step !fs ~chosen ~yielded ~es_before ~es_after;
+      rf := Ref.step !rf ~chosen ~yielded ~es_before ~es_after
+    end;
+    for _ = 1 to 3 do
+      let enabled = subset n in
+      let a = FS.schedulable !fs ~enabled and b = Ref.schedulable !rf ~enabled in
+      if not (B.equal a b) then
+        fail "step %d: schedulable %#x: %#x vs %#x" i (str enabled) (str a) (str b)
+    done;
+    for tid = 0 to n - 1 do
+      let e, d, s = FS.sets !fs ~tid and e', d', s' = Ref.sets !rf ~tid in
+      if not (B.equal e e' && B.equal d d' && B.equal s s') then
+        fail "step %d: sets of %d: (%#x %#x %#x) vs (%#x %#x %#x)" i tid (str e) (str d)
+          (str s) (str e') (str d') (str s')
+    done;
+    let p = FS.priority_pairs !fs and p' = Ref.priority_pairs !rf in
+    if p <> p' then fail "step %d: P %s vs %s" i (show_pairs p) (show_pairs p');
+    if FS.edge_count !fs <> Ref.edge_count !rf then
+      fail "step %d: edge_count %d vs %d" i (FS.edge_count !fs) (Ref.edge_count !rf);
+    if FS.is_acyclic !fs <> Ref.is_acyclic !rf then fail "step %d: is_acyclic differs" i
+  done;
+  if
+    (obs.edges_added, obs.edges_removed, obs.penalties)
+    <> (robs.edges_added, robs.edges_removed, robs.penalties)
+  then
+    fail "obs (%d, %d, %d) vs (%d, %d, %d)" obs.edges_added obs.edges_removed
+      obs.penalties robs.edges_added robs.edges_removed robs.penalties;
+  true
+
 let qprops =
   [ QCheck.Test.make ~name:"P stays acyclic (Theorem 3 invariant)" ~count:200
       QCheck.(pair small_int (int_range 2 6))
@@ -210,4 +275,38 @@ let qprops =
             List.for_all (fun (_, y) -> y <> 0) (FS.priority_pairs fs'))
           states) ]
 
-let suite = unit_tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
+let capacity_tests =
+  [ Alcotest.test_case "thread limit is the bitset capacity" `Quick (fun () ->
+        (* Thread ids are bitset elements 0 .. max_capacity, like Engine's. *)
+        let cap = B.max_capacity + 1 in
+        let fs = FS.create ~nthreads:cap () in
+        Alcotest.(check int) "created at capacity" cap (FS.nthreads fs);
+        let es = full cap in
+        let fs = FS.step fs ~chosen:(cap - 1) ~yielded:true ~es_before:es ~es_after:es in
+        let fs = FS.step fs ~chosen:(cap - 1) ~yielded:true ~es_before:es ~es_after:es in
+        Alcotest.(check int) "last thread penalized against all others" (cap - 1)
+          (FS.edge_count fs);
+        let grown = ref (FS.create ~nthreads:1 ()) in
+        for _ = 2 to cap do
+          grown := FS.add_thread !grown
+        done;
+        Alcotest.(check int) "grown to capacity" cap (FS.nthreads !grown);
+        (try
+           ignore (FS.add_thread !grown);
+           Alcotest.fail "thread beyond capacity accepted"
+         with Invalid_argument _ -> ());
+        try
+          ignore (FS.create ~nthreads:(cap + 1) ());
+          Alcotest.fail "nthreads beyond capacity accepted"
+        with Invalid_argument _ -> ()) ]
+
+let differential_props =
+  [ QCheck.Test.make ~name:"matches the literal Algorithm 1 step by step" ~count:2000
+      QCheck.int
+      (fun seed -> differential ~seed ~steps:80) ]
+
+let suite =
+  unit_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
+  @ capacity_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) differential_props

@@ -148,4 +148,37 @@ let suite =
         let r = Search.run cfg p in
         let per = (Gc.minor_words () -. before) /. float_of_int r.stats.transitions in
         check "verified" true (r.verdict = Report.Verified);
-        check (Printf.sprintf "%.1f minor words per transition <= 100" per) true (per <= 100.)) ]
+        check (Printf.sprintf "%.1f minor words per transition <= 100" per) true (per <= 100.));
+    Alcotest.test_case "the fair search explores a pinned tree" `Quick (fun () ->
+        (* A change to the fair scheduler's representation must not change
+           what the search explores: these counts, including the
+           priority-relation accounting, pin the explored tree of three
+           fair searches. *)
+        let counter snap name =
+          match Fairmc_obs.Metrics.Snapshot.find snap name with
+          | Some (Fairmc_obs.Metrics.Snapshot.Counter c) -> c
+          | _ -> Alcotest.failf "counter %s missing" name
+        in
+        List.iter
+          (fun (name, cfg, (execs, transitions, yields, added, removed, penalties)) ->
+            let p = (Option.get (W.Registry.find name)).W.Registry.program in
+            let r = Search.run { cfg with Search_config.metrics = true } p in
+            let m = r.Report.metrics in
+            Alcotest.(check (list (pair string int)))
+              name
+              [ ("executions", execs); ("transitions", transitions); ("yields", yields);
+                ("edges added", added); ("edges removed", removed);
+                ("penalties", penalties) ]
+              [ ("executions", r.stats.executions);
+                ("transitions", r.stats.transitions);
+                ("yields", r.stats.yields);
+                ("edges added", counter m "sched/priority_edges_added");
+                ("edges removed", counter m "sched/priority_edges_removed");
+                ("penalties", counter m "sched/priority_penalties") ])
+          [ ("fig3", Search_config.default, (5, 22, 6, 1, 1, 6));
+            ( "wsq-1s-correct",
+              { Search_config.default with mode = Search_config.Context_bounded 2 },
+              (1656, 73494, 3312, 272, 272, 3312) );
+            ( "dining-2-tryacquire+yield",
+              { dfs with fair_k = 2 },
+              (1289, 1305056, 320464, 99, 99, 159813) ) ]) ]

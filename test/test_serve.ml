@@ -384,6 +384,36 @@ let dedup_tests =
         check "stream starts with run_start" true (List.mem "run_start" kinds);
         check "stream carries the run_end" true (List.mem "run_end" kinds)) ]
 
+(* ------------------------------------------------------------------ *)
+(* A spec no search accepts is refused, not queued                      *)
+(* ------------------------------------------------------------------ *)
+
+let fair_k_tests =
+  let spec = JS.of_config ~program:"fig3" C.default in
+  [ Alcotest.test_case "validate rejects fair_k < 1" `Quick (fun () ->
+        List.iter
+          (fun k ->
+            match JS.validate { spec with JS.js_fair_k = k } with
+            | Error _ -> ()
+            | Ok () -> Alcotest.failf "fair_k = %d accepted" k)
+          [ 0; -1 ];
+        check "fair_k = 2 passes" true (JS.validate { spec with JS.js_fair_k = 2 } = Ok ()));
+    Alcotest.test_case "invalid spec (k = 0): error reply, nothing queued" `Quick
+      (fun () ->
+        with_daemon @@ fun ~socket ~pid:_ ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        Serve.Client.request fd (P.Submit { spec = { spec with JS.js_fair_k = 0 }; priority = 0 });
+        (match Serve.Client.next fd with
+         | P.Error_msg _ -> ()
+         | m ->
+           Alcotest.failf "expected an error reply, got %s"
+             (J.to_string (P.message_to_json m)));
+        Serve.Client.request fd P.Jobs;
+        match Serve.Client.next fd with
+        | P.Job_list [] -> ()
+        | m -> Alcotest.failf "expected no jobs, got %s" (J.to_string (P.message_to_json m))) ]
+
 let suite =
   identity_tests @ robustness_tests @ dedup_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
+  @ fair_k_tests

@@ -472,7 +472,30 @@ let protocol_tests =
         Unix.close r;
         Unix.close w) ]
 
+(* ------------------------------------------------------------------ *)
+(* Out-of-range inputs are usage or static errors, never crashes       *)
+(* ------------------------------------------------------------------ *)
+
+let with_threads_file n f =
+  let file = Filename.temp_file "fairmc_threads" ".chess" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc "var x = 0;\n";
+      for i = 0 to n - 1 do
+        Printf.fprintf oc "thread t%d { x = x + 1; }\n" i
+      done);
+  Fun.protect ~finally:(fun () -> Sys.remove file) (fun () -> f file)
+
+let limit_tests =
+  [ Alcotest.test_case "-k 0 is a usage error, fair or not" `Quick (fun () ->
+        (* Cmdliner exits 124 on a command-line error. *)
+        run_cli ~expect:124 [ "fig3"; "-k"; "0" ];
+        run_cli ~expect:124 [ "fig3"; "-k"; "0"; "--no-fair" ];
+        run_cli ~expect:0 [ "fig3"; "-k"; "2"; "-q" ]);
+    Alcotest.test_case "62 threads are checked, 63 are a static error" `Quick (fun () ->
+        with_threads_file 62 (fun f -> run_cli ~expect:0 [ f; "--max-execs"; "3"; "-q" ]);
+        with_threads_file 63 (fun f -> run_cli ~expect:2 [ f; "--max-execs"; "3"; "-q" ])) ]
+
 let suite =
   equivalence_tests @ fault_matrix_tests @ quarantine_tests @ interrupt_tests
   @ dispatch_tests @ save_hardening_tests @ retry_tests @ resource_tests
-  @ protocol_tests
+  @ protocol_tests @ limit_tests
