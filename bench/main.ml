@@ -740,7 +740,9 @@ let vm_src_peterson =
 let vm_bench () =
   header "Bytecode VM: re-execution throughput vs the AST oracle (--interp ast)";
   line "(identical searches and observables; the only variable is the ChessLang";
-  line " backend. speedup = VM execs/sec over AST execs/sec on the same search)";
+  line " backend, and with it restore vs replay on backtrack: VM programs restore";
+  line " states, the AST interpreter replays prefixes. speedup = VM execs/sec over";
+  line " AST execs/sec on the same search)";
   line "%-18s %8s %12s %12s %12s %9s" "workload" "backend" "executions" "transitions"
     "execs/sec" "speedup";
   let budget n = Some (if full_budget then 5 * n else n) in

@@ -585,8 +585,9 @@ let replay_cmd =
             Format.printf "schedule replayed without reproducing a failure@."
           | Search.Replay_mismatch { step; tid } ->
             Format.eprintf
-              "replay mismatch at decision %d: thread %d has nothing pending or is \
-               disabled — the schedule does not fit this program@."
+              "replay mismatch at decision %d: thread %d does not exist, has nothing \
+               pending, is disabled or offers no such alternative — the schedule does \
+               not fit this program@."
               step tid;
             exit 2))
   in

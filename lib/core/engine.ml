@@ -37,9 +37,17 @@ type tstate =
 
 type observer = tid:int -> op:Op.t -> result:int -> unit
 
+(* Raised into a parked continuation to unwind it when its run is
+   abandoned or restored over: OCaml never frees the stack of a
+   continuation that is dropped without being resumed. Never recorded as a
+   failure. *)
+exception Unwind
+
 type t = {
   prog_store : Objects.t;
   obs : observer option;
+  capture : (unit -> Program.restore) option;
+  mutable unwinding : bool;  (* parked threads are being discontinued *)
   mutable threads : tstate array;
   mutable prev_op : Op.t option array;
   mutable op_repeat : int array;
@@ -113,6 +121,7 @@ let start_thread t tid body =
         (fun exn ->
           finish t tid;
           match exn with
+          | _ when t.unwinding -> ()
           | Runtime.Assertion_failure m -> record_failure t tid (Assertion m)
           | Objects.Sync_error m -> record_failure t tid (Sync_misuse m)
           | e ->
@@ -123,6 +132,12 @@ let start_thread t tid body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
+          | Runtime.Sched _ when t.unwinding ->
+            (* A finalizer of an unwinding body performed a sync op: unwind
+               it too instead of parking it again. *)
+            Some (fun (k : (a, unit) Effect.Deep.continuation) ->
+                (Runtime.ctx ()).spawn_body <- None;
+                Effect.Deep.discontinue k Unwind)
           | Runtime.Sched op ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
@@ -192,13 +207,34 @@ let refresh_enabled t =
   done;
   t.enabled <- !es
 
+(* Discontinue every parked thread, as the thread itself: its handlers and
+   finalizers run, and whatever they perform is unwound in turn. *)
+let unwind t =
+  let c = Runtime.ctx () in
+  let saved_tid = c.current_tid in
+  let saved_in = c.in_thread in
+  t.unwinding <- true;
+  for tid = 0 to t.nthreads - 1 do
+    match t.threads.(tid) with
+    | Parked p ->
+      t.threads.(tid) <- Running;
+      c.current_tid <- tid;
+      c.in_thread <- true;
+      Effect.Deep.discontinue p.k Unwind
+    | Running | Finished -> ()
+  done;
+  t.unwinding <- false;
+  c.current_tid <- saved_tid;
+  c.in_thread <- saved_in
+
 let start (prog : Program.t) =
   let active = active () in
   (match !active with
    | Some prev when prev.live ->
      (* A previous run that was not [stop]ped; take over, runs do not nest
         (within a domain). *)
-     prev.live <- false
+     prev.live <- false;
+     unwind prev
    | _ -> ());
   let store = Objects.create () in
   let c = Runtime.reset store in
@@ -206,6 +242,8 @@ let start (prog : Program.t) =
   let t =
     { prog_store = store;
       obs = !(Domain.DLS.get observer_key);
+      capture = booted.Program.capture;
+      unwinding = false;
       threads = Array.make 8 Finished;
       prev_op = Array.make 8 None;
       op_repeat = Array.make 8 0;
@@ -360,8 +398,89 @@ let op_counts t = t.op_counts
 let context_switches t = t.context_switches
 
 let stop t =
-  t.live <- false;
+  if t.live then begin
+    t.live <- false;
+    unwind t
+  end;
   let active = active () in
   match !active with
   | Some a when a == t -> active := None
   | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Capture and restore                                                 *)
+
+type snapshot = {
+  s_parked : B.t;  (* threads parked at the capture; the rest had finished *)
+  s_prev_op : Op.t option array;  (* a parked thread's entry is its pending op *)
+  s_op_repeat : int array;
+  s_nthreads : int;
+  s_enabled : B.t;
+  s_steps : int;  (* also the trace length *)
+  s_sync_ops : int;
+  s_var_ops : int;
+  s_op_counts : int array;
+  s_context_switches : int;
+  s_last_stepped : int;
+  s_counts : int array;  (* the store's object counts *)
+  s_restore : Program.restore;
+}
+
+let restorable t = Option.is_some t.capture && Option.is_none t.obs
+
+let capture t =
+  match t.capture with
+  | Some capture_prog when restorable t && t.live && Option.is_none t.failure ->
+    let parked = ref B.empty in
+    for tid = 0 to t.nthreads - 1 do
+      match t.threads.(tid) with
+      | Parked _ -> parked := B.add tid !parked
+      | Running -> invalid_arg "Engine.capture: a thread is running"
+      | Finished -> ()
+    done;
+    { s_parked = !parked;
+      s_prev_op = Array.sub t.prev_op 0 t.nthreads;
+      s_op_repeat = Array.sub t.op_repeat 0 t.nthreads;
+      s_nthreads = t.nthreads;
+      s_enabled = t.enabled;
+      s_steps = t.steps;
+      s_sync_ops = t.sync_ops;
+      s_var_ops = t.var_ops;
+      s_op_counts = Array.copy t.op_counts;
+      s_context_switches = t.context_switches;
+      s_last_stepped = t.last_stepped;
+      s_counts = Objects.save_counts t.prog_store;
+      s_restore = capture_prog () }
+  | _ -> invalid_arg "Engine.capture: run not restorable"
+
+let restore t s =
+  if not t.live then invalid_arg "Engine.restore: run not live";
+  unwind t;
+  let resume = s.s_restore () in
+  Objects.restore_counts t.prog_store s.s_counts;
+  t.failure <- None;
+  t.nthreads <- s.s_nthreads;
+  (* Re-enter each parked thread as a fresh fiber: it performs its pending
+     operation again and parks. Parking re-notes the thread's operation, so
+     the control abstraction is written back afterwards. *)
+  for tid = 0 to s.s_nthreads - 1 do
+    if B.mem tid s.s_parked then begin
+      t.threads.(tid) <- Running;
+      start_thread t tid (resume tid);
+      match (t.threads.(tid), s.s_prev_op.(tid)) with
+      | Parked p, Some op when Op.equal p.op op -> ()
+      | _ -> invalid_arg "Engine.restore: a thread did not park on its captured operation"
+    end
+    else t.threads.(tid) <- Finished
+  done;
+  Array.blit s.s_prev_op 0 t.prev_op 0 s.s_nthreads;
+  Array.blit s.s_op_repeat 0 t.op_repeat 0 s.s_nthreads;
+  t.nfinished <- s.s_nthreads - B.cardinal s.s_parked;
+  t.enabled <- s.s_enabled;
+  t.steps <- s.s_steps;
+  Trace.truncate t.trace s.s_steps;
+  t.sync_ops <- s.s_sync_ops;
+  t.var_ops <- s.s_var_ops;
+  Array.blit s.s_op_counts 0 t.op_counts 0 (Array.length t.op_counts);
+  t.context_switches <- s.s_context_switches;
+  t.last_stepped <- s.s_last_stepped

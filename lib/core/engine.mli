@@ -5,8 +5,9 @@
     the scheduler-facing view of the current state — the enabled set, each
     thread's pending operation, and [yield(t)]. The search layer (which owns
     the fair scheduler and the exploration strategy) decides which thread to
-    [step] next; backtracking is performed by discarding the run and starting
-    a new one ([start] is cheap relative to path length).
+    [step] next. Backtracking discards the run and starts a new one, unless
+    the program offers a capture ({!Program.booted}): then the search
+    {!capture}s states on its stack and {!restore}s one instead.
 
     Exactly one run may be active per domain (the engine keeps its ambient
     per-run context in domain-local state); the parallel search layer runs
@@ -108,5 +109,43 @@ val context_switches : t -> int
 (** Transitions whose thread differs from the previous transition's. *)
 
 val stop : t -> unit
-(** Mark the run as abandoned; parked continuations are dropped (they are
-    garbage-collected; threads under test must not rely on finalizers). *)
+(** Mark the run as abandoned. Every parked thread is unwound: an exception
+    private to the engine is raised at its scheduling point, so its handlers
+    and finalizers run once (a continuation dropped without being resumed
+    would keep its stack forever). Nothing the unwinding does is recorded as
+    a failure, and a sync operation performed while unwinding is unwound
+    too rather than parked. A later {!start} on the domain does the same
+    for a run it takes over. *)
+
+(** {1 Restoring states}
+
+    A program whose state is plain data (the ChessLang VM) offers a
+    capture hook. Then a state of the run can be copied and later written
+    back, so a backtracking search resumes from it instead of re-executing
+    the prefix from the initial state. *)
+
+type snapshot
+(** A state of one run: its program state, object counts, thread table,
+    control abstraction, enabled set, step and operation counters, and
+    trace length. *)
+
+val restorable : t -> bool
+(** The program offers a capture and no step observer is installed: an
+    observer (dynamic analysis) would miss the transitions of a restored
+    prefix, so observed runs keep replaying. *)
+
+val capture : t -> snapshot
+(** Copy the current state. Cost: the program's state plus O(threads +
+    objects + operation kinds) words.
+    @raise Invalid_argument unless the run is {!restorable}, live and not
+    failed. *)
+
+val restore : t -> snapshot -> unit
+(** Return the run to a state {!capture}d from it earlier: unwind every
+    parked thread (as {!stop} does), write the program state and object
+    counts back, re-enter each thread that was parked as a fresh fiber
+    (it performs the same operation again and parks), and reset the
+    counters, enabled set and control abstraction. The trace is truncated
+    to the captured length. A snapshot can be restored any number of times.
+    @raise Invalid_argument if the run was stopped or taken over, or a
+    re-entered thread parks on a different operation than captured. *)

@@ -143,6 +143,12 @@ let signature t h =
   done;
   !h
 
+let save_counts t = Array.init t.len (fun i -> t.slots.(i).count)
+
+let restore_counts t counts =
+  if Array.length counts <> t.len then invalid_arg "Objects.restore_counts";
+  Array.iteri (fun i c -> t.slots.(i).count <- c) counts
+
 let pp_obj t ppf o =
   if o < 0 || o >= t.len then Format.fprintf ppf "#%d" o
   else Format.fprintf ppf "%s" t.slots.(o).name

@@ -3,9 +3,9 @@
     The engine owns the *scheduling-relevant* state of every mutex,
     semaphore, and event so that it can decide [enabled(t)] for each parked
     thread; user data (queue contents etc.) stays in ordinary OCaml values on
-    the user side. A fresh store is created for every execution — stateless
-    search re-runs the program from scratch, so nothing here survives a
-    backtrack. *)
+    the user side. A fresh store is created for every execution boot; a
+    search that restores program state on backtrack writes the counts back
+    with {!restore_counts}. *)
 
 type kind =
   | Mutex
@@ -55,5 +55,13 @@ val holder : t -> Op.obj -> int option
 
 val signature : t -> Fairmc_util.Fnv.t -> Fairmc_util.Fnv.t
 (** Fold the scheduling-relevant state into a state-signature hash. *)
+
+val save_counts : t -> int array
+(** A copy of every object's mutable count, in id order: the whole
+    scheduling-relevant state of the store. *)
+
+val restore_counts : t -> int array -> unit
+(** Write counts taken by {!save_counts} back into the same store.
+    @raise Invalid_argument if the store has registered objects since. *)
 
 val pp_obj : t -> Format.formatter -> Op.obj -> unit

@@ -8,6 +8,13 @@
     identical initial state, and thread bodies must be deterministic apart
     from scheduling and explicit [Sync.choose] operations. *)
 
+type restore = unit -> int -> unit -> unit
+(** A captured program state. Calling it writes the state back into the
+    live program (any number of times) and returns [resume]: [resume tid]
+    is a fresh body for thread [tid], parked at the capture, that performs
+    the same pending operation again and then continues exactly as the
+    captured thread would have. *)
+
 type booted = {
   threads : (unit -> unit) list;
       (** Initial threads, in thread-id order starting at 0. More threads may
@@ -17,6 +24,13 @@ type booted = {
           with the generic scheduling state to form state signatures for
           coverage measurement (paper §4.2.1 did this manually for two
           programs; programs written in ChessLang get it for free). *)
+  capture : (unit -> restore) option;
+      (** Optional copy of the program's own state, taken while every live
+          thread is parked. Offered by programs whose state is plain data
+          (the ChessLang VM): the search then restores a state on backtrack
+          instead of re-executing its prefix (see {!Engine.capture}). The
+          program must spawn no threads and register no synchronization
+          objects after [boot]. *)
 }
 
 type t = {

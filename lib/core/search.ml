@@ -8,6 +8,21 @@ module AH = Analysis_hook
 
 type alt = { tid : int; alt : int; cost : int }
 
+(* The search state just before a frame's decision: the run's snapshot, the
+   scheduler, the path's locals, and the counts the path had accumulated
+   step by step (a path restored here starts from them, so every count
+   still covers whole paths). The path's [crossed_db] is false at every
+   frame: no frame is pushed past the depth bound. *)
+type snap = {
+  sn_run : Engine.snapshot;
+  sn_fair : Fair_sched.t;
+  sn_budget : int;
+  sn_last : int;
+  sn_last_yielded : bool;
+  sn_yields : int;
+  sn_obs : Fair_sched.obs;
+}
+
 type frame = {
   mutable chosen : alt;
   mutable rest : alt list;
@@ -19,6 +34,9 @@ type frame = {
       (* cumulative Estimator weight down to this frame: the ancestor product
          of [1/width], maintained at push so a completed path reads its leaf
          weight in O(1) *)
+  mutable snap : snap option;
+      (* taken on a restorable run while [rest] is non-empty, dropped with
+         the last sibling *)
 }
 
 (* A locked scheduling decision handed to a parallel work item: the worker
@@ -52,7 +70,8 @@ type path_end =
    [None] and no registry exists (see DESIGN.md, "Observability"). *)
 type meters = {
   reg : M.t;
-  m_replay_steps : M.counter;  (* prefix decisions re-applied after backtrack *)
+  m_replay_steps : M.counter;  (* prefix decisions re-executed after backtrack *)
+  m_restored_steps : M.counter;  (* prefix transitions restored, not re-executed *)
   m_fresh_steps : M.counter;  (* new systematic decision points *)
   m_sampled_steps : M.counter;  (* random-walk / rr / prio / random-tail steps *)
   m_path_len : M.histogram;  (* steps per execution *)
@@ -74,6 +93,7 @@ let make_meters () =
   let reg = M.create () in
   { reg;
     m_replay_steps = M.counter reg "search/steps/replay";
+    m_restored_steps = M.counter reg "search/steps/restored";
     m_fresh_steps = M.counter reg "search/steps/fresh";
     m_sampled_steps = M.counter reg "search/steps/sampled";
     m_path_len = M.histogram reg "search/path_length";
@@ -112,6 +132,8 @@ type ckpt_ctl = {
 type state = {
   cfg : C.t;
   prog : Program.t;
+  mutable run : Engine.t option;
+      (* the current path's run; kept across paths while it is restorable *)
   mutable frames : frame array;
   mutable nframes : int;
   states : (int64, unit) Hashtbl.t;
@@ -155,7 +177,8 @@ let dummy_frame =
     rest = [];
     sleep = B.empty;
     width = 1;
-    cum = Obs.Estimator.one }
+    cum = Obs.Estimator.one;
+    snap = None }
 
 let push_frame st fr =
   if st.nframes = Array.length st.frames then begin
@@ -268,11 +291,13 @@ let make_state ?(cancel = fun () -> false) ?deadline ?rng ?(prefix = [||])
           rest = [];
           sleep = p.p_sleep;
           width = p.p_width;
-          cum = !w })
+          cum = !w;
+          snap = None })
     prefix;
   let events = Option.map (fun s -> Obs.Events.buffer s ~shard) cfg.events in
   { cfg;
     prog;
+    run = None;
     frames;
     nframes = nprefix;
     states = Hashtbl.create 4096;
@@ -409,12 +434,47 @@ let render_cex ?(tail = false) st run =
   let rendered = Format.asprintf "@[<v>%a@]" (Trace.pp ?tail:tail_n ~names) tr in
   { Report.rendered; decisions = Trace.decisions tr; length = Trace.length tr }
 
-(* Execute one path: replay the frame prefix (systematic modes), then extend
-   with fresh decisions until the path ends. *)
-let execute_path st ~systematic =
-  let run = Engine.start st.prog in
-  List.iter (fun (i : AH.instance) -> i.exec_start run) st.analysis;
-  Fun.protect ~finally:(fun () -> Engine.stop run) @@ fun () ->
+(* A fresh cell with the same counts. *)
+let copy_obs (o : Fair_sched.obs) = { o with Fair_sched.edges_added = o.edges_added }
+
+let release st =
+  match st.run with
+  | Some run ->
+    st.run <- None;
+    Engine.stop run
+  | None -> ()
+
+(* The deepest frame holding a snapshot: normally the top one, the
+   backtrack target. Frames reloaded from a checkpoint or a work item have
+   none until a path replays them. *)
+let deepest_snap st =
+  let rec go i =
+    if i < 0 then None
+    else match st.frames.(i).snap with Some s -> Some (i, s) | None -> go (i - 1)
+  in
+  go (st.nframes - 1)
+
+(* Start a path: restore the deepest snapshot on the stack (re-executing
+   only the decisions above it), or boot the program and replay the whole
+   frame prefix. Returns the run and the restored frame's index and
+   snapshot. *)
+let begin_path st ~systematic =
+  let restored = match st.run with Some _ when systematic -> deepest_snap st | _ -> None in
+  match (st.run, restored) with
+  | Some run, Some (i, s) ->
+    Engine.restore run s.sn_run;
+    (* With no sibling left, this frame is never restored again. *)
+    if st.frames.(i).rest = [] then st.frames.(i).snap <- None;
+    (run, restored)
+  | _ ->
+    release st;
+    let run = Engine.start st.prog in
+    st.run <- Some run;
+    List.iter (fun (i : AH.instance) -> i.exec_start run) st.analysis;
+    (run, None)
+
+(* The path from [begin_path]'s state until it ends. *)
+let execute_from st ~systematic ~restoring run restored =
   let cfg = st.cfg in
   let spans_on = Option.is_some st.meters || Option.is_some st.span_buf in
   let nframes0 = st.nframes in
@@ -422,20 +482,50 @@ let execute_path st ~systematic =
   (* Set at the first non-replay decision: splits the path's wall time into
      its replay and fresh segments. *)
   let t_fresh = ref None in
-  let fair = ref (Fair_sched.create ~nthreads:(Engine.nthreads run) ~k:cfg.fair_k ()) in
-  let budget = ref (match cfg.mode with C.Context_bounded c -> c | _ -> max_int) in
-  let last = ref (-1) in
-  let last_yielded = ref false in
-  let depth = ref 0 in
+  (* Counts the path accumulates step by step, folded into the search's
+     when it ends. A restored path starts from the counts of its prefix. *)
+  let fair, budget, last, last_yielded, depth, yields, fair_obs =
+    match restored with
+    | None ->
+      ( Fair_sched.create ~nthreads:(Engine.nthreads run) ~k:cfg.fair_k (),
+        (match cfg.mode with C.Context_bounded c -> c | _ -> max_int),
+        -1, false, 0, 0, Fair_sched.obs_create () )
+    | Some (i, s) ->
+      (match st.meters with
+       | Some m -> M.add m.m_restored_steps (Engine.steps run)
+       | None -> ());
+      ( (if Option.is_none st.frames.(i).snap then s.sn_fair else Fair_sched.copy s.sn_fair),
+        s.sn_budget, s.sn_last, s.sn_last_yielded, i, s.sn_yields, copy_obs s.sn_obs )
+  in
+  let fair = ref fair in
+  let budget = ref budget in
+  let last = ref last in
+  let last_yielded = ref last_yielded in
+  let depth = ref depth in
   let crossed_db = ref false in
+  let yields = ref yields in
   let rr_next = ref 0 in
+  (* Snapshot the state before [fr]'s decision while it has siblings left
+     to explore. *)
+  let keep_snap fr =
+    if restoring && fr.rest <> [] && Option.is_none fr.snap then
+      fr.snap <-
+        Some
+          { sn_run = Engine.capture run;
+            sn_fair = Fair_sched.copy !fair;
+            sn_budget = !budget;
+            sn_last = !last;
+            sn_last_yielded = !last_yielded;
+            sn_yields = !yields;
+            sn_obs = copy_obs fair_obs }
+  in
   (* Sleep set of the next fresh node, computed when its parent's decision is
      applied (we need the parent state's pending operations). *)
   let pending_sleep = ref B.empty in
   let livelock_bound =
     if cfg.fair then Option.value cfg.livelock_bound ~default:cfg.max_steps else max_int
   in
-  record_state st run;
+  if Option.is_none restored then record_state st run;
   let apply (a : alt) =
     if cfg.sleep_sets && systematic && !depth > 0 && !depth = st.nframes then begin
       (* The next node is fresh: derive its sleep set from this node's. *)
@@ -483,9 +573,7 @@ let execute_path st ~systematic =
       (match st.meters with
        | None -> fair := Fair_sched.step !fair ~chosen:a.tid ~yielded ~es_before ~es_after
        | Some m ->
-         fair :=
-           Fair_sched.step ~obs:m.m_fair_obs !fair ~chosen:a.tid ~yielded ~es_before
-             ~es_after;
+         fair := Fair_sched.step ~obs:fair_obs !fair ~chosen:a.tid ~yielded ~es_before ~es_after;
          M.set_max m.m_pri_edges (Fair_sched.edge_count !fair);
          let e, d, s = Fair_sched.sets !fair ~tid:a.tid in
          M.observe m.m_e_size (B.cardinal e);
@@ -494,8 +582,7 @@ let execute_path st ~systematic =
     end;
     last := a.tid;
     last_yielded := yielded;
-    if yielded then st.yields <- st.yields + 1;
-    st.transitions <- st.transitions + 1;
+    if yielded then incr yields;
     st.max_depth <- Int.max st.max_depth (Engine.steps run);
     record_state st run
   in
@@ -552,6 +639,7 @@ let execute_path st ~systematic =
             if systematic && !depth < st.nframes then begin
               (match st.meters with Some m -> M.incr m.m_replay_steps | None -> ());
               let fr = st.frames.(!depth) in
+              keep_snap fr;
               incr depth;
               apply fr.chosen;
               loop ()
@@ -600,12 +688,16 @@ let execute_path st ~systematic =
                   if spans_on && Option.is_none !t_fresh then
                     t_fresh := Some (Obs.Span.start ());
                   let width = 1 + List.length rest in
-                  push_frame st
+                  let fr =
                     { chosen = a;
                       rest;
                       sleep = !pending_sleep;
                       width;
-                      cum = Obs.Estimator.descend (top_weight st) width };
+                      cum = Obs.Estimator.descend (top_weight st) width;
+                      snap = None }
+                  in
+                  push_frame st fr;
+                  keep_snap fr;
                   incr depth;
                   apply a;
                   loop ()
@@ -636,9 +728,32 @@ let execute_path st ~systematic =
         ~phase:"fresh" ~dur_us:f ()
     | None -> ()
   end;
+  st.transitions <- st.transitions + Engine.steps run;
+  st.yields <- st.yields + !yields;
+  (match st.meters with
+   | Some m ->
+     let o = m.m_fair_obs in
+     o.edges_added <- o.edges_added + fair_obs.edges_added;
+     o.edges_removed <- o.edges_removed + fair_obs.edges_removed;
+     o.penalties <- o.penalties + fair_obs.penalties
+   | None -> ());
   st.sync_ops_per_exec <- Int.max st.sync_ops_per_exec (Engine.sync_ops run);
   st.max_threads <- Int.max st.max_threads (Engine.nthreads run);
   (outcome, run)
+
+(* Execute one path: replay the frame prefix (systematic modes) or restore a
+   state on it, then extend with fresh decisions until the path ends. A
+   restorable run is kept for the next path; any other is stopped. *)
+let execute_path st ~systematic =
+  let run, restored = begin_path st ~systematic in
+  let restoring = systematic && Engine.restorable run in
+  match execute_from st ~systematic ~restoring run restored with
+  | result ->
+    if not restoring then release st;
+    result
+  | exception e ->
+    release st;
+    raise e
 
 (* Advance the DFS to the next unexplored decision; false when exhausted.
    Prefix frames of a parallel work item have an empty [rest], so the walk
@@ -651,6 +766,7 @@ let backtrack st =
       match fr.rest with
       | [] ->
         st.nframes <- st.nframes - 1;
+        st.frames.(st.nframes) <- dummy_frame;
         go ()
       | a :: rest ->
         if st.cfg.sleep_sets && a.tid <> fr.chosen.tid then
@@ -1038,6 +1154,7 @@ let run_loop_body st =
    the duration of the loop. Cleared on every exit path: a leaked observer
    would bill later searches on this domain to these instances. *)
 let run_loop st =
+  Fun.protect ~finally:(fun () -> release st) @@ fun () ->
   match st.analysis with
   | [] -> run_loop_body st
   | insts ->
@@ -1175,7 +1292,8 @@ let run ?resume cfg prog =
                rest = List.map alt_of fr.Checkpoint.c_rest;
                sleep = fr.Checkpoint.c_sleep;
                width;
-               cum = Obs.Estimator.descend (top_weight st) width })
+               cum = Obs.Estimator.descend (top_weight st) width;
+               snap = None })
          sq.Checkpoint.sq_frames;
        (* Preload coverage so the union across sessions matches the
           uninterrupted run (recording is idempotent). *)
@@ -1240,6 +1358,7 @@ let expand ?deadline cfg prog ~split_depth =
   let items = ref [] in
   let timed_out = ref false in
   let continue_ = ref true in
+  Fun.protect ~finally:(fun () -> release st) @@ fun () ->
   while !continue_ do
     if stopped st then begin
       timed_out := true;
@@ -1279,18 +1398,23 @@ type replay_outcome =
 let replay prog decisions callback =
   let run = Engine.start prog in
   Fun.protect ~finally:(fun () -> Engine.stop run) @@ fun () ->
-  (* First decision that could not be applied (its thread had nothing
-     pending or was disabled): the schedule does not fit this program, e.g.
-     a stale repro file after the program changed. *)
+  (* First decision that could not be applied (no such thread, its thread
+     had nothing pending or was disabled, or its operation offers no such
+     alternative): the schedule does not fit this program, e.g. a stale
+     repro file after the program changed. *)
   let mismatch = ref None in
   List.iteri
     (fun i (tid, alt) ->
       if !mismatch = None && Engine.failure run = None then begin
-        match Engine.pending run tid with
-        | Some _ when B.mem tid (Engine.enabled_set run) ->
+        if
+          tid >= 0 && tid < Engine.nthreads run
+          && B.mem tid (Engine.enabled_set run)
+          && alt >= 0 && alt < Engine.alternatives run tid
+        then begin
           Engine.step run ~tid ~alt;
           callback run
-        | _ -> mismatch := Some (i, tid)
+        end
+        else mismatch := Some (i, tid)
       end)
     decisions;
   match Engine.failure run with

@@ -7,6 +7,16 @@
     (random walk, round-robin, random-priority) run a fixed number of
     independent executions.
 
+    When the run is {!Engine.restorable} (a ChessLang program on the VM,
+    no dynamic analysis), the search keeps one run for the whole search
+    and snapshots every frame that still has unexplored siblings: the
+    engine state, a {!Fair_sched.copy} and the path's own locals. A
+    backtrack restores the target frame's snapshot and re-executes only its
+    new decision. A restored prefix still counts in [Report.stats] (its
+    transitions, yields and coverage were recorded when it first ran), so
+    reports are identical either way; only the [search/steps/replay] /
+    [search/steps/restored] split differs.
+
     When [config.fair] is set, scheduling decisions are restricted to the
     schedulable set [T] of Algorithm 1, computed by {!Fair_sched} along every
     path. Fair executions that exceed the livelock bound are reported as
@@ -35,16 +45,19 @@ val state_hook : (int64 -> Engine.t -> unit) option ref
 (** Debug/analysis hook invoked on every state recorded during coverage
     collection (signature + live run). Used by tests that cross-check
     stateless coverage against the stateful ground truth (sequential searches
-    only — the hook is a plain global). *)
+    only — the hook is a plain global). A restoring search does not revisit
+    the states of a restored prefix, so the hook sees each of those once. *)
 
 type replay_outcome =
   | Replayed_failure of Report.counterexample
       (** the schedule ends in a failure; re-rendered counterexample *)
   | Replayed_no_failure  (** applied fully, but no failure at the end *)
   | Replay_mismatch of { step : int; tid : int }
-      (** decision [step] (0-based) could not be applied: thread [tid] had
-          nothing pending or was disabled — the schedule does not fit this
-          program (e.g. a stale repro file) *)
+      (** decision [step] (0-based) could not be applied: thread [tid] does
+          not exist, had nothing pending or was disabled, or its operation
+          offers no such alternative (only [choose n] offers [0 .. n-1]; every
+          other operation only 0) — the schedule does not fit this program
+          (e.g. a stale repro file) *)
 
 val replay : Program.t -> (int * int) list -> (Engine.t -> unit) -> replay_outcome
 (** Re-execute a recorded schedule, invoking the callback after every

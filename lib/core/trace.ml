@@ -27,6 +27,10 @@ let push t e =
 
 let length t = t.len
 
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Trace.truncate";
+  t.len <- n
+
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.get";
   t.events.(i)

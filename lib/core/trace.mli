@@ -21,6 +21,11 @@ type t
 val create : unit -> t
 val push : t -> event -> unit
 val length : t -> int
+
+val truncate : t -> int -> unit
+(** [truncate t n] keeps the first [n] events (a restored search state
+    resumes its trace there). @raise Invalid_argument if [n > length t]. *)
+
 val get : t -> int -> event
 val events : t -> event list
 val last_n : t -> int -> event list

@@ -352,7 +352,10 @@ let boot ?(invisible = Stmt_op.no_invisible) (prog : program) (info : Sema.info)
   in
   ( (o, tms),
     { Program.threads = List.map (fun tm -> thread_body info ~invisible o tm) tms;
-      snapshot = Some (snapshot o tms) } )
+      snapshot = Some (snapshot o tms);
+      (* The interpreter's frames hold AST lists: it offers no capture and
+         keeps replaying. *)
+      capture = None } )
 
 let compile ?invisible (prog : program) =
   let info = Sema.check prog in

@@ -34,6 +34,8 @@ let pos_of_expr = function
   | Timed_wait (p, _) | Sem_try (p, _) | Choose (p, _) -> Some p
   | Int _ | Binop _ | Unop _ -> None
 
+let max_global_slots = 65_536
+
 let check (prog : program) =
   let kinds : (string, gkind) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
@@ -42,12 +44,23 @@ let check (prog : program) =
     Hashtbl.add kinds name kind;
     order := (name, kind) :: !order
   in
+  (* Global scalars take one slot, arrays one per element. *)
+  let slots = ref 0 in
+  let take_slots pos name n =
+    if n > max_global_slots - !slots then
+      err pos "%s takes the program's global storage past %d slots" name max_global_slots;
+    slots := !slots + n
+  in
   let threads = ref [] in
   List.iter
     (fun d ->
       match d with
-      | Dvar (p, n, _) -> declare p n Scalar
-      | Darray (p, n, size, _) -> declare p n (Array size)
+      | Dvar (p, n, _) ->
+        take_slots p n 1;
+        declare p n Scalar
+      | Darray (p, n, size, _) ->
+        take_slots p n size;
+        declare p n (Array size)
       | Dmutex (p, n) -> declare p n Mutex
       | Dsem (p, n, init) ->
         if init < 0 then err p "semaphore %s: negative initial count" n;

@@ -5,8 +5,9 @@
     more than one effectful primitive (trylock/timedlock/timedwait/semtry/
     choose) in a single statement (a statement is one atomic transition, so
     it can carry at most one scheduler interaction), synchronization or
-    choice inside [atomic] blocks, and more threads than a thread-id bitset
-    holds ({!Fairmc_util.Bitset.max_capacity}[ + 1]). *)
+    choice inside [atomic] blocks, more threads than a thread-id bitset
+    holds ({!Fairmc_util.Bitset.max_capacity}[ + 1]), and more global
+    storage than {!max_global_slots}. *)
 
 type gkind =
   | Scalar
@@ -21,6 +22,12 @@ type info = {
 }
 
 exception Error of string * Ast.pos
+
+val max_global_slots : int
+(** Global slots a program may declare in all: one per scalar, one per
+    array element. Every execution allocates them and every restorable
+    search state copies them, so the bound keeps both small; the first
+    declaration that crosses it is the error. *)
 
 val check : Ast.program -> info
 (** @raise Error on any static violation. *)

@@ -1,9 +1,9 @@
 (* Bytecode VM for ChessLang: the default execution backend.
 
-   Stateless model checking's hot path is re-execution — every backtracked
-   schedule replays the program from scratch — so per-step interpreter
-   cost multiplies through the whole search. This VM executes the flat
-   bytecode produced by [Compile]: a threaded [while]/[match] dispatch
+   Stateless model checking's hot path is re-execution — every path runs
+   the program forward from a restored or initial state — so per-step
+   interpreter cost multiplies through the whole search. This VM executes
+   the flat bytecode produced by [Compile]: a threaded [while]/[match] dispatch
    over an [int array], an [int array] operand stack, and flat per-thread
    frames (a single pc + an [int array] of local slots). No strings, no
    hash tables, no allocation on the per-instruction path.
@@ -18,7 +18,10 @@ module Fnv = Fairmc_util.Fnv
 module C = Compile
 
 (* Parked threads sit on a SCHED or HALT instruction with an empty operand
-   stack, so [cur_pc] + [locals] are the whole per-thread snapshot. *)
+   stack (the compiler emits SCHED only at statement boundaries, never
+   inside an atomic block), so [cur_pc] + [locals] are the whole
+   per-thread state: [boot]'s capture copies them, and a thread restarted
+   at its SCHED pc performs the same operation again and parks. *)
 type tstate = {
   locals : int array;
   inited : bool array;
@@ -29,8 +32,8 @@ exception Vm_error of string * Ast.pos
 
 let rt_err pos fmt = Format.kasprintf (fun m -> raise (Vm_error (m, pos))) fmt
 
-let run_thread (c : C.t) (ops : Op.t array) (slots : int array) (tc : C.thread_code)
-    (ts : tstate) () =
+let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
+    (tc : C.thread_code) (ts : tstate) () =
   let code = tc.C.t_code in
   let stack = Array.make (max tc.C.t_stack 1) 0 in
   let locals = ts.locals and inited = ts.inited in
@@ -38,7 +41,7 @@ let run_thread (c : C.t) (ops : Op.t array) (slots : int array) (tc : C.thread_c
   (* Instruction operands and stack offsets are compiler-validated, so the
      dispatch loop uses unchecked accesses. *)
   let arg i = Array.unsafe_get code i in
-  let pc = ref 0 in
+  let pc = ref start in
   let sp = ref 0 in
   let fuel = ref Machine.silent_fuel in
   let afuel = ref 0 in
@@ -276,7 +279,30 @@ let boot (c : C.t) () =
     Array.to_list
       (Array.mapi (fun i tc -> run_thread c ops slots tc tstates.(i)) c.C.c_threads)
   in
-  ((slots, tstates), { Program.threads; snapshot = Some snapshot })
+  let resume tid =
+    let ts = tstates.(tid) in
+    run_thread ~start:ts.cur_pc c ops slots c.C.c_threads.(tid) ts
+  in
+  let capture () =
+    let g = Array.copy slots in
+    let saved =
+      Array.map
+        (fun ts ->
+          { locals = Array.copy ts.locals; inited = Array.copy ts.inited; cur_pc = ts.cur_pc })
+        tstates
+    in
+    fun () ->
+      Array.blit g 0 slots 0 (Array.length g);
+      Array.iteri
+        (fun i (sv : tstate) ->
+          let ts = tstates.(i) in
+          Array.blit sv.locals 0 ts.locals 0 (Array.length sv.locals);
+          Array.blit sv.inited 0 ts.inited 0 (Array.length sv.inited);
+          ts.cur_pc <- sv.cur_pc)
+        saved;
+      resume
+  in
+  ((slots, tstates), { Program.threads; snapshot = Some snapshot; capture = Some capture })
 
 let program_of (c : C.t) =
   Program.make ~name:c.C.c_name (fun () -> snd (boot c ()))

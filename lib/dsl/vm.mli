@@ -8,6 +8,13 @@
     re-executing schedules several times faster (the [bench vm]
     experiment measures the ratio).
 
+    Its programs offer a capture ({!Fairmc_core.Program.booted}): the
+    global slots and each thread's pc, locals and init flags are copied,
+    and a restored thread restarts at its SCHED instruction (where it
+    parked with an empty operand stack), performs the same operation
+    again and parks. The search therefore restores states on backtrack
+    instead of replaying prefixes.
+
     State snapshots hash the flat representation directly (FNV over the
     global slot array, then each thread's pc and local slots), which is
     both faster than walking AST machine state and induces the same

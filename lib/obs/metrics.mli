@@ -17,10 +17,18 @@
       bit-identical for every [jobs] value. Gauges record run-dependent
       facts (peaks, wall times) and merge by [max]. One documented
       exception: the step-classification counters
-      ["search/steps/replay"] / ["search/steps/fresh"] depend on how the
-      decision tree was sharded (a worker replays its locked prefix where
-      the sequential search made those decisions fresh) — only their sum is
-      invariant, and the jobs-determinism test folds them together.
+      ["search/steps/replay"] / ["search/steps/restored"] /
+      ["search/steps/fresh"] depend on how the decision tree was sharded (a
+      worker replays its locked prefix where the sequential search made
+      those decisions fresh or restored them) and on where a resumed
+      session started (it replays its checkpointed stack once) — only their
+      sum is invariant, and the jobs- and resume-determinism tests fold
+      them together. [replay] counts prefix decisions re-executed,
+      [restored] the prefix transitions a restored state skipped (ChessLang
+      on the VM, see {!Fairmc_core.Engine.restore}). For the same reason
+      the per-scheduling-point histograms (["sched/schedulable_size"],
+      ["sched/window/*"]) observe executed steps only: on a restoring
+      search they depend on the sharding too.
 
     Naming convention: slash-separated lowercase paths, e.g.
     ["search/steps/replay"], ["sched/yields"], ["engine/op/lock"],

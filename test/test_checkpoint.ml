@@ -165,6 +165,23 @@ let base =
 
 let counters = Alcotest.(list (pair string int))
 
+(* A resumed session re-executes its checkpointed stack once from the
+   initial state where the uninterrupted run restored states on it: only
+   the sum of replayed and restored prefix steps is session-invariant. *)
+let prefix_steps_folded snap =
+  let prefix = ref 0 in
+  let rest =
+    List.filter
+      (fun (name, v) ->
+        if name = "search/steps/replay" || name = "search/steps/restored" then begin
+          prefix := !prefix + v;
+          false
+        end
+        else true)
+      (MS.counters snap)
+  in
+  ("search/steps/prefix", !prefix) :: rest
+
 (* Run [cfg] uninterrupted; run it again with [max_executions = cut] and a
    checkpoint; resume; assert verdict, stats and metric counters all match
    the uninterrupted run. Returns both reports for extra assertions. *)
@@ -196,8 +213,8 @@ let resume_equal ?(runner = fun ?resume cfg p -> Par_search.run ?resume cfg p) c
   check "same stats" true
     (strip_time resumed.Report.stats = strip_time full.Report.stats);
   Alcotest.check counters "same metric counters"
-    (MS.counters full.Report.metrics)
-    (MS.counters resumed.Report.metrics);
+    (prefix_steps_folded full.Report.metrics)
+    (prefix_steps_folded resumed.Report.metrics);
   (full, resumed)
 
 (* ------------------------------------------------------------------ *)
@@ -457,6 +474,27 @@ let unit_tests =
           check_int "mismatching thread" 0 tid;
           check_int "mismatching step" 2 step
         | Search.Replayed_failure _ -> Alcotest.fail "unexpected failure"
-        | Search.Replayed_no_failure -> Alcotest.fail "mismatch was swallowed") ]
+        | Search.Replayed_no_failure -> Alcotest.fail "mismatch was swallowed");
+    Alcotest.test_case "replay reports decisions outside the program as mismatches" `Quick
+      (fun () ->
+        (* A hand-edited or corrupt repro must not crash the replay: no such
+           thread, or an alternative the operation does not offer. *)
+        let chooser =
+          Program.of_threads ~name:"chooser" (fun () ->
+              [ (fun () -> ignore (Sync.choose 2)); (fun () -> Sync.yield ()) ])
+        in
+        List.iter
+          (fun (what, prog, decisions, want_step, want_tid) ->
+            match Search.replay prog decisions (fun _ -> ()) with
+            | Search.Replay_mismatch { step; tid } ->
+              check_int (what ^ ": step") want_step step;
+              check_int (what ^ ": thread") want_tid tid
+            | Search.Replayed_failure _ | Search.Replayed_no_failure ->
+              Alcotest.failf "%s: not reported as a mismatch" what)
+          [ ("thread 7", W.Litmus.race_assert (), [ (0, 0); (0, 0); (7, 0); (0, 0) ], 2, 7);
+            ("thread -1", W.Litmus.race_assert (), [ (-1, 0) ], 0, -1);
+            ("choose(2) alternative 5", chooser, [ (0, 5) ], 0, 0);
+            ("negative alternative", chooser, [ (0, -1) ], 0, 0);
+            ("alternative on a yield", chooser, [ (0, 1); (1, 1) ], 1, 1) ]) ]
 
 let suite = unit_tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops

@@ -477,10 +477,43 @@ let prop_schedules seed =
 let cex_decisions r = Option.map (fun c -> c.Report.decisions) (Report.cex r)
 let cex_rendered r = Option.map (fun c -> c.Report.rendered) (Report.cex r)
 
+(* The VM program with its capture hook removed: the search then replays
+   every prefix from the initial state, as it does for the AST
+   interpreter. *)
+let strip_capture (p : Program.t) =
+  Program.make ~name:p.Program.name ?facts:p.Program.facts (fun () ->
+      { (p.Program.boot ()) with Program.capture = None })
+
+let timeless (s : Report.stats) =
+  { s with Report.elapsed = 0.; search_elapsed = 0.; first_error_time = None }
+
+(* Everything a search reports that must not depend on how prefixes are
+   re-established: verdict, counterexample schedule and rendering, stats
+   (coverage included) and the deterministic event slice. *)
+let same_search ?(det = true) ~what (ra, ea) (rb, eb) =
+  let key r = Report.verdict_key r.Report.verdict in
+  if key ra <> key rb then
+    QCheck.Test.fail_reportf "%s: verdicts differ: %s vs %s" what (key ra) (key rb)
+  else if cex_decisions ra <> cex_decisions rb then
+    QCheck.Test.fail_reportf "%s: counterexample schedules differ" what
+  else if cex_rendered ra <> cex_rendered rb then
+    QCheck.Test.fail_reportf "%s: rendered counterexamples differ" what
+  else if timeless ra.Report.stats <> timeless rb.Report.stats then
+    QCheck.Test.fail_reportf "%s: stats differ: (%d,%d,%d) vs (%d,%d,%d)" what
+      ra.stats.executions ra.stats.transitions ra.stats.states rb.stats.executions
+      rb.stats.transitions rb.stats.states
+  else if det && Test_telemetry.det_slice ea <> Test_telemetry.det_slice eb then
+    QCheck.Test.fail_reportf "%s: det event slices differ" what
+  else true
+
+(* The VM restores states on backtrack; the AST interpreter and the
+   capture-stripped VM replay prefixes. All three must report the same
+   search, under fair DFS and context bounds, with and without sleep sets,
+   and the restoring VM must agree with itself at jobs = 2. *)
 let prop_search seed =
   let rng = R.make (Int64.of_int ((seed * 48271) + 1000)) in
   let ast = gen_program rng in
-  let cfg =
+  let base =
     { Search_config.default with
       coverage = true;
       livelock_bound = Some 300;
@@ -488,25 +521,104 @@ let prop_search seed =
       max_executions = Some 300;
       seed = Int64.of_int (seed + 17) }
   in
-  let ra = Search.run cfg (D.Machine.compile ast) in
-  let rv = Search.run cfg (D.Vm.compile ast) in
-  let key r = Report.verdict_key r.Report.verdict in
-  if key ra <> key rv then
-    QCheck.Test.fail_reportf "verdicts differ (seed %d): ast=%s vm=%s" seed (key ra)
-      (key rv)
-  else if cex_decisions ra <> cex_decisions rv then
-    QCheck.Test.fail_reportf "counterexample schedules differ (seed %d)" seed
-  else if cex_rendered ra <> cex_rendered rv then
-    QCheck.Test.fail_reportf "rendered counterexamples differ (seed %d)" seed
-  else if
-    (ra.stats.executions, ra.stats.transitions, ra.stats.states)
-    <> (rv.stats.executions, rv.stats.transitions, rv.stats.states)
-  then
-    QCheck.Test.fail_reportf
-      "stats differ (seed %d): ast=(%d,%d,%d) vm=(%d,%d,%d)" seed ra.stats.executions
-      ra.stats.transitions ra.stats.states rv.stats.executions rv.stats.transitions
-      rv.stats.states
-  else true
+  let vm = D.Vm.compile ast in
+  let replaying = [ ("ast", D.Machine.compile ast); ("vm-replay", strip_capture vm) ] in
+  List.for_all
+    (fun (mode, sleep_sets) ->
+      let cfg = { base with mode; sleep_sets } in
+      let what arm =
+        Printf.sprintf "seed %d, %s%s, %s" seed (Search_config.mode_name mode)
+          (if sleep_sets then "+ss" else "") arm
+      in
+      let restored = Test_telemetry.run_collect cfg vm in
+      List.for_all
+        (fun (arm, p) ->
+          same_search ~what:(what arm) (Test_telemetry.run_collect cfg p) restored)
+        replaying
+      &&
+      (* A budget stop cuts the parallel tree at a timing-dependent point;
+         a search that finished inside the budget is compared unbounded.
+         Only an error-free search's det slice is jobs-invariant: workers
+         past the first error emit their own paths until cancelled. *)
+      match (fst restored).Report.verdict with
+      | Report.Limits_reached -> true
+      | v ->
+        let cfg = { cfg with max_executions = None } in
+        same_search ~det:(v = Report.Verified) ~what:(what "vm jobs=2")
+          (Test_telemetry.run_collect { cfg with jobs = 2 } vm)
+          (Test_telemetry.run_collect cfg vm))
+    [ (Search_config.Dfs, false);
+      (Search_config.Dfs, true);
+      (Search_config.Context_bounded 1, false);
+      (Search_config.Context_bounded 1, true);
+      (Search_config.Context_bounded 2, false);
+      (Search_config.Context_bounded 2, true) ]
+
+(* Everything the search reads off a run, plus the state signature. *)
+let observe run =
+  let n = Engine.nthreads run in
+  ( ( bits (Engine.enabled_set run),
+      List.init n (fun tid ->
+          (Engine.pending run tid, Engine.alternatives run tid, Engine.would_yield run tid)),
+      (Engine.failure run, Engine.all_finished run, Engine.deadlocked run) ),
+    ( Engine.steps run,
+      (Engine.sync_ops run, Engine.var_ops run, Engine.context_switches run),
+      Array.to_list (Engine.op_counts run) ),
+    List.map
+      (fun (e : Trace.event) ->
+        (e.Trace.step, e.tid, e.op, e.alt, e.result, e.yielded, bits e.enabled))
+      (Trace.events (Engine.trace run)),
+    Engine.state_signature run )
+
+(* Step a random enabled thread up to [n] times while the run can go on;
+   returns the decisions taken. *)
+let walk rng run n =
+  let rec go n acc =
+    let es = bits (Engine.enabled_set run) in
+    if n = 0 || es = [] || Engine.failure run <> None then List.rev acc
+    else begin
+      let tid = List.nth es (R.int rng (List.length es)) in
+      let alt = R.int rng (Engine.alternatives run tid) in
+      Engine.step run ~tid ~alt;
+      go (n - 1) ((tid, alt) :: acc)
+    end
+  in
+  go n []
+
+(* Capture at a random step, walk on, restore: the run must be back in the
+   captured state (as a replay to that step also reaches it), must re-walk
+   the same continuation, and must restore again. *)
+let prop_restore seed =
+  let rng = R.make (Int64.of_int ((seed * 7919) + 3)) in
+  let prog = D.Vm.compile (gen_program rng) in
+  let run = Engine.start prog in
+  let prefix = walk rng run (R.int rng 40) in
+  let fail fmt = QCheck.Test.fail_reportf ("seed %d: " ^^ fmt) seed in
+  if Engine.failure run <> None then begin
+    Engine.stop run;
+    true (* a failed run is never captured *)
+  end
+  else begin
+    let captured = observe run in
+    let snap = Engine.capture run in
+    let onward = walk rng run (1 + R.int rng 40) in
+    let walked = observe run in
+    Engine.restore run snap;
+    let ok1 = observe run = captured in
+    List.iter (fun (tid, alt) -> Engine.step run ~tid ~alt) onward;
+    let ok2 = observe run = walked in
+    Engine.restore run snap;
+    let ok3 = observe run = captured in
+    let replay = Engine.start prog in
+    List.iter (fun (tid, alt) -> Engine.step replay ~tid ~alt) prefix;
+    let ok4 = observe replay = captured in
+    Engine.stop replay;
+    if not ok1 then fail "restore did not return to the captured state"
+    else if not ok2 then fail "the restored run re-walked differently"
+    else if not ok3 then fail "a second restore differs"
+    else if not ok4 then fail "a replay to the captured step differs"
+    else true
+  end
 
 let differential_qprops =
   [ QCheck.Test.make
@@ -515,6 +627,11 @@ let differential_qprops =
     QCheck.Test.make
       ~name:"random programs: identical verdicts, counterexamples, coverage" ~count:25
       QCheck.small_int prop_search ]
+
+let restore_qprops =
+  [ QCheck.Test.make
+      ~name:"random programs: a restored run equals the captured and replayed state"
+      ~count:100 QCheck.small_int prop_restore ]
 
 let differential_tests =
   [ Alcotest.test_case "first counterexample equal across backends and jobs=1/4" `Quick
@@ -561,10 +678,15 @@ let differential_tests =
         in
         let prog = D.load_string src (* VM backend is the default *) in
         let cfg = { Search_config.default with livelock_bound = Some 1_000 } in
-        ignore (Test_checkpoint.resume_equal cfg prog ~cut:300);
+        let _, resumed = Test_checkpoint.resume_equal cfg prog ~cut:300 in
         ignore
           (Test_checkpoint.resume_equal { cfg with Search_config.jobs = 4 } prog
-             ~cut:500));
+             ~cut:500);
+        (* The resumed restoring search also matches a replaying one. *)
+        let replayed = Search.run cfg (strip_capture prog) in
+        check "resumed restore = uninterrupted replay" true
+          (resumed.Report.verdict = replayed.Report.verdict
+          && timeless resumed.Report.stats = timeless replayed.Report.stats));
     Alcotest.test_case "stateful ground truth agrees across backends" `Quick (fun () ->
         let fig3 = "var x = 0; thread t { x = 1; } thread u { while (x != 1) { yield; } }" in
         let sa = SC.Stateful.explore (D.load_string ~backend:`Ast fig3) in
@@ -591,7 +713,141 @@ let limit_tests =
           check_int "error at the 63rd thread" 64 pos.D.Ast.line
         | _ -> Alcotest.fail "63 threads accepted") ]
 
+(* The CLI is a declared dependency of the test stanza, built next to this
+   executable. *)
+let cli =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "chess_cli.exe")
+
+let with_source src f =
+  let file = Filename.temp_file "fairmc_dsl" ".chess" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc src);
+  Fun.protect ~finally:(fun () -> Sys.remove file) (fun () -> f file)
+
+let cli_status args =
+  Sys.command (Filename.quote_command cli args ^ " >/dev/null 2>/dev/null")
+
+let storage_tests =
+  [ Alcotest.test_case "global storage is bounded" `Quick (fun () ->
+        let sema_error_line src =
+          match D.Sema.check (parse src) with
+          | exception D.Sema.Error (_, pos) -> Some pos.D.Ast.line
+          | _ -> None
+        in
+        let n = D.Sema.max_global_slots in
+        check "an array filling the bound is accepted" true
+          (sema_error_line (Printf.sprintf "array a[%d];\nthread t { skip; }" n) = None);
+        Alcotest.(check (option int))
+          "one slot past the bound" (Some 3)
+          (sema_error_line
+             (Printf.sprintf "array a[%d];\nvar x;\nvar y;\nthread t { skip; }" (n - 1)));
+        Alcotest.(check (option int))
+          "a huge array" (Some 1)
+          (sema_error_line "array q[99999999999] = 1;\nthread t { skip; }");
+        Alcotest.(check (option int))
+          "max_int-sized arrays" (Some 1)
+          (sema_error_line
+             "array aa[4611686018427387903];\narray bb[4611686018427387903];\nthread t { skip; }"));
+    Alcotest.test_case "oversized storage is a static error for check and lint" `Quick
+      (fun () ->
+        if not (Sys.file_exists cli) then Alcotest.skip ();
+        with_source "array q[99999999999] = 1;\nthread t { skip; }" (fun file ->
+            check_int "check exits 2" 2 (cli_status [ "check"; file; "-q" ]);
+            check_int "lint exits 2" 2 (cli_status [ "lint"; file; "-q" ]))) ]
+
+(* Restore and replay agree through the CLI too: the restoring VM at -j 1,
+   -j 2 and --workers 2 (forked worker processes, hence a subprocess)
+   reports what an in-process replaying search reports. *)
+let cli_agreement_tests =
+  [ Alcotest.test_case "restore agrees with replay at -j 1, -j 2 and --workers 2" `Quick
+      (fun () ->
+        if not (Sys.file_exists cli) then Alcotest.skip ();
+        let module J = Fairmc_util.Json in
+        let field k = function
+          | J.Obj kv -> (match List.assoc_opt k kv with Some v -> v | None -> J.Null)
+          | _ -> J.Null
+        in
+        let int_field k j = match field k j with J.Int n -> n | _ -> -1 in
+        let summary (key, execs, trans, states, decisions) =
+          Printf.sprintf "%s %d/%d/%d %s" key execs trans states
+            (String.concat " "
+               (List.map (fun (t, a) -> Printf.sprintf "%d.%d" t a) decisions))
+        in
+        List.iter
+          (fun (src, extra) ->
+            with_source src (fun file ->
+                let cfg =
+                  { Search_config.default with coverage = true; livelock_bound = Some 1_000 }
+                in
+                let cfg =
+                  match extra with
+                  | [ "-s"; "cb:2" ] -> { cfg with mode = Search_config.Context_bounded 2 }
+                  | _ -> cfg
+                in
+                let r =
+                  Search.run cfg (strip_capture (Fairmc_static.load_file file))
+                in
+                let want =
+                  summary
+                    ( Report.verdict_key r.Report.verdict,
+                      r.stats.executions,
+                      r.stats.transitions,
+                      r.stats.states,
+                      Option.value ~default:[] (cex_decisions r) )
+                in
+                List.iter
+                  (fun par ->
+                    let json = Filename.temp_file "fairmc_dsl" ".json" in
+                    ignore
+                      (cli_status
+                         ([ "check"; file; "--coverage"; "--livelock-bound"; "1000";
+                            "--json"; json; "-q" ]
+                         @ extra @ par));
+                    let doc =
+                      match J.of_string (In_channel.with_open_bin json In_channel.input_all) with
+                      | Ok j -> j
+                      | Error e -> Alcotest.failf "unparseable report: %s" e
+                    in
+                    Sys.remove json;
+                    let stats = field "stats" doc in
+                    let decisions =
+                      match field "counterexample" (field "verdict" doc) with
+                      | J.Obj _ as c ->
+                        (match field "decisions" c with
+                         | J.Arr ds ->
+                           List.map
+                             (function
+                               | J.Arr [ J.Int t; J.Int a ] -> (t, a)
+                               | _ -> Alcotest.fail "bad decision")
+                             ds
+                         | _ -> [])
+                      | _ -> []
+                    in
+                    let got =
+                      summary
+                        ( (match field "verdict_key" doc with J.Str k -> k | _ -> "?"),
+                          int_field "executions" stats,
+                          int_field "transitions" stats,
+                          int_field "states" stats,
+                          decisions )
+                    in
+                    Alcotest.(check string) (String.concat " " (extra @ par)) want got)
+                  [ [ "-j"; "1" ]; [ "-j"; "2" ]; [ "--workers"; "2" ] ]))
+          [ ( "var x = 0;\n\
+               thread a { local t = x; x = t + 1; }\n\
+               thread b { local t = x; x = t + 1; }\n\
+               thread c { while (x == 0) { yield; } assert(x == 2, \"lost update\"); }",
+              [] );
+            ( "var x = 0; var y = 0; mutex m;\n\
+               thread a { lock(m); x = x + 1; unlock(m); while (y == 0) { yield; } }\n\
+               thread b { lock(m); y = x; unlock(m); }\n\
+               thread c { local r = choose(2); x = x + r; }",
+              [ "-s"; "cb:2" ] ) ]) ]
+
 let suite =
   lexer_tests @ parser_tests @ sema_tests @ exec_tests @ differential_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) differential_qprops
   @ limit_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) restore_qprops
+  @ storage_tests @ cli_agreement_tests

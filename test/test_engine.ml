@@ -309,4 +309,54 @@ let suite =
         let run = Engine.start p in
         check "finished" true (Engine.all_finished run);
         check "not deadlocked" false (Engine.deadlocked run);
-        Engine.stop run) ]
+        Engine.stop run);
+    Alcotest.test_case "ended runs unwind every parked thread" `Quick (fun () ->
+        (* Sleep-set prunes end paths with threads still parked. Each
+           thread body's finalizer must run exactly once per start: a
+           continuation dropped without being resumed keeps its stack. *)
+        let started = ref 0 and finalized = ref 0 in
+        let inner = Fairmc_workloads.Litmus.two_step_threads ~nthreads:3 ~steps:2 in
+        let p =
+          Program.make ~name:"counted" (fun () ->
+              let b = inner.Program.boot () in
+              { b with
+                Program.threads =
+                  List.map
+                    (fun body () ->
+                      incr started;
+                      Fun.protect ~finally:(fun () -> incr finalized) body)
+                    b.Program.threads })
+        in
+        let r =
+          Search.run { Search_config.default with fair = false; sleep_sets = true } p
+        in
+        check "verified" true (r.Report.verdict = Report.Verified);
+        check "paths were pruned" true (r.Report.stats.Report.sleep_set_prunes > 0);
+        check "threads started" true (!started > 0);
+        check_int "one finalizer per started thread" !started !finalized);
+    Alcotest.test_case "unwinding does not park a finalizer's sync op" `Quick (fun () ->
+        let finalized = ref 0 in
+        let p =
+          prog "finalizer-yields" (fun () ->
+              List.init 2 (fun _ () ->
+                  Fun.protect
+                    ~finally:(fun () ->
+                      incr finalized;
+                      Sync.yield ())
+                    (fun () ->
+                      Sync.yield ();
+                      Sync.yield ())))
+        in
+        let run = drive p [ 0 ] in
+        Engine.stop run;
+        check_int "both finalizers ran" 2 !finalized;
+        check "nothing pending" true
+          (Engine.pending run 0 = None && Engine.pending run 1 = None);
+        check "no failure recorded" true (Engine.failure run = None);
+        (* Taking over an unstopped run unwinds it the same way. *)
+        let run = drive p [ 1 ] in
+        let next = Engine.start p in
+        check_int "taken-over run unwound" 4 !finalized;
+        check "taken-over run has nothing pending" true (Engine.pending run 0 = None);
+        Engine.stop next;
+        check_int "stop unwinds" 6 !finalized) ]

@@ -227,15 +227,18 @@ let metrics_unit_tests =
 (* ------------------------------------------------------------------ *)
 (* Jobs-invariance of the deterministic counter slice.                 *)
 
-(* The replay/fresh split depends on how the tree was sharded (workers replay
-   their locked prefix); only the sum is invariant. Fold it before
-   comparing. *)
+(* The replay/restored/fresh split depends on how the tree was sharded
+   (workers replay their locked prefix, and restore only below it); only the
+   sum is invariant. Fold it before comparing. *)
 let folded_counters snap =
   let steps = ref 0 in
   let rest =
     List.filter
       (fun (name, v) ->
-        if name = "search/steps/replay" || name = "search/steps/fresh" then begin
+        if
+          name = "search/steps/replay" || name = "search/steps/restored"
+          || name = "search/steps/fresh"
+        then begin
           steps := !steps + v;
           false
         end
@@ -271,7 +274,24 @@ let determinism_tests =
     Alcotest.test_case "counters are jobs-invariant (sleep sets)" `Quick (fun () ->
         assert_counters_jobs_invariant "two-step-ss"
           { base with fair = false; sleep_sets = true }
-          (W.Litmus.two_step_threads ~nthreads:2 ~steps:3)) ]
+          (W.Litmus.two_step_threads ~nthreads:2 ~steps:3));
+    Alcotest.test_case "counters are jobs-invariant (ChessLang, restoring)" `Quick
+      (fun () ->
+        (* The VM restores states on backtrack: every counter a restored
+           prefix skips is credited, so the slice matches the workers'. *)
+        let prog =
+          Fairmc_static.load_string
+            "var x = 0; var y = 0; mutex m;\n\
+             thread a { lock(m); x = x + 1; unlock(m); while (y == 0) { yield; } }\n\
+             thread b { lock(m); y = x; unlock(m); }\n\
+             thread c { local r = choose(2); x = x + r; }"
+        in
+        check "the sequential search restored states" true
+          (let r = Search.run { base with metrics = true } prog in
+           match M.Snapshot.find r.Report.metrics "search/steps/restored" with
+           | Some (M.Snapshot.Counter n) -> n > 0
+           | _ -> false);
+        assert_counters_jobs_invariant "chesslang" { base with coverage = true } prog) ]
 
 (* ------------------------------------------------------------------ *)
 (* Progress callback.                                                  *)

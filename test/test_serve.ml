@@ -411,7 +411,34 @@ let fair_k_tests =
         Serve.Client.request fd P.Jobs;
         match Serve.Client.next fd with
         | P.Job_list [] -> ()
-        | m -> Alcotest.failf "expected no jobs, got %s" (J.to_string (P.message_to_json m))) ]
+        | m -> Alcotest.failf "expected no jobs, got %s" (J.to_string (P.message_to_json m)));
+    Alcotest.test_case "oversized ChessLang storage: error reply, daemon serves on" `Quick
+      (fun () ->
+        (* The daemon resolves programs in its own process: a static error
+           must come back as a reply, not take the daemon down. *)
+        let file = Filename.temp_file "fairmc_serve" ".chess" in
+        Out_channel.with_open_bin file (fun oc ->
+            output_string oc "array q[99999999999] = 1;\nthread t { skip; }\n");
+        Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+        with_daemon @@ fun ~socket ~pid ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        Serve.Client.request fd
+          (P.Submit { spec = JS.of_config ~program:file C.default; priority = 0 });
+        (match Serve.Client.next fd with
+         | P.Error_msg _ -> ()
+         | m ->
+           Alcotest.failf "expected an error reply, got %s"
+             (J.to_string (P.message_to_json m)));
+        check "daemon alive" true
+          (match Unix.waitpid [ Unix.WNOHANG ] pid with
+           | 0, _ -> true
+           | _ -> false);
+        Serve.Client.request fd (P.Submit { spec; priority = 0 });
+        match Serve.Client.next fd with
+        | P.Submitted _ -> ()
+        | m ->
+          Alcotest.failf "expected the next job accepted, got %s"
+            (J.to_string (P.message_to_json m))) ]
 
 let suite =
   identity_tests @ robustness_tests @ dedup_tests
