@@ -451,72 +451,6 @@ let ablation () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel search: executions/sec and speedup across worker counts.    *)
-
-let par () =
-  header "Parallel search: domain-sharded exploration (speedup vs jobs=1)";
-  line "(host reports %d core(s) available — near-linear speedup needs as many"
-    (Domain.recommended_domain_count ());
-  line " cores as workers; on fewer cores the domains time-slice and speedup";
-  line " degrades to <= 1x while results stay identical/reproducible)";
-  let jobs_list = [ 1; 2; 4; 8 ] in
-  let experiments =
-    [ (* Sampling: the embarrassingly-parallel case the paper's workloads
-         motivate — a fixed random-walk budget sharded across domains. *)
-      ("random-walk dining-3",
-       { Search_config.default with
-         mode = Search_config.Random_walk 2_000;
-         livelock_bound = Some 1_000;
-         time_limit = Some (4.0 *. cell_seconds) },
-       W.Dining.program ~n:3 W.Dining.Ordered);
-      ("random-walk wsq-2s",
-       { Search_config.default with
-         mode = Search_config.Random_walk 1_000;
-         livelock_bound = Some 2_000;
-         time_limit = Some (4.0 *. cell_seconds) },
-       W.Wsq.program ~stealers:2 W.Wsq.Correct);
-      (* Systematic: frontier-split fair DFS; results are bit-equal to the
-         sequential search at every jobs value. *)
-      ("fair-dfs dining-cov-2",
-       { base with time_limit = Some (4.0 *. cell_seconds) },
-       W.Dining.coverage_program ~n:2) ]
-  in
-  List.iter
-    (fun (name, cfg, prog) ->
-      line "\n-- %s --" name;
-      line "%6s %12s %12s %10s %9s" "jobs" "executions" "execs/sec" "wall" "speedup";
-      let base_rate = ref None in
-      List.iter
-        (fun jobs ->
-          (* Metrics on: the per-jobs records carry the merged snapshot, which
-             is how the shard/worker balance gauges get archived. *)
-          let r = Par_search.run { cfg with jobs; metrics = true } prog in
-          let rate = float_of_int r.stats.executions /. r.stats.elapsed in
-          let speedup =
-            match !base_rate with
-            | None ->
-              base_rate := Some rate;
-              1.0
-            | Some b -> rate /. b
-          in
-          line "%6d %12d %12.0f %9.2fs %8.2fx%s" jobs r.stats.executions rate
-            r.stats.elapsed speedup
-            (if r.verdict = Report.Limits_reached && cfg.time_limit <> None then ""
-             else if Report.found_error r then " (error found)"
-             else "");
-          record "par"
-            [ ("workload", Json.Str name);
-              ("jobs", Json.Int jobs);
-              ("executions", Json.Int r.stats.executions);
-              ("elapsed_seconds", Json.Float r.stats.elapsed);
-              ("execs_per_second", Json.Float rate);
-              ("speedup", Json.Float speedup);
-              ("verdict", Json.Str (Report.verdict_name r.verdict));
-              ("metrics", Metrics.Snapshot.to_json r.metrics) ])
-        jobs_list)
-    experiments
-
-(* ------------------------------------------------------------------ *)
 (* Dynamic-analysis overhead: the observer hook must be free when unset *)
 (* and cheap when set (PR 4 acceptance).                                *)
 
@@ -950,7 +884,6 @@ let all_experiments =
     ("gs", liveness_demos);
     ("boot", boot);
     ("ablation", ablation);
-    ("par", par);
     ("analysis", analysis_overhead);
     ("telemetry", telemetry_overhead);
     ("fairsched", fair_sched_step);

@@ -78,14 +78,6 @@ let sleep_sets =
 let coverage =
   Arg.(value & flag & info [ "coverage" ] ~doc:"Count distinct state signatures.")
 
-let jobs =
-  Arg.(value & opt int 1
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the parallel search: 1 (default) runs \
-                 sequentially, 0 uses all available cores. Systematic \
-                 strategies give identical results for every N; sampling \
-                 strategies are reproducible per (seed, N) pair.")
-
 let split_depth =
   Arg.(value & opt int Search_config.default.split_depth
        & info [ "split-depth" ] ~docv:"N"
@@ -94,14 +86,15 @@ let split_depth =
 
 let workers =
   Arg.(value & opt int 1
-       & info [ "workers" ] ~docv:"N"
-           ~doc:"Supervised worker $(i,processes) for systematic strategies: \
-                 1 (default) stays in-process, 0 uses all available cores. \
+       & info [ "j"; "jobs"; "workers" ] ~docv:"N"
+           ~doc:"Supervised worker $(i,processes) for the parallel search: 1 \
+                 (default) runs sequentially, 0 uses all available cores. \
+                 Systematic strategies give identical results for every N; \
+                 sampling strategies are reproducible per (seed, N) pair. \
                  Each worker is a forked process, so a crash, OOM kill or \
                  hang costs one work-item attempt — retried with backoff, \
                  then quarantined as a $(i,crash) verdict — instead of the \
-                 whole search. With no injected faults the report is \
-                 identical to $(b,-j) N's.")
+                 whole search.")
 
 let item_timeout =
   Arg.(value & opt (some float) None
@@ -157,7 +150,7 @@ let progress_flag =
 let progress_interval =
   Arg.(value & opt float 1.0
        & info [ "progress-interval" ] ~docv:"SECONDS"
-           ~doc:"Seconds between progress lines (shared across worker domains).")
+           ~doc:"Seconds between progress lines.")
 
 let races_flag =
   Arg.(value & flag
@@ -291,7 +284,7 @@ let static_por_arg =
                  unaffected.")
 
 let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound max_execs
-    time_limit seed sleep_sets coverage jobs split_depth workers item_timeout
+    time_limit seed sleep_sets coverage split_depth workers item_timeout
     max_retries inject_fault metrics stats progress
     progress_interval races lockset lock_graph fail_on_race checkpoint
     checkpoint_interval interp static_por =
@@ -315,7 +308,6 @@ let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound ma
     seed = Int64.of_int seed;
     sleep_sets;
     coverage;
-    jobs;
     split_depth;
     workers;
     item_timeout;
@@ -333,7 +325,7 @@ let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound ma
 let config_term =
   Term.(const build_config $ strategy $ no_fair $ fair_k $ depth_bound $ max_steps
         $ livelock_bound $ max_execs $ time_limit $ seed $ sleep_sets $ coverage
-        $ jobs $ split_depth $ workers $ item_timeout $ max_retries
+        $ split_depth $ workers $ item_timeout $ max_retries
         $ inject_fault $ metrics_flag $ stats_flag $ progress_flag
         $ progress_interval $ races_flag $ lockset_flag $ lock_graph_flag
         $ fail_on_race $ checkpoint_out $ checkpoint_interval $ interp_arg

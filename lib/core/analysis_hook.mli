@@ -61,7 +61,7 @@ val snapshot_cex : Engine.t -> string * (int * int) list * int
 
 val dedup_edges : lock_edge list -> lock_edge list
 (** Sort by (from, to) object ids and drop duplicates — the canonical edge
-    set, identical however the edges were collected ({!Par_search} merges
+    set, identical however the edges were collected ({!Supervisor} merges
     shard graphs by recomputing this on the concatenation). *)
 
 val cycles : lock_edge list -> (Op.obj * string) list list

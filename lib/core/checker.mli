@@ -20,13 +20,12 @@
     prefix for liveness violations) — the problem statement of Section 2. *)
 
 val check : ?config:Search_config.t -> ?resume:Checkpoint.payload -> Program.t -> Report.t
-(** Run the search. Defaults to fair depth-first search. With
-    [config.workers > 1] the search runs under the supervised process pool
-    ({!Supervisor}); otherwise in-process ({!Par_search}, sharded over
-    [config.jobs] domains). [resume] continues a prior checkpointed
-    session — obtain the payload from {!Checkpoint.load} +
-    {!Checkpoint.plan_resume}; raises {!Checkpoint.Mismatch} if it does not
-    fit the configuration. *)
+(** Run the search. Defaults to fair depth-first search. With [config.jobs]
+    or [config.workers] above 1 the search runs on the supervised worker
+    processes ({!Supervisor}); otherwise sequentially ({!Search}). [resume]
+    continues a prior checkpointed session — obtain the payload from
+    {!Checkpoint.load} + {!Checkpoint.plan_resume}; raises
+    {!Checkpoint.Mismatch} if it does not fit the configuration. *)
 
 val check_all :
   configs:(string * Search_config.t) list -> Program.t -> (string * Report.t) list

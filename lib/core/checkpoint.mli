@@ -149,8 +149,8 @@ val merge_stats : prior:Report.stats -> Report.stats -> Report.stats
 (** {1 Graceful interruption} *)
 
 val interrupted : unit -> bool
-(** Process-wide flag, polled by {!Search.run} / {!Par_search.run} at the
-    same points as cancellation. *)
+(** Process-wide flag, polled by {!Search.run} at every path start and
+    every [poll_interval] steps, and by the {!Supervisor} loop. *)
 
 val request_interrupt : unit -> unit
 val clear_interrupt : unit -> unit

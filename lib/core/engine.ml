@@ -78,20 +78,16 @@ type t = {
   mutable live : bool;
 }
 
-(* The active run is tracked per domain: the parallel search runs one engine
-   in each worker domain, and takeover/stop bookkeeping must not leak across
-   domains. *)
-let active_key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-let active () = Domain.DLS.get active_key
+(* The process's active run, for takeover/stop bookkeeping. *)
+let active : t option ref = ref None
 
-(* The step observer is a per-domain cell, like [active]: the search layer
-   installs it around a whole search, every [start] on that domain captures
-   the current value into the run, and [step] pays one immediate branch when
-   it is unset (the zero-cost-when-off contract of the obs layer). *)
-let observer_key : observer option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The step observer: the search layer installs it around a whole search,
+   every [start] captures the current value into the run, and [step] pays
+   one immediate branch when it is unset (the zero-cost-when-off contract
+   of the obs layer). *)
+let observer : observer option ref = ref None
 
-let set_observer f = Domain.DLS.get observer_key := f
+let set_observer f = observer := f
 
 let record_failure t tid f =
   match t.failure with None -> t.failure <- Some (tid, f) | Some _ -> ()
@@ -136,7 +132,7 @@ let start_thread t tid body =
             (* A finalizer of an unwinding body performed a sync op: unwind
                it too instead of parking it again. *)
             Some (fun (k : (a, unit) Effect.Deep.continuation) ->
-                (Runtime.ctx ()).spawn_body <- None;
+                Runtime.ctx.spawn_body <- None;
                 Effect.Deep.discontinue k Unwind)
           | Runtime.Sched op ->
             Some
@@ -144,7 +140,7 @@ let start_thread t tid body =
                 let payload =
                   match op with
                   | Op.Spawn ->
-                    let c = Runtime.ctx () in
+                    let c = Runtime.ctx in
                     let b = c.spawn_body in
                     c.spawn_body <- None;
                     b
@@ -154,7 +150,7 @@ let start_thread t tid body =
                 t.threads.(tid) <- Parked { op; k; payload })
           | _ -> None) }
   in
-  let c = Runtime.ctx () in
+  let c = Runtime.ctx in
   let saved_tid = c.current_tid in
   let saved_in = c.in_thread in
   c.current_tid <- tid;
@@ -210,7 +206,7 @@ let refresh_enabled t =
 (* Discontinue every parked thread, as the thread itself: its handlers and
    finalizers run, and whatever they perform is unwound in turn. *)
 let unwind t =
-  let c = Runtime.ctx () in
+  let c = Runtime.ctx in
   let saved_tid = c.current_tid in
   let saved_in = c.in_thread in
   t.unwinding <- true;
@@ -228,11 +224,10 @@ let unwind t =
   c.in_thread <- saved_in
 
 let start (prog : Program.t) =
-  let active = active () in
   (match !active with
    | Some prev when prev.live ->
-     (* A previous run that was not [stop]ped; take over, runs do not nest
-        (within a domain). *)
+     (* A previous run that was not [stop]ped; take over, runs do not
+        nest. *)
      prev.live <- false;
      unwind prev
    | _ -> ());
@@ -241,7 +236,7 @@ let start (prog : Program.t) =
   let booted = prog.Program.boot () in
   let t =
     { prog_store = store;
-      obs = !(Domain.DLS.get observer_key);
+      obs = !observer;
       capture = booted.Program.capture;
       unwinding = false;
       threads = Array.make 8 Finished;
@@ -318,7 +313,7 @@ let step t ~tid ~alt =
           | None -> failwith "Engine: spawn without a body"
         in
         let child = add_thread t body in
-        (Runtime.ctx ()).spawn_result <- child;
+        Runtime.ctx.spawn_result <- child;
         1
       | Op.Choose n ->
         if alt < 0 || alt >= n then invalid_arg "Engine.step: bad alternative";
@@ -346,14 +341,14 @@ let step t ~tid ~alt =
           the schedule up to and including this transition. [Spawn] reports
           the child tid, [Choose] the chosen alternative, try/timed ops 0/1. *)
        let result =
-         match p.op with Op.Spawn -> (Runtime.ctx ()).spawn_result | _ -> result
+         match p.op with Op.Spawn -> Runtime.ctx.spawn_result | _ -> result
        in
        f ~tid ~op:p.op ~result);
     (match t.failure with
      | Some _ -> ()
      | None ->
        t.threads.(tid) <- Running;
-       let c = Runtime.ctx () in
+       let c = Runtime.ctx in
        let saved_tid = c.current_tid in
        let saved_in = c.in_thread in
        c.current_tid <- tid;
@@ -377,7 +372,7 @@ let trace t = t.trace
 let store t = t.prog_store
 
 let state_signature t =
-  let regions = (Runtime.ctx ()).regions in
+  let regions = Runtime.ctx.regions in
   let h = Objects.signature t.prog_store Fnv.init in
   let h = ref (Fnv.int h t.nthreads) in
   for tid = 0 to t.nthreads - 1 do
@@ -402,7 +397,6 @@ let stop t =
     t.live <- false;
     unwind t
   end;
-  let active = active () in
   match !active with
   | Some a when a == t -> active := None
   | _ -> ()

@@ -9,10 +9,10 @@
     the program offers a capture ({!Program.booted}): then the search
     {!capture}s states on its stack and {!restore}s one instead.
 
-    Exactly one run may be active per domain (the engine keeps its ambient
-    per-run context in domain-local state); the parallel search layer runs
-    one engine in each worker domain. Within a domain, a new [start] takes
-    over from an un-[stop]ped predecessor — runs do not nest. *)
+    Exactly one run may be active per process (the engine keeps its ambient
+    per-run context in {!Runtime.ctx}); the parallel search forks one worker
+    process per engine. A new [start] takes over from an un-[stop]ped
+    predecessor — runs do not nest. *)
 
 module B := Fairmc_util.Bitset
 
@@ -38,8 +38,8 @@ type observer = tid:int -> op:Op.t -> result:int -> unit
     a replayable schedule ending in the observed transition. *)
 
 val set_observer : observer option -> unit
-(** Install (or clear) the calling domain's step observer. Captured by each
-    subsequent {!start} on this domain for the lifetime of that run; when
+(** Install (or clear) the process's step observer. Captured by each
+    subsequent {!start} for the lifetime of that run; when
     unset, stepping pays a single branch (zero-cost contract). The analysis
     layer ({!Search_config.analyses}) is the intended client. *)
 
@@ -91,8 +91,8 @@ val state_signature : t -> Fairmc_util.Fnv.t
     information (pending operation, consecutive-op counter, [Sync.at]
     region), registered [Svar] values, and the program's optional snapshot
     function. Used for coverage measurement and by the stateful ground-truth
-    search. Must be called on the run's own domain while it is the active one
-    (before any subsequent [start] there). *)
+    search. Must be called while the run is the active one (before any
+    subsequent [start]). *)
 
 val sync_ops : t -> int
 (** Synchronization operations executed (Table 1 accounting: everything
@@ -114,8 +114,8 @@ val stop : t -> unit
     and finalizers run once (a continuation dropped without being resumed
     would keep its stack forever). Nothing the unwinding does is recorded as
     a failure, and a sync operation performed while unwinding is unwound
-    too rather than parked. A later {!start} on the domain does the same
-    for a run it takes over. *)
+    too rather than parked. A later {!start} does the same for a run it
+    takes over. *)
 
 (** {1 Restoring states}
 

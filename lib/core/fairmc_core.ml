@@ -18,8 +18,8 @@ module Fair_sched = Fair_sched
 module Analysis_hook = Analysis_hook
 module Search_config = Search_config
 module Checkpoint = Checkpoint
+module Tally = Tally
 module Search = Search
-module Par_search = Par_search
 module Worker = Worker
 module Supervisor = Supervisor
 module Report = Report

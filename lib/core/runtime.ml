@@ -21,26 +21,21 @@ let fresh () =
     snapshotters = [];
     regions = Hashtbl.create 16 }
 
-(* One context per domain: the parallel search runs one engine per worker
-   domain, and each must see its own ambient state. Within a domain the old
-   single-run discipline still holds (exactly one of {engine, one thread}
-   executes at any instant). *)
-let key = Domain.DLS.new_key fresh
-
-let ctx () = Domain.DLS.get key
+(* One context per process: exactly one of {engine, one thread} executes at
+   any instant. *)
+let ctx = fresh ()
 
 let get_store () =
-  match (ctx ()).store with
+  match ctx.store with
   | Some s -> s
   | None -> failwith "Sync operation outside of a model-checked execution"
 
 let reset s =
-  let c = ctx () in
-  c.store <- Some s;
-  c.in_thread <- false;
-  c.current_tid <- -1;
-  c.spawn_body <- None;
-  c.spawn_result <- -1;
-  c.snapshotters <- [];
-  Hashtbl.reset c.regions;
-  c
+  ctx.store <- Some s;
+  ctx.in_thread <- false;
+  ctx.current_tid <- -1;
+  ctx.spawn_body <- None;
+  ctx.spawn_result <- -1;
+  ctx.snapshotters <- [];
+  Hashtbl.reset ctx.regions;
+  ctx

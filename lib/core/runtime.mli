@@ -4,11 +4,10 @@
     {!extension-Sched} effect at every visible operation; the engine parks
     the continuation and later resumes it with the operation's result. The
     mutable context below carries side-band data (spawn bodies, results,
-    state-snapshot hooks) for the current execution. It is stored in
-    domain-local state: each domain runs at most one engine at a time, and
-    within a domain exactly one of {engine, one thread} executes at any
-    instant, so plain mutable fields are safe. The parallel search layer
-    ({!Par_search}) relies on this to run one engine per worker domain. *)
+    state-snapshot hooks) for the current execution. It is plain process
+    state: a process runs at most one engine at a time, and exactly one of
+    {engine, one thread} executes at any instant. Parallel search forks
+    worker processes ({!Supervisor}), each with its own copy. *)
 
 type _ Effect.t +=
   | Sched : Op.t -> int Effect.t
@@ -44,12 +43,12 @@ type ctx = {
           [reset]. *)
 }
 
-val ctx : unit -> ctx
-(** The calling domain's context (created on first use). *)
+val ctx : ctx
+(** The process's context. *)
 
 val get_store : unit -> Objects.t
 (** @raise Failure outside [boot]/execution. *)
 
 val reset : Objects.t -> ctx
-(** Install a fresh store in the calling domain's context, clear all
-    side-band state, and return the context (engine use). *)
+(** Install a fresh store in {!ctx}, clear all side-band state, and return
+    the context (engine use). *)

@@ -61,7 +61,7 @@ type path_end =
   | P_divergence of Report.divergence_kind
   | P_nonterminating  (* hit the hard step cap *)
   | P_pruned  (* depth bound without random tail, or CB/sleep-set pruning *)
-  | P_stopped  (* wall-clock budget exhausted or cancelled by a peer *)
+  | P_stopped  (* wall-clock budget exhausted or interrupted *)
   | P_frontier  (* parallel expansion: the split depth was reached *)
 
 (* Pre-registered instruments: registered once per search (or shard), so hot
@@ -141,9 +141,7 @@ type state = {
   t0 : float;
   deadline : float;  (* absolute; [infinity] when unlimited *)
   poll_mask : int;
-  cancel : unit -> bool;
-  shared_execs : int Atomic.t option;  (* cross-domain execution counter *)
-  shared_mass : int Atomic.t option;  (* cross-domain Estimator probe mass *)
+  tally : Tally.t option;  (* search-wide totals of a parallel search *)
   frontier_at : int;  (* cut fresh decisions at this depth; [max_int] = never *)
   probe_denom : int;  (* sampling: original (unsharded) budget; 0 = systematic *)
   meters : meters option;
@@ -200,26 +198,25 @@ let elapsed st = Obs.Clock.elapsed ~since:st.t0
 
 let out_of_time st = Obs.Clock.now () > st.deadline
 
-(* Cancellation (parallel first-error-wins) and the process-wide graceful
-   interrupt (SIGINT/SIGTERM via Checkpoint) are folded into the same poll. *)
-let stopped st = out_of_time st || st.cancel () || Checkpoint.interrupted ()
+(* The wall clock and the process-wide graceful interrupt (SIGINT/SIGTERM
+   via Checkpoint) are folded into the same poll. *)
+let stopped st = out_of_time st || Checkpoint.interrupted ()
 
-(* Search-wide totals for a progress sample: the shared cross-domain atomics
-   under parallel search, this session's counters plus any resumed prior
-   otherwise. *)
+(* A parallel shard's peers spend the shared budget too, so a shard checks
+   it before starting a path as well as after finishing one. *)
+let peers_spent_budget st =
+  match (st.tally, st.cfg.C.max_executions) with
+  | Some t, Some m -> Tally.executions t >= m
+  | _ -> false
+
+(* Totals for a progress sample: this session's counters plus any resumed
+   prior. (A parallel search's progress is the supervisor's.) *)
 let progress_totals st =
-  let prior_execs, prior_mass =
-    match st.prior with
-    | Some p -> (p.pr_stats.Report.executions, p.pr_stats.Report.probe_mass)
-    | None -> (0, 0)
-  in
-  let executions =
-    match st.shared_execs with Some c -> Atomic.get c | None -> st.executions + prior_execs
-  in
-  let mass =
-    match st.shared_mass with Some a -> Atomic.get a | None -> st.probe_mass + prior_mass
-  in
-  (executions, mass)
+  match st.prior with
+  | Some p ->
+    ( st.executions + p.pr_stats.Report.executions,
+      st.probe_mass + p.pr_stats.Report.probe_mass )
+  | None -> (st.executions, st.probe_mass)
 
 let progress_sample st () =
   let executions, mass = progress_totals st in
@@ -238,14 +235,13 @@ let maybe_tick st =
   | Some p -> Obs.Progress.tick p (progress_sample st)
 
 (* Poll points share one clock read: tick the progress reporter, then check
-   the deadline and the peer-cancellation flag. *)
+   the deadline and the interrupt flag. *)
 let poll st =
   maybe_tick st;
   stopped st
 
 (* The sinks of a search's progress reporter; [None] when progress reporting
-   is off. The parallel search builds this once and shares it across shards
-   so the emission throttle is search-wide. *)
+   is off. *)
 let progress_of_cfg (cfg : C.t) =
   let sinks =
     (if cfg.C.progress then [ Obs.Progress.stderr_sink ] else [])
@@ -260,18 +256,17 @@ let mask_of_interval n =
   go 1
 
 (* Sampling modes weigh every execution [1/original-budget]; parallel shards
-   carry shrunk budgets in their own [cfg], so Par_search passes the original
-   explicitly via [?probe_denom]. Systematic modes use 0: leaf weights come
-   from the frame widths instead. *)
+   carry shrunk budgets in their own [cfg], so the supervisor passes the
+   original explicitly via [?probe_denom]. Systematic modes use 0: leaf
+   weights come from the frame widths instead. *)
 let default_probe_denom (cfg : C.t) =
   match cfg.C.mode with
   | C.Dfs | C.Context_bounded _ -> 0
   | C.Random_walk n | C.Priority_random n -> max 1 n
   | C.Round_robin -> 1
 
-let make_state ?(cancel = fun () -> false) ?deadline ?rng ?(prefix = [||])
-    ?shared_execs ?shared_mass ?probe_denom ?(frontier_at = max_int) ?(shard = 0)
-    ?progress (cfg : C.t) prog =
+let make_state ?deadline ?rng ?(prefix = [||]) ?tally ?probe_denom
+    ?(frontier_at = max_int) ?(shard = 0) ?progress (cfg : C.t) prog =
   let deadline =
     match deadline with
     | Some d -> d
@@ -305,9 +300,7 @@ let make_state ?(cancel = fun () -> false) ?deadline ?rng ?(prefix = [||])
     t0 = Obs.Clock.now ();
     deadline;
     poll_mask = mask_of_interval cfg.poll_interval;
-    cancel;
-    shared_execs;
-    shared_mass;
+    tally;
     frontier_at;
     probe_denom = (match probe_denom with Some d -> d | None -> default_probe_denom cfg);
     meters = (if cfg.metrics then Some (make_meters ()) else None);
@@ -989,16 +982,16 @@ let run_loop_body st =
        ck.ck_boundary <- Some b;
        if Obs.Clock.now () -. ck.ck_last >= ck.ck_interval then
          write_checkpoint st ck b ~complete:false);
-    (* Poll the wall clock and the peer-cancellation flag at every path
-       start, so short time budgets cannot overshoot by a whole path. *)
-    if poll st then begin
+    (* Poll the wall clock, the interrupt flag and the shared budget at
+       every path start, so short budgets cannot overshoot by a whole
+       path. *)
+    if poll st || peers_spent_budget st then begin
       verdict := Some Report.Limits_reached;
       stop_at := `Boundary
     end
     else begin
       let outcome, run_ = execute_path st ~systematic in
       st.executions <- st.executions + 1;
-      (match st.shared_execs with Some c -> Atomic.incr c | None -> ());
       (* Knuth probe: this leaf's weight is the product of [1/width] over its
          ancestor frames (systematic), or [1/budget] (sampling). Exact
          fixed-point division, so the sum is jobs-deterministic. *)
@@ -1007,9 +1000,7 @@ let run_loop_body st =
         else Obs.Estimator.descend Obs.Estimator.one st.probe_denom
       in
       st.probe_mass <- st.probe_mass + mass;
-      (match st.shared_mass with
-       | Some a -> ignore (Atomic.fetch_and_add a mass)
-       | None -> ());
+      (match st.tally with Some t -> Tally.add t ~executions:1 ~mass | None -> ());
       (match st.meters with
        | None -> ()
        | Some m ->
@@ -1079,9 +1070,7 @@ let run_loop_body st =
         (match cfg.max_executions with
          | Some m ->
            let total =
-             match st.shared_execs with
-             | Some c -> Atomic.get c
-             | None -> st.executions
+             match st.tally with Some t -> Tally.executions t | None -> st.executions
            in
            if total >= m then begin
              verdict := Some Report.Limits_reached;
@@ -1150,9 +1139,9 @@ let run_loop_body st =
   let stats, metrics, analysis = totals st in
   { Report.verdict = final_verdict; stats; metrics; analysis }
 
-(* Install the shard's analysis instances as the domain's step observer for
+(* Install the shard's analysis instances as the engine's step observer for
    the duration of the loop. Cleared on every exit path: a leaked observer
-   would bill later searches on this domain to these instances. *)
+   would bill later searches in this process to these instances. *)
 let run_loop st =
   Fun.protect ~finally:(fun () -> release st) @@ fun () ->
   match st.analysis with
@@ -1207,8 +1196,8 @@ let adjust_budgets (cfg : C.t) prior_execs =
   let max_executions = Option.map (fun m -> clamp (m - prior_execs)) cfg.max_executions in
   { cfg with C.mode; max_executions }
 
-(* Coordinator lifecycle events, shared with Par_search. [run_start]'s data
-   deliberately excludes [jobs] and budget fields: the det slice must be
+(* Coordinator lifecycle events, shared with the supervisor. [run_start]'s
+   data deliberately excludes [jobs] and budget fields: the det slice must be
    identical between a jobs=1 and a jobs=4 run of the same search. *)
 let post_run_start (cfg : C.t) (prog : Program.t) =
   match cfg.C.events with
@@ -1318,16 +1307,12 @@ let run ?resume cfg prog =
     post_run_end cfg report;
     report
 
-(* One shard of a parallel search: either a sampling worker (custom [rng]
+(* One shard of a parallel search: either a sampling item (custom [rng]
    stream, sharded budget already folded into [cfg]) or a systematic work
    item (locked [prefix]). Returns the coverage table alongside the report so
-   Par_search can union tables rather than summing cardinalities. *)
-let run_shard ?cancel ?deadline ?rng ?prefix ?shared_execs ?shared_mass ?probe_denom
-    ?shard ?progress cfg prog =
-  let st =
-    make_state ?cancel ?deadline ?rng ?prefix ?shared_execs ?shared_mass ?probe_denom
-      ?shard ?progress cfg prog
-  in
+   the supervisor can union tables rather than summing cardinalities. *)
+let run_shard ?deadline ?rng ?prefix ?tally ?probe_denom ?shard cfg prog =
+  let st = make_state ?deadline ?rng ?prefix ?tally ?probe_denom ?shard cfg prog in
   (run_loop st, st.states)
 
 (* Sequentially expand the systematic decision tree, cutting every path at

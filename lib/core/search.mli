@@ -66,7 +66,7 @@ val replay : Program.t -> (int * int) list -> (Engine.t -> unit) -> replay_outco
 
 (** {1 Parallel-search seam}
 
-    The entry points below are consumed by {!Par_search}; they are exposed
+    The entry points below are consumed by {!Supervisor}; they are exposed
     here because the work-item representation is owned by the search (it is
     a snapshot of its DFS stack). *)
 
@@ -104,9 +104,8 @@ val expand :
 
 val progress_of_cfg : Search_config.t -> Fairmc_obs.Progress.t option
 (** Build the progress reporter requested by the config ([progress] flag and
-    [on_progress] callback), or [None] if neither is set. {!Par_search}
-    creates one and shares it across all worker shards so the interval
-    throttle is search-wide. *)
+    [on_progress] callback), or [None] if neither is set. {!Supervisor}
+    builds one for a parallel search and ticks it from its dispatch loop. *)
 
 val post_run_start : Search_config.t -> Program.t -> unit
 (** Emit the coordinator [run_start] telemetry event (no-op without
@@ -119,31 +118,24 @@ val post_run_end : Search_config.t -> Report.t -> unit
     searches that reached a verdict. *)
 
 val run_shard :
-  ?cancel:(unit -> bool) ->
   ?deadline:float ->
   ?rng:Fairmc_util.Rng.t ->
   ?prefix:pdecision array ->
-  ?shared_execs:int Atomic.t ->
-  ?shared_mass:int Atomic.t ->
+  ?tally:Tally.t ->
   ?probe_denom:int ->
   ?shard:int ->
-  ?progress:Fairmc_obs.Progress.t ->
   Search_config.t ->
   Program.t ->
   Report.t * (int64, unit) Hashtbl.t
 (** One shard of a parallel search: a systematic work item (locked
-    [prefix]; backtracking never leaves its subtree) or a sampling worker
-    (private [rng] stream, budget pre-sharded in the config). [cancel] is
-    polled together with the wall clock — at every path start and every
-    [poll_interval] steps within a path — and ends the shard with
-    [Limits_reached]. [deadline] overrides the config's relative
-    [time_limit] with an absolute timestamp shared by all shards.
-    [shared_execs] is incremented per completed path and used (instead of
-    the local count) to enforce [max_executions] across shards;
-    [shared_mass] likewise accumulates the search-wide estimator probe mass
-    for live progress estimates. [probe_denom] is the {e original}
-    (unsharded) sampling budget — shard configs carry shrunk budgets, and
-    every sampled path must weigh [1/original]. [shard] tags the worker's
-    telemetry events ([config.events]). Returns the report together with the
-    shard's coverage table so the caller can union tables rather than sum
-    cardinalities. *)
+    [prefix]; backtracking never leaves its subtree) or a sampling item
+    (private [rng] stream, budget pre-sharded in the config). [deadline]
+    overrides the config's relative [time_limit] with an absolute timestamp
+    shared by all shards. Every completed path is added to [tally]'s slot,
+    and [max_executions] is checked against the tally's search-wide total
+    (instead of the local count) at every path start and end. [probe_denom]
+    is the {e original} (unsharded) sampling budget — shard configs carry
+    shrunk budgets, and every sampled path must weigh [1/original].
+    [shard] tags the shard's telemetry events ([config.events]). Returns the
+    report together with the shard's coverage table so the caller can union
+    tables rather than sum cardinalities. *)

@@ -74,15 +74,17 @@ type t = {
   coverage : bool;  (** record distinct state signatures *)
   verbose : bool;
   jobs : int;
-      (** worker domains for {!Par_search}: 1 runs the sequential search,
-          [n > 1] runs [n] domains, [0] (or negative) uses
-          [Domain.recommended_domain_count ()] *)
+      (** worker processes for the parallel search ({!Supervisor}); the
+          same knob as [workers], kept under the [-j] name. The fan-out is
+          the larger of the two, each with [0] (or negative) resolved to
+          [Domain.recommended_domain_count ()]; a fan-out of 1 runs the
+          sequential search. *)
   split_depth : int;
       (** parallel systematic search: the decision tree is expanded
           sequentially to this depth and each frontier prefix becomes an
           independent work item (see DESIGN.md, "Parallel search") *)
   poll_interval : int;
-      (** steps between wall-clock/cancellation polls inside an execution
+      (** steps between wall-clock/interrupt polls inside an execution
           (rounded up to a power of two); small values tighten [time_limit]
           overshoot on long paths at a slight cost per step *)
   metrics : bool;
@@ -91,12 +93,12 @@ type t = {
           branch per site (see DESIGN.md, "Observability"). *)
   progress : bool;  (** emit a periodic progress line on stderr *)
   progress_interval : float;
-      (** seconds between progress emissions (shared across worker domains);
-          0 emits at every poll point *)
+      (** seconds between progress emissions; 0 emits at every poll point *)
   on_progress : (Fairmc_obs.Progress.sample -> unit) option;
-      (** user callback, driven by the same poll points as [progress]. Under
-          parallel search it is invoked from worker domains (at most one
-          emission per interval search-wide) and must be thread-safe. *)
+      (** user callback, driven by the same poll points as [progress]. It
+          always runs in the calling process: a sequential search ticks it
+          at its poll points, a parallel one from the supervisor's loop,
+          with totals summed over the workers' shared {!Tally}. *)
   events : Fairmc_obs.Events.stream option;
       (** telemetry event stream (schema [fairmc-events/1]): run/path/error/
           checkpoint lifecycle events plus advisory span and estimate
@@ -132,11 +134,11 @@ type t = {
           the tree shape, so a session must resume with the same setting. *)
   workers : int;
       (** supervised worker {e processes} for {!Supervisor}: 1 (default)
-          keeps everything in-process ({!Par_search} handles [jobs]),
-          [n > 1] forks [n] crash-isolated workers, [0] (or negative) uses
-          [Domain.recommended_domain_count ()]. With no injected faults a
-          supervised systematic run reports bit-identically to the
-          in-domain [jobs = n] run. *)
+          runs the sequential search, [n > 1] forks [n] crash-isolated
+          workers, [0] (or negative) uses
+          [Domain.recommended_domain_count ()]; see [jobs] for how the two
+          combine. With no injected faults a parallel systematic run reports
+          bit-identically to the sequential one. *)
   item_timeout : float option;
       (** supervised runs: wall-clock budget per work-item attempt; on
           expiry the worker is SIGKILLed and the item requeued (counting

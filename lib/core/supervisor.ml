@@ -1,23 +1,41 @@
-(* Supervised process-level worker pool. See DESIGN.md, "Supervision".
+(* Parallel search on supervised worker processes. See DESIGN.md, "Parallel
+   search".
 
-   The systematic schedule space shards into verified work items exactly as
-   in {!Par_search} — the same {!Search.expand} frontier, the same per-item
-   RNG streams, the same min-index error resolution, and the same
-   {!Par_search.finalize_systematic} merge. The difference is the execution
-   vehicle: instead of OCaml 5 domains sharing the coordinator's address
-   space, each worker is a forked *process* talking length-prefixed JSON
-   over a pipe pair ({!Worker}). That buys crash isolation — a worker that
-   segfaults, is OOM-killed, or wedges takes down one work item attempt, not
-   the search:
+   Stateless model checking re-executes the program from its initial state
+   for every schedule, so shards share nothing but their totals. The
+   supervisor splits a search into work items, forks worker processes that
+   run them and answer in length-prefixed JSON over a pipe pair ({!Worker}),
+   and merges their reports:
 
-   - a dead/hung/garbling worker is SIGKILLed and reaped; its item is
-     requeued with exponential backoff, up to [config.max_retries] times;
-   - an item that keeps killing workers is quarantined as a {!Report.Crash}
+   - Systematic modes (DFS, context-bounded): {!Search.expand} cuts the
+     decision tree at [split_depth]; item k is the k-th frontier prefix in
+     DFS order. The expansion records nothing and every item re-executes
+     from the initial state, so the merged statistics (executions,
+     transitions, coverage states) equal the sequential search's exactly —
+     and because errors are resolved by *lowest item index* rather than
+     wall-clock order, the counterexample is the one the sequential search
+     finds, independent of the worker count and of timing.
+
+   - Sampling modes (random walk, random priorities): item i is RNG stream i
+     split off the seed ({!Rng.streams}), with an exact share of the
+     execution budget. The lowest-indexed erroring item wins, so the verdict
+     and counterexample are reproducible for a fixed (seed, worker count);
+     the statistics of items killed above the winner may vary between runs.
+     Round-robin runs a single schedule, sequentially.
+
+   Crash isolation: a worker that segfaults, is OOM-killed, wedges or
+   garbles its pipe costs one attempt of one item, not the search.
+   - The worker is SIGKILLed and reaped; its item is requeued with
+     exponential backoff, up to [config.max_retries] times.
+   - An item that keeps killing workers is quarantined as a {!Report.Crash}
      verdict whose counterexample is the item's schedule prefix, so the
-     crashing subtree can be re-entered deterministically;
-   - with zero faults, the supervised run goes through the very same merge
-     and checkpoint seams as the in-domain backend, so its report is
-     bit-identical to [jobs = n]'s.
+     crashing subtree can be re-entered deterministically.
+   - An item above the winning error index never merges: its worker is
+     killed and replaced, which is how the first error cancels the rest.
+
+   One execution budget spans the processes: every worker adds its paths to
+   its own slot of a shared {!Tally}, and [max_executions] is checked
+   against the sum at every path start and end (and before each dispatch).
 
    Determinism of fault injection: a configured fault fires exactly once, on
    the *first* attempt of item [fault_seed mod n_items]. Retries are
@@ -25,41 +43,328 @@
    report unchanged — the property the fault-matrix tests pin down. *)
 
 module C = Search_config
-module P = Par_search
 module J = Fairmc_util.Json
 module Rng = Fairmc_util.Rng
 module Retry = Fairmc_util.Retry
+module AH = Analysis_hook
 module M = Fairmc_obs.Metrics
 module Clock = Fairmc_obs.Clock
 module Progress = Fairmc_obs.Progress
 module Events = Fairmc_obs.Events
+module Estimator = Fairmc_obs.Estimator
 
 let resolve_workers (cfg : C.t) =
-  if cfg.C.workers = 1 then 1
-  else if cfg.C.workers <= 0 then Domain.recommended_domain_count ()
-  else cfg.C.workers
+  let resolve n = if n = 1 then 1 else if n <= 0 then Domain.recommended_domain_count () else n in
+  max (resolve cfg.C.jobs) (resolve cfg.C.workers)
 
-let forking_available = not Sys.win32
+(* ------------------------------------------------------------------ *)
+(* Merging, progress and checkpoint seams                              *)
+(* ------------------------------------------------------------------ *)
 
-(* A real probe, not a platform guess: fork once and reap. Runs before any
-   supervisor state exists so degradation to the in-domain backend never
-   duplicates telemetry or expansion work. Notably, OCaml 5 forbids fork for
-   the rest of the process lifetime once a second domain has ever been
-   created (Failure, not Unix_error) — a host program that ran an in-domain
-   search first must degrade, not die. *)
-let can_fork () =
-  if not forking_available then false
-  else begin
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 -> Unix._exit 0
-    | pid ->
-      (try ignore (Retry.eintr (fun () -> Unix.waitpid [] pid))
-       with Unix.Unix_error _ -> ());
-      true
-    | exception (Unix.Unix_error _ | Failure _) -> false
+let zero_stats =
+  { Report.executions = 0;
+    transitions = 0;
+    states = 0;
+    nonterminating = 0;
+    depth_bound_hits = 0;
+    sleep_set_prunes = 0;
+    yields = 0;
+    max_depth = 0;
+    elapsed = 0.;
+    first_error_execution = None;
+    first_error_time = None;
+    sync_ops_per_exec = 0;
+    max_threads = 0;
+    (* Callers overwrite [search_elapsed] on the merged result (wall time is
+       not summable across concurrent shards). *)
+    search_elapsed = 0.;
+    probe_mass = 0 }
+
+(* Analysis results merge like coverage: the lock-order graph is a set, so
+   shard edge lists are unioned (dedup + canonical sort) and the cycles are
+   recomputed from the union — identical for every shard layout. *)
+let merge_analysis parts =
+  match List.filter_map (fun ((r : Report.t), _) -> r.Report.analysis) parts with
+  | [] -> None
+  | anas ->
+    let edges =
+      AH.dedup_edges
+        (List.concat_map (fun (a : Report.analysis) -> a.Report.lock_order_edges) anas)
+    in
+    Some { Report.lock_order_edges = edges; potential_deadlock_cycles = AH.cycles edges }
+
+(* Sum counters, max the maxima, union the coverage tables, merge the
+   per-shard metrics snapshots (counters add, gauges max — see Metrics), and
+   union the analysis results. *)
+let merge_parts parts =
+  let tbl = Hashtbl.create 4096 in
+  let stats, metrics =
+    List.fold_left
+      (fun (acc, ms) ((r : Report.t), part_tbl) ->
+        let s = r.Report.stats in
+        Hashtbl.iter (fun k () -> Hashtbl.replace tbl k ()) part_tbl;
+        ( { acc with
+            Report.executions = acc.Report.executions + s.executions;
+            transitions = acc.transitions + s.transitions;
+            nonterminating = acc.nonterminating + s.nonterminating;
+            depth_bound_hits = acc.depth_bound_hits + s.depth_bound_hits;
+            sleep_set_prunes = acc.sleep_set_prunes + s.sleep_set_prunes;
+            yields = acc.yields + s.yields;
+            max_depth = max acc.max_depth s.max_depth;
+            sync_ops_per_exec = max acc.sync_ops_per_exec s.sync_ops_per_exec;
+            max_threads = max acc.max_threads s.max_threads;
+            probe_mass = acc.probe_mass + s.probe_mass },
+          M.Snapshot.merge ms r.Report.metrics ))
+      (zero_stats, M.Snapshot.empty) parts
+  in
+  let analysis = merge_analysis parts in
+  ( { stats with Report.states = Hashtbl.length tbl },
+    Report.fix_lockgraph_counters metrics analysis,
+    analysis )
+
+let sorted_states tbl = List.sort Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
+
+let states_tbl l =
+  let tbl = Hashtbl.create (max 16 (List.length l)) in
+  List.iter (fun s -> Hashtbl.replace tbl s ()) l;
+  tbl
+
+let estimate_sample ~executions ~mass ~elapsed ~jobs =
+  { Progress.executions;
+    elapsed;
+    jobs;
+    phase = "search";
+    completion = (if mass > 0 then Some (Estimator.completion ~mass) else None);
+    est_total = Estimator.est_total ~mass ~executions;
+    eta = Estimator.eta ~mass ~elapsed }
+
+let post_event (cfg : C.t) kind fields =
+  match cfg.C.events with
+  | None -> ()
+  | Some s -> Events.post s ~shard:(-1) ~kind (J.Obj fields)
+
+(* Advisory coordinator telemetry: the worker layout and the frontier
+   expansion's span (run-shaped, never part of the det slice). *)
+let post_workers (cfg : C.t) ~jobs ~split_depth ~items ~expand_us =
+  post_event cfg "workers"
+    [ ("jobs", J.Int jobs);
+      ("split_depth", J.Int split_depth);
+      ("items", J.Int items);
+      ("expand_us", J.Int expand_us) ];
+  if expand_us > 0 then
+    post_event cfg "span" [ ("phase", J.Str "expand"); ("dur_us", J.Int expand_us) ]
+
+(* Resume validation: the work-item list is defined by (program, config,
+   split_depth), so the re-expansion must agree with the checkpoint or its
+   recorded item indices are meaningless. *)
+let check_par_resume (cfg : C.t) ~n (pa : Checkpoint.par_state) =
+  if pa.Checkpoint.pa_split_depth <> cfg.split_depth then
+    raise
+      (Checkpoint.Mismatch
+         (Printf.sprintf "split depth drifted: checkpoint has %d, config has %d"
+            pa.Checkpoint.pa_split_depth cfg.split_depth));
+  if pa.Checkpoint.pa_n_items <> n then
+    raise
+      (Checkpoint.Mismatch
+         (Printf.sprintf "work-item count drifted: checkpoint has %d, expansion gives %d"
+            pa.Checkpoint.pa_n_items n))
+
+(* Items a prior session fully explored: prepopulated as if a worker had
+   just finished them, so merging and min-index error resolution are
+   oblivious to the interruption. Returns the prior (executions, probe mass)
+   to seed the search-wide tally. *)
+let resume_prefill (cfg : C.t) ~n
+    ~(results : (Report.t * (int64, unit) Hashtbl.t) option array)
+    (pa : Checkpoint.par_state) =
+  let execs = ref 0 and mass = ref 0 in
+  List.iter
+    (fun (it : Checkpoint.par_item) ->
+      if it.Checkpoint.pi_index < 0 || it.Checkpoint.pi_index >= n then
+        raise (Checkpoint.Mismatch "checkpoint work-item index out of range");
+      let analysis =
+        if cfg.C.analyses = [] then None
+        else
+          Some
+            { Report.lock_order_edges = it.Checkpoint.pi_edges;
+              (* Recomputed from the edge union at merge time. *)
+              potential_deadlock_cycles = [] }
+      in
+      let r =
+        { Report.verdict = Report.Verified;
+          stats = it.Checkpoint.pi_stats;
+          metrics = it.Checkpoint.pi_metrics;
+          analysis }
+      in
+      results.(it.Checkpoint.pi_index) <- Some (r, states_tbl it.Checkpoint.pi_states);
+      execs := !execs + it.Checkpoint.pi_stats.Report.executions;
+      mass := !mass + it.Checkpoint.pi_stats.Report.probe_mass)
+    pa.Checkpoint.pa_items;
+  (!execs, !mass)
+
+(* Durable session for the systematic item list: fully explored (Verified)
+   items are recorded and flushed to the checkpoint file, throttled by
+   [checkpoint_interval], plus once when the run stops. Disabled when the
+   expansion itself timed out: the item list is then partial and the
+   recorded indices would not survive a resume's re-expansion. *)
+type parck = {
+  pk_path : string;
+  pk_cfg : C.t;
+  pk_prog : string;
+  pk_n : int;
+  pk_t0 : float;
+  pk_prior_elapsed : float;
+  mutable pk_items : Checkpoint.par_item list;
+  mutable pk_last : float;
+}
+
+let parck_create (cfg : C.t) ~prog ~n ~t0 ~prior_elapsed ~resume ~expand_timed_out =
+  match cfg.C.checkpoint with
+  | Some path when not expand_timed_out ->
+    Some
+      { pk_path = path;
+        pk_cfg = cfg;
+        pk_prog = prog.Program.name;
+        pk_n = n;
+        pk_t0 = t0;
+        pk_prior_elapsed = prior_elapsed;
+        pk_items =
+          (match resume with
+           | Some (pa : Checkpoint.par_state) -> pa.Checkpoint.pa_items
+           | None -> []);
+        pk_last = Clock.now () }
+  | _ -> None
+
+(* A failed save warns and keeps the previous checkpoint (see
+   Checkpoint.save_result). *)
+let parck_write ck ~complete =
+  ck.pk_last <- Clock.now ();
+  let recorded =
+    List.sort
+      (fun (a : Checkpoint.par_item) b -> compare a.Checkpoint.pi_index b.Checkpoint.pi_index)
+      ck.pk_items
+  in
+  match
+    Checkpoint.save_result ck.pk_path
+      { Checkpoint.fingerprint = Checkpoint.fingerprint ck.pk_cfg ~program:ck.pk_prog;
+        payload =
+          Checkpoint.Par
+            { Checkpoint.pa_split_depth = ck.pk_cfg.C.split_depth;
+              pa_n_items = ck.pk_n;
+              pa_elapsed = ck.pk_prior_elapsed +. (Clock.now () -. ck.pk_t0);
+              pa_items = recorded;
+              pa_complete = complete } }
+  with
+  | Ok () -> ()
+  | Error msg ->
+    Printf.eprintf "fairmc: checkpoint save failed: %s (keeping the previous checkpoint)\n%!"
+      msg;
+    post_event ck.pk_cfg "checkpoint_error" [ ("file", J.Str ck.pk_path); ("error", J.Str msg) ]
+
+let parck_note ck k (r : Report.t) tbl =
+  if r.Report.verdict = Report.Verified then begin
+    ck.pk_items <-
+      { Checkpoint.pi_index = k;
+        pi_stats = r.Report.stats;
+        pi_metrics = r.Report.metrics;
+        pi_states = (if ck.pk_cfg.C.coverage then sorted_states tbl else []);
+        pi_edges =
+          (match r.Report.analysis with Some a -> a.Report.lock_order_edges | None -> []) }
+      :: ck.pk_items;
+    if Clock.now () -. ck.pk_last >= ck.pk_cfg.C.checkpoint_interval then
+      parck_write ck ~complete:false
   end
+
+(* Merge per-item results into the final systematic report. [winner] is the
+   lowest erroring item index ([max_int] when none). *)
+let finalize_systematic ~(results : (Report.t * (int64, unit) Hashtbl.t) option array)
+    ~winner ~elapsed ~search_elapsed ~expand_timed_out ~with_gauges =
+  let n = Array.length results in
+  if winner < n then begin
+    (* Sequential equivalence: the search would have explored items
+       [0..winner-1] in full, then stopped inside [winner]. Items below the
+       winner are never cancelled, so all their results are present. *)
+    let parts = ref [] and prior_execs = ref 0 in
+    for k = winner - 1 downto 0 do
+      match results.(k) with
+      | Some ((r, _) as p) ->
+        parts := p :: !parts;
+        prior_execs := !prior_execs + r.Report.stats.Report.executions
+      | None -> ()
+    done;
+    let win_r, win_tbl = Option.get results.(winner) in
+    let stats, metrics, analysis = merge_parts (!parts @ [ (win_r, win_tbl) ]) in
+    let ws = win_r.Report.stats in
+    { Report.verdict = win_r.Report.verdict;
+      stats =
+        { stats with
+          Report.elapsed;
+          search_elapsed;
+          first_error_execution =
+            Option.map (fun e -> !prior_execs + e) ws.Report.first_error_execution;
+          first_error_time = ws.Report.first_error_time };
+      metrics = with_gauges metrics;
+      analysis }
+  end
+  else begin
+    let parts = List.filter_map Fun.id (Array.to_list results) in
+    let stats, metrics, analysis = merge_parts parts in
+    let stats = { stats with Report.elapsed; search_elapsed } in
+    (* Any missing or [Limits_reached] item — or a timed-out expansion —
+       downgrades Verified to Limits_reached. *)
+    let limited =
+      expand_timed_out
+      || n > List.length parts
+      || List.exists (fun ((r : Report.t), _) -> r.Report.verdict = Report.Limits_reached) parts
+    in
+    { Report.verdict = (if limited then Report.Limits_reached else Report.Verified);
+      stats;
+      metrics = with_gauges metrics;
+      analysis }
+  end
+
+(* Sampling: every present item merges (items are budget shares, not
+   subtrees), plus the prior sessions' totals; the lowest erroring item's
+   verdict wins. *)
+let finalize_sampling ~(results : (Report.t * (int64, unit) Hashtbl.t) option array)
+    ~prior_part ~winner ~elapsed ~with_gauges =
+  let parts = Option.to_list prior_part @ List.filter_map Fun.id (Array.to_list results) in
+  let stats, metrics, analysis = merge_parts parts in
+  (* No expansion phase: the whole wall time is search time. *)
+  let stats = { stats with Report.elapsed; search_elapsed = elapsed } in
+  let metrics = with_gauges metrics in
+  let report =
+    if winner < Array.length results then begin
+      let win_r, _ = Option.get results.(winner) in
+      let ws = win_r.Report.stats in
+      { Report.verdict = win_r.Report.verdict;
+        stats =
+          { stats with
+            (* Item-local: the winner's position in its own stream. A global
+               execution index is not well defined across streams. *)
+            Report.first_error_execution = ws.Report.first_error_execution;
+            first_error_time = ws.Report.first_error_time };
+        metrics;
+        analysis }
+    end
+    else { Report.verdict = Report.Limits_reached; stats; metrics; analysis }
+  in
+  (report, parts)
+
+(* ------------------------------------------------------------------ *)
+(* Supervision                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* What the workers run: [n] items, built before the first fork so every
+   worker inherits the same items and pristine RNG streams — a result never
+   depends on which process ran which item. [prefix k] is the locked
+   schedule prefix a quarantined item reports. *)
+type plan = {
+  n : int;
+  run :
+    C.t -> deadline:float -> tally:Tally.t -> shard:int -> int ->
+    Report.t * (int64, unit) Hashtbl.t;
+  prefix : int -> Search.pdecision array;
+}
 
 type counters = {
   mutable c_spawns : int;
@@ -85,11 +390,6 @@ type slot = {
   mutable s_deadline : float;
   mutable s_alive : bool;
 }
-
-let post_event (cfg : C.t) kind fields =
-  match cfg.C.events with
-  | None -> ()
-  | Some s -> Events.post s ~shard:(-1) ~kind (J.Obj fields)
 
 let fault_fires (cfg : C.t) ~index ~attempt ~n =
   match cfg.C.inject_fault with
@@ -122,9 +422,7 @@ let status_reason = function
   | Unix.WSIGNALED s -> Printf.sprintf "killed by %s" (signal_name s)
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by %s" (signal_name s)
 
-(* ------------------------------------------------------------------ *)
-(* Child side                                                          *)
-(* ------------------------------------------------------------------ *)
+(* Child side. *)
 
 (* Run one work item inside the worker process. The child's config drops
    everything that belongs to the parent: no checkpoint file (it must never
@@ -134,8 +432,7 @@ let status_reason = function
    per-item wall-clock timeout is parent-side only; the child's deadline
    comes from the remaining *global* time budget, so a slow but healthy
    item never comes back [Limits_reached]. *)
-let run_item ~(cfg : C.t) ~prog ~(items : Search.pdecision array array)
-    ~(streams : Rng.t array) ~slot ~index ~attempt ~time_left =
+let run_item ~(cfg : C.t) ~plan ~tally ~slot ~index ~attempt ~time_left =
   let child_events =
     match cfg.C.events with
     | None -> None
@@ -155,16 +452,7 @@ let run_item ~(cfg : C.t) ~prog ~(items : Search.pdecision array array)
   let deadline =
     match time_left with None -> infinity | Some t -> Clock.now () +. t
   in
-  let r, tbl =
-    Search.run_shard ~deadline
-      ~rng:(Rng.copy streams.(index))
-      ~prefix:items.(index) ~shard:slot cfg_i prog
-  in
-  let states =
-    if cfg.C.coverage then
-      List.sort Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
-    else []
-  in
+  let r, tbl = plan.run cfg_i ~deadline ~tally ~shard:slot index in
   let events =
     match child_events with
     | None -> []
@@ -173,14 +461,17 @@ let run_item ~(cfg : C.t) ~prog ~(items : Search.pdecision array array)
         (fun (e : Events.event) -> (e.Events.det, e.Events.kind, e.Events.data))
         (Events.collected s)
   in
-  { Worker.r_index = index; r_attempt = attempt; r_report = r; r_states = states;
+  { Worker.r_index = index;
+    r_attempt = attempt;
+    r_report = r;
+    r_states = (if cfg.C.coverage then sorted_states tbl else []);
     r_events = events }
 
 (* The worker process's request loop. Never returns: every path ends in
    [Unix._exit] (not [exit] — the child must not run the parent's inherited
    [at_exit] callbacks or re-flush its channels). Exit codes: 0 clean quit,
    2 protocol error, 3 fault-injection backstop. *)
-let child_serve ~(cfg : C.t) ~prog ~items ~streams ~slot ~req ~resp ~n =
+let child_serve ~(cfg : C.t) ~plan ~tally ~slot ~req ~resp =
   (* Ctrl-C teardown belongs to the parent: it decides between graceful
      quit and SIGKILL. The child must not race it with its own handler. *)
   Sys.set_signal Sys.sigint Sys.Signal_ignore;
@@ -194,7 +485,7 @@ let child_serve ~(cfg : C.t) ~prog ~items ~streams ~slot ~req ~resp ~n =
        | exception Checkpoint.Codec.Parse _ -> Unix._exit 2
        | Worker.Quit -> Unix._exit 0
        | Worker.Run { q_index; q_attempt; q_time_left } ->
-         let fault = fault_fires cfg ~index:q_index ~attempt:q_attempt ~n in
+         let fault = fault_fires cfg ~index:q_index ~attempt:q_attempt ~n:plan.n in
          (match fault with
           | Some C.Crash ->
             Unix.kill (Unix.getpid ()) Sys.sigkill;
@@ -213,8 +504,8 @@ let child_serve ~(cfg : C.t) ~prog ~items ~streams ~slot ~req ~resp ~n =
             Unix._exit 3
           | Some (C.Slow_pipe | C.Save_fail) | None ->
             let response =
-              run_item ~cfg ~prog ~items ~streams ~slot ~index:q_index
-                ~attempt:q_attempt ~time_left:q_time_left
+              run_item ~cfg ~plan ~tally ~slot ~index:q_index ~attempt:q_attempt
+                ~time_left:q_time_left
             in
             let json = Worker.response_to_json response in
             (match fault with
@@ -224,25 +515,15 @@ let child_serve ~(cfg : C.t) ~prog ~items ~streams ~slot ~req ~resp ~n =
   in
   loop ()
 
-(* ------------------------------------------------------------------ *)
-(* Parent side                                                         *)
-(* ------------------------------------------------------------------ *)
+(* Parent side. *)
 
-let run_systematic ?resume (cfg : C.t) prog ~workers =
-  let t0 = Clock.now () in
-  Search.post_run_start cfg prog;
-  let deadline =
-    match cfg.C.time_limit with None -> infinity | Some l -> t0 +. l
-  in
-  let progress = Search.progress_of_cfg cfg in
-  let items, expand_timed_out =
-    Search.expand ~deadline cfg prog ~split_depth:cfg.C.split_depth
-  in
-  let expand_us = int_of_float ((Clock.now () -. t0) *. 1e6) in
-  let items = Array.of_list items in
-  let n = Array.length items in
-  let workers = max 1 (min workers (max 1 n)) in
-  P.post_workers cfg ~jobs:workers ~split_depth:cfg.C.split_depth ~items:n ~expand_us;
+(* Run [plan]'s items still missing from [results] on [workers] worker
+   processes, filling [results] as they report back. [note] sees every
+   merged result (the durable item checkpoint), [tick] is called once per
+   loop turn (progress). Returns the lowest erroring item index ([max_int]
+   when none) and the supervision counters. *)
+let supervise (cfg : C.t) plan ~workers ~deadline ~tally ~results ~note ~tick =
+  let n = plan.n in
   post_event cfg "supervisor_start"
     [ ("workers", J.Int workers);
       ("items", J.Int n);
@@ -255,35 +536,6 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
        match cfg.C.inject_fault with
        | Some f -> J.Str (C.fault_name f)
        | None -> J.Null) ];
-  (match resume with None -> () | Some pa -> P.check_par_resume cfg ~n pa);
-  let prior_elapsed =
-    match resume with Some pa -> pa.Checkpoint.pa_elapsed | None -> 0.
-  in
-  (* Per-item RNG streams, computed before any fork so every child inherits
-     the same pristine array — results never depend on which worker process
-     ran which item (mirrors the in-domain per-item streams). *)
-  let streams = Rng.streams (Rng.make cfg.C.seed) n in
-  let results : (Report.t * (int64, unit) Hashtbl.t) option array =
-    Array.make n None
-  in
-  let prior_execs, prior_mass =
-    match resume with
-    | None -> (0, 0)
-    | Some pa -> P.resume_prefill cfg ~n ~results pa
-  in
-  let shared_execs = Atomic.make prior_execs in
-  let shared_mass = Atomic.make prior_mass in
-  let ck =
-    P.parck_create cfg ~prog ~n ~t0 ~prior_elapsed ~resume ~expand_timed_out
-  in
-  (* The savefail fault is parent-side: the first two checkpoint save
-     attempts fail transiently, exercising Checkpoint's retry path. Armed
-     only when a checkpoint is actually being written — the counter is
-     global and must not leak into a later run's saves. *)
-  (match (cfg.C.inject_fault, ck) with
-   | Some { C.fault_kind = C.Save_fail; _ }, Some _ ->
-     Checkpoint.inject_save_failures := 2
-   | _ -> ());
   let item_timeout =
     match (cfg.C.item_timeout, cfg.C.inject_fault) with
     (* A hang with no timeout configured would stall forever; give the
@@ -307,8 +559,13 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
   let retries = ref [] in
   let budget_exhausted () =
     match cfg.C.max_executions with
-    | Some m -> Atomic.get shared_execs >= m
+    | Some m -> Tally.executions tally >= m
     | None -> false
+  in
+  let record index ((r, tbl) as part) =
+    results.(index) <- Some part;
+    note index r tbl;
+    if Report.found_error r && index < !winner then winner := index
   in
   (* Workers can die mid-write; the parent must get EPIPE from its request
      writes, not be killed. Restored on every way out — a long-running host
@@ -335,7 +592,9 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
         !parent_ends;
       Unix.close req_w;
       Unix.close resp_r;
-      child_serve ~cfg ~prog ~items ~streams ~slot:id ~req:req_r ~resp:resp_w ~n
+      (* Tally slot 0 is the parent's (resumed totals, in-process items). *)
+      child_serve ~cfg ~plan ~tally:(Tally.slot tally (id + 1)) ~slot:id ~req:req_r
+        ~resp:resp_w
     | pid ->
       Unix.close req_r;
       Unix.close resp_w;
@@ -395,7 +654,7 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
   let quarantine index ~attempts ~reason =
     counters.c_quarantined <- counters.c_quarantined + 1;
     let decisions =
-      Array.to_list items.(index)
+      Array.to_list (plan.prefix index)
       |> List.map (fun (d : Search.pdecision) -> (d.Search.p_tid, d.Search.p_alt))
     in
     let rendered =
@@ -407,17 +666,15 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
            (List.map (fun (t, a) -> Printf.sprintf "%d:%d" t a) decisions))
     in
     let cex = { Report.rendered; decisions; length = List.length decisions } in
-    let r =
-      { Report.verdict = Report.Crash { reason; cex };
-        stats = P.zero_stats;
-        metrics = M.Snapshot.empty;
-        analysis = None }
-    in
-    results.(index) <- Some (r, Hashtbl.create 1);
     post_event cfg "item_quarantined"
       [ ("item", J.Int index); ("attempts", J.Int attempts);
         ("reason", J.Str reason) ];
-    if index < !winner then winner := index
+    record index
+      ( { Report.verdict = Report.Crash { reason; cex };
+          stats = zero_stats;
+          metrics = M.Snapshot.empty;
+          analysis = None },
+        Hashtbl.create 1 )
   in
   let requeue index attempt ~reason =
     if attempt >= cfg.C.max_retries then
@@ -448,9 +705,9 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
     end;
     if not !stopped then respawn slot
   in
-  (* A worker running a now-useless item (above the winning error index):
-     the in-domain backend cancels these via a polled flag; a process is
-     simply killed and replaced. No retry — the item will never merge. *)
+  (* A worker running a now-useless item (above the winning error index) is
+     killed and replaced. No retry — the item will never decide the
+     verdict. *)
   let cancel_slot slot =
     ignore (kill_slot slot);
     decr inflight;
@@ -476,22 +733,20 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
     | exception (Unix.Unix_error _ | Sys_error _) ->
       worker_died slot ~reason:"request write failed"
   in
+  let live index = index < !winner && results.(index) = None in
   let rec next_work now =
     match !retries with
     | (ready, index, attempt) :: rest when ready <= now ->
       retries := rest;
-      if index < !winner && results.(index) = None then Some (index, attempt)
-      else next_work now
+      if live index then Some (index, attempt) else next_work now
     | _ ->
       if Queue.is_empty pending then None
       else begin
         let index = Queue.pop pending in
-        if index < !winner && results.(index) = None then Some (index, 0)
-        else next_work now
+        if live index then Some (index, 0) else next_work now
       end
   in
   let work_remaining () =
-    let live (index : int) = index < !winner && results.(index) = None in
     List.exists (fun (_, i, _) -> live i) !retries
     || Queue.fold (fun acc i -> acc || live i) false pending
   in
@@ -513,25 +768,8 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
            if det || kind <> "span" || Events.collecting s then
              Events.post s ~shard:slot.s_id ~det ~kind data)
          resp.Worker.r_events);
-    if results.(index) = None && index < !winner then begin
-      let r = resp.Worker.r_report in
-      let tbl = P.states_tbl resp.Worker.r_states in
-      results.(index) <- Some (r, tbl);
-      (match ck with None -> () | Some ck -> P.parck_note ck index r tbl);
-      ignore
-        (Atomic.fetch_and_add shared_execs r.Report.stats.Report.executions);
-      ignore (Atomic.fetch_and_add shared_mass r.Report.stats.Report.probe_mass);
-      (match progress with
-       | None -> ()
-       | Some p ->
-         Progress.tick p (fun () ->
-             P.estimate_sample
-               ~executions:(Atomic.get shared_execs)
-               ~mass:(Atomic.get shared_mass)
-               ~elapsed:(prior_elapsed +. (Clock.now () -. t0))
-               ~jobs:workers));
-      if Report.found_error r && index < !winner then winner := index
-    end
+    if live index then
+      record index (resp.Worker.r_report, states_tbl resp.Worker.r_states)
   in
   (* Last-resort degradation: every worker slot is dead and cannot be
      respawned. Finish the remaining items in-process — same items, same
@@ -544,18 +782,7 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
     while !k < n && not (Checkpoint.interrupted ()) && Clock.now () < deadline
           && not (budget_exhausted ())
     do
-      let index = !k in
-      if index < !winner && results.(index) = None then begin
-        let r, tbl =
-          Search.run_shard ~deadline
-            ~rng:(Rng.copy streams.(index))
-            ~prefix:items.(index) ~shared_execs ~shared_mass ~shard:0 ?progress
-            cfg prog
-        in
-        results.(index) <- Some (r, tbl);
-        (match ck with None -> () | Some ck -> P.parck_note ck index r tbl);
-        if Report.found_error r && index < !winner then winner := index
-      end;
+      if live !k then record !k (plan.run cfg ~deadline ~tally ~shard:0 !k);
       incr k
     done;
     if Checkpoint.interrupted () then stopped := true
@@ -574,8 +801,8 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
   let rec loop () =
     if Checkpoint.interrupted () then stopped := true;
     if not !stopped then begin
-      (* Items above the winning error index will never merge; reclaim
-         their workers. *)
+      (* Items above the winning error index will never decide the verdict;
+         reclaim their workers. *)
       Array.iter
         (fun s -> if s.s_alive && s.s_item > !winner then cancel_slot s)
         slots;
@@ -689,6 +916,7 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
                 worker_died s ~reason:"item timeout"
               end)
             slots;
+          tick ();
           loop ()
         end
       end
@@ -696,8 +924,8 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
   in
   loop ();
   (* Teardown: a graceful quit drains nothing (idle workers exit on Quit or
-     on request-pipe EOF); an interrupted run SIGKILLs, mirroring the
-     in-domain backend's "stop pulling items" semantics. *)
+     on request-pipe EOF); an interrupted run SIGKILLs, so in-flight items
+     stop where they are. *)
   if !stopped then
     Array.iter (fun s -> if s.s_alive then ignore (kill_slot s)) slots
   else begin
@@ -744,42 +972,28 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
         end)
       slots
   end;
-  let elapsed = prior_elapsed +. (Clock.now () -. t0) in
-  let search_elapsed = elapsed -. (float_of_int expand_us /. 1e6) in
-  (match progress with
-   | None -> ()
-   | Some p ->
-     Progress.force p (fun () ->
-         P.estimate_sample
-           ~executions:(Atomic.get shared_execs)
-           ~mass:(Atomic.get shared_mass) ~elapsed ~jobs:workers));
-  (* Supervision telemetry rides along as gauges only — gauges are exempt
-     from the jobs/workers determinism guarantee (see DESIGN.md). *)
-  let with_gauges metrics =
-    if not cfg.C.metrics then metrics
-    else begin
-      let m = ref metrics in
-      let g name v = m := M.Snapshot.with_gauge !m name v in
-      g "sup/workers" workers;
-      g "sup/items" n;
-      g "sup/expand_us" expand_us;
-      g "sup/spawns" counters.c_spawns;
-      g "sup/restarts" counters.c_restarts;
-      g "sup/timeouts" counters.c_timeouts;
-      g "sup/retries" counters.c_retries;
-      g "sup/crashes" counters.c_crashes;
-      g "sup/quarantined" counters.c_quarantined;
-      !m
-    end
-  in
-  let report =
-    P.finalize_systematic ~results ~winner:!winner ~elapsed ~search_elapsed
-      ~expand_timed_out ~with_gauges
-  in
-  (match ck with
-   | None -> ()
-   | Some ck ->
-     P.parck_flush ck ~complete:(report.Report.verdict <> Report.Limits_reached));
+  (!winner, counters)
+
+(* Supervision telemetry rides along as gauges only — gauges are exempt from
+   the jobs/workers determinism guarantee (see DESIGN.md). *)
+let sup_gauges (cfg : C.t) ~workers ~n ~expand_us counters metrics =
+  if not cfg.C.metrics then metrics
+  else begin
+    let m = ref metrics in
+    let g name v = m := M.Snapshot.with_gauge !m name v in
+    g "sup/workers" workers;
+    g "sup/items" n;
+    g "sup/expand_us" expand_us;
+    g "sup/spawns" counters.c_spawns;
+    g "sup/restarts" counters.c_restarts;
+    g "sup/timeouts" counters.c_timeouts;
+    g "sup/retries" counters.c_retries;
+    g "sup/crashes" counters.c_crashes;
+    g "sup/quarantined" counters.c_quarantined;
+    !m
+  end
+
+let post_done (cfg : C.t) (report : Report.t) counters =
   post_event cfg "supervisor_done"
     [ ("verdict", J.Str (Report.verdict_key report.Report.verdict));
       ("spawns", J.Int counters.c_spawns);
@@ -787,34 +1001,235 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
       ("timeouts", J.Int counters.c_timeouts);
       ("retries", J.Int counters.c_retries);
       ("crashes", J.Int counters.c_crashes);
-      ("quarantined", J.Int counters.c_quarantined) ];
+      ("quarantined", J.Int counters.c_quarantined) ]
+
+(* The progress reporter's last word uses the merged report, so it agrees
+   with the printed totals. *)
+let force_progress progress (report : Report.t) ~jobs =
+  match progress with
+  | None -> ()
+  | Some p ->
+    let s = report.Report.stats in
+    Progress.force p (fun () ->
+        estimate_sample ~executions:s.Report.executions ~mass:s.Report.probe_mass
+          ~elapsed:s.Report.elapsed ~jobs)
+
+let tick_progress progress tally ~t0 ~prior_elapsed ~jobs () =
+  match progress with
+  | None -> ()
+  | Some p ->
+    Progress.tick p (fun () ->
+        estimate_sample ~executions:(Tally.executions tally) ~mass:(Tally.mass tally)
+          ~elapsed:(prior_elapsed +. (Clock.now () -. t0))
+          ~jobs)
+
+let run_systematic ?resume (cfg : C.t) prog ~workers =
+  let t0 = Clock.now () in
+  Search.post_run_start cfg prog;
+  let deadline =
+    match cfg.C.time_limit with None -> infinity | Some l -> t0 +. l
+  in
+  let items, expand_timed_out =
+    Search.expand ~deadline cfg prog ~split_depth:cfg.C.split_depth
+  in
+  let expand_us = int_of_float ((Clock.now () -. t0) *. 1e6) in
+  let items = Array.of_list items in
+  let n = Array.length items in
+  let workers = max 1 (min workers n) in
+  post_workers cfg ~jobs:workers ~split_depth:cfg.C.split_depth ~items:n ~expand_us;
+  (match resume with None -> () | Some pa -> check_par_resume cfg ~n pa);
+  let prior_elapsed =
+    match resume with Some pa -> pa.Checkpoint.pa_elapsed | None -> 0.
+  in
+  (* Per-item RNG streams: random tails (unfair depth-bounded search) draw
+     from a stream tied to the item, not the worker. *)
+  let streams = Rng.streams (Rng.make cfg.C.seed) n in
+  let plan =
+    { n;
+      run =
+        (fun cfg ~deadline ~tally ~shard k ->
+          Search.run_shard ~deadline ~rng:(Rng.copy streams.(k)) ~prefix:items.(k) ~tally
+            ~shard cfg prog);
+      prefix = (fun k -> items.(k)) }
+  in
+  let results = Array.make n None in
+  let tally = Tally.create ~slots:(workers + 1) in
+  (match resume with
+   | None -> ()
+   | Some pa ->
+     let executions, mass = resume_prefill cfg ~n ~results pa in
+     Tally.add tally ~executions ~mass);
+  let ck = parck_create cfg ~prog ~n ~t0 ~prior_elapsed ~resume ~expand_timed_out in
+  (* The savefail fault is parent-side: the first two checkpoint save
+     attempts fail transiently, exercising Checkpoint's retry path. Armed
+     only when a checkpoint is actually being written — the counter is
+     global and must not leak into a later run's saves. *)
+  (match (cfg.C.inject_fault, ck) with
+   | Some { C.fault_kind = C.Save_fail; _ }, Some _ ->
+     Checkpoint.inject_save_failures := 2
+   | _ -> ());
+  let progress = Search.progress_of_cfg cfg in
+  let winner, counters =
+    supervise cfg plan ~workers ~deadline ~tally ~results
+      ~note:(fun k r tbl -> Option.iter (fun ck -> parck_note ck k r tbl) ck)
+      ~tick:(tick_progress progress tally ~t0 ~prior_elapsed ~jobs:workers)
+  in
+  let elapsed = prior_elapsed +. (Clock.now () -. t0) in
+  (* Wall time of the search phase alone: the frontier expansion is startup
+     work, not exploration, so [execs_per_sec] must not be diluted by it. *)
+  let search_elapsed = elapsed -. (float_of_int expand_us /. 1e6) in
+  let report =
+    finalize_systematic ~results ~winner ~elapsed ~search_elapsed ~expand_timed_out
+      ~with_gauges:(sup_gauges cfg ~workers ~n ~expand_us counters)
+  in
+  force_progress progress report ~jobs:workers;
+  Option.iter
+    (fun ck -> parck_write ck ~complete:(report.Report.verdict <> Report.Limits_reached))
+    ck;
+  post_done cfg report counters;
   Search.post_run_end cfg report;
   report
 
+(* Prior parallel-sampling totals as a pseudo item: merging it with the new
+   items adds the counters and unions coverage/edges exactly like a live
+   part would. *)
+let sampling_prior_part (cfg : C.t) (sa : Checkpoint.sampling_state) =
+  let analysis =
+    if cfg.analyses = [] then None
+    else
+      Some
+        { Report.lock_order_edges = sa.Checkpoint.sa_edges;
+          potential_deadlock_cycles = AH.cycles sa.Checkpoint.sa_edges }
+  in
+  ( { Report.verdict = Report.Limits_reached;
+      stats = sa.Checkpoint.sa_stats;
+      metrics = sa.Checkpoint.sa_metrics;
+      analysis },
+    states_tbl sa.Checkpoint.sa_states )
+
+let run_sampling ?resume (cfg : C.t) prog ~workers =
+  let t0 = Clock.now () in
+  Search.post_run_start cfg prog;
+  let deadline =
+    match cfg.C.time_limit with None -> infinity | Some l -> t0 +. l
+  in
+  let budget, with_budget =
+    match cfg.C.mode with
+    | C.Random_walk n -> (n, fun m -> C.Random_walk m)
+    | C.Priority_random n -> (n, fun m -> C.Priority_random m)
+    | C.Round_robin | C.Dfs | C.Context_bounded _ -> assert false
+  in
+  let round, prior_part, prior_elapsed =
+    match resume with
+    | None -> (0, None, 0.)
+    | Some (sa : Checkpoint.sampling_state) ->
+      ( sa.Checkpoint.sa_round,
+        Some (sampling_prior_part cfg sa),
+        sa.Checkpoint.sa_stats.Report.elapsed )
+  in
+  let prior_stats =
+    match prior_part with Some ((r : Report.t), _) -> r.Report.stats | None -> zero_stats
+  in
+  let budget_left = budget - prior_stats.Report.executions in
+  if budget_left <= 0 then begin
+    (* Budget already spent in prior sessions: the prior totals are the
+       answer (extend the budget to sample more). *)
+    let r, _ = Option.get prior_part in
+    Search.post_run_end cfg r;
+    r
+  end
+  else begin
+    let n = max 1 (min workers budget_left) in
+    post_workers cfg ~jobs:n ~split_depth:0 ~items:n ~expand_us:0;
+    (* Each session (round) advances the base generator before splitting the
+       item streams, so no schedule prefix repeats across sessions. *)
+    let base = Rng.make cfg.C.seed in
+    for _ = 1 to round do
+      ignore (Rng.split base)
+    done;
+    let streams = Rng.streams base n in
+    let plan =
+      { n;
+        run =
+          (fun cfg ~deadline ~tally ~shard i ->
+            let n_i = (budget_left / n) + if i < budget_left mod n then 1 else 0 in
+            (* Every sampled path weighs [1/original-budget], not 1/share —
+               the estimator is over the whole sampling plan. *)
+            Search.run_shard ~deadline ~rng:(Rng.copy streams.(i)) ~tally
+              ~probe_denom:budget ~shard
+              { cfg with C.mode = with_budget n_i }
+              prog);
+        prefix = (fun _ -> [||]) }
+    in
+    let results = Array.make n None in
+    let tally = Tally.create ~slots:(n + 1) in
+    Tally.add tally ~executions:prior_stats.Report.executions
+      ~mass:prior_stats.Report.probe_mass;
+    let progress = Search.progress_of_cfg cfg in
+    let winner, counters =
+      supervise cfg plan ~workers:n ~deadline ~tally ~results
+        ~note:(fun _ _ _ -> ())
+        ~tick:(tick_progress progress tally ~t0 ~prior_elapsed ~jobs:n)
+    in
+    let elapsed = prior_elapsed +. (Clock.now () -. t0) in
+    let report, parts =
+      finalize_sampling ~results ~prior_part ~winner ~elapsed
+        ~with_gauges:(sup_gauges cfg ~workers:n ~n ~expand_us:0 counters)
+    in
+    force_progress progress report ~jobs:n;
+    (* Sampling items interleave nondeterministically, so there is no
+       mid-run granularity worth recording: the aggregate is checkpointed
+       once, when the round ends (a resume continues by remaining budget). *)
+    (match cfg.C.checkpoint with
+     | None -> ()
+     | Some path ->
+       let states = Hashtbl.create 4096 in
+       List.iter (fun (_, t) -> Hashtbl.iter (fun k () -> Hashtbl.replace states k ()) t) parts;
+       Checkpoint.save path
+         { Checkpoint.fingerprint = Checkpoint.fingerprint cfg ~program:prog.Program.name;
+           payload =
+             Checkpoint.Par_sampling
+               { Checkpoint.sa_round = round + 1;
+                 sa_stats = report.Report.stats;
+                 sa_metrics = report.Report.metrics;
+                 sa_states = sorted_states states;
+                 sa_edges =
+                   (match report.Report.analysis with
+                    | Some a -> a.Report.lock_order_edges
+                    | None -> []);
+                 sa_complete = Report.found_error report } });
+    post_done cfg report counters;
+    Search.post_run_end cfg report;
+    report
+  end
+
 let run ?resume (cfg : C.t) prog =
   let workers = resolve_workers cfg in
-  if workers <= 1 then P.run ?resume cfg prog
+  let mismatch what =
+    raise
+      (Checkpoint.Mismatch
+         (Printf.sprintf
+            "checkpoint payload does not fit %s (resume with the jobs setting that wrote it)"
+            what))
+  in
+  let sequential () =
+    match resume with
+    | None -> Search.run { cfg with C.jobs = 1 } prog
+    | Some (Checkpoint.Seq sq) -> Search.run ~resume:sq { cfg with C.jobs = 1 } prog
+    | Some (Checkpoint.Par _ | Checkpoint.Par_sampling _) -> mismatch "a sequential search"
+  in
+  if workers <= 1 then sequential ()
   else
     match cfg.C.mode with
+    | C.Round_robin -> (* a single deterministic schedule; nothing to shard *) sequential ()
     | C.Dfs | C.Context_bounded _ ->
-      if not (can_fork ()) then begin
-        Printf.eprintf
-          "fairmc: process workers unavailable on this platform; running %d \
-           in-process domains instead\n%!"
-          workers;
-        P.run ?resume { cfg with C.jobs = workers; workers = 1 } prog
-      end
-      else begin
-        match resume with
-        | None -> run_systematic cfg prog ~workers
-        | Some (Checkpoint.Par pa) -> run_systematic ~resume:pa cfg prog ~workers
-        | Some (Checkpoint.Seq _ | Checkpoint.Par_sampling _) ->
-          raise
-            (Checkpoint.Mismatch
-               "checkpoint payload does not fit a supervised systematic search \
-                (resume with the jobs/workers setting that wrote it)")
-      end
-    | C.Random_walk _ | C.Priority_random _ | C.Round_robin ->
-      (* Sampling shards are cheap and crash isolation buys little there;
-         run them on in-process domains. Workers count as a jobs request. *)
-      P.run ?resume { cfg with C.jobs = max cfg.C.jobs workers; workers = 1 } prog
+      (match resume with
+       | None -> run_systematic cfg prog ~workers
+       | Some (Checkpoint.Par pa) -> run_systematic ~resume:pa cfg prog ~workers
+       | Some (Checkpoint.Seq _ | Checkpoint.Par_sampling _) ->
+         mismatch "a parallel systematic search")
+    | C.Random_walk _ | C.Priority_random _ ->
+      (match resume with
+       | None -> run_sampling cfg prog ~workers
+       | Some (Checkpoint.Par_sampling sa) -> run_sampling ~resume:sa cfg prog ~workers
+       | Some (Checkpoint.Seq _ | Checkpoint.Par _) -> mismatch "parallel sampling")

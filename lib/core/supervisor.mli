@@ -1,13 +1,31 @@
-(** Supervised process-level worker pool: crash-isolated parallel search.
+(** Parallel search: the schedule space sharded across supervised worker
+    processes.
 
-    Executes the same verified work items as {!Par_search}'s systematic
-    backend — the same {!Search.expand} frontier, per-item RNG streams,
-    min-index error resolution, merge ({!Par_search.finalize_systematic})
-    and durable checkpoint ({!Par_search.parck_note}) — but in forked worker
-    {e processes} speaking the {!Worker} pipe protocol, so a worker that
-    segfaults, is OOM-killed or wedges costs one work-item attempt instead
-    of the whole search. Policies:
+    Stateless model checking re-executes the program from its initial state
+    for every schedule, so shards share nothing. The supervisor splits a
+    search into work items and forks worker processes that run them and
+    answer over the {!Worker} pipe protocol:
 
+    - {b Systematic modes} (DFS, context-bounded): the decision tree is
+      expanded sequentially to [config.split_depth] ({!Search.expand}) and
+      each frontier prefix becomes a work item. The merged report is
+      {e exactly} the sequential one — same verdict, same counterexample,
+      same execution/transition/coverage counts — independent of the worker
+      count and of timing (errors are resolved by lowest item index in DFS
+      order; workers on losing items are killed).
+    - {b Sampling modes} (random walk, random priorities): item [i] is RNG
+      stream [i] split off [config.seed], with an exact share of the
+      execution budget. The verdict and counterexample are reproducible for
+      a fixed (seed, worker count); statistics of items killed above the
+      winner may vary between runs.
+    - Round-robin is a single schedule and runs sequentially.
+
+    Policies:
+
+    - {b Budgets}: one search-wide [max_executions], counted in a shared
+      {!Tally} at every path start and end, so the total overshoots by at
+      most one in-flight path per worker. [time_limit] is one absolute
+      deadline for the whole run.
     - {b Timeouts}: [config.item_timeout] bounds each attempt's wall clock;
       on expiry the worker is SIGKILLed and the item requeued. The child's
       own deadline comes only from the remaining global [time_limit] — a
@@ -19,38 +37,34 @@
     - {b Quarantine}: an item that exhausts its retry budget becomes a
       {!Report.Crash} verdict whose counterexample is the item's schedule
       prefix, replayable to re-enter the crashing subtree.
-    - {b Degradation}: when forking is unavailable the search falls back to
-      the in-domain backend ({!Par_search.run} with [jobs = workers]); when
-      every worker slot dies unrecoverably mid-run, the remaining items
-      finish in-process.
-    - {b Checkpoints}: the supervised run shares the in-domain backend's
-      [fairmc-ckpt/1] Par payload, so an interrupted session can resume
-      under either backend.
+    - {b Degradation}: when every worker slot dies and none can be
+      respawned, the remaining items finish in-process.
 
-    With no injected faults, a supervised systematic run reports
-    bit-identically (verdict, counterexample, merged statistics, det event
-    slice) to the in-domain [jobs = n] run. Deterministic fault injection
-    ([config.inject_fault]) fires exactly once, on the first attempt of item
-    [fault_seed mod n_items]; retries are fault-free, so injected faults
-    leave the verdict unchanged (except with a zero retry budget, which
-    surfaces the {!Report.Crash}). See DESIGN.md, "Supervision". *)
+    Deterministic fault injection ([config.inject_fault]) fires exactly
+    once, on the first attempt of item [fault_seed mod n_items]; retries are
+    fault-free, so injected faults leave the verdict unchanged (except with
+    a zero retry budget, which surfaces the {!Report.Crash}). See DESIGN.md,
+    "Parallel search". *)
 
 val resolve_workers : Search_config.t -> int
-(** [config.workers], with [0] and negative values resolved to
+(** The fan-out: the larger of [config.jobs] and [config.workers], each
+    with [0] and negative values resolved to
     [Domain.recommended_domain_count ()]. *)
 
-val forking_available : bool
-(** Static platform gate ([not Sys.win32]). *)
-
-val can_fork : unit -> bool
-(** Dynamic probe: fork a trivial child and reap it. [false] means the
-    dispatcher degrades to the in-domain backend. *)
+val zero_stats : Report.stats
+(** All-zero statistics: the merge identity, and the statistics of a
+    quarantined item. *)
 
 val run : ?resume:Checkpoint.payload -> Search_config.t -> Program.t -> Report.t
-(** Run the configured search. With [resolve_workers config <= 1] this is
-    exactly {!Par_search.run} (no supervision layer). Otherwise systematic
-    modes run under the supervised pool; sampling modes (and round-robin)
-    run on in-process domains with [jobs] raised to the worker count —
-    crash isolation buys nothing for cheap independent samples. [resume]
-    follows {!Par_search.run}'s contract; a payload that does not fit the
-    run shape raises {!Checkpoint.Mismatch}. *)
+(** Run the configured search: {!Search.run} when [resolve_workers config <=
+    1] (and for round-robin), the supervised worker pool otherwise.
+
+    [resume] continues a prior checkpointed session (see {!Checkpoint} and
+    DESIGN.md, "Durable sessions"). The payload kind must fit the run shape:
+    [Seq] for sequential runs, [Par] for parallel systematic, [Par_sampling]
+    for parallel sampling — a mismatch (e.g. a checkpoint written with a
+    different jobs regime, or split-depth/item-count drift) raises
+    {!Checkpoint.Mismatch}. When [config.checkpoint] is set, the parallel
+    systematic search records every fully explored work item (throttled by
+    [config.checkpoint_interval]) and parallel sampling records its
+    aggregate once per session. *)

@@ -1,7 +1,7 @@
 module Fnv = Fairmc_util.Fnv
 
 let sched op =
-  if not (Runtime.ctx ()).in_thread then
+  if not Runtime.ctx.in_thread then
     failwith (Printf.sprintf "Sync: %s called outside of a running thread" (Op.to_string op));
   Effect.perform (Runtime.Sched op)
 
@@ -11,20 +11,20 @@ let yield () = ignore (sched Op.Yield)
 let sleep () = ignore (sched Op.Sleep)
 
 let spawn body =
-  let c = Runtime.ctx () in
+  let c = Runtime.ctx in
   c.spawn_body <- Some body;
   ignore (sched Op.Spawn);
   c.spawn_result
 
 let join tid = ignore (sched (Op.Join tid))
-let self () = (Runtime.ctx ()).current_tid
+let self () = Runtime.ctx.current_tid
 
 let choose n =
   if n <= 0 then invalid_arg "Sync.choose";
   if n = 1 then 0 else sched (Op.Choose n)
 
 let at region =
-  let c = Runtime.ctx () in
+  let c = Runtime.ctx in
   if c.in_thread then Hashtbl.replace c.regions c.current_tid region
 
 let fail msg = raise (Runtime.Assertion_failure msg)
@@ -81,28 +81,28 @@ module Svar = struct
     (match hash with
      | None -> ()
      | Some h ->
-       let c = Runtime.ctx () in
+       let c = Runtime.ctx in
        c.snapshotters <- (fun acc -> h acc sv.value) :: c.snapshotters);
     sv
 
   (* Outside a thread (during [boot]) accesses are direct: initialization is
      deterministic and needs no scheduling point. *)
   let get sv =
-    if (Runtime.ctx ()).in_thread then ignore (sched (Op.Var_read sv.obj));
+    if Runtime.ctx.in_thread then ignore (sched (Op.Var_read sv.obj));
     sv.value
 
   let set sv v =
-    if (Runtime.ctx ()).in_thread then ignore (sched (Op.Var_write sv.obj));
+    if Runtime.ctx.in_thread then ignore (sched (Op.Var_write sv.obj));
     sv.value <- v
 
   let update sv f =
-    if (Runtime.ctx ()).in_thread then ignore (sched (Op.Var_rmw sv.obj));
+    if Runtime.ctx.in_thread then ignore (sched (Op.Var_rmw sv.obj));
     let old = sv.value in
     sv.value <- f old;
     old
 
   let cas sv ~expected v =
-    if (Runtime.ctx ()).in_thread then ignore (sched (Op.Var_rmw sv.obj));
+    if Runtime.ctx.in_thread then ignore (sched (Op.Var_rmw sv.obj));
     if sv.value = expected then begin
       sv.value <- v;
       true

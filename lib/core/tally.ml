@@ -1,0 +1,39 @@
+(* Search-wide totals in a shared mapping. See tally.mli. *)
+
+module A = Bigarray.Array1
+
+(* Slot [s] is cells [2s] (executions) and [2s + 1] (probe mass). *)
+type t = { cells : (int, Bigarray.int_elt, Bigarray.c_layout) A.t; own : int }
+
+let create ~slots =
+  let path = Filename.temp_file "fairmc" ".tally" in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      (* A shared mapping grows the empty file with zeros. *)
+      let g = Unix.map_file fd Bigarray.int Bigarray.c_layout true [| 2 * max 1 slots |] in
+      { cells = Bigarray.array1_of_genarray g; own = 0 })
+
+let slot t s =
+  if s < 0 || 2 * s >= A.dim t.cells then invalid_arg "Tally.slot";
+  { t with own = s }
+
+let add t ~executions ~mass =
+  let i = 2 * t.own in
+  A.unsafe_set t.cells i (A.unsafe_get t.cells i + executions);
+  A.unsafe_set t.cells (i + 1) (A.unsafe_get t.cells (i + 1) + mass)
+
+let sum t first =
+  let s = ref 0 in
+  let i = ref first in
+  while !i < A.dim t.cells do
+    s := !s + A.unsafe_get t.cells !i;
+    i := !i + 2
+  done;
+  !s
+
+let executions t = sum t 0
+let mass t = sum t 1

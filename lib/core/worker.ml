@@ -1,4 +1,4 @@
-(* Worker IPC protocol. See DESIGN.md, "Supervision".
+(* Worker IPC protocol. See DESIGN.md, "Parallel search".
 
    The supervisor and its forked workers exchange length-prefixed JSON
    frames over pipes: an 8-lowercase-hex-digit payload length followed by
@@ -164,8 +164,7 @@ let verdict_of_json o =
   | k -> CK.fail "unknown verdict kind %S" k
 
 (* Analysis travels as its edge set only; the per-part cycles are a pure
-   function of the edges ([AH.cycles]) and are recomputed on decode, exactly
-   as the in-domain shard computes them locally. *)
+   function of the edges ([AH.cycles]) and are recomputed on decode. *)
 let report_to_json (r : Report.t) =
   J.Obj
     [ ("verdict", verdict_to_json r.Report.verdict);

@@ -1,9 +1,6 @@
-(* Per-domain clamp: a shared cell would turn every time poll of the
-   parallel search into cross-core traffic. *)
-let last_key : float ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0.)
+let last = ref 0.
 
 let now () =
-  let last = Domain.DLS.get last_key in
   let t = Unix.gettimeofday () in
   if t > !last then begin
     last := t;

@@ -1,6 +1,6 @@
-type t = { out : out_channel; drew : bool Atomic.t }
+type t = { out : out_channel; mutable drew : bool }
 
-let create ?(out = stderr) () = { out; drew = Atomic.make false }
+let create ?(out = stderr) () = { out; drew = false }
 
 let bar_width = 30
 
@@ -32,9 +32,9 @@ let render (s : Progress.sample) =
    handlers are installed, so terminal writes can land EINTR mid-flush;
    restart them rather than tearing down the search over a progress line. *)
 let sink t s =
-  Atomic.set t.drew true;
+  t.drew <- true;
   (* \r + erase-to-end redraws in place; one write keeps it atomic. *)
   Fairmc_util.Retry.eintr (fun () -> Printf.fprintf t.out "\r\027[K%s%!" (render s))
 
 let finish t =
-  if Atomic.get t.drew then Fairmc_util.Retry.eintr (fun () -> Printf.fprintf t.out "\n%!")
+  if t.drew then Fairmc_util.Retry.eintr (fun () -> Printf.fprintf t.out "\n%!")

@@ -8,10 +8,11 @@
       zero cost when observability is off holds a [meters option] and
       branches once per site; a registry is only ever created when metrics
       were requested.
-    - {b Domain-safe by construction}: a registry is single-domain. The
-      parallel search gives each worker shard its own registry and merges
-      the immutable {!Snapshot}s afterwards, exactly like it merges
-      {!Report.stats} — there are no atomics on the instrument path.
+    - {b Shard-local}: a registry belongs to one shard. The parallel
+      search gives each work item its own registry (in its worker process)
+      and merges the immutable {!Snapshot}s afterwards, exactly like it
+      merges {!Report.stats} — there are no atomics on the instrument
+      path.
     - {b Deterministic}: counters and histograms record logical events, so
       for the systematic parallel search their merged values are
       bit-identical for every [jobs] value. Gauges record run-dependent

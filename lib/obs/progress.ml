@@ -12,7 +12,7 @@ type sink = sample -> unit
 
 type t = {
   interval_us : int;
-  last_us : int Atomic.t;  (* claimed by CAS; 0 = never emitted *)
+  mutable last_us : int;  (* 0 = never emitted *)
   sinks : sink list;
 }
 
@@ -20,7 +20,7 @@ let us_of_clock () = int_of_float (Clock.now () *. 1e6)
 
 let create ?(interval = 1.0) ~sinks () =
   { interval_us = int_of_float (Float.max 0. interval *. 1e6);
-    last_us = Atomic.make 0;
+    last_us = 0;
     sinks }
 
 let emit t sample_fn =
@@ -29,18 +29,16 @@ let emit t sample_fn =
 
 let tick t sample_fn =
   if t.sinks <> [] then begin
-    let last = Atomic.get t.last_us in
     let now = us_of_clock () in
-    (* The CAS makes the emission exclusive: concurrent shards that observed
-       the same [last] lose and skip, so sinks never double-fire for one
-       interval. *)
-    if now - last >= t.interval_us && Atomic.compare_and_set t.last_us last now then
+    if now - t.last_us >= t.interval_us then begin
+      t.last_us <- now;
       emit t sample_fn
+    end
   end
 
 let force t sample_fn =
   if t.sinks <> [] then begin
-    Atomic.set t.last_us (us_of_clock ());
+    t.last_us <- us_of_clock ();
     emit t sample_fn
   end
 

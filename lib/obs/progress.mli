@@ -1,11 +1,10 @@
 (** Throttled search-progress reporting.
 
-    A [Progress.t] is shared by every shard of a search; ticks race on a
-    single atomic timestamp, so at most one shard emits per interval and the
-    sample closure is only evaluated when an emission is actually due —
-    ticking costs one [Atomic.get] plus a clock read. Sinks run on whichever
-    domain won the race; user callbacks must be thread-safe under parallel
-    search. *)
+    A [Progress.t] belongs to the process that coordinates a search (the
+    sequential search itself, or the supervisor of a parallel one). At most
+    one emission happens per interval, and the sample closure is only
+    evaluated when an emission is actually due — ticking costs one clock
+    read. *)
 
 type sample = {
   executions : int;  (** completed executions so far (search-wide) *)
@@ -28,7 +27,7 @@ val create : ?interval:float -> sinks:sink list -> unit -> t
 
 val tick : t -> (unit -> sample) -> unit
 (** Emit to every sink if at least [interval] has passed since the last
-    emission (from any domain). *)
+    emission. *)
 
 val force : t -> (unit -> sample) -> unit
 (** Emit unconditionally (end-of-search line). *)

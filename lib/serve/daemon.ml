@@ -1,10 +1,9 @@
 (* chessd: the checking-as-a-service daemon. See daemon.mli.
 
    One single-threaded select loop owns everything: the Unix-domain listen
-   socket, every client connection, and one pipe per running job. The
-   daemon process never creates a domain, so forking job runners stays
-   legal under OCaml 5; each runner is a fresh single-domain process that
-   is free to fork its own supervised worker pool in turn. *)
+   socket, every client connection, and one pipe per running job. Each
+   job runs in a forked runner process, which forks its own supervised
+   worker pool in turn. *)
 
 module J = Fairmc_util.Json
 module CK = Fairmc_core.Checkpoint.Codec

@@ -3,10 +3,8 @@
     A single-threaded select loop on a Unix-domain socket accepts
     [fairmc-jobs/1] frames ({!Protocol}, on the fairmc-ipc/1 framing of
     {!Fairmc_core.Worker}), keeps a priority queue of submitted jobs, and
-    runs each job in a forked runner process — the daemon itself never
-    creates a domain, so forking stays legal under OCaml 5 and each runner
-    is free to fork its own supervised worker pool
-    ({!Fairmc_core.Supervisor}).
+    runs each job in a forked runner process, which forks its own
+    supervised worker pool ({!Fairmc_core.Supervisor}) in turn.
 
     {b Identity and dedup.} A job's identity is its config fingerprint
     ({!Jobspec.id}): a resubmission of an already-known search — whatever

@@ -17,7 +17,7 @@ let check_str = Alcotest.(check string)
 let base = { Search_config.default with livelock_bound = Some 2_000 }
 
 let run ?(jobs = 1) analyses prog =
-  Par_search.run { base with Search_config.jobs; analyses } prog
+  Checker.check ~config:{ base with Search_config.jobs; analyses } prog
 
 let race_of (r : Report.t) =
   match r.verdict with Report.Race { race; _ } -> Some race | _ -> None

@@ -185,8 +185,8 @@ let prefix_steps_folded snap =
 (* Run [cfg] uninterrupted; run it again with [max_executions = cut] and a
    checkpoint; resume; assert verdict, stats and metric counters all match
    the uninterrupted run. Returns both reports for extra assertions. *)
-let resume_equal ?(runner = fun ?resume cfg p -> Par_search.run ?resume cfg p) cfg prog
-    ~cut =
+let resume_equal ?(runner = fun ?resume config p -> Checker.check ~config ?resume p) cfg
+    prog ~cut =
   let full = runner cfg prog in
   (* Clamp below the uninterrupted total so the cut genuinely interrupts. *)
   let cut = max 1 (min cut (full.Report.stats.Report.executions - 1)) in
@@ -289,12 +289,12 @@ let unit_tests =
               pa_complete = false }
         in
         check "parallel payload on a sequential run raises Mismatch" true
-          (match Par_search.run ~resume:pa base prog with
+          (match Checker.check ~config:base ~resume:pa prog with
            | exception CK.Mismatch _ -> true
            | _ -> false);
         let sq = CK.Seq { (gen_seq (R.make 3L)) with CK.sq_complete = false } in
         check "sequential payload on a parallel run raises Mismatch" true
-          (match Par_search.run ~resume:sq { base with Search_config.jobs = 4 } prog with
+          (match Checker.check ~config:{ base with Search_config.jobs = 4 } ~resume:sq prog with
            | exception CK.Mismatch _ -> true
            | _ -> false));
     Alcotest.test_case "interrupted-then-resumed DFS equals uninterrupted (jobs=1)"
@@ -451,6 +451,38 @@ let unit_tests =
         check "same verdict" true (resumed.Report.verdict = full.Report.verdict);
         check "same stats" true
           (strip_time resumed.Report.stats = strip_time full.Report.stats));
+    Alcotest.test_case "parallel sampling resumes by remaining budget" `Quick (fun () ->
+        let prog = W.Litmus.two_step_threads ~nthreads:2 ~steps:3 in
+        let cfg =
+          { base with Search_config.mode = Search_config.Random_walk 40; jobs = 4 }
+        in
+        let file = Filename.temp_file "fairmc" ".ckpt" in
+        let cut =
+          { cfg with
+            Search_config.max_executions = Some 15;
+            checkpoint = Some file;
+            checkpoint_interval = 0. }
+        in
+        let partial = Checker.check ~config:cut prog in
+        check "cut run limited" true (partial.Report.verdict = Report.Limits_reached);
+        let resumed =
+          match CK.load file with
+          | Error e -> Alcotest.fail e
+          | Ok ck ->
+            (match CK.plan_resume ck cfg ~program:prog.Program.name with
+             | Ok (CK.Par_sampling sa as payload) ->
+               check_int "first session" 1 sa.CK.sa_round;
+               check_int "recorded executions" partial.Report.stats.Report.executions
+                 sa.CK.sa_stats.Report.executions;
+               Checker.check ~config:cfg ~resume:payload prog
+             | Ok _ -> Alcotest.fail "expected a parallel sampling payload"
+             | Error e -> Alcotest.fail e)
+        in
+        Sys.remove file;
+        (* Streams differ between sessions, so only the totals are
+           session-invariant: the whole budget, no more. *)
+        check "budget spent, no error" true (resumed.Report.verdict = Report.Limits_reached);
+        check_int "cumulative executions" 40 resumed.Report.stats.Report.executions);
     Alcotest.test_case "good-samaritan culprit tie-break is deterministic" `Quick
       (fun () ->
         (* Non-yielders dominate yielders; then occurrence counts; then the

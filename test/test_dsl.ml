@@ -654,7 +654,7 @@ let differential_tests =
             let reports =
               List.map
                 (fun (backend, jobs) ->
-                  Par_search.run { cfg with jobs } (D.compile ~backend ast))
+                  Checker.check ~config:{ cfg with jobs } (D.compile ~backend ast))
                 [ (`Ast, 1); (`Ast, 4); (`Vm, 1); (`Vm, 4) ]
             in
             match reports with
@@ -757,8 +757,8 @@ let storage_tests =
             check_int "lint exits 2" 2 (cli_status [ "lint"; file; "-q" ]))) ]
 
 (* Restore and replay agree through the CLI too: the restoring VM at -j 1,
-   -j 2 and --workers 2 (forked worker processes, hence a subprocess)
-   reports what an in-process replaying search reports. *)
+   -j 2 and --workers 2 reports what an in-process replaying search
+   reports. *)
 let cli_agreement_tests =
   [ Alcotest.test_case "restore agrees with replay at -j 1, -j 2 and --workers 2" `Quick
       (fun () ->

@@ -252,7 +252,7 @@ let assert_counters_jobs_invariant name cfg prog =
   let seq = Search.run cfg prog in
   List.iter
     (fun jobs ->
-      let par = Par_search.run { cfg with Search_config.jobs } prog in
+      let par = Checker.check ~config:{ cfg with Search_config.jobs } prog in
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "%s: counters j=1 vs j=%d" name jobs)
         (folded_counters seq.Report.metrics)
@@ -323,7 +323,7 @@ let progress_tests =
             on_progress = Some (fun _ -> Atomic.incr hits)
           }
         in
-        let r = Par_search.run cfg (W.Dining.coverage_program ~n:2) in
+        let r = Checker.check ~config:cfg (W.Dining.coverage_program ~n:2) in
         check "fired" true (Atomic.get hits > 0);
         check "searched" true (r.Report.stats.executions > 0));
     Alcotest.test_case "no callback, no reporter" `Quick (fun () ->

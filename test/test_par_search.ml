@@ -2,8 +2,9 @@
    systematic modes (same verdict, execution count, transition count and
    coverage-state count for every jobs value), reproducibility of sampling
    modes for a fixed (seed, jobs) pair, and deterministic replay of
-   counterexamples found by workers. Runs multi-domain searches on however
-   many cores the host has — the invariants are scheduling-independent. *)
+   counterexamples found by workers. The searches fork worker processes
+   ({!Supervisor}) on however many cores the host has — the invariants are
+   scheduling-independent. *)
 
 open Fairmc_core
 module W = Fairmc_workloads
@@ -24,7 +25,7 @@ let assert_systematic_equiv name cfg prog =
   let seq = Search.run cfg prog in
   List.iter
     (fun jobs ->
-      let par = Par_search.run { cfg with Search_config.jobs } prog in
+      let par = Checker.check ~config:{ cfg with Search_config.jobs } prog in
       let tag fmt = Printf.sprintf "%s j=%d: %s" name jobs fmt in
       Alcotest.(check string) (tag "verdict") (verdict_kind seq) (verdict_kind par);
       check_int (tag "executions") seq.stats.executions par.stats.executions;
@@ -76,7 +77,7 @@ let suite =
         let seq = Search.run { cfg with jobs = 1 } p in
         List.iter
           (fun split_depth ->
-            let par = Par_search.run { cfg with split_depth } p in
+            let par = Checker.check ~config:{ cfg with split_depth } p in
             check_int
               (Printf.sprintf "executions at split=%d" split_depth)
               seq.stats.executions par.stats.executions;
@@ -86,7 +87,7 @@ let suite =
           [ 1; 2; 8 ]);
     Alcotest.test_case "parallel counterexample replays deterministically" `Quick (fun () ->
         let p = W.Litmus.race_assert () in
-        let r = Par_search.run { base with jobs = 4 } p in
+        let r = Checker.check ~config:{ base with jobs = 4 } p in
         match r.verdict with
         | Report.Safety_violation { cex; _ } ->
           (match Search.replay p cex.decisions (fun _ -> ()) with
@@ -102,7 +103,7 @@ let suite =
           { base with mode = Search_config.Random_walk 100; livelock_bound = Some 300 }
         in
         let seq = Search.run cfg p in
-        let par () = Par_search.run { cfg with jobs = 4 } p in
+        let par () = Checker.check ~config:{ cfg with jobs = 4 } p in
         let r1 = par () and r2 = par () in
         Alcotest.(check string) "verdict kind" (verdict_kind seq) (verdict_kind r1);
         (* Fixed (seed, jobs): the winning worker and its schedule are
@@ -117,14 +118,38 @@ let suite =
         let cfg =
           { base with mode = Search_config.Priority_random 21; coverage = true; jobs = 4 }
         in
-        let r = Par_search.run cfg p in
+        let r = Checker.check ~config:cfg p in
         check "no error" false (Report.found_error r);
         check_int "21 executions total" 21 r.stats.executions);
+    Alcotest.test_case "sampling: pinned counterexample at jobs=4" `Quick (fun () ->
+        (* Recorded when sampling still ran on OCaml domains: item i is
+           still RNG stream i with the same budget share, so the lowest
+           erroring item and its schedule must not move. *)
+        let cfg =
+          { Search_config.default with
+            mode = Search_config.Random_walk 400;
+            seed = 7L;
+            jobs = 4 }
+        in
+        let r = Checker.check ~config:cfg (W.Litmus.race_assert ()) in
+        match r.verdict with
+        | Report.Safety_violation { tid; failure = Engine.Assertion msg; cex } ->
+          check_int "failing thread" 2 tid;
+          Alcotest.(check string) "failure" "check-then-act race" msg;
+          Alcotest.(check (list (pair int int)))
+            "schedule"
+            [ (0, 0); (0, 0); (1, 0); (0, 0); (1, 0); (2, 0); (1, 0); (2, 0); (2, 0) ]
+            cex.decisions;
+          Alcotest.(check (option int))
+            "position in the winning stream" (Some 2) r.stats.first_error_execution
+        | v -> Alcotest.failf "expected the assertion failure, got %s" (Report.verdict_key v));
     Alcotest.test_case "jobs=0 resolves to the host's domain count" `Quick (fun () ->
         check_int "auto"
           (Domain.recommended_domain_count ())
-          (Par_search.resolve_jobs { base with jobs = 0 });
-        check_int "explicit" 3 (Par_search.resolve_jobs { base with jobs = 3 });
+          (Supervisor.resolve_workers { base with jobs = 0 });
+        check_int "explicit" 3 (Supervisor.resolve_workers { base with jobs = 3 });
+        check_int "the larger of jobs and workers" 3
+          (Supervisor.resolve_workers { base with jobs = 2; workers = 3 });
         let p = W.Litmus.race_assert () in
-        let r = Par_search.run { base with jobs = 0 } p in
+        let r = Checker.check ~config:{ base with jobs = 0 } p in
         check "auto jobs still finds the bug" true (Report.found_error r)) ]

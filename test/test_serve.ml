@@ -4,10 +4,8 @@
    — two identical submissions share one search and every subscriber gets
    the same final report.
 
-   The daemon forks a runner per job and this test binary is
-   domain-tainted (OCaml 5 forbids fork after a domain has been created),
-   so the daemon runs as the real chessd binary in a subprocess — the
-   same thing CI and users run. *)
+   The daemon runs as the real chessd binary in a subprocess — the same
+   thing CI and users run. *)
 
 module Serve = Fairmc_serve
 module P = Serve.Protocol

@@ -327,7 +327,7 @@ let differential_tests =
                 (fun jobs ->
                   let cfg = { diff_cfg with Search_config.jobs } in
                   let run p =
-                    if jobs = 1 then Search.run cfg p else Par_search.run cfg p
+                    if jobs = 1 then Search.run cfg p else Checker.check ~config:cfg p
                   in
                   let ro = run off and rn = run on in
                   (* Budget exhaustion on either side makes the verdicts

@@ -122,10 +122,7 @@ let det_slice evs =
 let run_collect cfg prog =
   let stream = Events.create ~collect:true () in
   let cfg = { cfg with Search_config.events = Some stream } in
-  let r =
-    if cfg.Search_config.jobs > 1 then Par_search.run cfg prog
-    else Search.run cfg prog
-  in
+  let r = Checker.check ~config:cfg prog in
   (r, Events.collected stream)
 
 let assert_det_events_jobs_invariant name cfg prog =
