@@ -148,9 +148,9 @@ type state = {
   progress : Obs.Progress.t option;
   events : Obs.Events.buf option;  (* shard-local telemetry batch buffer *)
   span_buf : Obs.Events.buf option;
-      (* [events] again iff the stream collects (trace export wants per-path
-         span slices); [None] for a plain streaming sink, which then pays
-         only one path event per execution *)
+      (* [events] again iff the stream has spans on (the trace export wants
+         per-path span slices); [None] for a plain streaming sink, which
+         then pays only one path event per execution *)
   analysis : AH.instance list;  (* this shard's dynamic-analysis instances *)
   mutable prior : prior option;  (* resumed-session totals to merge in *)
   mutable ckpt : ckpt_ctl option;  (* only set by [Search.run], never shards *)
@@ -308,7 +308,7 @@ let make_state ?deadline ?rng ?(prefix = [||]) ?tally ?probe_denom
     events;
     span_buf =
       (match cfg.events with
-       | Some s when Obs.Events.collecting s -> events
+       | Some s when Obs.Events.spans s -> events
        | _ -> None);
     analysis = List.map (fun (a : AH.t) -> a.create ()) cfg.analyses;
     prior = None;

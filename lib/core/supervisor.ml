@@ -427,16 +427,18 @@ let status_reason = function
 (* Run one work item inside the worker process. The child's config drops
    everything that belongs to the parent: no checkpoint file (it must never
    clobber the parent's), no progress emission, no fault re-injection, and
-   no inherited event stream — when the parent collects telemetry the child
-   records its events privately and ships them back in the response. The
-   per-item wall-clock timeout is parent-side only; the child's deadline
-   comes from the remaining *global* time budget, so a slow but healthy
-   item never comes back [Limits_reached]. *)
+   no inherited event stream — when the parent streams telemetry the child
+   renders the item's events on a worker stream (same epoch, same span
+   gate) and ships the lines back in the response. The per-item wall-clock
+   timeout is parent-side only; the child's deadline comes from the
+   remaining *global* time budget, so a slow but healthy item never comes
+   back [Limits_reached]. *)
 let run_item ~(cfg : C.t) ~plan ~tally ~slot ~index ~attempt ~time_left =
+  let lines = ref [] in
   let child_events =
-    match cfg.C.events with
-    | None -> None
-    | Some _ -> Some (Events.create ~collect:true ())
+    Option.map
+      (fun s -> Events.worker s ~write:(fun line -> lines := line :: !lines))
+      cfg.C.events
   in
   let cfg_i =
     { cfg with
@@ -453,19 +455,11 @@ let run_item ~(cfg : C.t) ~plan ~tally ~slot ~index ~attempt ~time_left =
     match time_left with None -> infinity | Some t -> Clock.now () +. t
   in
   let r, tbl = plan.run cfg_i ~deadline ~tally ~shard:slot index in
-  let events =
-    match child_events with
-    | None -> []
-    | Some s ->
-      List.map
-        (fun (e : Events.event) -> (e.Events.det, e.Events.kind, e.Events.data))
-        (Events.collected s)
-  in
   { Worker.r_index = index;
     r_attempt = attempt;
     r_report = r;
     r_states = (if cfg.C.coverage then sorted_states tbl else []);
-    r_events = events }
+    r_events = List.rev !lines }
 
 (* The worker process's request loop. Never returns: every path ends in
    [Unix._exit] (not [exit] — the child must not run the parent's inherited
@@ -585,6 +579,9 @@ let supervise (cfg : C.t) plan ~workers ~deadline ~tally ~results ~note ~tick =
     let resp_r, resp_w = Unix.pipe ~cloexec:false () in
     flush stdout;
     flush stderr;
+    (* A fork takes milliseconds: hand buffered event lines over first, so
+       the run's first events do not wait for the pool to come up. *)
+    Option.iter Events.sync cfg.C.events;
     match Unix.fork () with
     | 0 ->
       List.iter
@@ -756,18 +753,9 @@ let supervise (cfg : C.t) plan ~workers ~deadline ~tally ~results ~note ~tick =
     slot.s_attempt <- 0;
     slot.s_deadline <- infinity;
     decr inflight;
-    (* Re-post the child's telemetry on the parent stream under the slot's
-       shard id. Per-path span events are gated on a collecting stream
-       in-process; apply the same gate here so a plain streaming sink sees
-       the same event set either way. *)
-    (match cfg.C.events with
-     | None -> ()
-     | Some s ->
-       List.iter
-         (fun (det, kind, data) ->
-           if det || kind <> "span" || Events.collecting s then
-             Events.post s ~shard:slot.s_id ~det ~kind data)
-         resp.Worker.r_events);
+    (* The child's lines join the parent stream as rendered (the worker
+       stream already applied the span gate), renumbered in one batch. *)
+    Option.iter (fun s -> Events.relay s resp.Worker.r_events) cfg.C.events;
     if live index then
       record index (resp.Worker.r_report, states_tbl resp.Worker.r_states)
   in
@@ -846,6 +834,8 @@ let supervise (cfg : C.t) plan ~workers ~deadline ~tally ~results ~note ~tick =
             in
             Float.max 0.01 t
           in
+          (* A chunked event sink must not sit on lines while we wait. *)
+          Option.iter Events.sync cfg.C.events;
           let readable =
             if fds = [] then (Retry.sleepf timeout; [])
             else begin
@@ -885,7 +875,9 @@ let supervise (cfg : C.t) plan ~workers ~deadline ~tally ~results ~note ~tick =
                        | Ok None -> ()
                        | Error msg ->
                          worker_died slot ~reason:("protocol error: " ^ msg)
-                       | Ok (Some json) ->
+                       | Ok (Some (Worker.Raw _)) ->
+                         worker_died slot ~reason:"protocol error: unexpected raw frame"
+                       | Ok (Some (Worker.Json json)) ->
                          (match Worker.response_of_json json with
                           | exception Checkpoint.Codec.Parse msg ->
                             worker_died slot
@@ -939,38 +931,48 @@ let supervise (cfg : C.t) plan ~workers ~deadline ~tally ~results ~note ~tick =
           (try Unix.close s.s_req with Unix.Unix_error _ -> ())
         end)
       slots;
-    let t_quit = Clock.now () in
-    Array.iter
+    (* A worker's response pipe reaches EOF when the worker exits, so wait
+       for that (each child holds only its own write end), then reap with a
+       blocking waitpid. One that is still up after 2 s is SIGKILLed. *)
+    let give_up = Clock.now () +. 2.0 in
+    let scratch = Bytes.create 4096 in
+    let rec await_eof open_ =
+      let remaining = give_up -. Clock.now () in
+      if open_ <> [] && remaining > 0. then
+        match Unix.select (List.map (fun s -> s.s_resp) open_) [] [] remaining with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> await_eof open_
+        | ready, _, _ ->
+          await_eof
+            (List.filter
+               (fun s ->
+                 not
+                   (List.mem s.s_resp ready
+                   && (match Unix.read s.s_resp scratch 0 (Bytes.length scratch) with
+                       | 0 -> true
+                       | _ -> false
+                       | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+                       | exception Unix.Unix_error _ -> true)))
+               open_)
+      else
+        List.iter
+          (fun s -> try Unix.kill s.s_pid Sys.sigkill with Unix.Unix_error _ -> ())
+          open_
+    in
+    let alive = List.filter (fun s -> s.s_alive) (Array.to_list slots) in
+    await_eof alive;
+    List.iter
       (fun s ->
-        if s.s_alive then begin
-          let status =
-            let rec reap () =
-              match Unix.waitpid [ Unix.WNOHANG ] s.s_pid with
-              | 0, _ ->
-                if Clock.now () -. t_quit > 2.0 then begin
-                  (try Unix.kill s.s_pid Sys.sigkill
-                   with Unix.Unix_error _ -> ());
-                  match Retry.eintr (fun () -> Unix.waitpid [] s.s_pid) with
-                  | _, st -> status_reason st
-                  | exception Unix.Unix_error _ -> "already reaped"
-                end
-                else begin
-                  Retry.sleepf 0.02;
-                  reap ()
-                end
-              | _, st -> status_reason st
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-              | exception Unix.Unix_error _ -> "already reaped"
-            in
-            reap ()
-          in
-          (try Unix.close s.s_resp with Unix.Unix_error _ -> ());
-          s.s_alive <- false;
-          post_event cfg "worker_exit"
-            [ ("worker", J.Int s.s_id); ("pid", J.Int s.s_pid);
-              ("status", J.Str status) ]
-        end)
-      slots
+        let status =
+          match Retry.eintr (fun () -> Unix.waitpid [] s.s_pid) with
+          | _, st -> status_reason st
+          | exception Unix.Unix_error _ -> "already reaped"
+        in
+        (try Unix.close s.s_resp with Unix.Unix_error _ -> ());
+        s.s_alive <- false;
+        post_event cfg "worker_exit"
+          [ ("worker", J.Int s.s_id); ("pid", J.Int s.s_pid);
+            ("status", J.Str status) ])
+      alive
   end;
   (!winner, counters)
 

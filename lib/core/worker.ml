@@ -6,6 +6,8 @@
    worker's pipe can be read by hand) and lets reports and metric
    snapshots travel in exactly the checkpoint codec's wire form
    ({!Checkpoint.Codec}), so nothing is serialized two different ways.
+   A raw frame ('r' and a 7-hex-digit length) carries bytes that are not
+   decoded at all: chessd's runners send their event lines in them.
 
    Framing is deliberately asymmetric:
    - the child reads its request pipe with a blocking [recv] (it has
@@ -22,6 +24,7 @@ module J = Fairmc_util.Json
 module Retry = Fairmc_util.Retry
 module CK = Checkpoint.Codec
 module AH = Analysis_hook
+module Events = Fairmc_obs.Events
 
 let protocol = "fairmc-ipc/1"
 
@@ -34,7 +37,7 @@ type response = {
   r_attempt : int;
   r_report : Report.t;
   r_states : int64 list;
-  r_events : (bool * string * J.t) list;
+  r_events : string list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -216,12 +219,7 @@ let response_to_json r =
       ("attempt", J.Int r.r_attempt);
       ("report", report_to_json r.r_report);
       ("states", CK.states_to_json r.r_states);
-      ("events",
-       J.Arr
-         (List.map
-            (fun (det, kind, data) ->
-              J.Obj [ ("det", J.Bool det); ("kind", J.Str kind); ("data", data) ])
-            r.r_events)) ]
+      ("events", J.Arr (List.map (fun line -> J.Str line) r.r_events)) ]
 
 let response_of_json o =
   let p = CK.str_f o "protocol" in
@@ -232,54 +230,84 @@ let response_of_json o =
     r_states = CK.states_of_json "states" (CK.field o "states");
     r_events =
       List.map
-        (fun e -> (CK.bool_f e "det", CK.str_f e "kind", CK.field e "data"))
+        (function
+          | J.Str line when Events.relayable line -> line
+          | _ -> CK.fail "bad event line")
         (CK.arr_f o "events") }
 
 (* ------------------------------------------------------------------ *)
 (* Framing.                                                            *)
 
+type frame = Json of J.t | Raw of string
+
 (* A response is bounded by the item's subtree (counterexample rendering
    dominates); anything past this is a protocol violation, not data. *)
 let max_frame = 64 * 1024 * 1024
 
-let write_all fd buf =
-  let n = Bytes.length buf in
-  let off = ref 0 in
-  while !off < n do
-    let w = Retry.eintr (fun () -> Unix.write fd buf !off (n - !off)) in
+let write_sub fd s off len =
+  let stop = off + len in
+  let off = ref off in
+  while !off < stop do
+    let w = Retry.eintr (fun () -> Unix.write_substring fd s !off (stop - !off)) in
     if w <= 0 then raise (Sys_error "worker pipe: short write");
     off := !off + w
   done
 
-let frame j =
-  let payload = J.to_string j in
-  let n = String.length payload in
-  let b = Bytes.create (8 + n) in
-  Bytes.blit_string (Printf.sprintf "%08x" n) 0 b 0 8;
-  Bytes.blit_string payload 0 b 8 n;
-  b
+let write_string fd s = write_sub fd s 0 (String.length s)
 
-let send fd j = write_all fd (frame j)
+let header ~raw n = if raw then Printf.sprintf "r%07x" n else Printf.sprintf "%08x" n
+
+let framed ~raw payload = header ~raw (String.length payload) ^ payload
+let frame j = framed ~raw:false (J.to_string j)
+let send fd j = write_string fd (frame j)
+let send_raw fd s = write_string fd (framed ~raw:true s)
+
+let add_frame b j =
+  let payload = J.to_string j in
+  Buffer.add_string b (header ~raw:false (String.length payload));
+  Buffer.add_string b payload
 
 (* Fault injection ([--inject-fault slowpipe]): same bytes, trickled in
    small delayed chunks to exercise the parent's partial-frame reassembly. *)
 let send_slowly ?(chunks = 8) ?(delay = 0.01) fd j =
   let b = frame j in
-  let n = Bytes.length b in
+  let n = String.length b in
   let step = max 1 ((n + chunks - 1) / chunks) in
   let off = ref 0 in
   while !off < n do
     let len = min step (n - !off) in
-    write_all fd (Bytes.sub b !off len);
+    write_sub fd b !off len;
     off := !off + len;
     if !off < n then Retry.sleepf delay
   done
 
-let parse_len hex =
-  match int_of_string_opt ("0x" ^ hex) with
-  | Some len when len >= 0 && len <= max_frame -> Ok len
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | 'A' .. 'F' -> Char.code c - 55
+  | _ -> -1
+
+(* The 8-byte header at [off]: whether the frame is raw, and its length. *)
+let parse_header b off =
+  let raw = Bytes.get b off = 'r' in
+  let rec digits i acc =
+    if i = 8 then Some acc
+    else
+      let d = hex_digit (Bytes.get b (off + i)) in
+      if d < 0 then None else digits (i + 1) ((acc * 16) + d)
+  in
+  match digits (if raw then 1 else 0) 0 with
+  | Some len when len <= max_frame -> Ok (raw, len)
   | Some len -> Error (Printf.sprintf "frame length %d exceeds %d" len max_frame)
-  | None -> Error (Printf.sprintf "garbled frame header %S" hex)
+  | None -> Error (Printf.sprintf "garbled frame header %S" (Bytes.sub_string b off 8))
+
+let decode ~raw payload =
+  if raw then Ok (Raw payload)
+  else
+    match J.of_string payload with
+    | Error e -> Error ("frame payload is not JSON: " ^ e)
+    | Ok j -> Ok (Json j)
 
 (* Blocking reads for the child side of the pipes. *)
 
@@ -297,24 +325,32 @@ let recv fd =
   | 0 -> Ok None
   | n when n < 8 -> Error "truncated frame header"
   | _ ->
-    (match parse_len (Bytes.to_string hdr) with
+    (match parse_header hdr 0 with
      | Error _ as e -> e
-     | Ok len ->
+     | Ok (raw, len) ->
        let payload = Bytes.create len in
        if read_exact fd payload 0 len < len then Error "truncated frame payload"
        else
-         (match J.of_string (Bytes.to_string payload) with
-          | Error e -> Error ("frame payload is not JSON: " ^ e)
-          | Ok j -> Ok (Some j)))
+         (match decode ~raw (Bytes.unsafe_to_string payload) with
+          | Ok (Json j) -> Ok (Some j)
+          | Ok (Raw _) -> Error "unexpected raw frame"
+          | Error _ as e -> e))
 
 (* Incremental reassembly for the parent side: one [read(2)] per [feed]
-   (driven by select readiness), frames extracted as they complete. *)
+   (driven by select readiness), frames extracted as they complete. The
+   unread bytes are [data.[off .. len-1]]: [extract] only advances [off],
+   and [feed] moves the unread tail to the front once, before it reads. *)
 
-type inbuf = { mutable data : Bytes.t; mutable len : int }
+type inbuf = { mutable data : Bytes.t; mutable off : int; mutable len : int }
 
-let inbuf () = { data = Bytes.create 65536; len = 0 }
+let inbuf () = { data = Bytes.create 65536; off = 0; len = 0 }
 
 let feed t fd =
+  if t.off > 0 then begin
+    Bytes.blit t.data t.off t.data 0 (t.len - t.off);
+    t.len <- t.len - t.off;
+    t.off <- 0
+  end;
   if Bytes.length t.data - t.len < 4096 then begin
     let bigger = Bytes.create (2 * Bytes.length t.data) in
     Bytes.blit t.data 0 bigger 0 t.len;
@@ -328,18 +364,20 @@ let feed t fd =
   end
 
 let extract t =
-  if t.len < 8 then Ok None
+  if t.len - t.off < 8 then Ok None
   else
-    match parse_len (Bytes.sub_string t.data 0 8) with
+    match parse_header t.data t.off with
     | Error _ as e -> e
-    | Ok len ->
-      if t.len < 8 + len then Ok None
+    | Ok (raw, len) ->
+      if t.len - t.off < 8 + len then Ok None
       else begin
-        let payload = Bytes.sub_string t.data 8 len in
-        let rest = t.len - 8 - len in
-        Bytes.blit t.data (8 + len) t.data 0 rest;
-        t.len <- rest;
-        match J.of_string payload with
-        | Error e -> Error ("frame payload is not JSON: " ^ e)
-        | Ok j -> Ok (Some j)
+        let payload = Bytes.sub_string t.data (t.off + 8) len in
+        t.off <- t.off + 8 + len;
+        if t.off = t.len then begin
+          t.off <- 0;
+          t.len <- 0
+        end;
+        match decode ~raw payload with
+        | Ok f -> Ok (Some f)
+        | Error _ as e -> e
       end

@@ -5,6 +5,8 @@
     bytes of JSON. Requests flow parent→child, responses child→parent.
     Reports, stats and metric snapshots reuse the checkpoint codec
     ({!Checkpoint.Codec}) so every serialized form in the system agrees.
+    A raw frame — ['r'], a 7-hex-digit length, then that many bytes — is
+    passed on undecoded; chessd's job runners ship event lines in them.
 
     Any framing violation — garbled header, oversized frame, non-JSON
     payload, truncation — surfaces as an [Error]; the supervisor treats it
@@ -30,9 +32,12 @@ type response = {
   r_attempt : int;  (** echoed from the request; a mismatch is a protocol error *)
   r_report : Report.t;
   r_states : int64 list;  (** sorted coverage signatures (empty unless coverage) *)
-  r_events : (bool * string * Fairmc_util.Json.t) list;
-      (** (det, kind, data) triples collected during the item, in order; the
-          parent re-posts them on its own stream with the slot's shard id *)
+  r_events : string list;
+      (** the item's [fairmc-events/1] lines, in order, as the worker's
+          stream ({!Fairmc_obs.Events.worker}) rendered them; the parent
+          renumbers them onto its own stream ({!Fairmc_obs.Events.relay}).
+          The decoder rejects a line that is not
+          {!Fairmc_obs.Events.relayable}. *)
 }
 
 (** {1 Codec}
@@ -48,11 +53,25 @@ val report_of_json : Fairmc_util.Json.t -> Report.t
 
 (** {1 Framing} *)
 
+type frame =
+  | Json of Fairmc_util.Json.t
+  | Raw of string  (** a raw frame's bytes, undecoded *)
+
 val max_frame : int
 (** Hard payload-size cap (64 MiB); larger headers are protocol errors. *)
 
 val send : Unix.file_descr -> Fairmc_util.Json.t -> unit
 (** Write one frame, restarting on EINTR until complete. *)
+
+val send_raw : Unix.file_descr -> string -> unit
+(** Write one raw frame. *)
+
+val add_frame : Buffer.t -> Fairmc_util.Json.t -> unit
+(** Append one frame to a buffer, to send several with one
+    {!write_string}. *)
+
+val write_string : Unix.file_descr -> string -> unit
+(** Write all of a string, restarting on EINTR until complete. *)
 
 val send_slowly :
   ?chunks:int -> ?delay:float -> Unix.file_descr -> Fairmc_util.Json.t -> unit
@@ -61,8 +80,9 @@ val send_slowly :
     parent's partial-frame reassembly. *)
 
 val recv : Unix.file_descr -> (Fairmc_util.Json.t option, string) result
-(** Blocking read of one frame (child side). [Ok None] is a clean EOF before
-    any byte of a frame; truncation and garbling are [Error]s. *)
+(** Blocking read of one JSON frame (child side). [Ok None] is a clean EOF
+    before any byte of a frame; truncation, garbling and a raw frame are
+    [Error]s. *)
 
 (** {1 Incremental reassembly (parent side)}
 
@@ -78,7 +98,8 @@ val feed : inbuf -> Unix.file_descr -> [ `Data of int | `Eof ]
 (** One [read(2)] into the buffer. Call when select reports the fd
     readable. *)
 
-val extract : inbuf -> (Fairmc_util.Json.t option, string) result
+val extract : inbuf -> (frame option, string) result
 (** Pop the next complete frame, [Ok None] when more bytes are needed. Call
     in a loop after {!feed}: one readiness wakeup can complete several
-    frames. *)
+    frames. Extracting costs the frame's own bytes, not the buffer's: the
+    unread rest moves once per {!feed}. *)

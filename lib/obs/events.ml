@@ -1,6 +1,8 @@
 (* Streaming NDJSON search events. Shards batch locally and flush at path
-   boundaries; the stream lock assigns gap-free sequence numbers. See
-   events.mli for the envelope and the det/advisory split. *)
+   boundaries; the stream lock assigns gap-free sequence numbers. Events
+   cross process boundaries as rendered lines: a worker's stream renders
+   them and the parent's stream renumbers them ({!relay}). See events.mli
+   for the envelope and the det/advisory split. *)
 
 module Json = Fairmc_util.Json
 
@@ -22,11 +24,23 @@ type pending =
   | P of { p_ts_us : int; p_det : bool; p_kind : string; p_data : Json.t }
   | P_path of { p_ts_us : int; p_det : bool; p_end : string; p_steps : int; p_schedule : int }
 
+(* A chunked sink: complete lines, newline-terminated, handed over in runs
+   of up to [chunk_cap] bytes or once the oldest line is [chunk_age]
+   seconds old. *)
+type chunks = {
+  c_write : string -> unit;
+  c_buf : Buffer.t;
+  mutable c_oldest : float;  (* Clock.now of the first unwritten line *)
+}
+
+type sink = No_sink | Lines of (string -> unit) | Chunks of chunks
+
 type stream = {
   mu : Mutex.t;
   t0 : float;
-  write : (string -> unit) option;
+  sink : sink;
   collect : bool;
+  spans : bool;
   mutable seq : int;
   mutable acc : event list;  (* reversed; only when [collect] *)
   fmt : Buffer.t;  (* scratch for line rendering; guarded by [mu] *)
@@ -34,17 +48,28 @@ type stream = {
 
 type buf = { stream : stream; shard : int; mutable pending : pending list (* reversed *) }
 
-let create ?write ?(collect = false) () =
-  { mu = Mutex.create ();
-    t0 = Clock.now ();
-    write;
-    collect;
-    seq = 0;
-    acc = [];
+let chunk_cap = 64 * 1024
+let chunk_age = 0.005
+
+let make ~t0 ~sink ~collect ~spans =
+  { mu = Mutex.create (); t0; sink; collect; spans; seq = 0; acc = [];
     fmt = Buffer.create 256 }
 
+let create ?write ?(chunked = false) ?(collect = false) () =
+  let sink =
+    match write with
+    | None -> No_sink
+    | Some w when chunked ->
+      Chunks { c_write = w; c_buf = Buffer.create chunk_cap; c_oldest = infinity }
+    | Some w -> Lines w
+  in
+  make ~t0:(Clock.now ()) ~sink ~collect ~spans:collect
+
+let worker parent ~write =
+  make ~t0:parent.t0 ~sink:(Lines write) ~collect:false ~spans:parent.spans
+
 let origin t = t.t0
-let collecting t = t.collect
+let spans t = t.spans
 
 let buffer stream ~shard = { stream; shard; pending = [] }
 
@@ -138,26 +163,53 @@ let emit_path buf ~det ~end_ ~steps ~schedule =
              p_schedule = schedule }
     :: buf.pending
 
+let chunk_flush c =
+  if Buffer.length c.c_buf > 0 then begin
+    c.c_write (Buffer.contents c.c_buf);
+    Buffer.clear c.c_buf;
+    c.c_oldest <- infinity
+  end
+
+let has_sink stream = match stream.sink with No_sink -> false | Lines _ | Chunks _ -> true
+
+(* Where the next line is rendered: straight into the chunk, or into the
+   scratch buffer for a per-line sink. [line_done] hands it over. *)
+let line_buf stream =
+  match stream.sink with
+  | Chunks c -> c.c_buf
+  | No_sink | Lines _ ->
+    Buffer.clear stream.fmt;
+    stream.fmt
+
+let line_done stream =
+  match stream.sink with
+  | No_sink -> ()
+  | Lines w -> w (Buffer.contents stream.fmt)
+  | Chunks c ->
+    Buffer.add_char c.c_buf '\n';
+    let now = Clock.now () in
+    if c.c_oldest = infinity then c.c_oldest <- now;
+    if Buffer.length c.c_buf >= chunk_cap || now -. c.c_oldest >= chunk_age then
+      chunk_flush c
+
 (* Under the lock: number, write, collect — in batch order. The [event]
    record (and a [P_path]'s Json data) only materializes when the stream
    collects; a write-only stream renders straight from the pending cell. *)
 let publish_locked stream ~shard p =
   let seq = stream.seq in
   stream.seq <- seq + 1;
-  (match stream.write with
-   | None -> ()
-   | Some w ->
-     let b = stream.fmt in
-     Buffer.clear b;
-     (match p with
-      | P q ->
-        render b
-          { seq; ts_us = q.p_ts_us; shard; det = q.p_det; kind = q.p_kind;
-            data = q.p_data }
-      | P_path q ->
-        render_path b ~seq ~ts_us:q.p_ts_us ~shard ~det:q.p_det ~end_:q.p_end
-          ~steps:q.p_steps ~schedule:q.p_schedule);
-     w (Buffer.contents b));
+  if has_sink stream then begin
+    let b = line_buf stream in
+    (match p with
+     | P q ->
+       render b
+         { seq; ts_us = q.p_ts_us; shard; det = q.p_det; kind = q.p_kind;
+           data = q.p_data }
+     | P_path q ->
+       render_path b ~seq ~ts_us:q.p_ts_us ~shard ~det:q.p_det ~end_:q.p_end
+         ~steps:q.p_steps ~schedule:q.p_schedule);
+    line_done stream
+  end;
   if stream.collect then begin
     let e =
       match p with
@@ -187,5 +239,50 @@ let flush buf =
 let post stream ~shard ?(det = false) ~kind data =
   let p = P { p_ts_us = ts_us stream; p_det = det; p_kind = kind; p_data = data } in
   Mutex.protect stream.mu (fun () -> flush_locked stream ~shard [ p ])
+
+(* A line as a worker's stream rendered it starts with this, then its
+   sequence number: the one field a relay rewrites. *)
+let seq_prefix = {|{"schema":"|} ^ schema ^ {|","seq":|}
+
+(* Index of the comma that ends the line's sequence number, or -1. *)
+let seq_end line =
+  let p = String.length seq_prefix and n = String.length line in
+  if n <= p || not (String.starts_with ~prefix:seq_prefix line) then -1
+  else begin
+    let i = ref p in
+    while !i < n && line.[!i] >= '0' && line.[!i] <= '9' do incr i done;
+    if !i > p && !i < n && line.[!i] = ',' then !i else -1
+  end
+
+let relayable line = seq_end line >= 0
+
+let relay stream lines =
+  let render = has_sink stream || stream.collect in
+  if lines <> [] then
+    Mutex.protect stream.mu (fun () ->
+        List.iter
+          (fun line ->
+            let j = seq_end line in
+            if j < 0 then invalid_arg "Events.relay: not an envelope line";
+            let seq = stream.seq in
+            stream.seq <- seq + 1;
+            if render then begin
+              let b = line_buf stream in
+              let start = Buffer.length b in
+              Buffer.add_string b seq_prefix;
+              Json.add_int b seq;
+              Buffer.add_substring b line j (String.length line - j);
+              (if stream.collect then
+                 match of_line (Buffer.sub b start (Buffer.length b - start)) with
+                 | Ok e -> stream.acc <- e :: stream.acc
+                 | Error _ -> ());
+              line_done stream
+            end)
+          lines)
+
+let sync stream =
+  match stream.sink with
+  | Chunks c -> Mutex.protect stream.mu (fun () -> chunk_flush c)
+  | No_sink | Lines _ -> ()
 
 let collected stream = Mutex.protect stream.mu (fun () -> List.rev stream.acc)

@@ -5,7 +5,10 @@
     I/O on the hot path) and flushes the batch at its next path boundary,
     where the stream's lock assigns globally monotonic sequence numbers and
     writes one NDJSON line per event. Events within a batch keep their emit
-    order; batches from different shards interleave in flush order.
+    order; batches from different shards interleave in flush order. A
+    worker process renders its events on a {!worker} stream of its own and
+    ships the lines; the parent puts them on this stream with {!relay},
+    which assigns their sequence numbers here.
 
     Envelope, schema [fairmc-events/1]:
 
@@ -13,7 +16,9 @@
     "det":BOOL,"kind":STR,"data":OBJ} v}
 
     [seq] is the global emission index (0-based, gap-free), [ts_us]
-    microseconds since the stream was created, [shard] the emitting worker
+    microseconds since the stream was created (its {!worker} streams share
+    that epoch, so a worker's events keep the time they happened at),
+    [shard] the emitting worker
     (-1 for the coordinator). [det] classifies the payload: a [det] event's
     [(kind, data)] pair is jobs-invariant — an error-free systematic search
     emits exactly the same multiset of deterministic [(kind, data)] pairs
@@ -36,23 +41,41 @@ type event = {
 type stream
 type buf
 
-val create : ?write:(string -> unit) -> ?collect:bool -> unit -> stream
+val create :
+  ?write:(string -> unit) -> ?chunked:bool -> ?collect:bool -> unit -> stream
 (** [write] receives one NDJSON line (no trailing newline) per event, called
-    under the stream lock in sequence order. [collect] additionally keeps
-    every event in memory for {!collected} (tests, span trace export).
-    Omitting both yields a stream that discards events — still useful as a
-    span collector gate. *)
+    under the stream lock in sequence order. With [~chunked:true] it
+    receives chunks instead: runs of complete lines, each ending in a
+    newline, handed over once the run reaches {!chunk_cap} bytes or its
+    oldest line is {!chunk_age} seconds old (checked as lines arrive), and
+    by {!sync}. [collect] additionally keeps every event in memory for
+    {!collected} (tests, span trace export) and turns on the per-path span
+    events ({!spans}). Omitting both yields a stream that discards
+    events. *)
+
+val chunk_cap : int
+(** 64 KiB: a chunked stream hands over a run once it is this long. *)
+
+val chunk_age : float
+(** 5 ms: ... or once its oldest line is this old. *)
+
+val worker : stream -> write:(string -> unit) -> stream
+(** The stream a worker process records one work item on, for [parent]:
+    the same epoch (so [ts_us] agrees across the processes) and the same
+    span gate, one line per [write], never collecting. The parent puts the
+    lines on its own stream with {!relay}. *)
 
 val origin : stream -> float
 (** The stream's epoch ({!Clock.now} at creation); [ts_us] is relative to
     it. *)
 
-val collecting : stream -> bool
-(** Whether the stream retains events for {!collected} ([create
-    ~collect:true]). The search uses this to gate the per-path span events:
-    span slices are only useful to the trace exporter, so a plain streaming
-    sink does not pay for them (coarse spans — checkpoint saves, frontier
-    expansion — are always emitted). *)
+val spans : stream -> bool
+(** Whether the search emits per-path span events (prefix [replay],
+    [fresh] execution, [analysis]) on this stream: only when it collects
+    ([create ~collect:true], the span trace export), or is the {!worker}
+    stream of one that does. A plain streaming sink pays for one [path]
+    event per execution and nothing more; coarse spans (checkpoint saves,
+    frontier expansion) are always emitted. *)
 
 val buffer : stream -> shard:int -> buf
 (** A shard-local batch buffer. Not thread-safe — one per shard. *)
@@ -73,6 +96,21 @@ val flush : buf -> unit
 
 val post : stream -> shard:int -> ?det:bool -> kind:string -> Fairmc_util.Json.t -> unit
 (** Emit and flush a single event (coordinator lifecycle events). *)
+
+val relayable : string -> bool
+(** Whether a line starts like one a stream renders, up to and including
+    its sequence number: what {!relay} needs. *)
+
+val relay : stream -> string list -> unit
+(** Put lines a {!worker} stream rendered on this stream, in order, under
+    one lock: each gets the next sequence number here and keeps the rest
+    of its envelope ([ts_us], [shard]) and its payload as rendered. No
+    [Json.t] is built unless the stream collects. Raises
+    [Invalid_argument] on a line that is not {!relayable}. *)
+
+val sync : stream -> unit
+(** Hand a chunked stream's pending lines to its writer now; a no-op for
+    other streams. *)
 
 val collected : stream -> event list
 (** Every flushed event in sequence order; [[]] unless [collect] was set. *)

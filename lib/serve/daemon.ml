@@ -3,16 +3,20 @@
    One single-threaded select loop owns everything: the Unix-domain listen
    socket, every client connection, and one pipe per running job. Each
    job runs in a forked runner process, which forks its own supervised
-   worker pool in turn. *)
+   worker pool in turn. A job's event lines never live in the daemon's
+   heap: they go from the runner's pipe to the spool and to the
+   subscribers watching at that moment. *)
 
 module J = Fairmc_util.Json
 module CK = Fairmc_core.Checkpoint.Codec
 module Checkpoint = Fairmc_core.Checkpoint
 module C = Fairmc_core.Search_config
 module Program = Fairmc_core.Program
+module Retry = Fairmc_util.Retry
 module Report = Fairmc_core.Report
 module Checker = Fairmc_core.Checker
 module Worker = Fairmc_core.Worker
+module Events = Fairmc_obs.Events
 module P = Protocol
 
 type config = {
@@ -49,7 +53,6 @@ type job = {
   mutable j_attempts : int;
   mutable j_cancelled : bool;
   mutable j_watchers : (client * bool) list;  (* client, wants event frames *)
-  mutable j_events : string list;  (* event backlog, newest first *)
   mutable j_result : P.message option;  (* the Job_done, once finished *)
   mutable j_failure : string option;
 }
@@ -59,6 +62,7 @@ type runner = {
   r_fd : Unix.file_descr;  (* read end of the runner's frame pipe *)
   r_buf : Worker.inbuf;
   r_job : job;
+  r_backlog : Unix.file_descr option;  (* <id>.events, opened for appending *)
   mutable r_finished : bool;  (* saw R_done/R_failed; EOF is then benign *)
 }
 
@@ -80,9 +84,10 @@ let logf t fmt =
 
 (* ------------------------------------------------------------------ *)
 (* Spool: <id>.job is the submission, <id>.ckpt the search checkpoint
-   the runner maintains, <id>.report the finished result. A .job with no
-   .report is unfinished work; restart requeues it and the runner resumes
-   from the .ckpt, which is what makes SIGTERM survivable.               *)
+   the runner maintains, <id>.report the finished result, <id>.events the
+   event backlog. A .job with no .report is unfinished work; restart
+   requeues it and the runner resumes from the .ckpt, which is what makes
+   SIGTERM survivable.                                                   *)
 
 let spool_path t id ext = Filename.concat t.cfg.spool (id ^ ext)
 
@@ -127,6 +132,36 @@ let save_report t job msg = write_spool (spool_path t job.j_id ".report") msg
 
 let remove_file path = try Sys.remove path with Sys_error _ -> ()
 
+(* The event backlog is appended to as the runner's chunks arrive, one
+   write each, and never fsync'd: it is a record for late subscribers,
+   not state a restart depends on. A retried attempt appends to the same
+   file. *)
+let open_backlog t job =
+  match
+    Unix.openfile (spool_path t job.j_id ".events")
+      [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
+  with
+  | fd -> Some fd
+  | exception Unix.Unix_error (e, _, _) ->
+    logf t "job %s: no event backlog: %s" job.j_id (Unix.error_message e);
+    None
+
+let close_backlog r =
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) r.r_backlog
+
+(* [f] on each complete line of [b.[0 .. stop-1]], in order; returns where
+   the first incomplete line starts ([stop] if there is none). *)
+let iter_lines b stop f =
+  let rec go start i =
+    if i >= stop then start
+    else if Bytes.unsafe_get b i = '\n' then begin
+      f (Bytes.sub_string b start (i - start));
+      go (i + 1) (i + 1)
+    end
+    else go start (i + 1)
+  in
+  go 0 0
+
 (* ------------------------------------------------------------------ *)
 (* Client plumbing. A send that fails (EPIPE, send-timeout on a stuck
    subscriber) drops the client; it must never take the daemon down.    *)
@@ -141,17 +176,53 @@ let drop_client t c =
       t.jobs
   end
 
-let send t c msg =
+let guarded t c f =
   if c.c_alive then
-    try Worker.send c.c_fd (P.message_to_json msg)
+    try f c.c_fd
     with Unix.Unix_error _ | Sys_error _ ->
       logf t "dropping unresponsive client";
       drop_client t c
 
-let broadcast t job msg ~events_only =
-  List.iter
-    (fun (c, wants_events) -> if (not events_only) || wants_events then send t c msg)
-    job.j_watchers
+let send t c msg = guarded t c (fun fd -> Worker.send fd (P.message_to_json msg))
+
+(* Frames are coalesced into writes of about this size. *)
+let write_size = 65536
+
+let add_event out line = Worker.add_frame out (P.message_to_json (P.Event line))
+
+(* Replay [job]'s backlog to [c]: an Event frame per complete line of
+   <id>.events, in order, in writes of about [write_size] bytes. *)
+let replay_backlog t c job =
+  match Unix.openfile (spool_path t job.j_id ".events") [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let out = Buffer.create (2 * write_size) in
+    let flush () =
+      guarded t c (fun fd -> Worker.write_string fd (Buffer.contents out));
+      Buffer.clear out
+    in
+    let rec go data len =
+      let data =
+        if len < Bytes.length data then data
+        else Bytes.extend data 0 (Bytes.length data)  (* one line fills it *)
+      in
+      match Retry.eintr (fun () -> Unix.read fd data len (Bytes.length data - len)) with
+      | 0 -> ()
+      | exception Unix.Unix_error (e, _, _) ->
+        logf t "job %s: event backlog unreadable: %s" job.j_id (Unix.error_message e)
+      | n ->
+        let stop = len + n in
+        let rest =
+          iter_lines data stop (fun line ->
+              add_event out line;
+              if Buffer.length out >= write_size then flush ())
+        in
+        Bytes.blit data rest data 0 (stop - rest);
+        if c.c_alive then go data (stop - rest)
+    in
+    go (Bytes.create write_size) 0;
+    if Buffer.length out > 0 then flush ()
 
 let job_info (job : job) =
   { P.ji_id = job.j_id;
@@ -181,9 +252,9 @@ let runner_child t job wfd =
   | Ok (program, lint) ->
     let base = Jobspec.to_config job.j_spec in
     let ckpt = spool_path t job.j_id ".ckpt" in
-    let stream =
-      Fairmc_obs.Events.create ~write:(fun line -> send_r (P.R_event line)) ()
-    in
+    (* Event lines go up the pipe in raw chunks (see Events.create); the
+       final frame follows the last of them. *)
+    let stream = Events.create ~write:(Worker.send_raw wfd) ~chunked:true () in
     let cfg = { base with C.checkpoint = Some ckpt; events = Some stream } in
     let resume =
       if Sys.file_exists ckpt then
@@ -196,20 +267,23 @@ let runner_child t job wfd =
       else None
     in
     Checkpoint.install_signal_handlers ();
-    (match Checker.check ~config:cfg ?resume program with
-     | report ->
-       let rendered = Format.asprintf "%a" Report.pp report in
-       send_r
-         (P.R_done
-            { verdict = Report.verdict_key report.Report.verdict;
-              found_error = Report.found_error report;
-              interrupted = Checkpoint.interrupted ();
-              rendered;
-              report =
-                Report.to_json ~program:program.Program.name
-                  ~config:(C.describe base) ?lint report })
-     | exception Checkpoint.Mismatch e -> send_r (P.R_failed ("cannot resume: " ^ e))
-     | exception e -> send_r (P.R_failed (Printexc.to_string e)))
+    let result =
+      try
+        let report = Checker.check ~config:cfg ?resume program in
+        P.R_done
+          { verdict = Report.verdict_key report.Report.verdict;
+            found_error = Report.found_error report;
+            interrupted = Checkpoint.interrupted ();
+            rendered = Format.asprintf "%a" Report.pp report;
+            report =
+              Report.to_json ~program:program.Program.name ~config:(C.describe base)
+                ?lint report }
+      with
+      | Checkpoint.Mismatch e -> P.R_failed ("cannot resume: " ^ e)
+      | e -> P.R_failed (Printexc.to_string e)
+    in
+    Events.sync stream;
+    send_r result
 
 let spawn_runner t job =
   let rfd, wfd = Unix.pipe () in
@@ -220,7 +294,11 @@ let spawn_runner t job =
     Unix.close rfd;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.clients;
-    List.iter (fun r -> try Unix.close r.r_fd with Unix.Unix_error _ -> ()) t.runners;
+    List.iter
+      (fun r ->
+        (try Unix.close r.r_fd with Unix.Unix_error _ -> ());
+        close_backlog r)
+      t.runners;
     Sys.set_signal Sys.sigterm Sys.Signal_default;
     Sys.set_signal Sys.sigint Sys.Signal_default;
     (try runner_child t job wfd
@@ -234,7 +312,7 @@ let spawn_runner t job =
     job.j_state <- P.Running;
     t.runners <-
       { r_pid = pid; r_fd = rfd; r_buf = Worker.inbuf (); r_job = job;
-        r_finished = false }
+        r_backlog = open_backlog t job; r_finished = false }
       :: t.runners;
     logf t "job %s: runner pid %d started (attempt %d)" job.j_id pid
       (job.j_attempts + 1)
@@ -308,14 +386,26 @@ let runner_attempt_failed t job reason =
     requeue t job
   end
 
+(* A chunk of event lines from a runner: spooled as well as broadcast, so
+   a watcher that subscribes after the runner started (or after it
+   finished, or after a restart) still gets the stream from its first
+   line — the complete slice a direct run would write. Only the live
+   event watchers make the daemon split it into lines. *)
+let runner_events t r chunk =
+  (try Option.iter (fun fd -> Worker.write_string fd chunk) r.r_backlog
+   with (Unix.Unix_error _ | Sys_error _) as e ->
+     logf t "job %s: cannot append to the event backlog: %s" r.r_job.j_id
+       (Printexc.to_string e));
+  match List.filter snd r.r_job.j_watchers with
+  | [] -> ()
+  | watchers ->
+    let out = Buffer.create (2 * String.length chunk) in
+    ignore
+      (iter_lines (Bytes.unsafe_of_string chunk) (String.length chunk) (add_event out));
+    let frames = Buffer.contents out in
+    List.iter (fun (c, _) -> guarded t c (fun fd -> Worker.write_string fd frames)) watchers
+
 let handle_runner_msg t r = function
-  | P.R_event line ->
-    (* Backlogged as well as broadcast: a watcher that subscribes after
-       the runner started (or after it finished — the backlog outlives the
-       runner) still sees the stream from its first line, so the event
-       slice it receives is the complete one a direct run would write. *)
-    r.r_job.j_events <- line :: r.r_job.j_events;
-    broadcast t r.r_job (P.Event line) ~events_only:true
   | P.R_done d when d.interrupted ->
     (* The runner checkpointed and stopped early: a cancel, or someone
        signalled it directly. Either way the .ckpt carries the progress. *)
@@ -340,6 +430,7 @@ let handle_runner_msg t r = function
 
 let close_runner t r =
   (try Unix.close r.r_fd with Unix.Unix_error _ -> ());
+  close_backlog r;
   t.runners <- List.filter (fun r' -> r' != r) t.runners;
   (try ignore (Unix.waitpid [] r.r_pid) with Unix.Unix_error _ -> ());
   if not r.r_finished then
@@ -348,24 +439,31 @@ let close_runner t r =
     runner_attempt_failed t r.r_job "runner exited without a result"
 
 let handle_runner_readable t r =
+  let protocol_error what e =
+    logf t "job %s: runner %s error: %s" r.r_job.j_id what e;
+    (try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ());
+    close_runner t r
+  in
   match Worker.feed r.r_buf r.r_fd with
   | `Eof -> close_runner t r
   | `Data _ ->
     let rec drain () =
       match Worker.extract r.r_buf with
       | Ok None -> ()
-      | Ok (Some frame) ->
+      | Ok (Some (Worker.Raw chunk)) ->
+        (* Whole lines only, so the backlog never holds a partial one. *)
+        if chunk = "" || chunk.[String.length chunk - 1] <> '\n' then
+          protocol_error "protocol" "event chunk does not end a line"
+        else begin
+          runner_events t r chunk;
+          drain ()
+        end
+      | Ok (Some (Worker.Json frame)) ->
         (match P.runner_of_json frame with
          | msg -> handle_runner_msg t r msg
-         | exception CK.Parse e ->
-           logf t "job %s: runner protocol error: %s" r.r_job.j_id e;
-           (try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ());
-           close_runner t r);
+         | exception CK.Parse e -> protocol_error "protocol" e);
         if List.memq r t.runners then drain ()
-      | Error e ->
-        logf t "job %s: runner framing error: %s" r.r_job.j_id e;
-        (try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        close_runner t r
+      | Error e -> protocol_error "framing" e
     in
     drain ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -398,8 +496,8 @@ let submit t c (spec : Jobspec.t) priority =
           let job =
             { j_id = id; j_spec = spec; j_program = program_name; j_seq = t.seq;
               j_priority = priority; j_state = P.Queued; j_attempts = 0;
-              j_cancelled = false; j_watchers = []; j_events = [];
-              j_result = None; j_failure = None }
+              j_cancelled = false; j_watchers = []; j_result = None;
+              j_failure = None }
           in
           t.seq <- t.seq + 1;
           Hashtbl.replace t.jobs id job;
@@ -415,8 +513,7 @@ let watch t c id events =
   | None -> send t c (P.Error_msg (Printf.sprintf "unknown job %S" id))
   | Some job ->
     send t c (P.Watching { job = id; state = job.j_state });
-    if events then
-      List.iter (fun line -> send t c (P.Event line)) (List.rev job.j_events);
+    if events then replay_backlog t c job;
     (match (job.j_state, job.j_result, job.j_failure) with
      | P.Done, Some msg, _ -> send t c msg
      | P.Failed, _, Some reason -> send t c (P.Error_msg reason)
@@ -471,7 +568,10 @@ let handle_client_readable t c =
       if c.c_alive then
         match Worker.extract c.c_buf with
         | Ok None -> ()
-        | Ok (Some frame) ->
+        | Ok (Some (Worker.Raw _)) ->
+          send t c (P.Error_msg "bad frame: unexpected raw frame");
+          drop_client t c
+        | Ok (Some (Worker.Json frame)) ->
           (match P.request_of_json frame with
            | req -> handle_request t c req
            | exception CK.Parse e ->
@@ -525,7 +625,7 @@ let scan_spool t =
                     { j_id = id; j_spec = spec; j_program = program.Program.name;
                       j_seq = t.seq; j_priority = priority; j_state = P.Queued;
                       j_attempts = 0; j_cancelled = false; j_watchers = [];
-                      j_events = []; j_result = None; j_failure = None }
+                      j_result = None; j_failure = None }
                   in
                   t.seq <- t.seq + 1;
                   Hashtbl.replace t.jobs id job;
@@ -561,11 +661,17 @@ let shutdown t =
   List.iter
     (fun r -> try Unix.kill r.r_pid Sys.sigterm with Unix.Unix_error _ -> ())
     t.runners;
+  (* Read each runner to EOF, so its last event chunks reach the backlog;
+     close_runner reaps it. *)
   List.iter
     (fun r ->
-      (try ignore (Unix.waitpid [] r.r_pid)
-       with Unix.Unix_error _ -> ());
-      try Unix.close r.r_fd with Unix.Unix_error _ -> ())
+      let rec drain () =
+        if List.memq r t.runners then
+          match handle_runner_readable t r with
+          | () -> drain ()
+          | exception Unix.Unix_error _ -> close_runner t r
+      in
+      drain ())
     t.runners;
   t.runners <- [];
   List.iter (fun c -> send t c P.Bye) (List.filter (fun c -> c.c_alive) t.clients);

@@ -72,10 +72,10 @@ type message =
   | Bye
 
 (* ------------------------------------------------------------------ *)
-(* Runner -> daemon (internal, over the job runner's pipe).            *)
+(* Runner -> daemon (internal, over the job runner's pipe). Event lines
+   travel beside these in raw frames.                                  *)
 
 type runner_msg =
-  | R_event of string
   | R_done of {
       verdict : string;
       found_error : bool;
@@ -203,7 +203,6 @@ let message_of_json o =
   | m -> CK.fail "unknown message %S" m
 
 let runner_to_json = function
-  | R_event line -> J.Obj [ ("op", J.Str "event"); ("line", J.Str line) ]
   | R_done { verdict; found_error; interrupted; rendered; report } ->
     J.Obj
       [ ("op", J.Str "done");
@@ -216,7 +215,6 @@ let runner_to_json = function
 
 let runner_of_json o =
   match CK.str_f o "op" with
-  | "event" -> R_event (CK.str_f o "line")
   | "done" ->
     R_done
       { verdict = CK.str_f o "verdict";

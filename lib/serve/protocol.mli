@@ -6,7 +6,10 @@
     single request may be answered by a stream of messages (a [Watch]
     yields [Watching], then [Event] frames, then one terminal [Job_done]).
     The runner messages are daemon-internal: each forked job runner ships
-    them up its pipe and the daemon fans them out to subscribers. *)
+    them up its pipe, after its event lines, which travel in raw frames
+    (chunks of complete NDJSON lines, see {!Fairmc_obs.Events.create}
+    [~chunked]); the daemon appends those to the job's backlog and fans
+    them out to subscribers as [Event] messages. *)
 
 val protocol : string
 (** ["fairmc-jobs/1"]; embedded in the handshake and checked on decode. *)
@@ -64,7 +67,6 @@ type message =
   | Bye
 
 type runner_msg =
-  | R_event of string
   | R_done of {
       verdict : string;
       found_error : bool;

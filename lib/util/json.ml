@@ -7,36 +7,29 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-(* Most emitted strings (field names, enum-like labels) contain nothing to
-   escape; skip the per-character copy for those. *)
-let needs_escape s =
+(* Append the body of a string literal, copying the runs between escapes
+   in one [add_substring] each: event lines travel between processes as
+   JSON strings, so this is on the IPC path. *)
+let add_escaped buf s =
   let n = String.length s in
-  let rec go i =
-    i < n
-    && (match String.unsafe_get s i with
-        | '"' | '\\' -> true
-        | c when Char.code c < 0x20 -> true
-        | _ -> go (i + 1))
-  in
-  go 0
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | '\b' -> Buffer.add_string buf "\\b"
+       | '\012' -> Buffer.add_string buf "\\f"
+       | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start)
 
 (* [string_of_int] without the intermediate string: the telemetry stream
    renders several integers per event, so the allocation is worth dodging. *)
@@ -88,13 +81,13 @@ let rec emit buf ~indent ~level v =
     else Buffer.add_string buf "null"
   | Str s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (if needs_escape s then escape s else s);
+    add_escaped buf s;
     Buffer.add_char buf '"'
   | Arr items -> seq '[' ']' items (emit buf ~indent ~level:(level + 1))
   | Obj members ->
     seq '{' '}' members (fun (k, v) ->
         Buffer.add_char buf '"';
-        Buffer.add_string buf (if needs_escape k then escape k else k);
+        add_escaped buf k;
         Buffer.add_string buf "\":";
         (match indent with None -> () | Some _ -> Buffer.add_char buf ' ');
         emit buf ~indent ~level:(level + 1) v)
@@ -112,7 +105,7 @@ let rec emit_compact buf v =
     else Buffer.add_string buf "null"
   | Str s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (if needs_escape s then escape s else s);
+    add_escaped buf s;
     Buffer.add_char buf '"'
   | Arr items ->
     Buffer.add_char buf '[';
@@ -135,7 +128,7 @@ and emit_members buf first = function
   | (k, x) :: tl ->
     if not first then Buffer.add_char buf ',';
     Buffer.add_char buf '"';
-    Buffer.add_string buf (if needs_escape k then escape k else k);
+    add_escaped buf k;
     Buffer.add_string buf "\":";
     emit_compact buf x;
     emit_members buf false tl
@@ -182,10 +175,33 @@ let of_string s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  (* End of the run of plain bytes (no quote, backslash or control
+     character) starting at [i]. *)
+  let rec plain i =
+    if i < n
+       && (match String.unsafe_get s i with
+           | '"' | '\\' -> false
+           | c -> Char.code c >= 0x20)
+    then plain (i + 1)
+    else i
+  in
+  (* Strings are copied a run at a time: an event line shipped as a string
+     is a few dozen runs between its escaped quotes, and a string with no
+     escapes at all (most keys) is a single [String.sub]. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
+    let start = !pos in
+    let stop = plain start in
+    if stop < n && s.[stop] = '"' then begin
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    end
+    else
+    let buf = Buffer.create (stop - start + 16) in
     let rec go () =
+      let stop = plain !pos in
+      Buffer.add_substring buf s !pos (stop - !pos);
+      pos := stop;
       if !pos >= n then fail "unterminated string"
       else begin
         let c = s.[!pos] in
@@ -254,10 +270,7 @@ let of_string s =
              end
            | _ -> fail "unknown escape");
           go ()
-        | c when Char.code c < 0x20 -> fail "raw control character in string"
-        | c ->
-          Buffer.add_char buf c;
-          go ()
+        | _ -> fail "raw control character in string"
       end
     in
     go ()

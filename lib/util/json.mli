@@ -15,11 +15,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** Body of a JSON string literal (without the surrounding quotes): escapes
-    double quotes, backslashes, and all control characters below 0x20; other
-    bytes pass through unchanged. *)
-
 val to_buffer : Buffer.t -> t -> unit
 
 val add_int : Buffer.t -> int -> unit
@@ -29,7 +24,9 @@ val add_int : Buffer.t -> int -> unit
 val to_string : ?pretty:bool -> t -> string
 (** Serialize. [~pretty:true] indents objects and arrays by two spaces.
     Non-finite floats are emitted as [null] (JSON has no representation for
-    them); finite floats round-trip exactly. *)
+    them); finite floats round-trip exactly. Strings escape double quotes,
+    backslashes and control characters below 0x20; other bytes pass
+    through unchanged. *)
 
 val to_file : string -> t -> unit
 (** [to_file path v] writes [to_string ~pretty:true v] and a trailing

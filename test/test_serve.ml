@@ -122,9 +122,8 @@ let gen_message rng =
   | _ -> P.Bye
 
 let gen_runner rng =
-  match R.int rng 3 with
-  | 0 -> P.R_event "{\"kind\":\"path\"}"
-  | 1 ->
+  match R.int rng 2 with
+  | 0 ->
     P.R_done
       { verdict = "safety"; found_error = R.bool rng; interrupted = R.bool rng;
         rendered = "result: assertion failed"; report = gen_doc rng }
@@ -184,11 +183,16 @@ let chessd =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "chessd.exe")
 
-let with_daemon f =
-  if not (Sys.file_exists chessd) then Alcotest.skip ();
+let fresh_dir () =
   let dir = Filename.temp_file "fairmc_serve" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
+  dir
+
+(* A daemon over [dir]'s socket and spool; a fresh directory unless one is
+   given, so a second daemon can take over the first one's spool. *)
+let with_daemon ?(dir = fresh_dir ()) f =
+  if not (Sys.file_exists chessd) then Alcotest.skip ();
   let socket = Filename.concat dir "d.sock" in
   let spool = Filename.concat dir "spool" in
   let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -438,7 +442,135 @@ let fair_k_tests =
           Alcotest.failf "expected the next job accepted, got %s"
             (J.to_string (P.message_to_json m))) ]
 
+(* ------------------------------------------------------------------ *)
+(* The spooled event backlog                                           *)
+(* ------------------------------------------------------------------ *)
+
+let submit fd spec =
+  Serve.Client.request fd (P.Submit { spec; priority = 0 });
+  match Serve.Client.next fd with
+  | P.Submitted { job; _ } -> job
+  | m -> Alcotest.failf "unexpected reply: %s" (J.to_string (P.message_to_json m))
+
+(* Watch [job] with events to its end: the Event lines in order, the
+   terminal message, and the event count at which [at] (if given) ran. *)
+let watch_events ?at fd job =
+  Serve.Client.request fd (P.Watch { job; events = true });
+  let rec go acc n =
+    (match at with Some (k, f) when n = k -> f () | _ -> ());
+    match Serve.Client.next fd with
+    | P.Watching _ -> go acc n
+    | P.Event line -> go (line :: acc) (n + 1)
+    | m -> (List.rev acc, m)
+  in
+  go [] 0
+
+let kind_of line =
+  match Fairmc_obs.Events.of_line line with
+  | Ok e -> e.Fairmc_obs.Events.kind
+  | Error e -> Alcotest.failf "not an event line (%s): %S" e line
+
+let backlog_file dir job = Filename.concat (Filename.concat dir "spool") (job ^ ".events")
+
+(* Processes whose parent is [pid], from /proc. *)
+let children_of pid =
+  let parent_of child =
+    match
+      In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" child) In_channel.input_all
+    with
+    | exception Sys_error _ -> None
+    | stat ->
+      (* "pid (comm) state ppid ...", and comm may hold spaces. *)
+      let i = String.rindex stat ')' + 2 in
+      (match String.split_on_char ' ' (String.sub stat i (String.length stat - i)) with
+       | _state :: ppid :: _ -> int_of_string_opt ppid
+       | _ -> None)
+  in
+  List.filter
+    (fun child -> parent_of child = Some pid)
+    (List.filter_map int_of_string_opt (Array.to_list (Sys.readdir "/proc")))
+
+let backlog_tests =
+  [ Alcotest.test_case "after a restart, a late subscriber replays the live stream byte for byte"
+      `Quick (fun () ->
+        let dir = fresh_dir () in
+        let spec =
+          JS.of_config ~program:"dining-3-ordered" { C.default with C.workers = 2 }
+        in
+        let live, job =
+          with_daemon ~dir @@ fun ~socket ~pid:_ ->
+          Serve.Client.with_daemon socket @@ fun fd ->
+          let job = submit fd spec in
+          let lines, last = watch_events fd job in
+          (match last with P.Job_done _ -> () | _ -> Alcotest.fail "job did not finish");
+          (lines, job)
+        in
+        check "the stream spans several chunks" true
+          (List.fold_left (fun a l -> a + String.length l + 1) 0 live
+           > 2 * Fairmc_obs.Events.chunk_cap);
+        with_daemon ~dir @@ fun ~socket ~pid:_ ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        let replayed, last = watch_events fd job in
+        (match last with P.Job_done _ -> () | _ -> Alcotest.fail "restored job not done");
+        check "same line count" true (List.length replayed = List.length live);
+        check "byte for byte, in order" true (List.equal String.equal replayed live);
+        check_str "starts with run_start" "run_start" (kind_of (List.hd replayed));
+        check_str "ends with run_end" "run_end" (kind_of (List.nth replayed (List.length replayed - 1))));
+    Alcotest.test_case "a runner killed mid-job leaves every line it sent, no partial line"
+      `Quick (fun () ->
+        let dir = fresh_dir () in
+        with_daemon ~dir @@ fun ~socket ~pid ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        let spec =
+          JS.of_config ~program:"wsq-1s-correct"
+            { C.default with C.max_executions = Some 20_000 }
+        in
+        let job = submit fd spec in
+        let killed = ref [] in
+        let kill () =
+          killed := children_of pid;
+          List.iter (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ()) !killed
+        in
+        let lines, last = watch_events ~at:(2_000, kill) fd job in
+        check "the runner was killed" true (!killed <> []);
+        (match last with
+         | P.Job_done _ -> ()
+         | m -> Alcotest.failf "retry did not finish: %s" (J.to_string (P.message_to_json m)));
+        let file = In_channel.with_open_bin (backlog_file dir job) In_channel.input_all in
+        check "the backlog ends a line" true (file.[String.length file - 1] = '\n');
+        let spooled = String.split_on_char '\n' file |> List.filter (( <> ) "") in
+        (* Every spooled line is whole, and it is what the subscriber got. *)
+        List.iter (fun l -> ignore (kind_of l)) spooled;
+        check "the subscriber got the backlog, in order" true (List.equal String.equal spooled lines);
+        check "two attempts, one backlog" true
+          (List.length (List.filter (fun l -> kind_of l = "run_start") spooled) = 2));
+    Alcotest.test_case "the done frame never overtakes a buffered event" `Quick (fun () ->
+        with_daemon @@ fun ~socket ~pid:_ ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        List.iter
+          (fun (program, cfg) ->
+            let job = submit fd (JS.of_config ~program cfg) in
+            let lines, last = watch_events fd job in
+            match last with
+            | P.Job_done { report; _ } ->
+              check_str (program ^ ": run_end comes last") "run_end"
+                (kind_of (List.nth lines (List.length lines - 1)));
+              let paths = List.length (List.filter (fun l -> kind_of l = "path") lines) in
+              (match report with
+               | J.Obj kv ->
+                 (match List.assoc_opt "stats" kv with
+                  | Some (J.Obj st) ->
+                    check (program ^ ": a path event per execution") true
+                      (List.assoc_opt "executions" st = Some (J.Int paths))
+                  | _ -> Alcotest.fail "report without stats")
+               | _ -> Alcotest.fail "report is not an object")
+            | m -> Alcotest.failf "%s: %s" program (J.to_string (P.message_to_json m)))
+          [ ("fig3", C.default);
+            ("dining-3-ordered", C.default);
+            ("dining-3-ordered", { C.default with C.workers = 2; mode = C.Context_bounded 2 });
+            ("wsq-1s-correct", { C.default with C.workers = 2; max_executions = Some 3_000 }) ]) ]
+
 let suite =
   identity_tests @ robustness_tests @ dedup_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
-  @ fair_k_tests
+  @ fair_k_tests @ backlog_tests

@@ -428,6 +428,12 @@ let resource_tests =
 (* Wire protocol units                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A fairmc-events/1 line as a worker's stream renders it. *)
+let event_line ~seq steps =
+  Fairmc_obs.Events.line
+    { Fairmc_obs.Events.seq; ts_us = 10 * seq; shard = 1; det = true; kind = "path";
+      data = J.Obj [ ("steps", J.Int steps) ] }
+
 let protocol_tests =
   [ Alcotest.test_case "request/response roundtrip" `Quick (fun () ->
         let req = Worker.Run { q_index = 3; q_attempt = 1; q_time_left = Some 1.5 } in
@@ -448,7 +454,7 @@ let protocol_tests =
             r_attempt = 0;
             r_report = report;
             r_states = [ 3L; 9L ];
-            r_events = [ (true, "path", J.Obj [ ("steps", J.Int 2) ]) ] }
+            r_events = [ event_line ~seq:0 2; event_line ~seq:1 5 ] }
         in
         let back = Worker.response_of_json (Worker.response_to_json resp) in
         check "response index" true (back.Worker.r_index = 4);
@@ -467,7 +473,8 @@ let protocol_tests =
          | `Data _ -> ()
          | `Eof -> Alcotest.fail "unexpected EOF");
         (match Worker.extract buf with
-         | Ok (Some got) -> check "frame payload" true (J.equal got doc)
+         | Ok (Some (Worker.Json got)) -> check "frame payload" true (J.equal got doc)
+         | Ok (Some (Worker.Raw _)) -> Alcotest.fail "JSON frame came back raw"
          | Ok None -> Alcotest.fail "frame incomplete"
          | Error e -> Alcotest.failf "frame rejected: %s" e);
         Unix.close r;
@@ -529,7 +536,7 @@ let valid_docs =
      let response report =
        Worker.response_to_json
          { Worker.r_index = 1; r_attempt = 0; r_report = report; r_states = [ 1L; 5L ];
-           r_events = [ (true, "path", J.Obj [ ("steps", J.Int 3) ]) ] }
+           r_events = [ event_line ~seq:0 3 ] }
      in
      [ Worker.request_to_json (Worker.Run { q_index = 2; q_attempt = 1; q_time_left = Some 0.5 });
        Worker.request_to_json Worker.Quit;
@@ -545,6 +552,16 @@ let valid_docs =
 let decode_json j =
   (match Worker.request_of_json j with _ -> () | exception Checkpoint.Codec.Parse _ -> ());
   match Worker.response_of_json j with _ -> () | exception Checkpoint.Codec.Parse _ -> ()
+
+(* A raw frame is what a runner sends chessd: lines to split, relay and
+   parse as a subscriber would. *)
+let decode_raw chunk =
+  let stream = Fairmc_obs.Events.create ~write:ignore () in
+  List.iter
+    (fun line ->
+      if Fairmc_obs.Events.relayable line then Fairmc_obs.Events.relay stream [ line ];
+      ignore (Fairmc_obs.Events.of_line line))
+    (String.split_on_char '\n' chunk)
 
 (* Push [bytes] through a pipe into the parent-side reassembly, decoding
    every frame that completes, until EOF or the first protocol error. *)
@@ -565,8 +582,11 @@ let decode_bytes bytes =
             match Worker.extract buf with
             | Ok None -> pump ()
             | Error _ -> ()
-            | Ok (Some j) ->
+            | Ok (Some (Worker.Json j)) ->
               decode_json j;
+              drain ()
+            | Ok (Some (Worker.Raw chunk)) ->
+              decode_raw chunk;
               drain ()
           in
           drain ()
@@ -574,10 +594,13 @@ let decode_bytes bytes =
       pump ())
 
 let frame_of payload = Printf.sprintf "%08x%s" (String.length payload) payload
+let raw_frame_of payload = Printf.sprintf "r%07x%s" (String.length payload) payload
 
 let fuzz_props =
   let open QCheck in
   let json = Test_obs.json_gen in
+  let event = Test_telemetry.event_gen in
+  let ndjson es = String.concat "" (List.map (fun e -> Fairmc_obs.Events.line e ^ "\n") es) in
   let mutated =
     Gen.(
       int_bound 3 >>= fun k ->
@@ -598,7 +621,16 @@ let fuzz_props =
               let f = frame_of (J.to_string j) in
               String.sub f 0 (min cut (String.length f)))
             mutated (int_bound 2048);
-          map2 (fun j junk -> frame_of (J.to_string j) ^ junk) mutated string ])
+          map2 (fun j junk -> frame_of (J.to_string j) ^ junk) mutated string;
+          (* raw frames: noise, event lines, cut short, followed by garbage *)
+          map raw_frame_of (string_size (int_bound 256));
+          map (fun es -> raw_frame_of (ndjson es)) (list_size (int_bound 8) event);
+          map2
+            (fun es cut ->
+              let f = raw_frame_of (ndjson es) in
+              String.sub f 0 (min cut (String.length f)))
+            (list_size (int_bound 8) event) (int_bound 1024);
+          map2 (fun p junk -> raw_frame_of p ^ junk) (string_size (int_bound 64)) string ])
   in
   let escapes f x =
     match f x with
@@ -634,6 +666,150 @@ let limit_tests =
         with_threads_file 62 (fun f -> run_cli ~expect:0 [ f; "--max-execs"; "3"; "-q" ]);
         with_threads_file 63 (fun f -> run_cli ~expect:2 [ f; "--max-execs"; "3"; "-q" ])) ]
 
+(* ------------------------------------------------------------------ *)
+(* Frame reassembly at volume                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every frame [buf] yields until it needs more bytes. *)
+let drain_frames buf =
+  let rec go acc =
+    match Worker.extract buf with
+    | Ok None -> List.rev acc
+    | Ok (Some f) -> go (f :: acc)
+    | Error e -> Alcotest.failf "frame rejected: %s" e
+  in
+  go []
+
+let reassembly_tests =
+  [ Alcotest.test_case "thousands of frames from one read, one frame over three" `Quick
+      (fun () ->
+        (* One read fills the 64 KiB buffer with ~3,600 frames. *)
+        let n = 4_000 in
+        let file = Filename.temp_file "fairmc_frames" ".bin" in
+        Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+        let b = Buffer.create (n * 20) in
+        for i = 0 to n - 1 do
+          Worker.add_frame b (J.Obj [ ("i", J.Int i) ])
+        done;
+        Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc (Buffer.contents b));
+        let fd = Unix.openfile file [ Unix.O_RDONLY ] 0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        let buf = Worker.inbuf () in
+        let rec pump acc =
+          match Worker.feed buf fd with
+          | `Eof -> acc
+          | `Data _ -> pump (acc @ [ drain_frames buf ])
+        in
+        let batches = pump [] in
+        check "the first read completes thousands of frames" true
+          (List.length (List.hd batches) > 3_000);
+        List.iteri
+          (fun i f ->
+            match f with
+            | Worker.Json (J.Obj [ ("i", J.Int j) ]) -> check_int "frame order" i j
+            | _ -> Alcotest.fail "unexpected frame")
+          (List.concat batches);
+        check_int "frame count" n (List.length (List.concat batches));
+        (* A JSON frame cut in three, then a raw frame: nothing until the
+           last third, then both, in order. *)
+        let b = Buffer.create 64 in
+        Worker.add_frame b (J.Obj [ ("k", J.Str "three feeds") ]);
+        let bytes = Buffer.contents b ^ "r0000003ab\n" in
+        let json_len = Buffer.length b in
+        let r, w = Unix.pipe () in
+        Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) @@ fun () ->
+        let buf = Worker.inbuf () in
+        let cuts = [ (0, 5); (5, json_len / 2); (json_len / 2, String.length bytes) ] in
+        let got =
+          List.map
+            (fun (a, z) ->
+              ignore (Unix.write_substring w bytes a (z - a));
+              (match Worker.feed buf r with
+               | `Data _ -> ()
+               | `Eof -> Alcotest.fail "unexpected EOF");
+              drain_frames buf)
+            cuts
+        in
+        match got with
+        | [ []; []; [ Worker.Json j; Worker.Raw raw ] ] ->
+          check "json frame" true (J.equal j (J.Obj [ ("k", J.Str "three feeds") ]));
+          check_str "raw frame" "ab\n" raw
+        | _ -> Alcotest.fail "frames did not reassemble in order") ]
+
+(* ------------------------------------------------------------------ *)
+(* The span gate, in the worker                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every line a search at [workers] writes to a plain (non-collecting)
+   streaming sink. *)
+let stream_lines cfg prog =
+  let lines = ref [] in
+  let stream = Fairmc_obs.Events.create ~write:(fun l -> lines := l :: !lines) () in
+  ignore (Checker.check ~config:{ cfg with Search_config.events = Some stream } prog);
+  List.rev_map
+    (fun l ->
+      match Fairmc_obs.Events.of_line l with
+      | Ok e -> e
+      | Error e -> Alcotest.failf "unparseable event line %S: %s" l e)
+    !lines
+
+let span_phase (e : Fairmc_obs.Events.event) =
+  match e.data with
+  | J.Obj kv -> (match List.assoc_opt "phase" kv with Some (J.Str p) -> p | _ -> "?")
+  | _ -> "?"
+
+let span_gate_tests =
+  let prog () = W.Dining.coverage_program ~n:2 in
+  [ Alcotest.test_case "--workers 2, plain stream: no worker spans, the sequential det slice"
+      `Quick (fun () ->
+        let seq = stream_lines base (prog ()) in
+        let sup = stream_lines { base with Search_config.workers = 2 } (prog ()) in
+        check "the search ran on workers" true
+          (List.exists (fun (e : Fairmc_obs.Events.event) -> e.kind = "worker_spawn") sup);
+        List.iter
+          (fun (e : Fairmc_obs.Events.event) ->
+            if e.kind = "span" && e.shard >= 0 then
+              Alcotest.failf "a worker shipped a %s span" (span_phase e))
+          sup;
+        check "sequence numbers are gap-free" true
+          (List.mapi (fun i (e : Fairmc_obs.Events.event) -> e.seq = i) sup
+          |> List.for_all Fun.id);
+        Alcotest.(check (list string)) "det slice" (Test_telemetry.det_slice seq)
+          (Test_telemetry.det_slice sup));
+    Alcotest.test_case "--workers 2 --trace-spans: worker replay and fresh slices render"
+      `Quick (fun () ->
+        let stream = Fairmc_obs.Events.create ~collect:true () in
+        ignore
+          (Checker.check
+             ~config:{ base with Search_config.workers = 2; events = Some stream }
+             (prog ()));
+        let evs = Fairmc_obs.Events.collected stream in
+        let worker_phases =
+          List.sort_uniq compare
+            (List.filter_map
+               (fun (e : Fairmc_obs.Events.event) ->
+                 if e.kind = "span" && e.shard >= 0 then Some (span_phase e) else None)
+               evs)
+        in
+        check "replay slices from the workers" true (List.mem "replay" worker_phases);
+        check "fresh slices from the workers" true (List.mem "fresh" worker_phases);
+        let slices =
+          match Fairmc_obs.Span.to_trace evs with
+          | J.Obj kv ->
+            (match List.assoc_opt "traceEvents" kv with
+             | Some (J.Arr items) ->
+               List.filter_map
+                 (function
+                   | J.Obj f when List.assoc_opt "ph" f = Some (J.Str "X") ->
+                     (match List.assoc_opt "name" f with Some (J.Str n) -> Some n | _ -> None)
+                   | _ -> None)
+                 items
+             | _ -> [])
+          | _ -> []
+        in
+        check "replay slices render" true (List.mem "replay" slices);
+        check "fresh slices render" true (List.mem "fresh" slices)) ]
+
 (* Alcotest numbers the tests by position and the number is part of how a
    run names them: keep existing positions stable and append new tests. *)
 let suite =
@@ -641,3 +817,4 @@ let suite =
   @ dispatch_tests @ budget_tests @ save_hardening_tests @ retry_tests
   @ resource_tests @ protocol_tests @ limit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) fuzz_props
+  @ reassembly_tests @ span_gate_tests

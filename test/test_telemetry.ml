@@ -289,7 +289,65 @@ let span_tests =
            in
            find 0)) ]
 
+(* ------------------------------------------------------------------ *)
+(* Lines across processes: worker streams, relay, chunked sinks.       *)
+
+let relay_tests =
+  [ Alcotest.test_case "relay renumbers worker lines into whole-line chunks" `Quick
+      (fun () ->
+        let chunks = ref [] in
+        let parent = Events.create ~write:(fun c -> chunks := c :: !chunks) ~chunked:true () in
+        check "a plain stream has no spans" false (Events.spans parent);
+        Events.post parent ~shard:(-1) ~kind:"first" (Json.Obj []);
+        let lines = ref [] in
+        let w = Events.worker parent ~write:(fun l -> lines := l :: !lines) in
+        check "the worker inherits the span gate" false (Events.spans w);
+        check "and the epoch" true (Events.origin w = Events.origin parent);
+        let b = Events.buffer w ~shard:3 in
+        let n = 2_000 in
+        for i = 1 to n do
+          Events.emit_path b ~det:true ~end_:"terminated" ~steps:i ~schedule:(7 * i);
+          Events.flush b
+        done;
+        let worker_lines = List.rev !lines in
+        List.iter (fun l -> check "relayable" true (Events.relayable l)) worker_lines;
+        check "a foreign line is not" false (Events.relayable {|{"seq":1}|});
+        Events.relay parent worker_lines;
+        Events.sync parent;
+        let chunks = List.rev !chunks in
+        check "more than one chunk" true (List.length chunks > 1);
+        List.iter
+          (fun c ->
+            check "a chunk ends a line" true (c.[String.length c - 1] = '\n');
+            check "a chunk stays near the cap" true
+              (String.length c < Events.chunk_cap + 200))
+          chunks;
+        let out =
+          String.concat "" chunks |> String.split_on_char '\n' |> List.filter (( <> ) "")
+        in
+        check_int "every line arrives once" (n + 1) (List.length out);
+        List.iteri
+          (fun i l ->
+            match Events.of_line l with
+            | Error e -> Alcotest.failf "line %d: %s" i e
+            | Ok e ->
+              check_int "renumbered" i e.Events.seq;
+              if i > 0 then begin
+                check_int "shard kept" 3 e.Events.shard;
+                let w = Result.get_ok (Events.of_line (List.nth worker_lines (i - 1))) in
+                check_int "timestamp kept" w.Events.ts_us e.Events.ts_us;
+                check "payload kept" true (Json.equal w.Events.data e.Events.data)
+              end)
+          out;
+        (* A collecting stream turns spans on, for its workers too, and
+           collects relayed lines as events. *)
+        let c = Events.create ~collect:true () in
+        check "collecting streams have spans" true (Events.spans (Events.worker c ~write:ignore));
+        Events.relay c worker_lines;
+        check_int "collected" n (List.length (Events.collected c))) ]
+
 let suite =
   codec_unit_tests @ determinism_tests @ estimator_unit_tests
   @ estimator_search_tests @ span_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) codec_qprops
+  @ relay_tests
