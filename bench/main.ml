@@ -18,7 +18,7 @@ module Metrics = Fairmc_obs.Metrics
 
 let full_budget = Sys.getenv_opt "FAIRMC_BENCH" = Some "full"
 
-(* Machine-readable results: every experiment appends records here and the
+(* Results as JSON records: every experiment appends records here and the
    driver writes BENCH_PR9.json at the end (schema fairmc-bench/2). The
    printed tables stay the human-facing output; the JSON mirrors them. *)
 let bench_records : Json.t list ref = ref []
@@ -634,31 +634,9 @@ let fair_sched_step () =
     (if full_budget then [ 2; 4; 8; 16 ] else [ 2; 8 ])
 
 (* ------------------------------------------------------------------ *)
-(* Bytecode VM: re-execution throughput against the AST oracle (PR 6).  *)
-(* Same Search.run, same config, same observables; the only variable is *)
-(* which ChessLang backend executes the program.                        *)
+(* ChessLang: Peterson's algorithm, the static POR experiment's control. *)
 
 module Dsl = Fairmc_dsl
-
-(* Compute-heavy: long silent local-variable loops between transitions —
-   the regime where per-statement interpretation cost dominates. *)
-let vm_src_compute =
-  "var acc = 0;\n\
-   thread a { local i = 0; local h = 0; while (i < 40) { h = 0; local j = 0; \
-   while (j < 400) { h = (h * 31 + j) % 65521; j = j + 1; } acc = acc + h; i = i + 1; } }\n\
-   thread b { local i = 0; local h = 0; while (i < 40) { h = 0; local j = 0; \
-   while (j < 400) { h = (h * 7 + j) % 65521; j = j + 1; } acc = acc + h; i = i + 1; } }"
-
-(* Sync-heavy: semaphore-guarded bounded buffer; transitions dominate, so
-   this measures the per-transition floor rather than expression dispatch. *)
-let vm_src_buffer =
-  "array buf[2] = 0; var head = 0; var tail = 0;\n\
-   sem items = 0; sem spaces = 2; mutex m;\n\
-   thread producer { local i = 0; while (i < 3) { p(spaces); lock(m); \
-   buf[tail % 2] = i + 1; tail = tail + 1; unlock(m); v(items); i = i + 1; } }\n\
-   thread consumer { local expect = 1; while (expect < 4) { p(items); lock(m); \
-   local got = buf[head % 2]; head = head + 1; unlock(m); v(spaces); \
-   assert(got == expect, \"out of order\"); expect = expect + 1; } }"
 
 (* Spin-heavy: Peterson's algorithm; good-samaritan spin loops exercise the
    FUEL/SCHED boundary and the fair scheduler's yield bookkeeping. *)
@@ -670,70 +648,6 @@ let vm_src_peterson =
    thread p1 { local i = 0; while (i < 2) { flag1 = 1; turn = 0; \
    while (flag0 == 1 && turn == 0) { yield; } crit = crit + 1; \
    assert(crit == 1, \"mutex\"); crit = crit - 1; flag1 = 0; i = i + 1; } }"
-
-let vm_bench () =
-  header "Bytecode VM: re-execution throughput vs the AST oracle (--interp ast)";
-  line "(identical searches and observables; the only variable is the ChessLang";
-  line " backend, and with it restore vs replay on backtrack: VM programs restore";
-  line " states, the AST interpreter replays prefixes. speedup = VM execs/sec over";
-  line " AST execs/sec on the same search)";
-  line "%-18s %8s %12s %12s %12s %9s" "workload" "backend" "executions" "transitions"
-    "execs/sec" "speedup";
-  let budget n = Some (if full_budget then 5 * n else n) in
-  let workloads =
-    [ ("compute-heavy", vm_src_compute,
-       { Search_config.default with
-         max_executions = budget 200;
-         max_steps = 100_000;
-         livelock_bound = Some 100_000 });
-      ("bounded-buffer", vm_src_buffer,
-       { Search_config.default with
-         max_executions = budget 2_000;
-         livelock_bound = Some 2_000 });
-      ("peterson-spin", vm_src_peterson,
-       { Search_config.default with
-         max_executions = budget 3_000;
-         livelock_bound = Some 2_000 }) ]
-  in
-  List.iter
-    (fun (name, src, cfg) ->
-      let ast = Dsl.Parser.parse_string src in
-      let measure backend =
-        let prog = Dsl.compile ~backend ast in
-        (* Warm so allocator state does not bias the first arm. *)
-        ignore (Search.run { cfg with max_executions = Some 5 } prog);
-        let r = Search.run cfg prog in
-        (r, float_of_int r.stats.executions /. r.stats.elapsed)
-      in
-      let ra, rate_a = measure `Ast in
-      let rv, rate_v = measure `Vm in
-      (* The backends must walk the identical search tree. *)
-      if
-        (ra.stats.executions, ra.stats.transitions, Report.verdict_name ra.verdict)
-        <> (rv.stats.executions, rv.stats.transitions, Report.verdict_name rv.verdict)
-      then (
-        Printf.eprintf "vm bench: backends diverged on %s\n%!" name;
-        exit 1);
-      let speedup = rate_v /. rate_a in
-      let show label (r : Report.t) rate rel =
-        line "%-18s %8s %12d %12d %12.0f %8s" name label r.stats.executions
-          r.stats.transitions rate rel;
-        record "vm"
-          [ ("workload", Json.Str name);
-            ("backend", Json.Str label);
-            ("executions", Json.Int r.stats.executions);
-            ("transitions", Json.Int r.stats.transitions);
-            ("elapsed_seconds", Json.Float r.stats.elapsed);
-            ("execs_per_second", Json.Float rate);
-            ("verdict", Json.Str (Report.verdict_name r.verdict)) ]
-      in
-      show "ast" ra rate_a "";
-      show "vm" rv rate_v (Printf.sprintf "%.2fx" speedup);
-      record "vm"
-        [ ("workload", Json.Str name);
-          ("backend", Json.Str "speedup");
-          ("speedup", Json.Float speedup) ])
-    workloads
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks: the kernels behind each table/figure.      *)
@@ -887,7 +801,6 @@ let all_experiments =
     ("analysis", analysis_overhead);
     ("telemetry", telemetry_overhead);
     ("fairsched", fair_sched_step);
-    ("vm", vm_bench);
     ("staticpor", staticpor_bench);
     ("bechamel", bechamel) ]
 

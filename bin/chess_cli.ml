@@ -7,6 +7,7 @@ open Cmdliner
 open Fairmc_core
 module W = Fairmc_workloads
 module D = Fairmc_dsl
+module Serve = Fairmc_serve
 
 let strategy_conv =
   let parse s =
@@ -252,31 +253,13 @@ let resume_arg =
                  and $(b,--time-limit) may differ); keeps checkpointing to \
                  FILE unless $(b,--checkpoint) names another file.")
 
-let interp_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "vm" -> Ok Search_config.Vm
-    | "ast" -> Ok Search_config.Ast
-    | _ -> Error (`Msg "interp is vm | ast")
-  in
-  Arg.conv (parse, fun ppf i -> Format.pp_print_string ppf (Search_config.interp_name i))
-
-let interp_arg =
-  Arg.(value & opt interp_conv Search_config.Vm
-       & info [ "interp" ] ~docv:"BACKEND"
-           ~doc:"ChessLang execution backend: $(b,vm) (default — compiled \
-                 bytecode, several times faster at re-execution) or $(b,ast) \
-                 (the AST-walking interpreter kept as the differential-testing \
-                 oracle). Both produce identical transition streams, verdicts \
-                 and counterexamples; built-in native programs are unaffected.")
-
 let static_por_arg =
   Arg.(value & opt bool true
        & info [ "static-por" ] ~docv:"BOOL"
            ~doc:"ChessLang files: run the static visibility analysis and merge \
                  transitions on globals proven thread-local (they stop being \
                  scheduling points), and feed the static conflict table to \
-                 sleep-set reduction. On by default, for both backends; \
+                 sleep-set reduction. On by default; \
                  $(b,--static-por=false) compiles every shared access as a \
                  scheduling point. Verdicts and counterexamples are unchanged \
                  either way; the search tree is exponentially smaller on \
@@ -287,7 +270,7 @@ let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound ma
     time_limit seed sleep_sets coverage split_depth workers item_timeout
     max_retries inject_fault metrics stats progress
     progress_interval races lockset lock_graph fail_on_race checkpoint
-    checkpoint_interval interp static_por =
+    checkpoint_interval static_por =
   let analyses =
     (if races || fail_on_race then [ Fairmc_analysis.Hb_race.analysis ] else [])
     @ (if lockset then [ Fairmc_analysis.Lockset.analysis ] else [])
@@ -319,7 +302,6 @@ let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound ma
     analyses;
     checkpoint;
     checkpoint_interval;
-    interp;
     static_por }
 
 let config_term =
@@ -328,8 +310,7 @@ let config_term =
         $ split_depth $ workers $ item_timeout $ max_retries
         $ inject_fault $ metrics_flag $ stats_flag $ progress_flag
         $ progress_interval $ races_flag $ lockset_flag $ lock_graph_flag
-        $ fail_on_race $ checkpoint_out $ checkpoint_interval $ interp_arg
-        $ static_por_arg)
+        $ fail_on_race $ checkpoint_out $ checkpoint_interval $ static_por_arg)
 
 let list_cmd =
   let doc = "List the built-in benchmark programs." in
@@ -344,9 +325,7 @@ let list_cmd =
        | safety (assertion/invariant failure) | deadlock | livelock (fair \
        nontermination) | good-samaritan (a thread yields forever) | race \
        (data race, requires --races).@.@.chess check also accepts ChessLang \
-       files (*.chess); they run on the compiled bytecode VM by default — \
-       pass --interp ast for the AST-walking oracle (identical observables, \
-       slower; used for differential testing).@.@.Long searches are durable: \
+       files (*.chess), compiled to bytecode.@.@.Long searches are durable: \
        pass --checkpoint FILE (throttled by --checkpoint-interval) to chess \
        check, interrupt freely with Ctrl-C, and continue later with --resume \
        FILE.@."
@@ -367,39 +346,16 @@ let check_cmd =
     let human =
       if events_out = Some "-" then Format.err_formatter else Format.std_formatter
     in
+    (* With --static-por (the default) a ChessLang file goes through the
+       static-analysis layer: transition merging + conflict facts, and a
+       lint summary embedded in the JSON report. chessd resolves its jobs
+       the same way. *)
     let program, lint_block =
-      if Filename.check_suffix name ".chess" then begin
-        (* With --static-por (the default) the file goes through the
-           static-analysis layer: transition merging + conflict facts,
-           and a lint summary embedded in the JSON report. *)
-        let backend = D.backend_of_interp cfg.Search_config.interp in
-        match
-          let ast = D.Parser.parse_file name in
-          if cfg.Search_config.static_por then
-            ( Fairmc_static.compile ~backend ast,
-              Some (Fairmc_static.Lint.summary_json (Fairmc_static.Lint.run ast)) )
-          else (D.compile ~backend ast, None)
-        with
-        | result -> result
-        | exception D.Parser.Error (msg, pos) ->
-          Format.eprintf "%s: syntax error: %s (%a)@." name msg D.Ast.pp_pos pos;
-          exit 2
-        | exception D.Lexer.Error (msg, pos) ->
-          Format.eprintf "%s: lexical error: %s (%a)@." name msg D.Ast.pp_pos pos;
-          exit 2
-        | exception D.Sema.Error (msg, pos) ->
-          Format.eprintf "%s: error: %s (%a)@." name msg D.Ast.pp_pos pos;
-          exit 2
-        | exception Sys_error e ->
-          Format.eprintf "%s@." e;
-          exit 2
-      end
-      else
-        match W.Registry.find name with
-        | Some e -> (e.program, None)
-        | None ->
-          Format.eprintf "unknown program %S; try `chess list`@." name;
-          exit 2
+      match Serve.Jobspec.resolve { program = name; config = cfg } with
+      | Ok resolved -> resolved
+      | Error e ->
+        Format.eprintf "%s@." e;
+        exit 2
     in
     (* Keep checkpointing to the resume file unless another one was named. *)
     let cfg =
@@ -696,7 +652,6 @@ let sweep_cmd =
 (* Checking as a service: clients of the chessd daemon (bin/chessd.ml,
    protocol fairmc-jobs/1). *)
 
-module Serve = Fairmc_serve
 module SP = Serve.Protocol
 
 let socket_arg =

@@ -57,43 +57,6 @@ type payload =
 type t = { fingerprint : string; payload : payload }
 
 (* ------------------------------------------------------------------ *)
-(* Config fingerprint.                                                 *)
-
-(* Budgets (max_executions, time_limit, sampling counts, jobs, split_depth)
-   are excluded on purpose: resuming exists precisely to extend them. *)
-let fingerprint (cfg : C.t) ~program =
-  let b v = if v then "y" else "n" in
-  let io = function None -> "-" | Some i -> string_of_int i in
-  let mode =
-    match cfg.mode with
-    | C.Dfs -> "dfs"
-    | C.Context_bounded c -> "cb=" ^ string_of_int c
-    | C.Random_walk _ -> "random"
-    | C.Round_robin -> "rr"
-    | C.Priority_random _ -> "prio"
-  in
-  String.concat ";"
-    [ "prog=" ^ program;
-      "mode=" ^ mode;
-      "fair=" ^ b cfg.fair;
-      "k=" ^ string_of_int cfg.fair_k;
-      "db=" ^ io cfg.depth_bound;
-      "tail=" ^ b cfg.random_tail;
-      "max_steps=" ^ string_of_int cfg.max_steps;
-      "livelock=" ^ io cfg.livelock_bound;
-      "window=" ^ string_of_int cfg.tail_window;
-      "seed=" ^ Int64.to_string cfg.seed;
-      "sleep=" ^ b cfg.sleep_sets;
-      "cov=" ^ b cfg.coverage;
-      "metrics=" ^ b cfg.metrics;
-      "analyses=" ^ String.concat "," (List.map (fun (a : AH.t) -> a.AH.name) cfg.analyses);
-      (* Backends are observably equivalent, but a resumed session must
-         replay the prefix on the backend that produced the checkpoint. *)
-      "interp=" ^ C.interp_name cfg.interp;
-      (* Transition merging changes the tree shape. *)
-      "spor=" ^ b cfg.static_por ]
-
-(* ------------------------------------------------------------------ *)
 (* JSON codec.                                                         *)
 
 exception Parse of string
@@ -147,6 +110,119 @@ let int64_of_json name = function
 
 let opt_to_json f = function None -> Json.Null | Some v -> f v
 let opt_of_json f = function Json.Null -> None | v -> Some (f v)
+
+(* ------------------------------------------------------------------ *)
+(* Search identity: one codec over Search_config.t.                    *)
+
+(* A mode's sampling count is a budget: the fingerprint leaves it out. *)
+let mode_to_json ~samples = function
+  | C.Dfs -> Json.Str "dfs"
+  | C.Round_robin -> Json.Str "rr"
+  | C.Context_bounded n -> Json.Arr [ Json.Str "cb"; Json.Int n ]
+  | C.Random_walk n when samples -> Json.Arr [ Json.Str "random"; Json.Int n ]
+  | C.Random_walk _ -> Json.Str "random"
+  | C.Priority_random n when samples -> Json.Arr [ Json.Str "prio"; Json.Int n ]
+  | C.Priority_random _ -> Json.Str "prio"
+
+let mode_of_json = function
+  | Json.Str "dfs" -> C.Dfs
+  | Json.Str "rr" -> C.Round_robin
+  | Json.Arr [ Json.Str "cb"; Json.Int n ] -> C.Context_bounded n
+  | Json.Arr [ Json.Str "random"; Json.Int n ] -> C.Random_walk n
+  | Json.Arr [ Json.Str "prio"; Json.Int n ] -> C.Priority_random n
+  | _ -> fail "bad search mode"
+
+(* Every field has one role. Identity fields shape the explored tree or
+   the report a deduped subscriber receives; job fields are budgets and
+   fan-out, which a resume may extend and a deduped submission may
+   differ in; local fields (sinks, callbacks, paths, poll and checkpoint
+   intervals, fault injection) are never encoded. The pattern names
+   every field, with no wildcard: a new field does not compile (warning
+   9) until it is given a role here, and [config_of_json] builds the
+   record without [with], so it must be decoded too. *)
+let config_fields ~job (cfg : C.t) =
+  let { C.mode; fair; fair_k; depth_bound; random_tail; max_steps; livelock_bound;
+        tail_window; seed; sleep_sets; coverage; metrics; analyses; static_por;
+        (* job *)
+        max_executions; time_limit; jobs; workers; split_depth; item_timeout;
+        max_retries;
+        (* local *)
+        poll_interval = _; progress = _; progress_interval = _; on_progress = _;
+        events = _; checkpoint = _; checkpoint_interval = _; inject_fault = _ } =
+    cfg
+  in
+  let int_opt = opt_to_json (fun i -> Json.Int i) in
+  let float_opt = opt_to_json (fun f -> Json.Float f) in
+  let identity =
+    [ ("mode", mode_to_json ~samples:job mode);
+      ("fair", Json.Bool fair);
+      ("fair_k", Json.Int fair_k);
+      ("depth_bound", int_opt depth_bound);
+      ("random_tail", Json.Bool random_tail);
+      ("max_steps", Json.Int max_steps);
+      ("livelock_bound", int_opt livelock_bound);
+      ("tail_window", Json.Int tail_window);
+      ("seed", int64_to_json seed);
+      ("sleep_sets", Json.Bool sleep_sets);
+      ("coverage", Json.Bool coverage);
+      ("metrics", Json.Bool metrics);
+      ("analyses", Json.Arr (List.map (fun (a : AH.t) -> Json.Str a.AH.name) analyses));
+      ("static_por", Json.Bool static_por) ]
+  in
+  if not job then identity
+  else
+    identity
+    @ [ ("max_executions", int_opt max_executions);
+        ("time_limit", float_opt time_limit);
+        ("jobs", Json.Int jobs);
+        ("workers", Json.Int workers);
+        ("split_depth", Json.Int split_depth);
+        ("item_timeout", float_opt item_timeout);
+        ("max_retries", Json.Int max_retries) ]
+
+let config_of_json ~analysis o =
+  let int_opt name = opt_of_json (as_int name) (field o name) in
+  let float_opt name = opt_of_json (as_float name) (field o name) in
+  let analysis_of = function
+    | Json.Str n ->
+      (match analysis n with Some a -> a | None -> fail "unknown analysis %S" n)
+    | _ -> fail "field \"analyses\": expected names"
+  in
+  let d = C.default in
+  { C.mode = mode_of_json (field o "mode");
+    fair = bool_f o "fair";
+    fair_k = int_f o "fair_k";
+    depth_bound = int_opt "depth_bound";
+    random_tail = bool_f o "random_tail";
+    max_steps = int_f o "max_steps";
+    livelock_bound = int_opt "livelock_bound";
+    tail_window = int_f o "tail_window";
+    seed = int64_of_json "seed" (field o "seed");
+    sleep_sets = bool_f o "sleep_sets";
+    coverage = bool_f o "coverage";
+    metrics = bool_f o "metrics";
+    analyses = List.map analysis_of (arr_f o "analyses");
+    static_por = bool_f o "static_por";
+    max_executions = int_opt "max_executions";
+    time_limit = float_opt "time_limit";
+    jobs = int_f o "jobs";
+    workers = int_f o "workers";
+    split_depth = int_f o "split_depth";
+    item_timeout = float_opt "item_timeout";
+    max_retries = int_f o "max_retries";
+    poll_interval = d.poll_interval;
+    progress = d.progress;
+    progress_interval = d.progress_interval;
+    on_progress = d.on_progress;
+    events = d.events;
+    checkpoint = d.checkpoint;
+    checkpoint_interval = d.checkpoint_interval;
+    inject_fault = d.inject_fault }
+
+(* The program name and the identity fields, as one compact JSON object:
+   canonical, since the field order is fixed. *)
+let fingerprint cfg ~program =
+  Json.to_string (Json.Obj (("program", Json.Str program) :: config_fields ~job:false cfg))
 
 (* Report.stats — own codec (Report.stats_to_json emits derived fields and
    has no parser). *)

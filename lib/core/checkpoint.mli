@@ -118,17 +118,35 @@ val inject_save_failures : int ref
 
 val load : string -> (t, string) result
 
-(** {1 Resume validation} *)
+(** {1 Search identity}
+
+    One codec over {!Search_config.t} gives both the checkpoint fingerprint
+    and the fairmc-job/1 config (see DESIGN.md, "Search identity"). *)
+
+val config_fields : job:bool -> Search_config.t -> (string * Fairmc_util.Json.t) list
+(** The config's identity fields — mode (without its sampling count),
+    fair, fair_k, depth bound, random tail, step and livelock bounds, tail
+    window, seed, sleep sets, coverage, metrics, analysis names and static
+    POR — in a fixed order. With [~job:true], the mode carries its sampling
+    count and the job fields follow: [max_executions], [time_limit],
+    [jobs], [workers], [split_depth], [item_timeout], [max_retries]. Local
+    fields (sinks, callbacks, paths, poll and checkpoint intervals, fault
+    injection) are never encoded. *)
+
+val config_of_json :
+  analysis:(string -> Analysis_hook.t option) -> Fairmc_util.Json.t -> Search_config.t
+(** Inverse of [config_fields ~job:true]: reads those members of an object
+    (others are ignored) and gives local fields their
+    {!Search_config.default}. [analysis] resolves a name; an unknown name
+    is an error. Raises {!Codec.Parse}. *)
 
 val fingerprint : Search_config.t -> program:string -> string
-(** Canonical string over every configuration field that shapes the explored
-    schedule space: program name, mode (without its sampling budget), fair /
-    fair_k, depth bound, random tail, step and livelock bounds, tail window,
-    seed, sleep sets, coverage, metrics, and analysis names. Budget-style
-    limits ([max_executions], [time_limit], sampling budgets, [jobs],
-    [split_depth]) are deliberately excluded so a resume may extend them;
-    [split_depth] is instead revalidated structurally for parallel
+(** Canonical rendering of the program name and the identity fields (a
+    compact JSON object). Job fields are left out so a resume may extend
+    them; [split_depth] is instead revalidated structurally for parallel
     checkpoints. *)
+
+(** {1 Resume validation} *)
 
 exception Mismatch of string
 (** Raised by the search layers when a resume payload is structurally

@@ -1208,8 +1208,7 @@ let post_run_start (cfg : C.t) (prog : Program.t) =
          [ ("program", J.Str prog.Program.name);
            ("mode", J.Str (C.mode_name cfg.C.mode));
            ("fair", J.Bool cfg.C.fair);
-           ("seed", J.Str (Printf.sprintf "0x%Lx" cfg.C.seed));
-           ("interp", J.Str (C.interp_name cfg.C.interp)) ])
+           ("seed", J.Str (Printf.sprintf "0x%Lx" cfg.C.seed)) ])
 
 let post_run_end (cfg : C.t) (r : Report.t) =
   match cfg.C.events with

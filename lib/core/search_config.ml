@@ -5,8 +5,6 @@ type mode =
   | Round_robin
   | Priority_random of int
 
-type interp = Vm | Ast
-
 type fault_kind = Crash | Hang | Garble | Slow_pipe | Save_fail
 type fault = { fault_kind : fault_kind; fault_seed : int }
 
@@ -24,7 +22,6 @@ type t = {
   seed : int64;
   sleep_sets : bool;
   coverage : bool;
-  verbose : bool;
   jobs : int;
   split_depth : int;
   poll_interval : int;
@@ -36,7 +33,6 @@ type t = {
   analyses : Analysis_hook.t list;
   checkpoint : string option;
   checkpoint_interval : float;
-  interp : interp;
   static_por : bool;
   workers : int;
   item_timeout : float option;
@@ -58,7 +54,6 @@ let default =
     seed = 0x5EEDL;
     sleep_sets = false;
     coverage = false;
-    verbose = false;
     jobs = 1;
     split_depth = 4;
     poll_interval = 256;
@@ -70,7 +65,6 @@ let default =
     analyses = [];
     checkpoint = None;
     checkpoint_interval = 30.0;
-    interp = Vm;
     static_por = true;
     workers = 1;
     item_timeout = None;
@@ -90,8 +84,6 @@ let unfair_cb c ~depth_bound =
     mode = Context_bounded c;
     depth_bound = Some depth_bound;
     livelock_bound = None }
-
-let interp_name = function Vm -> "vm" | Ast -> "ast"
 
 let fault_kind_name = function
   | Crash -> "crash"
@@ -148,8 +140,7 @@ let describe t =
     (if t.fair then " fair" else " unfair")
     (match t.depth_bound with Some d -> Printf.sprintf " db=%d" d | None -> "")
     ((if t.sleep_sets then " +sleepsets" else "")
-     ^ (if t.static_por then "" else " -staticpor")
-     ^ match t.interp with Vm -> "" | Ast -> " interp=ast")
+     ^ if t.static_por then "" else " -staticpor")
     ((match t.analyses with
       | [] -> ""
       | l -> " +" ^ String.concat "+" (List.map (fun (a : Analysis_hook.t) -> a.name) l))

@@ -20,14 +20,6 @@ type mode =
           gets a fresh random priority after each step, highest-priority
           enabled thread runs. *)
 
-type interp = Vm | Ast
-    (** DSL execution backend: the bytecode VM (default) or the AST-walking
-        interpreter kept as the differential-testing oracle. Frontends that
-        compile programs themselves (e.g. native workloads) ignore this;
-        the ChessLang CLI maps it to {!Fairmc_dsl.backend}. Recorded in
-        checkpoint fingerprints: a session must resume on the backend that
-        produced it. *)
-
 type fault_kind =
   | Crash  (** the worker process SIGKILLs itself before running the item *)
   | Hang  (** the worker spins forever, exercising the item timeout *)
@@ -46,6 +38,12 @@ type fault = { fault_kind : fault_kind; fault_seed : int }
     injected fault must leave the final verdict unchanged (except a budget
     of zero retries, which surfaces a {!Report.Crash}). *)
 
+(** Each field has one role in the search's identity: {e identity} (it
+    shapes the explored tree or the report), {e job} (budgets and fan-out)
+    or {e local} (sinks, callbacks, paths, intervals, fault injection).
+    {!Checkpoint.config_fields} assigns the roles and names every field, so
+    a new field does not compile until it has one (see DESIGN.md, "Search
+    identity"). *)
 type t = {
   fair : bool;  (** use the fair scheduler of Algorithm 1 *)
   fair_k : int;  (** process every k-th yield (paper §3, final remark) *)
@@ -72,7 +70,6 @@ type t = {
   seed : int64;
   sleep_sets : bool;  (** sleep-set partial-order reduction (extension) *)
   coverage : bool;  (** record distinct state signatures *)
-  verbose : bool;
   jobs : int;
       (** worker processes for the parallel search ({!Supervisor}); the
           same knob as [workers], kept under the [-j] name. The fan-out is
@@ -123,13 +120,11 @@ type t = {
   checkpoint_interval : float;
       (** minimum seconds between periodic checkpoint writes; [0] writes at
           every path boundary (tests). Default 30. *)
-  interp : interp;  (** DSL execution backend; default [Vm] *)
   static_por : bool;
       (** ChessLang programs loaded through the static-analysis layer
           (lib/static): merge provably thread-local transitions out of the
           scheduling-point set and attach the static conflict table
-          consulted by {!Indep}. Default [true], on both backends (so the
-          VM/AST differential contract is preserved). Native workloads
+          consulted by {!Indep}. Default [true]. Native workloads
           ignore it. Recorded in checkpoint fingerprints: merging changes
           the tree shape, so a session must resume with the same setting. *)
   workers : int;
@@ -161,7 +156,6 @@ val fair_cb : int -> t
 val unfair_cb : int -> depth_bound:int -> t
 
 val describe : t -> string
-val interp_name : interp -> string
 
 val fault_kind_name : fault_kind -> string
 (** ["crash"], ["hang"], ["garble"], ["slowpipe"], ["savefail"]. *)

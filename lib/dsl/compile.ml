@@ -6,9 +6,10 @@
    synchronization objects become indices into per-kind object tables
    built at boot. The VM ([Vm]) never touches a string or a [Hashtbl].
 
-   Observable equivalence with the AST interpreter ([Machine]) is a hard
-   contract: the compiler mirrors [Machine.op_of_stmt] when computing the
-   engine operation of each statement (the [SCHED] boundary), preserves
+   Observable equivalence with the AST-walking oracle (test/oracle) is a
+   hard contract: the compiler mirrors the oracle's [op_of_stmt] when
+   computing the engine operation of each statement (the [SCHED]
+   boundary), preserves
    evaluation order (left-to-right, index before value, value before
    bounds check), silent-fuel accounting, and every runtime-error message
    and position. The differential suite in test/test_dsl.ml checks this
@@ -84,7 +85,7 @@ type op_template =
   | T_sleep
 
 (* Boot-time object registration plan, in declaration order: identical to
-   [Machine.build_objects], so both backends assign identical [Op.obj]
+   the oracle's [build_objects], so both backends assign identical [Op.obj]
    identities and produce identical transition streams. *)
 type reg =
   | Reg_var of string (* scalar or array: one scheduling identity *)
@@ -249,7 +250,7 @@ let compile ?(invisible = Stmt_op.no_invisible) (prog : program) : t =
     let is_local n = Hashtbl.mem local_slot n in
 
     (* The statement's engine operation: the shared {!Stmt_op} rule (also
-       used by [Machine.op_of_stmt]), mapped to per-kind indices. *)
+       used by the oracle's [op_of_stmt]), mapped to per-kind indices. *)
     let template_of : Stmt_op.t -> op_template = function
       | A_lock m -> T_lock (Hashtbl.find mutex_idx m)
       | A_try_lock m -> T_try_lock (Hashtbl.find mutex_idx m)

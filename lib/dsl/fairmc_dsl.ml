@@ -1,7 +1,6 @@
 (** ChessLang — a small concurrent language frontend for the fair stateless
-    model checker. See {!Ast} for the syntax, {!Compile}/{!Vm} for the
-    default bytecode execution backend, {!Machine} for the AST-walking
-    oracle it is differentially tested against. *)
+    model checker. See {!Ast} for the syntax and {!Compile}/{!Vm} for the
+    bytecode execution backend. *)
 
 module Ast = Ast
 module Token = Token
@@ -9,24 +8,12 @@ module Lexer = Lexer
 module Parser = Parser
 module Sema = Sema
 module Stmt_op = Stmt_op
-module Machine = Machine
 module Compile = Compile
 module Vm = Vm
 
-(** Execution backend: the bytecode VM (default) or the AST interpreter
-    (the differential-testing oracle, [--interp ast] on the CLI). *)
-type backend = [ `Vm | `Ast ]
-
-let backend_of_interp : Fairmc_core.Search_config.interp -> backend = function
-  | Fairmc_core.Search_config.Vm -> `Vm
-  | Fairmc_core.Search_config.Ast -> `Ast
-
-let compile ?(backend = `Vm) ?invisible ast =
-  match backend with
-  | `Vm -> Vm.compile ?invisible ast
-  | `Ast -> Machine.compile ?invisible ast
+let compile = Vm.compile
 
 (** [load_string src] parses, checks, and compiles a ChessLang program. *)
-let load_string ?name ?backend src = compile ?backend (Parser.parse_string ?name src)
+let load_string ?name src = compile (Parser.parse_string ?name src)
 
-let load_file ?backend path = compile ?backend (Parser.parse_file path)
+let load_file path = compile (Parser.parse_file path)

@@ -1,9 +1,10 @@
-(* The statement -> engine-operation rule, shared by both backends.
+(* The statement -> engine-operation rule, shared by the VM and its AST
+   oracle (test/oracle).
 
    One ChessLang statement is one transition; this module decides which
    engine operation (if any) that transition performs, in terms of
    declaration *names*. [Compile] maps the result to per-kind indices
-   ([op_template]), [Machine] to runtime objects ([Op.t]) — keeping the
+   ([op_template]), the oracle to runtime objects ([Op.t]) — keeping the
    rule in one place is what makes the backends observably equivalent by
    construction.
 

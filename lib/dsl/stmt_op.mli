@@ -1,10 +1,10 @@
-(** The statement → engine-operation rule, shared by both execution
-    backends.
+(** The statement → engine-operation rule, shared by the bytecode VM and
+    its AST-walking test oracle (test/oracle).
 
     One ChessLang statement is one transition. This module decides, in
     terms of declaration names, which engine operation that transition
     performs — {!Compile} maps the result to compile-time indices,
-    {!Machine} to runtime objects. Keeping the rule in one place makes
+    the oracle to runtime objects. Keeping the rule in one place makes
     the backends observably equivalent by construction, and gives the
     static-analysis layer (lib/static) the exact operation/footprint
     semantics the engine will execute. *)

@@ -1,4 +1,4 @@
-(* Bytecode VM for ChessLang: the default execution backend.
+(* Bytecode VM for ChessLang: its execution backend.
 
    Stateless model checking's hot path is re-execution — every path runs
    the program forward from a restored or initial state — so per-step
@@ -8,7 +8,7 @@
    frames (a single pc + an [int array] of local slots). No strings, no
    hash tables, no allocation on the per-instruction path.
 
-   The observable contract with the AST interpreter ([Machine]) — same
+   The observable contract with the AST-walking oracle (test/oracle) — same
    [Op.t] stream per schedule, same fuel accounting, same runtime-error
    messages and verdicts — is enforced by the differential suite in
    test/test_dsl.ml. *)
@@ -30,6 +30,8 @@ type tstate = {
 
 exception Vm_error of string * Ast.pos
 
+let silent_fuel = 100_000
+
 let rt_err pos fmt = Format.kasprintf (fun m -> raise (Vm_error (m, pos))) fmt
 
 let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
@@ -43,7 +45,7 @@ let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
   let arg i = Array.unsafe_get code i in
   let pc = ref start in
   let sp = ref 0 in
-  let fuel = ref Machine.silent_fuel in
+  let fuel = ref silent_fuel in
   let afuel = ref 0 in
   let prim = ref 0 in
   let running = ref true in
@@ -184,7 +186,7 @@ let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
       | 24 (* SCHED opidx *) ->
         ts.cur_pc <- p;
         prim := Sync.Raw.sched (Array.unsafe_get ops (arg (p + 1)));
-        fuel := Machine.silent_fuel;
+        fuel := silent_fuel;
         pc := p + 2
       | 25 (* PRIM *) ->
         Array.unsafe_set stack !sp !prim;
@@ -195,16 +197,16 @@ let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
         if !fuel <= 0 then
           rt_err pos_tbl.(arg (p + 1))
             "thread %s ran %d silent steps without a scheduling point" tc.C.t_name
-            Machine.silent_fuel;
+            silent_fuel;
         pc := p + 2
       | 27 (* AFUEL pos *) ->
         decr afuel;
         if !afuel <= 0 then
           rt_err pos_tbl.(arg (p + 1)) "atomic block exceeded %d steps"
-            Machine.silent_fuel;
+            silent_fuel;
         pc := p + 2
       | 28 (* ATOMIC_ENTER *) ->
-        afuel := Machine.silent_fuel;
+        afuel := silent_fuel;
         pc := p + 1
       | 29 (* ASSERT msg pos *) ->
         decr sp;
@@ -217,7 +219,7 @@ let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
     Sync.fail (Format.asprintf "%s (thread %s, %a)" msg tc.C.t_name Ast.pp_pos pos)
 
 (* Boot: register scheduling objects in declaration order — the same order
-   (and constructors) as [Machine.build_objects], so [Op.obj] identities,
+   (and constructors) as the oracle's [build_objects], so [Op.obj] identities,
    and hence transition streams, are identical across backends. *)
 let boot (c : C.t) () =
   let slots = Array.copy c.C.c_init in

@@ -1,12 +1,12 @@
-(** Bytecode VM for ChessLang: the default execution backend.
+(** Bytecode VM for ChessLang: its execution backend.
 
     Executes {!Compile} bytecode with an int-array operand stack and flat
     frames (one pc + an int-array of local slots per thread). Preserves
-    every observable of the AST interpreter {!Machine} — identical [Op.t]
+    every observable of the AST-walking interpreter it replaced, which
+    lives on in test/oracle as the differential oracle — identical [Op.t]
     transition streams per schedule, silent-fuel accounting, runtime-error
     messages, counterexamples, and checkpoint/resume behavior — while
-    re-executing schedules several times faster (the [bench vm]
-    experiment measures the ratio).
+    re-executing schedules several times faster.
 
     Its programs offer a capture ({!Fairmc_core.Program.booted}): the
     global slots and each thread's pc, locals and init flags are copied,
@@ -21,6 +21,11 @@
     state partition: a bytecode pc determines the whole continuation, as
     control flow is structured. *)
 
+val silent_fuel : int
+(** Silent (non-scheduling) steps a thread may take between two scheduling
+    points, and steps an atomic block may take, before the run fails with
+    a runtime error. *)
+
 val compile : ?invisible:(string -> bool) -> Ast.program -> Fairmc_core.Program.t
 (** [invisible] names globals proven thread-local by the static-analysis
     layer; statements touching only them compile to FUEL instead of SCHED
@@ -31,5 +36,5 @@ val compile_inspect :
   Ast.program -> Fairmc_core.Program.t * (unit -> (string * int) list)
 (** [compile_inspect prog] also returns a dump of the most recent boot's
     final store — globals (array cells as ["a\[i\]"]) then initialized
-    locals (["thread.name"]) — for differential testing against
-    {!Machine.compile_inspect}. *)
+    locals (["thread.name"]) — for differential testing against the
+    AST oracle's [compile_inspect]. *)

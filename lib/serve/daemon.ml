@@ -266,7 +266,6 @@ let runner_child t job wfd =
            | Error _ -> None)
       else None
     in
-    Checkpoint.install_signal_handlers ();
     let result =
       try
         let report = Checker.check ~config:cfg ?resume program in
@@ -287,10 +286,18 @@ let runner_child t job wfd =
 
 let spawn_runner t job =
   let rfd, wfd = Unix.pipe () in
+  (* SIGTERM and SIGINT wait, blocked, until the child has the checkpoint
+     layer's graceful handlers: one delivered before would run the
+     daemon's handler in the child, and the runner would never stop. *)
+  let mask = Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ] in
   match Unix.fork () with
+  | exception e ->
+    ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
+    raise e
   | 0 ->
-    (* Child: drop every daemon fd, restore default termination handling
-       (the checkpoint layer installs its own graceful handlers), run. *)
+    Checkpoint.install_signal_handlers ();
+    ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
+    (* Child: drop every daemon fd, run. *)
     Unix.close rfd;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.clients;
@@ -299,8 +306,6 @@ let spawn_runner t job =
         (try Unix.close r.r_fd with Unix.Unix_error _ -> ());
         close_backlog r)
       t.runners;
-    Sys.set_signal Sys.sigterm Sys.Signal_default;
-    Sys.set_signal Sys.sigint Sys.Signal_default;
     (try runner_child t job wfd
      with e -> (
        try Worker.send wfd (P.runner_to_json (P.R_failed (Printexc.to_string e)))
@@ -308,6 +313,7 @@ let spawn_runner t job =
     (try Unix.close wfd with Unix.Unix_error _ -> ());
     Stdlib.exit 0
   | pid ->
+    ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
     Unix.close wfd;
     job.j_state <- P.Running;
     t.runners <-
@@ -618,8 +624,9 @@ let scan_spool t =
              with
              | exception CK.Parse e -> logf t "spool %s: malformed: %s" entry e
              | spec, priority ->
-               (match Jobspec.resolve spec with
-                | Error e -> logf t "spool %s: unresolvable: %s" entry e
+               (* Validated again: the spool may predate a bound. *)
+               (match Result.bind (Jobspec.validate spec) (fun () -> Jobspec.resolve spec) with
+                | Error e -> logf t "spool %s: refused: %s" entry e
                 | Ok (program, _) ->
                   let job =
                     { j_id = id; j_spec = spec; j_program = program.Program.name;

@@ -3,7 +3,7 @@
     Proves globals thread-local (accessed by at most one thread): their
     reads and writes commute with everything another thread can do, so
     the compiler can stop emitting SCHED suspensions for them —
-    {!Compile.compile}'s / {!Machine}'s [invisible] hook. A bytecode-CFG
+    {!Fairmc_dsl.Compile.compile}'s [invisible] hook. A bytecode-CFG
     veto keeps any loop from becoming entirely silent through merging
     (which would trade a fair-scheduler livelock verdict for a
     silent-fuel runtime error). The same footprints feed the

@@ -151,6 +151,8 @@ let to_file path v =
 
 exception Parse_error of string
 
+let max_depth = 1024
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -303,7 +305,15 @@ let of_string s =
       | Some i -> Int i
       | None -> Float (float_of_string text)
   in
-  let rec parse_value () =
+  (* [depth] counts the arrays and objects open around the value. Each
+     costs a few stack frames, so a bound keeps a hostile document from
+     overflowing the stack or holding the parser for seconds. *)
+  let open_container depth =
+    if depth >= max_depth then fail (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance ();
+    depth + 1
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -312,12 +322,12 @@ let of_string s =
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> Str (parse_string ())
     | Some '[' ->
-      advance ();
+      let depth = open_container depth in
       skip_ws ();
       if peek () = Some ']' then begin advance (); Arr [] end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value depth in
           skip_ws ();
           match peek () with
           | Some ',' -> advance (); items (v :: acc)
@@ -327,7 +337,7 @@ let of_string s =
         items []
       end
     | Some '{' ->
-      advance ();
+      let depth = open_container depth in
       skip_ws ();
       if peek () = Some '}' then begin advance (); Obj [] end
       else begin
@@ -336,7 +346,7 @@ let of_string s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value depth in
           (k, v)
         in
         let rec members acc =
@@ -352,7 +362,7 @@ let of_string s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

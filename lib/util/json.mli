@@ -32,10 +32,15 @@ val to_file : string -> t -> unit
 (** [to_file path v] writes [to_string ~pretty:true v] and a trailing
     newline to [path]. *)
 
+val max_depth : int
+(** 1024: the deepest nesting of arrays and objects {!of_string} accepts.
+    The checker's own documents nest about ten deep. *)
+
 val of_string : string -> (t, string) result
 (** Strict parser for the subset this module emits (which is all of JSON
     except exotic number forms): no trailing garbage, no duplicate-key
-    checking. Numbers without [.], [e] or [E] parse as [Int]. *)
+    checking, nesting at most {!max_depth} deep. Numbers without [.], [e]
+    or [E] parse as [Int]. *)
 
 val equal : t -> t -> bool
 (** Structural equality; [Float] compared bitwise (so NaN = NaN), object

@@ -529,4 +529,39 @@ let unit_tests =
             ("negative alternative", chooser, [ (0, -1) ], 0, 0);
             ("alternative on a yield", chooser, [ (0, 1); (1, 1) ], 1, 1) ]) ]
 
-let suite = unit_tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
+(* ------------------------------------------------------------------ *)
+(* Fingerprints from before the config codec, and byte fuzz.           *)
+
+let codec_tests =
+  [ Alcotest.test_case "a checkpoint from before the config codec is refused cleanly"
+      `Quick (fun () ->
+        (* The hand-kept fingerprint format, with its interp entry. *)
+        let legacy =
+          "prog=p;mode=dfs;fair=y;k=1;db=-;tail=y;max_steps=20000;livelock=2000;\
+           window=500;seed=24301;sleep=n;cov=y;metrics=y;analyses=;interp=vm;spor=y"
+        in
+        let t =
+          { CK.fingerprint = legacy;
+            payload = CK.Seq { (gen_seq (R.make 7L)) with CK.sq_complete = false } }
+        in
+        match CK.plan_resume t base ~program:"p" with
+        | Error e ->
+          check "a fingerprint mismatch" true
+            (String.starts_with ~prefix:"config fingerprint mismatch" e)
+        | Ok _ -> Alcotest.fail "a legacy checkpoint resumed") ]
+
+let fuzz_props =
+  let docs = List.init 9 (fun seed -> CK.to_json (gen_t seed)) in
+  let decode_text s = match Json.of_string s with Ok j -> ignore (CK.of_json j) | Error _ -> () in
+  [ QCheck.Test.make ~count:500 ~name:"decoder: random and mutated text fails cleanly"
+      (QCheck.make ~print:String.escaped (Test_obs.text_gen docs))
+      (Test_obs.decodes_cleanly decode_text);
+    QCheck.Test.make ~count:500 ~name:"decoder: mutated documents fail cleanly"
+      (QCheck.make ~print:Json.to_string (Test_obs.mutated_gen docs))
+      (Test_obs.decodes_cleanly CK.of_json) ]
+
+let suite =
+  unit_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
+  @ codec_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) fuzz_props

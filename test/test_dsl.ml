@@ -455,7 +455,7 @@ let pp_failure = function
 let prop_schedules seed =
   let rng = R.make (Int64.of_int ((seed * 2654435761) + 1)) in
   let ast = gen_program rng in
-  let pa, dump_a = D.Machine.compile_inspect ast in
+  let pa, dump_a = Machine.compile_inspect ast in
   let pv, dump_v = D.Vm.compile_inspect ast in
   List.for_all
     (fun k ->
@@ -522,7 +522,7 @@ let prop_search seed =
       seed = Int64.of_int (seed + 17) }
   in
   let vm = D.Vm.compile ast in
-  let replaying = [ ("ast", D.Machine.compile ast); ("vm-replay", strip_capture vm) ] in
+  let replaying = [ ("ast", Machine.compile ast); ("vm-replay", strip_capture vm) ] in
   List.for_all
     (fun (mode, sleep_sets) ->
       let cfg = { base with mode; sleep_sets } in
@@ -653,9 +653,9 @@ let differential_tests =
             let cfg = { Search_config.default with livelock_bound = Some 1_000 } in
             let reports =
               List.map
-                (fun (backend, jobs) ->
-                  Checker.check ~config:{ cfg with jobs } (D.compile ~backend ast))
-                [ (`Ast, 1); (`Ast, 4); (`Vm, 1); (`Vm, 4) ]
+                (fun (prog, jobs) -> Checker.check ~config:{ cfg with jobs } prog)
+                [ (Machine.compile ast, 1); (Machine.compile ast, 4); (D.compile ast, 1);
+                  (D.compile ast, 4) ]
             in
             match reports with
             | r0 :: rest ->
@@ -689,8 +689,8 @@ let differential_tests =
           && timeless resumed.Report.stats = timeless replayed.Report.stats));
     Alcotest.test_case "stateful ground truth agrees across backends" `Quick (fun () ->
         let fig3 = "var x = 0; thread t { x = 1; } thread u { while (x != 1) { yield; } }" in
-        let sa = SC.Stateful.explore (D.load_string ~backend:`Ast fig3) in
-        let sv = SC.Stateful.explore (D.load_string ~backend:`Vm fig3) in
+        let sa = SC.Stateful.explore (Machine.compile (parse fig3)) in
+        let sv = SC.Stateful.explore (D.load_string fig3) in
         check_int "fig3 states on the VM (paper Figure 3)" 5 sv.SC.Stateful.states;
         check_int "same state count" sa.SC.Stateful.states sv.SC.Stateful.states;
         check "both complete" true (sa.SC.Stateful.complete && sv.SC.Stateful.complete)) ]
@@ -845,9 +845,67 @@ let cli_agreement_tests =
                thread c { local r = choose(2); x = x + r; }",
               [ "-s"; "cb:2" ] ) ]) ]
 
+(* The VM and the AST oracle walk the same tree on three regimes: long
+   silent loops between transitions (compute-heavy), a sync-heavy
+   bounded buffer, and Peterson's good-samaritan spin loops. *)
+let src_compute =
+  "var acc = 0;\n\
+   thread a { local i = 0; local h = 0; while (i < 40) { h = 0; local j = 0; \
+   while (j < 400) { h = (h * 31 + j) % 65521; j = j + 1; } acc = acc + h; i = i + 1; } }\n\
+   thread b { local i = 0; local h = 0; while (i < 40) { h = 0; local j = 0; \
+   while (j < 400) { h = (h * 7 + j) % 65521; j = j + 1; } acc = acc + h; i = i + 1; } }"
+
+let src_buffer =
+  "array buf[2] = 0; var head = 0; var tail = 0;\n\
+   sem items = 0; sem spaces = 2; mutex m;\n\
+   thread producer { local i = 0; while (i < 3) { p(spaces); lock(m); \
+   buf[tail % 2] = i + 1; tail = tail + 1; unlock(m); v(items); i = i + 1; } }\n\
+   thread consumer { local expect = 1; while (expect < 4) { p(items); lock(m); \
+   local got = buf[head % 2]; head = head + 1; unlock(m); v(spaces); \
+   assert(got == expect, \"out of order\"); expect = expect + 1; } }"
+
+let src_peterson =
+  "var flag0 = 0; var flag1 = 0; var turn = 0; var crit = 0;\n\
+   thread p0 { local i = 0; while (i < 2) { flag0 = 1; turn = 1; \
+   while (flag1 == 1 && turn == 1) { yield; } crit = crit + 1; \
+   assert(crit == 1, \"mutex\"); crit = crit - 1; flag0 = 0; i = i + 1; } }\n\
+   thread p1 { local i = 0; while (i < 2) { flag1 = 1; turn = 0; \
+   while (flag0 == 1 && turn == 0) { yield; } crit = crit + 1; \
+   assert(crit == 1, \"mutex\"); crit = crit - 1; flag1 = 0; i = i + 1; } }"
+
+let same_tree_tests =
+  [ Alcotest.test_case "VM and AST oracle: same tree on compute, buffer and spin workloads"
+      `Quick (fun () ->
+        List.iter
+          (fun (name, src, cfg) ->
+            let ast = parse src in
+            let summary (r : Report.t) =
+              Printf.sprintf "%s %d/%d" (Report.verdict_key r.Report.verdict)
+                r.stats.executions r.stats.transitions
+            in
+            Alcotest.(check string) name
+              (summary (Search.run cfg (Machine.compile ast)))
+              (summary (Search.run cfg (D.compile ast))))
+          [ ( "compute-heavy",
+              src_compute,
+              { Search_config.default with
+                max_executions = Some 40;
+                max_steps = 100_000;
+                livelock_bound = Some 100_000 } );
+            ( "bounded-buffer",
+              src_buffer,
+              { Search_config.default with
+                max_executions = Some 2_000;
+                livelock_bound = Some 2_000 } );
+            ( "peterson-spin",
+              src_peterson,
+              { Search_config.default with
+                max_executions = Some 3_000;
+                livelock_bound = Some 2_000 } ) ]) ]
+
 let suite =
   lexer_tests @ parser_tests @ sema_tests @ exec_tests @ differential_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) differential_qprops
   @ limit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) restore_qprops
-  @ storage_tests @ cli_agreement_tests
+  @ storage_tests @ cli_agreement_tests @ same_tree_tests

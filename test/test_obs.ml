@@ -42,6 +42,58 @@ let json_gen =
 
 let json_arb = QCheck.make ~print:(fun j -> Json.to_string j) json_gen
 
+(* Decoder fuzzing: valid documents with one node replaced by random JSON
+   reach the nested decoders instead of failing on the first field. *)
+
+(* Replace the [at]-th node of [j] (pre-order) by [by]. *)
+let replace_node j ~at ~by =
+  let n = ref at in
+  let rec go j =
+    let here = !n = 0 in
+    decr n;
+    if here then by
+    else
+      match j with
+      | Json.Arr l -> Json.Arr (List.map go l)
+      | Json.Obj kv -> Json.Obj (List.map (fun (k, v) -> (k, go v)) kv)
+      | j -> j
+  in
+  go j
+
+let rec json_nodes = function
+  | Json.Arr l -> List.fold_left (fun acc v -> acc + json_nodes v) 1 l
+  | Json.Obj kv -> List.fold_left (fun acc (_, v) -> acc + json_nodes v) 1 kv
+  | _ -> 1
+
+let mutated_gen docs =
+  let open QCheck.Gen in
+  int_bound (List.length docs - 1) >>= fun k ->
+  let doc = List.nth docs k in
+  map2 (fun at by -> replace_node doc ~at ~by) (int_bound (json_nodes doc - 1)) json_gen
+
+(* Text for a decoder's parser: noise, random and mutated documents, cut
+   short or followed by junk. *)
+let text_gen docs =
+  let open QCheck.Gen in
+  let mutated = mutated_gen docs in
+  oneof
+    [ string_size (int_bound 256);
+      map Json.to_string json_gen;
+      map Json.to_string mutated;
+      map2
+        (fun j cut ->
+          let s = Json.to_string j in
+          String.sub s 0 (min cut (String.length s)))
+        mutated (int_bound 2048);
+      map2 (fun j junk -> Json.to_string j ^ junk) mutated string ]
+
+(* [decode] must not raise: callers catch the documented parse error
+   themselves, and a test failure names anything else. *)
+let decodes_cleanly decode x =
+  match decode x with
+  | _ -> true
+  | exception e -> QCheck.Test.fail_reportf "escaped: %s" (Printexc.to_string e)
+
 let json_qprops =
   [ QCheck.Test.make ~count:500 ~name:"json round-trip" json_arb (fun j ->
         match Json.of_string (Json.to_string j) with
@@ -365,7 +417,42 @@ let export_tests =
               | _ -> Alcotest.fail "traceEvents missing")
            | _ -> Alcotest.fail "not an object")) ]
 
+(* ------------------------------------------------------------------ *)
+(* The parser's nesting bound and byte fuzz.                            *)
+
+let nested d = String.make d '[' ^ String.make d ']'
+
+let json_limit_tests =
+  [ Alcotest.test_case "nesting beyond the bound is a parse error, promptly" `Quick
+      (fun () ->
+        check "at the bound: parses" true
+          (Result.is_ok (Json.of_string (nested Json.max_depth)));
+        check "one past the bound: error" true
+          (Result.is_error (Json.of_string (nested (Json.max_depth + 1))));
+        check "objects count too" true
+          (Result.is_error
+             (Json.of_string
+                (String.concat "" (List.init (Json.max_depth + 1) (fun _ -> "{\"a\":"))
+                 ^ "1" ^ String.make (Json.max_depth + 1) '}')));
+        let t0 = Unix.gettimeofday () in
+        check "100,000 deep: error" true (Result.is_error (Json.of_string (nested 100_000)));
+        check "... within 0.5 s" true (Unix.gettimeofday () -. t0 < 0.5)) ]
+
+let json_fuzz_props =
+  let docs =
+    [ Json.Obj
+        [ ("schema", Json.Str "fairmc-report/2");
+          ("stats", Json.Obj [ ("executions", Json.Int 3); ("rate", Json.Float 1.5) ]);
+          ("verdict", Json.Arr [ Json.Arr [ Json.Int 0; Json.Int 1 ]; Json.Null ]) ];
+      Json.Arr [ Json.Str "a\"b"; Json.Bool true; Json.Obj [] ] ]
+  in
+  [ QCheck.Test.make ~count:1000 ~name:"json: random and mutated text parses or fails cleanly"
+      (QCheck.make ~print:String.escaped (text_gen docs))
+      (decodes_cleanly Json.of_string) ]
+
 let suite =
   json_unit_tests @ metrics_unit_tests @ determinism_tests @ progress_tests
   @ export_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) (json_qprops @ metrics_qprops)
+  @ json_limit_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) json_fuzz_props

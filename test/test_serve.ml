@@ -16,6 +16,8 @@ module Retry = Fairmc_util.Retry
 module C = Fairmc_core.Search_config
 module Worker = Fairmc_core.Worker
 module AH = Fairmc_core.Analysis_hook
+module CK = Fairmc_core.Checkpoint
+module Report = Fairmc_core.Report
 
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
@@ -33,43 +35,57 @@ let gen_mode rng =
   | 3 -> C.Random_walk (1 + R.int rng 1_000)
   | _ -> C.Priority_random (1 + R.int rng 1_000)
 
-let analysis_names =
-  List.map
-    (fun (a : AH.t) -> a.AH.name)
-    [ Fairmc_analysis.Hb_race.analysis; Fairmc_analysis.Lockset.analysis;
-      Fairmc_analysis.Lock_graph.analysis ]
+let analyses =
+  [ Fairmc_analysis.Hb_race.analysis; Fairmc_analysis.Lockset.analysis;
+    Fairmc_analysis.Lock_graph.analysis ]
+
+let analysis_names = List.map (fun (a : AH.t) -> a.AH.name) analyses
 
 (* Eighths: finite and exactly representable, so JSON round-trips. *)
 let gen_float8 rng = float_of_int (R.int rng 1024) /. 8.
 
 let gen_spec rng =
-  { JS.js_program =
+  { JS.program =
       (match R.int rng 3 with
        | 0 -> "fig3"
        | 1 -> "examples/programs/peterson.chess"
        | _ -> "wsq-1s-correct");
-    js_mode = gen_mode rng;
-    js_fair = R.bool rng;
-    js_fair_k = 1 + R.int rng 4;
-    js_depth_bound = gen_opt rng (fun r -> R.int r 100);
-    js_random_tail = R.bool rng;
-    js_max_steps = 1 + R.int rng 100_000;
-    js_livelock_bound = gen_opt rng (fun r -> R.int r 10_000);
-    js_tail_window = R.int rng 100;
-    js_max_executions = gen_opt rng (fun r -> R.int r 100_000);
-    js_time_limit = gen_opt rng gen_float8;
-    js_seed = R.next_int64 rng;
-    js_sleep_sets = R.bool rng;
-    js_coverage = R.bool rng;
-    js_metrics = R.bool rng;
-    js_jobs = 1 + R.int rng 4;
-    js_split_depth = R.int rng 10;
-    js_workers = 1 + R.int rng 4;
-    js_item_timeout = gen_opt rng gen_float8;
-    js_max_retries = R.int rng 5;
-    js_analyses = List.filter (fun _ -> R.bool rng) analysis_names;
-    js_interp = (if R.bool rng then C.Vm else C.Ast);
-    js_static_por = R.bool rng }
+    config =
+      { C.default with
+        C.mode = gen_mode rng;
+        fair = R.bool rng;
+        fair_k = 1 + R.int rng 4;
+        depth_bound = gen_opt rng (fun r -> R.int r 100);
+        random_tail = R.bool rng;
+        max_steps = 1 + R.int rng 100_000;
+        livelock_bound = gen_opt rng (fun r -> R.int r 10_000);
+        tail_window = R.int rng 100;
+        max_executions = gen_opt rng (fun r -> R.int r 100_000);
+        time_limit = gen_opt rng gen_float8;
+        seed = R.next_int64 rng;
+        sleep_sets = R.bool rng;
+        coverage = R.bool rng;
+        metrics = R.bool rng;
+        jobs = 1 + R.int rng 4;
+        split_depth = R.int rng 10;
+        workers = 1 + R.int rng 4;
+        item_timeout = gen_opt rng gen_float8;
+        max_retries = R.int rng 5;
+        analyses = List.filter (fun _ -> R.bool rng) analyses;
+        static_por = R.bool rng } }
+
+(* Specs compare by value, their analyses (records of closures) by name. *)
+let spec_equal (a : JS.t) (b : JS.t) =
+  let names (s : JS.t) = List.map (fun (x : AH.t) -> x.AH.name) s.JS.config.C.analyses in
+  let plain (s : JS.t) = (s.JS.program, { s.JS.config with C.analyses = [] }) in
+  plain a = plain b && names a = names b
+
+let request_equal a b =
+  match (a, b) with
+  | P.Submit x, P.Submit y -> x.priority = y.priority && spec_equal x.spec y.spec
+  | a, b -> a = b
+
+let with_config (s : JS.t) f = { s with JS.config = f s.JS.config }
 
 let gen_job_state rng =
   match R.int rng 4 with
@@ -129,23 +145,23 @@ let gen_runner rng =
         rendered = "result: assertion failed"; report = gen_doc rng }
   | _ -> P.R_failed "runner exploded"
 
-let roundtrip ~name ~gen ~to_json ~of_json =
+let roundtrip ?(equal = ( = )) ~name ~gen ~to_json ~of_json () =
   QCheck.Test.make ~name ~count:300 QCheck.small_int (fun seed ->
       let rng = R.make (Int64.of_int (seed + 1)) in
       let v = gen rng in
       let j = to_json v in
       let v' = of_json j in
-      v = v' && J.equal (to_json v') j)
+      equal v v' && J.equal (to_json v') j)
 
 let qprops =
-  [ roundtrip ~name:"job spec JSON round-trips" ~gen:gen_spec
-      ~to_json:JS.to_json ~of_json:JS.of_json;
-    roundtrip ~name:"requests round-trip" ~gen:gen_request
-      ~to_json:P.request_to_json ~of_json:P.request_of_json;
+  [ roundtrip ~equal:spec_equal ~name:"job spec JSON round-trips" ~gen:gen_spec
+      ~to_json:JS.to_json ~of_json:JS.of_json ();
+    roundtrip ~equal:request_equal ~name:"requests round-trip" ~gen:gen_request
+      ~to_json:P.request_to_json ~of_json:P.request_of_json ();
     roundtrip ~name:"server messages round-trip" ~gen:gen_message
-      ~to_json:P.message_to_json ~of_json:P.message_of_json;
+      ~to_json:P.message_to_json ~of_json:P.message_of_json ();
     roundtrip ~name:"runner messages round-trip" ~gen:gen_runner
-      ~to_json:P.runner_to_json ~of_json:P.runner_of_json ]
+      ~to_json:P.runner_to_json ~of_json:P.runner_of_json () ]
 
 (* ------------------------------------------------------------------ *)
 (* Job identity: the dedup contract.                                   *)
@@ -156,23 +172,37 @@ let identity_tests =
       (fun () ->
         let base = JS.id spec ~program_name:"fig3" in
         let budgeted =
-          { spec with
-            JS.js_max_executions = Some 5; js_time_limit = Some 1.;
-            js_jobs = 4; js_workers = 3 }
+          with_config spec (fun c ->
+              { c with C.max_executions = Some 5; time_limit = Some 1.; jobs = 4; workers = 3 })
         in
         check_str "id" base (JS.id budgeted ~program_name:"fig3"));
     Alcotest.test_case "the strategy does change the job id" `Quick (fun () ->
         let base = JS.id spec ~program_name:"fig3" in
-        let cb = { spec with JS.js_mode = C.Context_bounded 2 } in
+        let cb = with_config spec (fun c -> { c with C.mode = C.Context_bounded 2 }) in
         check "cb:2 gets its own id" true (base <> JS.id cb ~program_name:"fig3");
         check "another program gets its own id" true
           (base <> JS.id spec ~program_name:"fig4"));
     Alcotest.test_case "validate rejects unknown analyses" `Quick (fun () ->
-        (match JS.validate { spec with JS.js_analyses = [ "made-up" ] } with
-         | Error _ -> ()
-         | Ok () -> Alcotest.fail "expected an error");
+        (* Unknown names are rejected while decoding, before validate. *)
+        let with_analyses names =
+          match JS.to_json spec with
+          | J.Obj kv ->
+            J.Obj
+              (List.map
+                 (fun (k, v) ->
+                   if k = "analyses" then (k, J.Arr (List.map (fun n -> J.Str n) names))
+                   else (k, v))
+                 kv)
+          | _ -> Alcotest.fail "a spec encodes as an object"
+        in
+        (match JS.of_json (with_analyses [ "made-up" ]) with
+         | exception Fairmc_core.Checkpoint.Codec.Parse _ -> ()
+         | _ -> Alcotest.fail "expected an error");
         check "known analyses pass" true
-          (JS.validate { spec with JS.js_analyses = analysis_names } = Ok ())) ]
+          (let decoded = JS.of_json (with_analyses analysis_names) in
+           JS.validate decoded = Ok ()
+           && List.map (fun (a : AH.t) -> a.AH.name) decoded.JS.config.C.analyses
+              = analysis_names)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Daemon subprocess harness                                           *)
@@ -316,7 +346,8 @@ let dedup_tests =
             (* Same search, different budgets and worker count: must attach
                to the same job, whatever state it has reached. *)
             let spec_b =
-              { spec with JS.js_max_executions = Some 999_999; js_workers = 2 }
+              with_config spec (fun c ->
+                  { c with C.max_executions = Some 999_999; workers = 2 })
             in
             Serve.Client.request b (P.Submit { spec = spec_b; priority = 7 });
             (match Serve.Client.next b with
@@ -395,16 +426,18 @@ let fair_k_tests =
   [ Alcotest.test_case "validate rejects fair_k < 1" `Quick (fun () ->
         List.iter
           (fun k ->
-            match JS.validate { spec with JS.js_fair_k = k } with
+            match JS.validate (with_config spec (fun c -> { c with C.fair_k = k })) with
             | Error _ -> ()
             | Ok () -> Alcotest.failf "fair_k = %d accepted" k)
           [ 0; -1 ];
-        check "fair_k = 2 passes" true (JS.validate { spec with JS.js_fair_k = 2 } = Ok ()));
+        check "fair_k = 2 passes" true
+          (JS.validate (with_config spec (fun c -> { c with C.fair_k = 2 })) = Ok ()));
     Alcotest.test_case "invalid spec (k = 0): error reply, nothing queued" `Quick
       (fun () ->
         with_daemon @@ fun ~socket ~pid:_ ->
         Serve.Client.with_daemon socket @@ fun fd ->
-        Serve.Client.request fd (P.Submit { spec = { spec with JS.js_fair_k = 0 }; priority = 0 });
+        Serve.Client.request fd
+          (P.Submit { spec = with_config spec (fun c -> { c with C.fair_k = 0 }); priority = 0 });
         (match Serve.Client.next fd with
          | P.Error_msg _ -> ()
          | m ->
@@ -570,7 +603,319 @@ let backlog_tests =
             ("dining-3-ordered", { C.default with C.workers = 2; mode = C.Context_bounded 2 });
             ("wsq-1s-correct", { C.default with C.workers = 2; max_executions = Some 3_000 }) ]) ]
 
+(* ------------------------------------------------------------------ *)
+(* Identity is complete: one mutation per config field, by role        *)
+
+let bump_opt = function None -> Some 7 | Some n -> Some (n + 1)
+let bump_float = function None -> Some 1. | Some f -> Some (f +. 1.)
+
+(* Identity fields: each change must change the job id. *)
+let identity_mutations : (string * (C.t -> C.t)) list =
+  [ ( "mode",
+      fun c ->
+        { c with
+          C.mode =
+            (match c.C.mode with
+             | C.Dfs -> C.Context_bounded 0
+             | C.Context_bounded n -> C.Context_bounded (n + 1)
+             | C.Random_walk n -> C.Priority_random n
+             | C.Priority_random n -> C.Random_walk n
+             | C.Round_robin -> C.Dfs) } );
+    ("fair", fun c -> { c with C.fair = not c.C.fair });
+    ("fair_k", fun c -> { c with C.fair_k = c.C.fair_k + 1 });
+    ("depth_bound", fun c -> { c with C.depth_bound = bump_opt c.C.depth_bound });
+    ("random_tail", fun c -> { c with C.random_tail = not c.C.random_tail });
+    ("max_steps", fun c -> { c with C.max_steps = c.C.max_steps + 1 });
+    ("livelock_bound", fun c -> { c with C.livelock_bound = bump_opt c.C.livelock_bound });
+    ("tail_window", fun c -> { c with C.tail_window = c.C.tail_window + 1 });
+    ("seed", fun c -> { c with C.seed = Int64.succ c.C.seed });
+    ("sleep_sets", fun c -> { c with C.sleep_sets = not c.C.sleep_sets });
+    ("coverage", fun c -> { c with C.coverage = not c.C.coverage });
+    ("metrics", fun c -> { c with C.metrics = not c.C.metrics });
+    ( "analyses",
+      fun c ->
+        { c with
+          C.analyses = (match c.C.analyses with [] -> [ List.hd analyses ] | _ :: l -> l) } );
+    ("static_por", fun c -> { c with C.static_por = not c.C.static_por }) ]
+
+(* Job and local fields: no change may change the job id. *)
+let budget_mutations : (string * (C.t -> C.t)) list =
+  [ ( "sampling count",
+      fun c ->
+        { c with
+          C.mode =
+            (match c.C.mode with
+             | C.Random_walk n -> C.Random_walk (n + 1)
+             | C.Priority_random n -> C.Priority_random (n + 1)
+             | m -> m) } );
+    ("max_executions", fun c -> { c with C.max_executions = bump_opt c.C.max_executions });
+    ("time_limit", fun c -> { c with C.time_limit = bump_float c.C.time_limit });
+    ("jobs", fun c -> { c with C.jobs = c.C.jobs + 1 });
+    ("workers", fun c -> { c with C.workers = c.C.workers + 1 });
+    ("split_depth", fun c -> { c with C.split_depth = c.C.split_depth + 1 });
+    ("item_timeout", fun c -> { c with C.item_timeout = bump_float c.C.item_timeout });
+    ("max_retries", fun c -> { c with C.max_retries = c.C.max_retries + 1 });
+    ("poll_interval", fun c -> { c with C.poll_interval = 2 * c.C.poll_interval });
+    ("progress", fun c -> { c with C.progress = not c.C.progress });
+    ("progress_interval", fun c -> { c with C.progress_interval = c.C.progress_interval +. 1. });
+    ("on_progress", fun c -> { c with C.on_progress = Some ignore });
+    ( "events",
+      fun c -> { c with C.events = Some (Fairmc_obs.Events.create ~write:ignore ()) } );
+    ("checkpoint", fun c -> { c with C.checkpoint = Some "elsewhere.ckpt" });
+    ( "checkpoint_interval",
+      fun c -> { c with C.checkpoint_interval = c.C.checkpoint_interval +. 1. } );
+    ( "inject_fault",
+      fun c -> { c with C.inject_fault = Some { C.fault_kind = C.Crash; fault_seed = 1 } } ) ]
+
+let identity_qprops =
+  let ids (spec : JS.t) cfg =
+    let program_name = spec.JS.program in
+    ( JS.id (JS.of_config ~program:program_name cfg) ~program_name,
+      CK.fingerprint cfg ~program:program_name )
+  in
+  let spec_of seed = gen_spec (R.make (Int64.of_int seed)) in
+  [ QCheck.Test.make ~name:"identity: every identity field changes the job id" ~count:200
+      QCheck.int (fun seed ->
+        let spec = spec_of seed in
+        let base = ids spec spec.JS.config in
+        List.for_all
+          (fun (field, mutate) ->
+            let id, fp = ids spec (mutate spec.JS.config) in
+            (id <> fst base && fp <> snd base)
+            || QCheck.Test.fail_reportf "changing %s kept the id" field)
+          identity_mutations);
+    QCheck.Test.make ~name:"identity: job and local fields leave the job id alone" ~count:200
+      QCheck.int (fun seed ->
+        let spec = spec_of seed in
+        let base = ids spec spec.JS.config in
+        List.for_all
+          (fun (field, mutate) ->
+            ids spec (mutate spec.JS.config) = base
+            || QCheck.Test.fail_reportf "changing %s changed the id" field)
+          budget_mutations) ]
+
+(* Searches that finish inside their budget report the same whatever
+   their job and local fields: the reason those fields can stay out of
+   the id. *)
+let report_key (r : Report.t) =
+  ( Report.verdict_key r.Report.verdict,
+    Test_checkpoint.strip_time r.Report.stats,
+    Option.map (fun c -> c.Report.decisions) (Report.cex r) )
+
+let gen_budget rng (c : C.t) =
+  let pick l = List.nth l (R.int rng (List.length l)) in
+  { c with
+    C.workers = pick [ 1; 2 ];
+    jobs = pick [ 1; 1; 2 ];
+    split_depth = 1 + R.int rng 4;
+    max_executions = pick [ None; Some 10_000_000 ];
+    time_limit = pick [ None; Some 600. ];
+    item_timeout = pick [ None; Some 600. ];
+    max_retries = R.int rng 3;
+    poll_interval = pick [ 1; 64; 256 ];
+    progress_interval = pick [ 0.; 1. ];
+    on_progress = pick [ None; Some ignore ];
+    events = (if R.bool rng then Some (Fairmc_obs.Events.create ~write:ignore ()) else None);
+    checkpoint_interval = pick [ 0.; 30. ] }
+
+let same_report_props =
+  List.map
+    (fun (name, program, identity) ->
+      let identity = { identity with C.coverage = true } in
+      let base =
+        lazy
+          (Option.map
+             (fun program ->
+               match JS.resolve (JS.of_config ~program identity) with
+               | Ok (prog, _) -> (prog, report_key (Fairmc_core.Checker.check ~config:identity prog))
+               | Error e -> failwith e)
+             program)
+      in
+      QCheck.Test.make
+        ~name:(Printf.sprintf "identity: %s reports the same under any job or local fields" name)
+        ~count:6 QCheck.small_int (fun seed ->
+          match Lazy.force base with
+          | None -> true (* the example file is out of reach *)
+          | Some (prog, want) ->
+            let rng = R.make (Int64.of_int (seed + 1)) in
+            let cfg = gen_budget rng identity in
+            let ckpt = Filename.temp_file "fairmc_serve" ".ckpt" in
+            let cfg = if R.bool rng then { cfg with C.checkpoint = Some ckpt } else cfg in
+            let r =
+              Fun.protect
+                ~finally:(fun () -> try Sys.remove ckpt with Sys_error _ -> ())
+                (fun () -> Fairmc_core.Checker.check ~config:cfg prog)
+            in
+            report_key r = want
+            || QCheck.Test.fail_reportf "workers=%d jobs=%d split_depth=%d: reports differ"
+                 cfg.C.workers cfg.C.jobs cfg.C.split_depth))
+    [ ("fig3", Some "fig3", C.default);
+      ( "peterson.chess at cb:2",
+        List.find_opt Sys.file_exists
+          [ "../../../examples/programs/peterson.chess"; "examples/programs/peterson.chess" ],
+        { C.default with C.mode = C.Context_bounded 2 } ) ]
+
+(* ------------------------------------------------------------------ *)
+(* Bounded inputs: nesting and fan-out                                 *)
+
+let bound_tests =
+  [ Alcotest.test_case "a frame nested 100,000 deep: error reply, connection dropped"
+      `Quick (fun () ->
+        with_daemon @@ fun ~socket ~pid ->
+        let fd = raw_connect socket in
+        (* A valid request but for a member nested 100,000 deep: only the
+           nesting bound refuses it. *)
+        let payload =
+          "{\"op\":\"jobs\",\"pad\":" ^ String.make 100_000 '[' ^ String.make 100_000 ']'
+          ^ "}"
+        in
+        write_all fd (Printf.sprintf "%08x%s" (String.length payload) payload);
+        (match Worker.recv fd with
+         | Ok (Some j) ->
+           (match P.message_of_json j with
+            | P.Error_msg _ -> ()
+            | m ->
+              Alcotest.failf "expected an error reply, got %s"
+                (J.to_string (P.message_to_json m)))
+         | Ok None -> Alcotest.fail "dropped without an error reply"
+         | Error e -> Alcotest.failf "garbled reply: %s" e);
+        check "connection closed" true
+          (match Worker.recv fd with Ok None -> true | _ -> false);
+        Unix.close fd;
+        check "daemon alive" true
+          (match Unix.waitpid [ Unix.WNOHANG ] pid with 0, _ -> true | _ -> false);
+        let ok = Serve.Client.connect socket in
+        Serve.Client.close ok);
+    Alcotest.test_case "fan-out above the bound: error reply, nothing queued" `Quick
+      (fun () ->
+        let spec = JS.of_config ~program:"fig3" C.default in
+        let wide f = with_config spec f in
+        check "the bound passes" true
+          (JS.validate
+             (wide (fun c -> { c with C.jobs = JS.max_fan_out; workers = JS.max_fan_out }))
+           = Ok ());
+        with_daemon @@ fun ~socket ~pid:_ ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        (* A long job holds the daemon's one runner slot: a wide job
+           accepted by mistake would wait in the queue, where it is
+           cancelled, instead of forking its workers. *)
+        let blocker =
+          submit fd
+            (JS.of_config ~program:"wsq-1s-correct"
+               { C.default with C.max_executions = Some 100_000_000 })
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Serve.Client.request fd (P.Cancel blocker);
+            ignore (Serve.Client.next fd))
+        @@ fun () ->
+        List.iter
+          (fun (what, spec) ->
+            Serve.Client.request fd (P.Submit { spec; priority = 0 });
+            match Serve.Client.next fd with
+            | P.Error_msg _ -> ()
+            | P.Submitted { job; _ } ->
+              Serve.Client.request fd (P.Cancel job);
+              ignore (Serve.Client.next fd);
+              Alcotest.failf "%s: accepted" what
+            | m -> Alcotest.failf "%s: %s" what (J.to_string (P.message_to_json m)))
+          [ ( "workers 100000, random:100000",
+              wide (fun c ->
+                  { c with C.mode = C.Random_walk 100_000; workers = 100_000 }) );
+            ("jobs 257", wide (fun c -> { c with C.jobs = JS.max_fan_out + 1 })) ];
+        Serve.Client.request fd P.Jobs;
+        match Serve.Client.next fd with
+        | P.Job_list [ i ] -> check_str "only the blocker" blocker i.P.ji_id
+        | m -> Alcotest.failf "expected one job, got %s" (J.to_string (P.message_to_json m)));
+    Alcotest.test_case "a runner cancelled as it starts still stops" `Quick (fun () ->
+        with_daemon @@ fun ~socket ~pid ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        (* A runner that missed its signal would search for hours. *)
+        Fun.protect ~finally:(fun () ->
+            List.iter
+              (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ())
+              (children_of pid))
+        @@ fun () ->
+        let state job =
+          Serve.Client.request fd (P.Status job);
+          match Serve.Client.next fd with
+          | P.Job_status i -> i.P.ji_state
+          | m -> Alcotest.failf "status: %s" (J.to_string (P.message_to_json m))
+        in
+        for seed = 1 to 10 do
+          let job =
+            submit fd
+              (JS.of_config ~program:"wsq-1s-correct"
+                 { C.default with C.seed = Int64.of_int seed; max_executions = Some 100_000_000 })
+          in
+          Serve.Client.request fd (P.Cancel job);
+          ignore (Serve.Client.next fd);
+          let rec settle n =
+            match state job with
+            | P.Done | P.Failed -> ()
+            | P.Queued | P.Running when n > 0 ->
+              Unix.sleepf 0.01;
+              settle (n - 1)
+            | P.Queued | P.Running -> Alcotest.failf "seed %d: the runner did not stop" seed
+          in
+          settle 500
+        done);
+    Alcotest.test_case "a spooled job above the fan-out bound is not restored" `Quick
+      (fun () ->
+        let dir = fresh_dir () in
+        let spool = Filename.concat dir "spool" in
+        Unix.mkdir spool 0o700;
+        (* Round-robin is one execution: restored by mistake, it would
+           still start at most one worker. *)
+        let spec =
+          JS.of_config ~program:"fig3"
+            { C.default with C.mode = C.Round_robin; workers = JS.max_fan_out + 1 }
+        in
+        J.to_file (Filename.concat spool "jwide.job")
+          (J.Obj
+             [ ("schema", J.Str "fairmc-spool/1");
+               ("spec", JS.to_json spec);
+               ("priority", J.Int 0) ]);
+        with_daemon ~dir @@ fun ~socket ~pid:_ ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        Serve.Client.request fd P.Jobs;
+        match Serve.Client.next fd with
+        | P.Job_list [] -> ()
+        | m -> Alcotest.failf "expected no jobs, got %s" (J.to_string (P.message_to_json m))) ]
+
+(* ------------------------------------------------------------------ *)
+(* Byte fuzz of the fairmc-job/1 and fairmc-jobs/1 decoders            *)
+
+let decoder_fuzz_props =
+  let rng = R.make 0xF022L in
+  let docs =
+    List.init 4 (fun _ -> JS.to_json (gen_spec rng))
+    @ List.init 7 (fun _ -> P.request_to_json (gen_request rng))
+    @ List.init 10 (fun _ -> P.message_to_json (gen_message rng))
+    @ List.init 2 (fun _ -> P.runner_to_json (gen_runner rng))
+  in
+  let decoders =
+    [ (fun j -> ignore (JS.of_json j));
+      (fun j -> ignore (P.request_of_json j));
+      (fun j -> ignore (P.message_of_json j));
+      (fun j -> ignore (P.runner_of_json j)) ]
+  in
+  let decode j =
+    List.iter (fun f -> try f j with CK.Codec.Parse _ -> ()) decoders
+  in
+  let decode_text s = match J.of_string s with Ok j -> decode j | Error _ -> () in
+  [ QCheck.Test.make ~count:500 ~name:"decoders: random and mutated text fails cleanly"
+      (QCheck.make ~print:String.escaped (Test_obs.text_gen docs))
+      (Test_obs.decodes_cleanly decode_text);
+    QCheck.Test.make ~count:500 ~name:"decoders: mutated documents fail cleanly"
+      (QCheck.make ~print:J.to_string (Test_obs.mutated_gen docs))
+      (Test_obs.decodes_cleanly decode) ]
+
 let suite =
   identity_tests @ robustness_tests @ dedup_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
   @ fair_k_tests @ backlog_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false)
+      (identity_qprops @ same_report_props)
+  @ bound_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) decoder_fuzz_props

@@ -306,6 +306,14 @@ let failure_sig (r : Report.t) =
   | Report.Divergence _ -> "divergence"
   | v -> Report.verdict_key v
 
+(* S.compile over the AST oracle: the same invisible set and conflict
+   facts, fed to the other backend. *)
+let static_oracle ast =
+  let r = S.Visibility.analyze ast in
+  Program.with_facts
+    (Machine.compile ~invisible:(fun n -> List.mem n r.S.Visibility.invisible) ast)
+    r.S.Visibility.facts
+
 let diff_cfg =
   { Search_config.default with
     livelock_bound = Some 200;
@@ -320,9 +328,7 @@ let differential_tests =
         for i = 1 to 12 do
           let ast = Test_dsl.gen_program rng in
           List.iter
-            (fun backend ->
-              let off = D.compile ~backend ast in
-              let on = S.compile ~backend ast in
+            (fun (backend, off, on) ->
               List.iter
                 (fun jobs ->
                   let cfg = { diff_cfg with Search_config.jobs } in
@@ -337,9 +343,7 @@ let differential_tests =
                     && rn.Report.verdict <> Report.Limits_reached
                   then begin
                     check_str
-                      (Printf.sprintf "sample %d (%s, jobs=%d)" i
-                         (match backend with `Vm -> "vm" | `Ast -> "ast")
-                         jobs)
+                      (Printf.sprintf "sample %d (%s, jobs=%d)" i backend jobs)
                       (failure_sig ro) (failure_sig rn);
                     check
                       (Printf.sprintf "sample %d: ON explores no more than OFF" i)
@@ -348,7 +352,8 @@ let differential_tests =
                        <= ro.Report.stats.Report.executions)
                   end)
                 [ 1; 4 ])
-            [ `Vm; `Ast ]
+            [ ("vm", D.compile ast, S.compile ast);
+              ("ast", Machine.compile ast, static_oracle ast) ]
         done);
     Alcotest.test_case "checkpoint/resume with merging enabled" `Quick (fun () ->
         match fixture_dir "programs" with

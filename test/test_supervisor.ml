@@ -498,26 +498,6 @@ let protocol_tests =
    [Error]; a frame that is not a request or a response raises only the
    codec's [Parse]. Nothing else may escape. *)
 
-(* Replace the [at]-th node of [j] (pre-order) by [by]. *)
-let replace_node j ~at ~by =
-  let n = ref at in
-  let rec go j =
-    let here = !n = 0 in
-    decr n;
-    if here then by
-    else
-      match j with
-      | J.Arr l -> J.Arr (List.map go l)
-      | J.Obj kv -> J.Obj (List.map (fun (k, v) -> (k, go v)) kv)
-      | j -> j
-  in
-  go j
-
-let rec json_nodes = function
-  | J.Arr l -> List.fold_left (fun acc v -> acc + json_nodes v) 1 l
-  | J.Obj kv -> List.fold_left (fun acc (_, v) -> acc + json_nodes v) 1 kv
-  | _ -> 1
-
 (* Well-formed documents to mutate, so the fuzz reaches the nested report,
    stats, metrics and race decoders rather than failing on the first
    field. *)
@@ -601,12 +581,7 @@ let fuzz_props =
   let json = Test_obs.json_gen in
   let event = Test_telemetry.event_gen in
   let ndjson es = String.concat "" (List.map (fun e -> Fairmc_obs.Events.line e ^ "\n") es) in
-  let mutated =
-    Gen.(
-      int_bound 3 >>= fun k ->
-      let doc = List.nth (Lazy.force valid_docs) k in
-      map2 (fun at by -> replace_node doc ~at ~by) (int_bound (json_nodes doc - 1)) json)
-  in
+  let mutated = Test_obs.mutated_gen (Lazy.force valid_docs) in
   let bytes =
     Gen.(
       oneof
