@@ -30,14 +30,19 @@ let bench_out = "BENCH_PR9.json"
 
 (* A partial run (selected experiments) must not wipe the records of the
    experiments it did not run: keep those from the existing file and
-   replace only the re-measured ones. *)
-let write_records () =
+   replace only the re-measured ones. [known] are the tags the current
+   experiments write; a record under any other tag is dropped, since
+   nothing can produce it any more. *)
+let write_records ~known =
   let fresh = List.rev !bench_records in
-  let ran =
-    List.filter_map
-      (function Json.Obj (("experiment", Json.Str e) :: _) -> Some e | _ -> None)
-      fresh
-  in
+  let tag = function Json.Obj (("experiment", Json.Str e) :: _) -> Some e | _ -> None in
+  List.iter
+    (fun r ->
+      match tag r with
+      | Some e when List.mem e known -> ()
+      | _ -> invalid_arg "write_records: a record under an undeclared tag")
+    fresh;
+  let ran = List.filter_map tag fresh in
   let kept =
     match (try Some (open_in bench_out) with Sys_error _ -> None) with
     | None -> []
@@ -50,9 +55,10 @@ let write_records () =
          (match List.assoc_opt "records" fields with
           | Some (Json.Arr records) ->
             List.filter
-              (function
-                | Json.Obj (("experiment", Json.Str e) :: _) -> not (List.mem e ran)
-                | _ -> false)
+              (fun r ->
+                match tag r with
+                | Some e -> List.mem e known && not (List.mem e ran)
+                | None -> false)
               records
           | _ -> [])
        | _ -> [])
@@ -788,21 +794,22 @@ let staticpor_bench () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Each experiment with the record tags it writes. *)
 let all_experiments =
-  [ ("table1", table1);
-    ("fig2", fig2);
-    ("table2", table2);
-    ("fig56", fig56);
-    ("table3", table3);
-    ("livelock", liveness_demos);
-    ("gs", liveness_demos);
-    ("boot", boot);
-    ("ablation", ablation);
-    ("analysis", analysis_overhead);
-    ("telemetry", telemetry_overhead);
-    ("fairsched", fair_sched_step);
-    ("staticpor", staticpor_bench);
-    ("bechamel", bechamel) ]
+  [ ("table1", [ "table1" ], table1);
+    ("fig2", [ "fig2" ], fig2);
+    ("table2", [ "table2" ], table2);
+    ("fig56", [], fig56);
+    ("table3", [ "table3" ], table3);
+    ("livelock", [ "livelock" ], liveness_demos);
+    ("gs", [ "livelock" ], liveness_demos);
+    ("boot", [ "boot" ], boot);
+    ("ablation", [ "ablation" ], ablation);
+    ("analysis", [ "analysis" ], analysis_overhead);
+    ("telemetry", [ "telemetry" ], telemetry_overhead);
+    ("fairsched", [ "fair_sched_step" ], fair_sched_step);
+    ("staticpor", [ "staticpor" ], staticpor_bench);
+    ("bechamel", [ "bechamel" ], bechamel) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -810,19 +817,19 @@ let () =
     match args with
     | [] | [ "all" ] ->
       (* 'gs' aliases 'livelock'; do not print it twice in a full run. *)
-      List.filter (fun (n, _) -> n <> "gs") all_experiments
+      List.filter_map (fun (n, _, f) -> if n <> "gs" then Some (n, f) else None) all_experiments
     | names ->
       List.map
         (fun n ->
-          match List.assoc_opt n all_experiments with
-          | Some f -> (n, f)
+          match List.find_opt (fun (n', _, _) -> n' = n) all_experiments with
+          | Some (_, _, f) -> (n, f)
           | None ->
             Printf.eprintf "unknown experiment %s; known: %s\n" n
-              (String.concat ", " (List.map fst all_experiments));
+              (String.concat ", " (List.map (fun (n, _, _) -> n) all_experiments));
             exit 2)
         names
   in
   Printf.printf "fair stateless model checking — benchmark harness (%s budget)\n%!"
     (if full_budget then "full" else "quick");
   List.iter (fun (_, f) -> f ()) selected;
-  write_records ()
+  write_records ~known:(List.concat_map (fun (_, tags, _) -> tags) all_experiments)

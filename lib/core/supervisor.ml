@@ -702,14 +702,6 @@ let supervise (cfg : C.t) plan ~workers ~deadline ~tally ~results ~note ~tick =
     end;
     if not !stopped then respawn slot
   in
-  (* A worker running a now-useless item (above the winning error index) is
-     killed and replaced. No retry — the item will never decide the
-     verdict. *)
-  let cancel_slot slot =
-    ignore (kill_slot slot);
-    decr inflight;
-    if not !stopped then respawn slot
-  in
   let dispatch slot index attempt =
     slot.s_item <- index;
     slot.s_attempt <- attempt;
@@ -746,6 +738,14 @@ let supervise (cfg : C.t) plan ~workers ~deadline ~tally ~results ~note ~tick =
   let work_remaining () =
     List.exists (fun (_, i, _) -> live i) !retries
     || Queue.fold (fun acc i -> acc || live i) false pending
+  in
+  (* A worker running a now-useless item (above the winning error index) is
+     killed, and replaced while live items remain. No retry — the item will
+     never decide the verdict. *)
+  let cancel_slot slot =
+    ignore (kill_slot slot);
+    decr inflight;
+    if (not !stopped) && work_remaining () then respawn slot
   in
   let handle_result slot (resp : Worker.response) =
     let index = resp.Worker.r_index in

@@ -9,6 +9,7 @@ module Parser = Parser
 module Sema = Sema
 module Stmt_op = Stmt_op
 module Compile = Compile
+module Fuse = Fuse
 module Vm = Vm
 
 let compile = Vm.compile

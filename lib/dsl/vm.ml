@@ -3,10 +3,13 @@
    Stateless model checking's hot path is re-execution — every path runs
    the program forward from a restored or initial state — so per-step
    interpreter cost multiplies through the whole search. This VM executes
-   the flat bytecode produced by [Compile]: a threaded [while]/[match] dispatch
+   the flat bytecode produced by [Compile], with short sequences fused into
+   superinstructions at load time ([Fuse]): one [while]/[match] dispatch
    over an [int array], an [int array] operand stack, and flat per-thread
    frames (a single pc + an [int array] of local slots). No strings, no
-   hash tables, no allocation on the per-instruction path.
+   hash tables, no allocation on the per-instruction path. Fused code keeps
+   the canonical pcs of every jump target and parking point, so captures
+   and state signatures are those of the canonical code.
 
    The observable contract with the AST-walking oracle (test/oracle) — same
    [Op.t] stream per schedule, same fuel accounting, same runtime-error
@@ -34,15 +37,33 @@ let silent_fuel = 100_000
 
 let rt_err pos fmt = Format.kasprintf (fun m -> raise (Vm_error (m, pos))) fmt
 
+(* Expression faults without a source position of their own. *)
+let no_pos = { Ast.line = 0; col = 0 }
+
+let out_of_fuel pos_tbl fpos tname =
+  rt_err pos_tbl.(fpos) "thread %s ran %d silent steps without a scheduling point" tname
+    silent_fuel
+
+let uninitialized pos_tbl name_tbl ~name ~pos =
+  rt_err pos_tbl.(pos) "local %s read before initialization" name_tbl.(name)
+
+(* [code] is the thread's fused code ({!Fuse}). *)
 let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
-    (tc : C.thread_code) (ts : tstate) () =
-  let code = tc.C.t_code in
+    (tc : C.thread_code) (code : int array) (ts : tstate) () =
   let stack = Array.make (max tc.C.t_stack 1) 0 in
   let locals = ts.locals and inited = ts.inited in
   let pos_tbl = c.C.c_pos and name_tbl = c.C.c_names and msg_tbl = c.C.c_msgs in
   (* Instruction operands and stack offsets are compiler-validated, so the
      dispatch loop uses unchecked accesses. *)
   let arg i = Array.unsafe_get code i in
+  (* The init-checked read of the local whose slot, name and position are
+     the operands at [q]. *)
+  let[@inline] local q =
+    let slot = arg q in
+    if not (Array.unsafe_get inited slot) then
+      uninitialized pos_tbl name_tbl ~name:(arg (q + 1)) ~pos:(arg (q + 2));
+    Array.unsafe_get locals slot
+  in
   let pc = ref start in
   let sp = ref 0 in
   let fuel = ref silent_fuel in
@@ -69,11 +90,7 @@ let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
         Array.unsafe_set slots (arg (p + 1)) (Array.unsafe_get stack !sp);
         pc := p + 2
       | 4 (* LOAD_L slot name pos *) ->
-        let slot = arg (p + 1) in
-        if not (Array.unsafe_get inited slot) then
-          rt_err pos_tbl.(arg (p + 3)) "local %s read before initialization"
-            name_tbl.(arg (p + 2));
-        Array.unsafe_set stack !sp (Array.unsafe_get locals slot);
+        Array.unsafe_set stack !sp (local (p + 1));
         incr sp;
         pc := p + 4
       | 5 (* STORE_L slot *) ->
@@ -121,14 +138,14 @@ let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
       | 11 (* DIV *) ->
         let s = !sp - 2 in
         let vb = Array.unsafe_get stack (s + 1) in
-        if vb = 0 then rt_err { Ast.line = 0; col = 0 } "division by zero";
+        if vb = 0 then rt_err no_pos "division by zero";
         Array.unsafe_set stack s (Array.unsafe_get stack s / vb);
         sp := s + 1;
         pc := p + 1
       | 12 (* MOD *) ->
         let s = !sp - 2 in
         let vb = Array.unsafe_get stack (s + 1) in
-        if vb = 0 then rt_err { Ast.line = 0; col = 0 } "modulo by zero";
+        if vb = 0 then rt_err no_pos "modulo by zero";
         Array.unsafe_set stack s (Array.unsafe_get stack s mod vb);
         sp := s + 1;
         pc := p + 1
@@ -194,10 +211,7 @@ let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
         pc := p + 1
       | 26 (* FUEL pos *) ->
         decr fuel;
-        if !fuel <= 0 then
-          rt_err pos_tbl.(arg (p + 1))
-            "thread %s ran %d silent steps without a scheduling point" tc.C.t_name
-            silent_fuel;
+        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
         pc := p + 2
       | 27 (* AFUEL pos *) ->
         decr afuel;
@@ -213,6 +227,92 @@ let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
         if Array.unsafe_get stack !sp = 0 then
           rt_err pos_tbl.(arg (p + 2)) "%s" msg_tbl.(arg (p + 1));
         pc := p + 3
+      (* Superinstructions ({!Fuse}); [pc] moves past the cells of the
+         canonical sequence. *)
+      | 30 (* FUEL_LOAD_L fpos slot name pos *) ->
+        decr fuel;
+        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
+        Array.unsafe_set stack !sp (local (p + 2));
+        incr sp;
+        pc := p + 6
+      | 31 (* FUEL_PUSH fpos c *) ->
+        decr fuel;
+        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
+        Array.unsafe_set stack !sp (arg (p + 2));
+        incr sp;
+        pc := p + 4
+      | 32 (* ADD_C c *) ->
+        let s = !sp - 1 in
+        Array.unsafe_set stack s (Array.unsafe_get stack s + arg (p + 1));
+        pc := p + 3
+      | 33 (* MUL_C c *) ->
+        let s = !sp - 1 in
+        Array.unsafe_set stack s (Array.unsafe_get stack s * arg (p + 1));
+        pc := p + 3
+      | 34 (* DIV_C c, c <> 0 *) ->
+        let s = !sp - 1 in
+        Array.unsafe_set stack s (Array.unsafe_get stack s / arg (p + 1));
+        pc := p + 3
+      | 35 (* MOD_C c, c <> 0 *) ->
+        let s = !sp - 1 in
+        Array.unsafe_set stack s (Array.unsafe_get stack s mod arg (p + 1));
+        pc := p + 3
+      | 36 (* ADD_L slot name pos *) ->
+        let s = !sp - 1 in
+        Array.unsafe_set stack s (Array.unsafe_get stack s + local (p + 1));
+        pc := p + 5
+      | 37 (* SUB_L slot name pos *) ->
+        let s = !sp - 1 in
+        Array.unsafe_set stack s (Array.unsafe_get stack s - local (p + 1));
+        pc := p + 5
+      | 38 (* MUL_L slot name pos *) ->
+        let s = !sp - 1 in
+        Array.unsafe_set stack s (Array.unsafe_get stack s * local (p + 1));
+        pc := p + 5
+      | 39 (* DIV_L slot name pos *) ->
+        let s = !sp - 1 in
+        let vb = local (p + 1) in
+        if vb = 0 then rt_err no_pos "division by zero";
+        Array.unsafe_set stack s (Array.unsafe_get stack s / vb);
+        pc := p + 5
+      | 40 (* MOD_L slot name pos *) ->
+        let s = !sp - 1 in
+        let vb = local (p + 1) in
+        if vb = 0 then rt_err no_pos "modulo by zero";
+        Array.unsafe_set stack s (Array.unsafe_get stack s mod vb);
+        pc := p + 5
+      | 41 (* SET_L_LC fpos dst src name pos c *) ->
+        decr fuel;
+        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
+        let v = local (p + 3) + arg (p + 6) in
+        let dst = arg (p + 2) in
+        Array.unsafe_set locals dst v;
+        Array.unsafe_set inited dst true;
+        pc := p + 11
+      | 42 (* IF_EQ_LC fpos slot name pos c t *) ->
+        decr fuel;
+        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
+        pc := if local (p + 2) = arg (p + 5) then p + 11 else arg (p + 6)
+      | 43 (* IF_NE_LC fpos slot name pos c t *) ->
+        decr fuel;
+        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
+        pc := if local (p + 2) <> arg (p + 5) then p + 11 else arg (p + 6)
+      | 44 (* IF_LT_LC fpos slot name pos c t *) ->
+        decr fuel;
+        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
+        pc := if local (p + 2) < arg (p + 5) then p + 11 else arg (p + 6)
+      | 45 (* IF_LE_LC fpos slot name pos c t *) ->
+        decr fuel;
+        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
+        pc := if local (p + 2) <= arg (p + 5) then p + 11 else arg (p + 6)
+      | 46 (* IF_GT_LC fpos slot name pos c t *) ->
+        decr fuel;
+        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
+        pc := if local (p + 2) > arg (p + 5) then p + 11 else arg (p + 6)
+      | 47 (* IF_GE_LC fpos slot name pos c t *) ->
+        decr fuel;
+        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
+        pc := if local (p + 2) >= arg (p + 5) then p + 11 else arg (p + 6)
       | _ -> assert false
     done
   with Vm_error (msg, pos) ->
@@ -221,7 +321,7 @@ let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
 (* Boot: register scheduling objects in declaration order — the same order
    (and constructors) as the oracle's [build_objects], so [Op.obj] identities,
    and hence transition streams, are identical across backends. *)
-let boot (c : C.t) () =
+let boot (c : C.t) (codes : int array array) () =
   let slots = Array.copy c.C.c_init in
   let vars = ref [] and mutexes = ref [] and sems = ref [] and events = ref [] in
   Array.iter
@@ -279,11 +379,11 @@ let boot (c : C.t) () =
   in
   let threads =
     Array.to_list
-      (Array.mapi (fun i tc -> run_thread c ops slots tc tstates.(i)) c.C.c_threads)
+      (Array.mapi (fun i tc -> run_thread c ops slots tc codes.(i) tstates.(i)) c.C.c_threads)
   in
   let resume tid =
     let ts = tstates.(tid) in
-    run_thread ~start:ts.cur_pc c ops slots c.C.c_threads.(tid) ts
+    run_thread ~start:ts.cur_pc c ops slots c.C.c_threads.(tid) codes.(tid) ts
   in
   let capture () =
     let g = Array.copy slots in
@@ -306,8 +406,12 @@ let boot (c : C.t) () =
   in
   ((slots, tstates), { Program.threads; snapshot = Some snapshot; capture = Some capture })
 
+(* Fusion runs once per program, not per boot. *)
+let fused (c : C.t) = Array.map (fun tc -> Fuse.code tc.C.t_code) c.C.c_threads
+
 let program_of (c : C.t) =
-  Program.make ~name:c.C.c_name (fun () -> snd (boot c ()))
+  let codes = fused c in
+  Program.make ~name:c.C.c_name (fun () -> snd (boot c codes ()))
 
 let compile ?invisible (prog : Ast.program) = program_of (Compile.compile ?invisible prog)
 
@@ -316,10 +420,11 @@ let compile ?invisible (prog : Ast.program) = program_of (Compile.compile ?invis
    ("thread.name") — for differential final-state comparison in tests. *)
 let compile_inspect ?invisible (prog : Ast.program) =
   let c = Compile.compile ?invisible prog in
+  let codes = fused c in
   let last = ref None in
   let p =
     Program.make ~name:c.C.c_name (fun () ->
-        let st, booted = boot c () in
+        let st, booted = boot c codes () in
         last := Some st;
         booted)
   in
@@ -353,7 +458,8 @@ let compile_inspect ?invisible (prog : Ast.program) =
   (p, dump)
 
 (* The dispatch match above uses literal opcodes; pin them to the
-   compiler's constants so a renumbering cannot silently skew dispatch. *)
+   compiler's and the fusion pass's constants so a renumbering cannot
+   silently skew dispatch. *)
 let () =
   assert (
     C.op_halt = 0 && C.op_push = 1 && C.op_load_g = 2 && C.op_store_g = 3
@@ -362,4 +468,10 @@ let () =
     && C.op_eq = 13 && C.op_ne = 14 && C.op_lt = 15 && C.op_le = 16 && C.op_gt = 17
     && C.op_ge = 18 && C.op_not = 19 && C.op_neg = 20 && C.op_jmp = 21 && C.op_jz = 22
     && C.op_jnz = 23 && C.op_sched = 24 && C.op_prim = 25 && C.op_fuel = 26
-    && C.op_afuel = 27 && C.op_atomic_enter = 28 && C.op_assert = 29)
+    && C.op_afuel = 27 && C.op_atomic_enter = 28 && C.op_assert = 29
+    && Fuse.op_fuel_load_l = 30 && Fuse.op_fuel_push = 31 && Fuse.op_add_c = 32
+    && Fuse.op_mul_c = 33 && Fuse.op_div_c = 34 && Fuse.op_mod_c = 35 && Fuse.op_add_l = 36
+    && Fuse.op_sub_l = 37 && Fuse.op_mul_l = 38 && Fuse.op_div_l = 39 && Fuse.op_mod_l = 40
+    && Fuse.op_set_l_lc = 41 && Fuse.op_if_eq_lc = 42 && Fuse.op_if_ne_lc = 43
+    && Fuse.op_if_lt_lc = 44 && Fuse.op_if_le_lc = 45 && Fuse.op_if_gt_lc = 46
+    && Fuse.op_if_ge_lc = 47)

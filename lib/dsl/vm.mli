@@ -1,6 +1,7 @@
 (** Bytecode VM for ChessLang: its execution backend.
 
-    Executes {!Compile} bytecode with an int-array operand stack and flat
+    Executes {!Compile} bytecode, fused into superinstructions by {!Fuse}
+    when a program is loaded, with an int-array operand stack and flat
     frames (one pc + an int-array of local slots per thread). Preserves
     every observable of the AST-walking interpreter it replaced, which
     lives on in test/oracle as the differential oracle — identical [Op.t]
@@ -16,7 +17,8 @@
     instead of replaying prefixes.
 
     State snapshots hash the flat representation directly (FNV over the
-    global slot array, then each thread's pc and local slots), which is
+    global slot array, then each thread's pc and local slots; a parked
+    thread's pc is the canonical one, as fusion keeps it), which is
     both faster than walking AST machine state and induces the same
     state partition: a bytecode pc determines the whole continuation, as
     control flow is structured. *)

@@ -384,9 +384,19 @@ let finish_done t job (d : P.runner_msg) =
     job.j_watchers <- []
   | _ -> assert false
 
+let finish_cancelled t job =
+  job.j_state <- P.Failed;
+  job.j_failure <- Some "cancelled";
+  logf t "job %s: cancelled" job.j_id;
+  List.iter (fun (c, _) -> send t c (P.Cancelled { job = job.j_id })) job.j_watchers;
+  job.j_watchers <- []
+
+(* A runner that ends without a result ends a cancelled job: retrying it
+   would run the search the client called off. *)
 let runner_attempt_failed t job reason =
   job.j_attempts <- job.j_attempts + 1;
-  if job.j_attempts >= t.cfg.max_attempts then finish_failed t job reason
+  if job.j_cancelled then finish_cancelled t job
+  else if job.j_attempts >= t.cfg.max_attempts then finish_failed t job reason
   else begin
     logf t "job %s: attempt %d failed (%s); requeueing" job.j_id job.j_attempts reason;
     requeue t job
@@ -416,13 +426,7 @@ let handle_runner_msg t r = function
     (* The runner checkpointed and stopped early: a cancel, or someone
        signalled it directly. Either way the .ckpt carries the progress. *)
     r.r_finished <- true;
-    if r.r_job.j_cancelled then begin
-      r.r_job.j_state <- P.Failed;
-      r.r_job.j_failure <- Some "cancelled";
-      List.iter (fun (c, _) -> send t c (P.Cancelled { job = r.r_job.j_id }))
-        r.r_job.j_watchers;
-      r.r_job.j_watchers <- []
-    end
+    if r.r_job.j_cancelled then finish_cancelled t r.r_job
     else begin
       logf t "job %s: runner interrupted; requeueing from checkpoint" r.r_job.j_id;
       requeue t r.r_job
@@ -532,10 +536,7 @@ let cancel t c id =
     (match job.j_state with
      | P.Queued ->
        t.queue <- List.filter (fun j -> j != job) t.queue;
-       job.j_state <- P.Failed;
-       job.j_failure <- Some "cancelled";
-       List.iter (fun (w, _) -> send t w (P.Cancelled { job = id })) job.j_watchers;
-       job.j_watchers <- [];
+       finish_cancelled t job;
        send t c (P.Cancelled { job = id })
      | P.Running ->
        job.j_cancelled <- true;

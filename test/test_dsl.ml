@@ -340,17 +340,33 @@ let gen_program rng : A.program =
                gen_stmts (depth - 1) ~in_atomic (1 + R.int rng 2),
                if R.bool rng then [] else gen_stmts (depth - 1) ~in_atomic 1 )) ]
     | 5 when depth > 0 && not in_atomic ->
-      (* Bounded counter loop: terminates on its own. *)
+      (* Bounded counter loop, up from 0 or down from k under one of the
+         six comparisons: terminates on its own unless the body reassigns
+         the counter. Its reads and writes carry real positions, as every
+         other generated read does. *)
       let l = local () in
       let k = 1 + R.int rng 3 in
-      [ stmt (A.Local (l, A.Int 0));
+      let name () = A.Name (ppos (), l) in
+      let up = R.bool rng in
+      let test =
+        if up then
+          match R.int rng 4 with
+          | 0 -> A.Binop (A.Lt, name (), A.Int k)
+          | 1 -> A.Binop (A.Le, name (), A.Int (k - 1))
+          | 2 -> A.Binop (A.Ne, name (), A.Int k)
+          | _ -> A.Binop (A.Eq, name (), A.Int 0)
+        else if R.bool rng then A.Binop (A.Gt, name (), A.Int 0)
+        else A.Binop (A.Ge, name (), A.Int 1)
+      in
+      [ stmt (A.Local (l, A.Int (if up then 0 else k)));
         stmt
           (A.While
-             ( A.Binop (A.Lt, A.Name (p0, l), A.Int k),
+             ( test,
                gen_stmts (depth - 1) ~in_atomic 1
                @ [ stmt
                      (A.Assign
-                        (A.Lname (p0, l), A.Binop (A.Add, A.Name (p0, l), A.Int 1))) ] ))
+                        ( A.Lname (ppos (), l),
+                          A.Binop ((if up then A.Add else A.Sub), name (), A.Int 1) )) ] ))
       ]
     | 6 when not in_atomic ->
       (* Spin on a global with a good-samaritan yield: may livelock, which
@@ -903,9 +919,302 @@ let same_tree_tests =
                 max_executions = Some 3_000;
                 livelock_bound = Some 2_000 } ) ]) ]
 
+(* Superinstructions: the VM executes fused code ({!D.Fuse}); the oracle
+   and every analysis see canonical bytecode. *)
+
+(* (pc, opcode) of every instruction start, walked by [width]. *)
+let instructions width (code : int array) =
+  let rec go pc acc =
+    if pc >= Array.length code then List.rev acc
+    else go (pc + width code.(pc)) ((pc, code.(pc)) :: acc)
+  in
+  go 0 []
+
+(* Instructions dispatched from [lo] to [hi] inclusive on straight-line
+   code. *)
+let dispatches width code lo hi =
+  List.length (List.filter (fun (pc, _) -> pc >= lo && pc <= hi) (instructions width code))
+
+(* The first backward jump of a thread's code, an innermost loop's back
+   edge, as (loop head, jump pc). *)
+let inner_loop (code : int array) =
+  let pc, _ =
+    List.find
+      (fun (pc, op) -> op = D.Compile.op_jmp && code.(pc + 1) < pc)
+      (instructions D.Compile.width code)
+  in
+  (code.(pc + 1), pc)
+
+let fused_ops code =
+  List.filter_map
+    (fun (_, op) -> if op > D.Compile.op_assert then Some op else None)
+    (instructions D.Fuse.width code)
+
+let all_fused =
+  D.Fuse.
+    [ op_fuel_load_l; op_fuel_push; op_add_c; op_mul_c; op_div_c; op_mod_c; op_add_l;
+      op_sub_l; op_mul_l; op_div_l; op_mod_l; op_set_l_lc; op_if_eq_lc; op_if_ne_lc;
+      op_if_lt_lc; op_if_le_lc; op_if_gt_lc; op_if_ge_lc ]
+
+let fused_threads src =
+  Array.map
+    (fun (tc : D.Compile.thread_code) -> (tc.D.Compile.t_code, D.Fuse.code tc.D.Compile.t_code))
+    (D.Compile.compile (parse src)).D.Compile.c_threads
+
+(* The VM against the oracle on [src] under a few random schedules: same
+   op streams, failures (message and position), termination and final
+   stores. Returns the VM's failure message, if any. *)
+let agree_with_oracle ~what src =
+  let ast = parse src in
+  let pa, dump_a = Machine.compile_inspect ast in
+  let pv, dump_v = D.Vm.compile_inspect ast in
+  let failures =
+    List.map
+      (fun k ->
+        let schedule = `Random (R.make (Int64.of_int k)) in
+        let ra, decisions = drive pa ~schedule ~max_steps:500 in
+        let rv, _ = drive pv ~schedule:(`Fixed decisions) ~max_steps:500 in
+        check (what ^ ": op streams") true (ra.d_events = rv.d_events);
+        Alcotest.(check string) (what ^ ": failure") (pp_failure ra.d_failure)
+          (pp_failure rv.d_failure);
+        check (what ^ ": termination") true (ra.d_finished = rv.d_finished);
+        check (what ^ ": final stores") true (dump_a () = dump_v ());
+        rv.d_failure)
+      [ 1; 2; 3 ]
+  in
+  match List.hd failures with
+  | Some (_, Engine.Assertion m) -> Some m
+  | Some (_, f) -> Some (Format.asprintf "%a" Engine.pp_failure f)
+  | None -> None
+
+let contains = Test_checker.contains
+
+(* Every fused form, in loops, straight-line code and a visible thread. *)
+let src_forms =
+  "var g = 0;\n\
+   thread a {\n\
+  \  local i = 0; local s = 0; local k = 7;\n\
+  \  while (i < 3) { i = i + 1; }\n\
+  \  while (i > 0) { i = i - 1; }\n\
+  \  while (i <= 2) { i = i + 2; }\n\
+  \  while (i >= 1) { i = i - 3; }\n\
+  \  while (i != 5) { i = i + 1; }\n\
+  \  if (i == 5) { s = k + 1; }\n\
+  \  s = s * 3 + k;\n\
+  \  s = s / 2 % 7 * 5 + 1;\n\
+  \  s = 100 - s;\n\
+  \  s = s + k - k * k / k % k;\n\
+  \  g = s - k;\n\
+   }\n\
+   thread b { local j = 2; g = g * j - 4 / j; }"
+
+let fusion_tests =
+  [ Alcotest.test_case "compute-heavy inner loop: 8 dispatches per iteration, not 20" `Quick
+      (fun () ->
+        Array.iter
+          (fun (canon, fused) ->
+            let head, back = inner_loop canon in
+            check_int "canonical" 20 (dispatches D.Compile.width canon head back);
+            let n = dispatches D.Fuse.width fused head back in
+            if n > 8 then Alcotest.failf "%d fused dispatches per iteration" n;
+            check_int "same length" (Array.length canon) (Array.length fused))
+          (fused_threads src_compute));
+    Alcotest.test_case "every fused form agrees with the oracle" `Quick (fun () ->
+        let present =
+          List.concat_map (fun (_, f) -> fused_ops f) (Array.to_list (fused_threads src_forms))
+        in
+        List.iter
+          (fun op -> check (Printf.sprintf "opcode %d is reached" op) true (List.mem op present))
+          all_fused;
+        check "no failure" true (agree_with_oracle ~what:"forms" src_forms = None));
+    Alcotest.test_case "uninitialised reads inside fused forms fail as in the oracle" `Quick
+      (fun () ->
+        List.iter
+          (fun (what, body) ->
+            let src =
+              "thread t {\n  local a = 0; local c = 0;\n  while (a == 1) { local b = 0; }\n  "
+              ^ body ^ "\n}"
+            in
+            match agree_with_oracle ~what src with
+            | Some m when contains m "local b read before initialization" -> ()
+            | m -> Alcotest.failf "%s: %s" what (Option.value m ~default:"no failure"))
+          [ ("if_lc", "while (b < 3) { c = c + 1; }");
+            ("set_l_lc", "c = b + 1;");
+            ("fuel_load_l", "c = b * 2;");
+            ("add_l", "c = c + b;");
+            ("div_l", "c = 10 / b;") ]);
+    Alcotest.test_case "fuel runs out inside a fused loop where the oracle says" `Quick
+      (fun () ->
+        (* 100,000 statement ticks: the loop test or one of the three body
+           statements (each a different fused form) takes the last one,
+           depending on how many statements run before the loop. *)
+        let last_tick = Hashtbl.create 4 in
+        List.iter
+          (fun pre ->
+            let src =
+              "thread t {\n  local i = 0; local c = 0;" ^ pre
+              ^ "\n  while (i < 1000000) {\n    i = i + 1;\n    c = 5;\n    c = i * 2;\n  }\n}"
+            in
+            match agree_with_oracle ~what:("fuel" ^ pre) src with
+            | Some m when contains m "ran 100000 silent steps" -> Hashtbl.replace last_tick m ()
+            | m -> Alcotest.failf "%S: %s" pre (Option.value m ~default:"no failure"))
+          [ ""; " c = 1;"; " c = 1; c = 2;"; " c = 1; c = 2; c = 3;" ];
+        check_int "four different statements ran out" 4 (Hashtbl.length last_tick));
+    Alcotest.test_case "DIV and MOD by a constant 0 stay canonical and fail as in the oracle"
+      `Quick (fun () ->
+        List.iter
+          (fun (expr, msg) ->
+            let src = "thread t { local k = 3; local r = k " ^ expr ^ "; }" in
+            Array.iter
+              (fun (canon, fused) ->
+                let divisor =
+                  List.filter (fun (_, op) -> op = D.Compile.op_div || op = D.Compile.op_mod)
+                    (instructions D.Compile.width canon)
+                in
+                check (expr ^ ": one divisor") true (List.length divisor = 1);
+                List.iter
+                  (fun (pc, op) ->
+                    check (expr ^ ": PUSH 0 left canonical") true
+                      (fused.(pc - 2) = D.Compile.op_push && fused.(pc) = op))
+                  divisor)
+              (fused_threads src);
+            match agree_with_oracle ~what:expr src with
+            | Some m when contains m msg -> ()
+            | m -> Alcotest.failf "%s: %s" expr (Option.value m ~default:"no failure"))
+          [ ("/ 0", "division by zero"); ("% 0", "modulo by zero") ]);
+    Alcotest.test_case "a jump into a fusible sequence keeps it canonical" `Quick (fun () ->
+        (* [la + (la && lb)] ends in PUSH 0; ADD, and the && jumps to the
+           ADD with lb's value: fused to ADD_C 0 it would skip it. *)
+        let src =
+          "var g = 0;\nthread t { local la = 1; local lb = 5;\n\
+          \  local r = la + (la && lb);\n  g = r * (0 || lb);\n  local q = r - (la && 0); }"
+        in
+        let inside = ref 0 in
+        Array.iter
+          (fun (canon, fused) ->
+            let starts = instructions D.Compile.width canon in
+            let targets =
+              List.filter_map
+                (fun (pc, op) ->
+                  if op = D.Compile.op_jmp || op = D.Compile.op_jz || op = D.Compile.op_jnz
+                  then Some canon.(pc + 1)
+                  else None)
+                starts
+            in
+            (* A PUSH right before an arithmetic jump target. *)
+            let rec scan = function
+              | (pc, op) :: ((pc', op') :: _ as rest) ->
+                if op = D.Compile.op_push && op' >= D.Compile.op_add && op' <= D.Compile.op_mod
+                   && List.mem pc' targets
+                then begin
+                  incr inside;
+                  check "left canonical" true (fused.(pc) = op && fused.(pc') = op')
+                end;
+                scan rest
+              | _ -> ()
+            in
+            scan starts)
+          (fused_threads src);
+        check_int "sequences with a jump inside" 3 !inside;
+        check "no failure" true (agree_with_oracle ~what:"jump-in" src = None)) ]
+
+(* Byte fuzz of the front end, through the loader `chess check` uses:
+   Parser.parse_string, then Fairmc_static.compile (visibility analysis,
+   merged compile, fusion). Only the documented parse and sema errors may
+   escape, and every program that compiles boots and runs one path. *)
+
+let fuzz_pieces =
+  [| "program"; "var"; "array"; "mutex"; "sem"; "event"; "autoevent"; "thread"; "local";
+     "if"; "else"; "while"; "yield"; "sleep"; "skip"; "assert"; "atomic"; "lock"; "unlock";
+     "trylock"; "timedlock"; "wait"; "timedwait"; "set"; "reset"; "p"; "v"; "semtry";
+     "choose"; "true"; "false"; "x"; "y"; "a"; "m"; "t"; "0"; "1"; "2"; "-1";
+     "4611686018427387903"; "99999999999999999999"; "("; ")"; "{"; "}"; "["; "]"; ";"; ",";
+     "=="; "!="; "<="; ">="; "<"; ">"; "="; "+"; "-"; "*"; "/"; "%"; "&&"; "||"; "!";
+     "\"s\""; "//c\n"; "/*"; "*/"; "\n" |]
+
+let fuzz_seeds =
+  [ src_forms; src_compute; src_buffer; src_peterson;
+    "sem s = 0; event done_ev; autoevent ae; mutex m; var got = 0; array q[3] = 1;\n\
+     thread producer { v(s); set(done_ev); local r = trylock(m); if (r) { unlock(m); } }\n\
+     thread consumer { p(s); wait(done_ev); got = semtry(s) + timedwait(ae); reset(done_ev); }\n\
+     thread watch { local c = choose(3); q[c] = timedlock(m); atomic { got = got + q[c]; } \
+     while (got != 1) { sleep; } assert(got <= 9, \"bound\"); }" ]
+
+(* Random bytes, token soup, or a seed program under 1-4 mutations. Most
+   mutations keep the text close to a program (a number or an operator
+   swapped, a statement copied or dropped), so many mutants still compile
+   and reach the VM; the rest cut, insert or overwrite bytes. *)
+let fuzz_source st =
+  let int n = Random.State.int st n in
+  let pick a = a.(int (Array.length a)) in
+  let piece () = pick fuzz_pieces in
+  let mutate s =
+    let n = String.length s in
+    let positions p = List.filter (fun i -> p s.[i]) (List.init n Fun.id) in
+    let at_one p k =
+      match positions p with [] -> s | ps -> k (List.nth ps (int (List.length ps)))
+    in
+    let splice i len by = String.sub s 0 i ^ by ^ String.sub s (i + len) (n - i - len) in
+    let is_digit c = c >= '0' && c <= '9' in
+    match int 6 with
+    | 0 ->
+      let numbers = [| "0"; "1"; "2"; "7"; "65521"; "4611686018427387903"; "9999999999999999999" |] in
+      at_one is_digit (fun i -> splice i 1 (pick numbers))
+    | 1 ->
+      let ops = [| "+"; "-"; "*"; "/"; "%"; "<"; ">" |] in
+      at_one (String.contains "+-*/%<>!") (fun i -> splice i 1 (pick ops))
+    | 2 | 3 ->
+      (* Copy or drop the text between two semicolons. *)
+      let semis = positions (( = ) ';') in
+      if List.length semis < 2 then s
+      else
+        let a = List.nth semis (int (List.length semis - 1)) in
+        let b = List.find (fun j -> j > a) semis in
+        let stmt = String.sub s (a + 1) (b - a) in
+        if int 2 = 0 then splice (a + 1) 0 stmt else splice (a + 1) (b - a) ""
+    | 4 ->
+      let i = int (n + 1) in
+      splice i 0 (" " ^ piece () ^ " ")
+    | _ ->
+      let i = int (n + 1) in
+      splice i (min (int 4) (n - i)) (String.make (int 2) (Char.chr (int 256)))
+  in
+  match int 5 with
+  | 0 -> String.init (int 256) (fun _ -> Char.chr (int 256))
+  | 1 -> String.concat " " (List.init (int 60) (fun _ -> piece ()))
+  | _ ->
+    let rec go k s = if k = 0 then s else go (k - 1) (mutate s) in
+    go (1 + int 4) (List.nth fuzz_seeds (int (List.length fuzz_seeds)))
+
+let fuzz_tests =
+  [ Alcotest.test_case "front end: random and mutated sources fail cleanly or run" `Quick
+      (fun () ->
+        let st = Random.State.make [| 0xC4E55 |] in
+        let cfg =
+          { Search_config.default with
+            max_executions = Some 1;
+            max_steps = 300;
+            livelock_bound = Some 300 }
+        in
+        let ran = ref 0 in
+        for _ = 1 to 5_000 do
+          let src = fuzz_source st in
+          match Fairmc_static.compile (D.Parser.parse_string src) with
+          | exception (D.Parser.Error _ | D.Lexer.Error _ | D.Sema.Error _) -> ()
+          | exception e ->
+            Alcotest.failf "escaped the front end: %s\nsource: %S" (Printexc.to_string e) src
+          | prog ->
+            (match Search.run cfg prog with
+             | _ -> incr ran
+             | exception e ->
+               Alcotest.failf "escaped the first path: %s\nsource: %S" (Printexc.to_string e)
+                 src)
+        done;
+        if !ran < 500 then Alcotest.failf "only %d of 5000 sources compiled" !ran) ]
+
 let suite =
   lexer_tests @ parser_tests @ sema_tests @ exec_tests @ differential_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) differential_qprops
   @ limit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) restore_qprops
-  @ storage_tests @ cli_agreement_tests @ same_tree_tests
+  @ storage_tests @ cli_agreement_tests @ same_tree_tests @ fusion_tests @ fuzz_tests

@@ -911,6 +911,65 @@ let decoder_fuzz_props =
       (QCheck.make ~print:J.to_string (Test_obs.mutated_gen docs))
       (Test_obs.decodes_cleanly decode) ]
 
+(* ------------------------------------------------------------------ *)
+(* A cancel outlives the runner it was sent to                         *)
+
+let cancel_tests =
+  [ Alcotest.test_case "a cancelled job whose runner dies before reporting stays cancelled"
+      `Quick (fun () ->
+        with_daemon @@ fun ~socket ~pid ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        let kill_all signal =
+          List.iter (fun p -> try Unix.kill p signal with Unix.Unix_error _ -> ())
+        in
+        Fun.protect ~finally:(fun () -> kill_all Sys.sigkill (children_of pid)) @@ fun () ->
+        let state job =
+          Serve.Client.request fd (P.Status job);
+          match Serve.Client.next fd with
+          | P.Job_status i -> i.P.ji_state
+          | m -> Alcotest.failf "status: %s" (J.to_string (P.message_to_json m))
+        in
+        let rec until what ok n =
+          if not (ok ()) then
+            if n = 0 then Alcotest.failf "timed out waiting for %s" what
+            else begin
+              Unix.sleepf 0.01;
+              until what ok (n - 1)
+            end
+        in
+        let job =
+          submit fd
+            (JS.of_config ~program:"wsq-1s-correct"
+               { C.default with C.max_executions = Some 100_000_000 })
+        in
+        until "the runner" (fun () -> state job = P.Running && children_of pid <> []) 500;
+        (* Stopped, the runner cannot answer the cancel's SIGTERM; killed,
+           it ends without a result. *)
+        let runners = children_of pid in
+        kill_all Sys.sigstop runners;
+        Serve.Client.with_daemon socket @@ fun watcher ->
+        Serve.Client.request watcher (P.Watch { job; events = false });
+        (match Serve.Client.next watcher with
+         | P.Watching _ -> ()
+         | m -> Alcotest.failf "watch: %s" (J.to_string (P.message_to_json m)));
+        Serve.Client.request fd (P.Cancel job);
+        (match Serve.Client.next fd with
+         | P.Cancelled _ -> ()
+         | m -> Alcotest.failf "cancel: %s" (J.to_string (P.message_to_json m)));
+        kill_all Sys.sigkill runners;
+        (match Unix.select [ watcher ] [] [] 10. with
+         | [], _, _ -> Alcotest.fail "the watcher was not told"
+         | _ ->
+           (match Serve.Client.next watcher with
+            | P.Cancelled { job = j } -> check_str "the watcher is told" job j
+            | m -> Alcotest.failf "watcher: %s" (J.to_string (P.message_to_json m))));
+        until "the runner to be reaped" (fun () -> children_of pid = []) 500;
+        (match state job with
+         | P.Failed -> ()
+         | _ -> Alcotest.fail "the job was requeued");
+        Unix.sleepf 0.2;
+        check "no runner restarted" true (children_of pid = [] && state job = P.Failed)) ]
+
 let suite =
   identity_tests @ robustness_tests @ dedup_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
@@ -919,3 +978,4 @@ let suite =
       (identity_qprops @ same_report_props)
   @ bound_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) decoder_fuzz_props
+  @ cancel_tests

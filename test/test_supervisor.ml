@@ -785,6 +785,44 @@ let span_gate_tests =
         check "replay slices render" true (List.mem "replay" slices);
         check "fresh slices render" true (List.mem "fresh" slices)) ]
 
+(* Once an error is found, the workers on items above it are killed; a
+   replacement that no live item is waiting for would be forked only to
+   be torn down. *)
+let cancel_tests =
+  [ Alcotest.test_case "a cancelled worker is not replaced when no live item is left" `Quick
+      (fun () ->
+        let supervised what prog =
+          let seq = Search.run Search_config.default prog in
+          let sup =
+            Supervisor.run { Search_config.default with workers = 2; metrics = true } prog
+          in
+          check (what ^ ": same verdict and counterexample") true (seq.verdict = sup.verdict);
+          let spawns = gauge sup "sup/spawns" in
+          if spawns > 2 then Alcotest.failf "%s: %d workers forked for two slots" what spawns;
+          check_int (what ^ ": no restarts") 0 (gauge sup "sup/restarts");
+          sup
+        in
+        (* The first path fails at once (thread a runs before y is set);
+           every other item is a long search, so the second worker is
+           always cancelled mid-item. *)
+        let early =
+          "var x = 0; var y = 0;\n\
+           thread a { x = 1; x = 2; x = 3; x = 4; assert(y == 1, \"a ran first\"); }\n\
+           thread b { y = 1; local i = 0; while (i < 40) { x = x + 1; i = i + 1; } }\n\
+           thread c { local j = 0; while (j < 40) { y = y + 0; j = j + 1; } }"
+        in
+        ignore (supervised "early error" (Fairmc_static.load_string early));
+        match
+          List.find_opt Sys.file_exists [ "../../../examples/programs"; "examples/programs" ]
+        with
+        | None -> ()
+        | Some dir ->
+          let sup =
+            supervised "stale_flag_livelock"
+              (Fairmc_static.load_file (Filename.concat dir "stale_flag_livelock.chess"))
+          in
+          check_str "livelock" "livelock" (Report.verdict_key sup.verdict)) ]
+
 (* Alcotest numbers the tests by position and the number is part of how a
    run names them: keep existing positions stable and append new tests. *)
 let suite =
@@ -792,4 +830,4 @@ let suite =
   @ dispatch_tests @ budget_tests @ save_hardening_tests @ retry_tests
   @ resource_tests @ protocol_tests @ limit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) fuzz_props
-  @ reassembly_tests @ span_gate_tests
+  @ reassembly_tests @ span_gate_tests @ cancel_tests
