@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 4) on our reproduction, plus the ablations called out
-   in DESIGN.md.
+   in DESIGN.md. Speed is measured by perfbench/, not here.
 
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- table2 fig2  -- run selected experiments
@@ -14,7 +14,6 @@ open Fairmc_core
 module W = Fairmc_workloads
 module SC = Fairmc_statecap
 module Json = Fairmc_util.Json
-module Metrics = Fairmc_obs.Metrics
 
 let full_budget = Sys.getenv_opt "FAIRMC_BENCH" = Some "full"
 
@@ -457,342 +456,6 @@ let ablation () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic-analysis overhead: the observer hook must be free when unset *)
-(* and cheap when set (PR 4 acceptance).                                *)
-
-let analysis_overhead () =
-  header "Dynamic analyses: observer overhead on a race-free search";
-  line "%-24s %12s %12s %9s" "configuration" "executions" "execs/sec" "vs off";
-  let prog () = W.Dining.program ~n:3 W.Dining.Ordered in
-  let cfg =
-    { Search_config.default with
-      livelock_bound = Some 2_000;
-      max_executions = Some (if full_budget then 50_000 else 5_000) }
-  in
-  let arms =
-    [ ("observer off", []);
-      ("hb races", [ Fairmc_analysis.Hb_race.analysis ]);
-      ("lockset", [ Fairmc_analysis.Lockset.analysis ]);
-      ("lock graph", [ Fairmc_analysis.Lock_graph.analysis ]);
-      ("all three",
-       [ Fairmc_analysis.Hb_race.analysis;
-         Fairmc_analysis.Lockset.analysis;
-         Fairmc_analysis.Lock_graph.analysis ]) ]
-  in
-  let base_rate = ref None in
-  List.iter
-    (fun (label, analyses) ->
-      (* Warm once so allocator state does not bias the first arm. *)
-      ignore (Search.run { cfg with max_executions = Some 200; analyses } (prog ()));
-      let r = Search.run { cfg with analyses } (prog ()) in
-      let rate = float_of_int r.stats.executions /. r.stats.elapsed in
-      let rel =
-        match !base_rate with
-        | None ->
-          base_rate := Some rate;
-          1.0
-        | Some b -> rate /. b
-      in
-      line "%-24s %12d %12.0f %8.2fx" label r.stats.executions rate rel;
-      record "analysis"
-        [ ("configuration", Json.Str label);
-          ("executions", Json.Int r.stats.executions);
-          ("elapsed_seconds", Json.Float r.stats.elapsed);
-          ("execs_per_second", Json.Float rate);
-          ("relative_rate", Json.Float rel);
-          ("verdict", Json.Str (Report.verdict_name r.verdict)) ])
-    arms
-
-(* Telemetry overhead: the event stream and span timers ride the hot path
-   of every execution, so turning them on must stay within a few percent of
-   the bare search (PR 7 acceptance: < 5% on the fig2 depth-15 workload).
-   Both arms run the identical bounded search; only the instrumentation
-   differs. The events sink discards lines, so the cost measured is
-   formatting + buffering + span clock reads, not file I/O. *)
-let telemetry_overhead () =
-  header "Telemetry: event-stream and span overhead on the fig2 depth-15 search";
-  line "%-28s %12s %12s %9s %9s" "configuration" "executions" "execs/sec" "wall"
-    "overhead";
-  let prog () = W.Dining.program ~n:2 W.Dining.Try_acquire in
-  let cfg =
-    { (Search_config.unfair_dfs ~depth_bound:15) with
-      max_steps = 2_000;
-      max_executions = Some (if full_budget then 60_000 else 15_000);
-      seed = 1L }
-  in
-  let arms =
-    [ ("telemetry off", fun () -> cfg);
-      ("metrics", fun () -> { cfg with metrics = true });
-      ("events (no sink)",
-       fun () -> { cfg with events = Some (Fairmc_obs.Events.create ()) });
-      ("events (null sink)",
-       fun () ->
-         { cfg with
-           events = Some (Fairmc_obs.Events.create ~write:(fun _ -> ()) ()) });
-      (* --trace-spans: a collecting stream switches the per-path span
-         events on, so this arm is the full event-stream + span cost. *)
-      ("events + spans (collect)",
-       fun () -> { cfg with events = Some (Fairmc_obs.Events.create ~collect:true ()) });
-      (* --metrics carries the pre-existing per-step counters (schedulable
-         set sizes, fair-scheduler relation sizes); listed for context, its
-         cost is not part of this PR's event-stream/span budget. *)
-      ("metrics + events",
-       fun () ->
-         { cfg with
-           metrics = true;
-           events = Some (Fairmc_obs.Events.create ~write:(fun _ -> ()) ()) }) ]
-  in
-  (* One depth-15 search finishes in well under a second, so a single run
-     is at the mercy of scheduler noise and CPU-frequency drift — on a
-     contended host the speed swings by ±10% on multi-second scales, which
-     swamps the few-hundred-ns/path effect being measured if arms are
-     compared across the whole run. Instead compare WITHIN each repetition
-     round: all arms of one round run back-to-back inside ~half a second,
-     so the round-local ratio (arm rate / baseline rate of the same round)
-     mostly cancels the host's speed at that moment. The arm order rotates
-     every round (so periodic slowdowns do not always land on the same
-     arm) and the reported overhead comes from the MEDIAN of the
-     per-round ratios, which a single preempted round cannot drag. *)
-  let reps = if full_budget then 40 else 30 in
-  let narms = List.length arms in
-  let rates = Array.make_matrix narms reps 0.0 in
-  let execs_per_run = ref 0 in
-  let wall = Array.make narms 0.0 in
-  (* Warm once so allocator state does not bias the first arm. *)
-  ignore (Search.run { cfg with max_executions = Some 500 } (prog ()));
-  for rep = 0 to reps - 1 do
-    List.iteri
-      (fun j _ ->
-        let i = (j + rep) mod narms in
-        let _, mk = List.nth arms i in
-        let r = Search.run (mk ()) (prog ()) in
-        let secs = Report.search_time r.stats in
-        execs_per_run := r.stats.executions;
-        rates.(i).(rep) <- float_of_int r.stats.executions /. secs;
-        wall.(i) <- wall.(i) +. secs)
-      arms
-  done;
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    let n = Array.length s in
-    if n land 1 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
-  in
-  List.iteri
-    (fun i (label, _) ->
-      let ratios =
-        Array.init reps (fun rep -> rates.(i).(rep) /. rates.(0).(rep))
-      in
-      let overhead = (1.0 -. median ratios) *. 100.0 in
-      line "%-28s %12d %12.0f %8.2fs %+8.2f%%" label (!execs_per_run * reps)
-        (median rates.(i)) wall.(i) overhead;
-      record "telemetry"
-        [ ("configuration", Json.Str label);
-          ("executions", Json.Int (!execs_per_run * reps));
-          ("elapsed_seconds", Json.Float wall.(i));
-          ("execs_per_second", Json.Float (median rates.(i)));
-          ("overhead_pct", Json.Float overhead) ])
-    arms
-
-(* Fair_sched.step mutates in place, and callers that keep an old state
-   take an explicit Fair_sched.copy. This experiment measures what a copy
-   per transition would cost: the same update stream applied through the
-   in-place step vs. through copy-then-step. *)
-let fair_sched_step () =
-  header "Fair scheduler: in-place step vs copy-per-step";
-  line "%-24s %14s %14s %9s" "configuration" "steps" "steps/sec" "vs copy";
-  let module B = Fairmc_util.Bitset in
-  let module FS = Fair_sched in
-  let steps = if full_budget then 5_000_000 else 500_000 in
-  let run_stream ~nthreads ~copy_each =
-    let rng = Fairmc_util.Rng.make 7L in
-    let fs = ref (FS.create ~nthreads ()) in
-    let es = B.full nthreads in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to steps do
-      let chosen = Fairmc_util.Rng.int rng nthreads in
-      let yielded = Fairmc_util.Rng.bool rng in
-      let base = if copy_each then FS.copy !fs else !fs in
-      fs := FS.step base ~chosen ~yielded ~es_before:es ~es_after:es
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  List.iter
-    (fun nthreads ->
-      (* Warm both paths so allocator state does not bias the first arm. *)
-      ignore (run_stream ~nthreads ~copy_each:true);
-      ignore (run_stream ~nthreads ~copy_each:false);
-      let t_copy = run_stream ~nthreads ~copy_each:true in
-      let t_inplace = run_stream ~nthreads ~copy_each:false in
-      let rate t = float_of_int steps /. t in
-      List.iter
-        (fun (label, t, rel) ->
-          line "%-24s %14d %14.0f %8.2fx" label steps (rate t) rel;
-          record "fair_sched_step"
-            [ ("configuration", Json.Str label);
-              ("nthreads", Json.Int nthreads);
-              ("steps", Json.Int steps);
-              ("elapsed_seconds", Json.Float t);
-              ("steps_per_second", Json.Float (rate t));
-              ("relative_rate", Json.Float rel) ])
-        [ (Printf.sprintf "copy+step n=%d" nthreads, t_copy, 1.0);
-          (Printf.sprintf "in-place n=%d" nthreads, t_inplace, t_copy /. t_inplace) ])
-    (if full_budget then [ 2; 4; 8; 16 ] else [ 2; 8 ])
-
-(* ------------------------------------------------------------------ *)
-(* ChessLang: Peterson's algorithm, the static POR experiment's control. *)
-
-module Dsl = Fairmc_dsl
-
-(* Spin-heavy: Peterson's algorithm; good-samaritan spin loops exercise the
-   FUEL/SCHED boundary and the fair scheduler's yield bookkeeping. *)
-let vm_src_peterson =
-  "var flag0 = 0; var flag1 = 0; var turn = 0; var crit = 0;\n\
-   thread p0 { local i = 0; while (i < 2) { flag0 = 1; turn = 1; \
-   while (flag1 == 1 && turn == 1) { yield; } crit = crit + 1; \
-   assert(crit == 1, \"mutex\"); crit = crit - 1; flag0 = 0; i = i + 1; } }\n\
-   thread p1 { local i = 0; while (i < 2) { flag1 = 1; turn = 0; \
-   while (flag0 == 1 && turn == 0) { yield; } crit = crit + 1; \
-   assert(crit == 1, \"mutex\"); crit = crit - 1; flag1 = 0; i = i + 1; } }"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: the kernels behind each table/figure.      *)
-
-let bechamel () =
-  header "Bechamel microbenchmarks (one kernel per table/figure)";
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let quick_cfg =
-    { Search_config.default with
-      livelock_bound = Some 1_000;
-      max_executions = Some 50;
-      coverage = true }
-  in
-  let search name cfg prog =
-    Test.make ~name (Staged.stage (fun () -> ignore (Search.run cfg prog)))
-  in
-  let tests =
-    [ (* Table 2 / Fig 5-6 kernel: fair exhaustive search *)
-      search "table2:fair-dfs-dining2" quick_cfg (W.Dining.coverage_program ~n:2);
-      (* Table 2 unfair kernel: depth-bounded with random tail *)
-      search "table2:unfair-db20-dining2"
-        { (Search_config.unfair_dfs ~depth_bound:20) with
-          max_executions = Some 50;
-          max_steps = 2_000 }
-        (W.Dining.coverage_program ~n:2);
-      (* Table 3 kernel: fair cb=2 bug hunt *)
-      search "table3:fair-cb2-wsq-bug1"
-        { quick_cfg with mode = Search_config.Context_bounded 2 }
-        (W.Wsq.program ~stealers:1 W.Wsq.Bug1);
-      (* Fig 2 kernel: a bounded unfair execution batch *)
-      search "fig2:unfair-db15-dining-fig1"
-        { (Search_config.unfair_dfs ~depth_bound:15) with
-          max_executions = Some 50;
-          max_steps = 1_000 }
-        (W.Dining.program ~n:2 W.Dining.Try_acquire);
-      (* Section 4.3 kernel: divergence detection *)
-      search "livelock:promise-stale-cache"
-        { quick_cfg with livelock_bound = Some 500 }
-        (W.Promise.program W.Promise.Stale_cache);
-      (* Engine kernel: boot + two transitions *)
-      Test.make ~name:"engine:boot+schedule-fig3"
-        (Staged.stage (fun () ->
-             let run = Engine.start (W.Litmus.fig3 ()) in
-             Engine.step run ~tid:0 ~alt:0;
-             Engine.step run ~tid:1 ~alt:0;
-             Engine.stop run));
-      (* Stateful ground-truth kernel *)
-      Test.make ~name:"statecap:ground-truth-fig3"
-        (Staged.stage (fun () -> ignore (SC.Stateful.explore (W.Litmus.fig3 ())))) ]
-  in
-  List.iter
-    (fun test ->
-      let quota = Time.second (if full_budget then 1.0 else 0.25) in
-      let cfg = Benchmark.cfg ~limit:500 ~quota ~kde:None () in
-      let results = Benchmark.all cfg [ Instance.monotonic_clock ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          let est =
-            match Analyze.OLS.estimates result with
-            | Some [ e ] ->
-              record "bechamel"
-                [ ("kernel", Json.Str name); ("ns_per_run", Json.Float e) ];
-              if e > 1e6 then Printf.sprintf "%.3f ms/run" (e /. 1e6)
-              else Printf.sprintf "%.0f ns/run" e
-            | _ -> "n/a"
-          in
-          line "%-36s %s" name est)
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Static POR: visibility-based transition merging (PR 9). Thread-local  *)
-(* globals stop being scheduling points, so the interleaving explosion   *)
-(* over them collapses before sleep sets even run. The control is        *)
-(* Peterson, where every global is shared and merging must be a no-op.   *)
-
-(* Local-state-heavy: each thread drives its own cursor global; only the
-   yields interleave once the cursors merge. *)
-let spor_src_counters =
-  "var c0 = 0; var c1 = 0; var c2 = 0; var done0 = 0; var done1 = 0; var done2 = 0;\n\
-   thread t0 { local i = 0; while (i < 2) { c0 = c0 + 1; i = i + 1; yield; } done0 = 1; }\n\
-   thread t1 { local i = 0; while (i < 2) { c1 = c1 + 1; i = i + 1; yield; } done1 = 1; }\n\
-   thread t2 { local i = 0; while (i < 2) { c2 = c2 + 1; i = i + 1; yield; } done2 = 1; }"
-
-let staticpor_bench () =
-  header "Static POR: visibility-based transition merging (--static-por)";
-  line "(same verdict either way; reduction = plain executions over merged";
-  line " executions on the same complete search. peterson is the no-op control:";
-  line " every global is shared, so nothing may merge)";
-  line "%-18s %8s %12s %12s %10s %10s" "workload" "merging" "executions"
-    "transitions" "seconds" "reduction";
-  let workloads =
-    [ ("local-counters", spor_src_counters,
-       { Search_config.default with livelock_bound = Some 5_000 });
-      ("peterson-spin", vm_src_peterson,
-       { Search_config.default with
-         max_executions = Some (if full_budget then 15_000 else 3_000);
-         livelock_bound = Some 2_000 }) ]
-  in
-  List.iter
-    (fun (name, src, cfg) ->
-      let ast = Dsl.Parser.parse_string src in
-      let measure prog =
-        ignore (Search.run { cfg with max_executions = Some 5 } prog);
-        Search.run cfg prog
-      in
-      let off = measure (Dsl.compile ast) in
-      let on = measure (Fairmc_static.compile ast) in
-      if Report.verdict_name off.verdict <> Report.verdict_name on.verdict then (
-        Printf.eprintf "staticpor bench: verdicts diverged on %s\n%!" name;
-        exit 1);
-      let reduction =
-        float_of_int off.stats.executions /. float_of_int on.stats.executions
-      in
-      let show label (r : Report.t) rel =
-        line "%-18s %8s %12d %12d %10.3f %9s" name label r.stats.executions
-          r.stats.transitions r.stats.elapsed rel;
-        record "staticpor"
-          [ ("workload", Json.Str name);
-            ("merging", Json.Str label);
-            ("executions", Json.Int r.stats.executions);
-            ("transitions", Json.Int r.stats.transitions);
-            ("elapsed_seconds", Json.Float r.stats.elapsed);
-            ("verdict", Json.Str (Report.verdict_name r.verdict)) ]
-      in
-      show "off" off "";
-      show "on" on (Printf.sprintf "%.2fx" reduction);
-      record "staticpor"
-        [ ("workload", Json.Str name);
-          ("merging", Json.Str "reduction");
-          ("reduction", Json.Float reduction) ])
-    workloads
-
-(* ------------------------------------------------------------------ *)
 
 (* Each experiment with the record tags it writes. *)
 let all_experiments =
@@ -804,12 +467,7 @@ let all_experiments =
     ("livelock", [ "livelock" ], liveness_demos);
     ("gs", [ "livelock" ], liveness_demos);
     ("boot", [ "boot" ], boot);
-    ("ablation", [ "ablation" ], ablation);
-    ("analysis", [ "analysis" ], analysis_overhead);
-    ("telemetry", [ "telemetry" ], telemetry_overhead);
-    ("fairsched", [ "fair_sched_step" ], fair_sched_step);
-    ("staticpor", [ "staticpor" ], staticpor_bench);
-    ("bechamel", [ "bechamel" ], bechamel) ]
+    ("ablation", [ "ablation" ], ablation) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

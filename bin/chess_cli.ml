@@ -36,16 +36,8 @@ let strategy =
 let no_fair =
   Arg.(value & flag & info [ "no-fair" ] ~doc:"Disable the fair scheduler (paper baseline).")
 
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let fair_k =
-  Arg.(value & opt positive_int 1
+  Arg.(value & opt int 1
        & info [ "k" ] ~docv:"K" ~doc:"Process every K-th yield (Section 3); K >= 1.")
 
 let depth_bound =
@@ -268,9 +260,8 @@ let static_por_arg =
 
 let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound max_execs
     time_limit seed sleep_sets coverage split_depth workers item_timeout
-    max_retries inject_fault metrics stats progress
-    progress_interval races lockset lock_graph fail_on_race checkpoint
-    checkpoint_interval static_por =
+    max_retries inject_fault metrics stats races lockset lock_graph fail_on_race
+    checkpoint checkpoint_interval static_por =
   let analyses =
     (if races || fail_on_race then [ Fairmc_analysis.Hb_race.analysis ] else [])
     @ (if lockset then [ Fairmc_analysis.Lockset.analysis ] else [])
@@ -297,20 +288,27 @@ let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound ma
     max_retries;
     inject_fault;
     metrics = metrics || stats;
-    progress;
-    progress_interval;
     analyses;
     checkpoint;
     checkpoint_interval;
     static_por }
 
+(* A number that would fabricate a verdict is a usage error (exit 124). *)
 let config_term =
-  Term.(const build_config $ strategy $ no_fair $ fair_k $ depth_bound $ max_steps
-        $ livelock_bound $ max_execs $ time_limit $ seed $ sleep_sets $ coverage
-        $ split_depth $ workers $ item_timeout $ max_retries
-        $ inject_fault $ metrics_flag $ stats_flag $ progress_flag
-        $ progress_interval $ races_flag $ lockset_flag $ lock_graph_flag
-        $ fail_on_race $ checkpoint_out $ checkpoint_interval $ static_por_arg)
+  let validated cfg =
+    match Search_config.validate cfg with Ok () -> `Ok cfg | Error e -> `Error (true, e)
+  in
+  Term.(ret
+          (const validated
+           $ (const build_config $ strategy $ no_fair $ fair_k $ depth_bound $ max_steps
+              $ livelock_bound $ max_execs $ time_limit $ seed $ sleep_sets $ coverage
+              $ split_depth $ workers $ item_timeout $ max_retries $ inject_fault
+              $ metrics_flag $ stats_flag $ races_flag $ lockset_flag $ lock_graph_flag
+              $ fail_on_race $ checkpoint_out $ checkpoint_interval $ static_por_arg)))
+
+(* --progress and --progress-interval; [check] builds the reporter. *)
+let progress_term =
+  Term.(const (fun on interval -> (on, interval)) $ progress_flag $ progress_interval)
 
 let list_cmd =
   let doc = "List the built-in benchmark programs." in
@@ -339,8 +337,8 @@ let check_cmd =
          & info [] ~docv:"PROGRAM"
              ~doc:"Built-in program name (see $(b,chess list)) or a ChessLang $(i,file.chess).")
   in
-  let run name cfg quiet save_repro stats json_out trace_out fail_on_race resume
-      events_out watch trace_spans_out =
+  let run name cfg (progress, progress_interval) quiet save_repro stats json_out trace_out
+      fail_on_race resume events_out watch trace_spans_out =
     (* With --events - the NDJSON stream owns stdout; every human-facing
        line moves to stderr so the stream stays machine-parseable. *)
     let human =
@@ -381,8 +379,9 @@ let check_cmd =
               Some payload))
     in
     (* Telemetry sinks: one event stream backs both the NDJSON file sink
-       (--events) and the post-run span trace export (--trace-spans); the
-       live dashboard (--watch) rides the progress callback. *)
+       (--events) and the post-run span trace export (--trace-spans); one
+       progress reporter drives the --progress lines and the live dashboard
+       (--watch). *)
     let events_oc =
       match events_out with
       | None -> None
@@ -406,14 +405,15 @@ let check_cmd =
         Some (Fairmc_obs.Events.create ?write ~collect:(trace_spans_out <> None) ())
     in
     let dashboard = if watch then Some (Fairmc_obs.Dashboard.create ()) else None in
-    let cfg =
-      { cfg with
-        Search_config.events = stream;
-        on_progress =
-          (match dashboard with
-           | None -> cfg.Search_config.on_progress
-           | Some d -> Some (Fairmc_obs.Dashboard.sink d)) }
+    let progress =
+      match
+        (if progress then [ Fairmc_obs.Progress.stderr_sink ] else [])
+        @ Option.to_list (Option.map Fairmc_obs.Dashboard.sink dashboard)
+      with
+      | [] -> None
+      | sinks -> Some (Fairmc_obs.Progress.create ~interval:progress_interval ~sinks ())
     in
+    let cfg = { cfg with Search_config.events = stream; progress } in
     (* SIGINT/SIGTERM request a graceful stop: the search flushes a final
        checkpoint (when --checkpoint is set) and still emits its partial
        report and outputs below. *)
@@ -478,8 +478,8 @@ let check_cmd =
     | _ -> if Report.found_error report then exit 1
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ prog_arg $ config_term $ quiet $ save_repro $ stats_flag
-          $ json_out $ trace_out $ fail_on_race $ resume_arg $ events_out
+    Term.(const run $ prog_arg $ config_term $ progress_term $ quiet $ save_repro
+          $ stats_flag $ json_out $ trace_out $ fail_on_race $ resume_arg $ events_out
           $ watch_flag $ trace_spans_out)
 
 (* Candidate programs for a repro, in preference order. Repro files do
@@ -759,7 +759,9 @@ let submit_cmd =
                    $(b,chess watch-job)); $(b,--events) and $(b,--json) apply \
                    to the watched job.")
   in
-  let run name cfg socket priority wait json_out events_out quiet =
+  (* The progress flags are accepted as [check] accepts them; a served job
+     reports progress through its event stream. *)
+  let run name cfg _progress socket priority wait json_out events_out quiet =
     let spec = Serve.Jobspec.of_config ~program:name cfg in
     run_client socket @@ fun fd ->
     Serve.Client.request fd (SP.Submit { spec; priority });
@@ -776,8 +778,8 @@ let submit_cmd =
     | _ -> daemon_error "unexpected reply to submit"
   in
   Cmd.v (Cmd.info "submit" ~doc ~man)
-    Term.(const run $ prog_arg $ config_term $ socket_arg $ priority $ wait
-          $ json_out $ events_out $ quiet)
+    Term.(const run $ prog_arg $ config_term $ progress_term $ socket_arg $ priority
+          $ wait $ json_out $ events_out $ quiet)
 
 let jobs_cmd =
   let doc = "List the jobs known to a chessd daemon." in

@@ -12,9 +12,7 @@ module W = Fairmc_workloads
 let check_variant variant =
   let prog = W.Dining.program ~n:2 variant in
   Format.printf "--- %s ---@." prog.Program.name;
-  let config =
-    { Search_config.default with livelock_bound = Some 1_000; tail_window = 24 }
-  in
+  let config = { Search_config.default with livelock_bound = Some 1_000 } in
   let report = Checker.check ~config prog in
   (match report.verdict with
    | Report.Divergence { kind; cex } ->

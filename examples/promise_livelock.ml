@@ -10,7 +10,7 @@ open Fairmc_core
 module W = Fairmc_workloads
 
 let () =
-  let config = { Search_config.default with livelock_bound = Some 800; tail_window = 12 } in
+  let config = { Search_config.default with livelock_bound = Some 800 } in
   (* The buggy library. *)
   let buggy = W.Promise.program W.Promise.Stale_cache in
   Format.printf "checking %s ...@." buggy.Program.name;

@@ -135,20 +135,20 @@ let mode_of_json = function
 (* Every field has one role. Identity fields shape the explored tree or
    the report a deduped subscriber receives; job fields are budgets and
    fan-out, which a resume may extend and a deduped submission may
-   differ in; local fields (sinks, callbacks, paths, poll and checkpoint
-   intervals, fault injection) are never encoded. The pattern names
-   every field, with no wildcard: a new field does not compile (warning
-   9) until it is given a role here, and [config_of_json] builds the
-   record without [with], so it must be decoded too. *)
+   differ in; local fields (sinks, paths, the checkpoint interval, fault
+   injection) are never encoded. The pattern names every field, with no
+   wildcard: a new field does not compile (warning 9) until it is given a
+   role here, and [config_of_json] builds the record without [with], so it
+   must be decoded too. *)
 let config_fields ~job (cfg : C.t) =
-  let { C.mode; fair; fair_k; depth_bound; random_tail; max_steps; livelock_bound;
-        tail_window; seed; sleep_sets; coverage; metrics; analyses; static_por;
+  let { C.mode; fair; fair_k; depth_bound; max_steps; livelock_bound; seed;
+        sleep_sets; coverage; metrics; analyses; static_por;
         (* job *)
         max_executions; time_limit; jobs; workers; split_depth; item_timeout;
         max_retries;
         (* local *)
-        poll_interval = _; progress = _; progress_interval = _; on_progress = _;
-        events = _; checkpoint = _; checkpoint_interval = _; inject_fault = _ } =
+        progress = _; events = _; checkpoint = _; checkpoint_interval = _;
+        inject_fault = _ } =
     cfg
   in
   let int_opt = opt_to_json (fun i -> Json.Int i) in
@@ -158,10 +158,8 @@ let config_fields ~job (cfg : C.t) =
       ("fair", Json.Bool fair);
       ("fair_k", Json.Int fair_k);
       ("depth_bound", int_opt depth_bound);
-      ("random_tail", Json.Bool random_tail);
       ("max_steps", Json.Int max_steps);
       ("livelock_bound", int_opt livelock_bound);
-      ("tail_window", Json.Int tail_window);
       ("seed", int64_to_json seed);
       ("sleep_sets", Json.Bool sleep_sets);
       ("coverage", Json.Bool coverage);
@@ -193,10 +191,8 @@ let config_of_json ~analysis o =
     fair = bool_f o "fair";
     fair_k = int_f o "fair_k";
     depth_bound = int_opt "depth_bound";
-    random_tail = bool_f o "random_tail";
     max_steps = int_f o "max_steps";
     livelock_bound = int_opt "livelock_bound";
-    tail_window = int_f o "tail_window";
     seed = int64_of_json "seed" (field o "seed");
     sleep_sets = bool_f o "sleep_sets";
     coverage = bool_f o "coverage";
@@ -210,10 +206,7 @@ let config_of_json ~analysis o =
     split_depth = int_f o "split_depth";
     item_timeout = float_opt "item_timeout";
     max_retries = int_f o "max_retries";
-    poll_interval = d.poll_interval;
     progress = d.progress;
-    progress_interval = d.progress_interval;
-    on_progress = d.on_progress;
     events = d.events;
     checkpoint = d.checkpoint;
     checkpoint_interval = d.checkpoint_interval;

@@ -125,13 +125,13 @@ val load : string -> (t, string) result
 
 val config_fields : job:bool -> Search_config.t -> (string * Fairmc_util.Json.t) list
 (** The config's identity fields — mode (without its sampling count),
-    fair, fair_k, depth bound, random tail, step and livelock bounds, tail
-    window, seed, sleep sets, coverage, metrics, analysis names and static
-    POR — in a fixed order. With [~job:true], the mode carries its sampling
-    count and the job fields follow: [max_executions], [time_limit],
-    [jobs], [workers], [split_depth], [item_timeout], [max_retries]. Local
-    fields (sinks, callbacks, paths, poll and checkpoint intervals, fault
-    injection) are never encoded. *)
+    fair, fair_k, depth bound, step and livelock bounds, seed, sleep sets,
+    coverage, metrics, analysis names and static POR — in a fixed order.
+    With [~job:true], the mode carries its sampling count and the job
+    fields follow: [max_executions], [time_limit], [jobs], [workers],
+    [split_depth], [item_timeout], [max_retries]. Local fields (the
+    progress reporter, the event sink, the checkpoint path and interval,
+    fault injection) are never encoded. *)
 
 val config_of_json :
   analysis:(string -> Analysis_hook.t option) -> Fairmc_util.Json.t -> Search_config.t
@@ -168,7 +168,7 @@ val merge_stats : prior:Report.stats -> Report.stats -> Report.stats
 
 val interrupted : unit -> bool
 (** Process-wide flag, polled by {!Search.run} at every path start and
-    every [poll_interval] steps, and by the {!Supervisor} loop. *)
+    every 256 steps, and by the {!Supervisor} loop. *)
 
 val request_interrupt : unit -> unit
 val clear_interrupt : unit -> unit

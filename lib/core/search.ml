@@ -60,7 +60,7 @@ type path_end =
   | P_safety of int * Engine.failure
   | P_divergence of Report.divergence_kind
   | P_nonterminating  (* hit the hard step cap *)
-  | P_pruned  (* depth bound without random tail, or CB/sleep-set pruning *)
+  | P_pruned  (* context bound or sleep sets left no alternative *)
   | P_stopped  (* wall-clock budget exhausted or interrupted *)
   | P_frontier  (* parallel expansion: the split depth was reached *)
 
@@ -140,12 +140,10 @@ type state = {
   rng : Rng.t;
   t0 : float;
   deadline : float;  (* absolute; [infinity] when unlimited *)
-  poll_mask : int;
   tally : Tally.t option;  (* search-wide totals of a parallel search *)
   frontier_at : int;  (* cut fresh decisions at this depth; [max_int] = never *)
   probe_denom : int;  (* sampling: original (unsharded) budget; 0 = systematic *)
   meters : meters option;
-  progress : Obs.Progress.t option;
   events : Obs.Events.buf option;  (* shard-local telemetry batch buffer *)
   span_buf : Obs.Events.buf option;
       (* [events] again iff the stream has spans on (the trace export wants
@@ -209,51 +207,28 @@ let peers_spent_budget st =
   | Some t, Some m -> Tally.executions t >= m
   | _ -> false
 
-(* Totals for a progress sample: this session's counters plus any resumed
-   prior. (A parallel search's progress is the supervisor's.) *)
-let progress_totals st =
-  match st.prior with
-  | Some p ->
-    ( st.executions + p.pr_stats.Report.executions,
-      st.probe_mass + p.pr_stats.Report.probe_mass )
-  | None -> (st.executions, st.probe_mass)
+(* Inside a path, the search polls every 256 steps. *)
+let poll_mask = 255
 
+(* The progress sample: this session's counters plus any resumed prior. (A
+   parallel search's progress is the supervisor's.) *)
 let progress_sample st () =
-  let executions, mass = progress_totals st in
-  let el = elapsed st in
-  { Obs.Progress.executions;
-    elapsed = el;
-    jobs = max 1 st.cfg.C.jobs;
-    phase = "search";
-    completion = (if mass > 0 then Some (Obs.Estimator.completion ~mass) else None);
-    est_total = Obs.Estimator.est_total ~mass ~executions;
-    eta = Obs.Estimator.eta ~mass ~elapsed:el }
-
-let maybe_tick st =
-  match st.progress with
-  | None -> ()
-  | Some p -> Obs.Progress.tick p (progress_sample st)
-
-(* Poll points share one clock read: tick the progress reporter, then check
-   the deadline and the interrupt flag. *)
-let poll st =
-  maybe_tick st;
-  stopped st
-
-(* The sinks of a search's progress reporter; [None] when progress reporting
-   is off. *)
-let progress_of_cfg (cfg : C.t) =
-  let sinks =
-    (if cfg.C.progress then [ Obs.Progress.stderr_sink ] else [])
-    @ (match cfg.C.on_progress with Some f -> [ f ] | None -> [])
+  let executions, mass =
+    match st.prior with
+    | Some p ->
+      ( st.executions + p.pr_stats.Report.executions,
+        st.probe_mass + p.pr_stats.Report.probe_mass )
+    | None -> (st.executions, st.probe_mass)
   in
-  if sinks = [] then None
-  else Some (Obs.Progress.create ~interval:cfg.C.progress_interval ~sinks ())
+  Obs.Progress.estimate ~executions ~mass ~elapsed:(elapsed st) ~jobs:(max 1 st.cfg.C.jobs)
 
-let mask_of_interval n =
-  let n = max 1 n in
-  let rec go m = if m >= n then m - 1 else go (m * 2) in
-  go 1
+(* Poll points tick the progress reporter, then check the deadline and the
+   interrupt flag. *)
+let poll st =
+  (match st.cfg.C.progress with
+   | None -> ()
+   | Some p -> Obs.Progress.tick p (progress_sample st));
+  stopped st
 
 (* Sampling modes weigh every execution [1/original-budget]; parallel shards
    carry shrunk budgets in their own [cfg], so the supervisor passes the
@@ -266,7 +241,7 @@ let default_probe_denom (cfg : C.t) =
   | C.Round_robin -> 1
 
 let make_state ?deadline ?rng ?(prefix = [||]) ?tally ?probe_denom
-    ?(frontier_at = max_int) ?(shard = 0) ?progress (cfg : C.t) prog =
+    ?(frontier_at = max_int) ?(shard = 0) (cfg : C.t) prog =
   let deadline =
     match deadline with
     | Some d -> d
@@ -299,12 +274,10 @@ let make_state ?deadline ?rng ?(prefix = [||]) ?tally ?probe_denom
     rng = (match rng with Some r -> r | None -> Rng.make cfg.seed);
     t0 = Obs.Clock.now ();
     deadline;
-    poll_mask = mask_of_interval cfg.poll_interval;
     tally;
     frontier_at;
     probe_denom = (match probe_denom with Some d -> d | None -> default_probe_denom cfg);
     meters = (if cfg.metrics then Some (make_meters ()) else None);
-    progress;
     events;
     span_buf =
       (match cfg.events with
@@ -391,12 +364,16 @@ let good_samaritan_culprit entries =
          if score > bn || (score = bn && tid < best) then (tid, score) else (best, bn))
        (-1, min_int) entries)
 
+(* The suffix of a divergent path that classifies it, and that its
+   counterexample shows. *)
+let tail_window = 500
+
 (* Classify a divergent (livelock-bound-exceeding) fair execution by its
    tail: if an enabled thread was starved by non-yielding threads it is a
    good-samaritan violation; otherwise the tail is fair — a livelock. *)
-let classify_divergence st run : Report.divergence_kind =
+let classify_divergence run : Report.divergence_kind =
   let tr = Engine.trace run in
-  let evs = Trace.last_n tr (min st.cfg.tail_window (Trace.length tr)) in
+  let evs = Trace.last_n tr (min tail_window (Trace.length tr)) in
   let scheduled = Hashtbl.create 16 and yielders = Hashtbl.create 16 in
   List.iter
     (fun (e : Trace.event) ->
@@ -416,11 +393,11 @@ let classify_divergence st run : Report.divergence_kind =
     Report.Good_samaritan_violation (good_samaritan_culprit entries)
   end
 
-let render_cex ?(tail = false) st run =
+let render_cex ?(tail = false) run =
   let tr = Engine.trace run in
   let names = Objects.pp_obj (Engine.store run) in
   let tail_n =
-    if tail then Some st.cfg.tail_window
+    if tail then Some tail_window
     else if Trace.length tr > 400 then Some 400
     else None
   in
@@ -619,9 +596,9 @@ let execute_from st ~systematic ~restoring run restored =
         else begin
           let steps = Engine.steps run in
           if cfg.fair && steps >= livelock_bound then
-            P_divergence (classify_divergence st run)
+            P_divergence (classify_divergence run)
           else if steps >= cfg.max_steps then P_nonterminating
-          else if steps land st.poll_mask = st.poll_mask && poll st then P_stopped
+          else if steps land poll_mask = poll_mask && poll st then P_stopped
           else begin
             let tset = if cfg.fair then Fair_sched.schedulable !fair ~enabled:es else es in
             (* Theorem 3: T is empty iff ES is empty. *)
@@ -654,18 +631,17 @@ let execute_from st ~systematic ~restoring run restored =
                 && (match cfg.depth_bound with Some db -> steps >= db | None -> false)
               in
               if beyond_db then begin
+                (* The random tail (paper §4.2.1): finish the cut path under
+                   random scheduling. *)
                 if not !crossed_db then begin
                   st.depth_bound_hits <- st.depth_bound_hits + 1;
                   crossed_db := true
                 end;
-                if cfg.random_tail then begin
-                  (match st.meters with Some m -> M.incr m.m_sampled_steps | None -> ());
-                  if spans_on && Option.is_none !t_fresh then
-                    t_fresh := Some (Obs.Span.start ());
-                  apply (random_from tset);
-                  loop ()
-                end
-                else P_pruned
+                (match st.meters with Some m -> M.incr m.m_sampled_steps | None -> ());
+                if spans_on && Option.is_none !t_fresh then
+                  t_fresh := Some (Obs.Span.start ());
+                apply (random_from tset);
+                loop ()
               end
               else begin
                 match
@@ -1036,13 +1012,13 @@ let run_loop_body st =
        | P_frontier -> assert false  (* only produced under [expand] *)
        | P_deadlock ->
          mark_error ();
-         verdict := Some (Report.Deadlock { cex = render_cex st run_ })
+         verdict := Some (Report.Deadlock { cex = render_cex run_ })
        | P_safety (tid, failure) ->
          mark_error ();
-         verdict := Some (Report.Safety_violation { tid; failure; cex = render_cex st run_ })
+         verdict := Some (Report.Safety_violation { tid; failure; cex = render_cex run_ })
        | P_divergence kind ->
          mark_error ();
-         verdict := Some (Report.Divergence { kind; cex = render_cex ~tail:true st run_ })
+         verdict := Some (Report.Divergence { kind; cex = render_cex ~tail:true run_ })
        | P_nonterminating -> st.nonterminating <- st.nonterminating + 1
        | P_stopped ->
          verdict := Some Report.Limits_reached;
@@ -1251,7 +1227,6 @@ let run ?resume cfg prog =
     r
   | _ ->
     post_run_start cfg prog;
-    let progress = progress_of_cfg cfg in
     let cfg_run, rng =
       match resume with
       | None -> (cfg, None)
@@ -1262,7 +1237,7 @@ let run ?resume cfg prog =
     (* The probe denominator comes from the *original* config: a resumed
        sampling session runs a shrunk budget, but its paths still weigh
        [1/original] in the cross-session probe mass. *)
-    let st = make_state ?rng ?progress ~probe_denom:(default_probe_denom cfg) cfg_run prog in
+    let st = make_state ?rng ~probe_denom:(default_probe_denom cfg) cfg_run prog in
     (match resume with
      | None -> ()
      | Some sq ->
@@ -1302,7 +1277,7 @@ let run ?resume cfg prog =
              ck_last = Obs.Clock.now ();
              ck_boundary = None });
     let report = run_loop st in
-    (match progress with None -> () | Some p -> Obs.Progress.force p (progress_sample st));
+    (match cfg.C.progress with None -> () | Some p -> Obs.Progress.force p (progress_sample st));
     post_run_end cfg report;
     report
 
@@ -1329,16 +1304,13 @@ let expand ?deadline cfg prog ~split_depth =
       { cfg with
         C.coverage = false;
         metrics = false;
-        progress = false;
-        on_progress = None;
+        progress = None;
         events = None;
         analyses = [] }
       prog
   in
   if not (is_systematic cfg) then invalid_arg "Search.expand: sampling mode";
-  let random_tail_active =
-    (not cfg.C.fair) && cfg.C.depth_bound <> None && cfg.C.random_tail
-  in
+  let random_tail = (not cfg.C.fair) && cfg.C.depth_bound <> None in
   let items = ref [] in
   let timed_out = ref false in
   let continue_ = ref true in
@@ -1361,7 +1333,7 @@ let expand ?deadline cfg prog ~split_depth =
       in
       items := prefix :: !items;
       match outcome with
-      | (P_safety _ | P_deadlock | P_divergence _) when not random_tail_active ->
+      | (P_safety _ | P_deadlock | P_divergence _) when not random_tail ->
         (* Deterministic error below the split depth: the sequential DFS can
            never get past it, so later units are unreachable. (With a random
            tail the worker's re-roll may differ, so keep enumerating.) *)

@@ -20,8 +20,12 @@
     When [config.fair] is set, scheduling decisions are restricted to the
     schedulable set [T] of Algorithm 1, computed by {!Fair_sched} along every
     path. Fair executions that exceed the livelock bound are reported as
-    divergences and classified (good-samaritan violation vs. fair
-    nontermination, the paper's outcomes 2 and 3). *)
+    divergences and classified by their last 500 steps (good-samaritan
+    violation vs. fair nontermination, the paper's outcomes 2 and 3).
+
+    The search polls the wall clock, the interrupt flag and
+    [config.progress] at every path start and every 256 steps inside a
+    path. *)
 
 val run : ?resume:Checkpoint.seq_state -> Search_config.t -> Program.t -> Report.t
 (** Run the configured search. With [resume], continue a prior session from
@@ -101,11 +105,6 @@ val expand :
     item whose shallow outcome is a deterministic error (the sequential
     search could never reach the later items). Raises [Invalid_argument] for
     sampling modes. *)
-
-val progress_of_cfg : Search_config.t -> Fairmc_obs.Progress.t option
-(** Build the progress reporter requested by the config ([progress] flag and
-    [on_progress] callback), or [None] if neither is set. {!Supervisor}
-    builds one for a parallel search and ticks it from its dispatch loop. *)
 
 val post_run_start : Search_config.t -> Program.t -> unit
 (** Emit the coordinator [run_start] telemetry event (no-op without

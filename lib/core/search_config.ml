@@ -13,10 +13,8 @@ type t = {
   fair_k : int;
   mode : mode;
   depth_bound : int option;
-  random_tail : bool;
   max_steps : int;
   livelock_bound : int option;
-  tail_window : int;
   max_executions : int option;
   time_limit : float option;
   seed : int64;
@@ -24,11 +22,8 @@ type t = {
   coverage : bool;
   jobs : int;
   split_depth : int;
-  poll_interval : int;
   metrics : bool;
-  progress : bool;
-  progress_interval : float;
-  on_progress : (Fairmc_obs.Progress.sample -> unit) option;
+  progress : Fairmc_obs.Progress.t option;
   events : Fairmc_obs.Events.stream option;
   analyses : Analysis_hook.t list;
   checkpoint : string option;
@@ -45,10 +40,8 @@ let default =
     fair_k = 1;
     mode = Dfs;
     depth_bound = None;
-    random_tail = true;
     max_steps = 20_000;
     livelock_bound = Some 10_000;
-    tail_window = 500;
     max_executions = None;
     time_limit = None;
     seed = 0x5EEDL;
@@ -56,11 +49,8 @@ let default =
     coverage = false;
     jobs = 1;
     split_depth = 4;
-    poll_interval = 256;
     metrics = false;
-    progress = false;
-    progress_interval = 1.0;
-    on_progress = None;
+    progress = None;
     events = None;
     analyses = [];
     checkpoint = None;
@@ -126,6 +116,42 @@ let fault_of_string s =
        (match int_of_string_opt s with
         | Some fault_seed when fault_seed >= 0 -> Ok { fault_kind; fault_seed }
         | _ -> Error "fault seed must be a non-negative integer"))
+
+(* The ranges outside which a number fabricates a verdict: a negative
+   context bound prunes every path, a zero step or livelock bound ends
+   every path before its first step, a zero budget runs no search. *)
+let validate t =
+  let ints =
+    (match t.mode with
+     | Context_bounded c -> [ ("the context bound", 0, Some c) ]
+     | Random_walk n | Priority_random n -> [ ("the sampling count", 1, Some n) ]
+     | Dfs | Round_robin -> [])
+    @ [ ("fair_k", 1, Some t.fair_k);
+        ("max_steps", 1, Some t.max_steps);
+        ("livelock_bound", 1, t.livelock_bound);
+        ("max_executions", 1, t.max_executions);
+        ("split_depth", 1, Some t.split_depth);
+        ("depth_bound", 0, t.depth_bound);
+        ("max_retries", 0, Some t.max_retries) ]
+  in
+  let bad_int =
+    List.find_map
+      (fun (what, least, v) ->
+        match v with
+        | Some n when n < least -> Some (Printf.sprintf "%s must be >= %d, got %d" what least n)
+        | _ -> None)
+      ints
+  in
+  let bad_float =
+    match (t.time_limit, t.item_timeout) with
+    | Some l, _ when not (Float.is_finite l && l >= 0.) ->
+      Some (Printf.sprintf "time_limit must be finite and >= 0, got %g" l)
+    | _, Some l when not (l > 0.) -> Some (Printf.sprintf "item_timeout must be > 0, got %g" l)
+    | _ -> None
+  in
+  match (bad_int, bad_float) with
+  | Some e, _ | None, Some e -> Error e
+  | None, None -> Ok ()
 
 let mode_name = function
   | Dfs -> "dfs"

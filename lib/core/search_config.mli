@@ -40,7 +40,7 @@ type fault = { fault_kind : fault_kind; fault_seed : int }
 
 (** Each field has one role in the search's identity: {e identity} (it
     shapes the explored tree or the report), {e job} (budgets and fan-out)
-    or {e local} (sinks, callbacks, paths, intervals, fault injection).
+    or {e local} (sinks, paths, the checkpoint interval, fault injection).
     {!Checkpoint.config_fields} assigns the roles and names every field, so
     a new field does not compile until it has one (see DESIGN.md, "Search
     identity"). *)
@@ -50,21 +50,17 @@ type t = {
   mode : mode;
   depth_bound : int option;
       (** unfair searches: systematic scheduling choices only below this
-          depth. [None] means unbounded (caution: diverges on cyclic state
-          spaces — the problem the paper solves). *)
-  random_tail : bool;
-      (** complete depth-bounded paths with random scheduling to termination,
-          counting states seen on the way (paper §4.2.1) *)
+          depth; a path cut there runs on under random scheduling until it
+          ends, counting the states it sees (paper §4.2.1). [None] means
+          unbounded (caution: diverges on cyclic state spaces — the problem
+          the paper solves). *)
   max_steps : int;
       (** hard per-execution cap; reaching it classifies the execution as
           nonterminating (the Figure 2 measurement) *)
   livelock_bound : int option;
       (** fair searches: an execution reaching this many steps is reported as
-          a divergence — the paper's outcomes 2 and 3. Defaults to
-          [max_steps] when [None]. *)
-  tail_window : int;
-      (** suffix length inspected to classify a divergence as a
-          good-samaritan violation vs. fair nontermination *)
+          a divergence — the paper's outcomes 2 and 3, told apart by the
+          last 500 steps of the path. Defaults to [max_steps] when [None]. *)
   max_executions : int option;
   time_limit : float option;  (** seconds *)
   seed : int64;
@@ -80,21 +76,15 @@ type t = {
       (** parallel systematic search: the decision tree is expanded
           sequentially to this depth and each frontier prefix becomes an
           independent work item (see DESIGN.md, "Parallel search") *)
-  poll_interval : int;
-      (** steps between wall-clock/interrupt polls inside an execution
-          (rounded up to a power of two); small values tighten [time_limit]
-          overshoot on long paths at a slight cost per step *)
   metrics : bool;
       (** collect the full instrument set into {!Report.t.metrics}. Off by
           default: when off, no registry exists and the hot paths pay one
           branch per site (see DESIGN.md, "Observability"). *)
-  progress : bool;  (** emit a periodic progress line on stderr *)
-  progress_interval : float;
-      (** seconds between progress emissions; 0 emits at every poll point *)
-  on_progress : (Fairmc_obs.Progress.sample -> unit) option;
-      (** user callback, driven by the same poll points as [progress]. It
-          always runs in the calling process: a sequential search ticks it
-          at its poll points, a parallel one from the supervisor's loop,
+  progress : Fairmc_obs.Progress.t option;
+      (** the caller's progress reporter, with its sinks and interval
+          ([None] by default). It is ticked in the calling process: a
+          sequential search ticks it at its poll points (every path start
+          and every 256 steps), a parallel one from the supervisor's loop,
           with totals summed over the workers' shared {!Tally}. *)
   events : Fairmc_obs.Events.stream option;
       (** telemetry event stream (schema [fairmc-events/1]): run/path/error/
@@ -156,6 +146,14 @@ val fair_cb : int -> t
 val unfair_cb : int -> depth_bound:int -> t
 
 val describe : t -> string
+
+val validate : t -> (unit, string) result
+(** Refuse numbers that would fabricate a verdict: a context bound below 0;
+    a sampling count, [fair_k], [max_steps], [livelock_bound],
+    [max_executions] or [split_depth] below 1; a depth bound or
+    [max_retries] below 0; a time limit that is negative or not finite; an
+    item timeout that is not positive. [chess check] reports the error as a
+    usage error and chessd refuses the job. *)
 
 val fault_kind_name : fault_kind -> string
 (** ["crash"], ["hang"], ["garble"], ["slowpipe"], ["savefail"]. *)

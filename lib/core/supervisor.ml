@@ -51,7 +51,6 @@ module M = Fairmc_obs.Metrics
 module Clock = Fairmc_obs.Clock
 module Progress = Fairmc_obs.Progress
 module Events = Fairmc_obs.Events
-module Estimator = Fairmc_obs.Estimator
 
 let resolve_workers (cfg : C.t) =
   let resolve n = if n = 1 then 1 else if n <= 0 then Domain.recommended_domain_count () else n in
@@ -128,15 +127,6 @@ let states_tbl l =
   let tbl = Hashtbl.create (max 16 (List.length l)) in
   List.iter (fun s -> Hashtbl.replace tbl s ()) l;
   tbl
-
-let estimate_sample ~executions ~mass ~elapsed ~jobs =
-  { Progress.executions;
-    elapsed;
-    jobs;
-    phase = "search";
-    completion = (if mass > 0 then Some (Estimator.completion ~mass) else None);
-    est_total = Estimator.est_total ~mass ~executions;
-    eta = Estimator.eta ~mass ~elapsed }
 
 let post_event (cfg : C.t) kind fields =
   match cfg.C.events with
@@ -445,8 +435,7 @@ let run_item ~(cfg : C.t) ~plan ~tally ~slot ~index ~attempt ~time_left =
       C.jobs = 1;
       workers = 1;
       checkpoint = None;
-      progress = false;
-      on_progress = None;
+      progress = None;
       time_limit = None;
       inject_fault = None;
       events = child_events }
@@ -1007,21 +996,21 @@ let post_done (cfg : C.t) (report : Report.t) counters =
 
 (* The progress reporter's last word uses the merged report, so it agrees
    with the printed totals. *)
-let force_progress progress (report : Report.t) ~jobs =
-  match progress with
+let force_progress (cfg : C.t) (report : Report.t) ~jobs =
+  match cfg.C.progress with
   | None -> ()
   | Some p ->
     let s = report.Report.stats in
     Progress.force p (fun () ->
-        estimate_sample ~executions:s.Report.executions ~mass:s.Report.probe_mass
+        Progress.estimate ~executions:s.Report.executions ~mass:s.Report.probe_mass
           ~elapsed:s.Report.elapsed ~jobs)
 
-let tick_progress progress tally ~t0 ~prior_elapsed ~jobs () =
-  match progress with
+let tick_progress (cfg : C.t) tally ~t0 ~prior_elapsed ~jobs () =
+  match cfg.C.progress with
   | None -> ()
   | Some p ->
     Progress.tick p (fun () ->
-        estimate_sample ~executions:(Tally.executions tally) ~mass:(Tally.mass tally)
+        Progress.estimate ~executions:(Tally.executions tally) ~mass:(Tally.mass tally)
           ~elapsed:(prior_elapsed +. (Clock.now () -. t0))
           ~jobs)
 
@@ -1070,11 +1059,10 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
    | Some { C.fault_kind = C.Save_fail; _ }, Some _ ->
      Checkpoint.inject_save_failures := 2
    | _ -> ());
-  let progress = Search.progress_of_cfg cfg in
   let winner, counters =
     supervise cfg plan ~workers ~deadline ~tally ~results
       ~note:(fun k r tbl -> Option.iter (fun ck -> parck_note ck k r tbl) ck)
-      ~tick:(tick_progress progress tally ~t0 ~prior_elapsed ~jobs:workers)
+      ~tick:(tick_progress cfg tally ~t0 ~prior_elapsed ~jobs:workers)
   in
   let elapsed = prior_elapsed +. (Clock.now () -. t0) in
   (* Wall time of the search phase alone: the frontier expansion is startup
@@ -1084,7 +1072,7 @@ let run_systematic ?resume (cfg : C.t) prog ~workers =
     finalize_systematic ~results ~winner ~elapsed ~search_elapsed ~expand_timed_out
       ~with_gauges:(sup_gauges cfg ~workers ~n ~expand_us counters)
   in
-  force_progress progress report ~jobs:workers;
+  force_progress cfg report ~jobs:workers;
   Option.iter
     (fun ck -> parck_write ck ~complete:(report.Report.verdict <> Report.Limits_reached))
     ck;
@@ -1167,18 +1155,17 @@ let run_sampling ?resume (cfg : C.t) prog ~workers =
     let tally = Tally.create ~slots:(n + 1) in
     Tally.add tally ~executions:prior_stats.Report.executions
       ~mass:prior_stats.Report.probe_mass;
-    let progress = Search.progress_of_cfg cfg in
     let winner, counters =
       supervise cfg plan ~workers:n ~deadline ~tally ~results
         ~note:(fun _ _ _ -> ())
-        ~tick:(tick_progress progress tally ~t0 ~prior_elapsed ~jobs:n)
+        ~tick:(tick_progress cfg tally ~t0 ~prior_elapsed ~jobs:n)
     in
     let elapsed = prior_elapsed +. (Clock.now () -. t0) in
     let report, parts =
       finalize_sampling ~results ~prior_part ~winner ~elapsed
         ~with_gauges:(sup_gauges cfg ~workers:n ~n ~expand_us:0 counters)
     in
-    force_progress progress report ~jobs:n;
+    force_progress cfg report ~jobs:n;
     (* Sampling items interleave nondeterministically, so there is no
        mid-run granularity worth recording: the aggregate is checkpointed
        once, when the round ends (a resume continues by remaining budget). *)

@@ -8,6 +8,15 @@ type sample = {
   eta : float option;
 }
 
+let estimate ~executions ~mass ~elapsed ~jobs =
+  { executions;
+    elapsed;
+    jobs;
+    phase = "search";
+    completion = (if mass > 0 then Some (Estimator.completion ~mass) else None);
+    est_total = Estimator.est_total ~mass ~executions;
+    eta = Estimator.eta ~mass ~elapsed }
+
 type sink = sample -> unit
 
 type t = {

@@ -18,6 +18,12 @@ type sample = {
   eta : float option;  (** estimated seconds remaining *)
 }
 
+val estimate : executions:int -> mass:int -> elapsed:float -> jobs:int -> sample
+(** The ["search"] sample of a search that has completed [executions]
+    paths of probe [mass] in [elapsed] seconds, with the {!Estimator}'s
+    completion, total and ETA (all [None] while [mass = 0]). The
+    sequential search and the supervisor both report through it. *)
+
 type sink = sample -> unit
 
 type t

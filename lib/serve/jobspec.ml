@@ -46,12 +46,12 @@ let to_config t = t.config
 let max_fan_out = 256
 
 let validate { config = c; _ } =
-  if c.C.fair_k < 1 then Error (Printf.sprintf "fair_k must be >= 1, got %d" c.C.fair_k)
-  else if c.C.jobs > max_fan_out || c.C.workers > max_fan_out then
-    Error
-      (Printf.sprintf "jobs and workers must be at most %d, got %d and %d" max_fan_out
-         c.C.jobs c.C.workers)
-  else Ok ()
+  Result.bind (C.validate c) (fun () ->
+      if c.C.jobs > max_fan_out || c.C.workers > max_fan_out then
+        Error
+          (Printf.sprintf "jobs and workers must be at most %d, got %d and %d" max_fan_out
+             c.C.jobs c.C.workers)
+      else Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Program resolution, shared with the chess check CLI.               *)

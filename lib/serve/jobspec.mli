@@ -2,7 +2,7 @@
     workload name or ChessLang file path) and a search configuration. Its
     wire form, schema [fairmc-job/1], carries the config's identity and
     job fields ({!Fairmc_core.Checkpoint.config_fields}); local fields
-    (event sinks, progress callbacks, checkpoint paths, fault injection)
+    (event sinks, progress reporters, checkpoint paths, fault injection)
     are the daemon's own.
 
     Job identity is the checkpoint config fingerprint
@@ -30,8 +30,9 @@ val of_config : program:string -> Fairmc_core.Search_config.t -> t
 val to_config : t -> Fairmc_core.Search_config.t
 
 val validate : t -> (unit, string) result
-(** Reject specs no search accepts ([fair_k < 1]) and fan-outs above
-    {!max_fan_out}, which would fork that many worker processes. *)
+(** Reject specs {!Fairmc_core.Search_config.validate} refuses, and
+    fan-outs above {!max_fan_out}, which would fork that many worker
+    processes. *)
 
 val resolve :
   t -> (Fairmc_core.Program.t * Fairmc_util.Json.t option, string) result

@@ -344,22 +344,34 @@ let unit_tests =
         check "same stats as uninterrupted" true
           (strip_time final.Report.stats = strip_time full.Report.stats));
     Alcotest.test_case "mid-path interrupt resumes exactly" `Quick (fun () ->
-        (* Interrupt from inside a path (a progress tick at poll_interval=1
-           fires between steps), not at a boundary: the checkpoint must
-           exclude the partial path and the resume must re-run it fully. *)
-        let prog = W.Dining.coverage_program ~n:2 in
+        (* Interrupt from inside a path, not at a boundary: the checkpoint
+           must exclude the partial path and the resume must re-run it
+           fully. The search polls at every path start and every 256 steps,
+           and every path of this program runs 301 steps, so a reporter
+           that emits at every poll ticks alternately at a path start and
+           at step 255 of that path: tick 14 lands inside the 7th path. *)
+        let prog =
+          Program.of_threads ~name:"long-paths" @@ fun () ->
+          let a = Sync.int_var ~name:"a" 0 and b = Sync.int_var ~name:"b" 0 in
+          [ (fun () ->
+              for i = 1 to 300 do
+                Sync.Svar.set a i
+              done);
+            (fun () -> Sync.Svar.set b 1) ]
+        in
         let full = Search.run base prog in
         let file = Filename.temp_file "fairmc" ".ckpt" in
         let ticks = ref 0 in
         let cut =
           { base with
-            Search_config.poll_interval = 1;
-            progress_interval = 0.;
-            on_progress =
+            Search_config.progress =
               Some
-                (fun _ ->
-                  incr ticks;
-                  if !ticks = 13 then CK.request_interrupt ());
+                (Fairmc_obs.Progress.create ~interval:0.
+                   ~sinks:
+                     [ (fun _ ->
+                         incr ticks;
+                         if !ticks = 14 then CK.request_interrupt ()) ]
+                   ());
             checkpoint = Some file;
             checkpoint_interval = 0. }
         in
@@ -370,15 +382,22 @@ let unit_tests =
           (partial.Report.verdict = Report.Limits_reached);
         check "something was left to do" true
           (partial.Report.stats.Report.executions < full.Report.stats.Report.executions);
-        let resumed =
+        let sq =
           match CK.load file with
           | Error e -> Alcotest.fail e
           | Ok ck ->
             (match CK.plan_resume ck base ~program:prog.Program.name with
-             | Ok (CK.Seq sq) -> Search.run ~resume:sq base prog
+             | Ok (CK.Seq sq) -> sq
              | Ok _ -> Alcotest.fail "expected a sequential payload"
              | Error e -> Alcotest.fail e)
         in
+        (* The partial report counts the cut path; the checkpoint, taken at
+           that path's start, does not. *)
+        check_int "the interrupt landed inside the 7th path" 7
+          partial.Report.stats.Report.executions;
+        check_int "the checkpoint excludes the cut path" 6
+          sq.CK.sq_stats.Report.executions;
+        let resumed = Search.run ~resume:sq base prog in
         Sys.remove file;
         check "same verdict" true (resumed.Report.verdict = full.Report.verdict);
         check "same stats" true

@@ -7,7 +7,7 @@ module W = Fairmc_workloads
 
 let check = Alcotest.(check bool)
 
-let cfg = { Search_config.default with livelock_bound = Some 1_500; tail_window = 300 }
+let cfg = { Search_config.default with livelock_bound = Some 1_500 }
 
 let run p = Search.run cfg p
 

@@ -348,19 +348,19 @@ let determinism_tests =
 (* ------------------------------------------------------------------ *)
 (* Progress callback.                                                  *)
 
+(* A reporter that emits at every poll point into [sink]. *)
+let reporter sink = Some (Fairmc_obs.Progress.create ~interval:0.0 ~sinks:[ sink ] ())
+
 let progress_tests =
   [ Alcotest.test_case "callback fires (sequential)" `Quick (fun () ->
         let hits = Atomic.make 0 in
         let last_execs = ref (-1) in
         let cfg =
           { base with
-            Search_config.progress_interval = 0.0;
-            on_progress =
-              Some
-                (fun s ->
+            Search_config.progress =
+              reporter (fun s ->
                   Atomic.incr hits;
-                  last_execs := s.Fairmc_obs.Progress.executions)
-          }
+                  last_execs := s.Fairmc_obs.Progress.executions) }
         in
         let r = Search.run cfg (W.Dining.coverage_program ~n:2) in
         check "fired" true (Atomic.get hits > 0);
@@ -369,18 +369,13 @@ let progress_tests =
     Alcotest.test_case "callback fires (parallel)" `Quick (fun () ->
         let hits = Atomic.make 0 in
         let cfg =
-          { base with
-            Search_config.jobs = 4;
-            progress_interval = 0.0;
-            on_progress = Some (fun _ -> Atomic.incr hits)
-          }
+          { base with Search_config.jobs = 4; progress = reporter (fun _ -> Atomic.incr hits) }
         in
         let r = Checker.check ~config:cfg (W.Dining.coverage_program ~n:2) in
         check "fired" true (Atomic.get hits > 0);
         check "searched" true (r.Report.stats.executions > 0));
     Alcotest.test_case "no callback, no reporter" `Quick (fun () ->
-        check "progress_of_cfg is None by default" true
-          (Search.progress_of_cfg Search_config.default = None)) ]
+        check "no reporter by default" true (Option.is_none Search_config.default.progress)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Report JSON and trace export smoke tests.                           *)

@@ -56,10 +56,8 @@ let gen_spec rng =
         fair = R.bool rng;
         fair_k = 1 + R.int rng 4;
         depth_bound = gen_opt rng (fun r -> R.int r 100);
-        random_tail = R.bool rng;
         max_steps = 1 + R.int rng 100_000;
         livelock_bound = gen_opt rng (fun r -> R.int r 10_000);
-        tail_window = R.int rng 100;
         max_executions = gen_opt rng (fun r -> R.int r 100_000);
         time_limit = gen_opt rng gen_float8;
         seed = R.next_int64 rng;
@@ -624,10 +622,8 @@ let identity_mutations : (string * (C.t -> C.t)) list =
     ("fair", fun c -> { c with C.fair = not c.C.fair });
     ("fair_k", fun c -> { c with C.fair_k = c.C.fair_k + 1 });
     ("depth_bound", fun c -> { c with C.depth_bound = bump_opt c.C.depth_bound });
-    ("random_tail", fun c -> { c with C.random_tail = not c.C.random_tail });
     ("max_steps", fun c -> { c with C.max_steps = c.C.max_steps + 1 });
     ("livelock_bound", fun c -> { c with C.livelock_bound = bump_opt c.C.livelock_bound });
-    ("tail_window", fun c -> { c with C.tail_window = c.C.tail_window + 1 });
     ("seed", fun c -> { c with C.seed = Int64.succ c.C.seed });
     ("sleep_sets", fun c -> { c with C.sleep_sets = not c.C.sleep_sets });
     ("coverage", fun c -> { c with C.coverage = not c.C.coverage });
@@ -655,10 +651,8 @@ let budget_mutations : (string * (C.t -> C.t)) list =
     ("split_depth", fun c -> { c with C.split_depth = c.C.split_depth + 1 });
     ("item_timeout", fun c -> { c with C.item_timeout = bump_float c.C.item_timeout });
     ("max_retries", fun c -> { c with C.max_retries = c.C.max_retries + 1 });
-    ("poll_interval", fun c -> { c with C.poll_interval = 2 * c.C.poll_interval });
-    ("progress", fun c -> { c with C.progress = not c.C.progress });
-    ("progress_interval", fun c -> { c with C.progress_interval = c.C.progress_interval +. 1. });
-    ("on_progress", fun c -> { c with C.on_progress = Some ignore });
+    ( "progress",
+      fun c -> { c with C.progress = Some (Fairmc_obs.Progress.create ~sinks:[ ignore ] ()) } );
     ( "events",
       fun c -> { c with C.events = Some (Fairmc_obs.Events.create ~write:ignore ()) } );
     ("checkpoint", fun c -> { c with C.checkpoint = Some "elsewhere.ckpt" });
@@ -712,9 +706,10 @@ let gen_budget rng (c : C.t) =
     time_limit = pick [ None; Some 600. ];
     item_timeout = pick [ None; Some 600. ];
     max_retries = R.int rng 3;
-    poll_interval = pick [ 1; 64; 256 ];
-    progress_interval = pick [ 0.; 1. ];
-    on_progress = pick [ None; Some ignore ];
+    progress =
+      (if R.bool rng then
+         Some (Fairmc_obs.Progress.create ~interval:(pick [ 0.; 1. ]) ~sinks:[ ignore ] ())
+       else None);
     events = (if R.bool rng then Some (Fairmc_obs.Events.create ~write:ignore ()) else None);
     checkpoint_interval = pick [ 0.; 30. ] }
 
@@ -970,6 +965,74 @@ let cancel_tests =
         Unix.sleepf 0.2;
         check "no runner restarted" true (children_of pid = [] && state job = P.Failed)) ]
 
+(* ------------------------------------------------------------------ *)
+(* Numbers that fabricate a verdict are refused; old members ignored    *)
+(* ------------------------------------------------------------------ *)
+
+(* Numbers that would fabricate a verdict, one field at a time. *)
+let fabricating : (string * (C.t -> C.t)) list =
+  [ ("cb:-1", fun c -> { c with C.mode = C.Context_bounded (-1) });
+    ("random:0 at workers 2", fun c -> { c with C.mode = C.Random_walk 0; workers = 2 });
+    ("prio:0 at workers 2", fun c -> { c with C.mode = C.Priority_random 0; workers = 2 });
+    ("fair_k 0", fun c -> { c with C.fair_k = 0 });
+    ("max_steps 0", fun c -> { c with C.max_steps = 0 });
+    ("livelock_bound 0", fun c -> { c with C.livelock_bound = Some 0 });
+    ("max_executions 0", fun c -> { c with C.max_executions = Some 0 });
+    ("split_depth 0", fun c -> { c with C.split_depth = 0 });
+    ("depth_bound -1", fun c -> { c with C.depth_bound = Some (-1) });
+    ("max_retries -1", fun c -> { c with C.max_retries = -1 });
+    ("time_limit -1", fun c -> { c with C.time_limit = Some (-1.) });
+    ("item_timeout 0", fun c -> { c with C.item_timeout = Some 0. }) ]
+
+let validation_tests =
+  let spec = JS.of_config ~program:"fig3" C.default in
+  [ Alcotest.test_case "validate rejects every number that fabricates a verdict" `Quick
+      (fun () ->
+        List.iter
+          (fun (what, f) ->
+            match JS.validate (with_config spec f) with
+            | Error _ -> ()
+            | Ok () -> Alcotest.failf "%s accepted" what)
+          (fabricating
+           @ [ ("time_limit nan", fun c -> { c with C.time_limit = Some Float.nan });
+               ("time_limit inf", fun c -> { c with C.time_limit = Some infinity }) ]);
+        List.iter
+          (fun (what, f) ->
+            check (what ^ " passes") true (JS.validate (with_config spec f) = Ok ()))
+          [ ("cb:0", fun c -> { c with C.mode = C.Context_bounded 0 });
+            ("random:1", fun c -> { c with C.mode = C.Random_walk 1 });
+            ("depth_bound 0", fun c -> { c with C.fair = false; depth_bound = Some 0 });
+            ("max_retries 0", fun c -> { c with C.max_retries = 0 });
+            ("time_limit 0", fun c -> { c with C.time_limit = Some 0. }) ]);
+    Alcotest.test_case "fabricating numbers: error replies, nothing queued" `Quick (fun () ->
+        with_daemon @@ fun ~socket ~pid:_ ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        List.iter
+          (fun (what, f) ->
+            Serve.Client.request fd (P.Submit { spec = with_config spec f; priority = 0 });
+            match Serve.Client.next fd with
+            | P.Error_msg _ -> ()
+            | m ->
+              Alcotest.failf "%s: expected an error reply, got %s" what
+                (J.to_string (P.message_to_json m)))
+          fabricating;
+        Serve.Client.request fd P.Jobs;
+        match Serve.Client.next fd with
+        | P.Job_list [] -> ()
+        | m -> Alcotest.failf "expected no jobs, got %s" (J.to_string (P.message_to_json m)));
+    Alcotest.test_case "members of older job documents are ignored" `Quick (fun () ->
+        (* The random tail and the divergence window were config fields;
+           documents that still carry them decode to the same spec. *)
+        let doc =
+          match JS.to_json spec with
+          | J.Obj kv -> J.Obj (kv @ [ ("random_tail", J.Bool false); ("tail_window", J.Int 24) ])
+          | _ -> Alcotest.fail "a spec encodes as an object"
+        in
+        let decoded = JS.of_json doc in
+        check "same spec" true (spec_equal decoded spec);
+        check_str "same id" (JS.id spec ~program_name:"fig3")
+          (JS.id decoded ~program_name:"fig3")) ]
+
 let suite =
   identity_tests @ robustness_tests @ dedup_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
@@ -978,4 +1041,4 @@ let suite =
       (identity_qprops @ same_report_props)
   @ bound_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) decoder_fuzz_props
-  @ cancel_tests
+  @ cancel_tests @ validation_tests

@@ -370,5 +370,57 @@ let differential_tests =
           in
           ignore (Test_checkpoint.resume_equal cfg prog ~cut:5)) ]
 
+(* ------------------------------------------------------------------ *)
+(* The reduction floor: how much merging saves, in counts               *)
+
+(* Local-state-heavy: each thread drives its own cursor global; only the
+   yields interleave once the cursors merge. *)
+let src_counters =
+  "var c0 = 0; var c1 = 0; var c2 = 0; var done0 = 0; var done1 = 0; var done2 = 0;\n\
+   thread t0 { local i = 0; while (i < 2) { c0 = c0 + 1; i = i + 1; yield; } done0 = 1; }\n\
+   thread t1 { local i = 0; while (i < 2) { c1 = c1 + 1; i = i + 1; yield; } done1 = 1; }\n\
+   thread t2 { local i = 0; while (i < 2) { c2 = c2 + 1; i = i + 1; yield; } done2 = 1; }"
+
+(* Spin-heavy, every global shared: merging must be a no-op. *)
+let src_peterson_spin =
+  "var flag0 = 0; var flag1 = 0; var turn = 0; var crit = 0;\n\
+   thread p0 { local i = 0; while (i < 2) { flag0 = 1; turn = 1; \
+   while (flag1 == 1 && turn == 1) { yield; } crit = crit + 1; \
+   assert(crit == 1, \"mutex\"); crit = crit - 1; flag0 = 0; i = i + 1; } }\n\
+   thread p1 { local i = 0; while (i < 2) { flag1 = 1; turn = 0; \
+   while (flag0 == 1 && turn == 0) { yield; } crit = crit + 1; \
+   assert(crit == 1, \"mutex\"); crit = crit - 1; flag1 = 0; i = i + 1; } }"
+
+let reduction_tests =
+  let both src cfg =
+    let ast = D.Parser.parse_string src in
+    (Search.run cfg (S.compile ast), Search.run cfg (D.compile ast))
+  in
+  [ Alcotest.test_case "merging collapses local counters; peterson is the control" `Quick
+      (fun () ->
+        (* Unmerged, the counters search runs 541,716 executions (~2 s); a
+           1,000-execution budget shows it far from done. *)
+        let merged, plain =
+          both src_counters
+            { Search_config.default with
+              livelock_bound = Some 5_000;
+              max_executions = Some 1_000 }
+        in
+        check "merged: verified" true (merged.Report.verdict = Report.Verified);
+        check_int "merged: executions" 90 merged.Report.stats.executions;
+        check_int "merged: transitions" 540 merged.Report.stats.transitions;
+        check "plain: not done after 1,000 executions" true
+          (plain.Report.verdict = Report.Limits_reached);
+        let merged, plain =
+          both src_peterson_spin
+            { Search_config.default with
+              livelock_bound = Some 2_000;
+              max_executions = Some 3_000 }
+        in
+        check_int "peterson: same executions" plain.Report.stats.executions
+          merged.Report.stats.executions;
+        check_int "peterson: same transitions" plain.Report.stats.transitions
+          merged.Report.stats.transitions) ]
+
 let suite =
-  corpus_tests @ json_tests @ sema_tests @ visibility_tests @ differential_tests
+  corpus_tests @ json_tests @ sema_tests @ visibility_tests @ differential_tests @ reduction_tests

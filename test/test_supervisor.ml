@@ -823,6 +823,38 @@ let cancel_tests =
           in
           check_str "livelock" "livelock" (Report.verdict_key sup.verdict)) ]
 
+(* ------------------------------------------------------------------ *)
+(* Numbers that fabricate a verdict are usage errors                    *)
+(* ------------------------------------------------------------------ *)
+
+let validation_tests =
+  [ Alcotest.test_case "numbers that fabricate a verdict are usage errors" `Quick (fun () ->
+        (* Each of these once printed a verdict for a search that explored
+           nothing, or crashed at -j 2. Negatives go in --opt=-1 form:
+           cmdliner reads a bare -1 as a flag. *)
+        List.iter
+          (fun args -> run_cli ~expect:124 ("fig3" :: "-q" :: args))
+          [ [ "-s"; "cb:-1" ];
+            [ "--max-steps"; "0" ];
+            [ "--livelock-bound"; "0" ];
+            [ "-s"; "random:0"; "-j"; "2" ];
+            [ "-s"; "prio:0"; "-j"; "2" ];
+            [ "--max-execs"; "0" ];
+            [ "--max-execs"; "0"; "-j"; "2" ];
+            [ "--split-depth"; "0" ];
+            [ "--no-fair"; "--depth-bound=-1" ];
+            [ "--max-retries=-1" ];
+            [ "--time-limit=-1" ];
+            [ "--time-limit"; "nan" ];
+            [ "--item-timeout"; "0" ] ];
+        List.iter
+          (fun args -> run_cli ~expect:0 ("fig3" :: "-q" :: args))
+          [ [ "-s"; "cb:0" ];
+            [ "--no-fair"; "--depth-bound"; "0" ];
+            [ "--max-retries"; "0" ];
+            [ "--time-limit"; "0" ];
+            [ "-s"; "random:1"; "-j"; "2" ] ]) ]
+
 (* Alcotest numbers the tests by position and the number is part of how a
    run names them: keep existing positions stable and append new tests. *)
 let suite =
@@ -830,4 +862,4 @@ let suite =
   @ dispatch_tests @ budget_tests @ save_hardening_tests @ retry_tests
   @ resource_tests @ protocol_tests @ limit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) fuzz_props
-  @ reassembly_tests @ span_gate_tests @ cancel_tests
+  @ reassembly_tests @ span_gate_tests @ cancel_tests @ validation_tests
