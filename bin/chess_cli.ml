@@ -82,8 +82,7 @@ let workers =
        & info [ "j"; "jobs"; "workers" ] ~docv:"N"
            ~doc:"Supervised worker $(i,processes) for the parallel search: 1 \
                  (default) runs sequentially, 0 uses all available cores. \
-                 Systematic strategies give identical results for every N; \
-                 sampling strategies are reproducible per (seed, N) pair. \
+                 Every strategy reports the same for every N. \
                  Each worker is a forked process, so a crash, OOM kill or \
                  hang costs one work-item attempt — retried with backoff, \
                  then quarantined as a $(i,crash) verdict — instead of the \
@@ -260,8 +259,7 @@ let static_por_arg =
 
 let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound max_execs
     time_limit seed sleep_sets coverage split_depth workers item_timeout
-    max_retries inject_fault metrics stats races lockset lock_graph fail_on_race
-    checkpoint checkpoint_interval static_por =
+    max_retries metrics stats races lockset lock_graph fail_on_race static_por =
   let analyses =
     (if races || fail_on_race then [ Fairmc_analysis.Hb_race.analysis ] else [])
     @ (if lockset then [ Fairmc_analysis.Lockset.analysis ] else [])
@@ -286,25 +284,36 @@ let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound ma
     workers;
     item_timeout;
     max_retries;
-    inject_fault;
     metrics = metrics || stats;
     analyses;
-    checkpoint;
-    checkpoint_interval;
     static_por }
 
+(* The flags a job carries to chessd: the config's identity and job
+   fields. *)
+let job_term =
+  Term.(const build_config $ strategy $ no_fair $ fair_k $ depth_bound $ max_steps
+        $ livelock_bound $ max_execs $ time_limit $ seed $ sleep_sets $ coverage
+        $ split_depth $ workers $ item_timeout $ max_retries $ metrics_flag $ stats_flag
+        $ races_flag $ lockset_flag $ lock_graph_flag $ fail_on_race $ static_por_arg)
+
 (* A number that would fabricate a verdict is a usage error (exit 124). *)
-let config_term =
-  let validated cfg =
-    match Search_config.validate cfg with Ok () -> `Ok cfg | Error e -> `Error (true, e)
+let validated cfg =
+  match Search_config.validate cfg with Ok () -> `Ok cfg | Error e -> `Error (true, e)
+
+(* [chess check] adds the flags local to its process: the checkpoint file
+   and interval, and fault injection. *)
+let check_config_term =
+  let with_local cfg checkpoint checkpoint_interval inject_fault =
+    { cfg with Search_config.checkpoint; checkpoint_interval; inject_fault }
   in
   Term.(ret
           (const validated
-           $ (const build_config $ strategy $ no_fair $ fair_k $ depth_bound $ max_steps
-              $ livelock_bound $ max_execs $ time_limit $ seed $ sleep_sets $ coverage
-              $ split_depth $ workers $ item_timeout $ max_retries $ inject_fault
-              $ metrics_flag $ stats_flag $ races_flag $ lockset_flag $ lock_graph_flag
-              $ fail_on_race $ checkpoint_out $ checkpoint_interval $ static_por_arg)))
+           $ (const with_local $ job_term $ checkpoint_out $ checkpoint_interval
+              $ inject_fault)))
+
+(* [chess submit] takes the job's flags only: a local flag there would be
+   dropped on the way to the daemon, so it is a usage error. *)
+let submit_config_term = Term.(ret (const validated $ job_term))
 
 (* --progress and --progress-interval; [check] builds the reporter. *)
 let progress_term =
@@ -478,7 +487,7 @@ let check_cmd =
     | _ -> if Report.found_error report then exit 1
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ prog_arg $ config_term $ progress_term $ quiet $ save_repro
+    Term.(const run $ prog_arg $ check_config_term $ progress_term $ quiet $ save_repro
           $ stats_flag $ json_out $ trace_out $ fail_on_race $ resume_arg $ events_out
           $ watch_flag $ trace_spans_out)
 
@@ -729,13 +738,18 @@ let submit_cmd =
   let doc = "Submit a check job to a chessd daemon." in
   let man =
     [ `S Manpage.s_description;
-      `P "Builds the same search configuration as $(b,chess check), ships it \
-          to the daemon at $(b,--socket), and prints the job id. Job \
-          identity is the configuration fingerprint also used by checkpoint \
-          resume: submitting the same program and strategy twice — even with \
-          different budgets — attaches to the running (or finished) search \
-          instead of starting another, and every watcher receives the same \
-          final report.";
+      `P "Builds the search configuration $(b,chess check) would build from \
+          the same flags, ships it to the daemon at $(b,--socket), and prints \
+          the job id. Only the flags a job carries are accepted: \
+          $(b,--progress), $(b,--progress-interval), $(b,--checkpoint), \
+          $(b,--checkpoint-interval) and $(b,--inject-fault) belong to a \
+          search run in this process (a served job reports progress through \
+          its event stream and checkpoints into the daemon's spool).";
+      `P "Job identity is the configuration fingerprint also used by \
+          checkpoint resume: submitting the same program and strategy twice \
+          — even with different budgets or fan-out — attaches to the running \
+          (or finished) search instead of starting another, and every watcher \
+          receives the same final report.";
       `P "With $(b,--wait) the command then behaves like \
           $(b,chess watch-job): it streams the job to completion, prints the \
           report $(b,chess check) would print, and exits with its status." ]
@@ -759,9 +773,7 @@ let submit_cmd =
                    $(b,chess watch-job)); $(b,--events) and $(b,--json) apply \
                    to the watched job.")
   in
-  (* The progress flags are accepted as [check] accepts them; a served job
-     reports progress through its event stream. *)
-  let run name cfg _progress socket priority wait json_out events_out quiet =
+  let run name cfg socket priority wait json_out events_out quiet =
     let spec = Serve.Jobspec.of_config ~program:name cfg in
     run_client socket @@ fun fd ->
     Serve.Client.request fd (SP.Submit { spec; priority });
@@ -778,7 +790,7 @@ let submit_cmd =
     | _ -> daemon_error "unexpected reply to submit"
   in
   Cmd.v (Cmd.info "submit" ~doc ~man)
-    Term.(const run $ prog_arg $ config_term $ progress_term $ socket_arg $ priority
+    Term.(const run $ prog_arg $ submit_config_term $ socket_arg $ priority
           $ wait $ json_out $ events_out $ quiet)
 
 let jobs_cmd =

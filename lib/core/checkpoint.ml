@@ -16,7 +16,6 @@ type frame = { c_chosen : decision; c_rest : decision list; c_sleep : B.t; c_wid
 
 type seq_state = {
   sq_frames : frame array;
-  sq_rng : int64;
   sq_stats : Report.stats;
   sq_metrics : MS.t;
   sq_states : int64 list;
@@ -40,19 +39,9 @@ type par_state = {
   pa_complete : bool;
 }
 
-type sampling_state = {
-  sa_round : int;
-  sa_stats : Report.stats;
-  sa_metrics : MS.t;
-  sa_states : int64 list;
-  sa_edges : AH.lock_edge list;
-  sa_complete : bool;
-}
-
 type payload =
   | Seq of seq_state
   | Par of par_state
-  | Par_sampling of sampling_state
 
 type t = { fingerprint : string; payload : payload }
 
@@ -99,7 +88,7 @@ let int_d o name ~default =
 let float_d o name ~default =
   match opt_field o name with Some v -> as_float name v | None -> default
 
-(* int64 values (RNG state, state signatures) do not fit a JSON double, so
+(* int64 values (the seed, state signatures) do not fit a JSON double, so
    they travel as decimal strings. *)
 let int64_to_json v = Json.Str (Int64.to_string v)
 
@@ -212,10 +201,17 @@ let config_of_json ~analysis o =
     checkpoint_interval = d.checkpoint_interval;
     inject_fault = d.inject_fault }
 
-(* The program name and the identity fields, as one compact JSON object:
-   canonical, since the field order is fixed. *)
+(* The program name, the scheme that derives random choices from the seed,
+   and the identity fields, as one compact JSON object: canonical, since
+   the field order is fixed. Under the "path" scheme each random choice is
+   keyed by its execution index or its path's decisions. A fingerprint
+   without the member belongs to a search that drew from one stream per
+   process or work item, whose checkpoint must not resume here. *)
 let fingerprint cfg ~program =
-  Json.to_string (Json.Obj (("program", Json.Str program) :: config_fields ~job:false cfg))
+  Json.to_string
+    (Json.Obj
+       (("program", Json.Str program) :: ("draws", Json.Str "path")
+       :: config_fields ~job:false cfg))
 
 (* Report.stats — own codec (Report.stats_to_json emits derived fields and
    has no parser). *)
@@ -333,7 +329,6 @@ let payload_to_json = function
     Json.Obj
       [ ("kind", Json.Str "seq");
         ("frames", Json.Arr (Array.to_list (Array.map frame_to_json s.sq_frames)));
-        ("rng", int64_to_json s.sq_rng);
         ("stats", stats_to_json s.sq_stats);
         ("metrics", metrics_to_json s.sq_metrics);
         ("states", states_to_json s.sq_states);
@@ -357,22 +352,12 @@ let payload_to_json = function
                     ("edges", edges_to_json it.pi_edges) ])
               p.pa_items));
         ("complete", Json.Bool p.pa_complete) ]
-  | Par_sampling s ->
-    Json.Obj
-      [ ("kind", Json.Str "par-sampling");
-        ("round", Json.Int s.sa_round);
-        ("stats", stats_to_json s.sa_stats);
-        ("metrics", metrics_to_json s.sa_metrics);
-        ("states", states_to_json s.sa_states);
-        ("edges", edges_to_json s.sa_edges);
-        ("complete", Json.Bool s.sa_complete) ]
 
 let payload_of_json o =
   match str_f o "kind" with
   | "seq" ->
     Seq
       { sq_frames = Array.of_list (List.map frame_of_json (arr_f o "frames"));
-        sq_rng = int64_of_json "rng" (field o "rng");
         sq_stats = stats_of_json (field o "stats");
         sq_metrics = metrics_of_json "metrics" (field o "metrics");
         sq_states = states_of_json "states" (field o "states");
@@ -393,14 +378,6 @@ let payload_of_json o =
                 pi_edges = edges_of_json "edges" (field io "edges") })
             (arr_f o "items");
         pa_complete = bool_f o "complete" }
-  | "par-sampling" ->
-    Par_sampling
-      { sa_round = int_f o "round";
-        sa_stats = stats_of_json (field o "stats");
-        sa_metrics = metrics_of_json "metrics" (field o "metrics");
-        sa_states = states_of_json "states" (field o "states");
-        sa_edges = edges_of_json "edges" (field o "edges");
-        sa_complete = bool_f o "complete" }
   | k -> fail "unknown payload kind %S" k
 
 let to_json t =
@@ -505,12 +482,7 @@ let plan_resume t (cfg : C.t) ~program =
       (Printf.sprintf
          "config fingerprint mismatch\n  checkpoint: %s\n  requested:  %s" t.fingerprint fp)
   else
-    let complete =
-      match t.payload with
-      | Seq s -> s.sq_complete
-      | Par p -> p.pa_complete
-      | Par_sampling s -> s.sa_complete
-    in
+    let complete = match t.payload with Seq s -> s.sq_complete | Par p -> p.pa_complete in
     if complete then Error "checkpoint records a completed search; nothing to resume"
     else Ok t.payload
 

@@ -3,9 +3,10 @@
     A long stateless-model-checking run is pure re-execution from the initial
     state, so its complete progress is captured by a small amount of control
     state: the DFS frame stack (with the untried alternatives and sleep set
-    of every frame), the RNG state for sampling modes, the accumulated
-    statistics/metrics/coverage/analysis totals, and — for the parallel
-    systematic search — the per-work-item completion records. This module
+    of every frame), the accumulated statistics/metrics/coverage/analysis
+    totals, and — for a parallel search — the records of its finished work
+    items. Random choices are keyed by their execution index or path, so no
+    generator state is saved. This module
     serializes that state to a versioned JSON file (schema [fairmc-ckpt/1],
     written atomically via a temp file + rename) and validates it against the
     requesting configuration on resume, so an interrupted [chess check] can
@@ -42,9 +43,9 @@ type seq_state = {
   sq_frames : frame array;
       (** the DFS stack at a path boundary: replaying [c_chosen] of each
           frame in order reaches exactly the next unexplored path. Empty for
-          sampling modes (they resume by remaining budget) and for a search
-          interrupted before its first backtrack. *)
-  sq_rng : int64;  (** splitmix64 state, continued exactly by the resume *)
+          sampling modes (they resume at the execution index that follows
+          [sq_stats.executions]) and for a search interrupted before its
+          first backtrack. *)
   sq_stats : Report.stats;  (** cumulative totals across all prior sessions *)
   sq_metrics : Fairmc_obs.Metrics.Snapshot.t;  (** cumulative, kind-tagged *)
   sq_states : int64 list;  (** coverage state signatures, sorted *)
@@ -54,44 +55,38 @@ type seq_state = {
 }
 
 type par_item = {
-  pi_index : int;  (** position in the DFS-ordered work-item list *)
+  pi_index : int;
+      (** a systematic item's position in the DFS-ordered work-item list;
+          a sampling item's first execution index (it covered
+          [pi_stats.executions] executions from there) *)
   pi_stats : Report.stats;
   pi_metrics : Fairmc_obs.Metrics.Snapshot.t;
   pi_states : int64 list;
   pi_edges : Analysis_hook.lock_edge list;
 }
-(** A fully explored (verdict [Verified]) work item of the parallel
-    systematic search. Partially explored items are never recorded — a
-    resume re-runs them from scratch, which is what keeps the merged totals
-    bit-identical to an uninterrupted run. *)
+(** A finished work item of a parallel search: a systematic subtree
+    explored in full, or a range of sampling executions that all ran to
+    their end without an error (both report [Verified] from
+    {!Search.run_item}). Partially explored items — a range whose last path
+    a stop cut short among them — are
+    never recorded — a resume re-runs them from scratch, which is what
+    keeps the merged totals bit-identical to an uninterrupted run. *)
 
 type par_state = {
-  pa_split_depth : int;  (** must match on resume: it defines the item list *)
-  pa_n_items : int;  (** expansion size, revalidated on resume *)
+  pa_split_depth : int;
+      (** systematic: must match on resume, it defines the item list *)
+  pa_n_items : int;
+      (** systematic: expansion size, revalidated on resume; sampling: the
+          session's item count, informational (a resume cuts the executions
+          no item finished afresh) *)
   pa_elapsed : float;  (** wall time consumed by prior sessions *)
   pa_items : par_item list;  (** ascending [pi_index] *)
   pa_complete : bool;
 }
 
-type sampling_state = {
-  sa_round : int;
-      (** how many sessions contributed; the resume splits fresh RNG streams
-          per round so no schedule prefix repeats across sessions *)
-  sa_stats : Report.stats;
-  sa_metrics : Fairmc_obs.Metrics.Snapshot.t;
-  sa_states : int64 list;
-  sa_edges : Analysis_hook.lock_edge list;
-  sa_complete : bool;
-}
-(** Parallel sampling shards interleave nondeterministically, so only their
-    aggregate is recorded: a resume continues by {e remaining budget}, not by
-    exact RNG position (sequential sampling, which goes through {!seq_state},
-    does resume RNG-exactly). *)
-
 type payload =
   | Seq of seq_state
   | Par of par_state
-  | Par_sampling of sampling_state
 
 type t = { fingerprint : string; payload : payload }
 
@@ -141,10 +136,11 @@ val config_of_json :
     is an error. Raises {!Codec.Parse}. *)
 
 val fingerprint : Search_config.t -> program:string -> string
-(** Canonical rendering of the program name and the identity fields (a
-    compact JSON object). Job fields are left out so a resume may extend
-    them; [split_depth] is instead revalidated structurally for parallel
-    checkpoints. *)
+(** Canonical rendering of the program name, the scheme that derives
+    random choices from the seed (["draws": "path"]: keyed by execution
+    index or path) and the identity fields (a compact JSON object). Job
+    fields are left out so a resume may extend them; [split_depth] is
+    instead revalidated structurally for parallel systematic checkpoints. *)
 
 (** {1 Resume validation} *)
 

@@ -51,12 +51,6 @@ let equal a b =
   | Yield, Yield | Sleep, Sleep | Spawn, Spawn -> true
   | _ -> false
 
-let is_blocking_kind = function
-  | Lock _ | Sem_wait _ | Ev_wait _ | Join _ -> true
-  | Try_lock _ | Timed_lock _ | Unlock _ | Sem_try_wait _ | Sem_timed_wait _
-  | Sem_post _ | Ev_timed_wait _ | Ev_set _ | Ev_reset _
-  | Var_read _ | Var_write _ | Var_rmw _ | Yield | Sleep | Spawn | Choose _ -> false
-
 let alternatives = function Choose n -> n | _ -> 1
 
 let pp ppf = function

@@ -44,9 +44,6 @@ val obj_of : t -> obj option
 (** The synchronization object the operation touches, if any. Two operations
     on distinct objects are independent (used by sleep-set POR). *)
 
-val is_blocking_kind : t -> bool
-(** Whether the operation can ever be disabled. *)
-
 val alternatives : t -> int
 (** Number of data alternatives: [n] for [Choose n], 1 otherwise. *)
 

@@ -53,6 +53,12 @@ type pdecision = {
   p_width : int;
 }
 
+(* A parallel work item: the subtree below a locked prefix (systematic
+   modes) or a range [lo, hi) of execution indices (sampling modes). *)
+type item =
+  | Prefix of pdecision array
+  | Executions of int * int
+
 (* Why a path ended. *)
 type path_end =
   | P_terminated
@@ -137,12 +143,19 @@ type state = {
   mutable frames : frame array;
   mutable nframes : int;
   states : (int64, unit) Hashtbl.t;
-  rng : Rng.t;
+  mutable rng : Rng.t;
+      (* the current path's generator: execution i of a sampling search
+         draws from (seed, i), a random tail from (seed, the decisions its
+         path made above the depth bound), so no draw depends on how the
+         search was cut into work items *)
+  first_exec : int;  (* index of this session's first execution *)
+  end_exec : int;  (* sampling: stop before this execution index *)
+  mutable cut_short : bool;  (* a stop ended the last path before its end *)
   t0 : float;
   deadline : float;  (* absolute; [infinity] when unlimited *)
   tally : Tally.t option;  (* search-wide totals of a parallel search *)
   frontier_at : int;  (* cut fresh decisions at this depth; [max_int] = never *)
-  probe_denom : int;  (* sampling: original (unsharded) budget; 0 = systematic *)
+  probe_denom : int;  (* sampling: the execution count; 0 = systematic *)
   meters : meters option;
   events : Obs.Events.buf option;  (* shard-local telemetry batch buffer *)
   span_buf : Obs.Events.buf option;
@@ -230,18 +243,25 @@ let poll st =
    | Some p -> Obs.Progress.tick p (progress_sample st));
   stopped st
 
-(* Sampling modes weigh every execution [1/original-budget]; parallel shards
-   carry shrunk budgets in their own [cfg], so the supervisor passes the
-   original explicitly via [?probe_denom]. Systematic modes use 0: leaf
-   weights come from the frame widths instead. *)
-let default_probe_denom (cfg : C.t) =
-  match cfg.C.mode with
-  | C.Dfs | C.Context_bounded _ -> 0
-  | C.Random_walk n | C.Priority_random n -> max 1 n
-  | C.Round_robin -> 1
+let is_systematic (cfg : C.t) =
+  match cfg.mode with
+  | C.Dfs | C.Context_bounded _ -> true
+  | C.Random_walk _ | C.Round_robin | C.Priority_random _ -> false
 
-let make_state ?deadline ?rng ?(prefix = [||]) ?tally ?probe_denom
-    ?(frontier_at = max_int) ?(shard = 0) (cfg : C.t) prog =
+(* Executions a sampling mode runs; unbounded for the systematic modes. *)
+let sampling_count (cfg : C.t) =
+  match cfg.C.mode with
+  | C.Random_walk n | C.Priority_random n -> n
+  | C.Round_robin -> 1
+  | C.Dfs | C.Context_bounded _ -> max_int
+
+(* Sampling modes weigh every execution [1/count], whichever session or
+   work item runs it. Systematic modes use 0: leaf weights come from the
+   frame widths instead. *)
+let probe_denom (cfg : C.t) = if is_systematic cfg then 0 else max 1 (sampling_count cfg)
+
+let make_state ?deadline ?(prefix = [||]) ?executions ?tally ?(frontier_at = max_int)
+    ?(shard = 0) (cfg : C.t) prog =
   let deadline =
     match deadline with
     | Some d -> d
@@ -265,18 +285,24 @@ let make_state ?deadline ?rng ?(prefix = [||]) ?tally ?probe_denom
           snap = None })
     prefix;
   let events = Option.map (fun s -> Obs.Events.buffer s ~shard) cfg.events in
+  let first_exec, end_exec =
+    match executions with Some r -> r | None -> (0, sampling_count cfg)
+  in
   { cfg;
     prog;
     run = None;
     frames;
     nframes = nprefix;
     states = Hashtbl.create 4096;
-    rng = (match rng with Some r -> r | None -> Rng.make cfg.seed);
+    rng = Rng.make cfg.seed;
+    first_exec;
+    end_exec;
+    cut_short = false;
     t0 = Obs.Clock.now ();
     deadline;
     tally;
     frontier_at;
-    probe_denom = (match probe_denom with Some d -> d | None -> default_probe_denom cfg);
+    probe_denom = probe_denom cfg;
     meters = (if cfg.metrics then Some (make_meters ()) else None);
     events;
     span_buf =
@@ -424,6 +450,16 @@ let deepest_snap st =
   in
   go (st.nframes - 1)
 
+(* A random tail's generator, keyed by the seed and the decisions of the
+   path above the depth bound: the same whichever work item runs it. *)
+let tail_rng st =
+  let key = ref st.cfg.C.seed in
+  for i = 0 to st.nframes - 1 do
+    let a = st.frames.(i).chosen in
+    key := Rng.mix (Rng.mix !key a.tid) a.alt
+  done;
+  Rng.make !key
+
 (* Start a path: restore the deepest snapshot on the stack (re-executing
    only the decisions above it), or boot the program and replay the whole
    frame prefix. Returns the run and the restored frame's index and
@@ -496,6 +532,8 @@ let execute_from st ~systematic ~restoring run restored =
     if cfg.fair then Option.value cfg.livelock_bound ~default:cfg.max_steps else max_int
   in
   if Option.is_none restored then record_state st run;
+  if not systematic then
+    st.rng <- Rng.make (Rng.mix cfg.seed (st.first_exec + st.executions));
   let apply (a : alt) =
     if cfg.sleep_sets && systematic && !depth > 0 && !depth = st.nframes then begin
       (* The next node is fresh: derive its sleep set from this node's. *)
@@ -635,7 +673,8 @@ let execute_from st ~systematic ~restoring run restored =
                    random scheduling. *)
                 if not !crossed_db then begin
                   st.depth_bound_hits <- st.depth_bound_hits + 1;
-                  crossed_db := true
+                  crossed_db := true;
+                  st.rng <- tail_rng st
                 end;
                 (match st.meters with Some m -> M.incr m.m_sampled_steps | None -> ());
                 if spans_on && Option.is_none !t_fresh then
@@ -799,11 +838,6 @@ let metrics_of st =
     g "time/shard_busy_us" (int_of_float (elapsed st *. 1e6));
     !snap
 
-let is_systematic (cfg : C.t) =
-  match cfg.mode with
-  | C.Dfs | C.Context_bounded _ -> true
-  | C.Random_walk _ | C.Round_robin | C.Priority_random _ -> false
-
 (* Earliest race reported by any analysis instance so far (by step of the
    completing access; polled after every path — no allocation when clean). *)
 let first_race_of st =
@@ -871,7 +905,6 @@ let capture_boundary st =
     match analysis with Some a -> a.Report.lock_order_edges | None -> []
   in
   { Checkpoint.sq_frames = frames;
-    sq_rng = Rng.state st.rng;
     sq_stats = stats;
     sq_metrics = metrics;
     sq_states = [];
@@ -933,12 +966,6 @@ let schedule_hash tr =
 let run_loop_body st =
   let cfg = st.cfg in
   let systematic = is_systematic cfg in
-  let sampling_budget =
-    match cfg.mode with
-    | C.Random_walk n | C.Priority_random n -> n
-    | C.Round_robin -> 1
-    | C.Dfs | C.Context_bounded _ -> max_int
-  in
   let verdict = ref None in
   (* Where the search stood when a [Limits_reached] stop hit, relative to the
      boundary snapshot: at it, inside the following path, or after completing
@@ -1022,6 +1049,7 @@ let run_loop_body st =
        | P_nonterminating -> st.nonterminating <- st.nonterminating + 1
        | P_stopped ->
          verdict := Some Report.Limits_reached;
+         st.cut_short <- true;
          stop_at := `Mid_path);
       (* An analysis-reported race ends the search like an engine-detected
          error. An engine error on the same path takes precedence (both
@@ -1062,7 +1090,7 @@ let run_loop_body st =
         if systematic then begin
           if not (backtrack st) then verdict := Some Report.Verified
         end
-        else if st.executions >= sampling_budget then begin
+        else if st.first_exec + st.executions >= st.end_exec then begin
           verdict := Some Report.Limits_reached;
           stop_at := `After_path
         end
@@ -1087,9 +1115,9 @@ let run_loop_body st =
      or mid-path flushes the pre-path snapshot (the partial path is excluded
      and re-executed in full by the resume); a stop after a completed path
      must first advance past it — if backtracking fails there is nothing
-     left and the session is complete. Sampling modes resume by remaining
-     budget, so a budget stop stays [complete:false] (a later session may
-     extend the budget). *)
+     left and the session is complete. A sampling search resumes at its
+     next execution index, so a budget stop stays [complete:false] (a later
+     session may extend the budget). *)
   (match st.ckpt with
    | None -> ()
    | Some ck ->
@@ -1144,33 +1172,28 @@ let run_loop st =
     Engine.set_observer (Some observe);
     Fun.protect ~finally:(fun () -> Engine.set_observer None) (fun () -> run_loop_body st)
 
-(* Executions left for a resumed session: the mode's sampling budget and
+(* Executions left for a resumed session: the mode's sampling count and
    [max_executions] both count across sessions. [max_int] when unlimited. *)
 let remaining_budget (cfg : C.t) prior_execs =
-  let mode_left =
-    match cfg.mode with
-    | C.Random_walk n | C.Priority_random n -> n - prior_execs
-    | C.Round_robin -> 1 - prior_execs
-    | C.Dfs | C.Context_bounded _ -> max_int
-  in
   let cap_left =
     match cfg.max_executions with Some m -> m - prior_execs | None -> max_int
   in
-  min mode_left cap_left
+  min (sampling_count cfg - prior_execs) cap_left
 
-(* The resumed session runs only the remaining budget; [totals] then folds
-   the prior totals back in, so the merged report matches an uninterrupted
-   run with the original budgets. *)
-let adjust_budgets (cfg : C.t) prior_execs =
-  let clamp n = max 0 n in
-  let mode =
-    match cfg.mode with
-    | C.Random_walk n -> C.Random_walk (clamp (n - prior_execs))
-    | C.Priority_random n -> C.Priority_random (clamp (n - prior_execs))
-    | (C.Round_robin | C.Dfs | C.Context_bounded _) as m -> m
-  in
-  let max_executions = Option.map (fun m -> clamp (m - prior_execs)) cfg.max_executions in
-  { cfg with C.mode; max_executions }
+(* A sampling path weighs [1/count]. A resume may raise the count: the
+   prior paths are then reweighed, so the mass stays executions/count, as
+   in one uninterrupted run. *)
+let reweigh (cfg : C.t) (s : Report.stats) metrics =
+  if is_systematic cfg then (s, metrics)
+  else begin
+    let mass =
+      s.Report.executions * Obs.Estimator.descend Obs.Estimator.one (probe_denom cfg)
+    in
+    ( { s with Report.probe_mass = mass },
+      match M.Snapshot.find metrics "search/probe_mass" with
+      | Some _ -> M.Snapshot.with_counter metrics "search/probe_mass" mass
+      | None -> metrics )
+  end
 
 (* Coordinator lifecycle events, shared with the supervisor. [run_start]'s
    data deliberately excludes [jobs] and budget fields: the det slice must be
@@ -1227,17 +1250,17 @@ let run ?resume cfg prog =
     r
   | _ ->
     post_run_start cfg prog;
-    let cfg_run, rng =
-      match resume with
-      | None -> (cfg, None)
-      | Some sq ->
-        ( adjust_budgets cfg sq.Checkpoint.sq_stats.Report.executions,
-          Some (Rng.of_state sq.Checkpoint.sq_rng) )
+    (* The resumed session counts its own executions from zero: it gets
+       what is left of [max_executions], and a sampling search continues at
+       the next execution index. [totals] folds the prior totals back in. *)
+    let prior =
+      match resume with Some sq -> sq.Checkpoint.sq_stats.Report.executions | None -> 0
     in
-    (* The probe denominator comes from the *original* config: a resumed
-       sampling session runs a shrunk budget, but its paths still weigh
-       [1/original] in the cross-session probe mass. *)
-    let st = make_state ?rng ~probe_denom:(default_probe_denom cfg) cfg_run prog in
+    let cfg_run =
+      { cfg with
+        C.max_executions = Option.map (fun m -> max 0 (m - prior)) cfg.C.max_executions }
+    in
+    let st = make_state ~executions:(prior, sampling_count cfg) cfg_run prog in
     (match resume with
      | None -> ()
      | Some sq ->
@@ -1262,11 +1285,8 @@ let run ?resume cfg prog =
           uninterrupted run (recording is idempotent). *)
        if cfg.C.coverage then
          List.iter (fun s -> Hashtbl.replace st.states s ()) sq.Checkpoint.sq_states;
-       st.prior <-
-         Some
-           { pr_stats = sq.Checkpoint.sq_stats;
-             pr_metrics = sq.Checkpoint.sq_metrics;
-             pr_edges = sq.Checkpoint.sq_edges });
+       let pr_stats, pr_metrics = reweigh cfg sq.Checkpoint.sq_stats sq.Checkpoint.sq_metrics in
+       st.prior <- Some { pr_stats; pr_metrics; pr_edges = sq.Checkpoint.sq_edges });
     (match cfg.C.checkpoint with
      | None -> ()
      | Some path ->
@@ -1281,13 +1301,24 @@ let run ?resume cfg prog =
     post_run_end cfg report;
     report
 
-(* One shard of a parallel search: either a sampling item (custom [rng]
-   stream, sharded budget already folded into [cfg]) or a systematic work
-   item (locked [prefix]). Returns the coverage table alongside the report so
-   the supervisor can union tables rather than summing cardinalities. *)
-let run_shard ?deadline ?rng ?prefix ?tally ?probe_denom ?shard cfg prog =
-  let st = make_state ?deadline ?rng ?prefix ?tally ?probe_denom ?shard cfg prog in
-  (run_loop st, st.states)
+(* One work item of a parallel search. Returns the coverage table alongside
+   the report so the supervisor can union tables rather than summing
+   cardinalities. A range whose executions all ran to their end without an
+   error reports [Verified], as an explored subtree does: neither need run
+   again. A range whose last path a stop cut short counts that path but
+   reports [Limits_reached]. *)
+let run_item ?deadline ?shard ~tally cfg prog item =
+  match item with
+  | Prefix prefix ->
+    let st = make_state ?deadline ~prefix ~tally ?shard cfg prog in
+    (run_loop st, st.states)
+  | Executions (lo, hi) ->
+    let st = make_state ?deadline ~executions:(lo, hi) ~tally ?shard cfg prog in
+    let r = run_loop st in
+    let whole =
+      r.Report.verdict = Report.Limits_reached && st.executions = hi - lo && not st.cut_short
+    in
+    ((if whole then { r with Report.verdict = Report.Verified } else r), st.states)
 
 (* Sequentially expand the systematic decision tree, cutting every path at
    [split_depth] fresh decisions. Each resulting prefix — whether it is an
@@ -1310,7 +1341,6 @@ let expand ?deadline cfg prog ~split_depth =
       prog
   in
   if not (is_systematic cfg) then invalid_arg "Search.expand: sampling mode";
-  let random_tail = (not cfg.C.fair) && cfg.C.depth_bound <> None in
   let items = ref [] in
   let timed_out = ref false in
   let continue_ = ref true in
@@ -1333,10 +1363,10 @@ let expand ?deadline cfg prog ~split_depth =
       in
       items := prefix :: !items;
       match outcome with
-      | (P_safety _ | P_deadlock | P_divergence _) when not random_tail ->
-        (* Deterministic error below the split depth: the sequential DFS can
-           never get past it, so later units are unreachable. (With a random
-           tail the worker's re-roll may differ, so keep enumerating.) *)
+      | P_safety _ | P_deadlock | P_divergence _ ->
+        (* An error above the split depth: the sequential DFS can never get
+           past it (a random tail draws the same wherever it runs), so
+           later items are unreachable. *)
         continue_ := false
       | P_stopped ->
         timed_out := true;

@@ -29,12 +29,13 @@
 
 val run : ?resume:Checkpoint.seq_state -> Search_config.t -> Program.t -> Report.t
 (** Run the configured search. With [resume], continue a prior session from
-    its checkpointed path boundary: the DFS stack, RNG state and coverage
-    table are reloaded, budgets ([max_executions], sampling counts) are
-    reduced by the prior session's executions, and the prior totals are
-    folded back into the final report — an interrupted-then-resumed run
-    reports the same verdict, counterexample and statistics as an
-    uninterrupted one. When [config.checkpoint] is set, the search snapshots
+    its checkpointed path boundary: the DFS stack and coverage table are
+    reloaded, a sampling search continues at its next execution index,
+    [max_executions] is reduced by the prior session's executions, and the
+    prior totals are folded back into the final report — an
+    interrupted-then-resumed run reports the same verdict, counterexample
+    and statistics as an uninterrupted one, also when the resume raises
+    the sampling count. When [config.checkpoint] is set, the search snapshots
     its state at every path boundary and writes the file at most every
     [checkpoint_interval] seconds, plus exactly once when it stops. *)
 
@@ -89,6 +90,14 @@ type pdecision = {
     widths into their {!Fairmc_obs.Estimator} probe weights so the merged
     probe mass is bit-identical to the sequential search's. *)
 
+type item =
+  | Prefix of pdecision array
+      (** a systematic work item: the subtree below a locked prefix
+          (backtracking never leaves it) *)
+  | Executions of int * int
+      (** a sampling work item: executions [lo] to [hi - 1] of the
+          search, each drawing from its own (seed, index) generator *)
+
 val expand :
   ?deadline:float ->
   Search_config.t ->
@@ -102,9 +111,9 @@ val expand :
     workers re-execute each item from the initial state, so their merged
     statistics equal the sequential search's exactly. The boolean is true if
     [deadline] cut the expansion short. Enumeration stops early after a work
-    item whose shallow outcome is a deterministic error (the sequential
-    search could never reach the later items). Raises [Invalid_argument] for
-    sampling modes. *)
+    item whose shallow outcome is an error (the sequential search could
+    never reach the later items). Raises [Invalid_argument] for sampling
+    modes. *)
 
 val post_run_start : Search_config.t -> Program.t -> unit
 (** Emit the coordinator [run_start] telemetry event (no-op without
@@ -116,25 +125,40 @@ val post_run_end : Search_config.t -> Report.t -> unit
     execution/transition/probe-mass totals. Deterministic for systematic
     searches that reached a verdict. *)
 
-val run_shard :
+val is_systematic : Search_config.t -> bool
+(** DFS and context-bounded modes; the sampling modes are not. *)
+
+val sampling_count : Search_config.t -> int
+(** Executions a sampling mode runs ([n] for [random:n] and [prio:n], 1
+    for round-robin); [max_int] for the systematic modes. *)
+
+val run_item :
   ?deadline:float ->
-  ?rng:Fairmc_util.Rng.t ->
-  ?prefix:pdecision array ->
-  ?tally:Tally.t ->
-  ?probe_denom:int ->
   ?shard:int ->
+  tally:Tally.t ->
   Search_config.t ->
   Program.t ->
+  item ->
   Report.t * (int64, unit) Hashtbl.t
-(** One shard of a parallel search: a systematic work item (locked
-    [prefix]; backtracking never leaves its subtree) or a sampling item
-    (private [rng] stream, budget pre-sharded in the config). [deadline]
-    overrides the config's relative [time_limit] with an absolute timestamp
-    shared by all shards. Every completed path is added to [tally]'s slot,
-    and [max_executions] is checked against the tally's search-wide total
-    (instead of the local count) at every path start and end. [probe_denom]
-    is the {e original} (unsharded) sampling budget — shard configs carry
-    shrunk budgets, and every sampled path must weigh [1/original].
-    [shard] tags the shard's telemetry events ([config.events]). Returns the
-    report together with the shard's coverage table so the caller can union
-    tables rather than sum cardinalities. *)
+(** Run one work item of a parallel search. [deadline] overrides the
+    config's relative [time_limit] with an absolute timestamp shared by all
+    items. Every completed path is added to [tally]'s slot, and
+    [max_executions] is checked against the tally's search-wide total
+    (instead of the local count) at every path start and end. A sampling
+    path weighs [1/count] of the config's whole sampling count, whichever
+    item runs it. [shard] tags the item's telemetry events
+    ([config.events]). Returns the report together with the item's coverage
+    table so the caller can union tables rather than sum cardinalities.
+    A range that ran all its executions to their end without an error
+    reports [Verified], like a subtree explored in full. A range that the
+    deadline, an interrupt or the budget stopped before its last path
+    ended reports [Limits_reached], also when the stop cut that last path
+    short (the path still counts as an execution). *)
+
+val reweigh :
+  Search_config.t -> Report.stats -> Fairmc_obs.Metrics.Snapshot.t ->
+  Report.stats * Fairmc_obs.Metrics.Snapshot.t
+(** Prior totals of a sampling search, reweighed for the config's sampling
+    count: every path weighs [1/count], so a resume that raised the count
+    reports the probe mass of one uninterrupted run. Systematic totals come
+    back unchanged. *)

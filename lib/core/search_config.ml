@@ -66,15 +66,6 @@ let fair_dfs = default
 let unfair_dfs ~depth_bound =
   { default with fair = false; depth_bound = Some depth_bound; livelock_bound = None }
 
-let fair_cb c = { default with mode = Context_bounded c }
-
-let unfair_cb c ~depth_bound =
-  { default with
-    fair = false;
-    mode = Context_bounded c;
-    depth_bound = Some depth_bound;
-    livelock_bound = None }
-
 let fault_kind_name = function
   | Crash -> "crash"
   | Hang -> "hang"

@@ -51,7 +51,9 @@ type t = {
   depth_bound : int option;
       (** unfair searches: systematic scheduling choices only below this
           depth; a path cut there runs on under random scheduling until it
-          ends, counting the states it sees (paper §4.2.1). [None] means
+          ends, counting the states it sees (paper §4.2.1). The tail draws
+          from a generator keyed by [seed] and the path's decisions above
+          the bound, so it is the same whichever worker runs it. [None] means
           unbounded (caution: diverges on cyclic state spaces — the problem
           the paper solves). *)
   max_steps : int;
@@ -64,6 +66,9 @@ type t = {
   max_executions : int option;
   time_limit : float option;  (** seconds *)
   seed : int64;
+      (** keys every random choice: execution [i] of a sampling mode draws
+          from a generator seeded by ([seed], [i]), a random tail from one
+          seeded by ([seed], its path's decisions above the depth bound) *)
   sleep_sets : bool;  (** sleep-set partial-order reduction (extension) *)
   coverage : bool;  (** record distinct state signatures *)
   jobs : int;
@@ -75,7 +80,8 @@ type t = {
   split_depth : int;
       (** parallel systematic search: the decision tree is expanded
           sequentially to this depth and each frontier prefix becomes an
-          independent work item (see DESIGN.md, "Parallel search") *)
+          independent work item (see DESIGN.md, "Parallel search"). The
+          report does not depend on it. *)
   metrics : bool;
       (** collect the full instrument set into {!Report.t.metrics}. Off by
           default: when off, no registry exists and the hot paths pay one
@@ -122,8 +128,9 @@ type t = {
           runs the sequential search, [n > 1] forks [n] crash-isolated
           workers, [0] (or negative) uses
           [Domain.recommended_domain_count ()]; see [jobs] for how the two
-          combine. With no injected faults a parallel systematic run reports
-          bit-identically to the sequential one. *)
+          combine. Every strategy reports bit-identically at every fan-out
+          (wall time aside), for searches that finish inside their budget;
+          an injected fault with retries left changes nothing either. *)
   item_timeout : float option;
       (** supervised runs: wall-clock budget per work-item attempt; on
           expiry the worker is SIGKILLed and the item requeued (counting
@@ -142,8 +149,6 @@ val default : t
 
 val fair_dfs : t
 val unfair_dfs : depth_bound:int -> t
-val fair_cb : int -> t
-val unfair_cb : int -> depth_bound:int -> t
 
 val describe : t -> string
 

@@ -13,11 +13,10 @@
       same execution/transition/coverage counts — independent of the worker
       count and of timing (errors are resolved by lowest item index in DFS
       order; workers on losing items are killed).
-    - {b Sampling modes} (random walk, random priorities): item [i] is RNG
-      stream [i] split off [config.seed], with an exact share of the
-      execution budget. The verdict and counterexample are reproducible for
-      a fixed (seed, worker count); statistics of items killed above the
-      winner may vary between runs.
+    - {b Sampling modes} (random walk, random priorities): an item is a
+      range of execution indices, and execution [i] draws from its own
+      ([config.seed], [i]) generator. The same lowest-item rule and merge
+      give exactly the sequential report.
     - Round-robin is a single schedule and runs sequentially.
 
     Policies:
@@ -61,10 +60,8 @@ val run : ?resume:Checkpoint.payload -> Search_config.t -> Program.t -> Report.t
 
     [resume] continues a prior checkpointed session (see {!Checkpoint} and
     DESIGN.md, "Durable sessions"). The payload kind must fit the run shape:
-    [Seq] for sequential runs, [Par] for parallel systematic, [Par_sampling]
-    for parallel sampling — a mismatch (e.g. a checkpoint written with a
-    different jobs regime, or split-depth/item-count drift) raises
-    {!Checkpoint.Mismatch}. When [config.checkpoint] is set, the parallel
-    systematic search records every fully explored work item (throttled by
-    [config.checkpoint_interval]) and parallel sampling records its
-    aggregate once per session. *)
+    [Seq] for sequential runs, [Par] for parallel ones — a mismatch (e.g. a
+    checkpoint written with a different jobs regime, or split-depth/
+    item-count drift of a systematic search) raises {!Checkpoint.Mismatch}.
+    When [config.checkpoint] is set, a parallel search records every
+    finished work item (throttled by [config.checkpoint_interval]). *)

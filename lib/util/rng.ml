@@ -1,9 +1,6 @@
 type t = { mutable state : int64 }
 
 let make seed = { state = seed }
-let copy t = { state = t.state }
-let state t = t.state
-let of_state s = { state = s }
 
 (* splitmix64 (Steele, Lea, Flood 2014). *)
 let next_int64 t =
@@ -14,17 +11,12 @@ let next_int64 t =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+let mix key x =
+  next_int64 { state = Int64.logxor key (Int64.mul (Int64.of_int x) 0x9E3779B97F4A7C15L) }
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int";
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   r mod bound
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-let split t =
-  let s = next_int64 t in
-  make (Int64.logxor s 0x2545F4914F6CDD1DL)
-
-let streams t n =
-  if n < 0 then invalid_arg "Rng.streams";
-  Array.init n (fun _ -> split t)

@@ -1,4 +1,4 @@
-(** Deterministic splittable random number generator (splitmix64).
+(** Deterministic random number generator (splitmix64).
 
     The model checker must be reproducible: every random schedule is derived
     from a seed recorded in the report, so a failing execution can be
@@ -7,17 +7,13 @@
 type t
 
 val make : int64 -> t
-val copy : t -> t
 
-val state : t -> int64
-(** The full internal state. Together with {!of_state} this lets a search
-    checkpoint capture the generator mid-stream and continue it bit-exactly
-    in a later process. *)
-
-val of_state : int64 -> t
-(** Rebuild a generator from a captured {!state}. Unlike [make], no
-    scrambling is applied: [of_state (state t)] continues exactly where [t]
-    was. *)
+val mix : int64 -> int -> int64
+(** [mix key x] derives a new key from [key] and [x] (one splitmix64 step);
+    distinct [x] give unrelated keys. The search keys each random choice by
+    where it is made: execution [i] of a sampling search draws from
+    [make (mix seed i)], so no draw depends on which process made the ones
+    before it. *)
 
 val next_int64 : t -> int64
 
@@ -26,11 +22,3 @@ val int : t -> int -> int
     [bound <= 0]. *)
 
 val bool : t -> bool
-
-val split : t -> t
-(** A statistically independent generator; the original advances. *)
-
-val streams : t -> int -> t array
-(** [streams t n] is [n] independent generators obtained by repeated
-    [split]s. The parallel search gives each worker (or work item) its own
-    stream, so a run is reproducible for a fixed seed and stream count. *)

@@ -74,7 +74,6 @@ let gen_frame rng =
 
 let gen_seq rng =
   { CK.sq_frames = Array.init (R.int rng 6) (fun _ -> gen_frame rng);
-    sq_rng = R.next_int64 rng;
     sq_stats = gen_stats rng;
     sq_metrics = gen_metrics rng;
     sq_states = gen_states rng;
@@ -88,24 +87,26 @@ let gen_par_item rng i =
     pi_states = gen_states rng;
     pi_edges = gen_edges rng }
 
+(* Finished sampling ranges: each keyed by its first execution and as long
+   as its execution count, in order, with gaps for the unfinished ones. *)
+let gen_ranges rng =
+  let lo = ref (R.int rng 5) in
+  List.init (R.int rng 4) (fun _ ->
+      let it = gen_par_item rng !lo in
+      lo := !lo + it.CK.pi_stats.Report.executions + R.int rng 3;
+      it)
+
 let gen_payload rng =
   match R.int rng 3 with
   | 0 -> CK.Seq (gen_seq rng)
-  | 1 ->
+  | k ->
     CK.Par
       { CK.pa_split_depth = 1 + R.int rng 6;
         pa_n_items = R.int rng 64;
         pa_elapsed = float_of_int (R.int rng 1024) /. 8.;
-        pa_items = List.init (R.int rng 4) (gen_par_item rng);
+        pa_items =
+          (if k = 1 then List.init (R.int rng 4) (gen_par_item rng) else gen_ranges rng);
         pa_complete = R.bool rng }
-  | _ ->
-    CK.Par_sampling
-      { CK.sa_round = R.int rng 5;
-        sa_stats = gen_stats rng;
-        sa_metrics = gen_metrics rng;
-        sa_states = gen_states rng;
-        sa_edges = gen_edges rng;
-        sa_complete = R.bool rng }
 
 let gen_t seed =
   let rng = R.make (Int64.of_int seed) in
@@ -116,7 +117,6 @@ let eq_metrics a b = MS.entries a = MS.entries b
 
 let eq_seq (a : CK.seq_state) (b : CK.seq_state) =
   a.CK.sq_frames = b.CK.sq_frames
-  && a.CK.sq_rng = b.CK.sq_rng
   && a.CK.sq_stats = b.CK.sq_stats
   && eq_metrics a.CK.sq_metrics b.CK.sq_metrics
   && a.CK.sq_states = b.CK.sq_states
@@ -140,13 +140,6 @@ let eq_payload a b =
     && List.length x.CK.pa_items = List.length y.CK.pa_items
     && List.for_all2 eq_item x.CK.pa_items y.CK.pa_items
     && x.CK.pa_complete = y.CK.pa_complete
-  | CK.Par_sampling x, CK.Par_sampling y ->
-    x.CK.sa_round = y.CK.sa_round
-    && x.CK.sa_stats = y.CK.sa_stats
-    && eq_metrics x.CK.sa_metrics y.CK.sa_metrics
-    && x.CK.sa_states = y.CK.sa_states
-    && x.CK.sa_edges = y.CK.sa_edges
-    && x.CK.sa_complete = y.CK.sa_complete
   | _ -> false
 
 let eq_t a b = a.CK.fingerprint = b.CK.fingerprint && eq_payload a.CK.payload b.CK.payload
@@ -465,20 +458,27 @@ let unit_tests =
              | Error e -> Alcotest.fail e)
         in
         Sys.remove file;
-        (* Sequential sampling resumes RNG-exactly, so even the sampled
-           statistics match the uninterrupted run. *)
+        (* Execution i draws from (seed, i), so the resume continues
+           exactly: even the sampled statistics match the uninterrupted
+           run. *)
         check "same verdict" true (resumed.Report.verdict = full.Report.verdict);
         check "same stats" true
           (strip_time resumed.Report.stats = strip_time full.Report.stats));
     Alcotest.test_case "parallel sampling resumes by remaining budget" `Quick (fun () ->
+        (* Execution i draws from (seed, i) whichever item runs it: the
+           checkpoint records the ranges that finished, the resume runs the
+           rest at another fan-out with the count raised from 30 to 40
+           (prior paths reweighed to 1/40), and the merged report is the
+           uninterrupted one, which is the sequential one. *)
         let prog = W.Litmus.two_step_threads ~nthreads:2 ~steps:3 in
-        let cfg =
-          { base with Search_config.mode = Search_config.Random_walk 40; jobs = 4 }
-        in
+        let cfg = { base with Search_config.mode = Search_config.Random_walk 40 } in
+        let full = Search.run cfg prog in
         let file = Filename.temp_file "fairmc" ".ckpt" in
         let cut =
           { cfg with
-            Search_config.max_executions = Some 15;
+            Search_config.mode = Search_config.Random_walk 30;
+            jobs = 4;
+            max_executions = Some 15;
             checkpoint = Some file;
             checkpoint_interval = 0. }
         in
@@ -489,19 +489,68 @@ let unit_tests =
           | Error e -> Alcotest.fail e
           | Ok ck ->
             (match CK.plan_resume ck cfg ~program:prog.Program.name with
-             | Ok (CK.Par_sampling sa as payload) ->
-               check_int "first session" 1 sa.CK.sa_round;
-               check_int "recorded executions" partial.Report.stats.Report.executions
-                 sa.CK.sa_stats.Report.executions;
-               Checker.check ~config:cfg ~resume:payload prog
-             | Ok _ -> Alcotest.fail "expected a parallel sampling payload"
+             | Ok (CK.Par pa as payload) ->
+               let recorded =
+                 List.fold_left
+                   (fun n (it : CK.par_item) -> n + it.CK.pi_stats.Report.executions)
+                   0 pa.CK.pa_items
+               in
+               (* Each worker may finish the path it is on when the
+                  budget runs out, so more than 15 may be recorded. *)
+               check "some ranges, not all, were recorded" true (recorded > 0 && recorded < 30);
+               Checker.check ~config:{ cfg with Search_config.jobs = 2 } ~resume:payload prog
+             | Ok _ -> Alcotest.fail "expected a parallel payload"
              | Error e -> Alcotest.fail e)
         in
         Sys.remove file;
-        (* Streams differ between sessions, so only the totals are
-           session-invariant: the whole budget, no more. *)
-        check "budget spent, no error" true (resumed.Report.verdict = Report.Limits_reached);
-        check_int "cumulative executions" 40 resumed.Report.stats.Report.executions);
+        check "same verdict" true (resumed.Report.verdict = full.Report.verdict);
+        check "same stats" true
+          (strip_time resumed.Report.stats = strip_time full.Report.stats);
+        Alcotest.check counters "same metric counters"
+          (prefix_steps_folded full.Report.metrics)
+          (prefix_steps_folded resumed.Report.metrics));
+    Alcotest.test_case "parallel sampling cut by the time limit resumes exactly" `Quick
+      (fun () ->
+        (* Paths of 3,000 steps, polled every 256: the deadline stops each
+           worker inside a path, and at jobs=2 a random:16 range is one
+           execution, so the stopped path is its range's last. That range
+           counts the partial path, but it did not finish: the checkpoint
+           must leave it to the resume. (No livelock bound: each thread
+           runs 1,500 steps without a yield.) *)
+        let prog = W.Litmus.two_step_threads ~nthreads:2 ~steps:1_500 in
+        let cfg =
+          { base with
+            Search_config.mode = Search_config.Random_walk 16;
+            livelock_bound = None }
+        in
+        let full = Search.run cfg prog in
+        let file = Filename.temp_file "fairmc" ".ckpt" in
+        let cut =
+          { cfg with
+            Search_config.jobs = 2;
+            time_limit = Some 0.02;
+            checkpoint = Some file;
+            checkpoint_interval = 0. }
+        in
+        let partial = Checker.check ~config:cut prog in
+        check "cut run limited" true (partial.Report.verdict = Report.Limits_reached);
+        let resumed =
+          match CK.load file with
+          | Error e -> Alcotest.fail e
+          | Ok ck ->
+            (match CK.plan_resume ck cfg ~program:prog.Program.name with
+             | Ok (CK.Par _ as payload) ->
+               Checker.check ~config:{ cfg with Search_config.jobs = 2 } ~resume:payload prog
+             | Ok _ -> Alcotest.fail "expected a parallel payload"
+             | Error e -> Alcotest.fail e)
+        in
+        Sys.remove file;
+        check "same verdict" true (resumed.Report.verdict = full.Report.verdict);
+        check "same stats" true
+          (strip_time resumed.Report.stats = strip_time full.Report.stats);
+        Alcotest.check counters "same metric counters"
+          (prefix_steps_folded full.Report.metrics)
+          (prefix_steps_folded resumed.Report.metrics));
     Alcotest.test_case "good-samaritan culprit tie-break is deterministic" `Quick
       (fun () ->
         (* Non-yielders dominate yielders; then occurrence counts; then the

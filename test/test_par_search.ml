@@ -1,8 +1,7 @@
-(* Parallel-search tests: exact equivalence with the sequential search for
-   systematic modes (same verdict, execution count, transition count and
-   coverage-state count for every jobs value), reproducibility of sampling
-   modes for a fixed (seed, jobs) pair, and deterministic replay of
-   counterexamples found by workers. The searches fork worker processes
+(* Parallel-search tests: exact equivalence with the sequential search
+   (same verdict, execution count, transition count and coverage-state count
+   for every jobs value, sampling modes included), and deterministic replay
+   of counterexamples found by workers. The searches fork worker processes
    ({!Supervisor}) on however many cores the host has — the invariants are
    scheduling-independent. *)
 
@@ -106,8 +105,8 @@ let suite =
         let par () = Checker.check ~config:{ cfg with jobs = 4 } p in
         let r1 = par () and r2 = par () in
         Alcotest.(check string) "verdict kind" (verdict_kind seq) (verdict_kind r1);
-        (* Fixed (seed, jobs): the winning worker and its schedule are
-           deterministic even though worker timing is not. *)
+        (* The winning item and its schedule are deterministic even
+           though worker timing is not. *)
         Alcotest.(check string) "reproducible verdict" (verdict_kind r1) (verdict_kind r2);
         (match (cex_of r1, cex_of r2) with
          | Some c1, Some c2 -> check "identical schedule" true (c1.decisions = c2.decisions)
@@ -122,27 +121,32 @@ let suite =
         check "no error" false (Report.found_error r);
         check_int "21 executions total" 21 r.stats.executions);
     Alcotest.test_case "sampling: pinned counterexample at jobs=4" `Quick (fun () ->
-        (* Recorded when sampling still ran on OCaml domains: item i is
-           still RNG stream i with the same budget share, so the lowest
-           erroring item and its schedule must not move. *)
+        (* Execution i draws from (seed, i) whichever item runs it, so four
+           workers find the sequential search's counterexample at its
+           execution index. *)
         let cfg =
-          { Search_config.default with
-            mode = Search_config.Random_walk 400;
-            seed = 7L;
-            jobs = 4 }
+          { Search_config.default with mode = Search_config.Random_walk 400; seed = 7L }
         in
-        let r = Checker.check ~config:cfg (W.Litmus.race_assert ()) in
-        match r.verdict with
-        | Report.Safety_violation { tid; failure = Engine.Assertion msg; cex } ->
+        let p = W.Litmus.race_assert () in
+        let seq = Search.run cfg p in
+        let r = Checker.check ~config:{ cfg with jobs = 4 } p in
+        match (seq.verdict, r.verdict) with
+        | ( Report.Safety_violation { cex = want; _ },
+            Report.Safety_violation { tid; failure = Engine.Assertion msg; cex } ) ->
           check_int "failing thread" 2 tid;
           Alcotest.(check string) "failure" "check-then-act race" msg;
           Alcotest.(check (list (pair int int)))
+            "the sequential schedule" want.decisions cex.decisions;
+          Alcotest.(check (list (pair int int)))
             "schedule"
-            [ (0, 0); (0, 0); (1, 0); (0, 0); (1, 0); (2, 0); (1, 0); (2, 0); (2, 0) ]
+            [ (1, 0); (1, 0); (0, 0); (1, 0); (0, 0); (0, 0); (2, 0); (2, 0); (2, 0) ]
             cex.decisions;
           Alcotest.(check (option int))
-            "position in the winning stream" (Some 2) r.stats.first_error_execution
-        | v -> Alcotest.failf "expected the assertion failure, got %s" (Report.verdict_key v));
+            "the sequential execution index" seq.stats.first_error_execution
+            r.stats.first_error_execution;
+          check_int "executions" seq.stats.executions r.stats.executions
+        | _, v ->
+          Alcotest.failf "expected the assertion failure, got %s" (Report.verdict_key v));
     Alcotest.test_case "jobs=0 resolves to the host's domain count" `Quick (fun () ->
         check_int "auto"
           (Domain.recommended_domain_count ())
@@ -153,3 +157,97 @@ let suite =
         let p = W.Litmus.race_assert () in
         let r = Checker.check ~config:{ base with jobs = 0 } p in
         check "auto jobs still finds the bug" true (Report.found_error r)) ]
+
+(* ------------------------------------------------------------------ *)
+(* Random programs: every strategy reports the same at every fan-out    *)
+
+let report_key (r : Report.t) =
+  ( Report.verdict_key r.verdict,
+    Test_checkpoint.strip_time r.stats,
+    Option.map (fun (c : Report.counterexample) -> c.decisions) (cex_of r) )
+
+(* A sampling run cut by [max_executions] at three workers and resumed at
+   two reports what one uninterrupted run reports. A cut that lands after
+   the first error leaves a complete checkpoint: nothing to resume. *)
+let resumes_exactly ~seed (cfg : Search_config.t) prog want =
+  let file = Filename.temp_file "fairmc_fanout" ".ckpt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ()) @@ fun () ->
+  let cut =
+    { cfg with
+      workers = 3;
+      max_executions = Some 15;
+      checkpoint = Some file;
+      checkpoint_interval = 0. }
+  in
+  let plan ck = Checkpoint.plan_resume ck cfg ~program:prog.Program.name in
+  match (Checker.check ~config:cut prog).verdict with
+  | Report.Limits_reached ->
+    (match Result.bind (Checkpoint.load file) plan with
+     | Error e -> QCheck.Test.fail_reportf "seed %d: %s" seed e
+     | Ok resume ->
+       report_key (Checker.check ~config:{ cfg with workers = 2 } ~resume prog) = want
+       || QCheck.Test.fail_reportf "seed %d, %s: the resumed run differs" seed
+            (Search_config.mode_name cfg.mode))
+  | _ -> true
+
+(* Random walk, random priorities and an unfair depth-bounded DFS (whose
+   cut paths finish under random tails) at one, two and three workers, on
+   the VM with and without static merging. About 90% of generated programs
+   fail on their first execution whatever the schedule, and 1% later; the
+   items below the winning one matter only when the first error comes
+   later, so each seed takes the first of 24 programs whose random walk
+   fails later, else the first that does not fail, else the first. *)
+let prop_fan_out seed =
+  let base =
+    { Search_config.default with
+      livelock_bound = Some 300;
+      max_steps = 1_000;
+      coverage = true;
+      seed = Int64.of_int seed }
+  in
+  let sampling = { base with mode = Search_config.Random_walk 40 } in
+  let candidates =
+    List.init 24 (fun k ->
+        let ast =
+          Test_dsl.gen_program
+            (Fairmc_util.Rng.make (Int64.of_int ((seed * 104729) + (k * 7) + 17)))
+        in
+        let prog =
+          if seed land 1 = 0 then Fairmc_dsl.Vm.compile ast else Fairmc_static.compile ast
+        in
+        (prog, (Search.run sampling prog).stats.first_error_execution))
+  in
+  let first p = Option.map fst (List.find_opt (fun (_, e) -> p e) candidates) in
+  let prog =
+    match first (function Some e -> e > 1 | None -> false) with
+    | Some prog -> prog
+    | None -> Option.value (first Option.is_none) ~default:(fst (List.hd candidates))
+  in
+  List.for_all
+    (fun (cfg : Search_config.t) ->
+      let seq = Search.run cfg prog in
+      let want = report_key seq in
+      (* A DFS cut by its budget may cut elsewhere at another fan-out. One
+         that finished inside it runs unbudgeted there: workers on items
+         above the first error spend executions too. *)
+      seq.verdict = Report.Limits_reached && Search.is_systematic cfg
+      || List.for_all
+           (fun (workers, split_depth) ->
+             let cfg = { cfg with workers; split_depth; max_executions = None } in
+             report_key (Checker.check ~config:cfg prog) = want
+             || QCheck.Test.fail_reportf "seed %d, %s%s: workers=%d split_depth=%d differs" seed
+                  (Search_config.mode_name cfg.mode)
+                  (if cfg.fair then "" else " unfair")
+                  workers split_depth)
+           [ (2, 1 + (seed land 3)); (3, 4) ])
+    [ sampling;
+      { base with mode = Search_config.Priority_random 40 };
+      { base with fair = false; depth_bound = Some 4; max_executions = Some 2_000 } ]
+  && resumes_exactly ~seed sampling prog (report_key (Search.run sampling prog))
+
+let suite =
+  suite
+  @ [ QCheck_alcotest.to_alcotest ~long:false
+        (QCheck.Test.make
+           ~name:"random programs: every strategy reports the same at workers 1, 2 and 3"
+           ~count:30 QCheck.int prop_fan_out) ]

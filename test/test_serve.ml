@@ -748,7 +748,15 @@ let same_report_props =
       ( "peterson.chess at cb:2",
         List.find_opt Sys.file_exists
           [ "../../../examples/programs/peterson.chess"; "examples/programs/peterson.chess" ],
-        { C.default with C.mode = C.Context_bounded 2 } ) ]
+        { C.default with C.mode = C.Context_bounded 2 } );
+      (* Random choices: sampling executions and the random tails of an
+         unfair depth-bounded search. *)
+      ( "race-assert at random:400, seed 7",
+        Some "race-assert",
+        { C.default with C.mode = C.Random_walk 400; seed = 7L } );
+      ( "taskpool-1w-spin-shutdown unfair at depth bound 10",
+        Some "taskpool-1w-spin-shutdown",
+        { C.default with C.fair = false; depth_bound = Some 10; max_steps = 500 } ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bounded inputs: nesting and fan-out                                 *)
@@ -1033,6 +1041,56 @@ let validation_tests =
         check_str "same id" (JS.id spec ~program_name:"fig3")
           (JS.id decoded ~program_name:"fig3")) ]
 
+(* ------------------------------------------------------------------ *)
+(* A deduped submission gets the report its own fan-out gives          *)
+(* ------------------------------------------------------------------ *)
+
+(* Verdict, counterexample and stats of a report document, wall time
+   aside. *)
+let report_slice doc =
+  let member name = match doc with J.Obj kv -> List.assoc_opt name kv | _ -> None in
+  let stats =
+    match member "stats" with
+    | Some (J.Obj kv) ->
+      List.filter
+        (fun (k, _) ->
+          not
+            (List.mem k
+               [ "elapsed_seconds"; "executions_per_second"; "first_error_seconds";
+                 "search_elapsed_seconds"; "eta_seconds" ]))
+        kv
+    | _ -> Alcotest.fail "report without stats"
+  in
+  (member "verdict", stats)
+
+let fan_out_tests =
+  [ Alcotest.test_case
+      "a --workers 2 sampling job deduped onto --workers 1 gets its direct report" `Quick
+      (fun () ->
+        let program = "race-assert" in
+        let cfg = { C.default with C.mode = C.Random_walk 400; seed = 7L } in
+        let direct =
+          match JS.resolve (JS.of_config ~program cfg) with
+          | Ok (prog, _) ->
+            Report.to_json (Fairmc_core.Checker.check ~config:{ cfg with C.workers = 2 } prog)
+          | Error e -> Alcotest.fail e
+        in
+        with_daemon @@ fun ~socket ~pid:_ ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        let first = submit fd (JS.of_config ~program cfg) in
+        Serve.Client.request fd (P.Watch { job = first; events = false });
+        ignore (await_done fd);
+        Serve.Client.request fd
+          (P.Submit { spec = JS.of_config ~program { cfg with C.workers = 2 }; priority = 0 });
+        (match Serve.Client.next fd with
+         | P.Submitted { job; deduped; _ } ->
+           check "deduped" true deduped;
+           check_str "onto the --workers 1 job" first job
+         | m -> Alcotest.failf "unexpected reply: %s" (J.to_string (P.message_to_json m)));
+        Serve.Client.request fd (P.Watch { job = first; events = false });
+        let _, _, served = await_done fd in
+        check "the direct --workers 2 report" true (report_slice served = report_slice direct)) ]
+
 let suite =
   identity_tests @ robustness_tests @ dedup_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
@@ -1041,4 +1099,4 @@ let suite =
       (identity_qprops @ same_report_props)
   @ bound_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) decoder_fuzz_props
-  @ cancel_tests @ validation_tests
+  @ cancel_tests @ validation_tests @ fan_out_tests

@@ -34,9 +34,9 @@ let cli =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "chess_cli.exe")
 
-let run_cli ~expect args =
+let run_cli ?(command = "check") ~expect args =
   if not (Sys.file_exists cli) then Alcotest.skip ();
-  let cmd = Filename.quote_command cli ("check" :: args) ^ " >/dev/null 2>/dev/null" in
+  let cmd = Filename.quote_command cli (command :: args) ^ " >/dev/null 2>/dev/null" in
   let rc = Sys.command cmd in
   check_int (Printf.sprintf "exit status of %s" (String.concat " " args)) expect rc
 
@@ -853,7 +853,21 @@ let validation_tests =
             [ "--no-fair"; "--depth-bound"; "0" ];
             [ "--max-retries"; "0" ];
             [ "--time-limit"; "0" ];
-            [ "-s"; "random:1"; "-j"; "2" ] ]) ]
+            [ "-s"; "random:1"; "-j"; "2" ] ]);
+    Alcotest.test_case "submit takes only the flags a job carries" `Quick (fun () ->
+        (* The job document has no place for these: accepted, they were
+           dropped on the way to the daemon. *)
+        List.iter
+          (fun args -> run_cli ~command:"submit" ~expect:124 ("fig3" :: args))
+          [ [ "--checkpoint"; "x" ];
+            [ "--checkpoint-interval"; "1" ];
+            [ "--progress" ];
+            [ "--progress-interval"; "2" ];
+            [ "--inject-fault"; "crash" ] ];
+        (* Without them the command line parses and fails to reach a
+           daemon instead. *)
+        run_cli ~command:"submit" ~expect:1
+          [ "fig3"; "--workers"; "2"; "--socket"; "/nonexistent/chessd.sock" ]) ]
 
 (* Alcotest numbers the tests by position and the number is part of how a
    run names them: keep existing positions stable and append new tests. *)

@@ -70,15 +70,13 @@ let unit_tests =
         done;
         Alcotest.check_raises "nonpositive bound" (Invalid_argument "Rng.int")
           (fun () -> ignore (Rng.int r 0)));
-    Alcotest.test_case "rng split independence" `Quick (fun () ->
-        let r = Rng.make 1L in
-        let s = Rng.split r in
-        check "split differs from parent" true (Rng.next_int64 s <> Rng.next_int64 r));
-    Alcotest.test_case "rng copy preserves state" `Quick (fun () ->
-        let r = Rng.make 5L in
-        ignore (Rng.next_int64 r);
-        let c = Rng.copy r in
-        check "copy same next" true (Rng.next_int64 c = Rng.next_int64 r));
+    Alcotest.test_case "rng mix keys one generator per index" `Quick (fun () ->
+        (* The search seeds execution i with [mix seed i]: the same key every
+           time, a different key for every index. *)
+        check "deterministic" true (Rng.mix 7L 3 = Rng.mix 7L 3);
+        let keys = List.init 1000 (Rng.mix 7L) in
+        check "distinct" true (List.length (List.sort_uniq compare keys) = 1000);
+        check "the seed matters" true (Rng.mix 7L 0 <> Rng.mix 8L 0));
     Alcotest.test_case "fnv basics" `Quick (fun () ->
         check "string hash differs" true (Fnv.string Fnv.init "a" <> Fnv.string Fnv.init "b");
         check "int order matters" true
