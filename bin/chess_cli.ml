@@ -71,12 +71,6 @@ let sleep_sets =
 let coverage =
   Arg.(value & flag & info [ "coverage" ] ~doc:"Count distinct state signatures.")
 
-let split_depth =
-  Arg.(value & opt int Search_config.default.split_depth
-       & info [ "split-depth" ] ~docv:"N"
-           ~doc:"Parallel systematic search: expand the decision tree \
-                 sequentially to depth N and hand each subtree to a worker.")
-
 let workers =
   Arg.(value & opt int 1
        & info [ "j"; "jobs"; "workers" ] ~docv:"N"
@@ -208,7 +202,7 @@ let trace_spans_out =
   Arg.(value & opt (some string) None
        & info [ "trace-spans" ] ~docv:"FILE"
            ~doc:"After the search, write the span telemetry (prefix replay, \
-                 fresh execution, frontier expansion, checkpoint saves, \
+                 fresh execution, checkpoint saves, \
                  analysis observers) as a Chrome trace_event document to FILE: \
                  one track per worker shard, one slice per span (load in \
                  ui.perfetto.dev).")
@@ -223,7 +217,7 @@ let save_repro =
 let checkpoint_out =
   Arg.(value & opt (some string) None
        & info [ "checkpoint" ] ~docv:"FILE"
-           ~doc:"Write a durable-session checkpoint (schema fairmc-ckpt/1) to \
+           ~doc:"Write a durable-session checkpoint (schema fairmc-ckpt/2) to \
                  FILE at path boundaries, throttled by \
                  $(b,--checkpoint-interval), and once when the search stops — \
                  including on SIGINT/SIGTERM, which end the run gracefully \
@@ -241,7 +235,8 @@ let resume_arg =
            ~doc:"Continue an interrupted search from a checkpoint written by \
                  $(b,--checkpoint). The checkpoint's configuration fingerprint \
                  must match the requested one (budgets like $(b,--max-execs) \
-                 and $(b,--time-limit) may differ); keeps checkpointing to \
+                 and $(b,--time-limit) may differ, and so may $(b,-j): any \
+                 checkpoint resumes at any fan-out); keeps checkpointing to \
                  FILE unless $(b,--checkpoint) names another file.")
 
 let static_por_arg =
@@ -258,7 +253,7 @@ let static_por_arg =
                  unaffected.")
 
 let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound max_execs
-    time_limit seed sleep_sets coverage split_depth workers item_timeout
+    time_limit seed sleep_sets coverage workers item_timeout
     max_retries metrics stats races lockset lock_graph fail_on_race static_por =
   let analyses =
     (if races || fail_on_race then [ Fairmc_analysis.Hb_race.analysis ] else [])
@@ -280,7 +275,6 @@ let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound ma
     seed = Int64.of_int seed;
     sleep_sets;
     coverage;
-    split_depth;
     workers;
     item_timeout;
     max_retries;
@@ -293,7 +287,7 @@ let build_config strategy no_fair fair_k depth_bound max_steps livelock_bound ma
 let job_term =
   Term.(const build_config $ strategy $ no_fair $ fair_k $ depth_bound $ max_steps
         $ livelock_bound $ max_execs $ time_limit $ seed $ sleep_sets $ coverage
-        $ split_depth $ workers $ item_timeout $ max_retries $ metrics_flag $ stats_flag
+        $ workers $ item_timeout $ max_retries $ metrics_flag $ stats_flag
         $ races_flag $ lockset_flag $ lock_graph_flag $ fail_on_race $ static_por_arg)
 
 (* A number that would fabricate a verdict is a usage error (exit 124). *)
@@ -428,12 +422,7 @@ let check_cmd =
        report and outputs below. *)
     Checkpoint.install_signal_handlers ();
     Format.fprintf human "checking %s [%s]@." program.Program.name (Search_config.describe cfg);
-    let report =
-      try Checker.check ~config:cfg ?resume:resume_payload program
-      with Checkpoint.Mismatch msg ->
-        Format.eprintf "cannot resume: %s@." msg;
-        exit 2
-    in
+    let report = Checker.check ~config:cfg ?resume:resume_payload program in
     (match dashboard with Some d -> Fairmc_obs.Dashboard.finish d | None -> ());
     (match events_oc with
      | Some (oc, close) -> if close then close_out oc else flush oc

@@ -23,9 +23,8 @@ val check : ?config:Search_config.t -> ?resume:Checkpoint.payload -> Program.t -
 (** Run the search. Defaults to fair depth-first search. With [config.jobs]
     or [config.workers] above 1 the search runs on the supervised worker
     processes ({!Supervisor}); otherwise sequentially ({!Search}). [resume]
-    continues a prior checkpointed session — obtain the payload from
-    {!Checkpoint.load} + {!Checkpoint.plan_resume}; raises
-    {!Checkpoint.Mismatch} if it does not fit the configuration. *)
+    continues a prior checkpointed session, written at any fan-out — obtain
+    the payload from {!Checkpoint.load} + {!Checkpoint.plan_resume}. *)
 
 val check_all :
   configs:(string * Search_config.t) list -> Program.t -> (string * Report.t) list

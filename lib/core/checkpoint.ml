@@ -9,40 +9,21 @@ module MS = Fairmc_obs.Metrics.Snapshot
 module AH = Analysis_hook
 module C = Search_config
 
-let schema = "fairmc-ckpt/1"
+let schema = "fairmc-ckpt/2"
 
 type decision = { c_tid : int; c_alt : int; c_cost : int }
 type frame = { c_chosen : decision; c_rest : decision list; c_sleep : B.t; c_width : int }
+type item = Cursor of frame array | Range of int * int
 
-type seq_state = {
-  sq_frames : frame array;
-  sq_stats : Report.stats;
-  sq_metrics : MS.t;
-  sq_states : int64 list;
-  sq_edges : AH.lock_edge list;
-  sq_complete : bool;
+type part = {
+  p_stats : Report.stats;
+  p_metrics : MS.t;
+  p_states : int64 list;
+  p_edges : AH.lock_edge list;
 }
 
-type par_item = {
-  pi_index : int;
-  pi_stats : Report.stats;
-  pi_metrics : MS.t;
-  pi_states : int64 list;
-  pi_edges : AH.lock_edge list;
-}
-
-type par_state = {
-  pa_split_depth : int;
-  pa_n_items : int;
-  pa_elapsed : float;
-  pa_items : par_item list;
-  pa_complete : bool;
-}
-
-type payload =
-  | Seq of seq_state
-  | Par of par_state
-
+type region = Done of part | Open of item
+type payload = { regions : region list; elapsed : float; complete : bool }
 type t = { fingerprint : string; payload : payload }
 
 (* ------------------------------------------------------------------ *)
@@ -76,17 +57,8 @@ let str_f o name = as_str name (field o name)
 let arr_f o name = as_arr name (field o name)
 let float_f o name = as_float name (field o name)
 
-(* Fields added after fairmc-ckpt/1 shipped (frame widths, probe mass,
-   search-phase wall time) are read leniently so older checkpoints keep
-   loading; the defaults only skew progress estimates, never the search. *)
 let opt_field o name =
   match o with Json.Obj l -> List.assoc_opt name l | _ -> None
-
-let int_d o name ~default =
-  match opt_field o name with Some v -> as_int name v | None -> default
-
-let float_d o name ~default =
-  match opt_field o name with Some v -> as_float name v | None -> default
 
 (* int64 values (the seed, state signatures) do not fit a JSON double, so
    they travel as decimal strings. *)
@@ -133,8 +105,7 @@ let config_fields ~job (cfg : C.t) =
   let { C.mode; fair; fair_k; depth_bound; max_steps; livelock_bound; seed;
         sleep_sets; coverage; metrics; analyses; static_por;
         (* job *)
-        max_executions; time_limit; jobs; workers; split_depth; item_timeout;
-        max_retries;
+        max_executions; time_limit; jobs; workers; item_timeout; max_retries;
         (* local *)
         progress = _; events = _; checkpoint = _; checkpoint_interval = _;
         inject_fault = _ } =
@@ -163,7 +134,6 @@ let config_fields ~job (cfg : C.t) =
         ("time_limit", float_opt time_limit);
         ("jobs", Json.Int jobs);
         ("workers", Json.Int workers);
-        ("split_depth", Json.Int split_depth);
         ("item_timeout", float_opt item_timeout);
         ("max_retries", Json.Int max_retries) ]
 
@@ -192,7 +162,6 @@ let config_of_json ~analysis o =
     time_limit = float_opt "time_limit";
     jobs = int_f o "jobs";
     workers = int_f o "workers";
-    split_depth = int_f o "split_depth";
     item_timeout = float_opt "item_timeout";
     max_retries = int_f o "max_retries";
     progress = d.progress;
@@ -247,8 +216,8 @@ let stats_of_json o =
     first_error_time = opt_of_json (as_float "first_error_time") (field o "first_error_time");
     sync_ops_per_exec = int_f o "sync_ops_per_exec";
     max_threads = int_f o "max_threads";
-    search_elapsed = float_d o "search_elapsed" ~default:0.;
-    probe_mass = int_d o "probe_mass" ~default:0 }
+    search_elapsed = float_f o "search_elapsed";
+    probe_mass = int_f o "probe_mass" }
 
 (* Metrics entries carry an explicit kind tag: Snapshot.to_json flattens
    counters and gauges to the same representation, which cannot be parsed
@@ -301,13 +270,10 @@ let frame_to_json f =
       ("width", Json.Int f.c_width) ]
 
 let frame_of_json o =
-  let c_rest = List.map decision_of_json (arr_f o "rest") in
   { c_chosen = decision_of_json (field o "chosen");
-    c_rest;
+    c_rest = List.map decision_of_json (arr_f o "rest");
     c_sleep = B.unsafe_of_int (int_f o "sleep");
-    (* Width of the node when it was pushed; pre-width checkpoints fall back
-       to the remaining alternatives (a lower bound — estimates only). *)
-    c_width = int_d o "width" ~default:(1 + List.length c_rest) }
+    c_width = int_f o "width" }
 
 let states_to_json l = Json.Arr (List.map int64_to_json l)
 let states_of_json name v = List.map (int64_of_json name) (as_arr name v)
@@ -324,61 +290,47 @@ let edge_of_json = function
 let edges_to_json l = Json.Arr (List.map edge_to_json l)
 let edges_of_json name v = List.map edge_of_json (as_arr name v)
 
-let payload_to_json = function
-  | Seq s ->
+let item_to_json = function
+  | Cursor frames -> Json.Obj [ ("cursor", Json.Arr (Array.to_list (Array.map frame_to_json frames))) ]
+  | Range (lo, hi) -> Json.Obj [ ("range", Json.Arr [ Json.Int lo; Json.Int hi ]) ]
+
+let item_of_json o =
+  match (opt_field o "cursor", opt_field o "range") with
+  | Some v, None -> Cursor (Array.of_list (List.map frame_of_json (as_arr "cursor" v)))
+  | None, Some (Json.Arr [ Json.Int lo; Json.Int hi ]) when 0 <= lo && lo < hi -> Range (lo, hi)
+  | _ -> fail "bad work item"
+
+let region_to_json = function
+  | Done p ->
     Json.Obj
-      [ ("kind", Json.Str "seq");
-        ("frames", Json.Arr (Array.to_list (Array.map frame_to_json s.sq_frames)));
-        ("stats", stats_to_json s.sq_stats);
-        ("metrics", metrics_to_json s.sq_metrics);
-        ("states", states_to_json s.sq_states);
-        ("edges", edges_to_json s.sq_edges);
-        ("complete", Json.Bool s.sq_complete) ]
-  | Par p ->
-    Json.Obj
-      [ ("kind", Json.Str "par");
-        ("split_depth", Json.Int p.pa_split_depth);
-        ("n_items", Json.Int p.pa_n_items);
-        ("elapsed", Json.Float p.pa_elapsed);
-        ("items",
-         Json.Arr
-           (List.map
-              (fun it ->
-                Json.Obj
-                  [ ("index", Json.Int it.pi_index);
-                    ("stats", stats_to_json it.pi_stats);
-                    ("metrics", metrics_to_json it.pi_metrics);
-                    ("states", states_to_json it.pi_states);
-                    ("edges", edges_to_json it.pi_edges) ])
-              p.pa_items));
-        ("complete", Json.Bool p.pa_complete) ]
+      [ ( "done",
+          Json.Obj
+            [ ("stats", stats_to_json p.p_stats);
+              ("metrics", metrics_to_json p.p_metrics);
+              ("states", states_to_json p.p_states);
+              ("edges", edges_to_json p.p_edges) ] ) ]
+  | Open item -> item_to_json item
+
+let region_of_json o =
+  match opt_field o "done" with
+  | Some d ->
+    Done
+      { p_stats = stats_of_json (field d "stats");
+        p_metrics = metrics_of_json "metrics" (field d "metrics");
+        p_states = states_of_json "states" (field d "states");
+        p_edges = edges_of_json "edges" (field d "edges") }
+  | None -> Open (item_of_json o)
+
+let payload_to_json p =
+  Json.Obj
+    [ ("regions", Json.Arr (List.map region_to_json p.regions));
+      ("elapsed", Json.Float p.elapsed);
+      ("complete", Json.Bool p.complete) ]
 
 let payload_of_json o =
-  match str_f o "kind" with
-  | "seq" ->
-    Seq
-      { sq_frames = Array.of_list (List.map frame_of_json (arr_f o "frames"));
-        sq_stats = stats_of_json (field o "stats");
-        sq_metrics = metrics_of_json "metrics" (field o "metrics");
-        sq_states = states_of_json "states" (field o "states");
-        sq_edges = edges_of_json "edges" (field o "edges");
-        sq_complete = bool_f o "complete" }
-  | "par" ->
-    Par
-      { pa_split_depth = int_f o "split_depth";
-        pa_n_items = int_f o "n_items";
-        pa_elapsed = float_f o "elapsed";
-        pa_items =
-          List.map
-            (fun io ->
-              { pi_index = int_f io "index";
-                pi_stats = stats_of_json (field io "stats");
-                pi_metrics = metrics_of_json "metrics" (field io "metrics");
-                pi_states = states_of_json "states" (field io "states");
-                pi_edges = edges_of_json "edges" (field io "edges") })
-            (arr_f o "items");
-        pa_complete = bool_f o "complete" }
-  | k -> fail "unknown payload kind %S" k
+  { regions = List.map region_of_json (arr_f o "regions");
+    elapsed = float_f o "elapsed";
+    complete = bool_f o "complete" }
 
 let to_json t =
   Json.Obj
@@ -389,7 +341,8 @@ let to_json t =
 let of_json j =
   try
     let s = str_f j "schema" in
-    if s <> schema then fail "unsupported checkpoint schema %S (expected %S)" s schema;
+    if s <> schema then
+      fail "unsupported checkpoint schema %S (expected %S): start the search over" s schema;
     Ok { fingerprint = str_f j "fingerprint"; payload = payload_of_json (field j "payload") }
   with Parse msg -> Error msg
 
@@ -473,24 +426,46 @@ let load path =
 (* ------------------------------------------------------------------ *)
 (* Resume validation.                                                  *)
 
-exception Mismatch of string
-
 let plan_resume t (cfg : C.t) ~program =
   let fp = fingerprint cfg ~program in
+  let systematic = match cfg.C.mode with C.Dfs | C.Context_bounded _ -> true | _ -> false in
+  let fits = function
+    | Done _ -> true
+    | Open (Cursor _) -> systematic
+    | Open (Range _) -> not systematic
+  in
   if t.fingerprint <> fp then
     Error
       (Printf.sprintf
          "config fingerprint mismatch\n  checkpoint: %s\n  requested:  %s" t.fingerprint fp)
-  else
-    let complete = match t.payload with Seq s -> s.sq_complete | Par p -> p.pa_complete in
-    if complete then Error "checkpoint records a completed search; nothing to resume"
-    else Ok t.payload
+  else if t.payload.complete then Error "checkpoint records a completed search; nothing to resume"
+  else if not (List.for_all fits t.payload.regions) then
+    Error "checkpoint work items do not fit the search mode"
+  else Ok t.payload
+
+let zero_stats =
+  { Report.executions = 0;
+    transitions = 0;
+    states = 0;
+    nonterminating = 0;
+    depth_bound_hits = 0;
+    sleep_set_prunes = 0;
+    yields = 0;
+    max_depth = 0;
+    elapsed = 0.;
+    first_error_execution = None;
+    first_error_time = None;
+    sync_ops_per_exec = 0;
+    max_threads = 0;
+    search_elapsed = 0.;
+    probe_mass = 0 }
 
 let merge_stats ~(prior : Report.stats) (d : Report.stats) =
   { Report.executions = prior.Report.executions + d.Report.executions;
     transitions = prior.transitions + d.transitions;
-    (* The resumed session preloads the coverage table, so its [states] is
-       already the union; [max] also covers the coverage-off case (both 0). *)
+    (* A resumed session preloads the coverage table, so its [states] is
+       already the union; a caller merging separate tables sets the union's
+       size itself. *)
     states = max prior.states d.states;
     nonterminating = prior.nonterminating + d.nonterminating;
     depth_bound_hits = prior.depth_bound_hits + d.depth_bound_hits;
@@ -509,8 +484,8 @@ let merge_stats ~(prior : Report.stats) (d : Report.stats) =
     sync_ops_per_exec = max prior.sync_ops_per_exec d.sync_ops_per_exec;
     max_threads = max prior.max_threads d.max_threads;
     search_elapsed = prior.search_elapsed +. d.search_elapsed;
-    (* Sessions explore disjoint parts of the tree, so probe masses add
-       exactly like executions. *)
+    (* Regions and sessions explore disjoint parts of the tree, so probe
+       masses add exactly like executions. *)
     probe_mass = prior.probe_mass + d.probe_mass }
 
 (* ------------------------------------------------------------------ *)
@@ -538,7 +513,6 @@ module Codec = struct
 
   let fail = fail
   let field = field
-  let opt_field = opt_field
   let as_int = as_int
   let as_bool = as_bool
   let as_str = as_str
@@ -549,12 +523,12 @@ module Codec = struct
   let str_f = str_f
   let arr_f = arr_f
   let float_f = float_f
-  let int_d = int_d
-  let float_d = float_d
   let int64_to_json = int64_to_json
   let int64_of_json = int64_of_json
   let opt_to_json = opt_to_json
   let opt_of_json = opt_of_json
+  let item_to_json = item_to_json
+  let item_of_json = item_of_json
   let stats_to_json = stats_to_json
   let stats_of_json = stats_of_json
   let metrics_to_json = metrics_to_json

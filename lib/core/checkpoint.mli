@@ -2,16 +2,19 @@
 
     A long stateless-model-checking run is pure re-execution from the initial
     state, so its complete progress is captured by a small amount of control
-    state: the DFS frame stack (with the untried alternatives and sleep set
-    of every frame), the accumulated statistics/metrics/coverage/analysis
-    totals, and — for a parallel search — the records of its finished work
-    items. Random choices are keyed by their execution index or path, so no
-    generator state is saved. This module
-    serializes that state to a versioned JSON file (schema [fairmc-ckpt/1],
-    written atomically via a temp file + rename) and validates it against the
-    requesting configuration on resume, so an interrupted [chess check] can
-    continue where it stopped and produce bit-identical results (see
-    DESIGN.md, "Durable sessions").
+    state: the search's regions in DFS order. A done region holds the
+    accumulated statistics/metrics/coverage/analysis totals of the work it
+    covers; an open region is a work item still to run — a DFS cursor (the
+    frame stack, with the untried alternatives and sleep set of every frame)
+    or a range of sampling executions. Random choices are keyed by their
+    execution index or path, so no generator state is saved. A sequential
+    search writes one done region and the cursor it stopped at; a parallel
+    one writes its items as they stand, so any checkpoint resumes at any
+    fan-out. This module serializes that state to a versioned JSON file
+    (schema [fairmc-ckpt/2], written atomically via a temp file + rename)
+    and validates it against the requesting configuration on resume, so an
+    interrupted [chess check] can continue where it stopped and produce
+    bit-identical results (see DESIGN.md, "Durable sessions").
 
     The checkpoint also owns the process-wide graceful-interrupt flag: a
     SIGINT/SIGTERM handler requests a stop that every search loop observes at
@@ -21,7 +24,7 @@
 module B = Fairmc_util.Bitset
 
 val schema : string
-(** ["fairmc-ckpt/1"]. *)
+(** ["fairmc-ckpt/2"]. Files of another schema do not load. *)
 
 (** {1 Serialized search state} *)
 
@@ -30,7 +33,7 @@ type decision = { c_tid : int; c_alt : int; c_cost : int }
     preemption cost (context-bounded search). *)
 
 type frame = {
-  c_chosen : decision;  (** the decision the interrupted run was exploring *)
+  c_chosen : decision;  (** the decision the next path takes here *)
   c_rest : decision list;  (** untried siblings, in DFS order *)
   c_sleep : B.t;  (** sleep set of the frame's node *)
   c_width : int;
@@ -39,54 +42,39 @@ type frame = {
           weights of resumed paths depend on it *)
 }
 
-type seq_state = {
-  sq_frames : frame array;
-      (** the DFS stack at a path boundary: replaying [c_chosen] of each
-          frame in order reaches exactly the next unexplored path. Empty for
-          sampling modes (they resume at the execution index that follows
-          [sq_stats.executions]) and for a search interrupted before its
-          first backtrack. *)
-  sq_stats : Report.stats;  (** cumulative totals across all prior sessions *)
-  sq_metrics : Fairmc_obs.Metrics.Snapshot.t;  (** cumulative, kind-tagged *)
-  sq_states : int64 list;  (** coverage state signatures, sorted *)
-  sq_edges : Analysis_hook.lock_edge list;  (** lock-order union so far *)
-  sq_complete : bool;
-      (** the search finished (verdict reached); nothing to resume *)
-}
+type item =
+  | Cursor of frame array
+      (** a systematic work item: the DFS stack at a path boundary.
+          Replaying [c_chosen] of each frame reaches the item's next
+          unexplored path; backtracking through the [c_rest] lists covers
+          the rest of it. The empty cursor is the whole tree. *)
+  | Range of int * int
+      (** a sampling work item: executions [lo] to [hi - 1] of the search,
+          each drawing from its own (seed, index) generator *)
 
-type par_item = {
-  pi_index : int;
-      (** a systematic item's position in the DFS-ordered work-item list;
-          a sampling item's first execution index (it covered
-          [pi_stats.executions] executions from there) *)
-  pi_stats : Report.stats;
-  pi_metrics : Fairmc_obs.Metrics.Snapshot.t;
-  pi_states : int64 list;
-  pi_edges : Analysis_hook.lock_edge list;
+type part = {
+  p_stats : Report.stats;
+  p_metrics : Fairmc_obs.Metrics.Snapshot.t;  (** kind-tagged *)
+  p_states : int64 list;  (** coverage state signatures, sorted *)
+  p_edges : Analysis_hook.lock_edge list;  (** lock-order union *)
 }
-(** A finished work item of a parallel search: a systematic subtree
-    explored in full, or a range of sampling executions that all ran to
-    their end without an error (both report [Verified] from
-    {!Search.run_item}). Partially explored items — a range whose last path
-    a stop cut short among them — are
-    never recorded — a resume re-runs them from scratch, which is what
-    keeps the merged totals bit-identical to an uninterrupted run. *)
+(** The totals of explored work: paths that all ran to their end without
+    an error. *)
 
-type par_state = {
-  pa_split_depth : int;
-      (** systematic: must match on resume, it defines the item list *)
-  pa_n_items : int;
-      (** systematic: expansion size, revalidated on resume; sampling: the
-          session's item count, informational (a resume cuts the executions
-          no item finished afresh) *)
-  pa_elapsed : float;  (** wall time consumed by prior sessions *)
-  pa_items : par_item list;  (** ascending [pi_index] *)
-  pa_complete : bool;
+type region =
+  | Done of part
+  | Open of item
+      (** work not yet explored, or explored only in part: a queued or
+          in-flight item, or one whose last path a stop cut short, is
+          recorded whole and runs again on resume *)
+
+type payload = {
+  regions : region list;
+      (** in DFS order (sampling: execution order); adjacent done regions
+          are coalesced into one *)
+  elapsed : float;  (** wall time consumed by prior sessions *)
+  complete : bool;  (** the search reached its verdict; nothing to resume *)
 }
-
-type payload =
-  | Seq of seq_state
-  | Par of par_state
 
 type t = { fingerprint : string; payload : payload }
 
@@ -124,14 +112,15 @@ val config_fields : job:bool -> Search_config.t -> (string * Fairmc_util.Json.t)
     coverage, metrics, analysis names and static POR — in a fixed order.
     With [~job:true], the mode carries its sampling count and the job
     fields follow: [max_executions], [time_limit], [jobs], [workers],
-    [split_depth], [item_timeout], [max_retries]. Local fields (the
+    [item_timeout], [max_retries]. Local fields (the
     progress reporter, the event sink, the checkpoint path and interval,
     fault injection) are never encoded. *)
 
 val config_of_json :
   analysis:(string -> Analysis_hook.t option) -> Fairmc_util.Json.t -> Search_config.t
 (** Inverse of [config_fields ~job:true]: reads those members of an object
-    (others are ignored) and gives local fields their
+    (others, such as a [split_depth] from an older job document, are
+    ignored) and gives local fields their
     {!Search_config.default}. [analysis] resolves a name; an unknown name
     is an error. Raises {!Codec.Parse}. *)
 
@@ -139,26 +128,26 @@ val fingerprint : Search_config.t -> program:string -> string
 (** Canonical rendering of the program name, the scheme that derives
     random choices from the seed (["draws": "path"]: keyed by execution
     index or path) and the identity fields (a compact JSON object). Job
-    fields are left out so a resume may extend them; [split_depth] is
-    instead revalidated structurally for parallel systematic checkpoints. *)
+    fields are left out so a resume may extend them, and may run at another
+    fan-out. *)
 
 (** {1 Resume validation} *)
 
-exception Mismatch of string
-(** Raised by the search layers when a resume payload is structurally
-    incompatible with the run (wrong payload kind for the mode/jobs, item
-    count or split depth drift). *)
-
 val plan_resume : t -> Search_config.t -> program:string -> (payload, string) result
 (** Validate [t] against the configuration (fingerprint match, not already
-    complete) and return the payload to hand to {!Checker.check}'s [resume]
-    parameter. *)
+    complete, work items of the mode's kind) and return the payload to hand
+    to {!Checker.check}'s [resume] parameter. *)
+
+val zero_stats : Report.stats
+(** All-zero statistics: the identity of {!merge_stats}. *)
 
 val merge_stats : prior:Report.stats -> Report.stats -> Report.stats
-(** Combine a prior session's cumulative stats with the delta accumulated
-    since: counters add, maxima max, [states] comes from the delta (the
-    resumed run preloads the coverage table, so its count is already the
-    union), [first_error_*] are offset into the combined run. *)
+(** Combine the statistics of explored work, [prior] first in DFS order:
+    a resumed session's prior totals and what it explored since, or the
+    regions of a parallel search. Counters add, maxima max, [states] is the
+    larger (a resumed session preloads the coverage table, so its count is
+    already the union; a caller merging separate tables sets the union's
+    size), [first_error_*] are offset into the combined run. *)
 
 (** {1 Graceful interruption} *)
 
@@ -185,7 +174,6 @@ module Codec : sig
 
   val fail : ('a, unit, string, 'b) format4 -> 'a
   val field : Fairmc_util.Json.t -> string -> Fairmc_util.Json.t
-  val opt_field : Fairmc_util.Json.t -> string -> Fairmc_util.Json.t option
   val as_int : string -> Fairmc_util.Json.t -> int
   val as_bool : string -> Fairmc_util.Json.t -> bool
   val as_str : string -> Fairmc_util.Json.t -> string
@@ -196,8 +184,6 @@ module Codec : sig
   val str_f : Fairmc_util.Json.t -> string -> string
   val arr_f : Fairmc_util.Json.t -> string -> Fairmc_util.Json.t list
   val float_f : Fairmc_util.Json.t -> string -> float
-  val int_d : Fairmc_util.Json.t -> string -> default:int -> int
-  val float_d : Fairmc_util.Json.t -> string -> default:float -> float
   val int64_to_json : int64 -> Fairmc_util.Json.t
   val int64_of_json : string -> Fairmc_util.Json.t -> int64
 
@@ -207,6 +193,8 @@ module Codec : sig
   val opt_of_json :
     (Fairmc_util.Json.t -> 'a) -> Fairmc_util.Json.t -> 'a option
 
+  val item_to_json : item -> Fairmc_util.Json.t
+  val item_of_json : Fairmc_util.Json.t -> item
   val stats_to_json : Report.stats -> Fairmc_util.Json.t
   val stats_of_json : Fairmc_util.Json.t -> Report.stats
   val metrics_to_json : Fairmc_obs.Metrics.Snapshot.t -> Fairmc_util.Json.t

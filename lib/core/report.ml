@@ -88,7 +88,7 @@ let cex t =
   | Verified | Limits_reached -> None
 
 (* Wall time of the search phase alone: the span-derived [search_elapsed]
-   excludes startup work (parallel frontier expansion, program loading) that
+   excludes startup work (program loading) that
    [elapsed] includes, so short runs are not inflated. Falls back to
    [elapsed] for stats that predate the field (old checkpoints). *)
 let search_time s = if s.search_elapsed > 0. then s.search_elapsed else s.elapsed

@@ -44,9 +44,8 @@ type stats = {
   sync_ops_per_exec : int;  (** max over executions — Table 1 accounting *)
   max_threads : int;
   search_elapsed : float;
-      (** wall time of the search phase alone (excludes parallel frontier
-          expansion and other startup work); 0 when not measured — consumers
-          should fall back to [elapsed] *)
+      (** wall time of the search phase alone (excludes startup work); 0
+          when not measured — consumers should fall back to [elapsed] *)
   probe_mass : int;
       (** accumulated {!Fairmc_obs.Estimator} probe mass in fixed point
           ([Estimator.one] = fully explored); summed across shards and

@@ -5,6 +5,7 @@ module C = Search_config
 module Obs = Fairmc_obs
 module M = Fairmc_obs.Metrics
 module AH = Analysis_hook
+module CK = Checkpoint
 
 type alt = { tid : int; alt : int; cost : int }
 
@@ -39,26 +40,6 @@ type frame = {
          the last sibling *)
 }
 
-(* A locked scheduling decision handed to a parallel work item: the worker
-   replays the prefix and explores only the subtree below it ([rest] of every
-   prefix frame is empty, so backtracking can never leave the subtree). The
-   sleep set is the one the sequential DFS would carry at the moment it
-   enters this child, which depends only on the order of elder siblings —
-   this is what makes the parallel decomposition exact. *)
-type pdecision = {
-  p_tid : int;
-  p_alt : int;
-  p_cost : int;
-  p_sleep : B.t;
-  p_width : int;
-}
-
-(* A parallel work item: the subtree below a locked prefix (systematic
-   modes) or a range [lo, hi) of execution indices (sampling modes). *)
-type item =
-  | Prefix of pdecision array
-  | Executions of int * int
-
 (* Why a path ended. *)
 type path_end =
   | P_terminated
@@ -68,7 +49,12 @@ type path_end =
   | P_nonterminating  (* hit the hard step cap *)
   | P_pruned  (* context bound or sleep sets left no alternative *)
   | P_stopped  (* wall-clock budget exhausted or interrupted *)
-  | P_frontier  (* parallel expansion: the split depth was reached *)
+
+(* Where a [Limits_reached] stop left the work: the search ran out of it, or
+   stopped at a path boundary (before running the next path), after a
+   completed path (before advancing past it), inside a path (cutting it
+   short), or at a boundary because the supervisor asked for a split. *)
+type stop = Ran_out | At_boundary | After_path | Mid_path | At_split
 
 (* Pre-registered instruments: registered once per search (or shard), so hot
    paths pay a single [option] branch plus a mutable store per event. Only
@@ -126,13 +112,13 @@ type prior = {
 }
 
 (* Checkpoint-writing control for this search ([--checkpoint FILE]). The
-   boundary snapshot is (re)captured at every path start; writes are
+   boundary's regions are (re)captured at every path start; writes are
    throttled by [ck_interval] and forced once when the search stops. *)
 type ckpt_ctl = {
   ck_path : string;
   ck_interval : float;
   mutable ck_last : float;
-  mutable ck_boundary : Checkpoint.seq_state option;
+  mutable ck_boundary : (CK.part * CK.region list) option;
 }
 
 type state = {
@@ -148,13 +134,14 @@ type state = {
          draws from (seed, i), a random tail from (seed, the decisions its
          path made above the depth bound), so no draw depends on how the
          search was cut into work items *)
-  first_exec : int;  (* index of this session's first execution *)
-  end_exec : int;  (* sampling: stop before this execution index *)
-  mutable cut_short : bool;  (* a stop ended the last path before its end *)
+  mutable next_exec : int;  (* sampling: index of the next execution *)
+  mutable end_exec : int;  (* sampling: stop before this execution index *)
+  mutable queued : CK.region list;
+      (* a resumed search's regions after the current item, in DFS order *)
+  mutable stop : stop;
   t0 : float;
   deadline : float;  (* absolute; [infinity] when unlimited *)
   tally : Tally.t option;  (* search-wide totals of a parallel search *)
-  frontier_at : int;  (* cut fresh decisions at this depth; [max_int] = never *)
   probe_denom : int;  (* sampling: the execution count; 0 = systematic *)
   meters : meters option;
   events : Obs.Events.buf option;  (* shard-local telemetry batch buffer *)
@@ -260,8 +247,7 @@ let sampling_count (cfg : C.t) =
    frame widths instead. *)
 let probe_denom (cfg : C.t) = if is_systematic cfg then 0 else max 1 (sampling_count cfg)
 
-let make_state ?deadline ?(prefix = [||]) ?executions ?tally ?(frontier_at = max_int)
-    ?(shard = 0) (cfg : C.t) prog =
+let make_state ?deadline ?tally ?(shard = 0) (cfg : C.t) prog =
   let deadline =
     match deadline with
     | Some d -> d
@@ -270,38 +256,21 @@ let make_state ?deadline ?(prefix = [||]) ?executions ?tally ?(frontier_at = max
        | None -> infinity
        | Some l -> Obs.Clock.now () +. l)
   in
-  let nprefix = Array.length prefix in
-  let frames = Array.make (max 64 nprefix) dummy_frame in
-  let w = ref Obs.Estimator.one in
-  Array.iteri
-    (fun i (p : pdecision) ->
-      w := Obs.Estimator.descend !w p.p_width;
-      frames.(i) <-
-        { chosen = { tid = p.p_tid; alt = p.p_alt; cost = p.p_cost };
-          rest = [];
-          sleep = p.p_sleep;
-          width = p.p_width;
-          cum = !w;
-          snap = None })
-    prefix;
   let events = Option.map (fun s -> Obs.Events.buffer s ~shard) cfg.events in
-  let first_exec, end_exec =
-    match executions with Some r -> r | None -> (0, sampling_count cfg)
-  in
   { cfg;
     prog;
     run = None;
-    frames;
-    nframes = nprefix;
+    frames = Array.make 64 dummy_frame;
+    nframes = 0;
     states = Hashtbl.create 4096;
     rng = Rng.make cfg.seed;
-    first_exec;
-    end_exec;
-    cut_short = false;
+    next_exec = 0;
+    end_exec = 0;
+    queued = [];
+    stop = Ran_out;
     t0 = Obs.Clock.now ();
     deadline;
     tally;
-    frontier_at;
     probe_denom = probe_denom cfg;
     meters = (if cfg.metrics then Some (make_meters ()) else None);
     events;
@@ -326,6 +295,27 @@ let make_state ?deadline ?(prefix = [||]) ?executions ?tally ?(frontier_at = max
     first_error_time = None;
     sync_ops_per_exec = 0;
     max_threads = 0 }
+
+(* Make [item] the work of the search: a cursor becomes the DFS stack (no
+   frame has a snapshot yet, so its first path replays them all), a range
+   the executions to run. *)
+let load_item st = function
+  | CK.Cursor frames ->
+    let alt_of (d : CK.decision) = { tid = d.CK.c_tid; alt = d.CK.c_alt; cost = d.CK.c_cost } in
+    st.nframes <- 0;
+    Array.iter
+      (fun (f : CK.frame) ->
+        push_frame st
+          { chosen = alt_of f.CK.c_chosen;
+            rest = List.map alt_of f.CK.c_rest;
+            sleep = f.CK.c_sleep;
+            width = f.CK.c_width;
+            cum = Obs.Estimator.descend (top_weight st) f.CK.c_width;
+            snap = None })
+      frames
+  | CK.Range (lo, hi) ->
+    st.next_exec <- lo;
+    st.end_exec <- hi
 
 (* Debug/analysis hook: receives (signature, decision prefix) for every
    recorded state. Used by the coverage cross-checking tests (sequential
@@ -532,8 +522,7 @@ let execute_from st ~systematic ~restoring run restored =
     if cfg.fair then Option.value cfg.livelock_bound ~default:cfg.max_steps else max_int
   in
   if Option.is_none restored then record_state st run;
-  if not systematic then
-    st.rng <- Rng.make (Rng.mix cfg.seed (st.first_exec + st.executions));
+  if not systematic then st.rng <- Rng.make (Rng.mix cfg.seed st.next_exec);
   let apply (a : alt) =
     if cfg.sleep_sets && systematic && !depth > 0 && !depth = st.nframes then begin
       (* The next node is fresh: derive its sleep set from this node's. *)
@@ -659,10 +648,6 @@ let execute_from st ~systematic ~restoring run restored =
               apply (sample tset);
               loop ()
             end
-            else if st.nframes >= st.frontier_at then
-              (* Parallel expansion: everything below this node is one work
-                 item; do not extend (nor count) this path. *)
-              P_frontier
             else begin
               let beyond_db =
                 (not cfg.fair)
@@ -763,9 +748,12 @@ let execute_path st ~systematic =
     release st;
     raise e
 
-(* Advance the DFS to the next unexplored decision; false when exhausted.
-   Prefix frames of a parallel work item have an empty [rest], so the walk
-   falls off the bottom of the stack exactly when the subtree is done. *)
+(* The sleep set of a frame moving on from [chosen] to the sibling [next]:
+   with sleep sets on, the explored thread sleeps below its siblings. *)
+let sibling_sleep (cfg : C.t) ~chosen ~next sleep =
+  if cfg.sleep_sets && next <> chosen then B.add chosen sleep else sleep
+
+(* Advance the DFS to the next unexplored decision; false when exhausted. *)
 let backtrack st =
   let rec go () =
     if st.nframes = 0 then false
@@ -777,8 +765,7 @@ let backtrack st =
         st.frames.(st.nframes) <- dummy_frame;
         go ()
       | a :: rest ->
-        if st.cfg.sleep_sets && a.tid <> fr.chosen.tid then
-          fr.sleep <- B.add fr.chosen.tid fr.sleep;
+        fr.sleep <- sibling_sleep st.cfg ~chosen:fr.chosen.tid ~next:a.tid fr.sleep;
         fr.chosen <- a;
         fr.rest <- rest;
         true
@@ -884,34 +871,124 @@ let totals st =
     in
     (stats, Report.fix_lockgraph_counters metrics analysis, analysis)
 
-(* Snapshot the DFS stack plus cumulative totals — what a resume needs to
-   continue with the next unexplored path. Frames are deep-copied (the
-   backtracking mutates them in place); coverage signatures are filled in at
-   write time, where the table is only read (recording is idempotent, so a
-   resumed session re-recording a partial path's states converges to the
-   same union as the uninterrupted run). *)
-let capture_boundary st =
-  let dec (a : alt) = { Checkpoint.c_tid = a.tid; c_alt = a.alt; c_cost = a.cost } in
-  let frames =
-    Array.init st.nframes (fun i ->
-        let fr = st.frames.(i) in
-        { Checkpoint.c_chosen = dec fr.chosen;
-          c_rest = List.map dec fr.rest;
-          c_sleep = fr.sleep;
-          c_width = fr.width })
+(* A sampling path weighs [1/count]. A resume may raise the count: the
+   prior paths are then reweighed, so the mass stays executions/count, as
+   in one uninterrupted run. *)
+let reweigh (cfg : C.t) (s : Report.stats) metrics =
+  if is_systematic cfg then (s, metrics)
+  else begin
+    let mass =
+      s.Report.executions * Obs.Estimator.descend Obs.Estimator.one (probe_denom cfg)
+    in
+    ( { s with Report.probe_mass = mass },
+      match M.Snapshot.find metrics "search/probe_mass" with
+      | Some _ -> M.Snapshot.with_counter metrics "search/probe_mass" mass
+      | None -> metrics )
+  end
+
+(* Fold a done region into the prior totals, as a resumed search passes
+   it. Its wall time belongs to the prior sessions, counted already. *)
+let absorb st (p : CK.part) =
+  let stats, metrics = reweigh st.cfg p.CK.p_stats p.CK.p_metrics in
+  let stats = { stats with Report.elapsed = 0.; search_elapsed = 0. } in
+  if st.cfg.C.coverage then List.iter (fun s -> Hashtbl.replace st.states s ()) p.CK.p_states;
+  let q =
+    Option.value st.prior
+      ~default:{ pr_stats = CK.zero_stats; pr_metrics = M.Snapshot.empty; pr_edges = [] }
   in
+  st.prior <-
+    Some
+      { pr_stats = CK.merge_stats ~prior:q.pr_stats stats;
+        pr_metrics = M.Snapshot.merge q.pr_metrics metrics;
+        pr_edges = AH.dedup_edges (q.pr_edges @ p.CK.p_edges) }
+
+(* Take up the next open region, folding the done ones before it into the
+   prior. False when none is left. *)
+let rec next_region st =
+  match st.queued with
+  | [] -> false
+  | CK.Done p :: rest ->
+    st.queued <- rest;
+    absorb st p;
+    next_region st
+  | CK.Open item :: rest ->
+    st.queued <- rest;
+    load_item st item;
+    true
+
+(* Move to the next unexplored path: backtrack, the range's next execution,
+   or the next open region. False when no work is left. *)
+let advance st =
+  (if is_systematic st.cfg then backtrack st else st.next_exec < st.end_exec)
+  || next_region st
+
+(* The DFS stack as a cursor. Frames are deep-copied: the backtracking
+   mutates them in place. *)
+let cursor_frames st =
+  let dec (a : alt) = { CK.c_tid = a.tid; c_alt = a.alt; c_cost = a.cost } in
+  Array.init st.nframes (fun i ->
+      let fr = st.frames.(i) in
+      { CK.c_chosen = dec fr.chosen; c_rest = List.map dec fr.rest; c_sleep = fr.sleep;
+        c_width = fr.width })
+
+(* The work of the current item left at a path boundary. *)
+let remaining st =
+  if is_systematic st.cfg then [ CK.Cursor (cursor_frames st) ]
+  else if st.next_exec < st.end_exec then [ CK.Range (st.next_exec, st.end_exec) ]
+  else []
+
+let splittable st =
+  if is_systematic st.cfg then begin
+    let rec any i = i < st.nframes && (st.frames.(i).rest <> [] || any (i + 1)) in
+    any 0
+  end
+  else st.end_exec - st.next_exec >= 2
+
+(* The work left at a boundary, cut in two in DFS order: the stack without
+   the untried siblings of its shallowest frame that has some, and a cursor
+   that starts at those siblings with the sleep set [backtrack] would give
+   them. A range splits in half. *)
+let split st =
+  if is_systematic st.cfg then begin
+    let frames = cursor_frames st in
+    let i = Option.get (Array.find_index (fun (f : CK.frame) -> f.CK.c_rest <> []) frames) in
+    let f = frames.(i) in
+    let next = List.hd f.CK.c_rest in
+    let siblings =
+      { f with
+        CK.c_chosen = next;
+        c_rest = List.tl f.CK.c_rest;
+        c_sleep = sibling_sleep st.cfg ~chosen:f.CK.c_chosen.CK.c_tid ~next:next.CK.c_tid f.CK.c_sleep }
+    in
+    frames.(i) <- { f with CK.c_rest = [] };
+    [ CK.Cursor frames; CK.Cursor (Array.append (Array.sub frames 0 i) [| siblings |]) ]
+  end
+  else begin
+    let mid = st.next_exec + ((st.end_exec - st.next_exec) / 2) in
+    [ CK.Range (st.next_exec, mid); CK.Range (mid, st.end_exec) ]
+  end
+
+(* A worker asked to split does so at a path boundary that leaves work to
+   split off. *)
+let split_wanted st =
+  match st.tally with Some t -> Tally.split_asked t && splittable st | None -> false
+
+(* The search's regions at a path boundary — what a resume needs to
+   continue with the next unexplored path: the totals so far as one done
+   region, any resumed prior folded in, then the work left (none once the
+   search is complete). Coverage signatures are filled in at write time,
+   where the table is only read (recording is idempotent, so a resumed
+   session re-recording a partial path's states converges to the same union
+   as the uninterrupted run). *)
+let capture_boundary ?(complete = false) st =
   let stats, metrics, analysis = totals st in
   let edges =
     match analysis with Some a -> a.Report.lock_order_edges | None -> []
   in
-  { Checkpoint.sq_frames = frames;
-    sq_stats = stats;
-    sq_metrics = metrics;
-    sq_states = [];
-    sq_edges = edges;
-    sq_complete = false }
+  ( { CK.p_stats = stats; p_metrics = metrics; p_states = []; p_edges = edges },
+    if complete then [] else List.map (fun i -> CK.Open i) (remaining st) @ st.queued )
 
-let write_checkpoint st ck (b : Checkpoint.seq_state) ~complete =
+let write_checkpoint st ck ((explored : CK.part), rest) ~complete =
   let states =
     if st.cfg.C.coverage then
       List.sort Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) st.states [])
@@ -921,9 +998,11 @@ let write_checkpoint st ck (b : Checkpoint.seq_state) ~complete =
   let t = Obs.Span.start () in
   let saved =
     Checkpoint.save_result ck.ck_path
-      { Checkpoint.fingerprint = Checkpoint.fingerprint st.cfg ~program:st.prog.Program.name;
+      { CK.fingerprint = CK.fingerprint st.cfg ~program:st.prog.Program.name;
         payload =
-          Checkpoint.Seq { b with Checkpoint.sq_states = states; sq_complete = complete } }
+          { CK.regions = CK.Done { explored with CK.p_states = states } :: rest;
+            elapsed = explored.CK.p_stats.Report.elapsed;
+            complete } }
   in
   (match (st.meters, st.events) with
    | None, None -> ()
@@ -967,10 +1046,10 @@ let run_loop_body st =
   let cfg = st.cfg in
   let systematic = is_systematic cfg in
   let verdict = ref None in
-  (* Where the search stood when a [Limits_reached] stop hit, relative to the
-     boundary snapshot: at it, inside the following path, or after completing
-     a whole path — this decides what the final checkpoint must record. *)
-  let stop_at = ref `Boundary in
+  let stop at =
+    verdict := Some Report.Limits_reached;
+    st.stop <- at
+  in
   let mark_error () =
     st.first_error_execution <- Some st.executions;
     st.first_error_time <- Some (elapsed st)
@@ -988,13 +1067,11 @@ let run_loop_body st =
     (* Poll the wall clock, the interrupt flag and the shared budget at
        every path start, so short budgets cannot overshoot by a whole
        path. *)
-    if poll st || peers_spent_budget st then begin
-      verdict := Some Report.Limits_reached;
-      stop_at := `Boundary
-    end
+    if poll st || peers_spent_budget st then stop At_boundary
     else begin
       let outcome, run_ = execute_path st ~systematic in
       st.executions <- st.executions + 1;
+      if not systematic then st.next_exec <- st.next_exec + 1;
       (* Knuth probe: this leaf's weight is the product of [1/width] over its
          ancestor frames (systematic), or [1/budget] (sampling). Exact
          fixed-point division, so the sum is jobs-deterministic. *)
@@ -1029,14 +1106,12 @@ let run_loop_body st =
            | P_nonterminating -> ("nonterminating", true)
            | P_pruned -> ("pruned", true)
            | P_stopped -> ("stopped", false)
-           | P_frontier -> ("frontier", false)
          in
          let tr = Engine.trace run_ in
          Obs.Events.emit_path buf ~det ~end_:end_name ~steps:(Trace.length tr)
            ~schedule:(schedule_hash tr));
       (match outcome with
        | P_terminated | P_pruned -> ()
-       | P_frontier -> assert false  (* only produced under [expand] *)
        | P_deadlock ->
          mark_error ();
          verdict := Some (Report.Deadlock { cex = render_cex run_ })
@@ -1047,10 +1122,7 @@ let run_loop_body st =
          mark_error ();
          verdict := Some (Report.Divergence { kind; cex = render_cex ~tail:true run_ })
        | P_nonterminating -> st.nonterminating <- st.nonterminating + 1
-       | P_stopped ->
-         verdict := Some Report.Limits_reached;
-         st.cut_short <- true;
-         stop_at := `Mid_path);
+       | P_stopped -> stop Mid_path);
       (* An analysis-reported race ends the search like an engine-detected
          error. An engine error on the same path takes precedence (both
          rules are deterministic, so jobs=1 and jobs=N agree); a race beats
@@ -1076,24 +1148,18 @@ let run_loop_body st =
            let total =
              match st.tally with Some t -> Tally.executions t | None -> st.executions
            in
-           if total >= m then begin
-             verdict := Some Report.Limits_reached;
-             stop_at := `After_path
-           end
+           if total >= m then stop After_path
          | None -> ());
-        if !verdict = None && stopped st then begin
-          verdict := Some Report.Limits_reached;
-          stop_at := `After_path
-        end
+        if !verdict = None && stopped st then stop After_path
       end;
+      (* A sampling search whose executions ran out did not verify: its
+         count is a budget. *)
       if !verdict = None then begin
-        if systematic then begin
-          if not (backtrack st) then verdict := Some Report.Verified
+        if not (advance st) then begin
+          verdict := Some (if systematic then Report.Verified else Report.Limits_reached);
+          st.stop <- Ran_out
         end
-        else if st.first_exec + st.executions >= st.end_exec then begin
-          verdict := Some Report.Limits_reached;
-          stop_at := `After_path
-        end
+        else if split_wanted st then stop At_split
       end;
       (* Path boundary: publish this path's event batch. The erroring
          verdicts are themselves deterministic, so the error event is part
@@ -1110,33 +1176,22 @@ let run_loop_body st =
     end
   done;
   let final_verdict = Option.get !verdict in
-  (* Final checkpoint flush. Where the resume should pick up depends on how
-     the stop relates to the last boundary snapshot: a stop at the boundary
-     or mid-path flushes the pre-path snapshot (the partial path is excluded
-     and re-executed in full by the resume); a stop after a completed path
-     must first advance past it — if backtracking fails there is nothing
-     left and the session is complete. A sampling search resumes at its
-     next execution index, so a budget stop stays [complete:false] (a later
-     session may extend the budget). *)
-  (match st.ckpt with
-   | None -> ()
-   | Some ck ->
-     (match final_verdict with
-      | Report.Limits_reached ->
-        (match !stop_at with
-         | `Boundary | `Mid_path ->
-           let b =
-             match ck.ck_boundary with Some b -> b | None -> capture_boundary st
-           in
-           write_checkpoint st ck b ~complete:false
-         | `After_path ->
-           if systematic then begin
-             if backtrack st then
-               write_checkpoint st ck (capture_boundary st) ~complete:false
-             else write_checkpoint st ck (capture_boundary st) ~complete:true
-           end
-           else write_checkpoint st ck (capture_boundary st) ~complete:false)
-      | _ -> write_checkpoint st ck (capture_boundary st) ~complete:true));
+  (* Final checkpoint flush. A stop at a boundary or inside a path flushes
+     the snapshot taken before the path (a path cut short runs again in
+     full on resume); a stop after a completed path first advances past it,
+     and if nothing is left the search is complete. A sampling search never
+     is: a later session may raise its count. *)
+  (match (st.ckpt, final_verdict) with
+   | None, _ -> ()
+   | Some ck, Report.Limits_reached ->
+     (match st.stop with
+      | At_boundary | Mid_path | At_split ->
+        write_checkpoint st ck (Option.get ck.ck_boundary) ~complete:false
+      | After_path | Ran_out ->
+        let more = st.stop = After_path && advance st in
+        let complete = systematic && not more in
+        write_checkpoint st ck (capture_boundary ~complete st) ~complete)
+   | Some ck, _ -> write_checkpoint st ck (capture_boundary ~complete:true st) ~complete:true);
   (* The final checkpoint may have queued an advisory event after the last
      path-boundary flush. *)
   (match st.events with Some b -> Obs.Events.flush b | None -> ());
@@ -1172,29 +1227,6 @@ let run_loop st =
     Engine.set_observer (Some observe);
     Fun.protect ~finally:(fun () -> Engine.set_observer None) (fun () -> run_loop_body st)
 
-(* Executions left for a resumed session: the mode's sampling count and
-   [max_executions] both count across sessions. [max_int] when unlimited. *)
-let remaining_budget (cfg : C.t) prior_execs =
-  let cap_left =
-    match cfg.max_executions with Some m -> m - prior_execs | None -> max_int
-  in
-  min (sampling_count cfg - prior_execs) cap_left
-
-(* A sampling path weighs [1/count]. A resume may raise the count: the
-   prior paths are then reweighed, so the mass stays executions/count, as
-   in one uninterrupted run. *)
-let reweigh (cfg : C.t) (s : Report.stats) metrics =
-  if is_systematic cfg then (s, metrics)
-  else begin
-    let mass =
-      s.Report.executions * Obs.Estimator.descend Obs.Estimator.one (probe_denom cfg)
-    in
-    ( { s with Report.probe_mass = mass },
-      match M.Snapshot.find metrics "search/probe_mass" with
-      | Some _ -> M.Snapshot.with_counter metrics "search/probe_mass" mass
-      | None -> metrics )
-  end
-
 (* Coordinator lifecycle events, shared with the supervisor. [run_start]'s
    data deliberately excludes [jobs] and budget fields: the det slice must be
    identical between a jobs=1 and a jobs=4 run of the same search. *)
@@ -1226,155 +1258,93 @@ let post_run_end (cfg : C.t) (r : Report.t) =
            ("transitions", J.Int r.Report.stats.Report.transitions);
            ("probe_mass", J.Int r.Report.stats.Report.probe_mass) ])
 
-(* Resuming with no budget left: the prior totals are already the answer. *)
-let report_of_prior (cfg : C.t) (sq : Checkpoint.seq_state) =
-  let analysis =
-    if cfg.analyses = [] then None
-    else
-      Some
-        { Report.lock_order_edges = sq.Checkpoint.sq_edges;
-          potential_deadlock_cycles = AH.cycles sq.Checkpoint.sq_edges }
-  in
-  { Report.verdict = Report.Limits_reached;
-    stats = sq.Checkpoint.sq_stats;
-    metrics = sq.Checkpoint.sq_metrics;
-    analysis }
+(* The regions a search runs: the whole tree, or every execution, for a
+   fresh search; a resumed payload's regions, a sampling search's cut or
+   extended to its count (the count is a budget: a resume may raise it). *)
+let regions (cfg : C.t) (resume : CK.payload option) =
+  match resume with
+  | None ->
+    [ CK.Open (if is_systematic cfg then CK.Cursor [||] else CK.Range (0, sampling_count cfg)) ]
+  | Some p when is_systematic cfg -> p.CK.regions
+  | Some p ->
+    let count = sampling_count cfg in
+    let rec fit pos = function
+      | [] -> if pos < count then [ CK.Open (CK.Range (pos, count)) ] else []
+      | (CK.Done d as r) :: rest -> r :: fit (pos + d.CK.p_stats.Report.executions) rest
+      | CK.Open (CK.Range (lo, hi)) :: rest ->
+        if lo < count then CK.Open (CK.Range (lo, min hi count)) :: fit hi rest else fit hi rest
+      | CK.Open (CK.Cursor _) :: _ -> invalid_arg "Search.regions: a cursor in a sampling search"
+    in
+    fit 0 p.CK.regions
 
 let run ?resume cfg prog =
-  match resume with
-  | Some (sq : Checkpoint.seq_state)
-    when remaining_budget cfg sq.Checkpoint.sq_stats.Report.executions <= 0 ->
-    let r = report_of_prior cfg sq in
-    post_run_start cfg prog;
-    post_run_end cfg r;
-    r
-  | _ ->
-    post_run_start cfg prog;
-    (* The resumed session counts its own executions from zero: it gets
-       what is left of [max_executions], and a sampling search continues at
-       the next execution index. [totals] folds the prior totals back in. *)
-    let prior =
-      match resume with Some sq -> sq.Checkpoint.sq_stats.Report.executions | None -> 0
-    in
-    let cfg_run =
-      { cfg with
-        C.max_executions = Option.map (fun m -> max 0 (m - prior)) cfg.C.max_executions }
-    in
-    let st = make_state ~executions:(prior, sampling_count cfg) cfg_run prog in
-    (match resume with
-     | None -> ()
-     | Some sq ->
-       (* Rebuild the DFS stack at the recorded path boundary: replaying the
-          [chosen] decision of each frame reaches exactly the next
-          unexplored path, as if the backtrack had just happened here. *)
-       let alt_of (d : Checkpoint.decision) =
-         { tid = d.Checkpoint.c_tid; alt = d.Checkpoint.c_alt; cost = d.Checkpoint.c_cost }
-       in
-       Array.iter
-         (fun (fr : Checkpoint.frame) ->
-           let width = fr.Checkpoint.c_width in
-           push_frame st
-             { chosen = alt_of fr.Checkpoint.c_chosen;
-               rest = List.map alt_of fr.Checkpoint.c_rest;
-               sleep = fr.Checkpoint.c_sleep;
-               width;
-               cum = Obs.Estimator.descend (top_weight st) width;
-               snap = None })
-         sq.Checkpoint.sq_frames;
-       (* Preload coverage so the union across sessions matches the
-          uninterrupted run (recording is idempotent). *)
-       if cfg.C.coverage then
-         List.iter (fun s -> Hashtbl.replace st.states s ()) sq.Checkpoint.sq_states;
-       let pr_stats, pr_metrics = reweigh cfg sq.Checkpoint.sq_stats sq.Checkpoint.sq_metrics in
-       st.prior <- Some { pr_stats; pr_metrics; pr_edges = sq.Checkpoint.sq_edges });
-    (match cfg.C.checkpoint with
-     | None -> ()
-     | Some path ->
-       st.ckpt <-
-         Some
-           { ck_path = path;
-             ck_interval = cfg.C.checkpoint_interval;
-             ck_last = Obs.Clock.now ();
-             ck_boundary = None });
-    let report = run_loop st in
-    (match cfg.C.progress with None -> () | Some p -> Obs.Progress.force p (progress_sample st));
-    post_run_end cfg report;
-    report
+  post_run_start cfg prog;
+  let regions = regions cfg resume in
+  (* [max_executions] counts across sessions: a resumed session gets what is
+     left of it, and counts its own executions from zero. [totals] folds
+     the prior totals back in. *)
+  let prior =
+    List.fold_left
+      (fun n -> function CK.Done p -> n + p.CK.p_stats.Report.executions | CK.Open _ -> n)
+      0 regions
+  in
+  let cfg_run =
+    { cfg with C.max_executions = Option.map (fun m -> max 0 (m - prior)) cfg.C.max_executions }
+  in
+  let st = make_state cfg_run prog in
+  st.queued <- regions;
+  Option.iter
+    (fun (p : CK.payload) ->
+      let elapsed = p.CK.elapsed in
+      st.prior <-
+        Some
+          { pr_stats = { CK.zero_stats with Report.elapsed; search_elapsed = elapsed };
+            pr_metrics = M.Snapshot.empty;
+            pr_edges = [] })
+    resume;
+  (match cfg.C.checkpoint with
+   | None -> ()
+   | Some path ->
+     st.ckpt <-
+       Some
+         { ck_path = path;
+           ck_interval = cfg.C.checkpoint_interval;
+           ck_last = Obs.Clock.now ();
+           ck_boundary = None });
+  let report =
+    if cfg_run.C.max_executions <> Some 0 && next_region st then run_loop st
+    else begin
+      (* Nothing left to run: the prior totals are the answer. *)
+      List.iter (function CK.Done p -> absorb st p | CK.Open _ -> ()) st.queued;
+      let stats, metrics, analysis = totals st in
+      { Report.verdict = Report.Limits_reached; stats; metrics; analysis }
+    end
+  in
+  (match cfg.C.progress with None -> () | Some p -> Obs.Progress.force p (progress_sample st));
+  post_run_end cfg report;
+  report
 
 (* One work item of a parallel search. Returns the coverage table alongside
-   the report so the supervisor can union tables rather than summing
-   cardinalities. A range whose executions all ran to their end without an
-   error reports [Verified], as an explored subtree does: neither need run
-   again. A range whose last path a stop cut short counts that path but
-   reports [Limits_reached]. *)
+   the report, so the supervisor can union tables rather than sum
+   cardinalities, and the work left. An item with no work left is finished
+   ([Verified] unless it found an error), whatever stopped it. *)
 let run_item ?deadline ?shard ~tally cfg prog item =
-  match item with
-  | Prefix prefix ->
-    let st = make_state ?deadline ~prefix ~tally ?shard cfg prog in
-    (run_loop st, st.states)
-  | Executions (lo, hi) ->
-    let st = make_state ?deadline ~executions:(lo, hi) ~tally ?shard cfg prog in
-    let r = run_loop st in
-    let whole =
-      r.Report.verdict = Report.Limits_reached && st.executions = hi - lo && not st.cut_short
-    in
-    ((if whole then { r with Report.verdict = Report.Verified } else r), st.states)
-
-(* Sequentially expand the systematic decision tree, cutting every path at
-   [split_depth] fresh decisions. Each resulting prefix — whether it is an
-   internal node (P_frontier) or a complete shallow path — is one work item,
-   re-executed from the initial state by a worker; the expansion itself
-   records no statistics, so the merged worker stats match the sequential
-   search exactly. Items are returned in DFS order. *)
-let expand ?deadline cfg prog ~split_depth =
-  let st =
-    make_state ?deadline ~frontier_at:(max 1 split_depth)
-      (* Analyses are stripped too: workers re-execute every item, so
-         expansion-time observation would double-count and make analysis
-         results depend on the shard layout. *)
-      { cfg with
-        C.coverage = false;
-        metrics = false;
-        progress = None;
-        events = None;
-        analyses = [] }
-      prog
+  let st = make_state ?deadline ~tally ?shard cfg prog in
+  load_item st item;
+  let r = run_loop st in
+  let rest =
+    match (r.Report.verdict, st.stop) with
+    | Report.Limits_reached, At_boundary -> remaining st
+    | Report.Limits_reached, After_path -> if advance st then remaining st else []
+    | Report.Limits_reached, At_split -> split st
+    | _ -> []
   in
-  if not (is_systematic cfg) then invalid_arg "Search.expand: sampling mode";
-  let items = ref [] in
-  let timed_out = ref false in
-  let continue_ = ref true in
-  Fun.protect ~finally:(fun () -> release st) @@ fun () ->
-  while !continue_ do
-    if stopped st then begin
-      timed_out := true;
-      continue_ := false
-    end
-    else begin
-      let outcome, _ = execute_path st ~systematic:true in
-      let prefix =
-        Array.init st.nframes (fun i ->
-            let fr = st.frames.(i) in
-            { p_tid = fr.chosen.tid;
-              p_alt = fr.chosen.alt;
-              p_cost = fr.chosen.cost;
-              p_sleep = fr.sleep;
-              p_width = fr.width })
-      in
-      items := prefix :: !items;
-      match outcome with
-      | P_safety _ | P_deadlock | P_divergence _ ->
-        (* An error above the split depth: the sequential DFS can never get
-           past it (a random tail draws the same wherever it runs), so
-           later items are unreachable. *)
-        continue_ := false
-      | P_stopped ->
-        timed_out := true;
-        continue_ := false
-      | _ -> if not (backtrack st) then continue_ := false
-    end
-  done;
-  (List.rev !items, !timed_out)
+  let verdict =
+    match (r.Report.verdict, st.stop) with
+    | Report.Limits_reached, (Ran_out | After_path) when rest = [] -> Report.Verified
+    | v, _ -> v
+  in
+  ({ r with Report.verdict }, st.states, rest)
 
 type replay_outcome =
   | Replayed_failure of Report.counterexample

@@ -27,17 +27,18 @@
     [config.progress] at every path start and every 256 steps inside a
     path. *)
 
-val run : ?resume:Checkpoint.seq_state -> Search_config.t -> Program.t -> Report.t
-(** Run the configured search. With [resume], continue a prior session from
-    its checkpointed path boundary: the DFS stack and coverage table are
-    reloaded, a sampling search continues at its next execution index,
-    [max_executions] is reduced by the prior session's executions, and the
-    prior totals are folded back into the final report — an
-    interrupted-then-resumed run reports the same verdict, counterexample
-    and statistics as an uninterrupted one, also when the resume raises
-    the sampling count. When [config.checkpoint] is set, the search snapshots
-    its state at every path boundary and writes the file at most every
-    [checkpoint_interval] seconds, plus exactly once when it stops. *)
+val run : ?resume:Checkpoint.payload -> Search_config.t -> Program.t -> Report.t
+(** Run the configured search. With [resume], continue a prior session,
+    sequential or parallel: the open regions run in DFS order, each done
+    region folds into the totals as the search passes it (coverage table
+    included), [max_executions] is reduced by the executions of the done
+    regions, and a sampling search's regions are cut or extended to its
+    count — an interrupted-then-resumed run reports the same verdict,
+    counterexample and statistics as an uninterrupted one, also when the
+    resume raises the sampling count. When [config.checkpoint] is set, the
+    search snapshots its regions at every path boundary and writes the file
+    at most every [checkpoint_interval] seconds, plus exactly once when it
+    stops. *)
 
 val good_samaritan_culprit : (int * int * bool) list -> int
 (** Pick the culprit thread of a good-samaritan divergence from
@@ -72,48 +73,8 @@ val replay : Program.t -> (int * int) list -> (Engine.t -> unit) -> replay_outco
 (** {1 Parallel-search seam}
 
     The entry points below are consumed by {!Supervisor}; they are exposed
-    here because the work-item representation is owned by the search (it is
-    a snapshot of its DFS stack). *)
-
-type pdecision = {
-  p_tid : int;
-  p_alt : int;
-  p_cost : int;
-  p_sleep : Fairmc_util.Bitset.t;
-  p_width : int;
-}
-(** One locked scheduling decision of a systematic work item: the chosen
-    (thread, alternative) pair, its context-switch cost (already charged
-    against the preemption budget on replay), the sleep set the sequential
-    DFS would carry when entering this child, and the branching factor of
-    the node when it was first pushed ([p_width]) — workers fold prefix
-    widths into their {!Fairmc_obs.Estimator} probe weights so the merged
-    probe mass is bit-identical to the sequential search's. *)
-
-type item =
-  | Prefix of pdecision array
-      (** a systematic work item: the subtree below a locked prefix
-          (backtracking never leaves it) *)
-  | Executions of int * int
-      (** a sampling work item: executions [lo] to [hi - 1] of the
-          search, each drawing from its own (seed, index) generator *)
-
-val expand :
-  ?deadline:float ->
-  Search_config.t ->
-  Program.t ->
-  split_depth:int ->
-  pdecision array list * bool
-(** Sequentially expand the systematic decision tree, cutting every path
-    after [split_depth] fresh decisions. Every explored prefix — an internal
-    frontier node or a complete shallow path — is returned as one work item,
-    in DFS order. The expansion records no statistics and no coverage:
-    workers re-execute each item from the initial state, so their merged
-    statistics equal the sequential search's exactly. The boolean is true if
-    [deadline] cut the expansion short. Enumeration stops early after a work
-    item whose shallow outcome is an error (the sequential search could
-    never reach the later items). Raises [Invalid_argument] for sampling
-    modes. *)
+    here because the work items ({!Checkpoint.item}) are snapshots of the
+    search's own DFS stack. *)
 
 val post_run_start : Search_config.t -> Program.t -> unit
 (** Emit the coordinator [run_start] telemetry event (no-op without
@@ -132,14 +93,20 @@ val sampling_count : Search_config.t -> int
 (** Executions a sampling mode runs ([n] for [random:n] and [prio:n], 1
     for round-robin); [max_int] for the systematic modes. *)
 
+val regions : Search_config.t -> Checkpoint.payload option -> Checkpoint.region list
+(** The regions a search runs, in DFS order: one open item — the empty
+    cursor, or every execution of a sampling mode — for a fresh search; a
+    resumed payload's regions otherwise, a sampling search's cut or
+    extended to its count. *)
+
 val run_item :
   ?deadline:float ->
   ?shard:int ->
   tally:Tally.t ->
   Search_config.t ->
   Program.t ->
-  item ->
-  Report.t * (int64, unit) Hashtbl.t
+  Checkpoint.item ->
+  Report.t * (int64, unit) Hashtbl.t * Checkpoint.item list
 (** Run one work item of a parallel search. [deadline] overrides the
     config's relative [time_limit] with an absolute timestamp shared by all
     items. Every completed path is added to [tally]'s slot, and
@@ -147,18 +114,26 @@ val run_item :
     (instead of the local count) at every path start and end. A sampling
     path weighs [1/count] of the config's whole sampling count, whichever
     item runs it. [shard] tags the item's telemetry events
-    ([config.events]). Returns the report together with the item's coverage
-    table so the caller can union tables rather than sum cardinalities.
-    A range that ran all its executions to their end without an error
-    reports [Verified], like a subtree explored in full. A range that the
-    deadline, an interrupt or the budget stopped before its last path
-    ended reports [Limits_reached], also when the stop cut that last path
-    short (the path still counts as an execution). *)
+    ([config.events]). Returns the report of the paths explored, the
+    item's coverage table (so the caller can union tables rather than sum
+    cardinalities), and the work left, in DFS order.
+
+    When the slot's split request ({!Tally.ask_split}) is up at a path
+    boundary after the item's first path, and there is work to split off,
+    the item stops there and leaves two items: its own stack without the
+    untried siblings of its shallowest frame that has some, and a cursor
+    that starts at those siblings, with the sleep set backtracking would
+    give them. A range leaves its two halves. A budget, deadline or
+    interrupt noticed at a path boundary leaves one item: the work not yet
+    run. An item with no work left reports [Verified] unless it found an
+    error; one that a stop cut short inside a path reports
+    [Limits_reached] and leaves nothing (it did not finish: it runs again
+    whole). *)
 
 val reweigh :
   Search_config.t -> Report.stats -> Fairmc_obs.Metrics.Snapshot.t ->
   Report.stats * Fairmc_obs.Metrics.Snapshot.t
-(** Prior totals of a sampling search, reweighed for the config's sampling
-    count: every path weighs [1/count], so a resume that raised the count
-    reports the probe mass of one uninterrupted run. Systematic totals come
-    back unchanged. *)
+(** Totals of a sampling search's done region, reweighed for the config's
+    sampling count: every path weighs [1/count], so a resume that raised
+    the count reports the probe mass of one uninterrupted run. Systematic
+    totals come back unchanged. *)

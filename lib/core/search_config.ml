@@ -21,7 +21,6 @@ type t = {
   sleep_sets : bool;
   coverage : bool;
   jobs : int;
-  split_depth : int;
   metrics : bool;
   progress : Fairmc_obs.Progress.t option;
   events : Fairmc_obs.Events.stream option;
@@ -48,7 +47,6 @@ let default =
     sleep_sets = false;
     coverage = false;
     jobs = 1;
-    split_depth = 4;
     metrics = false;
     progress = None;
     events = None;
@@ -78,8 +76,8 @@ let fault_kinds = [ Crash; Hang; Garble; Slow_pipe; Save_fail ]
 let fault_name { fault_kind; fault_seed } =
   Printf.sprintf "%s@%d" (fault_kind_name fault_kind) fault_seed
 
-(* "<kind>" or "<kind>@<seed>"; the seed picks which work item the fault
-   fires on (index = seed mod item count, first attempt only). *)
+(* "<kind>" or "<kind>@<seed>"; the seed picks which dispatch the fault
+   fires on (the one numbered [seed], first attempt only). *)
 let fault_of_string s =
   let kind_of = function
     | "crash" -> Some Crash
@@ -121,7 +119,6 @@ let validate t =
         ("max_steps", 1, Some t.max_steps);
         ("livelock_bound", 1, t.livelock_bound);
         ("max_executions", 1, t.max_executions);
-        ("split_depth", 1, Some t.split_depth);
         ("depth_bound", 0, t.depth_bound);
         ("max_retries", 0, Some t.max_retries) ]
   in

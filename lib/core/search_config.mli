@@ -33,10 +33,11 @@ type fault_kind =
 
 type fault = { fault_kind : fault_kind; fault_seed : int }
 (** Deterministic fault injection for the supervised process pool
-    ({!Supervisor}): the fault fires exactly once, on the first attempt of
-    work item [fault_seed mod n_items]. Because retries are fault-free, every
-    injected fault must leave the final verdict unchanged (except a budget
-    of zero retries, which surfaces a {!Report.Crash}). *)
+    ({!Supervisor}): the fault fires at most once, on the first attempt of
+    the work item dispatched [fault_seed]-th (counting from 0; a search
+    that dispatches fewer items fires none). Because retries are
+    fault-free, every injected fault must leave the final verdict unchanged
+    (except a budget of zero retries, which surfaces a {!Report.Crash}). *)
 
 (** Each field has one role in the search's identity: {e identity} (it
     shapes the explored tree or the report), {e job} (budgets and fan-out)
@@ -77,11 +78,6 @@ type t = {
           the larger of the two, each with [0] (or negative) resolved to
           [Domain.recommended_domain_count ()]; a fan-out of 1 runs the
           sequential search. *)
-  split_depth : int;
-      (** parallel systematic search: the decision tree is expanded
-          sequentially to this depth and each frontier prefix becomes an
-          independent work item (see DESIGN.md, "Parallel search"). The
-          report does not depend on it. *)
   metrics : bool;
       (** collect the full instrument set into {!Report.t.metrics}. Off by
           default: when off, no registry exists and the hot paths pay one
@@ -108,7 +104,7 @@ type t = {
           {!Report.Race} verdict, selected by the same DFS-first-error rule
           as engine-detected errors. *)
   checkpoint : string option;
-      (** write a durable-session checkpoint (schema [fairmc-ckpt/1]) to this
+      (** write a durable-session checkpoint (schema [fairmc-ckpt/2]) to this
           file so an interrupted run can be continued with [--resume]; written
           atomically (temp file + rename) at path boundaries, throttled by
           [checkpoint_interval], and always flushed once when the search stops
@@ -154,8 +150,8 @@ val describe : t -> string
 
 val validate : t -> (unit, string) result
 (** Refuse numbers that would fabricate a verdict: a context bound below 0;
-    a sampling count, [fair_k], [max_steps], [livelock_bound],
-    [max_executions] or [split_depth] below 1; a depth bound or
+    a sampling count, [fair_k], [max_steps], [livelock_bound] or
+    [max_executions] below 1; a depth bound or
     [max_retries] below 0; a time limit that is negative or not finite; an
     item timeout that is not positive. [chess check] reports the error as a
     usage error and chessd refuses the job. *)

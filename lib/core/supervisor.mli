@@ -1,23 +1,27 @@
-(** Parallel search: the schedule space sharded across supervised worker
-    processes.
+(** Parallel search: the schedule space shared out among supervised
+    worker processes.
 
     Stateless model checking re-executes the program from its initial state
-    for every schedule, so shards share nothing. The supervisor splits a
-    search into work items and forks worker processes that run them and
-    answer over the {!Worker} pipe protocol:
+    for every schedule, so workers share nothing but their totals. The
+    supervisor keeps the search as a list of regions in DFS order — done
+    ones, and open work items: DFS cursors ({!Checkpoint.Cursor}) or ranges
+    of sampling executions — and forks worker processes that run the items
+    and answer over the {!Worker} pipe protocol:
 
-    - {b Systematic modes} (DFS, context-bounded): the decision tree is
-      expanded sequentially to [config.split_depth] ({!Search.expand}) and
-      each frontier prefix becomes a work item. The merged report is
-      {e exactly} the sequential one — same verdict, same counterexample,
-      same execution/transition/coverage counts — independent of the worker
-      count and of timing (errors are resolved by lowest item index in DFS
-      order; workers on losing items are killed).
-    - {b Sampling modes} (random walk, random priorities): an item is a
-      range of execution indices, and execution [i] draws from its own
-      ([config.seed], [i]) generator. The same lowest-item rule and merge
-      give exactly the sequential report.
-    - Round-robin is a single schedule and runs sequentially.
+    - {b Splitting}: a search starts from one item, the whole tree or every
+      sampling execution. When a worker idles with nothing queued, the
+      supervisor raises the split request in a busy worker's {!Tally} slot;
+      at its next path boundary that worker hands back what it explored and
+      its work left as two items ({!Search.run_item}). Work is cut where it
+      is, however uneven the tree.
+    - {b Determinism}: every path runs once, and random choices are keyed by
+      their execution index or path, so the explored regions merge in DFS
+      order into {e exactly} the sequential report — same verdict, same
+      counterexample, same execution/transition/coverage counts —
+      independent of the worker count and of timing. An error decides the
+      verdict only once every region before it is explored; a budget or
+      time stop before that reports [Limits_reached] and keeps the erroring
+      region open. Round-robin is a single schedule and runs sequentially.
 
     Policies:
 
@@ -32,36 +36,31 @@
       spurious [Limits_reached].
     - {b Retries}: a crashed/timed-out/garbled attempt is requeued with
       exponential backoff and deterministic jitter (a pure function of
-      (seed, item, attempt)), at most [config.max_retries] times.
+      (seed, dispatch number, attempt)), at most [config.max_retries]
+      times.
     - {b Quarantine}: an item that exhausts its retry budget becomes a
       {!Report.Crash} verdict whose counterexample is the item's schedule
       prefix, replayable to re-enter the crashing subtree.
     - {b Degradation}: when every worker slot dies and none can be
-      respawned, the remaining items finish in-process.
+      respawned, the open items finish in-process.
 
-    Deterministic fault injection ([config.inject_fault]) fires exactly
-    once, on the first attempt of item [fault_seed mod n_items]; retries are
-    fault-free, so injected faults leave the verdict unchanged (except with
-    a zero retry budget, which surfaces the {!Report.Crash}). See DESIGN.md,
-    "Parallel search". *)
+    Deterministic fault injection ([config.inject_fault]) fires at most
+    once, on the first attempt of the item dispatched [fault_seed]-th;
+    retries are fault-free, so injected faults leave the verdict unchanged
+    (except with a zero retry budget, which surfaces the {!Report.Crash}).
+    See DESIGN.md, "Parallel search". *)
 
 val resolve_workers : Search_config.t -> int
 (** The fan-out: the larger of [config.jobs] and [config.workers], each
     with [0] and negative values resolved to
     [Domain.recommended_domain_count ()]. *)
 
-val zero_stats : Report.stats
-(** All-zero statistics: the merge identity, and the statistics of a
-    quarantined item. *)
-
 val run : ?resume:Checkpoint.payload -> Search_config.t -> Program.t -> Report.t
 (** Run the configured search: {!Search.run} when [resolve_workers config <=
     1] (and for round-robin), the supervised worker pool otherwise.
 
     [resume] continues a prior checkpointed session (see {!Checkpoint} and
-    DESIGN.md, "Durable sessions"). The payload kind must fit the run shape:
-    [Seq] for sequential runs, [Par] for parallel ones — a mismatch (e.g. a
-    checkpoint written with a different jobs regime, or split-depth/
-    item-count drift of a systematic search) raises {!Checkpoint.Mismatch}.
-    When [config.checkpoint] is set, a parallel search records every
-    finished work item (throttled by [config.checkpoint_interval]). *)
+    DESIGN.md, "Durable sessions"), written at any fan-out. When
+    [config.checkpoint] is set, a parallel search writes its regions as
+    they stand after merged answers (throttled by
+    [config.checkpoint_interval]) and once when it stops. *)

@@ -3,7 +3,9 @@
     One memory mapping, created by the supervisor before its first fork, so
     every worker process inherits it. Each process owns one slot — an
     execution count and an {!Fairmc_obs.Estimator} probe mass — and writes
-    only that slot; readers sum every slot. Counting a path costs two
+    only that slot; readers sum every slot. A slot also holds a split
+    request, which the supervisor raises and the slot's worker reads at
+    its path boundaries. Counting a path costs two
     stores and a sum over the slots, never a system call. {!Search} checks
     [max_executions] against {!executions} at every path start and end, so
     a parallel search overshoots its budget by at most one in-flight path
@@ -27,3 +29,10 @@ val executions : t -> int
 
 val mass : t -> int
 (** Probe mass summed over every slot. *)
+
+val ask_split : t -> bool -> unit
+(** Raise (or clear) this view's split request: its worker should hand
+    back part of its item at its next path boundary. *)
+
+val split_asked : t -> bool
+(** This view's split request. Reading it costs one load. *)

@@ -29,7 +29,7 @@ module Events = Fairmc_obs.Events
 let protocol = "fairmc-ipc/1"
 
 type request =
-  | Run of { q_index : int; q_attempt : int; q_time_left : float option }
+  | Run of { q_index : int; q_attempt : int; q_time_left : float option; q_item : Checkpoint.item }
   | Quit
 
 type response = {
@@ -39,6 +39,8 @@ type response = {
   r_states : int64 list;
   r_events : string list;
 }
+
+type reply = Rest of Checkpoint.item list | Response of response
 
 (* ------------------------------------------------------------------ *)
 (* Report codec. Parsers raise {!Checkpoint.Codec.Parse}.              *)
@@ -194,12 +196,13 @@ let report_of_json o =
 (* Request/response codec.                                             *)
 
 let request_to_json = function
-  | Run { q_index; q_attempt; q_time_left } ->
+  | Run { q_index; q_attempt; q_time_left; q_item } ->
     J.Obj
       [ ("op", J.Str "run");
         ("index", J.Int q_index);
         ("attempt", J.Int q_attempt);
-        ("time_left", CK.opt_to_json (fun f -> J.Float f) q_time_left) ]
+        ("time_left", CK.opt_to_json (fun f -> J.Float f) q_time_left);
+        ("item", CK.item_to_json q_item) ]
   | Quit -> J.Obj [ ("op", J.Str "quit") ]
 
 let request_of_json o =
@@ -208,7 +211,8 @@ let request_of_json o =
     Run
       { q_index = CK.int_f o "index";
         q_attempt = CK.int_f o "attempt";
-        q_time_left = CK.opt_of_json (CK.as_float "time_left") (CK.field o "time_left") }
+        q_time_left = CK.opt_of_json (CK.as_float "time_left") (CK.field o "time_left");
+        q_item = CK.item_of_json (CK.field o "item") }
   | "quit" -> Quit
   | op -> CK.fail "unknown request %S" op
 
@@ -234,6 +238,17 @@ let response_of_json o =
           | J.Str line when Events.relayable line -> line
           | _ -> CK.fail "bad event line")
         (CK.arr_f o "events") }
+
+let rest_to_json items =
+  J.Obj [ ("protocol", J.Str protocol); ("rest", J.Arr (List.map CK.item_to_json items)) ]
+
+let reply_of_json o =
+  match o with
+  | J.Obj kvs when List.mem_assoc "rest" kvs ->
+    let p = CK.str_f o "protocol" in
+    if p <> protocol then CK.fail "protocol mismatch: %S (expected %S)" p protocol;
+    Rest (List.map CK.item_of_json (CK.arr_f o "rest"))
+  | _ -> Response (response_of_json o)
 
 (* ------------------------------------------------------------------ *)
 (* Framing.                                                            *)

@@ -17,13 +17,16 @@ val protocol : string
 
 type request =
   | Run of {
-      q_index : int;  (** work-item index in the DFS-ordered expansion *)
+      q_index : int;
+          (** the item's dispatch number: the supervisor numbers items as it
+              first dispatches them *)
       q_attempt : int;  (** 0 on first dispatch; retries increment *)
       q_time_left : float option;
           (** remaining global time budget in seconds, [None] = unlimited.
               The child derives its search deadline from this — never from
               the per-item timeout, which is parent-side only (a slow but
               healthy item must not come back [Limits_reached]). *)
+      q_item : Checkpoint.item;  (** the work item to run *)
     }
   | Quit  (** drain and exit 0 *)
 
@@ -40,6 +43,11 @@ type response = {
           {!Fairmc_obs.Events.relayable}. *)
 }
 
+(** A worker's frame: the work its item left, sent just before the item's
+    response when the item stopped at a path boundary (asked to split, or
+    stopped by a budget) with work left, then the response. *)
+type reply = Rest of Checkpoint.item list | Response of response
+
 (** {1 Codec}
 
     Parsers raise {!Checkpoint.Codec.Parse} on malformed input. *)
@@ -48,6 +56,11 @@ val request_to_json : request -> Fairmc_util.Json.t
 val request_of_json : Fairmc_util.Json.t -> request
 val response_to_json : response -> Fairmc_util.Json.t
 val response_of_json : Fairmc_util.Json.t -> response
+val rest_to_json : Checkpoint.item list -> Fairmc_util.Json.t
+
+val reply_of_json : Fairmc_util.Json.t -> reply
+(** A [Rest] frame (it has a ["rest"] member) or a response. *)
+
 val report_to_json : Report.t -> Fairmc_util.Json.t
 val report_of_json : Fairmc_util.Json.t -> Report.t
 

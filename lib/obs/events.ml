@@ -1,5 +1,5 @@
-(* Streaming NDJSON search events. Shards batch locally and flush at path
-   boundaries; the stream lock assigns gap-free sequence numbers. Events
+(* Streaming NDJSON search events. A search batches locally and flushes at
+   path boundaries; the stream assigns gap-free sequence numbers. Events
    cross process boundaries as rendered lines: a worker's stream renders
    them and the parent's stream renumbers them ({!relay}). See events.mli
    for the envelope and the det/advisory split. *)
@@ -36,14 +36,13 @@ type chunks = {
 type sink = No_sink | Lines of (string -> unit) | Chunks of chunks
 
 type stream = {
-  mu : Mutex.t;
   t0 : float;
   sink : sink;
   collect : bool;
   spans : bool;
   mutable seq : int;
   mutable acc : event list;  (* reversed; only when [collect] *)
-  fmt : Buffer.t;  (* scratch for line rendering; guarded by [mu] *)
+  fmt : Buffer.t;  (* scratch for line rendering *)
 }
 
 type buf = { stream : stream; shard : int; mutable pending : pending list (* reversed *) }
@@ -52,8 +51,7 @@ let chunk_cap = 64 * 1024
 let chunk_age = 0.005
 
 let make ~t0 ~sink ~collect ~spans =
-  { mu = Mutex.create (); t0; sink; collect; spans; seq = 0; acc = [];
-    fmt = Buffer.create 256 }
+  { t0; sink; collect; spans; seq = 0; acc = []; fmt = Buffer.create 256 }
 
 let create ?write ?(chunked = false) ?(collect = false) () =
   let sink =
@@ -192,10 +190,10 @@ let line_done stream =
     if Buffer.length c.c_buf >= chunk_cap || now -. c.c_oldest >= chunk_age then
       chunk_flush c
 
-(* Under the lock: number, write, collect — in batch order. The [event]
+(* Number, write, collect — in batch order. The [event]
    record (and a [P_path]'s Json data) only materializes when the stream
    collects; a write-only stream renders straight from the pending cell. *)
-let publish_locked stream ~shard p =
+let publish stream ~shard p =
   let seq = stream.seq in
   stream.seq <- seq + 1;
   if has_sink stream then begin
@@ -223,22 +221,18 @@ let publish_locked stream ~shard p =
     stream.acc <- e :: stream.acc
   end
 
-let flush_locked stream ~shard pending =
-  match pending with
-  | [ p ] -> publish_locked stream ~shard p
-  | pending -> List.iter (publish_locked stream ~shard) (List.rev pending)
-
 let flush buf =
   match buf.pending with
   | [] -> ()
+  | [ p ] ->
+    buf.pending <- [];
+    publish buf.stream ~shard:buf.shard p
   | pending ->
     buf.pending <- [];
-    let s = buf.stream in
-    Mutex.protect s.mu (fun () -> flush_locked s ~shard:buf.shard pending)
+    List.iter (publish buf.stream ~shard:buf.shard) (List.rev pending)
 
 let post stream ~shard ?(det = false) ~kind data =
-  let p = P { p_ts_us = ts_us stream; p_det = det; p_kind = kind; p_data = data } in
-  Mutex.protect stream.mu (fun () -> flush_locked stream ~shard [ p ])
+  publish stream ~shard (P { p_ts_us = ts_us stream; p_det = det; p_kind = kind; p_data = data })
 
 (* A line as a worker's stream rendered it starts with this, then its
    sequence number: the one field a relay rewrites. *)
@@ -258,31 +252,29 @@ let relayable line = seq_end line >= 0
 
 let relay stream lines =
   let render = has_sink stream || stream.collect in
-  if lines <> [] then
-    Mutex.protect stream.mu (fun () ->
-        List.iter
-          (fun line ->
-            let j = seq_end line in
-            if j < 0 then invalid_arg "Events.relay: not an envelope line";
-            let seq = stream.seq in
-            stream.seq <- seq + 1;
-            if render then begin
-              let b = line_buf stream in
-              let start = Buffer.length b in
-              Buffer.add_string b seq_prefix;
-              Json.add_int b seq;
-              Buffer.add_substring b line j (String.length line - j);
-              (if stream.collect then
-                 match of_line (Buffer.sub b start (Buffer.length b - start)) with
-                 | Ok e -> stream.acc <- e :: stream.acc
-                 | Error _ -> ());
-              line_done stream
-            end)
-          lines)
+  List.iter
+    (fun line ->
+      let j = seq_end line in
+      if j < 0 then invalid_arg "Events.relay: not an envelope line";
+      let seq = stream.seq in
+      stream.seq <- seq + 1;
+      if render then begin
+        let b = line_buf stream in
+        let start = Buffer.length b in
+        Buffer.add_string b seq_prefix;
+        Json.add_int b seq;
+        Buffer.add_substring b line j (String.length line - j);
+        (if stream.collect then
+           match of_line (Buffer.sub b start (Buffer.length b - start)) with
+           | Ok e -> stream.acc <- e :: stream.acc
+           | Error _ -> ());
+        line_done stream
+      end)
+    lines
 
 let sync stream =
   match stream.sink with
-  | Chunks c -> Mutex.protect stream.mu (fun () -> chunk_flush c)
+  | Chunks c -> chunk_flush c
   | No_sink | Lines _ -> ()
 
-let collected stream = Mutex.protect stream.mu (fun () -> List.rev stream.acc)
+let collected stream = List.rev stream.acc

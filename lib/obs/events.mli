@@ -1,14 +1,13 @@
 (** Versioned NDJSON event stream of a running search.
 
-    A {!stream} is shared by every shard of one search; each shard appends
-    events to its private {!buf} while it executes a path (no locking, no
+    A search appends events to its {!buf} while it executes a path (no
     I/O on the hot path) and flushes the batch at its next path boundary,
-    where the stream's lock assigns globally monotonic sequence numbers and
+    where the {!stream} assigns globally monotonic sequence numbers and
     writes one NDJSON line per event. Events within a batch keep their emit
-    order; batches from different shards interleave in flush order. A
-    worker process renders its events on a {!worker} stream of its own and
-    ships the lines; the parent puts them on this stream with {!relay},
-    which assigns their sequence numbers here.
+    order; batches interleave in flush order. A worker process renders its
+    events on a {!worker} stream of its own and ships the lines; the parent
+    puts them on this stream with {!relay}, which assigns their sequence
+    numbers here. A process has one domain, so nothing here locks.
 
     Envelope, schema [fairmc-events/1]:
 
@@ -44,7 +43,7 @@ type buf
 val create :
   ?write:(string -> unit) -> ?chunked:bool -> ?collect:bool -> unit -> stream
 (** [write] receives one NDJSON line (no trailing newline) per event, called
-    under the stream lock in sequence order. With [~chunked:true] it
+    in sequence order. With [~chunked:true] it
     receives chunks instead: runs of complete lines, each ending in a
     newline, handed over once the run reaches {!chunk_cap} bytes or its
     oldest line is {!chunk_age} seconds old (checked as lines arrive), and
@@ -74,11 +73,11 @@ val spans : stream -> bool
     [fresh] execution, [analysis]) on this stream: only when it collects
     ([create ~collect:true], the span trace export), or is the {!worker}
     stream of one that does. A plain streaming sink pays for one [path]
-    event per execution and nothing more; coarse spans (checkpoint saves,
-    frontier expansion) are always emitted. *)
+    event per execution and nothing more; coarse spans (checkpoint saves)
+    are always emitted. *)
 
 val buffer : stream -> shard:int -> buf
-(** A shard-local batch buffer. Not thread-safe — one per shard. *)
+(** A batch buffer whose events carry [shard]. *)
 
 val emit : buf -> ?det:bool -> kind:string -> Fairmc_util.Json.t -> unit
 (** Append to the local batch ([det] defaults to [false]); timestamps are
@@ -91,8 +90,8 @@ val emit_path : buf -> det:bool -> end_:string -> steps:int -> schedule:int -> u
     must be an internal identifier (it is rendered unescaped). *)
 
 val flush : buf -> unit
-(** Publish the batch: take the stream lock, assign sequence numbers, write
-    the lines. No-op on an empty batch. *)
+(** Publish the batch: assign sequence numbers, write the lines. No-op on
+    an empty batch. *)
 
 val post : stream -> shard:int -> ?det:bool -> kind:string -> Fairmc_util.Json.t -> unit
 (** Emit and flush a single event (coordinator lifecycle events). *)
@@ -102,8 +101,8 @@ val relayable : string -> bool
     its sequence number: what {!relay} needs. *)
 
 val relay : stream -> string list -> unit
-(** Put lines a {!worker} stream rendered on this stream, in order, under
-    one lock: each gets the next sequence number here and keeps the rest
+(** Put lines a {!worker} stream rendered on this stream, in order: each
+    gets the next sequence number here and keeps the rest
     of its envelope ([ts_us], [shard]) and its payload as rendered. No
     [Json.t] is built unless the stream collects. Raises
     [Invalid_argument] on a line that is not {!relayable}. *)

@@ -33,7 +33,7 @@
 
     Naming convention: slash-separated lowercase paths, e.g.
     ["search/steps/replay"], ["sched/yields"], ["engine/op/lock"],
-    ["par/expand_us"]. *)
+    ["sup/items"]. *)
 
 type t
 (** A registry: a set of named instruments. *)

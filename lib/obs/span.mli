@@ -1,8 +1,8 @@
 (** Span-based tracing of the search's own phases.
 
     A span is a timed segment of checker work — replaying a decision prefix,
-    executing fresh decisions, expanding the parallel frontier, saving a
-    checkpoint, running analysis observers. Recording one feeds two sinks at
+    executing fresh decisions, saving a checkpoint, running analysis
+    observers. Recording one feeds two sinks at
     once: a per-phase latency histogram ([span/<phase>/us]) in the shard's
     metrics registry, merged across shards by the ordinary snapshot algebra,
     and an advisory ["span"] event in the telemetry stream

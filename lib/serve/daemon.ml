@@ -277,9 +277,7 @@ let runner_child t job wfd =
             report =
               Report.to_json ~program:program.Program.name ~config:(C.describe base)
                 ?lint report }
-      with
-      | Checkpoint.Mismatch e -> P.R_failed ("cannot resume: " ^ e)
-      | e -> P.R_failed (Printexc.to_string e)
+      with e -> P.R_failed (Printexc.to_string e)
     in
     Events.sync stream;
     send_r result
@@ -715,6 +713,26 @@ let rec loop t =
     loop t
   end
 
+(* The listening socket, published at [path] only once it listens: bound
+   under a staging name in the same directory and renamed into place, so a
+   client that sees the path is never refused. A staging name too long for
+   a socket address binds [path] itself. *)
+let listen_at path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let staging =
+    Filename.concat (Filename.dirname path)
+      (Printf.sprintf ".%s.%d" (Filename.basename path) (Unix.getpid ()))
+  in
+  (try Unix.unlink staging with Unix.Unix_error _ -> ());
+  (match Unix.bind fd (Unix.ADDR_UNIX staging) with
+   | () ->
+     Unix.listen fd 64;
+     Unix.rename staging path
+   | exception Unix.Unix_error (Unix.ENAMETOOLONG, _, _) ->
+     Unix.bind fd (Unix.ADDR_UNIX path);
+     Unix.listen fd 64);
+  fd
+
 let run cfg =
   (* Clients come and go mid-write; the daemon must outlive every broken
      pipe. Writes surface EPIPE as an exception instead. *)
@@ -729,9 +747,7 @@ let run cfg =
   @@ fun () ->
   if not (Sys.file_exists cfg.spool) then Unix.mkdir cfg.spool 0o755;
   if Sys.file_exists cfg.socket then Sys.remove cfg.socket;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket);
-  Unix.listen listen_fd 64;
+  let listen_fd = listen_at cfg.socket in
   let t =
     { cfg; listen_fd; jobs = Hashtbl.create 64; queue = []; clients = [];
       runners = []; seq = 0; stop = false }

@@ -13,7 +13,7 @@
     report.
 
     {b Durability.} Each job is spooled as [<id>.job]; the runner
-    maintains [<id>.ckpt] (schema [fairmc-ckpt/1]) through the standard
+    maintains [<id>.ckpt] (schema [fairmc-ckpt/2]) through the standard
     checkpoint machinery, and the finished result is published as
     [<id>.report]. On SIGTERM the daemon forwards the signal to its
     runners — the checkpoint layer's graceful handler flushes a final

@@ -72,41 +72,24 @@ let gen_frame rng =
     c_sleep = B.unsafe_of_int (R.int rng 256);
     c_width = 1 + List.length c_rest + R.int rng 2 }
 
-let gen_seq rng =
-  { CK.sq_frames = Array.init (R.int rng 6) (fun _ -> gen_frame rng);
-    sq_stats = gen_stats rng;
-    sq_metrics = gen_metrics rng;
-    sq_states = gen_states rng;
-    sq_edges = gen_edges rng;
-    sq_complete = R.bool rng }
+let gen_part rng =
+  { CK.p_stats = gen_stats rng;
+    p_metrics = gen_metrics rng;
+    p_states = gen_states rng;
+    p_edges = gen_edges rng }
 
-let gen_par_item rng i =
-  { CK.pi_index = i;
-    pi_stats = gen_stats rng;
-    pi_metrics = gen_metrics rng;
-    pi_states = gen_states rng;
-    pi_edges = gen_edges rng }
-
-(* Finished sampling ranges: each keyed by its first execution and as long
-   as its execution count, in order, with gaps for the unfinished ones. *)
-let gen_ranges rng =
-  let lo = ref (R.int rng 5) in
-  List.init (R.int rng 4) (fun _ ->
-      let it = gen_par_item rng !lo in
-      lo := !lo + it.CK.pi_stats.Report.executions + R.int rng 3;
-      it)
+let gen_item rng =
+  if R.bool rng then CK.Cursor (Array.init (R.int rng 6) (fun _ -> gen_frame rng))
+  else
+    let lo = R.int rng 1000 in
+    CK.Range (lo, lo + 1 + R.int rng 1000)
 
 let gen_payload rng =
-  match R.int rng 3 with
-  | 0 -> CK.Seq (gen_seq rng)
-  | k ->
-    CK.Par
-      { CK.pa_split_depth = 1 + R.int rng 6;
-        pa_n_items = R.int rng 64;
-        pa_elapsed = float_of_int (R.int rng 1024) /. 8.;
-        pa_items =
-          (if k = 1 then List.init (R.int rng 4) (gen_par_item rng) else gen_ranges rng);
-        pa_complete = R.bool rng }
+  { CK.regions =
+      List.init (R.int rng 5) (fun _ ->
+          if R.bool rng then CK.Done (gen_part rng) else CK.Open (gen_item rng));
+    elapsed = float_of_int (R.int rng 1024) /. 8.;
+    complete = R.bool rng }
 
 let gen_t seed =
   let rng = R.make (Int64.of_int seed) in
@@ -115,34 +98,27 @@ let gen_t seed =
 (* Structural equality; metrics snapshots are compared by entry list. *)
 let eq_metrics a b = MS.entries a = MS.entries b
 
-let eq_seq (a : CK.seq_state) (b : CK.seq_state) =
-  a.CK.sq_frames = b.CK.sq_frames
-  && a.CK.sq_stats = b.CK.sq_stats
-  && eq_metrics a.CK.sq_metrics b.CK.sq_metrics
-  && a.CK.sq_states = b.CK.sq_states
-  && a.CK.sq_edges = b.CK.sq_edges
-  && a.CK.sq_complete = b.CK.sq_complete
-
-let eq_item (a : CK.par_item) (b : CK.par_item) =
-  a.CK.pi_index = b.CK.pi_index
-  && a.CK.pi_stats = b.CK.pi_stats
-  && eq_metrics a.CK.pi_metrics b.CK.pi_metrics
-  && a.CK.pi_states = b.CK.pi_states
-  && a.CK.pi_edges = b.CK.pi_edges
-
-let eq_payload a b =
+let eq_region a b =
   match (a, b) with
-  | CK.Seq x, CK.Seq y -> eq_seq x y
-  | CK.Par x, CK.Par y ->
-    x.CK.pa_split_depth = y.CK.pa_split_depth
-    && x.CK.pa_n_items = y.CK.pa_n_items
-    && x.CK.pa_elapsed = y.CK.pa_elapsed
-    && List.length x.CK.pa_items = List.length y.CK.pa_items
-    && List.for_all2 eq_item x.CK.pa_items y.CK.pa_items
-    && x.CK.pa_complete = y.CK.pa_complete
+  | CK.Done x, CK.Done y ->
+    x.CK.p_stats = y.CK.p_stats
+    && eq_metrics x.CK.p_metrics y.CK.p_metrics
+    && x.CK.p_states = y.CK.p_states
+    && x.CK.p_edges = y.CK.p_edges
+  | CK.Open x, CK.Open y -> x = y
   | _ -> false
 
-let eq_t a b = a.CK.fingerprint = b.CK.fingerprint && eq_payload a.CK.payload b.CK.payload
+let eq_t a b =
+  a.CK.fingerprint = b.CK.fingerprint
+  && List.equal eq_region a.CK.payload.CK.regions b.CK.payload.CK.regions
+  && a.CK.payload.CK.elapsed = b.CK.payload.CK.elapsed
+  && a.CK.payload.CK.complete = b.CK.payload.CK.complete
+
+(* The executions of a payload's done regions. *)
+let done_executions (p : CK.payload) =
+  List.fold_left
+    (fun n -> function CK.Done d -> n + d.CK.p_stats.Report.executions | CK.Open _ -> n)
+    0 p.CK.regions
 
 (* ------------------------------------------------------------------ *)
 (* Interrupted-then-resumed equality harness.                          *)
@@ -242,10 +218,8 @@ let unit_tests =
     Alcotest.test_case "plan_resume validates fingerprint and completion" `Quick
       (fun () ->
         let cfg = base in
-        let sq = { (gen_seq (R.make 7L)) with CK.sq_complete = false } in
-        let ok_t =
-          { CK.fingerprint = CK.fingerprint cfg ~program:"p"; payload = CK.Seq sq }
-        in
+        let open_ = { CK.regions = [ CK.Open (CK.Cursor [||]) ]; elapsed = 0.; complete = false } in
+        let ok_t = { CK.fingerprint = CK.fingerprint cfg ~program:"p"; payload = open_ } in
         check "matching fingerprint resumes" true
           (match CK.plan_resume ok_t cfg ~program:"p" with Ok _ -> true | Error _ -> false);
         (* Budgets are deliberately outside the fingerprint: a resume may
@@ -266,30 +240,28 @@ let unit_tests =
            with
            | Error _ -> true
            | Ok _ -> false);
-        let done_t =
-          { ok_t with CK.payload = CK.Seq { sq with CK.sq_complete = true } }
-        in
+        let done_t = { ok_t with CK.payload = { open_ with CK.complete = true } } in
         check "completed checkpoint refuses" true
-          (match CK.plan_resume done_t cfg ~program:"p" with Error _ -> true | Ok _ -> false));
-    Alcotest.test_case "payload kind must fit the run shape" `Quick (fun () ->
-        let prog = W.Litmus.fig3 () in
-        let pa =
-          CK.Par
-            { CK.pa_split_depth = base.Search_config.split_depth;
-              pa_n_items = 3;
-              pa_elapsed = 0.;
-              pa_items = [];
-              pa_complete = false }
+          (match CK.plan_resume done_t cfg ~program:"p" with Error _ -> true | Ok _ -> false);
+        let ranges_t =
+          { ok_t with CK.payload = { open_ with CK.regions = [ CK.Open (CK.Range (0, 5)) ] } }
         in
-        check "parallel payload on a sequential run raises Mismatch" true
-          (match Checker.check ~config:base ~resume:pa prog with
-           | exception CK.Mismatch _ -> true
-           | _ -> false);
-        let sq = CK.Seq { (gen_seq (R.make 3L)) with CK.sq_complete = false } in
-        check "sequential payload on a parallel run raises Mismatch" true
-          (match Checker.check ~config:{ base with Search_config.jobs = 4 } ~resume:sq prog with
-           | exception CK.Mismatch _ -> true
-           | _ -> false));
+        check "work items of another mode refuse" true
+          (match CK.plan_resume ranges_t cfg ~program:"p" with Error _ -> true | Ok _ -> false));
+    Alcotest.test_case "a checkpoint resumes at another fan-out" `Quick (fun () ->
+        (* One payload for every fan-out: a sequential cut resumes on two
+           workers, a cut on two workers resumes sequentially. *)
+        let prog = W.Dining.program ~n:3 W.Dining.Ordered in
+        let at jobs ?resume (cfg : Search_config.t) p =
+          Checker.check ~config:{ cfg with Search_config.jobs } ?resume p
+        in
+        let run_at ~cut_jobs ~resume_jobs ?resume config p =
+          match resume with
+          | None -> at cut_jobs config p
+          | Some _ -> at resume_jobs ?resume config p
+        in
+        ignore (resume_equal ~runner:(run_at ~cut_jobs:1 ~resume_jobs:2) base prog ~cut:150);
+        ignore (resume_equal ~runner:(run_at ~cut_jobs:2 ~resume_jobs:1) base prog ~cut:150));
     Alcotest.test_case "interrupted-then-resumed DFS equals uninterrupted (jobs=1)"
       `Quick (fun () ->
         let prog = W.Litmus.two_step_threads ~nthreads:2 ~steps:4 in
@@ -320,8 +292,7 @@ let unit_tests =
           | Error e -> Alcotest.fail e
           | Ok ck ->
             (match CK.plan_resume ck cfg ~program:prog.Program.name with
-             | Ok (CK.Seq sq) -> sq
-             | Ok _ -> Alcotest.fail "expected a sequential payload"
+             | Ok p -> p
              | Error e -> Alcotest.fail e)
         in
         let r1 = run_cut 11 None in
@@ -380,16 +351,14 @@ let unit_tests =
           | Error e -> Alcotest.fail e
           | Ok ck ->
             (match CK.plan_resume ck base ~program:prog.Program.name with
-             | Ok (CK.Seq sq) -> sq
-             | Ok _ -> Alcotest.fail "expected a sequential payload"
+             | Ok p -> p
              | Error e -> Alcotest.fail e)
         in
         (* The partial report counts the cut path; the checkpoint, taken at
            that path's start, does not. *)
         check_int "the interrupt landed inside the 7th path" 7
           partial.Report.stats.Report.executions;
-        check_int "the checkpoint excludes the cut path" 6
-          sq.CK.sq_stats.Report.executions;
+        check_int "the checkpoint excludes the cut path" 6 (done_executions sq);
         let resumed = Search.run ~resume:sq base prog in
         Sys.remove file;
         check "same verdict" true (resumed.Report.verdict = full.Report.verdict);
@@ -422,8 +391,7 @@ let unit_tests =
           | Error err -> Alcotest.fail err
           | Ok ck ->
             (match CK.plan_resume ck base ~program:prog.Program.name with
-             | Ok (CK.Seq sq) -> Search.run ~resume:sq base prog
-             | Ok _ -> Alcotest.fail "expected a sequential payload"
+             | Ok p -> Search.run ~resume:p base prog
              | Error err -> Alcotest.fail err)
         in
         Sys.remove file;
@@ -453,8 +421,7 @@ let unit_tests =
           | Error e -> Alcotest.fail e
           | Ok ck ->
             (match CK.plan_resume ck cfg ~program:prog.Program.name with
-             | Ok (CK.Seq sq) -> Search.run ~resume:sq cfg prog
-             | Ok _ -> Alcotest.fail "expected a sequential payload"
+             | Ok p -> Search.run ~resume:p cfg prog
              | Error e -> Alcotest.fail e)
         in
         Sys.remove file;
@@ -466,10 +433,10 @@ let unit_tests =
           (strip_time resumed.Report.stats = strip_time full.Report.stats));
     Alcotest.test_case "parallel sampling resumes by remaining budget" `Quick (fun () ->
         (* Execution i draws from (seed, i) whichever item runs it: the
-           checkpoint records the ranges that finished, the resume runs the
-           rest at another fan-out with the count raised from 30 to 40
-           (prior paths reweighed to 1/40), and the merged report is the
-           uninterrupted one, which is the sequential one. *)
+           checkpoint records the executions explored and the ranges left,
+           the resume runs the rest at another fan-out with the count raised
+           from 30 to 40 (prior paths reweighed to 1/40), and the merged
+           report is the uninterrupted one, which is the sequential one. *)
         let prog = W.Litmus.two_step_threads ~nthreads:2 ~steps:3 in
         let cfg = { base with Search_config.mode = Search_config.Random_walk 40 } in
         let full = Search.run cfg prog in
@@ -489,17 +456,13 @@ let unit_tests =
           | Error e -> Alcotest.fail e
           | Ok ck ->
             (match CK.plan_resume ck cfg ~program:prog.Program.name with
-             | Ok (CK.Par pa as payload) ->
-               let recorded =
-                 List.fold_left
-                   (fun n (it : CK.par_item) -> n + it.CK.pi_stats.Report.executions)
-                   0 pa.CK.pa_items
-               in
+             | Ok payload ->
+               let recorded = done_executions payload in
                (* Each worker may finish the path it is on when the
                   budget runs out, so more than 15 may be recorded. *)
-               check "some ranges, not all, were recorded" true (recorded > 0 && recorded < 30);
+               check "some executions, not all, were recorded" true
+                 (recorded > 0 && recorded < 30);
                Checker.check ~config:{ cfg with Search_config.jobs = 2 } ~resume:payload prog
-             | Ok _ -> Alcotest.fail "expected a parallel payload"
              | Error e -> Alcotest.fail e)
         in
         Sys.remove file;
@@ -539,9 +502,8 @@ let unit_tests =
           | Error e -> Alcotest.fail e
           | Ok ck ->
             (match CK.plan_resume ck cfg ~program:prog.Program.name with
-             | Ok (CK.Par _ as payload) ->
+             | Ok payload ->
                Checker.check ~config:{ cfg with Search_config.jobs = 2 } ~resume:payload prog
-             | Ok _ -> Alcotest.fail "expected a parallel payload"
              | Error e -> Alcotest.fail e)
         in
         Sys.remove file;
@@ -610,7 +572,7 @@ let codec_tests =
         in
         let t =
           { CK.fingerprint = legacy;
-            payload = CK.Seq { (gen_seq (R.make 7L)) with CK.sq_complete = false } }
+            payload = { CK.regions = [ CK.Open (CK.Cursor [||]) ]; elapsed = 0.; complete = false } }
         in
         match CK.plan_resume t base ~program:"p" with
         | Error e ->
@@ -619,7 +581,17 @@ let codec_tests =
         | Ok _ -> Alcotest.fail "a legacy checkpoint resumed") ]
 
 let fuzz_props =
-  let docs = List.init 9 (fun seed -> CK.to_json (gen_t seed)) in
+  (* One document with every region kind, then generated ones. *)
+  let every_kind =
+    let rng = R.make 11L in
+    { (gen_t 0) with
+      CK.payload =
+        { (gen_payload rng) with
+          CK.regions =
+            [ CK.Done (gen_part rng); CK.Open (CK.Cursor [| gen_frame rng; gen_frame rng |]);
+              CK.Open (CK.Range (3, 9)) ] } }
+  in
+  let docs = CK.to_json every_kind :: List.init 9 (fun seed -> CK.to_json (gen_t seed)) in
   let decode_text s = match Json.of_string s with Ok j -> ignore (CK.of_json j) | Error _ -> () in
   [ QCheck.Test.make ~count:500 ~name:"decoder: random and mutated text fails cleanly"
       (QCheck.make ~print:String.escaped (Test_obs.text_gen docs))
@@ -628,8 +600,79 @@ let fuzz_props =
       (QCheck.make ~print:Json.to_string (Test_obs.mutated_gen docs))
       (Test_obs.decodes_cleanly CK.of_json) ]
 
+(* ------------------------------------------------------------------ *)
+(* A budget-cut parallel run and the error it did not reach            *)
+
+let budget_tests =
+  [ Alcotest.test_case "a budget cut before the first error reports limits at -j 2" `Quick
+      (fun () ->
+        (* wsq-1s-bug1 at cb:2 first fails on execution 301. Cut at 250, a
+           worker may still meet the error in a region after one that is
+           not explored: the run reports limits reached, keeps that region
+           open, and its checkpoint, resumed without a budget, reaches the
+           sequential error. *)
+        let prog = (Option.get (W.Registry.find "wsq-1s-bug1")).W.Registry.program in
+        let cfg = { Search_config.default with mode = Search_config.Context_bounded 2 } in
+        let full = Search.run cfg prog in
+        Alcotest.(check (option int))
+          "the sequential first error" (Some 301) full.Report.stats.Report.first_error_execution;
+        for _ = 1 to 5 do
+          let file = Filename.temp_file "fairmc" ".ckpt" in
+          let cut =
+            Checker.check
+              ~config:
+                { cfg with
+                  Search_config.jobs = 2;
+                  max_executions = Some 250;
+                  checkpoint = Some file;
+                  checkpoint_interval = 0. }
+              prog
+          in
+          check "the cut run reports limits reached" true
+            (cut.Report.verdict = Report.Limits_reached);
+          (match CK.load file with
+           | Ok c ->
+             let rec coalesced = function
+               | CK.Done _ :: (CK.Done _ :: _) -> false
+               | _ :: rest -> coalesced rest
+               | [] -> true
+             in
+             check "no two done regions side by side" true (coalesced c.CK.payload.CK.regions);
+             check "open regions left" true
+               (List.exists (function CK.Open _ -> true | CK.Done _ -> false)
+                  c.CK.payload.CK.regions)
+           | Error e -> Alcotest.fail e);
+          let resumed =
+            match Result.bind (CK.load file) (fun c -> CK.plan_resume c cfg ~program:prog.Program.name) with
+            | Ok resume -> Checker.check ~config:{ cfg with Search_config.jobs = 2 } ~resume prog
+            | Error e -> Alcotest.fail e
+          in
+          Sys.remove file;
+          check "the resume finds the sequential error" true
+            (resumed.Report.verdict = full.Report.verdict);
+          check "with the sequential stats" true
+            (strip_time resumed.Report.stats = strip_time full.Report.stats)
+        done);
+    Alcotest.test_case "a fairmc-ckpt/1 checkpoint is refused with its schema named" `Quick
+      (fun () ->
+        (* The one-payload-per-run-shape schema: a Seq payload as it was
+           written. *)
+        let old =
+          Json.Obj
+            [ ("schema", Json.Str "fairmc-ckpt/1");
+              ("fingerprint", Json.Str (CK.fingerprint base ~program:"p"));
+              ( "payload",
+                Json.Obj [ ("kind", Json.Str "seq"); ("frames", Json.Arr []); ("complete", Json.Bool false) ] ) ]
+        in
+        match CK.of_json old with
+        | Ok _ -> Alcotest.fail "a fairmc-ckpt/1 checkpoint loaded"
+        | Error e ->
+          check "the message names the old schema" true
+            (Test_checker.contains e "fairmc-ckpt/1")) ]
+
 let suite =
   unit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
   @ codec_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) fuzz_props
+  @ budget_tests

@@ -70,20 +70,27 @@ let suite =
             sleep_sets = true;
             coverage = true }
           p);
-    Alcotest.test_case "systematic: split depth does not change results" `Quick (fun () ->
+    Alcotest.test_case "systematic: splitting on demand does not change results" `Quick
+      (fun () ->
+        (* The search starts as one item; idle workers have busy ones split
+           theirs, so every fan-out runs more than one. *)
         let p = W.Dining.coverage_program ~n:2 in
-        let cfg = { base with coverage = true; jobs = 4 } in
-        let seq = Search.run { cfg with jobs = 1 } p in
+        let cfg = { base with coverage = true; metrics = true } in
+        let seq = Search.run cfg p in
         List.iter
-          (fun split_depth ->
-            let par = Checker.check ~config:{ cfg with split_depth } p in
+          (fun jobs ->
+            let par = Checker.check ~config:{ cfg with jobs } p in
+            let items =
+              match Fairmc_obs.Metrics.Snapshot.find par.metrics "sup/items" with
+              | Some (Fairmc_obs.Metrics.Snapshot.Gauge n) -> n
+              | _ -> 0
+            in
+            check (Printf.sprintf "items split at j=%d" jobs) true (items >= 2);
             check_int
-              (Printf.sprintf "executions at split=%d" split_depth)
+              (Printf.sprintf "executions at j=%d" jobs)
               seq.stats.executions par.stats.executions;
-            check_int
-              (Printf.sprintf "states at split=%d" split_depth)
-              seq.stats.states par.stats.states)
-          [ 1; 2; 8 ]);
+            check_int (Printf.sprintf "states at j=%d" jobs) seq.stats.states par.stats.states)
+          [ 2; 3; 4 ]);
     Alcotest.test_case "parallel counterexample replays deterministically" `Quick (fun () ->
         let p = W.Litmus.race_assert () in
         let r = Checker.check ~config:{ base with jobs = 4 } p in
@@ -232,14 +239,14 @@ let prop_fan_out seed =
          above the first error spend executions too. *)
       seq.verdict = Report.Limits_reached && Search.is_systematic cfg
       || List.for_all
-           (fun (workers, split_depth) ->
-             let cfg = { cfg with workers; split_depth; max_executions = None } in
+           (fun workers ->
+             let cfg = { cfg with workers; max_executions = None } in
              report_key (Checker.check ~config:cfg prog) = want
-             || QCheck.Test.fail_reportf "seed %d, %s%s: workers=%d split_depth=%d differs" seed
+             || QCheck.Test.fail_reportf "seed %d, %s%s: workers=%d differs" seed
                   (Search_config.mode_name cfg.mode)
                   (if cfg.fair then "" else " unfair")
-                  workers split_depth)
-           [ (2, 1 + (seed land 3)); (3, 4) ])
+                  workers)
+           [ 2; 3 ])
     [ sampling;
       { base with mode = Search_config.Priority_random 40 };
       { base with fair = false; depth_bound = Some 4; max_executions = Some 2_000 } ]
@@ -251,3 +258,97 @@ let suite =
         (QCheck.Test.make
            ~name:"random programs: every strategy reports the same at workers 1, 2 and 3"
            ~count:30 QCheck.int prop_fan_out) ]
+
+(* ------------------------------------------------------------------ *)
+(* Splitting at every path boundary                                   *)
+
+(* A search run in process as work items with the split request always up:
+   each item stops at its first path boundary that leaves work to split
+   off, and the pieces run one at a time in DFS order (execution order, for
+   sampling). Merged in that order, the first error deciding, they give the
+   report the supervisor would. *)
+let split_everywhere (cfg : Search_config.t) prog =
+  let tally = Tally.create ~slots:1 in
+  Tally.ask_split tally true;
+  let states = Hashtbl.create 64 in
+  let spent () =
+    match cfg.max_executions with Some m -> Tally.executions tally >= m | None -> false
+  in
+  let rec go (acc : Report.t) = function
+    | item :: later when not (spent ()) ->
+      let r, tbl, rest = Search.run_item ~tally cfg prog item in
+      Hashtbl.iter (fun k () -> Hashtbl.replace states k ()) tbl;
+      let acc =
+        { r with
+          Report.stats = Checkpoint.merge_stats ~prior:acc.stats r.stats;
+          metrics = Fairmc_obs.Metrics.Snapshot.merge acc.metrics r.metrics }
+      in
+      (match r.verdict with
+       | Report.Verified | Report.Limits_reached -> go acc (rest @ later)
+       | _ -> acc)
+    | _ ->
+      (* Every item ran, or the budget ran out; a sampling search never
+         verifies. *)
+      let limited = spent () || not (Search.is_systematic cfg) in
+      { acc with verdict = (if limited then Report.Limits_reached else Report.Verified) }
+  in
+  let root = match Search.regions cfg None with [ Checkpoint.Open i ] -> i | _ -> assert false in
+  let r =
+    go
+      { Report.verdict = Report.Verified; stats = Checkpoint.zero_stats;
+        metrics = Fairmc_obs.Metrics.Snapshot.empty; analysis = None }
+      [ root ]
+  in
+  { r with stats = { r.stats with states = Hashtbl.length states } }
+
+(* Most generated programs fail on their first path; each seed takes the
+   first of 16 whose fair DFS runs 20 paths or more, else the first. *)
+let prop_split_everywhere seed =
+  let base =
+    { Search_config.default with
+      livelock_bound = Some 300;
+      max_steps = 1_000;
+      max_executions = Some 300;
+      coverage = true;
+      metrics = true;
+      seed = Int64.of_int seed }
+  in
+  let candidates =
+    List.init 16 (fun k ->
+        let ast =
+          Test_dsl.gen_program
+            (Fairmc_util.Rng.make (Int64.of_int ((seed * 6151) + (k * 13) + 5)))
+        in
+        if seed land 1 = 0 then Fairmc_dsl.Vm.compile ast else Fairmc_static.compile ast)
+  in
+  let prog =
+    match
+      List.find_opt (fun p -> (Search.run base p).stats.executions >= 20) candidates
+    with
+    | Some p -> p
+    | None -> List.hd candidates
+  in
+  List.for_all
+    (fun ((cfg : Search_config.t), sleep_sets) ->
+      let cfg = { cfg with sleep_sets } in
+      let seq = Search.run cfg prog and split = split_everywhere cfg prog in
+      let counters (r : Report.t) = Test_checkpoint.prefix_steps_folded r.metrics in
+      (report_key seq = report_key split && counters seq = counters split)
+      || QCheck.Test.fail_reportf "seed %d, %s%s%s: split at every boundary differs" seed
+           (Search_config.mode_name cfg.mode)
+           (if cfg.fair then "" else " unfair")
+           (if sleep_sets then " +sleepsets" else ""))
+    (List.concat_map
+       (fun cfg -> [ (cfg, false); (cfg, true) ])
+       [ base;
+         { base with mode = Search_config.Context_bounded 1 };
+         { base with mode = Search_config.Context_bounded 2 };
+         { base with fair = false; depth_bound = Some 4; livelock_bound = None };
+         { base with mode = Search_config.Random_walk 40 } ])
+
+let suite =
+  suite
+  @ [ QCheck_alcotest.to_alcotest ~long:false
+        (QCheck.Test.make
+           ~name:"random programs: split at every path boundary, the pieces give the report"
+           ~count:40 QCheck.int prop_split_everywhere) ]

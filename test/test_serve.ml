@@ -65,7 +65,6 @@ let gen_spec rng =
         coverage = R.bool rng;
         metrics = R.bool rng;
         jobs = 1 + R.int rng 4;
-        split_depth = R.int rng 10;
         workers = 1 + R.int rng 4;
         item_timeout = gen_opt rng gen_float8;
         max_retries = R.int rng 5;
@@ -648,7 +647,6 @@ let budget_mutations : (string * (C.t -> C.t)) list =
     ("time_limit", fun c -> { c with C.time_limit = bump_float c.C.time_limit });
     ("jobs", fun c -> { c with C.jobs = c.C.jobs + 1 });
     ("workers", fun c -> { c with C.workers = c.C.workers + 1 });
-    ("split_depth", fun c -> { c with C.split_depth = c.C.split_depth + 1 });
     ("item_timeout", fun c -> { c with C.item_timeout = bump_float c.C.item_timeout });
     ("max_retries", fun c -> { c with C.max_retries = c.C.max_retries + 1 });
     ( "progress",
@@ -701,7 +699,6 @@ let gen_budget rng (c : C.t) =
   { c with
     C.workers = pick [ 1; 2 ];
     jobs = pick [ 1; 1; 2 ];
-    split_depth = 1 + R.int rng 4;
     max_executions = pick [ None; Some 10_000_000 ];
     time_limit = pick [ None; Some 600. ];
     item_timeout = pick [ None; Some 600. ];
@@ -736,14 +733,44 @@ let same_report_props =
             let cfg = gen_budget rng identity in
             let ckpt = Filename.temp_file "fairmc_serve" ".ckpt" in
             let cfg = if R.bool rng then { cfg with C.checkpoint = Some ckpt } else cfg in
+            (* Where the search is cut into work items: half the runs stop
+               at a budget below the uninterrupted run's executions and
+               resume from their checkpoint at the other fan-out. *)
+            let _, (want_stats : Report.stats), _ = want in
+            let cut =
+              if want_stats.executions >= 2 && R.bool rng then
+                Some (1 + R.int rng (want_stats.executions - 1))
+              else None
+            in
+            let check config ?resume () = Fairmc_core.Checker.check ~config ?resume prog in
             let r =
               Fun.protect
                 ~finally:(fun () -> try Sys.remove ckpt with Sys_error _ -> ())
-                (fun () -> Fairmc_core.Checker.check ~config:cfg prog)
+                (fun () ->
+                  match cut with
+                  | None -> check cfg ()
+                  | Some n ->
+                    let first =
+                      check
+                        { cfg with
+                          C.max_executions = Some n;
+                          checkpoint = Some ckpt;
+                          checkpoint_interval = 0. }
+                        ()
+                    in
+                    let other = if max cfg.C.jobs cfg.C.workers > 1 then 1 else 2 in
+                    (match
+                       Result.bind (CK.load ckpt) (fun c ->
+                           CK.plan_resume c cfg ~program:prog.Fairmc_core.Program.name)
+                     with
+                     | Ok resume when first.Report.verdict = Report.Limits_reached ->
+                       check { cfg with C.jobs = other; workers = other } ~resume ()
+                     | _ -> first))
             in
             report_key r = want
-            || QCheck.Test.fail_reportf "workers=%d jobs=%d split_depth=%d: reports differ"
-                 cfg.C.workers cfg.C.jobs cfg.C.split_depth))
+            || QCheck.Test.fail_reportf "workers=%d jobs=%d cut=%s: reports differ"
+                 cfg.C.workers cfg.C.jobs
+                 (match cut with Some n -> string_of_int n | None -> "none")))
     [ ("fig3", Some "fig3", C.default);
       ( "peterson.chess at cb:2",
         List.find_opt Sys.file_exists
@@ -986,7 +1013,6 @@ let fabricating : (string * (C.t -> C.t)) list =
     ("max_steps 0", fun c -> { c with C.max_steps = 0 });
     ("livelock_bound 0", fun c -> { c with C.livelock_bound = Some 0 });
     ("max_executions 0", fun c -> { c with C.max_executions = Some 0 });
-    ("split_depth 0", fun c -> { c with C.split_depth = 0 });
     ("depth_bound -1", fun c -> { c with C.depth_bound = Some (-1) });
     ("max_retries -1", fun c -> { c with C.max_retries = -1 });
     ("time_limit -1", fun c -> { c with C.time_limit = Some (-1.) });
@@ -1091,6 +1117,46 @@ let fan_out_tests =
         let _, _, served = await_done fd in
         check "the direct --workers 2 report" true (report_slice served = report_slice direct)) ]
 
+(* ------------------------------------------------------------------ *)
+(* chessd publishes its socket only once it listens                    *)
+(* ------------------------------------------------------------------ *)
+
+let startup_tests =
+  [ Alcotest.test_case "a client that sees the socket path is not refused" `Quick (fun () ->
+        (* Connect the moment the path appears, fifty starts in a row: a
+           socket bound under its final name before [listen] refuses such a
+           client. *)
+        if not (Sys.file_exists chessd) then Alcotest.skip ();
+        let refused = ref 0 in
+        for _ = 1 to 50 do
+          let dir = fresh_dir () in
+          let socket = Filename.concat dir "d.sock" in
+          let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          let pid =
+            Unix.create_process chessd
+              [| chessd; "--socket"; socket; "--spool"; Filename.concat dir "spool"; "--quiet" |]
+              Unix.stdin dev_null dev_null
+          in
+          Unix.close dev_null;
+          Fun.protect
+            ~finally:(fun () ->
+              (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+              try ignore (Retry.eintr (fun () -> Unix.waitpid [] pid))
+              with Unix.Unix_error _ -> ())
+            (fun () ->
+              let give_up = Unix.gettimeofday () +. 5. in
+              while (not (Sys.file_exists socket)) && Unix.gettimeofday () < give_up do
+                Unix.sleepf 0.0005
+              done;
+              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              (match Unix.connect fd (Unix.ADDR_UNIX socket) with
+               | () -> ()
+               | exception Unix.Unix_error _ -> incr refused);
+              Unix.close fd);
+          ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
+        done;
+        Alcotest.(check int) "refused connections" 0 !refused) ]
+
 let suite =
   identity_tests @ robustness_tests @ dedup_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
@@ -1099,4 +1165,4 @@ let suite =
       (identity_qprops @ same_report_props)
   @ bound_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) decoder_fuzz_props
-  @ cancel_tests @ validation_tests @ fan_out_tests
+  @ cancel_tests @ validation_tests @ fan_out_tests @ startup_tests

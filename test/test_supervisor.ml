@@ -184,21 +184,29 @@ let quarantine_tests =
   in
   [ Alcotest.test_case "retry budget 0 quarantines the item as a crash" `Quick
       (fun () ->
-        let r = Supervisor.run { crashing with max_retries = 0 } (prog ()) in
+        (* Item 0 is the whole tree; the idle second worker has it split at
+           its first path boundary, so item 1 is the stack left after the
+           first path, without the siblings of its shallowest frame. *)
+        let crash1 = Some { Search_config.fault_kind = Search_config.Crash; fault_seed = 1 } in
+        let r = Supervisor.run { crashing with max_retries = 0; inject_fault = crash1 } (prog ()) in
         match r.verdict with
         | Report.Crash { cex; _ } ->
-          (* The counterexample is the quarantined item's schedule prefix —
-             the same decisions the expansion locked for item 0. *)
-          let items, _ = Search.expand base (prog ()) ~split_depth:base.split_depth in
+          let tally = Tally.create ~slots:1 in
+          Tally.ask_split tally true;
           let expected =
-            match items with
-            | first :: _ ->
-              Array.to_list first
-              |> List.map (fun (d : Search.pdecision) -> (d.Search.p_tid, d.Search.p_alt))
-            | [] -> Alcotest.fail "expansion produced no items"
+            match Search.run_item ~tally base (prog ()) (Checkpoint.Cursor [||]) with
+            | _, _, Checkpoint.Cursor frames :: _ ->
+              Array.to_list frames
+              |> List.map (fun (f : Checkpoint.frame) ->
+                     (f.Checkpoint.c_chosen.Checkpoint.c_tid, f.c_chosen.c_alt))
+            | _ -> Alcotest.fail "the whole tree did not split"
           in
+          check "a non-empty prefix" true (expected <> []);
           Alcotest.(check (list (pair int int)))
-            "cex is the item's schedule prefix" expected cex.decisions
+            "cex is the item's schedule prefix" expected cex.decisions;
+          (match Search.replay (prog ()) cex.decisions (fun _ -> ()) with
+           | Search.Replayed_no_failure -> ()
+           | _ -> Alcotest.fail "the prefix does not replay")
         | v -> Alcotest.failf "expected a crash verdict, got %s" (Report.verdict_key v));
     Alcotest.test_case "a retry absorbs the crash instead" `Quick (fun () ->
         (* Same fault, default retry budget: re-run fault-free, and the
@@ -246,14 +254,23 @@ let interrupt_tests =
         (match Checkpoint.load ckpt with
          | Ok _ -> ()
          | Error e -> Alcotest.failf "checkpoint not loadable after SIGINT: %s" e);
-        (* Durability: the checkpoint resumes under -j, and the merged
-           totals equal an uninterrupted run's. *)
+        (* Durability: the checkpoint resumes under -j, and sequentially, and
+           the merged totals equal an uninterrupted run's. The resume keeps
+           checkpointing to its file, so the sequential one reads a copy. *)
+        let copy = ckpt ^ ".j1" in
+        Out_channel.with_open_bin copy (fun oc ->
+            output_string oc (In_channel.with_open_bin ckpt In_channel.input_all));
         let resumed =
           report_of_cli ~expect:0
             [ "ticket-lock"; "--coverage"; "-j"; "2"; "--resume"; ckpt; "-q" ]
         in
         assert_reports_equal "resume after SIGINT" baseline resumed;
-        Sys.remove ckpt) ]
+        let sequential =
+          report_of_cli ~expect:0 [ "ticket-lock"; "--coverage"; "--resume"; copy; "-q" ]
+        in
+        assert_reports_equal "sequential resume after SIGINT" baseline sequential;
+        Sys.remove ckpt;
+        Sys.remove copy) ]
 
 (* ------------------------------------------------------------------ *)
 (* In-process passthrough                                              *)
@@ -436,8 +453,20 @@ let event_line ~seq steps =
 
 let protocol_tests =
   [ Alcotest.test_case "request/response roundtrip" `Quick (fun () ->
-        let req = Worker.Run { q_index = 3; q_attempt = 1; q_time_left = Some 1.5 } in
-        check "request" true (Worker.request_of_json (Worker.request_to_json req) = req);
+        let frame =
+          { Checkpoint.c_chosen = { Checkpoint.c_tid = 1; c_alt = 0; c_cost = 1 };
+            c_rest = [ { Checkpoint.c_tid = 0; c_alt = 0; c_cost = 0 } ];
+            c_sleep = Fairmc_util.Bitset.of_list [ 2 ];
+            c_width = 2 }
+        in
+        List.iter
+          (fun q_item ->
+            let req = Worker.Run { q_index = 3; q_attempt = 1; q_time_left = Some 1.5; q_item } in
+            check "request" true (Worker.request_of_json (Worker.request_to_json req) = req))
+          [ Checkpoint.Cursor [| frame |]; Checkpoint.Range (4, 9) ];
+        let rest = [ Checkpoint.Cursor [| frame |]; Checkpoint.Cursor [||] ] in
+        check "rest" true
+          (Worker.reply_of_json (Worker.rest_to_json rest) = Worker.Rest rest);
         check "quit" true
           (Worker.request_of_json (Worker.request_to_json Worker.Quit) = Worker.Quit);
         let cex =
@@ -445,7 +474,7 @@ let protocol_tests =
         in
         let report =
           { Report.verdict = Report.Crash { reason = "boom"; cex };
-            stats = Supervisor.zero_stats;
+            stats = Checkpoint.zero_stats;
             metrics = Fairmc_obs.Metrics.Snapshot.empty;
             analysis = None }
         in
@@ -495,12 +524,12 @@ let protocol_tests =
 
 (* Byte-level fuzz of the fairmc-ipc/1 decoder: whatever a worker writes
    to its pipe, the parent sees a frame, a need for more bytes, or an
-   [Error]; a frame that is not a request or a response raises only the
-   codec's [Parse]. Nothing else may escape. *)
+   [Error]; a frame that is not a request, a rest frame or a response
+   raises only the codec's [Parse]. Nothing else may escape. *)
 
 (* Well-formed documents to mutate, so the fuzz reaches the nested report,
-   stats, metrics and race decoders rather than failing on the first
-   field. *)
+   stats, metrics, race and work-item decoders rather than failing on the
+   first field. *)
 let valid_docs =
   lazy
     (let r =
@@ -518,8 +547,17 @@ let valid_docs =
          { Worker.r_index = 1; r_attempt = 0; r_report = report; r_states = [ 1L; 5L ];
            r_events = [ event_line ~seq:0 3 ] }
      in
-     [ Worker.request_to_json (Worker.Run { q_index = 2; q_attempt = 1; q_time_left = Some 0.5 });
+     let frame =
+       { Checkpoint.c_chosen = { Checkpoint.c_tid = 0; c_alt = 1; c_cost = 0 };
+         c_rest = [ { Checkpoint.c_tid = 1; c_alt = 0; c_cost = 1 } ];
+         c_sleep = Fairmc_util.Bitset.of_list [ 1 ];
+         c_width = 3 }
+     in
+     let run q_item = Worker.Run { q_index = 2; q_attempt = 1; q_time_left = Some 0.5; q_item } in
+     [ Worker.request_to_json (run (Checkpoint.Cursor [| frame; frame |]));
+       Worker.request_to_json (run (Checkpoint.Range (3, 8)));
        Worker.request_to_json Worker.Quit;
+       Worker.rest_to_json [ Checkpoint.Cursor [| frame |]; Checkpoint.Range (0, 2) ];
        response r;
        response
          { r with
@@ -531,7 +569,7 @@ let valid_docs =
 
 let decode_json j =
   (match Worker.request_of_json j with _ -> () | exception Checkpoint.Codec.Parse _ -> ());
-  match Worker.response_of_json j with _ -> () | exception Checkpoint.Codec.Parse _ -> ()
+  match Worker.reply_of_json j with _ -> () | exception Checkpoint.Codec.Parse _ -> ()
 
 (* A raw frame is what a runner sends chessd: lines to split, relay and
    parse as a subscriber would. *)
@@ -841,7 +879,6 @@ let validation_tests =
             [ "-s"; "prio:0"; "-j"; "2" ];
             [ "--max-execs"; "0" ];
             [ "--max-execs"; "0"; "-j"; "2" ];
-            [ "--split-depth"; "0" ];
             [ "--no-fair"; "--depth-bound=-1" ];
             [ "--max-retries=-1" ];
             [ "--time-limit=-1" ];
