@@ -26,15 +26,8 @@ let spool =
 let max_jobs =
   Arg.(value & opt int Daemon.default_config.max_jobs
        & info [ "max-jobs" ] ~docv:"N"
-           ~doc:"Runner processes to keep in flight; further jobs wait in the \
-                 priority queue.")
-
-let max_attempts =
-  Arg.(value & opt int Daemon.default_config.max_attempts
-       & info [ "max-attempts" ] ~docv:"N"
-           ~doc:"Runner crashes or failures per job before it is marked \
-                 failed. Graceful interruptions (cancel, SIGTERM) do not \
-                 count: they checkpoint and requeue.")
+           ~doc:"Jobs to run at once, each on worker processes of its own; \
+                 further jobs wait in the priority queue.")
 
 let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress the stderr log.")
 
@@ -44,21 +37,27 @@ let main =
     [ `S Manpage.s_description;
       `P "Accepts check-job submissions over a Unix-domain socket (protocol \
           fairmc-jobs/1), runs each through the same engine as $(b,chess \
-          check) in a crash-isolated runner process, and streams progress \
-          events and the final report to every subscriber.";
+          check) on crash-isolated worker processes that it forks and \
+          supervises for that job (as $(b,chess check --workers) does; one \
+          worker for a sequential job), and streams progress events and the \
+          final report to every subscriber. A worker that crashes costs a \
+          retry of its work item ($(b,--max-retries) of the job), not the \
+          job.";
       `P "Job identity is the configuration fingerprint also used by \
           checkpoint resume: submitting the same program and strategy twice \
           — even with different budgets — attaches the second caller to the \
           first search instead of starting another.";
       `P "SIGTERM (or a client $(i,shutdown) request) stops gracefully: \
-          runners flush a final checkpoint and a restarted daemon picks \
-          every unfinished job up where it left off.";
+          every running search is stopped where it is and its checkpoint \
+          written, and a restarted daemon picks every unfinished job up \
+          where it left off. A work item returns to the daemon about once \
+          a second, so the checkpoint is never far behind.";
       `S Manpage.s_exit_status;
       `P "0 on a clean shutdown; 1 on startup errors (unusable socket or \
           spool)." ]
   in
-  let run socket spool max_jobs max_attempts quiet =
-    try Daemon.run { Daemon.socket; spool; max_jobs; max_attempts; quiet } with
+  let run socket spool max_jobs quiet =
+    try Daemon.run { Daemon.socket; spool; max_jobs; quiet } with
     | Unix.Unix_error (err, fn, arg) ->
       Format.eprintf "chessd: %s: %s (%s)@." fn (Unix.error_message err) arg;
       exit 1
@@ -68,6 +67,6 @@ let main =
   in
   Cmd.v
     (Cmd.info "chessd" ~doc ~man ~version:"1.0.0")
-    Term.(const run $ socket $ spool $ max_jobs $ max_attempts $ quiet)
+    Term.(const run $ socket $ spool $ max_jobs $ quiet)
 
 let () = exit (Cmd.eval main)

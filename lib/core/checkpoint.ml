@@ -371,8 +371,8 @@ let save_result path t =
      transient and must propagate, not be retried. *)
   let doc = to_json t in
   (* The temp suffix is pid-unique: two processes spooling checkpoints into
-     the same directory (chessd runners, a supervised run next to a manual
-     one) must never truncate each other's in-flight temp file. *)
+     the same directory (two chessd daemons, a supervised run next to a
+     manual one) must never truncate each other's in-flight temp file. *)
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let attempt () =
     if !inject_save_failures > 0 then begin

@@ -52,8 +52,9 @@ type path_end =
 
 (* Where a [Limits_reached] stop left the work: the search ran out of it, or
    stopped at a path boundary (before running the next path), after a
-   completed path (before advancing past it), inside a path (cutting it
-   short), or at a boundary because the supervisor asked for a split. *)
+   completed path (advanced past it, with work left), inside a path
+   (cutting it short), or at a boundary because the supervisor asked for a
+   split. *)
 type stop = Ran_out | At_boundary | After_path | Mid_path | At_split
 
 (* Pre-registered instruments: registered once per search (or shard), so hot
@@ -141,6 +142,9 @@ type state = {
   mutable stop : stop;
   t0 : float;
   deadline : float;  (* absolute; [infinity] when unlimited *)
+  slice_end : float;
+      (* a work item hands its rest back at its first path boundary after
+         this; [infinity] outside a worker *)
   tally : Tally.t option;  (* search-wide totals of a parallel search *)
   probe_denom : int;  (* sampling: the execution count; 0 = systematic *)
   meters : meters option;
@@ -200,12 +204,15 @@ let out_of_time st = Obs.Clock.now () > st.deadline
    via Checkpoint) are folded into the same poll. *)
 let stopped st = out_of_time st || Checkpoint.interrupted ()
 
-(* A parallel shard's peers spend the shared budget too, so a shard checks
-   it before starting a path as well as after finishing one. *)
-let peers_spent_budget st =
-  match (st.tally, st.cfg.C.max_executions) with
-  | Some t, Some m -> Tally.executions t >= m
-  | _ -> false
+(* The search-wide total of a parallel search, this session's count
+   otherwise, against the budget. A parallel shard's peers spend the
+   shared budget too, so a shard checks it before starting a path as well
+   as after finishing one. *)
+let budget_spent st =
+  match st.cfg.C.max_executions with
+  | Some m ->
+    (match st.tally with Some t -> Tally.executions t | None -> st.executions) >= m
+  | None -> false
 
 (* Inside a path, the search polls every 256 steps. *)
 let poll_mask = 255
@@ -247,7 +254,12 @@ let sampling_count (cfg : C.t) =
    frame widths instead. *)
 let probe_denom (cfg : C.t) = if is_systematic cfg then 0 else max 1 (sampling_count cfg)
 
-let make_state ?deadline ?tally ?(shard = 0) (cfg : C.t) prog =
+(* A work item runs about this long before it returns to its supervisor,
+   so a search on one worker still reports, relays its events and
+   checkpoints as it goes. *)
+let slice = 1.0
+
+let make_state ?deadline ?(slice_end = infinity) ?tally ?(shard = 0) (cfg : C.t) prog =
   let deadline =
     match deadline with
     | Some d -> d
@@ -270,6 +282,7 @@ let make_state ?deadline ?tally ?(shard = 0) (cfg : C.t) prog =
     stop = Ran_out;
     t0 = Obs.Clock.now ();
     deadline;
+    slice_end;
     tally;
     probe_denom = probe_denom cfg;
     meters = (if cfg.metrics then Some (make_meters ()) else None);
@@ -1067,7 +1080,7 @@ let run_loop_body st =
     (* Poll the wall clock, the interrupt flag and the shared budget at
        every path start, so short budgets cannot overshoot by a whole
        path. *)
-    if poll st || peers_spent_budget st then stop At_boundary
+    if poll st || budget_spent st then stop At_boundary
     else begin
       let outcome, run_ = execute_path st ~systematic in
       st.executions <- st.executions + 1;
@@ -1142,23 +1155,18 @@ let run_loop_body st =
                          length = race.AH.length } })
           | None -> ())
        | Some _ -> ());
-      if !verdict = None then begin
-        (match cfg.max_executions with
-         | Some m ->
-           let total =
-             match st.tally with Some t -> Tally.executions t | None -> st.executions
-           in
-           if total >= m then stop After_path
-         | None -> ());
-        if !verdict = None && stopped st then stop After_path
-      end;
-      (* A sampling search whose executions ran out did not verify: its
-         count is a budget. *)
+      (* Advance first: a budget that runs out on the last path leaves
+         nothing to stop. A sampling search whose executions ran out did
+         not verify: its count is a budget. *)
       if !verdict = None then begin
         if not (advance st) then begin
           verdict := Some (if systematic then Report.Verified else Report.Limits_reached);
           st.stop <- Ran_out
         end
+        else if
+          budget_spent st || stopped st
+          || (st.slice_end < infinity && Obs.Clock.now () > st.slice_end)
+        then stop After_path
         else if split_wanted st then stop At_split
       end;
       (* Path boundary: publish this path's event batch. The erroring
@@ -1178,9 +1186,9 @@ let run_loop_body st =
   let final_verdict = Option.get !verdict in
   (* Final checkpoint flush. A stop at a boundary or inside a path flushes
      the snapshot taken before the path (a path cut short runs again in
-     full on resume); a stop after a completed path first advances past it,
-     and if nothing is left the search is complete. A sampling search never
-     is: a later session may raise its count. *)
+     full on resume); a stop after a completed path has advanced past it.
+     A search that ran out of work is complete, unless it samples: a later
+     session may raise its count. *)
   (match (st.ckpt, final_verdict) with
    | None, _ -> ()
    | Some ck, Report.Limits_reached ->
@@ -1188,8 +1196,7 @@ let run_loop_body st =
       | At_boundary | Mid_path | At_split ->
         write_checkpoint st ck (Option.get ck.ck_boundary) ~complete:false
       | After_path | Ran_out ->
-        let more = st.stop = After_path && advance st in
-        let complete = systematic && not more in
+        let complete = systematic && st.stop = Ran_out in
         write_checkpoint st ck (capture_boundary ~complete st) ~complete)
    | Some ck, _ -> write_checkpoint st ck (capture_boundary ~complete:true st) ~complete:true);
   (* The final checkpoint may have queued an advisory event after the last
@@ -1329,19 +1336,18 @@ let run ?resume cfg prog =
    cardinalities, and the work left. An item with no work left is finished
    ([Verified] unless it found an error), whatever stopped it. *)
 let run_item ?deadline ?shard ~tally cfg prog item =
-  let st = make_state ?deadline ~tally ?shard cfg prog in
+  let st = make_state ?deadline ~slice_end:(Obs.Clock.now () +. slice) ~tally ?shard cfg prog in
   load_item st item;
   let r = run_loop st in
   let rest =
     match (r.Report.verdict, st.stop) with
-    | Report.Limits_reached, At_boundary -> remaining st
-    | Report.Limits_reached, After_path -> if advance st then remaining st else []
+    | Report.Limits_reached, (At_boundary | After_path) -> remaining st
     | Report.Limits_reached, At_split -> split st
     | _ -> []
   in
   let verdict =
     match (r.Report.verdict, st.stop) with
-    | Report.Limits_reached, (Ran_out | After_path) when rest = [] -> Report.Verified
+    | Report.Limits_reached, Ran_out -> Report.Verified
     | v, _ -> v
   in
   ({ r with Report.verdict }, st.states, rest)

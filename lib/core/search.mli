@@ -125,7 +125,9 @@ val run_item :
     that starts at those siblings, with the sleep set backtracking would
     give them. A range leaves its two halves. A budget, deadline or
     interrupt noticed at a path boundary leaves one item: the work not yet
-    run. An item with no work left reports [Verified] unless it found an
+    run. So does the first path boundary after about a second of running
+    (a constant), so that an item returns to its supervisor about once a
+    second however large it is. An item with no work left reports [Verified] unless it found an
     error; one that a stop cut short inside a path reports
     [Limits_reached] and leaves nothing (it did not finish: it runs again
     whole). *)

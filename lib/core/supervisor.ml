@@ -389,477 +389,378 @@ let child_serve ~(cfg : C.t) ~prog ~tally ~slot ~req ~resp =
 (* Parent side. *)
 
 let queued r = match r.state with Queued _ -> true | _ -> false
+let busy s = s.s_alive && s.s_region <> None
+let idle s = s.s_alive && s.s_region = None
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Run the open regions on [workers] worker processes until none is left
-   to run, the deadline passes, the budget runs out or an interrupt stops
-   the run. [note] sees the regions after every merged answer (the durable
-   checkpoint), [tick] is called once per loop turn (progress). Returns the
-   regions, in DFS order, and the supervision counters. *)
-let supervise (cfg : C.t) prog ~workers ~deadline ~tally ~regions ~note ~tick =
-  let regions = ref regions in
-  post_event cfg "supervisor_start"
-    [ ("workers", J.Int workers);
-      ("items", J.Int (List.length (List.filter queued !regions)));
-      ("max_retries", J.Int cfg.C.max_retries);
-      ("item_timeout",
-       match cfg.C.item_timeout with
-       | Some t -> J.Float t
-       | None -> J.Null);
-      ("fault",
-       match cfg.C.inject_fault with
-       | Some f -> J.Str (C.fault_name f)
-       | None -> J.Null) ];
-  let item_timeout =
-    match (cfg.C.item_timeout, cfg.C.inject_fault) with
-    (* A hang with no timeout configured would stall forever; give the
-       injection harness a finite default. *)
-    | None, Some { C.fault_kind = C.Hang; _ } -> Some 10.0
-    | t, _ -> t
+(* Every parent-side pipe end of every supervisor in this process. A newly
+   forked worker closes its inherited copies: a worker holding another
+   worker's request pipe open would keep that one from seeing EOF, and the
+   teardown that waits for it would hang. *)
+let open_ends : Unix.file_descr list ref = ref []
+
+let forget_ends s =
+  open_ends := List.filter (fun fd -> fd <> s.s_req && fd <> s.s_resp) !open_ends
+
+type t = {
+  cfg : C.t;
+  prog : Program.t;
+  workers : int;
+  hosted : bool;
+      (* driven by a host beside other work (chessd): no search in the
+         host's process, and no complete checkpoint once it ends *)
+  inherited : unit -> Unix.file_descr list;  (* the host's, closed in workers *)
+  t0 : float;
+  prior_elapsed : float;
+  deadline : float;
+  item_timeout : float option;
+  tally : Tally.t;
+  counters : counters;
+  mutable slots : slot array;
+  mutable regions : region list;  (* in DFS order *)
+  mutable stopped : bool;
+  mutable last_write : float;
+  mutable due : float;  (* when the next turn is wanted *)
+  mutable final : Report.t option;
+}
+
+let post t kind fields = post_event t.cfg kind fields
+
+let budget_exhausted t =
+  match t.cfg.C.max_executions with
+  | Some m -> Tally.executions t.tally >= m
+  | None -> false
+
+let work_remaining t = List.exists queued (deciding t.regions)
+
+let write t ~complete regions =
+  Option.iter
+    (fun path ->
+      checkpoint_write t.cfg path ~prog:t.prog ~complete regions
+        ~elapsed:(t.prior_elapsed +. (Clock.now () -. t.t0)))
+    t.cfg.C.checkpoint
+
+(* A region's answer: what it explored, and the work it left, which takes
+   its place after it. The regions then go to the checkpoint, at most once
+   per [checkpoint_interval]. *)
+let record t r item ((report, _) as e) rest =
+  (match rest with
+   | [] ->
+     r.state <-
+       (match report.Report.verdict with
+        | Report.Verified -> Explored e
+        | Report.Limits_reached -> Cut (item, e)
+        | _ -> Failed (item, e))
+   | rest ->
+     r.state <- Explored e;
+     t.regions <-
+       List.concat_map
+         (fun x -> if x == r then x :: List.map (fun i -> region (Queued i)) rest else [ x ])
+         t.regions);
+  t.regions <- coalesce t.regions;
+  if Clock.now () -. t.last_write >= t.cfg.C.checkpoint_interval then begin
+    t.last_write <- Clock.now ();
+    write t ~complete:false t.regions
+  end
+
+let spawn_slot t id =
+  let req_r, req_w = Unix.pipe ~cloexec:false () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:false () in
+  flush stdout;
+  flush stderr;
+  (* A fork takes milliseconds: hand buffered event lines over first, so
+     the run's first events do not wait for the pool to come up. *)
+  Option.iter Events.sync t.cfg.C.events;
+  (* Tally slot 0 is the parent's (resumed totals, in-process items). *)
+  let s_tally = Tally.slot t.tally (id + 1) in
+  match Unix.fork () with
+  | exception e ->
+    List.iter close_quietly [ req_r; req_w; resp_r; resp_w ];
+    raise e
+  | 0 ->
+    List.iter close_quietly (!open_ends @ t.inherited ());
+    Unix.close req_w;
+    Unix.close resp_r;
+    child_serve ~cfg:t.cfg ~prog:t.prog ~tally:s_tally ~slot:id ~req:req_r ~resp:resp_w
+  | pid ->
+    Unix.close req_r;
+    Unix.close resp_w;
+    open_ends := req_w :: resp_r :: !open_ends;
+    t.counters.c_spawns <- t.counters.c_spawns + 1;
+    post t "worker_spawn" [ ("worker", J.Int id); ("pid", J.Int pid) ];
+    { s_id = id; s_tally; s_pid = pid; s_req = req_w; s_resp = resp_r;
+      s_buf = Worker.inbuf (); s_region = None; s_rest = []; s_asked = false;
+      s_deadline = infinity; s_alive = true }
+
+let dead_slot t id =
+  { s_id = id; s_tally = Tally.slot t.tally (id + 1); s_pid = -1; s_req = Unix.stdin;
+    s_resp = Unix.stdin; s_buf = Worker.inbuf (); s_region = None; s_rest = [];
+    s_asked = false; s_deadline = infinity; s_alive = false }
+
+let spawn_failed t id e =
+  Printf.eprintf "fairmc: worker %d spawn failed: %s\n%!" id (Unix.error_message e);
+  post t "worker_spawn_failed" [ ("worker", J.Int id); ("error", J.Str (Unix.error_message e)) ]
+
+let reap t slot =
+  let status =
+    match Retry.eintr (fun () -> Unix.waitpid [] slot.s_pid) with
+    | _, st -> status_reason st
+    | exception Unix.Unix_error _ -> "already reaped"
   in
-  let counters =
-    { c_spawns = 0; c_restarts = 0; c_timeouts = 0; c_retries = 0;
-      c_crashes = 0; c_quarantined = 0; c_items = 0 }
-  in
-  let stopped = ref false in
-  let budget_exhausted () =
-    match cfg.C.max_executions with
-    | Some m -> Tally.executions tally >= m
-    | None -> false
-  in
-  let work_remaining () = List.exists queued (deciding !regions) in
-  (* A region's answer: what it explored, and the work it left, which takes
-     its place after it. *)
-  let record r item ((report, _) as e) rest =
-    (match rest with
-     | [] ->
-       r.state <-
-         (match report.Report.verdict with
-          | Report.Verified -> Explored e
-          | Report.Limits_reached -> Cut (item, e)
-          | _ -> Failed (item, e))
-     | rest ->
-       r.state <- Explored e;
-       regions :=
-         List.concat_map
-           (fun x -> if x == r then x :: List.map (fun i -> region (Queued i)) rest else [ x ])
-           !regions);
-    regions := coalesce !regions;
-    note !regions
-  in
-  (* Workers can die mid-write; the parent must get EPIPE from its request
-     writes, not be killed. Restored on every way out — a long-running host
-     (chessd supervises many jobs per process lifetime) must not have
-     [Signal_ignore] leak into it when supervision raises mid-flight. *)
-  let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  Fun.protect
-    ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev_sigpipe)
-  @@ fun () ->
-  (* All parent-side pipe ends, so each newly forked child can close its
-     inherited copies of the *other* slots' fds. Without this, a respawned
-     worker would hold the old workers' request pipes open and EOF-based
-     teardown would deadlock on it. *)
-  let parent_ends = ref [] in
-  let spawn_slot id =
-    let req_r, req_w = Unix.pipe ~cloexec:false () in
-    let resp_r, resp_w = Unix.pipe ~cloexec:false () in
-    flush stdout;
-    flush stderr;
-    (* A fork takes milliseconds: hand buffered event lines over first, so
-       the run's first events do not wait for the pool to come up. *)
-    Option.iter Events.sync cfg.C.events;
-    (* Tally slot 0 is the parent's (resumed totals, in-process items). *)
-    let s_tally = Tally.slot tally (id + 1) in
-    match Unix.fork () with
-    | 0 ->
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        !parent_ends;
-      Unix.close req_w;
-      Unix.close resp_r;
-      child_serve ~cfg ~prog ~tally:s_tally ~slot:id ~req:req_r ~resp:resp_w
-    | pid ->
-      Unix.close req_r;
-      Unix.close resp_w;
-      parent_ends := req_w :: resp_r :: !parent_ends;
-      counters.c_spawns <- counters.c_spawns + 1;
-      post_event cfg "worker_spawn"
-        [ ("worker", J.Int id); ("pid", J.Int pid) ];
-      { s_id = id; s_tally; s_pid = pid; s_req = req_w; s_resp = resp_r;
-        s_buf = Worker.inbuf (); s_region = None; s_rest = []; s_asked = false;
-        s_deadline = infinity; s_alive = true }
-  in
-  let dead_slot id =
-    { s_id = id; s_tally = Tally.slot tally (id + 1); s_pid = -1; s_req = Unix.stdin;
-      s_resp = Unix.stdin; s_buf = Worker.inbuf (); s_region = None; s_rest = [];
-      s_asked = false; s_deadline = infinity; s_alive = false }
-  in
-  let forget_ends slot =
-    parent_ends :=
-      List.filter (fun fd -> fd <> slot.s_req && fd <> slot.s_resp) !parent_ends
-  in
-  (* Tear one worker down hard: SIGKILL, reap, close, mark dead. Returns
-     the region it was running and the exit-status description for the
-     requeue reason. *)
-  let kill_slot slot =
-    (try Unix.kill slot.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    let status =
-      match Retry.eintr (fun () -> Unix.waitpid [] slot.s_pid) with
-      | _, st -> status_reason st
-      | exception Unix.Unix_error _ -> "already reaped"
-    in
-    forget_ends slot;
-    (try Unix.close slot.s_req with Unix.Unix_error _ -> ());
-    (try Unix.close slot.s_resp with Unix.Unix_error _ -> ());
-    slot.s_alive <- false;
-    post_event cfg "worker_exit"
-      [ ("worker", J.Int slot.s_id); ("pid", J.Int slot.s_pid);
-        ("status", J.Str status) ];
-    let r = slot.s_region in
-    slot.s_region <- None;
-    slot.s_rest <- [];
-    (r, status)
-  in
-  let respawn slot =
-    counters.c_restarts <- counters.c_restarts + 1;
-    match spawn_slot slot.s_id with
-    | fresh ->
-      slot.s_pid <- fresh.s_pid;
-      slot.s_req <- fresh.s_req;
-      slot.s_resp <- fresh.s_resp;
-      slot.s_buf <- fresh.s_buf;
-      slot.s_deadline <- infinity;
-      slot.s_alive <- true
-    | exception Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "fairmc: worker %d respawn failed: %s\n%!" slot.s_id
-        (Unix.error_message e);
-      post_event cfg "worker_spawn_failed"
-        [ ("worker", J.Int slot.s_id); ("error", J.Str (Unix.error_message e)) ]
-  in
-  let quarantine r item ~attempts ~reason =
-    counters.c_quarantined <- counters.c_quarantined + 1;
-    (* A sampling item has no prefix: its executions start at the root. *)
-    let decisions =
-      match item with
-      | CK.Cursor frames ->
-        Array.to_list
-          (Array.map (fun (f : CK.frame) -> (f.CK.c_chosen.CK.c_tid, f.CK.c_chosen.CK.c_alt)) frames)
-      | CK.Range _ -> []
-    in
-    let rendered =
-      Printf.sprintf
-        "work item %d quarantined after %d attempt(s): %s\n\
-         schedule prefix (tid alt): %s"
-        r.number attempts reason
-        (String.concat " "
-           (List.map (fun (t, a) -> Printf.sprintf "%d:%d" t a) decisions))
-    in
-    let cex = { Report.rendered; decisions; length = List.length decisions } in
-    post_event cfg "item_quarantined"
-      [ ("item", J.Int r.number); ("attempts", J.Int attempts);
-        ("reason", J.Str reason) ];
-    record r item
-      ( { Report.verdict = Report.Crash { reason; cex };
-          stats = CK.zero_stats;
-          metrics = M.Snapshot.empty;
-          analysis = None },
-        Hashtbl.create 1 )
-      []
-  in
-  let requeue r item ~reason =
-    if r.attempt >= cfg.C.max_retries then
-      quarantine r item ~attempts:(r.attempt + 1) ~reason
-    else begin
-      counters.c_retries <- counters.c_retries + 1;
-      let delay = backoff_delay cfg ~index:r.number ~attempt:r.attempt in
-      post_event cfg "item_retry"
-        [ ("item", J.Int r.number); ("attempt", J.Int (r.attempt + 1));
-          ("delay_s", J.Float delay); ("reason", J.Str reason) ];
-      r.attempt <- r.attempt + 1;
-      r.ready <- Clock.now () +. delay;
-      r.state <- Queued item
-    end
-  in
-  (* A worker died (crash, EOF, protocol violation, timeout): reap it,
-     requeue its in-flight item, bring a fresh process up in its slot. *)
-  let worker_died slot ~reason =
-    counters.c_crashes <- counters.c_crashes + 1;
-    let r, status = kill_slot slot in
-    (match r with
-     | Some ({ state = Running item; _ } as r) ->
-       if List.memq r (deciding !regions) then
-         requeue r item ~reason:(Printf.sprintf "%s (%s)" reason status)
-       else r.state <- Queued item
-     | _ -> ());
-    if not !stopped then respawn slot
-  in
-  (* A worker running a region after a failed one is killed, and replaced
-     while work remains. No retry: its work cannot decide the verdict. *)
-  let cancel_slot slot =
-    (match kill_slot slot with
-     | Some ({ state = Running item; _ } as r), _ -> r.state <- Queued item
-     | _ -> ());
-    if (not !stopped) && work_remaining () then respawn slot
-  in
-  (* Mark [r] as running on [slot]; the request goes out once the turn's
-     split requests are up, so the worker reads them at its first path
-     boundary already. *)
-  let assign slot r item =
-    if r.number < 0 then begin
-      r.number <- counters.c_items;
-      counters.c_items <- counters.c_items + 1
-    end;
-    r.state <- Running item;
-    slot.s_region <- Some r;
-    slot.s_asked <- false;
-    Tally.ask_split slot.s_tally false;
-    slot.s_deadline <-
-      (match item_timeout with None -> infinity | Some t -> Clock.now () +. t)
-  in
-  let send_request slot r item =
-    let time_left =
-      match cfg.C.time_limit with
-      | None -> None
-      | Some _ -> Some (Float.max 0. (deadline -. Clock.now ()))
-    in
-    match
-      Worker.send slot.s_req
-        (Worker.request_to_json
-           (Worker.Run
-              { q_index = r.number; q_attempt = r.attempt; q_time_left = time_left;
-                q_item = item }))
-    with
-    | () -> ()
-    | exception (Unix.Unix_error _ | Sys_error _) ->
-      worker_died slot ~reason:"request write failed"
-  in
-  let handle_result slot (resp : Worker.response) =
-    let r = slot.s_region and rest = slot.s_rest in
-    slot.s_region <- None;
-    slot.s_rest <- [];
+  slot.s_alive <- false;
+  post t "worker_exit"
+    [ ("worker", J.Int slot.s_id); ("pid", J.Int slot.s_pid); ("status", J.Str status) ];
+  status
+
+(* Tear one worker down hard: SIGKILL, close, reap. Returns the region it
+   was running and the exit-status description for the requeue reason. *)
+let kill_slot t slot =
+  (try Unix.kill slot.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
+  forget_ends slot;
+  close_quietly slot.s_req;
+  close_quietly slot.s_resp;
+  let status = reap t slot in
+  let r = slot.s_region in
+  slot.s_region <- None;
+  slot.s_rest <- [];
+  (r, status)
+
+let kill_workers t = Array.iter (fun s -> if s.s_alive then ignore (kill_slot t s)) t.slots
+
+let respawn t slot =
+  t.counters.c_restarts <- t.counters.c_restarts + 1;
+  match spawn_slot t slot.s_id with
+  | fresh ->
+    slot.s_pid <- fresh.s_pid;
+    slot.s_req <- fresh.s_req;
+    slot.s_resp <- fresh.s_resp;
+    slot.s_buf <- fresh.s_buf;
     slot.s_deadline <- infinity;
-    (* The child's lines join the parent stream as rendered (the worker
-       stream already applied the span gate), renumbered in one batch. *)
-    Option.iter (fun s -> Events.relay s resp.Worker.r_events) cfg.C.events;
-    match r with
-    | Some ({ state = Running item; _ } as r) ->
-      record r item (resp.Worker.r_report, states_tbl resp.Worker.r_states) rest
-    | _ -> ()
+    slot.s_alive <- true
+  | exception Unix.Unix_error (e, _, _) -> spawn_failed t slot.s_id e
+
+let quarantine t r item ~attempts ~reason =
+  t.counters.c_quarantined <- t.counters.c_quarantined + 1;
+  (* A sampling item has no prefix: its executions start at the root. *)
+  let decisions =
+    match item with
+    | CK.Cursor frames ->
+      Array.to_list
+        (Array.map (fun (f : CK.frame) -> (f.CK.c_chosen.CK.c_tid, f.CK.c_chosen.CK.c_alt)) frames)
+    | CK.Range _ -> []
   in
-  (* Last-resort degradation: every worker slot is dead and cannot be
-     respawned. Finish the open regions in-process, in DFS order — same
-     items, same merge — rather than abandoning the search. *)
-  let run_inline () =
-    Printf.eprintf
-      "fairmc: no live worker processes; finishing the search in-process\n%!";
-    post_event cfg "supervisor_fallback" [ ("reason", J.Str "no live workers") ];
-    let rec go () =
-      if not (Checkpoint.interrupted ()) && Clock.now () < deadline && not (budget_exhausted ())
-      then
-        match List.find_opt queued (deciding !regions) with
-        | Some ({ state = Queued item; _ } as r) ->
-          r.state <- Running item;
-          let report, tbl, rest = Search.run_item ~deadline ~shard:0 ~tally cfg prog item in
-          record r item (report, tbl) rest;
-          go ()
-        | _ -> ()
-    in
-    go ();
-    if Checkpoint.interrupted () then stopped := true
+  let rendered =
+    Printf.sprintf
+      "work item %d quarantined after %d attempt(s): %s\n\
+       schedule prefix (tid alt): %s"
+      r.number attempts reason
+      (String.concat " " (List.map (fun (t, a) -> Printf.sprintf "%d:%d" t a) decisions))
   in
-  let slots =
-    Array.init workers (fun i ->
-        match spawn_slot i with
-        | s -> s
-        | exception Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "fairmc: worker %d spawn failed: %s\n%!" i
-            (Unix.error_message e);
-          post_event cfg "worker_spawn_failed"
-            [ ("worker", J.Int i); ("error", J.Str (Unix.error_message e)) ];
-          dead_slot i)
-  in
-  let busy s = s.s_alive && s.s_region <> None in
-  let idle s = s.s_alive && s.s_region = None in
-  let rec loop () =
-    if Checkpoint.interrupted () then stopped := true;
-    if not !stopped then begin
-      (* Regions after a failed one will never decide the verdict; reclaim
-         their workers. *)
-      Array.iter
-        (fun s ->
-          match s.s_region with
-          | Some r when s.s_alive && not (List.memq r (deciding !regions)) -> cancel_slot s
-          | _ -> ())
-        slots;
-      let now = Clock.now () in
-      if now < deadline && not (budget_exhausted ()) then begin
-        (* Queued items go to idle workers in DFS order. *)
-        let sent = ref [] in
-        Array.iter
-          (fun s ->
-            if idle s then
-              match
-                List.find_opt (fun r -> queued r && r.ready <= now) (deciding !regions)
-              with
-              | Some ({ state = Queued item; _ } as r) ->
-                assign s r item;
-                sent := (s, r, item) :: !sent
-              | _ -> ())
-          slots;
-        (* A worker idle with nothing queued has a busy one split its
-           item, the first in DFS order not asked already. *)
-        let live = deciding !regions in
-        if not (List.exists queued live) then begin
-          let want = ref (Array.fold_left (fun n s -> if idle s then n + 1 else n) 0 slots) in
-          List.iter
-            (fun r ->
-              if !want > 0 then
-                match
-                  Array.find_opt
-                    (fun s ->
-                      (not s.s_asked)
-                      && match s.s_region with Some x -> x == r && s.s_alive | None -> false)
-                    slots
-                with
-                | Some s ->
-                  s.s_asked <- true;
-                  Tally.ask_split s.s_tally true;
-                  decr want
-                | None -> ())
-            live
-        end;
-        List.iter (fun (s, r, item) -> send_request s r item) (List.rev !sent)
-      end;
-      let now = Clock.now () in
-      let finished =
-        (not (Array.exists busy slots))
-        && ((not (work_remaining ())) || now >= deadline || budget_exhausted ())
-      in
-      if not finished then begin
-        if not (Array.exists (fun s -> s.s_alive) slots) then run_inline ()
-        else begin
-          let fds =
-            Array.fold_left (fun acc s -> if busy s then s.s_resp :: acc else acc) [] slots
-          in
-          let timeout =
-            let next_deadline =
-              Array.fold_left
-                (fun acc s -> if busy s then Float.min acc s.s_deadline else acc)
-                infinity slots
-            in
-            let next_retry =
-              List.fold_left
-                (fun acc r -> if queued r then Float.min acc r.ready else acc)
-                infinity !regions
-            in
-            let t =
-              Float.min 0.2
-                (Float.min (next_deadline -. now) (next_retry -. now))
-            in
-            Float.max 0.01 t
-          in
-          (* A chunked event sink must not sit on lines while we wait. *)
-          Option.iter Events.sync cfg.C.events;
-          let readable =
-            if fds = [] then (Retry.sleepf timeout; [])
-            else begin
-              (* Re-arm after EINTR with the *remaining* wait against a
-                 monotonic deadline — re-arming the full timeout would let a
-                 stream of signals postpone per-item deadlines forever. An
-                 interrupt request still breaks out immediately so graceful
-                 teardown is not delayed by the residual wait. *)
-              let wake = Clock.now () +. timeout in
-              let rec poll () =
-                let remaining = wake -. Clock.now () in
-                if remaining <= 0. then []
-                else
-                  match Unix.select fds [] [] remaining with
-                  | r, _, _ -> r
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                    if Checkpoint.interrupted () then [] else poll ()
-              in
-              poll ()
-            end
-          in
-          List.iter
-            (fun fd ->
-              match
-                Array.find_opt (fun s -> s.s_alive && s.s_resp = fd) slots
-              with
-              | None -> ()
-              | Some slot ->
-                (match Worker.feed slot.s_buf fd with
-                 | exception Unix.Unix_error _ ->
-                   worker_died slot ~reason:"read failed"
-                 | `Eof -> worker_died slot ~reason:"worker closed its pipe"
-                 | `Data _ ->
-                   let rec drain () =
-                     if busy slot then
-                       match Worker.extract slot.s_buf with
-                       | Ok None -> ()
-                       | Error msg ->
-                         worker_died slot ~reason:("protocol error: " ^ msg)
-                       | Ok (Some (Worker.Raw _)) ->
-                         worker_died slot ~reason:"protocol error: unexpected raw frame"
-                       | Ok (Some (Worker.Json json)) ->
-                         (match (Worker.reply_of_json json, slot.s_region) with
-                          | exception Checkpoint.Codec.Parse msg ->
-                            worker_died slot
-                              ~reason:("malformed response: " ^ msg)
-                          | Worker.Rest items, _ when slot.s_rest = [] && items <> [] ->
-                            slot.s_rest <- items;
-                            drain ()
-                          | Worker.Rest _, _ ->
-                            worker_died slot ~reason:"protocol error: unexpected rest"
-                          | Worker.Response resp, Some r
-                            when resp.Worker.r_index = r.number
-                                 && resp.Worker.r_attempt = r.attempt ->
-                            handle_result slot resp;
-                            drain ()
-                          | Worker.Response _, _ ->
-                            worker_died slot
-                              ~reason:"response does not match the dispatched item")
-                   in
-                   drain ()))
-            readable;
-          (* Sweep per-item timeouts: the worker is presumed wedged. *)
-          let now = Clock.now () in
-          Array.iter
-            (fun s ->
-              match s.s_region with
-              | Some r when busy s && now > s.s_deadline ->
-                counters.c_timeouts <- counters.c_timeouts + 1;
-                post_event cfg "item_timeout"
-                  [ ("item", J.Int r.number); ("attempt", J.Int r.attempt);
-                    ("worker", J.Int s.s_id) ];
-                worker_died s ~reason:"item timeout"
-              | _ -> ())
-            slots;
-          tick ();
-          loop ()
-        end
-      end
-    end
-  in
-  loop ();
-  (* Teardown: a graceful quit drains nothing (idle workers exit on Quit or
-     on request-pipe EOF); an interrupted run SIGKILLs, so in-flight items
-     stop where they are. *)
-  if !stopped then
-    Array.iter (fun s -> if s.s_alive then ignore (kill_slot s)) slots
+  let cex = { Report.rendered; decisions; length = List.length decisions } in
+  post t "item_quarantined"
+    [ ("item", J.Int r.number); ("attempts", J.Int attempts); ("reason", J.Str reason) ];
+  record t r item
+    ( { Report.verdict = Report.Crash { reason; cex };
+        stats = CK.zero_stats;
+        metrics = M.Snapshot.empty;
+        analysis = None },
+      Hashtbl.create 1 )
+    []
+
+let requeue t r item ~reason =
+  if r.attempt >= t.cfg.C.max_retries then
+    quarantine t r item ~attempts:(r.attempt + 1) ~reason
   else begin
+    t.counters.c_retries <- t.counters.c_retries + 1;
+    let delay = backoff_delay t.cfg ~index:r.number ~attempt:r.attempt in
+    post t "item_retry"
+      [ ("item", J.Int r.number); ("attempt", J.Int (r.attempt + 1));
+        ("delay_s", J.Float delay); ("reason", J.Str reason) ];
+    r.attempt <- r.attempt + 1;
+    r.ready <- Clock.now () +. delay;
+    r.state <- Queued item
+  end
+
+(* A worker died (crash, EOF, protocol violation, timeout): reap it,
+   requeue its in-flight item, bring a fresh process up in its slot. *)
+let worker_died t slot ~reason =
+  t.counters.c_crashes <- t.counters.c_crashes + 1;
+  let r, status = kill_slot t slot in
+  (match r with
+   | Some ({ state = Running item; _ } as r) ->
+     if List.memq r (deciding t.regions) then
+       requeue t r item ~reason:(Printf.sprintf "%s (%s)" reason status)
+     else r.state <- Queued item
+   | _ -> ());
+  if not t.stopped then respawn t slot
+
+(* A worker running a region after a failed one is killed, and replaced
+   while work remains. No retry: its work cannot decide the verdict. *)
+let cancel_slot t slot =
+  (match kill_slot t slot with
+   | Some ({ state = Running item; _ } as r), _ -> r.state <- Queued item
+   | _ -> ());
+  if (not t.stopped) && work_remaining t then respawn t slot
+
+(* Mark [r] as running on [slot]; the request goes out once the turn's
+   split requests are up, so the worker reads them at its first path
+   boundary already. *)
+let assign t slot r item =
+  if r.number < 0 then begin
+    r.number <- t.counters.c_items;
+    t.counters.c_items <- t.counters.c_items + 1
+  end;
+  r.state <- Running item;
+  slot.s_region <- Some r;
+  slot.s_asked <- false;
+  Tally.ask_split slot.s_tally false;
+  slot.s_deadline <-
+    (match t.item_timeout with None -> infinity | Some d -> Clock.now () +. d)
+
+let send_request t slot r item =
+  let time_left =
+    match t.cfg.C.time_limit with
+    | None -> None
+    | Some _ -> Some (Float.max 0. (t.deadline -. Clock.now ()))
+  in
+  match
+    Worker.send slot.s_req
+      (Worker.request_to_json
+         (Worker.Run
+            { q_index = r.number; q_attempt = r.attempt; q_time_left = time_left;
+              q_item = item }))
+  with
+  | () -> ()
+  | exception (Unix.Unix_error _ | Sys_error _) ->
+    worker_died t slot ~reason:"request write failed"
+
+let handle_result t slot (resp : Worker.response) =
+  let r = slot.s_region and rest = slot.s_rest in
+  slot.s_region <- None;
+  slot.s_rest <- [];
+  slot.s_deadline <- infinity;
+  (* The child's lines join the parent stream as rendered (the worker
+     stream already applied the span gate), renumbered in one batch. *)
+  Option.iter (fun s -> Events.relay s resp.Worker.r_events) t.cfg.C.events;
+  match r with
+  | Some ({ state = Running item; _ } as r) ->
+    record t r item (resp.Worker.r_report, states_tbl resp.Worker.r_states) rest
+  | _ -> ()
+
+(* One read from a busy worker's response pipe, and every frame it
+   completes. *)
+let read_slot t slot =
+  match Worker.feed slot.s_buf slot.s_resp with
+  | exception Unix.Unix_error _ -> worker_died t slot ~reason:"read failed"
+  | `Eof -> worker_died t slot ~reason:"worker closed its pipe"
+  | `Data _ ->
+    let rec drain () =
+      if busy slot then
+        match Worker.extract slot.s_buf with
+        | Ok None -> ()
+        | Error msg -> worker_died t slot ~reason:("protocol error: " ^ msg)
+        | Ok (Some json) ->
+          (match (Worker.reply_of_json json, slot.s_region) with
+           | exception Checkpoint.Codec.Parse msg ->
+             worker_died t slot ~reason:("malformed response: " ^ msg)
+           | Worker.Rest items, _ when slot.s_rest = [] && items <> [] ->
+             slot.s_rest <- items;
+             drain ()
+           | Worker.Rest _, _ -> worker_died t slot ~reason:"protocol error: unexpected rest"
+           | Worker.Response resp, Some r
+             when resp.Worker.r_index = r.number && resp.Worker.r_attempt = r.attempt ->
+             handle_result t slot resp;
+             drain ()
+           | Worker.Response _, _ ->
+             worker_died t slot ~reason:"response does not match the dispatched item")
+    in
+    drain ()
+
+(* Last-resort degradation: every worker slot is dead and cannot be
+   respawned. Finish the open regions in-process, in DFS order — same
+   items, same merge — rather than abandoning the search. *)
+let run_inline t =
+  Printf.eprintf "fairmc: no live worker processes; finishing the search in-process\n%!";
+  post t "supervisor_fallback" [ ("reason", J.Str "no live workers") ];
+  let rec go () =
+    if not (Checkpoint.interrupted ()) && Clock.now () < t.deadline && not (budget_exhausted t)
+    then
+      match List.find_opt queued (deciding t.regions) with
+      | Some ({ state = Queued item; _ } as r) ->
+        r.state <- Running item;
+        let report, tbl, rest =
+          Search.run_item ~deadline:t.deadline ~shard:0 ~tally:t.tally t.cfg t.prog item
+        in
+        record t r item (report, tbl) rest;
+        go ()
+      | _ -> ()
+  in
+  go ();
+  if Checkpoint.interrupted () then t.stopped <- true
+
+(* Reclaim the workers of regions that can no longer decide the verdict,
+   hand queued items to idle workers in DFS order, and have busy workers
+   split when an idle one has nothing to take. *)
+let dispatch t =
+  Array.iter
+    (fun s ->
+      match s.s_region with
+      | Some r when s.s_alive && not (List.memq r (deciding t.regions)) -> cancel_slot t s
+      | _ -> ())
+    t.slots;
+  let now = Clock.now () in
+  if now < t.deadline && not (budget_exhausted t) then begin
+    let sent = ref [] in
     Array.iter
       (fun s ->
-        if s.s_alive then begin
-          (try
-             Worker.send s.s_req (Worker.request_to_json Worker.Quit)
-           with Unix.Unix_error _ | Sys_error _ -> ());
-          forget_ends s;
-          (try Unix.close s.s_req with Unix.Unix_error _ -> ())
-        end)
-      slots;
-    (* A worker's response pipe reaches EOF when the worker exits, so wait
-       for that (each child holds only its own write end), then reap with a
-       blocking waitpid. One that is still up after 2 s is SIGKILLed. *)
+        if idle s then
+          match List.find_opt (fun r -> queued r && r.ready <= now) (deciding t.regions) with
+          | Some ({ state = Queued item; _ } as r) ->
+            assign t s r item;
+            sent := (s, r, item) :: !sent
+          | _ -> ())
+      t.slots;
+    (* A worker idle with nothing queued has a busy one split its item,
+       the first in DFS order not asked already. *)
+    let live = deciding t.regions in
+    if not (List.exists queued live) then begin
+      let want = ref (Array.fold_left (fun n s -> if idle s then n + 1 else n) 0 t.slots) in
+      List.iter
+        (fun r ->
+          if !want > 0 then
+            match
+              Array.find_opt
+                (fun s ->
+                  (not s.s_asked)
+                  && match s.s_region with Some x -> x == r && s.s_alive | None -> false)
+                t.slots
+            with
+            | Some s ->
+              s.s_asked <- true;
+              Tally.ask_split s.s_tally true;
+              decr want
+            | None -> ())
+        live
+    end;
+    List.iter (fun (s, r, item) -> send_request t s r item) (List.rev !sent)
+  end
+
+(* A stopped run SIGKILLs its workers, so in-flight items stop where they
+   are. A finished one sends every worker [Quit] and closes its request
+   pipe, then waits for EOF on the response pipes (each child holds only
+   its own write end) and reaps each worker with a blocking waitpid. One
+   that is still up after 2 s is SIGKILLed. *)
+let teardown t =
+  if t.stopped then kill_workers t
+  else begin
+    let alive = List.filter (fun s -> s.s_alive) (Array.to_list t.slots) in
+    List.iter
+      (fun s ->
+        (try Worker.send s.s_req (Worker.request_to_json Worker.Quit)
+         with Unix.Unix_error _ | Sys_error _ -> ());
+        forget_ends s;
+        close_quietly s.s_req)
+      alive;
     let give_up = Clock.now () +. 2.0 in
     let scratch = Bytes.create 4096 in
     let rec await_eof open_ =
@@ -880,28 +781,15 @@ let supervise (cfg : C.t) prog ~workers ~deadline ~tally ~regions ~note ~tick =
                        | exception Unix.Unix_error _ -> true)))
                open_)
       else
-        List.iter
-          (fun s -> try Unix.kill s.s_pid Sys.sigkill with Unix.Unix_error _ -> ())
-          open_
+        List.iter (fun s -> try Unix.kill s.s_pid Sys.sigkill with Unix.Unix_error _ -> ()) open_
     in
-    let alive = List.filter (fun s -> s.s_alive) (Array.to_list slots) in
     await_eof alive;
     List.iter
       (fun s ->
-        let status =
-          match Retry.eintr (fun () -> Unix.waitpid [] s.s_pid) with
-          | _, st -> status_reason st
-          | exception Unix.Unix_error _ -> "already reaped"
-        in
-        (try Unix.close s.s_resp with Unix.Unix_error _ -> ());
-        s.s_alive <- false;
-        post_event cfg "worker_exit"
-          [ ("worker", J.Int s.s_id); ("pid", J.Int s.s_pid);
-            ("status", J.Str status) ])
+        ignore (reap t s);
+        close_quietly s.s_resp)
       alive
-  end;
-  (!regions, counters)
-
+  end
 
 (* Supervision telemetry rides along as gauges only — gauges are exempt from
    the jobs/workers determinism guarantee (see DESIGN.md). *)
@@ -956,12 +844,62 @@ let tick_progress (cfg : C.t) tally ~t0 ~prior_elapsed ~jobs () =
           ~elapsed:(prior_elapsed +. (Clock.now () -. t0))
           ~jobs)
 
-let run_items ?resume (cfg : C.t) prog ~workers =
+(* End the run: tear the workers down, merge the regions into the report,
+   write the checkpoint and post the closing events. *)
+let finish t =
+  teardown t;
+  let ((report, _) as final) =
+    finalize t.cfg t.regions
+      ~elapsed:(t.prior_elapsed +. (Clock.now () -. t.t0))
+      ~with_gauges:(sup_gauges t.cfg ~workers:t.workers t.counters)
+  in
+  force_progress t.cfg report ~jobs:t.workers;
+  (* A search that reached its verdict is recorded as one done region, as
+     the sequential search records it, unless its host keeps the report
+     instead. *)
+  if report.Report.verdict = Report.Limits_reached then write t ~complete:false t.regions
+  else if not t.hosted then write t ~complete:true [ region (Explored final) ];
+  post_done t.cfg report ~workers:t.workers t.counters;
+  Search.post_run_end t.cfg report;
+  Option.iter Events.sync t.cfg.C.events;
+  t.final <- Some report;
+  report
+
+(* After the dispatch: the report once nothing is left to wait for, and
+   otherwise the time of the next turn. *)
+let turn t =
+  if Checkpoint.interrupted () then t.stopped <- true;
+  if not t.stopped then dispatch t;
+  let now = Clock.now () in
+  if
+    t.stopped
+    || (not (Array.exists busy t.slots))
+       && ((not (work_remaining t)) || now >= t.deadline || budget_exhausted t)
+  then Some (finish t)
+  else if not (Array.exists (fun s -> s.s_alive) t.slots) then begin
+    if t.hosted then failwith "no worker process is left, and none could be forked";
+    run_inline t;
+    Some (finish t)
+  end
+  else begin
+    let next_deadline =
+      Array.fold_left (fun acc s -> if busy s then Float.min acc s.s_deadline else acc) infinity
+        t.slots
+    in
+    let next_retry =
+      List.fold_left
+        (fun acc r -> if queued r then Float.min acc r.ready else acc)
+        infinity (deciding t.regions)
+    in
+    t.due <- now +. Float.max 0.01 (Float.min 0.2 (Float.min next_deadline next_retry -. now));
+    (* A chunked event sink must not sit on lines while its owner waits. *)
+    Option.iter Events.sync t.cfg.C.events;
+    None
+  end
+
+let create ~hosted ?(inherited = fun () -> []) ?resume (cfg : C.t) prog ~workers =
   let t0 = Clock.now () in
   Search.post_run_start cfg prog;
-  let deadline =
-    match cfg.C.time_limit with None -> infinity | Some l -> t0 +. l
-  in
   let regions =
     coalesce
       (List.map
@@ -979,7 +917,6 @@ let run_items ?resume (cfg : C.t) prog ~workers =
         0 regions
       |> min workers |> max 1
   in
-  let prior_elapsed = match resume with Some p -> p.CK.elapsed | None -> 0. in
   let tally = Tally.create ~slots:(workers + 1) in
   List.iter
     (fun r ->
@@ -988,13 +925,6 @@ let run_items ?resume (cfg : C.t) prog ~workers =
         Tally.add tally ~executions:x.stats.Report.executions ~mass:x.stats.Report.probe_mass
       | _ -> ())
     regions;
-  let write ~complete regions =
-    Option.iter
-      (fun path ->
-        checkpoint_write cfg path ~prog ~complete regions
-          ~elapsed:(prior_elapsed +. (Clock.now () -. t0)))
-      cfg.C.checkpoint
-  in
   (* The savefail fault is parent-side: the first two checkpoint save
      attempts fail transiently, exercising Checkpoint's retry path. Armed
      only when a checkpoint is actually being written — the counter is
@@ -1002,34 +932,103 @@ let run_items ?resume (cfg : C.t) prog ~workers =
   (match (cfg.C.inject_fault, cfg.C.checkpoint) with
    | Some { C.fault_kind = C.Save_fail; _ }, Some _ -> Checkpoint.inject_save_failures := 2
    | _ -> ());
-  let last_write = ref (Clock.now ()) in
-  let note regions =
-    if Clock.now () -. !last_write >= cfg.C.checkpoint_interval then begin
-      last_write := Clock.now ();
-      write ~complete:false regions
-    end
+  post_event cfg "supervisor_start"
+    [ ("workers", J.Int workers);
+      ("items", J.Int (List.length (List.filter queued regions)));
+      ("max_retries", J.Int cfg.C.max_retries);
+      ("item_timeout", match cfg.C.item_timeout with Some t -> J.Float t | None -> J.Null);
+      ("fault", match cfg.C.inject_fault with Some f -> J.Str (C.fault_name f) | None -> J.Null) ];
+  let t =
+    { cfg; prog; workers; hosted; inherited; t0;
+      prior_elapsed = (match resume with Some p -> p.CK.elapsed | None -> 0.);
+      deadline = (match cfg.C.time_limit with None -> infinity | Some l -> t0 +. l);
+      item_timeout =
+        (match (cfg.C.item_timeout, cfg.C.inject_fault) with
+         (* A hang with no timeout configured would stall forever; give
+            the injection harness a finite default. *)
+         | None, Some { C.fault_kind = C.Hang; _ } -> Some 10.0
+         | d, _ -> d);
+      tally;
+      counters =
+        { c_spawns = 0; c_restarts = 0; c_timeouts = 0; c_retries = 0; c_crashes = 0;
+          c_quarantined = 0; c_items = 0 };
+      slots = [||]; regions; stopped = false; last_write = Clock.now ();
+      due = neg_infinity; final = None }
   in
-  let regions, counters =
-    supervise cfg prog ~workers ~deadline ~tally ~regions ~note
-      ~tick:(tick_progress cfg tally ~t0 ~prior_elapsed ~jobs:workers)
+  t.slots <-
+    Array.init workers (fun i ->
+        match spawn_slot t i with
+        | s -> s
+        | exception Unix.Unix_error (e, _, _) ->
+          spawn_failed t i e;
+          dead_slot t i);
+  t
+
+let start ?resume ?inherited cfg prog =
+  create ~hosted:true ?inherited ?resume cfg prog ~workers:(resolve_workers cfg)
+
+let fds t = Array.fold_left (fun acc s -> if busy s then s.s_resp :: acc else acc) [] t.slots
+let next_turn t = t.due
+
+let step t ready =
+  match t.final with
+  | Some r -> Some r
+  | None ->
+    List.iter
+      (fun fd ->
+        match Array.find_opt (fun s -> busy s && s.s_resp = fd) t.slots with
+        | Some slot -> read_slot t slot
+        | None -> ())
+      ready;
+    (* Sweep per-item timeouts: the worker is presumed wedged. *)
+    let now = Clock.now () in
+    Array.iter
+      (fun s ->
+        match s.s_region with
+        | Some r when busy s && now > s.s_deadline ->
+          t.counters.c_timeouts <- t.counters.c_timeouts + 1;
+          post t "item_timeout"
+            [ ("item", J.Int r.number); ("attempt", J.Int r.attempt); ("worker", J.Int s.s_id) ];
+          worker_died t s ~reason:"item timeout"
+        | _ -> ())
+      t.slots;
+    tick_progress t.cfg t.tally ~t0:t.t0 ~prior_elapsed:t.prior_elapsed ~jobs:t.workers ();
+    turn t
+
+let stop t =
+  match t.final with
+  | Some r -> r
+  | None ->
+    t.stopped <- true;
+    finish t
+
+(* Wait for the next turn: until a worker answers or the turn is due.
+   After EINTR the wait re-arms with what is left of it (re-arming the
+   whole wait would let a stream of signals postpone per-item deadlines
+   forever); an interrupt request ends it at once. *)
+let wait t =
+  let fds = fds t in
+  let rec poll () =
+    let remaining = t.due -. Clock.now () in
+    if remaining <= 0. then []
+    else
+      match Unix.select fds [] [] remaining with
+      | r, _, _ -> r
+      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+        if Checkpoint.interrupted () then [] else poll ()
   in
-  let ((report, _) as final) =
-    finalize cfg regions
-      ~elapsed:(prior_elapsed +. (Clock.now () -. t0))
-      ~with_gauges:(sup_gauges cfg ~workers counters)
-  in
-  force_progress cfg report ~jobs:workers;
-  (* A search that reached its verdict is recorded as one done region, as
-     the sequential search records it. *)
-  if report.Report.verdict = Report.Limits_reached then write ~complete:false regions
-  else write ~complete:true [ region (Explored final) ];
-  post_done cfg report ~workers counters;
-  Search.post_run_end cfg report;
-  report
+  poll ()
 
 let run ?resume (cfg : C.t) prog =
   let workers = resolve_workers cfg in
   match cfg.C.mode with
   | C.Dfs | C.Context_bounded _ | C.Random_walk _ | C.Priority_random _ when workers > 1 ->
-    run_items ?resume cfg prog ~workers
+    (* Workers can die mid-write; the parent must get EPIPE from its
+       request writes, not be killed. *)
+    let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev_sigpipe) @@ fun () ->
+    let t = create ~hosted:false ?resume cfg prog ~workers in
+    Fun.protect ~finally:(fun () -> if t.final = None then kill_workers t) @@ fun () ->
+    let rec go ready = match step t ready with Some r -> r | None -> go (wait t) in
+    go []
   | _ -> (* one worker, or round-robin's single schedule *) Search.run ?resume { cfg with C.jobs = 1 } prog

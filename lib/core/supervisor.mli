@@ -41,8 +41,11 @@
     - {b Quarantine}: an item that exhausts its retry budget becomes a
       {!Report.Crash} verdict whose counterexample is the item's schedule
       prefix, replayable to re-enter the crashing subtree.
+    - {b Slices}: an item returns at its first path boundary after about a
+      second of running, handing its rest back as one item, so a search on
+      one worker relays its events and checkpoints as it goes.
     - {b Degradation}: when every worker slot dies and none can be
-      respawned, the open items finish in-process.
+      respawned, {!run} finishes the open items in-process.
 
     Deterministic fault injection ([config.inject_fault]) fires at most
     once, on the first attempt of the item dispatched [fault_seed]-th;
@@ -57,10 +60,59 @@ val resolve_workers : Search_config.t -> int
 
 val run : ?resume:Checkpoint.payload -> Search_config.t -> Program.t -> Report.t
 (** Run the configured search: {!Search.run} when [resolve_workers config <=
-    1] (and for round-robin), the supervised worker pool otherwise.
+    1] (and for round-robin), the supervised worker pool otherwise, driven
+    by one select loop over a {!t} until it ends. A SIGINT or SIGTERM
+    caught by {!Checkpoint.install_signal_handlers} stops it.
 
     [resume] continues a prior checkpointed session (see {!Checkpoint} and
     DESIGN.md, "Durable sessions"), written at any fan-out. When
     [config.checkpoint] is set, a parallel search writes its regions as
     they stand after merged answers (throttled by
-    [config.checkpoint_interval]) and once when it stops. *)
+    [config.checkpoint_interval]) and once when it stops; a search that
+    reached its verdict is written complete. *)
+
+(** {1 A search a host steps}
+
+    A host that runs several searches at once in one select loop (chessd)
+    holds one {!t} per search and gives each a turn when one of its
+    descriptors is readable or its {!next_turn} comes. The host ignores
+    SIGPIPE while it drives one: a worker can die mid-write. *)
+
+type t
+(** One search on the worker processes forked for it. *)
+
+val start :
+  ?resume:Checkpoint.payload ->
+  ?inherited:(unit -> Unix.file_descr list) ->
+  Search_config.t ->
+  Program.t ->
+  t
+(** Start the configured search at fan-out [resolve_workers config], round
+    robin included, and fork its workers. A worker closes what [inherited]
+    returns (called in the child, right after the fork: the host's own
+    descriptors) and every pipe end of every other supervisor in the
+    process. Nothing of the search runs in the host's process: a turn
+    raises [Failure] once no worker is left and none can be forked. A
+    search that reached its verdict writes no complete checkpoint; one
+    stopped before writes its regions. *)
+
+val fds : t -> Unix.file_descr list
+(** The descriptors the search waits on: its busy workers' response
+    pipes. *)
+
+val next_turn : t -> float
+(** When ({!Fairmc_obs.Clock.now}) the search next needs a turn even if no
+    descriptor is readable; at most 0.2 s ahead, and in the past before
+    the first turn. *)
+
+val step : t -> Unix.file_descr list -> Report.t option
+(** A turn: read the ready descriptors among {!fds}, reclaim timed-out
+    workers, dispatch, and hand buffered event lines to the stream's
+    writer. Returns the report once the search has ended (and on every
+    later call). *)
+
+val stop : t -> Report.t
+(** End the search now: SIGKILL and reap its workers, write its regions to
+    the checkpoint (the running ones stay open) and return its report,
+    [Limits_reached] while work was open. A search that had ended returns
+    the report it ended with. *)

@@ -6,8 +6,6 @@
    worker's pipe can be read by hand) and lets reports and metric
    snapshots travel in exactly the checkpoint codec's wire form
    ({!Checkpoint.Codec}), so nothing is serialized two different ways.
-   A raw frame ('r' and a 7-hex-digit length) carries bytes that are not
-   decoded at all: chessd's runners send their event lines in them.
 
    Framing is deliberately asymmetric:
    - the child reads its request pipe with a blocking [recv] (it has
@@ -253,8 +251,6 @@ let reply_of_json o =
 (* ------------------------------------------------------------------ *)
 (* Framing.                                                            *)
 
-type frame = Json of J.t | Raw of string
-
 (* A response is bounded by the item's subtree (counterexample rendering
    dominates); anything past this is a protocol violation, not data. *)
 let max_frame = 64 * 1024 * 1024
@@ -270,22 +266,20 @@ let write_sub fd s off len =
 
 let write_string fd s = write_sub fd s 0 (String.length s)
 
-let header ~raw n = if raw then Printf.sprintf "r%07x" n else Printf.sprintf "%08x" n
-
-let framed ~raw payload = header ~raw (String.length payload) ^ payload
-let frame j = framed ~raw:false (J.to_string j)
-let send fd j = write_string fd (frame j)
-let send_raw fd s = write_string fd (framed ~raw:true s)
+let header n = Printf.sprintf "%08x" n
+let framed payload = header (String.length payload) ^ payload
+let send_text fd payload = write_string fd (framed payload)
+let send fd j = send_text fd (J.to_string j)
 
 let add_frame b j =
   let payload = J.to_string j in
-  Buffer.add_string b (header ~raw:false (String.length payload));
+  Buffer.add_string b (header (String.length payload));
   Buffer.add_string b payload
 
 (* Fault injection ([--inject-fault slowpipe]): same bytes, trickled in
    small delayed chunks to exercise the parent's partial-frame reassembly. *)
 let send_slowly ?(chunks = 8) ?(delay = 0.01) fd j =
-  let b = frame j in
+  let b = framed (J.to_string j) in
   let n = String.length b in
   let step = max 1 ((n + chunks - 1) / chunks) in
   let off = ref 0 in
@@ -303,26 +297,23 @@ let hex_digit c =
   | 'A' .. 'F' -> Char.code c - 55
   | _ -> -1
 
-(* The 8-byte header at [off]: whether the frame is raw, and its length. *)
+(* The payload length the 8-byte header at [off] announces. *)
 let parse_header b off =
-  let raw = Bytes.get b off = 'r' in
   let rec digits i acc =
     if i = 8 then Some acc
     else
       let d = hex_digit (Bytes.get b (off + i)) in
       if d < 0 then None else digits (i + 1) ((acc * 16) + d)
   in
-  match digits (if raw then 1 else 0) 0 with
-  | Some len when len <= max_frame -> Ok (raw, len)
+  match digits 0 0 with
+  | Some len when len <= max_frame -> Ok len
   | Some len -> Error (Printf.sprintf "frame length %d exceeds %d" len max_frame)
   | None -> Error (Printf.sprintf "garbled frame header %S" (Bytes.sub_string b off 8))
 
-let decode ~raw payload =
-  if raw then Ok (Raw payload)
-  else
-    match J.of_string payload with
-    | Error e -> Error ("frame payload is not JSON: " ^ e)
-    | Ok j -> Ok (Json j)
+let decode payload =
+  match J.of_string payload with
+  | Ok j -> Ok (Some j)
+  | Error e -> Error ("frame payload is not JSON: " ^ e)
 
 (* Blocking reads for the child side of the pipes. *)
 
@@ -342,14 +333,10 @@ let recv fd =
   | _ ->
     (match parse_header hdr 0 with
      | Error _ as e -> e
-     | Ok (raw, len) ->
+     | Ok len ->
        let payload = Bytes.create len in
        if read_exact fd payload 0 len < len then Error "truncated frame payload"
-       else
-         (match decode ~raw (Bytes.unsafe_to_string payload) with
-          | Ok (Json j) -> Ok (Some j)
-          | Ok (Raw _) -> Error "unexpected raw frame"
-          | Error _ as e -> e))
+       else decode (Bytes.unsafe_to_string payload))
 
 (* Incremental reassembly for the parent side: one [read(2)] per [feed]
    (driven by select readiness), frames extracted as they complete. The
@@ -383,7 +370,7 @@ let extract t =
   else
     match parse_header t.data t.off with
     | Error _ as e -> e
-    | Ok (raw, len) ->
+    | Ok len ->
       if t.len - t.off < 8 + len then Ok None
       else begin
         let payload = Bytes.sub_string t.data (t.off + 8) len in
@@ -392,7 +379,5 @@ let extract t =
           t.off <- 0;
           t.len <- 0
         end;
-        match decode ~raw payload with
-        | Ok f -> Ok (Some f)
-        | Error _ as e -> e
+        decode payload
       end

@@ -5,8 +5,6 @@
     bytes of JSON. Requests flow parent→child, responses child→parent.
     Reports, stats and metric snapshots reuse the checkpoint codec
     ({!Checkpoint.Codec}) so every serialized form in the system agrees.
-    A raw frame — ['r'], a 7-hex-digit length, then that many bytes — is
-    passed on undecoded; chessd's job runners ship event lines in them.
 
     Any framing violation — garbled header, oversized frame, non-JSON
     payload, truncation — surfaces as an [Error]; the supervisor treats it
@@ -66,18 +64,15 @@ val report_of_json : Fairmc_util.Json.t -> Report.t
 
 (** {1 Framing} *)
 
-type frame =
-  | Json of Fairmc_util.Json.t
-  | Raw of string  (** a raw frame's bytes, undecoded *)
-
 val max_frame : int
 (** Hard payload-size cap (64 MiB); larger headers are protocol errors. *)
 
 val send : Unix.file_descr -> Fairmc_util.Json.t -> unit
 (** Write one frame, restarting on EINTR until complete. *)
 
-val send_raw : Unix.file_descr -> string -> unit
-(** Write one raw frame. *)
+val send_text : Unix.file_descr -> string -> unit
+(** Write one frame whose payload is [text], already rendered JSON (sent
+    as it is, not checked). *)
 
 val add_frame : Buffer.t -> Fairmc_util.Json.t -> unit
 (** Append one frame to a buffer, to send several with one
@@ -94,8 +89,7 @@ val send_slowly :
 
 val recv : Unix.file_descr -> (Fairmc_util.Json.t option, string) result
 (** Blocking read of one JSON frame (child side). [Ok None] is a clean EOF
-    before any byte of a frame; truncation, garbling and a raw frame are
-    [Error]s. *)
+    before any byte of a frame; truncation and garbling are [Error]s. *)
 
 (** {1 Incremental reassembly (parent side)}
 
@@ -111,7 +105,7 @@ val feed : inbuf -> Unix.file_descr -> [ `Data of int | `Eof ]
 (** One [read(2)] into the buffer. Call when select reports the fd
     readable. *)
 
-val extract : inbuf -> (frame option, string) result
+val extract : inbuf -> (Fairmc_util.Json.t option, string) result
 (** Pop the next complete frame, [Ok None] when more bytes are needed. Call
     in a loop after {!feed}: one readiness wakeup can complete several
     frames. Extracting costs the frame's own bytes, not the buffer's: the

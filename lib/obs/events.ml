@@ -25,13 +25,8 @@ type pending =
   | P_path of { p_ts_us : int; p_det : bool; p_end : string; p_steps : int; p_schedule : int }
 
 (* A chunked sink: complete lines, newline-terminated, handed over in runs
-   of up to [chunk_cap] bytes or once the oldest line is [chunk_age]
-   seconds old. *)
-type chunks = {
-  c_write : string -> unit;
-  c_buf : Buffer.t;
-  mutable c_oldest : float;  (* Clock.now of the first unwritten line *)
-}
+   of up to [chunk_cap] bytes, and on [sync]. *)
+type chunks = { c_write : string -> unit; c_buf : Buffer.t }
 
 type sink = No_sink | Lines of (string -> unit) | Chunks of chunks
 
@@ -48,7 +43,6 @@ type stream = {
 type buf = { stream : stream; shard : int; mutable pending : pending list (* reversed *) }
 
 let chunk_cap = 64 * 1024
-let chunk_age = 0.005
 
 let make ~t0 ~sink ~collect ~spans =
   { t0; sink; collect; spans; seq = 0; acc = []; fmt = Buffer.create 256 }
@@ -57,8 +51,7 @@ let create ?write ?(chunked = false) ?(collect = false) () =
   let sink =
     match write with
     | None -> No_sink
-    | Some w when chunked ->
-      Chunks { c_write = w; c_buf = Buffer.create chunk_cap; c_oldest = infinity }
+    | Some w when chunked -> Chunks { c_write = w; c_buf = Buffer.create chunk_cap }
     | Some w -> Lines w
   in
   make ~t0:(Clock.now ()) ~sink ~collect ~spans:collect
@@ -164,8 +157,7 @@ let emit_path buf ~det ~end_ ~steps ~schedule =
 let chunk_flush c =
   if Buffer.length c.c_buf > 0 then begin
     c.c_write (Buffer.contents c.c_buf);
-    Buffer.clear c.c_buf;
-    c.c_oldest <- infinity
+    Buffer.clear c.c_buf
   end
 
 let has_sink stream = match stream.sink with No_sink -> false | Lines _ | Chunks _ -> true
@@ -185,10 +177,7 @@ let line_done stream =
   | Lines w -> w (Buffer.contents stream.fmt)
   | Chunks c ->
     Buffer.add_char c.c_buf '\n';
-    let now = Clock.now () in
-    if c.c_oldest = infinity then c.c_oldest <- now;
-    if Buffer.length c.c_buf >= chunk_cap || now -. c.c_oldest >= chunk_age then
-      chunk_flush c
+    if Buffer.length c.c_buf >= chunk_cap then chunk_flush c
 
 (* Number, write, collect — in batch order. The [event]
    record (and a [P_path]'s Json data) only materializes when the stream

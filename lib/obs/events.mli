@@ -43,20 +43,16 @@ type buf
 val create :
   ?write:(string -> unit) -> ?chunked:bool -> ?collect:bool -> unit -> stream
 (** [write] receives one NDJSON line (no trailing newline) per event, called
-    in sequence order. With [~chunked:true] it
-    receives chunks instead: runs of complete lines, each ending in a
-    newline, handed over once the run reaches {!chunk_cap} bytes or its
-    oldest line is {!chunk_age} seconds old (checked as lines arrive), and
-    by {!sync}. [collect] additionally keeps every event in memory for
-    {!collected} (tests, span trace export) and turns on the per-path span
-    events ({!spans}). Omitting both yields a stream that discards
-    events. *)
+    in sequence order. With [~chunked:true] it receives chunks instead: runs
+    of complete lines, each ending in a newline, handed over once the run
+    reaches {!chunk_cap} bytes, and by {!sync}, which the stream's owner
+    calls before it waits. [collect] additionally keeps every event in
+    memory for {!collected} (tests, span trace export) and turns on the
+    per-path span events ({!spans}). Omitting both yields a stream that
+    discards events. *)
 
 val chunk_cap : int
 (** 64 KiB: a chunked stream hands over a run once it is this long. *)
-
-val chunk_age : float
-(** 5 ms: ... or once its oldest line is this old. *)
 
 val worker : stream -> write:(string -> unit) -> stream
 (** The stream a worker process records one work item on, for [parent]:

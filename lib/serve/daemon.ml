@@ -1,11 +1,12 @@
 (* chessd: the checking-as-a-service daemon. See daemon.mli.
 
    One single-threaded select loop owns everything: the Unix-domain listen
-   socket, every client connection, and one pipe per running job. Each
-   job runs in a forked runner process, which forks its own supervised
-   worker pool in turn. A job's event lines never live in the daemon's
-   heap: they go from the runner's pipe to the spool and to the
-   subscribers watching at that moment. *)
+   socket, every client connection, and the worker pipes of every running
+   job. Each job's search is a {!Fairmc_core.Supervisor.t} that the loop
+   steps, on worker processes forked for that job. A job's event lines
+   never live in the daemon's heap: they go from its stream to the spool
+   and to the subscribers watching at that moment. Nor does a finished
+   job's report, which lives in the spool. *)
 
 module J = Fairmc_util.Json
 module CK = Fairmc_core.Checkpoint.Codec
@@ -14,25 +15,21 @@ module C = Fairmc_core.Search_config
 module Program = Fairmc_core.Program
 module Retry = Fairmc_util.Retry
 module Report = Fairmc_core.Report
-module Checker = Fairmc_core.Checker
+module Supervisor = Fairmc_core.Supervisor
 module Worker = Fairmc_core.Worker
 module Events = Fairmc_obs.Events
+module Clock = Fairmc_obs.Clock
 module P = Protocol
 
 type config = {
   socket : string;
   spool : string;
   max_jobs : int;
-  max_attempts : int;
   quiet : bool;
 }
 
 let default_config =
-  { socket = "chessd.sock";
-    spool = "chessd-spool";
-    max_jobs = 1;
-    max_attempts = 3;
-    quiet = false }
+  { socket = "chessd.sock"; spool = "chessd-spool"; max_jobs = 1; quiet = false }
 
 (* ------------------------------------------------------------------ *)
 (* State.                                                              *)
@@ -43,6 +40,14 @@ type client = {
   mutable c_alive : bool;
 }
 
+(* A running job's search, its event stream and its backlog file. *)
+type run = {
+  r_sup : Supervisor.t;
+  r_events : Events.stream;
+  r_backlog : Unix.file_descr option;  (* <id>.events, opened for appending *)
+  r_lint : J.t option;  (* the program's lint summary, for the report *)
+}
+
 type job = {
   j_id : string;
   j_spec : Jobspec.t;
@@ -50,20 +55,14 @@ type job = {
   j_seq : int;  (* FIFO tiebreak within a priority band *)
   mutable j_priority : int;
   mutable j_state : P.job_state;
-  mutable j_attempts : int;
-  mutable j_cancelled : bool;
+  mutable j_attempts : int;  (* starts *)
+  mutable j_resolved : (Program.t * J.t option) option;
+      (* the program and its lint summary, while queued; a running job's
+         supervisor holds them *)
+  mutable j_run : run option;  (* while running *)
   mutable j_watchers : (client * bool) list;  (* client, wants event frames *)
-  mutable j_result : P.message option;  (* the Job_done, once finished *)
+  mutable j_verdict : string option;  (* once done; the report is spooled *)
   mutable j_failure : string option;
-}
-
-type runner = {
-  r_pid : int;
-  r_fd : Unix.file_descr;  (* read end of the runner's frame pipe *)
-  r_buf : Worker.inbuf;
-  r_job : job;
-  r_backlog : Unix.file_descr option;  (* <id>.events, opened for appending *)
-  mutable r_finished : bool;  (* saw R_done/R_failed; EOF is then benign *)
 }
 
 type t = {
@@ -72,7 +71,7 @@ type t = {
   jobs : (string, job) Hashtbl.t;
   mutable queue : job list;  (* queued, unsorted; scheduler picks best *)
   mutable clients : client list;
-  mutable runners : runner list;
+  mutable running : job list;
   mutable seq : int;
   mutable stop : bool;
 }
@@ -84,10 +83,10 @@ let logf t fmt =
 
 (* ------------------------------------------------------------------ *)
 (* Spool: <id>.job is the submission, <id>.ckpt the search checkpoint
-   the runner maintains, <id>.report the finished result, <id>.events the
-   event backlog. A .job with no .report is unfinished work; restart
-   requeues it and the runner resumes from the .ckpt, which is what makes
-   SIGTERM survivable.                                                   *)
+   the job's supervisor maintains, <id>.report the finished result,
+   <id>.events the event backlog. A .job with no .report is unfinished
+   work; restart requeues it and the search resumes from the .ckpt, which
+   is what makes SIGTERM survivable.                                     *)
 
 let spool_path t id ext = Filename.concat t.cfg.spool (id ^ ext)
 
@@ -96,14 +95,13 @@ let spool_schema = "fairmc-spool/1"
 (* Same durability discipline as Checkpoint.save_result: data reaches the
    disk before the rename publishes it, and the directory entry is synced
    so a crash cannot leave a published-but-empty file. *)
-let write_spool path doc =
+let write_spool path text =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let oc = Out_channel.open_bin tmp in
   Fun.protect
     ~finally:(fun () -> Out_channel.close oc)
     (fun () ->
-      Out_channel.output_string oc (J.to_string ~pretty:true doc);
-      Out_channel.output_char oc '\n';
+      Out_channel.output_string oc text;
       Out_channel.flush oc;
       Unix.fsync (Unix.descr_of_out_channel oc));
   Sys.rename tmp path;
@@ -123,18 +121,38 @@ let read_spool path =
 let save_job t job =
   write_spool
     (spool_path t job.j_id ".job")
-    (J.Obj
-       [ ("schema", J.Str spool_schema);
-         ("spec", Jobspec.to_json job.j_spec);
-         ("priority", J.Int job.j_priority) ])
-
-let save_report t job msg = write_spool (spool_path t job.j_id ".report") msg
+    (J.to_string ~pretty:true
+       (J.Obj
+          [ ("schema", J.Str spool_schema);
+            ("spec", Jobspec.to_json job.j_spec);
+            ("priority", J.Int job.j_priority) ])
+    ^ "\n")
 
 let remove_file path = try Sys.remove path with Sys_error _ -> ()
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* The event backlog is appended to as the runner's chunks arrive, one
-   write each, and never fsync'd: it is a record for late subscribers,
-   not state a restart depends on. A retried attempt appends to the same
+(* A finished job's <id>.report is its Job_done frame's payload, spooled
+   as sent and sent as spooled, so the daemon holds no report. It begins
+   as [P.message_to_json] renders a Job_done (message, job, verdict), so a
+   restart reads the verdict from its first bytes. *)
+let report_head id =
+  let s = J.to_string (J.Obj [ ("msg", J.Str "done"); ("job", J.Str id); ("verdict", J.Str "") ]) in
+  String.sub s 0 (String.length s - 2)  (* up to the verdict's opening quote *)
+
+let spooled_verdict t id =
+  let head = report_head id in
+  match
+    In_channel.with_open_bin (spool_path t id ".report") (fun ic ->
+        In_channel.really_input_string ic (String.length head + 64))
+  with
+  | Some s when String.starts_with ~prefix:head s ->
+    let from = String.length head in
+    Option.map (fun q -> String.sub s from (q - from)) (String.index_from_opt s from '"')
+  | Some _ | None | (exception Sys_error _) -> None
+
+(* The event backlog is appended to as the job's chunks arrive, one write
+   each, and never fsync'd: it is a record for late subscribers, not state
+   a restart depends on. A later start of the job appends to the same
    file. *)
 let open_backlog t job =
   match
@@ -145,9 +163,6 @@ let open_backlog t job =
   | exception Unix.Unix_error (e, _, _) ->
     logf t "job %s: no event backlog: %s" job.j_id (Unix.error_message e);
     None
-
-let close_backlog r =
-  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) r.r_backlog
 
 (* [f] on each complete line of [b.[0 .. stop-1]], in order; returns where
    the first incomplete line starts ([stop] if there is none). *)
@@ -169,7 +184,7 @@ let iter_lines b stop f =
 let drop_client t c =
   if c.c_alive then begin
     c.c_alive <- false;
-    (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
+    close_quietly c.c_fd;
     t.clients <- List.filter (fun c' -> c' != c) t.clients;
     Hashtbl.iter
       (fun _ job -> job.j_watchers <- List.filter (fun (w, _) -> w != c) job.j_watchers)
@@ -232,100 +247,141 @@ let job_info (job : job) =
     ji_attempts = job.j_attempts;
     ji_subscribers = List.length job.j_watchers;
     ji_verdict =
-      (match job.j_result with
-       | Some (P.Job_done d) -> Some d.verdict
-       | _ -> (match job.j_failure with Some _ -> Some "failed" | None -> None)) }
+      (match (job.j_verdict, job.j_failure) with
+       | (Some _ as v), _ -> v
+       | None, Some _ -> Some "failed"
+       | None, None -> None) }
 
 (* ------------------------------------------------------------------ *)
-(* The runner child: resolve, resume from the spooled checkpoint if one
-   fits, run the checker with an event stream that ships every NDJSON
-   line up the pipe, and finish with one done/failed frame. The report a
-   subscriber receives is built exactly as `chess check` builds it —
-   same Report.pp rendering, same Report.to_json document over the
-   spec's config (which carries none of the daemon's plumbing), so the
-   two are byte-identical up to wall-clock timing fields.               *)
+(* Job lifecycle.                                                      *)
 
-let runner_child t job wfd =
-  let send_r m = Worker.send wfd (P.runner_to_json m) in
-  match Jobspec.resolve job.j_spec with
-  | Error e -> send_r (P.R_failed e)
-  | Ok (program, lint) ->
-    let base = Jobspec.to_config job.j_spec in
+let requeue t job =
+  job.j_state <- P.Queued;
+  if not (List.memq job t.queue) then t.queue <- job :: t.queue
+
+let end_run t job run =
+  Events.sync run.r_events;
+  Option.iter close_quietly run.r_backlog;
+  job.j_run <- None;
+  t.running <- List.filter (fun j -> j != job) t.running
+
+(* Stop a running job's search where it is: its workers are killed and its
+   regions go to <id>.ckpt, which a later start resumes from. *)
+let stop_run t job =
+  Option.iter
+    (fun run ->
+      (try ignore (Supervisor.stop run.r_sup)
+       with e -> logf t "job %s: stopping: %s" job.j_id (Printexc.to_string e));
+      end_run t job run)
+    job.j_run
+
+let finish_failed t job reason =
+  job.j_state <- P.Failed;
+  job.j_failure <- Some reason;
+  logf t "job %s: failed: %s" job.j_id reason;
+  List.iter (fun (c, _) -> send t c (P.Error_msg reason)) job.j_watchers;
+  job.j_watchers <- []
+
+let finish_cancelled t job =
+  job.j_state <- P.Failed;
+  job.j_failure <- Some "cancelled";
+  job.j_resolved <- None;
+  logf t "job %s: cancelled" job.j_id;
+  List.iter (fun (c, _) -> send t c (P.Cancelled { job = job.j_id })) job.j_watchers;
+  job.j_watchers <- []
+
+(* The report is built exactly as `chess check` builds it: the same
+   Report.pp rendering, the same Report.to_json document over the spec's
+   config (which carries none of the daemon's plumbing), so the two are
+   byte-identical up to wall-clock timing fields. It reaches the spool
+   before any watcher. *)
+let finish_done t job run (report : Report.t) =
+  end_run t job run;
+  let verdict = Report.verdict_key report.Report.verdict in
+  let text =
+    J.to_string
+      (P.message_to_json
+         (P.Job_done
+            { job = job.j_id;
+              verdict;
+              found_error = Report.found_error report;
+              interrupted = false;
+              rendered = Format.asprintf "%a" Report.pp report;
+              report =
+                Report.to_json ~program:job.j_program
+                  ~config:(C.describe (Jobspec.to_config job.j_spec))
+                  ?lint:run.r_lint report }))
+  in
+  (try write_spool (spool_path t job.j_id ".report") text
+   with e -> logf t "job %s: cannot spool report: %s" job.j_id (Printexc.to_string e));
+  remove_file (spool_path t job.j_id ".ckpt");
+  job.j_state <- P.Done;
+  job.j_verdict <- Some verdict;
+  logf t "job %s: done (%s)" job.j_id verdict;
+  List.iter (fun (c, _) -> guarded t c (fun fd -> Worker.send_text fd text)) job.j_watchers;
+  job.j_watchers <- []
+
+(* A chunk of a running job's event lines: spooled as well as broadcast,
+   so a watcher that subscribes later (after the job finished, or after a
+   restart) still gets the stream from its first line — the complete
+   slice a direct run would write. Only the live event watchers make the
+   daemon split it into lines. *)
+let job_events t job backlog chunk =
+  (try Option.iter (fun fd -> Worker.write_string fd chunk) backlog
+   with (Unix.Unix_error _ | Sys_error _) as e ->
+     logf t "job %s: cannot append to the event backlog: %s" job.j_id (Printexc.to_string e));
+  match List.filter snd job.j_watchers with
+  | [] -> ()
+  | watchers ->
+    let out = Buffer.create (2 * String.length chunk) in
+    ignore (iter_lines (Bytes.unsafe_of_string chunk) (String.length chunk) (add_event out));
+    let frames = Buffer.contents out in
+    List.iter (fun (c, _) -> guarded t c (fun fd -> Worker.write_string fd frames)) watchers
+
+(* The daemon's own descriptors, which a worker it forks closes. Other
+   jobs' worker pipes the supervisors close themselves. *)
+let held_fds t =
+  (t.listen_fd :: List.map (fun c -> c.c_fd) t.clients)
+  @ List.concat_map
+      (fun j -> match j.j_run with Some r -> Option.to_list r.r_backlog | None -> [])
+      t.running
+
+(* Start a queued job: resume from the spooled checkpoint if one fits, and
+   run the search on worker processes forked for it. *)
+let start_job t job =
+  job.j_attempts <- job.j_attempts + 1;
+  match job.j_resolved with
+  | None -> finish_failed t job "the job's program is not resolved"
+  | Some (program, lint) ->
+    job.j_resolved <- None;
     let ckpt = spool_path t job.j_id ".ckpt" in
-    (* Event lines go up the pipe in raw chunks (see Events.create); the
-       final frame follows the last of them. *)
-    let stream = Events.create ~write:(Worker.send_raw wfd) ~chunked:true () in
-    let cfg = { base with C.checkpoint = Some ckpt; events = Some stream } in
+    let backlog = open_backlog t job in
+    let events = Events.create ~write:(job_events t job backlog) ~chunked:true () in
+    let cfg = { (Jobspec.to_config job.j_spec) with C.checkpoint = Some ckpt; events = Some events } in
     let resume =
-      if Sys.file_exists ckpt then
-        match Checkpoint.load ckpt with
-        | Error _ -> None  (* corrupt or foreign: start over *)
-        | Ok c ->
-          (match Checkpoint.plan_resume c cfg ~program:program.Program.name with
-           | Ok payload -> Some payload
-           | Error _ -> None)
-      else None
+      match Checkpoint.load ckpt with
+      | Error _ -> None (* none, corrupt or foreign: start over *)
+      | Ok c -> Result.to_option (Checkpoint.plan_resume c cfg ~program:program.Program.name)
     in
-    let result =
-      try
-        let report = Checker.check ~config:cfg ?resume program in
-        P.R_done
-          { verdict = Report.verdict_key report.Report.verdict;
-            found_error = Report.found_error report;
-            interrupted = Checkpoint.interrupted ();
-            rendered = Format.asprintf "%a" Report.pp report;
-            report =
-              Report.to_json ~program:program.Program.name ~config:(C.describe base)
-                ?lint report }
-      with e -> P.R_failed (Printexc.to_string e)
-    in
-    Events.sync stream;
-    send_r result
-
-let spawn_runner t job =
-  let rfd, wfd = Unix.pipe () in
-  (* SIGTERM and SIGINT wait, blocked, until the child has the checkpoint
-     layer's graceful handlers: one delivered before would run the
-     daemon's handler in the child, and the runner would never stop. *)
-  let mask = Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ] in
-  match Unix.fork () with
-  | exception e ->
-    ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
-    raise e
-  | 0 ->
-    Checkpoint.install_signal_handlers ();
-    ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
-    (* Child: drop every daemon fd, run. *)
-    Unix.close rfd;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.clients;
-    List.iter
-      (fun r ->
-        (try Unix.close r.r_fd with Unix.Unix_error _ -> ());
-        close_backlog r)
-      t.runners;
-    (try runner_child t job wfd
-     with e -> (
-       try Worker.send wfd (P.runner_to_json (P.R_failed (Printexc.to_string e)))
-       with _ -> ()));
-    (try Unix.close wfd with Unix.Unix_error _ -> ());
-    Stdlib.exit 0
-  | pid ->
-    ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
-    Unix.close wfd;
-    job.j_state <- P.Running;
-    t.runners <-
-      { r_pid = pid; r_fd = rfd; r_buf = Worker.inbuf (); r_job = job;
-        r_backlog = open_backlog t job; r_finished = false }
-      :: t.runners;
-    logf t "job %s: runner pid %d started (attempt %d)" job.j_id pid
-      (job.j_attempts + 1)
+    (match
+       Supervisor.start ?resume ~inherited:(fun () -> Option.to_list backlog @ held_fds t) cfg
+         program
+     with
+     | sup ->
+       job.j_state <- P.Running;
+       job.j_run <- Some { r_sup = sup; r_events = events; r_backlog = backlog; r_lint = lint };
+       t.running <- job :: t.running;
+       logf t "job %s: started (start %d%s)" job.j_id job.j_attempts
+         (if resume = None then "" else ", resuming from its checkpoint")
+     | exception e ->
+       Option.iter close_quietly backlog;
+       finish_failed t job (Printexc.to_string e))
 
 (* Highest priority first; FIFO within a band. *)
 let schedule t =
   if not t.stop then
     while
-      List.length t.runners < t.cfg.max_jobs
+      List.length t.running < t.cfg.max_jobs
       && t.queue <> []
       &&
       (let best =
@@ -344,137 +400,35 @@ let schedule t =
        | None -> false
        | Some job ->
          t.queue <- List.filter (fun j -> j != job) t.queue;
-         spawn_runner t job;
+         start_job t job;
          true)
     do
       ()
     done
 
-(* ------------------------------------------------------------------ *)
-(* Job lifecycle.                                                      *)
+(* A turn of a running job's search. An exception fails that job, never
+   the daemon. *)
+let drive t job ready =
+  Option.iter
+    (fun run ->
+      match Supervisor.step run.r_sup ready with
+      | None -> ()
+      | Some report -> finish_done t job run report
+      | exception e ->
+        stop_run t job;
+        finish_failed t job (Printexc.to_string e))
+    job.j_run
 
-let requeue t job =
-  job.j_state <- P.Queued;
-  if not (List.memq job t.queue) then t.queue <- job :: t.queue
-
-let finish_failed t job reason =
-  job.j_state <- P.Failed;
-  job.j_failure <- Some reason;
-  logf t "job %s: failed: %s" job.j_id reason;
-  List.iter (fun (c, _) -> send t c (P.Error_msg reason)) job.j_watchers;
-  job.j_watchers <- []
-
-let finish_done t job (d : P.runner_msg) =
-  match d with
-  | P.R_done r ->
-    let msg =
-      P.Job_done
-        { job = job.j_id; verdict = r.verdict; found_error = r.found_error;
-          interrupted = false; rendered = r.rendered; report = r.report }
-    in
-    job.j_state <- P.Done;
-    job.j_result <- Some msg;
-    (try save_report t job (P.message_to_json msg)
-     with e -> logf t "job %s: cannot spool report: %s" job.j_id (Printexc.to_string e));
-    remove_file (spool_path t job.j_id ".ckpt");
-    logf t "job %s: done (%s)" job.j_id r.verdict;
-    List.iter (fun (c, _) -> send t c msg) job.j_watchers;
-    job.j_watchers <- []
-  | _ -> assert false
-
-let finish_cancelled t job =
-  job.j_state <- P.Failed;
-  job.j_failure <- Some "cancelled";
-  logf t "job %s: cancelled" job.j_id;
-  List.iter (fun (c, _) -> send t c (P.Cancelled { job = job.j_id })) job.j_watchers;
-  job.j_watchers <- []
-
-(* A runner that ends without a result ends a cancelled job: retrying it
-   would run the search the client called off. *)
-let runner_attempt_failed t job reason =
-  job.j_attempts <- job.j_attempts + 1;
-  if job.j_cancelled then finish_cancelled t job
-  else if job.j_attempts >= t.cfg.max_attempts then finish_failed t job reason
-  else begin
-    logf t "job %s: attempt %d failed (%s); requeueing" job.j_id job.j_attempts reason;
-    requeue t job
-  end
-
-(* A chunk of event lines from a runner: spooled as well as broadcast, so
-   a watcher that subscribes after the runner started (or after it
-   finished, or after a restart) still gets the stream from its first
-   line — the complete slice a direct run would write. Only the live
-   event watchers make the daemon split it into lines. *)
-let runner_events t r chunk =
-  (try Option.iter (fun fd -> Worker.write_string fd chunk) r.r_backlog
-   with (Unix.Unix_error _ | Sys_error _) as e ->
-     logf t "job %s: cannot append to the event backlog: %s" r.r_job.j_id
-       (Printexc.to_string e));
-  match List.filter snd r.r_job.j_watchers with
-  | [] -> ()
-  | watchers ->
-    let out = Buffer.create (2 * String.length chunk) in
-    ignore
-      (iter_lines (Bytes.unsafe_of_string chunk) (String.length chunk) (add_event out));
-    let frames = Buffer.contents out in
-    List.iter (fun (c, _) -> guarded t c (fun fd -> Worker.write_string fd frames)) watchers
-
-let handle_runner_msg t r = function
-  | P.R_done d when d.interrupted ->
-    (* The runner checkpointed and stopped early: a cancel, or someone
-       signalled it directly. Either way the .ckpt carries the progress. *)
-    r.r_finished <- true;
-    if r.r_job.j_cancelled then finish_cancelled t r.r_job
-    else begin
-      logf t "job %s: runner interrupted; requeueing from checkpoint" r.r_job.j_id;
-      requeue t r.r_job
-    end
-  | P.R_done _ as d ->
-    r.r_finished <- true;
-    finish_done t r.r_job d
-  | P.R_failed e ->
-    r.r_finished <- true;
-    runner_attempt_failed t r.r_job e
-
-let close_runner t r =
-  (try Unix.close r.r_fd with Unix.Unix_error _ -> ());
-  close_backlog r;
-  t.runners <- List.filter (fun r' -> r' != r) t.runners;
-  (try ignore (Unix.waitpid [] r.r_pid) with Unix.Unix_error _ -> ());
-  if not r.r_finished then
-    (* Died without a final frame: crash or kill. The checkpoint (if the
-       runner got far enough to write one) limits the rework on retry. *)
-    runner_attempt_failed t r.r_job "runner exited without a result"
-
-let handle_runner_readable t r =
-  let protocol_error what e =
-    logf t "job %s: runner %s error: %s" r.r_job.j_id what e;
-    (try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    close_runner t r
-  in
-  match Worker.feed r.r_buf r.r_fd with
-  | `Eof -> close_runner t r
-  | `Data _ ->
-    let rec drain () =
-      match Worker.extract r.r_buf with
-      | Ok None -> ()
-      | Ok (Some (Worker.Raw chunk)) ->
-        (* Whole lines only, so the backlog never holds a partial one. *)
-        if chunk = "" || chunk.[String.length chunk - 1] <> '\n' then
-          protocol_error "protocol" "event chunk does not end a line"
-        else begin
-          runner_events t r chunk;
-          drain ()
-        end
-      | Ok (Some (Worker.Json frame)) ->
-        (match P.runner_of_json frame with
-         | msg -> handle_runner_msg t r msg
-         | exception CK.Parse e -> protocol_error "protocol" e);
-        if List.memq r t.runners then drain ()
-      | Error e -> protocol_error "framing" e
-    in
-    drain ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+(* A done job's report that cannot be read runs the job again, as a
+   restart does. *)
+let rerun t job =
+  match Jobspec.resolve job.j_spec with
+  | Error e -> finish_failed t job e
+  | Ok resolved ->
+    job.j_resolved <- Some resolved;
+    job.j_verdict <- None;
+    requeue t job;
+    schedule t
 
 (* ------------------------------------------------------------------ *)
 (* Requests.                                                           *)
@@ -485,17 +439,16 @@ let submit t c (spec : Jobspec.t) priority =
   | Ok () ->
     (match Jobspec.resolve spec with
      | Error e -> send t c (P.Error_msg e)
-     | Ok (program, _lint) ->
+     | Ok ((program, _) as resolved) ->
        let program_name = program.Program.name in
        let id = Jobspec.id spec ~program_name in
        (match Hashtbl.find_opt t.jobs id with
         | Some job ->
           (* Dedup: same fingerprint = same search. A resubmission of a
-             failed job gets a fresh budget of attempts. *)
+             failed or cancelled job runs it again. *)
           if job.j_state = P.Failed then begin
             job.j_failure <- None;
-            job.j_attempts <- 0;
-            job.j_cancelled <- false;
+            job.j_resolved <- Some resolved;
             requeue t job;
             schedule t
           end;
@@ -504,8 +457,8 @@ let submit t c (spec : Jobspec.t) priority =
           let job =
             { j_id = id; j_spec = spec; j_program = program_name; j_seq = t.seq;
               j_priority = priority; j_state = P.Queued; j_attempts = 0;
-              j_cancelled = false; j_watchers = []; j_result = None;
-              j_failure = None }
+              j_resolved = Some resolved; j_run = None; j_watchers = [];
+              j_verdict = None; j_failure = None }
           in
           t.seq <- t.seq + 1;
           Hashtbl.replace t.jobs id job;
@@ -522,9 +475,15 @@ let watch t c id events =
   | Some job ->
     send t c (P.Watching { job = id; state = job.j_state });
     if events then replay_backlog t c job;
-    (match (job.j_state, job.j_result, job.j_failure) with
-     | P.Done, Some msg, _ -> send t c msg
-     | P.Failed, _, Some reason -> send t c (P.Error_msg reason)
+    (match (job.j_state, job.j_failure) with
+     | P.Done, _ ->
+       (match In_channel.with_open_bin (spool_path t id ".report") In_channel.input_all with
+        | text -> guarded t c (fun fd -> Worker.send_text fd text)
+        | exception Sys_error e ->
+          logf t "job %s: report unreadable (%s); requeued" id e;
+          job.j_watchers <- (c, events) :: job.j_watchers;
+          rerun t job)
+     | P.Failed, Some reason -> send t c (P.Error_msg reason)
      | _ -> job.j_watchers <- (c, events) :: job.j_watchers)
 
 let cancel t c id =
@@ -537,12 +496,8 @@ let cancel t c id =
        finish_cancelled t job;
        send t c (P.Cancelled { job = id })
      | P.Running ->
-       job.j_cancelled <- true;
-       List.iter
-         (fun r ->
-           if r.r_job == job then
-             try Unix.kill r.r_pid Sys.sigterm with Unix.Unix_error _ -> ())
-         t.runners;
+       stop_run t job;
+       finish_cancelled t job;
        send t c (P.Cancelled { job = id })
      | P.Done | P.Failed -> send t c (P.Cancelled { job = id }))
 
@@ -573,10 +528,7 @@ let handle_client_readable t c =
       if c.c_alive then
         match Worker.extract c.c_buf with
         | Ok None -> ()
-        | Ok (Some (Worker.Raw _)) ->
-          send t c (P.Error_msg "bad frame: unexpected raw frame");
-          drop_client t c
-        | Ok (Some (Worker.Json frame)) ->
+        | Ok (Some frame) ->
           (match P.request_of_json frame with
            | req -> handle_request t c req
            | exception CK.Parse e ->
@@ -626,90 +578,88 @@ let scan_spool t =
                (* Validated again: the spool may predate a bound. *)
                (match Result.bind (Jobspec.validate spec) (fun () -> Jobspec.resolve spec) with
                 | Error e -> logf t "spool %s: refused: %s" entry e
-                | Ok (program, _) ->
+                | Ok ((program, _) as resolved) ->
                   let job =
                     { j_id = id; j_spec = spec; j_program = program.Program.name;
                       j_seq = t.seq; j_priority = priority; j_state = P.Queued;
-                      j_attempts = 0; j_cancelled = false; j_watchers = [];
-                      j_result = None; j_failure = None }
+                      j_attempts = 0; j_resolved = None; j_run = None; j_watchers = [];
+                      j_verdict = None; j_failure = None }
                   in
                   t.seq <- t.seq + 1;
                   Hashtbl.replace t.jobs id job;
                   let report_file = spool_path t id ".report" in
-                  (match read_spool report_file with
-                   | Ok doc ->
-                     (match P.message_of_json doc with
-                      | P.Job_done _ as msg ->
-                        job.j_state <- P.Done;
-                        job.j_result <- Some msg;
-                        logf t "job %s: restored (done)" id
-                      | _ | (exception CK.Parse _) ->
-                        remove_file report_file;
-                        t.queue <- job :: t.queue;
-                        logf t "job %s: restored report unreadable; requeued" id)
-                   | Error _ ->
-                     (* No (readable) report: unfinished. The runner will
+                  (match spooled_verdict t id with
+                   | Some verdict ->
+                     job.j_state <- P.Done;
+                     job.j_verdict <- Some verdict;
+                     logf t "job %s: restored (done)" id
+                   | None ->
+                     (* No (readable) report: unfinished. The search will
                         resume from the .ckpt if one was flushed. *)
+                     job.j_resolved <- Some resolved;
                      t.queue <- job :: t.queue;
-                     logf t "job %s: restored (queued%s)" id
-                       (if Sys.file_exists (spool_path t id ".ckpt") then
-                          ", will resume from checkpoint"
-                        else ""))))
+                     if Sys.file_exists report_file then begin
+                       remove_file report_file;
+                       logf t "job %s: restored report unreadable; requeued" id
+                     end
+                     else
+                       logf t "job %s: restored (queued%s)" id
+                         (if Sys.file_exists (spool_path t id ".ckpt") then
+                            ", will resume from checkpoint"
+                          else ""))))
         end)
       entries
 
 let shutdown t =
-  logf t "stopping: %d runner(s), %d client(s)" (List.length t.runners)
+  logf t "stopping: %d job(s) running, %d client(s)" (List.length t.running)
     (List.length t.clients);
-  (* Runners get the graceful treatment: SIGTERM reaches the checkpoint
-     layer's handler, the search flushes a final .ckpt and exits; restart
-     picks every unfinished job up from there. *)
-  List.iter
-    (fun r -> try Unix.kill r.r_pid Sys.sigterm with Unix.Unix_error _ -> ())
-    t.runners;
-  (* Read each runner to EOF, so its last event chunks reach the backlog;
-     close_runner reaps it. *)
-  List.iter
-    (fun r ->
-      let rec drain () =
-        if List.memq r t.runners then
-          match handle_runner_readable t r with
-          | () -> drain ()
-          | exception Unix.Unix_error _ -> close_runner t r
-      in
-      drain ())
-    t.runners;
-  t.runners <- [];
+  (* Each running search stops where it is: its workers are killed and its
+     regions go to <id>.ckpt, so a restart picks the job up from there. *)
+  List.iter (stop_run t) t.running;
   List.iter (fun c -> send t c P.Bye) (List.filter (fun c -> c.c_alive) t.clients);
-  List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.clients;
+  List.iter (fun c -> close_quietly c.c_fd) t.clients;
   t.clients <- [];
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+  close_quietly t.listen_fd;
   remove_file t.cfg.socket
 
 let rec loop t =
   if t.stop then shutdown t
   else begin
     schedule t;
+    let sups = List.filter_map (fun j -> Option.map (fun r -> (j, r.r_sup)) j.j_run) t.running in
     let fds =
       (t.listen_fd :: List.map (fun c -> c.c_fd) t.clients)
-      @ List.map (fun r -> r.r_fd) t.runners
+      @ List.concat_map (fun (_, sup) -> Supervisor.fds sup) sups
     in
-    (match Unix.select fds [] [] 0.5 with
+    let wait =
+      List.fold_left
+        (fun acc (_, sup) -> Float.min acc (Supervisor.next_turn sup -. Clock.now ()))
+        0.5 sups
+    in
+    (match Unix.select fds [] [] (Float.max 0. wait) with
      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
      | ready, _, _ ->
+       (* Every job's share of the ready descriptors is taken before any
+          job has its turn: a turn closes pipes, and forks workers whose
+          pipes may reuse the numbers. *)
+       let turns =
+         List.map
+           (fun (job, sup) -> (job, sup, List.filter (fun fd -> List.mem fd ready) (Supervisor.fds sup)))
+           sups
+       in
+       let now = Clock.now () in
+       List.iter
+         (fun (job, sup, mine) -> if mine <> [] || Supervisor.next_turn sup <= now then drive t job mine)
+         turns;
        List.iter
          (fun fd ->
-           if fd = t.listen_fd then accept_client t
-           else
-             match List.find_opt (fun r -> r.r_fd = fd) t.runners with
-             | Some r -> handle_runner_readable t r
-             | None ->
-               (match
-                  List.find_opt (fun c -> c.c_alive && c.c_fd = fd) t.clients
-                with
-                | Some c -> handle_client_readable t c
-                | None -> ()))
-         ready);
+           match List.find_opt (fun c -> c.c_alive && c.c_fd = fd) t.clients with
+           | Some c -> handle_client_readable t c
+           | None -> ())
+         ready;
+       (* New connections last, so that no accepted socket takes the number
+          of a client dropped in this turn while [ready] still names it. *)
+       if List.mem t.listen_fd ready then accept_client t);
     loop t
   end
 
@@ -750,7 +700,7 @@ let run cfg =
   let listen_fd = listen_at cfg.socket in
   let t =
     { cfg; listen_fd; jobs = Hashtbl.create 64; queue = []; clients = [];
-      runners = []; seq = 0; stop = false }
+      running = []; seq = 0; stop = false }
   in
   let stop_signal _ = t.stop <- true in
   (try Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal)

@@ -72,20 +72,6 @@ type message =
   | Bye
 
 (* ------------------------------------------------------------------ *)
-(* Runner -> daemon (internal, over the job runner's pipe). Event lines
-   travel beside these in raw frames.                                  *)
-
-type runner_msg =
-  | R_done of {
-      verdict : string;
-      found_error : bool;
-      interrupted : bool;
-      rendered : string;
-      report : J.t;
-    }
-  | R_failed of string
-
-(* ------------------------------------------------------------------ *)
 (* Codecs. Parsers raise {!Fairmc_core.Checkpoint.Codec.Parse}.        *)
 
 let request_to_json = function
@@ -201,26 +187,3 @@ let message_of_json o =
   | "error" -> Error_msg (CK.str_f o "error")
   | "bye" -> Bye
   | m -> CK.fail "unknown message %S" m
-
-let runner_to_json = function
-  | R_done { verdict; found_error; interrupted; rendered; report } ->
-    J.Obj
-      [ ("op", J.Str "done");
-        ("verdict", J.Str verdict);
-        ("found_error", J.Bool found_error);
-        ("interrupted", J.Bool interrupted);
-        ("rendered", J.Str rendered);
-        ("report", report) ]
-  | R_failed e -> J.Obj [ ("op", J.Str "failed"); ("error", J.Str e) ]
-
-let runner_of_json o =
-  match CK.str_f o "op" with
-  | "done" ->
-    R_done
-      { verdict = CK.str_f o "verdict";
-        found_error = CK.bool_f o "found_error";
-        interrupted = CK.bool_f o "interrupted";
-        rendered = CK.str_f o "rendered";
-        report = CK.field o "report" }
-  | "failed" -> R_failed (CK.str_f o "error")
-  | op -> CK.fail "unknown runner message %S" op

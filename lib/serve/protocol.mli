@@ -4,12 +4,7 @@
     8-lowercase-hex payload length followed by that many bytes of JSON —
     over a Unix-domain stream socket. Requests flow client→daemon; a
     single request may be answered by a stream of messages (a [Watch]
-    yields [Watching], then [Event] frames, then one terminal [Job_done]).
-    The runner messages are daemon-internal: each forked job runner ships
-    them up its pipe, after its event lines, which travel in raw frames
-    (chunks of complete NDJSON lines, see {!Fairmc_obs.Events.create}
-    [~chunked]); the daemon appends those to the job's backlog and fans
-    them out to subscribers as [Event] messages. *)
+    yields [Watching], then [Event] frames, then one terminal [Job_done]). *)
 
 val protocol : string
 (** ["fairmc-jobs/1"]; embedded in the handshake and checked on decode. *)
@@ -66,16 +61,6 @@ type message =
   | Error_msg of string
   | Bye
 
-type runner_msg =
-  | R_done of {
-      verdict : string;
-      found_error : bool;
-      interrupted : bool;
-      rendered : string;
-      report : Fairmc_util.Json.t;
-    }
-  | R_failed of string
-
 (** {1 Codecs}
 
     Parsers raise {!Fairmc_core.Checkpoint.Codec.Parse} on malformed
@@ -87,5 +72,3 @@ val job_info_to_json : job_info -> Fairmc_util.Json.t
 val job_info_of_json : Fairmc_util.Json.t -> job_info
 val message_to_json : message -> Fairmc_util.Json.t
 val message_of_json : Fairmc_util.Json.t -> message
-val runner_to_json : runner_msg -> Fairmc_util.Json.t
-val runner_of_json : Fairmc_util.Json.t -> runner_msg

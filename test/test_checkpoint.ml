@@ -653,6 +653,45 @@ let budget_tests =
           check "with the sequential stats" true
             (strip_time resumed.Report.stats = strip_time full.Report.stats)
         done);
+    Alcotest.test_case "a budget equal to the tree size verifies at every fan-out" `Quick
+      (fun () ->
+        (* dining-2-ordered has four executions. A budget that runs out on
+           the last path leaves nothing to stop, at -j 1 as at -j 2. *)
+        let prog = (Option.get (W.Registry.find "dining-2-ordered")).W.Registry.program in
+        let full = Search.run Search_config.default prog in
+        check_int "the tree" 4 full.Report.stats.Report.executions;
+        List.iter
+          (fun jobs ->
+            List.iter
+              (fun (budget, want) ->
+                let r =
+                  Checker.check
+                    ~config:{ Search_config.default with jobs; max_executions = Some budget }
+                    prog
+                in
+                Alcotest.(check string)
+                  (Printf.sprintf "budget %d at -j %d" budget jobs)
+                  (Report.verdict_key want) (Report.verdict_key r.Report.verdict))
+              [ (3, Report.Limits_reached); (4, Report.Verified); (5, Report.Verified) ])
+          [ 1; 2 ];
+        (* The -j 1 checkpoint at budget 3 is not complete: it resumes to
+           verified. *)
+        let file = Filename.temp_file "fairmc" ".ckpt" in
+        Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+        ignore
+          (Checker.check
+             ~config:{ Search_config.default with max_executions = Some 3; checkpoint = Some file }
+             prog);
+        match
+          Result.bind (CK.load file) (fun c ->
+              CK.plan_resume c Search_config.default ~program:prog.Program.name)
+        with
+        | Ok resume ->
+          let r = Checker.check ~resume prog in
+          check "resumed to verified" true (r.Report.verdict = Report.Verified);
+          check "with the uninterrupted stats" true
+            (strip_time r.Report.stats = strip_time full.Report.stats)
+        | Error e -> Alcotest.failf "the budget-3 checkpoint does not resume: %s" e);
     Alcotest.test_case "a fairmc-ckpt/1 checkpoint is refused with its schema named" `Quick
       (fun () ->
         (* The one-payload-per-run-shape schema: a Seq payload as it was

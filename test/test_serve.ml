@@ -134,14 +134,6 @@ let gen_message rng =
   | 8 -> P.Error_msg "unknown job"
   | _ -> P.Bye
 
-let gen_runner rng =
-  match R.int rng 2 with
-  | 0 ->
-    P.R_done
-      { verdict = "safety"; found_error = R.bool rng; interrupted = R.bool rng;
-        rendered = "result: assertion failed"; report = gen_doc rng }
-  | _ -> P.R_failed "runner exploded"
-
 let roundtrip ?(equal = ( = )) ~name ~gen ~to_json ~of_json () =
   QCheck.Test.make ~name ~count:300 QCheck.small_int (fun seed ->
       let rng = R.make (Int64.of_int (seed + 1)) in
@@ -156,9 +148,7 @@ let qprops =
     roundtrip ~equal:request_equal ~name:"requests round-trip" ~gen:gen_request
       ~to_json:P.request_to_json ~of_json:P.request_of_json ();
     roundtrip ~name:"server messages round-trip" ~gen:gen_message
-      ~to_json:P.message_to_json ~of_json:P.message_of_json ();
-    roundtrip ~name:"runner messages round-trip" ~gen:gen_runner
-      ~to_json:P.runner_to_json ~of_json:P.runner_of_json () ]
+      ~to_json:P.message_to_json ~of_json:P.message_of_json () ]
 
 (* ------------------------------------------------------------------ *)
 (* Job identity: the dedup contract.                                   *)
@@ -218,14 +208,14 @@ let fresh_dir () =
 
 (* A daemon over [dir]'s socket and spool; a fresh directory unless one is
    given, so a second daemon can take over the first one's spool. *)
-let with_daemon ?(dir = fresh_dir ()) f =
+let with_daemon ?(dir = fresh_dir ()) ?(args = []) f =
   if not (Sys.file_exists chessd) then Alcotest.skip ();
   let socket = Filename.concat dir "d.sock" in
   let spool = Filename.concat dir "spool" in
   let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
     Unix.create_process chessd
-      [| chessd; "--socket"; socket; "--spool"; spool; "--quiet" |]
+      (Array.of_list ([ chessd; "--socket"; socket; "--spool"; spool; "--quiet" ] @ args))
       Unix.stdin dev_null dev_null
   in
   Unix.close dev_null;
@@ -546,14 +536,16 @@ let backlog_tests =
         check "byte for byte, in order" true (List.equal String.equal replayed live);
         check_str "starts with run_start" "run_start" (kind_of (List.hd replayed));
         check_str "ends with run_end" "run_end" (kind_of (List.nth replayed (List.length replayed - 1))));
-    Alcotest.test_case "a runner killed mid-job leaves every line it sent, no partial line"
+    Alcotest.test_case "a worker killed mid-job leaves every line sent, no partial line"
       `Quick (fun () ->
         let dir = fresh_dir () in
         with_daemon ~dir @@ fun ~socket ~pid ->
         Serve.Client.with_daemon socket @@ fun fd ->
+        (* Long enough that its one worker hands back a slice, and its
+           events, before it ends. *)
         let spec =
           JS.of_config ~program:"wsq-1s-correct"
-            { C.default with C.max_executions = Some 20_000 }
+            { C.default with C.max_executions = Some 150_000 }
         in
         let job = submit fd spec in
         let killed = ref [] in
@@ -562,18 +554,19 @@ let backlog_tests =
           List.iter (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ()) !killed
         in
         let lines, last = watch_events ~at:(2_000, kill) fd job in
-        check "the runner was killed" true (!killed <> []);
+        check "a worker was killed" true (!killed <> []);
         (match last with
-         | P.Job_done _ -> ()
+         | P.Job_done { verdict; _ } -> check_str "the retry finished the job" "limits" verdict
          | m -> Alcotest.failf "retry did not finish: %s" (J.to_string (P.message_to_json m)));
         let file = In_channel.with_open_bin (backlog_file dir job) In_channel.input_all in
         check "the backlog ends a line" true (file.[String.length file - 1] = '\n');
         let spooled = String.split_on_char '\n' file |> List.filter (( <> ) "") in
         (* Every spooled line is whole, and it is what the subscriber got. *)
-        List.iter (fun l -> ignore (kind_of l)) spooled;
+        let kinds = List.map kind_of spooled in
         check "the subscriber got the backlog, in order" true (List.equal String.equal spooled lines);
-        check "two attempts, one backlog" true
-          (List.length (List.filter (fun l -> kind_of l = "run_start") spooled) = 2));
+        let count kind = List.length (List.filter (( = ) kind) kinds) in
+        check "one run" true (count "run_start" = 1 && count "run_end" = 1);
+        check "the supervisor retried the item" true (count "item_retry" >= 1));
     Alcotest.test_case "the done frame never overtakes a buffered event" `Quick (fun () ->
         with_daemon @@ fun ~socket ~pid:_ ->
         Serve.Client.with_daemon socket @@ fun fd ->
@@ -598,7 +591,77 @@ let backlog_tests =
           [ ("fig3", C.default);
             ("dining-3-ordered", C.default);
             ("dining-3-ordered", { C.default with C.workers = 2; mode = C.Context_bounded 2 });
-            ("wsq-1s-correct", { C.default with C.workers = 2; max_executions = Some 3_000 }) ]) ]
+            ("wsq-1s-correct", { C.default with C.workers = 2; max_executions = Some 3_000 }) ]);
+    Alcotest.test_case "finished reports stay out of the heap; a restart serves them as sent"
+      `Quick (fun () ->
+        (* A livelock's report carries its 10,000-step counterexample,
+           about 2 MB of heap once decoded: a daemon that kept finished
+           reports would pass the 8 MB bounds within twelve such jobs, and
+           again when it restores them. *)
+        let rss pid =
+          In_channel.with_open_bin (Printf.sprintf "/proc/%d/status" pid) In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.find_map (fun l ->
+                 match String.split_on_char ':' l with
+                 | [ "VmRSS"; v ] -> Scanf.sscanf v " %d kB" Option.some
+                 | _ -> None)
+          |> Option.get
+        in
+        let frame msg = J.to_string (P.message_to_json msg) in
+        (* A request answered after the daemon restored its spool. *)
+        let settle fd =
+          Serve.Client.request fd P.Jobs;
+          match Serve.Client.next fd with
+          | P.Job_list l -> List.length l
+          | m -> Alcotest.failf "jobs: %s" (frame m)
+        in
+        let run fd seed =
+          let job =
+            submit fd
+              (JS.of_config ~program:"promise-stale-cache"
+                 { C.default with C.seed = Int64.of_int seed; workers = 2 })
+          in
+          Serve.Client.request fd (P.Watch { job; events = false });
+          let rec last () =
+            match Serve.Client.next fd with
+            | P.Watching _ -> last ()
+            | P.Job_done { verdict; _ } as m ->
+              check_str "a livelock" "livelock" verdict;
+              frame m
+            | m -> Alcotest.failf "job: %s" (frame m)
+          in
+          (job, last ())
+        in
+        let dir = fresh_dir () in
+        let empty, reports =
+          with_daemon ~dir @@ fun ~socket ~pid ->
+          Serve.Client.with_daemon socket @@ fun fd ->
+          ignore (settle fd);
+          let empty = rss pid in
+          let first = run fd 1 in
+          let after_one = rss pid in
+          let rest = List.map (run fd) (List.init 11 (fun i -> i + 2)) in
+          let after_twelve = rss pid in
+          if after_twelve - after_one > 8_192 then
+            Alcotest.failf "VmRSS %d kB after one job, %d kB after twelve" after_one after_twelve;
+          (empty, first :: rest)
+        in
+        with_daemon ~dir @@ fun ~socket ~pid ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        Alcotest.(check int) "every job restored" 12 (settle fd);
+        let restored = rss pid in
+        if restored - empty > 8_192 then
+          Alcotest.failf "VmRSS %d kB empty, %d kB restored over twelve reports" empty restored;
+        List.iter
+          (fun (job, sent) ->
+            Serve.Client.request fd (P.Watch { job; events = false });
+            let rec last () =
+              match Serve.Client.next fd with
+              | P.Watching _ -> last ()
+              | m -> frame m
+            in
+            check_str "the report as sent" sent (last ()))
+          reports) ]
 
 (* ------------------------------------------------------------------ *)
 (* Identity is complete: one mutation per config field, by role        *)
@@ -857,10 +920,10 @@ let bound_tests =
         match Serve.Client.next fd with
         | P.Job_list [ i ] -> check_str "only the blocker" blocker i.P.ji_id
         | m -> Alcotest.failf "expected one job, got %s" (J.to_string (P.message_to_json m)));
-    Alcotest.test_case "a runner cancelled as it starts still stops" `Quick (fun () ->
+    Alcotest.test_case "a job cancelled as it starts stops, no child left" `Quick (fun () ->
         with_daemon @@ fun ~socket ~pid ->
         Serve.Client.with_daemon socket @@ fun fd ->
-        (* A runner that missed its signal would search for hours. *)
+        (* A search that missed its cancel would run for hours. *)
         Fun.protect ~finally:(fun () ->
             List.iter
               (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ())
@@ -879,17 +942,15 @@ let bound_tests =
                  { C.default with C.seed = Int64.of_int seed; max_executions = Some 100_000_000 })
           in
           Serve.Client.request fd (P.Cancel job);
-          ignore (Serve.Client.next fd);
-          let rec settle n =
-            match state job with
-            | P.Done | P.Failed -> ()
-            | P.Queued | P.Running when n > 0 ->
-              Unix.sleepf 0.01;
-              settle (n - 1)
-            | P.Queued | P.Running -> Alcotest.failf "seed %d: the runner did not stop" seed
-          in
-          settle 500
-        done);
+          (match Serve.Client.next fd with
+           | P.Cancelled _ -> ()
+           | m -> Alcotest.failf "cancel: %s" (J.to_string (P.message_to_json m)));
+          (* The cancel stops the search before it answers. *)
+          check (Printf.sprintf "seed %d: cancelled" seed) true (state job = P.Failed);
+          check (Printf.sprintf "seed %d: no child left" seed) true (children_of pid = [])
+        done;
+        Unix.sleepf 0.2;
+        check "nothing restarted" true (children_of pid = []));
     Alcotest.test_case "a spooled job above the fan-out bound is not restored" `Quick
       (fun () ->
         let dir = fresh_dir () in
@@ -922,13 +983,11 @@ let decoder_fuzz_props =
     List.init 4 (fun _ -> JS.to_json (gen_spec rng))
     @ List.init 7 (fun _ -> P.request_to_json (gen_request rng))
     @ List.init 10 (fun _ -> P.message_to_json (gen_message rng))
-    @ List.init 2 (fun _ -> P.runner_to_json (gen_runner rng))
   in
   let decoders =
     [ (fun j -> ignore (JS.of_json j));
       (fun j -> ignore (P.request_of_json j));
-      (fun j -> ignore (P.message_of_json j));
-      (fun j -> ignore (P.runner_of_json j)) ]
+      (fun j -> ignore (P.message_of_json j)) ]
   in
   let decode j =
     List.iter (fun f -> try f j with CK.Codec.Parse _ -> ()) decoders
@@ -942,41 +1001,41 @@ let decoder_fuzz_props =
       (Test_obs.decodes_cleanly decode) ]
 
 (* ------------------------------------------------------------------ *)
-(* A cancel outlives the runner it was sent to                         *)
+(* A cancel stops the job's workers, whatever state they are in        *)
+
+let status fd job =
+  Serve.Client.request fd (P.Status job);
+  match Serve.Client.next fd with
+  | P.Job_status i -> i
+  | m -> Alcotest.failf "status: %s" (J.to_string (P.message_to_json m))
+
+let rec until what ok n =
+  if not (ok ()) then
+    if n = 0 then Alcotest.failf "timed out waiting for %s" what
+    else begin
+      Unix.sleepf 0.01;
+      until what ok (n - 1)
+    end
+
+let kill_all signal = List.iter (fun p -> try Unix.kill p signal with Unix.Unix_error _ -> ())
 
 let cancel_tests =
-  [ Alcotest.test_case "a cancelled job whose runner dies before reporting stays cancelled"
+  [ Alcotest.test_case "a cancelled job whose workers hang ends cancelled, no child left"
       `Quick (fun () ->
         with_daemon @@ fun ~socket ~pid ->
         Serve.Client.with_daemon socket @@ fun fd ->
-        let kill_all signal =
-          List.iter (fun p -> try Unix.kill p signal with Unix.Unix_error _ -> ())
-        in
         Fun.protect ~finally:(fun () -> kill_all Sys.sigkill (children_of pid)) @@ fun () ->
-        let state job =
-          Serve.Client.request fd (P.Status job);
-          match Serve.Client.next fd with
-          | P.Job_status i -> i.P.ji_state
-          | m -> Alcotest.failf "status: %s" (J.to_string (P.message_to_json m))
-        in
-        let rec until what ok n =
-          if not (ok ()) then
-            if n = 0 then Alcotest.failf "timed out waiting for %s" what
-            else begin
-              Unix.sleepf 0.01;
-              until what ok (n - 1)
-            end
-        in
+        let state job = (status fd job).P.ji_state in
         let job =
           submit fd
             (JS.of_config ~program:"wsq-1s-correct"
                { C.default with C.max_executions = Some 100_000_000 })
         in
-        until "the runner" (fun () -> state job = P.Running && children_of pid <> []) 500;
-        (* Stopped, the runner cannot answer the cancel's SIGTERM; killed,
-           it ends without a result. *)
-        let runners = children_of pid in
-        kill_all Sys.sigstop runners;
+        until "the workers" (fun () -> state job = P.Running && children_of pid <> []) 500;
+        (* Stopped, the workers can answer nothing; the cancel must not
+           wait on them. *)
+        let workers = children_of pid in
+        kill_all Sys.sigstop workers;
         Serve.Client.with_daemon socket @@ fun watcher ->
         Serve.Client.request watcher (P.Watch { job; events = false });
         (match Serve.Client.next watcher with
@@ -986,19 +1045,16 @@ let cancel_tests =
         (match Serve.Client.next fd with
          | P.Cancelled _ -> ()
          | m -> Alcotest.failf "cancel: %s" (J.to_string (P.message_to_json m)));
-        kill_all Sys.sigkill runners;
         (match Unix.select [ watcher ] [] [] 10. with
          | [], _, _ -> Alcotest.fail "the watcher was not told"
          | _ ->
            (match Serve.Client.next watcher with
             | P.Cancelled { job = j } -> check_str "the watcher is told" job j
             | m -> Alcotest.failf "watcher: %s" (J.to_string (P.message_to_json m))));
-        until "the runner to be reaped" (fun () -> children_of pid = []) 500;
-        (match state job with
-         | P.Failed -> ()
-         | _ -> Alcotest.fail "the job was requeued");
+        check "no child left" true (children_of pid = []);
+        check "cancelled" true (state job = P.Failed);
         Unix.sleepf 0.2;
-        check "no runner restarted" true (children_of pid = [] && state job = P.Failed)) ]
+        check "nothing restarted" true (children_of pid = [] && state job = P.Failed)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Numbers that fabricate a verdict are refused; old members ignored    *)
@@ -1118,6 +1174,104 @@ let fan_out_tests =
         check "the direct --workers 2 report" true (report_slice served = report_slice direct)) ]
 
 (* ------------------------------------------------------------------ *)
+(* chessd supervises its jobs' workers itself                          *)
+
+(* Targets of [pid]'s descriptors from 3 up, from /proc. *)
+let fd_targets pid =
+  let dir = Printf.sprintf "/proc/%d/fd" pid in
+  List.filter_map
+    (fun name ->
+      match int_of_string_opt name with
+      | Some n when n >= 3 -> (
+        try Some (Unix.readlink (Filename.concat dir name)) with Unix.Unix_error _ -> None)
+      | _ -> None)
+    (try Array.to_list (Sys.readdir dir) with Sys_error _ -> [])
+
+let supervision_tests =
+  [ Alcotest.test_case "jobs' workers: no grandchild, no socket, no other worker's pipe" `Quick
+      (fun () ->
+        with_daemon ~args:[ "--max-jobs"; "2" ] @@ fun ~socket ~pid ->
+        (* What chessd inherited from this process, sockets aside, is not
+           its own to close. *)
+        let inherited =
+          List.filter (fun t -> not (String.starts_with ~prefix:"socket:" t)) (fd_targets pid)
+        in
+        Serve.Client.with_daemon socket @@ fun fd ->
+        Fun.protect ~finally:(fun () -> kill_all Sys.sigkill (children_of pid)) @@ fun () ->
+        let jobs =
+          List.map
+            (fun seed ->
+              submit fd
+                (JS.of_config ~program:"wsq-1s-correct"
+                   { C.default with
+                     C.seed = Int64.of_int seed; workers = 2; max_executions = Some 100_000_000 }))
+            [ 1; 2 ]
+        in
+        until "four workers"
+          (fun () ->
+            List.for_all (fun j -> (status fd j).P.ji_state = P.Running) jobs
+            && List.length (children_of pid) = 4)
+          500;
+        let children = children_of pid in
+        let targets =
+          List.map
+            (fun c -> (c, List.filter (fun t -> not (List.mem t inherited)) (fd_targets c)))
+            children
+        in
+        List.iter
+          (fun (c, fds) ->
+            check "no grandchild" true (children_of c = []);
+            List.iter
+              (fun target ->
+                if String.starts_with ~prefix:"socket:" target then
+                  Alcotest.failf "worker %d holds %s" c target)
+              fds;
+            let pipes = List.filter (String.starts_with ~prefix:"pipe:") fds in
+            check "a worker holds its own two pipe ends" true
+              (List.length pipes = 2 && List.length fds = 2);
+            List.iter
+              (fun (c', fds') ->
+                if c' <> c then
+                  List.iter
+                    (fun p ->
+                      if List.mem p fds' then Alcotest.failf "workers %d and %d share %s" c c' p)
+                    pipes)
+              targets)
+          targets;
+        List.iter
+          (fun j ->
+            Serve.Client.request fd (P.Cancel j);
+            ignore (Serve.Client.next fd))
+          jobs;
+        check "no child left" true (children_of pid = []));
+    Alcotest.test_case "a sequential job over a second comes back in slices, as a direct check"
+      `Quick (fun () ->
+        let program = "wsq-1s-correct" in
+        let cfg = { C.default with C.max_executions = Some 120_000 } in
+        with_daemon @@ fun ~socket ~pid:_ ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        let job = submit fd (JS.of_config ~program { cfg with C.metrics = true }) in
+        (* The direct run, while the daemon runs the job. *)
+        let direct =
+          match JS.resolve (JS.of_config ~program cfg) with
+          | Ok (prog, _) -> Report.to_json (Fairmc_core.Checker.check ~config:cfg prog)
+          | Error e -> Alcotest.fail e
+        in
+        Serve.Client.request fd (P.Watch { job; events = false });
+        let _, _, served = await_done fd in
+        let items =
+          match served with
+          | J.Obj kv ->
+            (match List.assoc_opt "metrics" kv with
+             | Some (J.Obj m) -> (match List.assoc_opt "sup/items" m with Some (J.Int n) -> n | _ -> 0)
+             | _ -> 0)
+          | _ -> 0
+        in
+        check "at least two items" true (items >= 2);
+        (* The verdict member carries the counterexample. *)
+        check "verdict, counterexample and stats" true (report_slice served = report_slice direct)) ]
+
+(* ------------------------------------------------------------------ *)
 (* chessd publishes its socket only once it listens                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1165,4 +1319,4 @@ let suite =
       (identity_qprops @ same_report_props)
   @ bound_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) decoder_fuzz_props
-  @ cancel_tests @ validation_tests @ fan_out_tests @ startup_tests
+  @ cancel_tests @ validation_tests @ fan_out_tests @ supervision_tests @ startup_tests

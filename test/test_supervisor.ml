@@ -502,8 +502,7 @@ let protocol_tests =
          | `Data _ -> ()
          | `Eof -> Alcotest.fail "unexpected EOF");
         (match Worker.extract buf with
-         | Ok (Some (Worker.Json got)) -> check "frame payload" true (J.equal got doc)
-         | Ok (Some (Worker.Raw _)) -> Alcotest.fail "JSON frame came back raw"
+         | Ok (Some got) -> check "frame payload" true (J.equal got doc)
          | Ok None -> Alcotest.fail "frame incomplete"
          | Error e -> Alcotest.failf "frame rejected: %s" e);
         Unix.close r;
@@ -571,16 +570,6 @@ let decode_json j =
   (match Worker.request_of_json j with _ -> () | exception Checkpoint.Codec.Parse _ -> ());
   match Worker.reply_of_json j with _ -> () | exception Checkpoint.Codec.Parse _ -> ()
 
-(* A raw frame is what a runner sends chessd: lines to split, relay and
-   parse as a subscriber would. *)
-let decode_raw chunk =
-  let stream = Fairmc_obs.Events.create ~write:ignore () in
-  List.iter
-    (fun line ->
-      if Fairmc_obs.Events.relayable line then Fairmc_obs.Events.relay stream [ line ];
-      ignore (Fairmc_obs.Events.of_line line))
-    (String.split_on_char '\n' chunk)
-
 (* Push [bytes] through a pipe into the parent-side reassembly, decoding
    every frame that completes, until EOF or the first protocol error. *)
 let decode_bytes bytes =
@@ -600,11 +589,8 @@ let decode_bytes bytes =
             match Worker.extract buf with
             | Ok None -> pump ()
             | Error _ -> ()
-            | Ok (Some (Worker.Json j)) ->
+            | Ok (Some j) ->
               decode_json j;
-              drain ()
-            | Ok (Some (Worker.Raw chunk)) ->
-              decode_raw chunk;
               drain ()
           in
           drain ()
@@ -612,13 +598,10 @@ let decode_bytes bytes =
       pump ())
 
 let frame_of payload = Printf.sprintf "%08x%s" (String.length payload) payload
-let raw_frame_of payload = Printf.sprintf "r%07x%s" (String.length payload) payload
 
 let fuzz_props =
   let open QCheck in
   let json = Test_obs.json_gen in
-  let event = Test_telemetry.event_gen in
-  let ndjson es = String.concat "" (List.map (fun e -> Fairmc_obs.Events.line e ^ "\n") es) in
   let mutated = Test_obs.mutated_gen (Lazy.force valid_docs) in
   let bytes =
     Gen.(
@@ -634,16 +617,7 @@ let fuzz_props =
               let f = frame_of (J.to_string j) in
               String.sub f 0 (min cut (String.length f)))
             mutated (int_bound 2048);
-          map2 (fun j junk -> frame_of (J.to_string j) ^ junk) mutated string;
-          (* raw frames: noise, event lines, cut short, followed by garbage *)
-          map raw_frame_of (string_size (int_bound 256));
-          map (fun es -> raw_frame_of (ndjson es)) (list_size (int_bound 8) event);
-          map2
-            (fun es cut ->
-              let f = raw_frame_of (ndjson es) in
-              String.sub f 0 (min cut (String.length f)))
-            (list_size (int_bound 8) event) (int_bound 1024);
-          map2 (fun p junk -> raw_frame_of p ^ junk) (string_size (int_bound 64)) string ])
+          map2 (fun j junk -> frame_of (J.to_string j) ^ junk) mutated string ])
   in
   let escapes f x =
     match f x with
@@ -719,16 +693,17 @@ let reassembly_tests =
         List.iteri
           (fun i f ->
             match f with
-            | Worker.Json (J.Obj [ ("i", J.Int j) ]) -> check_int "frame order" i j
+            | J.Obj [ ("i", J.Int j) ] -> check_int "frame order" i j
             | _ -> Alcotest.fail "unexpected frame")
           (List.concat batches);
         check_int "frame count" n (List.length (List.concat batches));
-        (* A JSON frame cut in three, then a raw frame: nothing until the
-           last third, then both, in order. *)
+        (* A frame cut in three, then a short one: nothing until the last
+           third, then both, in order. *)
         let b = Buffer.create 64 in
         Worker.add_frame b (J.Obj [ ("k", J.Str "three feeds") ]);
-        let bytes = Buffer.contents b ^ "r0000003ab\n" in
         let json_len = Buffer.length b in
+        Worker.add_frame b (J.Int 7);
+        let bytes = Buffer.contents b in
         let r, w = Unix.pipe () in
         Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) @@ fun () ->
         let buf = Worker.inbuf () in
@@ -744,9 +719,9 @@ let reassembly_tests =
             cuts
         in
         match got with
-        | [ []; []; [ Worker.Json j; Worker.Raw raw ] ] ->
-          check "json frame" true (J.equal j (J.Obj [ ("k", J.Str "three feeds") ]));
-          check_str "raw frame" "ab\n" raw
+        | [ []; []; [ j; short ] ] ->
+          check "the frame cut in three" true (J.equal j (J.Obj [ ("k", J.Str "three feeds") ]));
+          check "the short frame" true (J.equal short (J.Int 7))
         | _ -> Alcotest.fail "frames did not reassemble in order") ]
 
 (* ------------------------------------------------------------------ *)
