@@ -20,11 +20,13 @@
     prefix for liveness violations) — the problem statement of Section 2. *)
 
 val check : ?config:Search_config.t -> ?resume:Checkpoint.payload -> Program.t -> Report.t
-(** Run the search. Defaults to fair depth-first search. With [config.jobs]
-    or [config.workers] above 1 the search runs on the supervised worker
-    processes ({!Supervisor}); otherwise sequentially ({!Search}). [resume]
-    continues a prior checkpointed session, written at any fan-out — obtain
-    the payload from {!Checkpoint.load} + {!Checkpoint.plan_resume}. *)
+(** Run the search under {!Supervisor.run}. Defaults to fair depth-first
+    search. With [config.jobs] or [config.workers] above 1 the search runs
+    on supervised worker processes; otherwise in this process. Either way
+    the supervisor keeps its session: checkpoints, progress, and [resume],
+    which continues a prior checkpointed session written at any fan-out —
+    obtain the payload from {!Checkpoint.load} + {!Checkpoint.plan_resume}.
+    {!Search.run} is the session-free reference it equals. *)
 
 val check_all :
   configs:(string * Search_config.t) list -> Program.t -> (string * Report.t) list

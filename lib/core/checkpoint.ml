@@ -463,9 +463,8 @@ let zero_stats =
 let merge_stats ~(prior : Report.stats) (d : Report.stats) =
   { Report.executions = prior.Report.executions + d.Report.executions;
     transitions = prior.transitions + d.transitions;
-    (* A resumed session preloads the coverage table, so its [states] is
-       already the union; a caller merging separate tables sets the union's
-       size itself. *)
+    (* Each region keeps a coverage table of its own: the caller merging
+       them sets the size of their union. *)
     states = max prior.states d.states;
     nonterminating = prior.nonterminating + d.nonterminating;
     depth_bound_hits = prior.depth_bound_hits + d.depth_bound_hits;

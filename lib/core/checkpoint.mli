@@ -7,10 +7,10 @@
     covers; an open region is a work item still to run — a DFS cursor (the
     frame stack, with the untried alternatives and sleep set of every frame)
     or a range of sampling executions. Random choices are keyed by their
-    execution index or path, so no generator state is saved. A sequential
-    search writes one done region and the cursor it stopped at; a parallel
-    one writes its items as they stand, so any checkpoint resumes at any
-    fan-out. This module serializes that state to a versioned JSON file
+    execution index or path, so no generator state is saved. The
+    {!Supervisor} writes its regions as they stand, at every fan-out, so
+    any checkpoint resumes at any fan-out. This module serializes that
+    state to a versioned JSON file
     (schema [fairmc-ckpt/2], written atomically via a temp file + rename)
     and validates it against the requesting configuration on resume, so an
     interrupted [chess check] can continue where it stopped and produce
@@ -143,16 +143,15 @@ val zero_stats : Report.stats
 
 val merge_stats : prior:Report.stats -> Report.stats -> Report.stats
 (** Combine the statistics of explored work, [prior] first in DFS order:
-    a resumed session's prior totals and what it explored since, or the
-    regions of a parallel search. Counters add, maxima max, [states] is the
-    larger (a resumed session preloads the coverage table, so its count is
-    already the union; a caller merging separate tables sets the union's
-    size), [first_error_*] are offset into the combined run. *)
+    the regions of a search, whatever its fan-out and its sessions.
+    Counters add, maxima max, [states] is the larger (each region keeps a
+    coverage table of its own: the caller merging them sets the size of
+    their union), [first_error_*] are offset into the combined run. *)
 
 (** {1 Graceful interruption} *)
 
 val interrupted : unit -> bool
-(** Process-wide flag, polled by {!Search.run} at every path start and
+(** Process-wide flag, polled by every search at every path start and
     every 256 steps, and by the {!Supervisor} loop. *)
 
 val request_interrupt : unit -> unit

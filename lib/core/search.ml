@@ -51,11 +51,10 @@ type path_end =
   | P_stopped  (* wall-clock budget exhausted or interrupted *)
 
 (* Where a [Limits_reached] stop left the work: the search ran out of it, or
-   stopped at a path boundary (before running the next path), after a
-   completed path (advanced past it, with work left), inside a path
-   (cutting it short), or at a boundary because the supervisor asked for a
-   split. *)
-type stop = Ran_out | At_boundary | After_path | Mid_path | At_split
+   stopped at a path boundary with work left (before its next path, or
+   advanced past the one it finished), inside a path (cutting it short), or
+   at a boundary because the supervisor asked for a split. *)
+type stop = Ran_out | At_boundary | Mid_path | At_split
 
 (* Pre-registered instruments: registered once per search (or shard), so hot
    paths pay a single [option] branch plus a mutable store per event. Only
@@ -79,7 +78,6 @@ type meters = {
   m_span_replay : M.histogram;  (* per-path prefix-replay latency, µs *)
   m_span_fresh : M.histogram;  (* per-path fresh-execution latency, µs *)
   m_span_analysis : M.histogram;  (* per-path analysis-observer latency, µs *)
-  m_span_ckpt : M.histogram;  (* checkpoint-save latency, µs *)
 }
 
 let make_meters () =
@@ -100,27 +98,7 @@ let make_meters () =
     m_fair_obs = Fair_sched.obs_create ();
     m_span_replay = M.histogram reg (Obs.Span.hist_name "replay");
     m_span_fresh = M.histogram reg (Obs.Span.hist_name "fresh");
-    m_span_analysis = M.histogram reg (Obs.Span.hist_name "analysis");
-    m_span_ckpt = M.histogram reg (Obs.Span.hist_name "checkpoint_save") }
-
-(* Cumulative totals carried over from a checkpoint being resumed. The
-   session itself counts from zero; the prior is folded in at every boundary
-   capture and in the final report ({!totals}). *)
-type prior = {
-  pr_stats : Report.stats;
-  pr_metrics : M.Snapshot.t;
-  pr_edges : AH.lock_edge list;
-}
-
-(* Checkpoint-writing control for this search ([--checkpoint FILE]). The
-   boundary's regions are (re)captured at every path start; writes are
-   throttled by [ck_interval] and forced once when the search stops. *)
-type ckpt_ctl = {
-  ck_path : string;
-  ck_interval : float;
-  mutable ck_last : float;
-  mutable ck_boundary : (CK.part * CK.region list) option;
-}
+    m_span_analysis = M.histogram reg (Obs.Span.hist_name "analysis") }
 
 type state = {
   cfg : C.t;
@@ -137,15 +115,14 @@ type state = {
          search was cut into work items *)
   mutable next_exec : int;  (* sampling: index of the next execution *)
   mutable end_exec : int;  (* sampling: stop before this execution index *)
-  mutable queued : CK.region list;
-      (* a resumed search's regions after the current item, in DFS order *)
   mutable stop : stop;
   t0 : float;
   deadline : float;  (* absolute; [infinity] when unlimited *)
   slice_end : float;
       (* a work item hands its rest back at its first path boundary after
-         this; [infinity] outside a worker *)
-  tally : Tally.t option;  (* search-wide totals of a parallel search *)
+         this; [infinity] when it runs to its end *)
+  tally : Tally.t option;  (* search-wide totals of a supervised search *)
+  tick : unit -> unit;  (* the supervisor's progress tick, at every poll *)
   probe_denom : int;  (* sampling: the execution count; 0 = systematic *)
   meters : meters option;
   events : Obs.Events.buf option;  (* shard-local telemetry batch buffer *)
@@ -154,9 +131,7 @@ type state = {
          per-path span slices); [None] for a plain streaming sink, which
          then pays only one path event per execution *)
   analysis : AH.instance list;  (* this shard's dynamic-analysis instances *)
-  mutable prior : prior option;  (* resumed-session totals to merge in *)
-  mutable ckpt : ckpt_ctl option;  (* only set by [Search.run], never shards *)
-  mutable probe_mass : int;  (* this session's accumulated Estimator mass *)
+  mutable probe_mass : int;  (* this search's accumulated Estimator mass *)
   mutable analysis_us : int;  (* current path's analysis-observer time *)
   mutable executions : int;
   mutable transitions : int;
@@ -204,10 +179,10 @@ let out_of_time st = Obs.Clock.now () > st.deadline
    via Checkpoint) are folded into the same poll. *)
 let stopped st = out_of_time st || Checkpoint.interrupted ()
 
-(* The search-wide total of a parallel search, this session's count
-   otherwise, against the budget. A parallel shard's peers spend the
-   shared budget too, so a shard checks it before starting a path as well
-   as after finishing one. *)
+(* The search-wide total of a supervised search, this search's count
+   otherwise, against the budget. An item's peers spend the shared budget
+   too, so an item checks it before starting a path as well as after
+   finishing one. *)
 let budget_spent st =
   match st.cfg.C.max_executions with
   | Some m ->
@@ -217,24 +192,10 @@ let budget_spent st =
 (* Inside a path, the search polls every 256 steps. *)
 let poll_mask = 255
 
-(* The progress sample: this session's counters plus any resumed prior. (A
-   parallel search's progress is the supervisor's.) *)
-let progress_sample st () =
-  let executions, mass =
-    match st.prior with
-    | Some p ->
-      ( st.executions + p.pr_stats.Report.executions,
-        st.probe_mass + p.pr_stats.Report.probe_mass )
-    | None -> (st.executions, st.probe_mass)
-  in
-  Obs.Progress.estimate ~executions ~mass ~elapsed:(elapsed st) ~jobs:(max 1 st.cfg.C.jobs)
-
-(* Poll points tick the progress reporter, then check the deadline and the
-   interrupt flag. *)
+(* Poll points tick the supervisor's progress sampler, then check the
+   deadline and the interrupt flag. *)
 let poll st =
-  (match st.cfg.C.progress with
-   | None -> ()
-   | Some p -> Obs.Progress.tick p (progress_sample st));
+  st.tick ();
   stopped st
 
 let is_systematic (cfg : C.t) =
@@ -254,12 +215,18 @@ let sampling_count (cfg : C.t) =
    frame widths instead. *)
 let probe_denom (cfg : C.t) = if is_systematic cfg then 0 else max 1 (sampling_count cfg)
 
-(* A work item runs about this long before it returns to its supervisor,
-   so a search on one worker still reports, relays its events and
-   checkpoints as it goes. *)
+(* A work item on a worker runs about this long before it returns to its
+   supervisor, so a search on one worker still reports, relays its events
+   and checkpoints as it goes. *)
 let slice = 1.0
 
-let make_state ?deadline ?(slice_end = infinity) ?tally ?(shard = 0) (cfg : C.t) prog =
+(* The whole search as one work item: the empty cursor (the whole tree),
+   or every execution of a sampling mode. *)
+let root (cfg : C.t) =
+  if is_systematic cfg then CK.Cursor [||] else CK.Range (0, sampling_count cfg)
+
+let make_state ?deadline ?(slice_end = infinity) ?tally ?(tick = ignore) ?(shard = 0) (cfg : C.t)
+    prog =
   let deadline =
     match deadline with
     | Some d -> d
@@ -278,12 +245,12 @@ let make_state ?deadline ?(slice_end = infinity) ?tally ?(shard = 0) (cfg : C.t)
     rng = Rng.make cfg.seed;
     next_exec = 0;
     end_exec = 0;
-    queued = [];
     stop = Ran_out;
     t0 = Obs.Clock.now ();
     deadline;
     slice_end;
     tally;
+    tick;
     probe_denom = probe_denom cfg;
     meters = (if cfg.metrics then Some (make_meters ()) else None);
     events;
@@ -292,8 +259,6 @@ let make_state ?deadline ?(slice_end = infinity) ?tally ?(shard = 0) (cfg : C.t)
        | Some s when Obs.Events.spans s -> events
        | _ -> None);
     analysis = List.map (fun (a : AH.t) -> a.create ()) cfg.analyses;
-    prior = None;
-    ckpt = None;
     probe_mass = 0;
     analysis_us = 0;
     executions = 0;
@@ -331,8 +296,8 @@ let load_item st = function
     st.end_exec <- hi
 
 (* Debug/analysis hook: receives (signature, decision prefix) for every
-   recorded state. Used by the coverage cross-checking tests (sequential
-   searches only). *)
+   recorded state. Used by the coverage cross-checking tests (searches in
+   this process only). *)
 let state_hook : (int64 -> Engine.t -> unit) option ref = ref None
 
 let record_state st run =
@@ -807,8 +772,7 @@ let stats_of st =
    derived entries over a registry snapshot. Derived quantities that depend
    on wall time or on the shard layout are gauges, never counters — the
    counter slice of a snapshot is deterministic across [jobs] (tested). Pure
-   with respect to the registry: the checkpoint layer takes one snapshot per
-   path boundary, so exporting must not mutate the instruments. *)
+   with respect to the registry. *)
 let metrics_of st =
   match st.meters with
   | None -> M.Snapshot.empty
@@ -861,79 +825,18 @@ let analysis_report st =
           potential_deadlock_cycles = AH.cycles combined.AH.lock_edges },
       combined.AH.counters )
 
-(* This session's report pieces — stats, metrics with the per-analysis
-   counters spliced in, analysis results — with any resumed prior totals
-   folded in. Pure; taken once per path boundary when checkpointing. *)
-let totals st =
+(* The search's report: stats, metrics with the per-analysis counters
+   spliced in, analysis results. *)
+let report st verdict =
   let analysis, acounters = analysis_report st in
   let metrics =
     List.fold_left (fun m (k, v) -> M.Snapshot.with_counter m k v) (metrics_of st) acounters
   in
-  let stats = stats_of st in
-  match st.prior with
-  | None -> (stats, metrics, analysis)
-  | Some p ->
-    let stats = Checkpoint.merge_stats ~prior:p.pr_stats stats in
-    let metrics = M.Snapshot.merge p.pr_metrics metrics in
-    let analysis =
-      match analysis with
-      | None -> None
-      | Some (a : Report.analysis) ->
-        let edges = AH.dedup_edges (p.pr_edges @ a.Report.lock_order_edges) in
-        Some { Report.lock_order_edges = edges; potential_deadlock_cycles = AH.cycles edges }
-    in
-    (stats, Report.fix_lockgraph_counters metrics analysis, analysis)
+  { Report.verdict; stats = stats_of st; metrics; analysis }
 
-(* A sampling path weighs [1/count]. A resume may raise the count: the
-   prior paths are then reweighed, so the mass stays executions/count, as
-   in one uninterrupted run. *)
-let reweigh (cfg : C.t) (s : Report.stats) metrics =
-  if is_systematic cfg then (s, metrics)
-  else begin
-    let mass =
-      s.Report.executions * Obs.Estimator.descend Obs.Estimator.one (probe_denom cfg)
-    in
-    ( { s with Report.probe_mass = mass },
-      match M.Snapshot.find metrics "search/probe_mass" with
-      | Some _ -> M.Snapshot.with_counter metrics "search/probe_mass" mass
-      | None -> metrics )
-  end
-
-(* Fold a done region into the prior totals, as a resumed search passes
-   it. Its wall time belongs to the prior sessions, counted already. *)
-let absorb st (p : CK.part) =
-  let stats, metrics = reweigh st.cfg p.CK.p_stats p.CK.p_metrics in
-  let stats = { stats with Report.elapsed = 0.; search_elapsed = 0. } in
-  if st.cfg.C.coverage then List.iter (fun s -> Hashtbl.replace st.states s ()) p.CK.p_states;
-  let q =
-    Option.value st.prior
-      ~default:{ pr_stats = CK.zero_stats; pr_metrics = M.Snapshot.empty; pr_edges = [] }
-  in
-  st.prior <-
-    Some
-      { pr_stats = CK.merge_stats ~prior:q.pr_stats stats;
-        pr_metrics = M.Snapshot.merge q.pr_metrics metrics;
-        pr_edges = AH.dedup_edges (q.pr_edges @ p.CK.p_edges) }
-
-(* Take up the next open region, folding the done ones before it into the
-   prior. False when none is left. *)
-let rec next_region st =
-  match st.queued with
-  | [] -> false
-  | CK.Done p :: rest ->
-    st.queued <- rest;
-    absorb st p;
-    next_region st
-  | CK.Open item :: rest ->
-    st.queued <- rest;
-    load_item st item;
-    true
-
-(* Move to the next unexplored path: backtrack, the range's next execution,
-   or the next open region. False when no work is left. *)
-let advance st =
-  (if is_systematic st.cfg then backtrack st else st.next_exec < st.end_exec)
-  || next_region st
+(* Move to the next unexplored path: backtrack, or the range's next
+   execution. False when no work is left. *)
+let advance st = if is_systematic st.cfg then backtrack st else st.next_exec < st.end_exec
 
 (* The DFS stack as a cursor. Frames are deep-copied: the backtracking
    mutates them in place. *)
@@ -986,61 +889,6 @@ let split st =
 let split_wanted st =
   match st.tally with Some t -> Tally.split_asked t && splittable st | None -> false
 
-(* The search's regions at a path boundary — what a resume needs to
-   continue with the next unexplored path: the totals so far as one done
-   region, any resumed prior folded in, then the work left (none once the
-   search is complete). Coverage signatures are filled in at write time,
-   where the table is only read (recording is idempotent, so a resumed
-   session re-recording a partial path's states converges to the same union
-   as the uninterrupted run). *)
-let capture_boundary ?(complete = false) st =
-  let stats, metrics, analysis = totals st in
-  let edges =
-    match analysis with Some a -> a.Report.lock_order_edges | None -> []
-  in
-  ( { CK.p_stats = stats; p_metrics = metrics; p_states = []; p_edges = edges },
-    if complete then [] else List.map (fun i -> CK.Open i) (remaining st) @ st.queued )
-
-let write_checkpoint st ck ((explored : CK.part), rest) ~complete =
-  let states =
-    if st.cfg.C.coverage then
-      List.sort Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) st.states [])
-    else []
-  in
-  ck.ck_last <- Obs.Clock.now ();
-  let t = Obs.Span.start () in
-  let saved =
-    Checkpoint.save_result ck.ck_path
-      { CK.fingerprint = CK.fingerprint st.cfg ~program:st.prog.Program.name;
-        payload =
-          { CK.regions = CK.Done { explored with CK.p_states = states } :: rest;
-            elapsed = explored.CK.p_stats.Report.elapsed;
-            complete } }
-  in
-  (match (st.meters, st.events) with
-   | None, None -> ()
-   | _ ->
-     Obs.Span.record
-       ?hist:(Option.map (fun m -> m.m_span_ckpt) st.meters)
-       ?events:st.events ~phase:"checkpoint_save" ~dur_us:(Obs.Span.elapsed_us t) ());
-  match saved with
-  | Ok () ->
-    (match st.events with
-     | Some buf ->
-       Obs.Events.emit buf ~kind:"checkpoint"
-         (J.Obj [ ("file", J.Str ck.ck_path); ("complete", J.Bool complete) ])
-     | None -> ())
-  | Error msg ->
-    (* The previous checkpoint is intact; warn (advisory event + stderr via
-       [Checkpoint.save_result]'s caller contract) and keep searching. *)
-    Printf.eprintf "fairmc: checkpoint save failed: %s (keeping the previous checkpoint)\n%!"
-      msg;
-    (match st.events with
-     | Some buf ->
-       Obs.Events.emit buf ~kind:"checkpoint_error"
-         (J.Obj [ ("file", J.Str ck.ck_path); ("error", J.Str msg) ])
-     | None -> ())
-
 (* Schedule fingerprint for path events: FNV-1a-style folding in native-int
    arithmetic — the Int64 {!Fnv} is boxed and costs over a microsecond per
    path here. One multiply per decision; the hash is a deterministic
@@ -1068,15 +916,6 @@ let run_loop_body st =
     st.first_error_time <- Some (elapsed st)
   in
   while !verdict = None do
-    (* Path boundary: (re)capture the resume snapshot and do a throttled
-       checkpoint write. *)
-    (match st.ckpt with
-     | None -> ()
-     | Some ck ->
-       let b = capture_boundary st in
-       ck.ck_boundary <- Some b;
-       if Obs.Clock.now () -. ck.ck_last >= ck.ck_interval then
-         write_checkpoint st ck b ~complete:false);
     (* Poll the wall clock, the interrupt flag and the shared budget at
        every path start, so short budgets cannot overshoot by a whole
        path. *)
@@ -1166,7 +1005,7 @@ let run_loop_body st =
         else if
           budget_spent st || stopped st
           || (st.slice_end < infinity && Obs.Clock.now () > st.slice_end)
-        then stop After_path
+        then stop At_boundary
         else if split_wanted st then stop At_split
       end;
       (* Path boundary: publish this path's event batch. The erroring
@@ -1183,27 +1022,7 @@ let run_loop_body st =
       match st.events with Some b -> Obs.Events.flush b | None -> ()
     end
   done;
-  let final_verdict = Option.get !verdict in
-  (* Final checkpoint flush. A stop at a boundary or inside a path flushes
-     the snapshot taken before the path (a path cut short runs again in
-     full on resume); a stop after a completed path has advanced past it.
-     A search that ran out of work is complete, unless it samples: a later
-     session may raise its count. *)
-  (match (st.ckpt, final_verdict) with
-   | None, _ -> ()
-   | Some ck, Report.Limits_reached ->
-     (match st.stop with
-      | At_boundary | Mid_path | At_split ->
-        write_checkpoint st ck (Option.get ck.ck_boundary) ~complete:false
-      | After_path | Ran_out ->
-        let complete = systematic && st.stop = Ran_out in
-        write_checkpoint st ck (capture_boundary ~complete st) ~complete)
-   | Some ck, _ -> write_checkpoint st ck (capture_boundary ~complete:true st) ~complete:true);
-  (* The final checkpoint may have queued an advisory event after the last
-     path-boundary flush. *)
-  (match st.events with Some b -> Obs.Events.flush b | None -> ());
-  let stats, metrics, analysis = totals st in
-  { Report.verdict = final_verdict; stats; metrics; analysis }
+  report st (Option.get !verdict)
 
 (* Install the shard's analysis instances as the engine's step observer for
    the duration of the loop. Cleared on every exit path: a leaked observer
@@ -1265,83 +1084,28 @@ let post_run_end (cfg : C.t) (r : Report.t) =
            ("transitions", J.Int r.Report.stats.Report.transitions);
            ("probe_mass", J.Int r.Report.stats.Report.probe_mass) ])
 
-(* The regions a search runs: the whole tree, or every execution, for a
-   fresh search; a resumed payload's regions, a sampling search's cut or
-   extended to its count (the count is a budget: a resume may raise it). *)
-let regions (cfg : C.t) (resume : CK.payload option) =
-  match resume with
-  | None ->
-    [ CK.Open (if is_systematic cfg then CK.Cursor [||] else CK.Range (0, sampling_count cfg)) ]
-  | Some p when is_systematic cfg -> p.CK.regions
-  | Some p ->
-    let count = sampling_count cfg in
-    let rec fit pos = function
-      | [] -> if pos < count then [ CK.Open (CK.Range (pos, count)) ] else []
-      | (CK.Done d as r) :: rest -> r :: fit (pos + d.CK.p_stats.Report.executions) rest
-      | CK.Open (CK.Range (lo, hi)) :: rest ->
-        if lo < count then CK.Open (CK.Range (lo, min hi count)) :: fit hi rest else fit hi rest
-      | CK.Open (CK.Cursor _) :: _ -> invalid_arg "Search.regions: a cursor in a sampling search"
-    in
-    fit 0 p.CK.regions
-
-let run ?resume cfg prog =
+(* The session-free search: the root item in this process, to its end. *)
+let run cfg prog =
   post_run_start cfg prog;
-  let regions = regions cfg resume in
-  (* [max_executions] counts across sessions: a resumed session gets what is
-     left of it, and counts its own executions from zero. [totals] folds
-     the prior totals back in. *)
-  let prior =
-    List.fold_left
-      (fun n -> function CK.Done p -> n + p.CK.p_stats.Report.executions | CK.Open _ -> n)
-      0 regions
-  in
-  let cfg_run =
-    { cfg with C.max_executions = Option.map (fun m -> max 0 (m - prior)) cfg.C.max_executions }
-  in
-  let st = make_state cfg_run prog in
-  st.queued <- regions;
-  Option.iter
-    (fun (p : CK.payload) ->
-      let elapsed = p.CK.elapsed in
-      st.prior <-
-        Some
-          { pr_stats = { CK.zero_stats with Report.elapsed; search_elapsed = elapsed };
-            pr_metrics = M.Snapshot.empty;
-            pr_edges = [] })
-    resume;
-  (match cfg.C.checkpoint with
-   | None -> ()
-   | Some path ->
-     st.ckpt <-
-       Some
-         { ck_path = path;
-           ck_interval = cfg.C.checkpoint_interval;
-           ck_last = Obs.Clock.now ();
-           ck_boundary = None });
-  let report =
-    if cfg_run.C.max_executions <> Some 0 && next_region st then run_loop st
-    else begin
-      (* Nothing left to run: the prior totals are the answer. *)
-      List.iter (function CK.Done p -> absorb st p | CK.Open _ -> ()) st.queued;
-      let stats, metrics, analysis = totals st in
-      { Report.verdict = Report.Limits_reached; stats; metrics; analysis }
-    end
-  in
-  (match cfg.C.progress with None -> () | Some p -> Obs.Progress.force p (progress_sample st));
+  let st = make_state cfg prog in
+  load_item st (root cfg);
+  let report = run_loop st in
   post_run_end cfg report;
   report
 
-(* One work item of a parallel search. Returns the coverage table alongside
-   the report, so the supervisor can union tables rather than sum
+(* One work item of a supervised search. Returns the coverage table
+   alongside the report, so the supervisor can union tables rather than sum
    cardinalities, and the work left. An item with no work left is finished
    ([Verified] unless it found an error), whatever stopped it. *)
-let run_item ?deadline ?shard ~tally cfg prog item =
-  let st = make_state ?deadline ~slice_end:(Obs.Clock.now () +. slice) ~tally ?shard cfg prog in
+let run_item ?deadline ?shard ?(slice = slice) ?tick ~tally cfg prog item =
+  let st =
+    make_state ?deadline ~slice_end:(Obs.Clock.now () +. slice) ~tally ?tick ?shard cfg prog
+  in
   load_item st item;
   let r = run_loop st in
   let rest =
     match (r.Report.verdict, st.stop) with
-    | Report.Limits_reached, (At_boundary | After_path) -> remaining st
+    | Report.Limits_reached, At_boundary -> remaining st
     | Report.Limits_reached, At_split -> split st
     | _ -> []
   in

@@ -23,22 +23,19 @@
     divergences and classified by their last 500 steps (good-samaritan
     violation vs. fair nontermination, the paper's outcomes 2 and 3).
 
-    The search polls the wall clock, the interrupt flag and
-    [config.progress] at every path start and every 256 steps inside a
-    path. *)
+    The search polls the wall clock, the interrupt flag and the progress
+    tick its supervisor hands it at every path start and every 256 steps
+    inside a path.
 
-val run : ?resume:Checkpoint.payload -> Search_config.t -> Program.t -> Report.t
-(** Run the configured search. With [resume], continue a prior session,
-    sequential or parallel: the open regions run in DFS order, each done
-    region folds into the totals as the search passes it (coverage table
-    included), [max_executions] is reduced by the executions of the done
-    regions, and a sampling search's regions are cut or extended to its
-    count — an interrupted-then-resumed run reports the same verdict,
-    counterexample and statistics as an uninterrupted one, also when the
-    resume raises the sampling count. When [config.checkpoint] is set, the
-    search snapshots its regions at every path boundary and writes the file
-    at most every [checkpoint_interval] seconds, plus exactly once when it
-    stops. *)
+    This module runs the work of one item and keeps no session: resuming,
+    checkpoints and progress belong to {!Supervisor}, which runs every
+    search, at every fan-out ({!Checker.check}). *)
+
+val run : Search_config.t -> Program.t -> Report.t
+(** Run the configured search from its root, in this process, to its end:
+    no resume, no checkpoint file ([config.checkpoint] is ignored) and no
+    progress ([config.progress] is ignored). The reference the
+    supervised search must equal, whatever its fan-out. *)
 
 val good_samaritan_culprit : (int * int * bool) list -> int
 (** Pick the culprit thread of a good-samaritan divergence from
@@ -50,9 +47,10 @@ val good_samaritan_culprit : (int * int * bool) list -> int
 val state_hook : (int64 -> Engine.t -> unit) option ref
 (** Debug/analysis hook invoked on every state recorded during coverage
     collection (signature + live run). Used by tests that cross-check
-    stateless coverage against the stateful ground truth (sequential searches
-    only — the hook is a plain global). A restoring search does not revisit
-    the states of a restored prefix, so the hook sees each of those once. *)
+    stateless coverage against the stateful ground truth (searches that run
+    in this process only — the hook is a plain global). A restoring search
+    does not revisit the states of a restored prefix, so the hook sees each
+    of those once. *)
 
 type replay_outcome =
   | Replayed_failure of Report.counterexample
@@ -70,7 +68,7 @@ val replay : Program.t -> (int * int) list -> (Engine.t -> unit) -> replay_outco
     transition. Used to confirm and inspect reported bugs; a mismatch is
     reported explicitly rather than silently truncating the replay. *)
 
-(** {1 Parallel-search seam}
+(** {1 Supervised-search seam}
 
     The entry points below are consumed by {!Supervisor}; they are exposed
     here because the work items ({!Checkpoint.item}) are snapshots of the
@@ -93,30 +91,34 @@ val sampling_count : Search_config.t -> int
 (** Executions a sampling mode runs ([n] for [random:n] and [prio:n], 1
     for round-robin); [max_int] for the systematic modes. *)
 
-val regions : Search_config.t -> Checkpoint.payload option -> Checkpoint.region list
-(** The regions a search runs, in DFS order: one open item — the empty
-    cursor, or every execution of a sampling mode — for a fresh search; a
-    resumed payload's regions otherwise, a sampling search's cut or
-    extended to its count. *)
+val root : Search_config.t -> Checkpoint.item
+(** The whole search as one work item: the empty cursor (the whole tree),
+    or every execution of a sampling mode. *)
+
+val slice : float
+(** 1 s: the default [slice] of {!run_item}. *)
 
 val run_item :
   ?deadline:float ->
   ?shard:int ->
+  ?slice:float ->
+  ?tick:(unit -> unit) ->
   tally:Tally.t ->
   Search_config.t ->
   Program.t ->
   Checkpoint.item ->
   Report.t * (int64, unit) Hashtbl.t * Checkpoint.item list
-(** Run one work item of a parallel search. [deadline] overrides the
+(** Run one work item of a supervised search. [deadline] overrides the
     config's relative [time_limit] with an absolute timestamp shared by all
     items. Every completed path is added to [tally]'s slot, and
     [max_executions] is checked against the tally's search-wide total
     (instead of the local count) at every path start and end. A sampling
     path weighs [1/count] of the config's whole sampling count, whichever
     item runs it. [shard] tags the item's telemetry events
-    ([config.events]). Returns the report of the paths explored, the
-    item's coverage table (so the caller can union tables rather than sum
-    cardinalities), and the work left, in DFS order.
+    ([config.events]); [tick] runs at every poll ([config.progress] is not
+    read). Returns the report of the paths explored, the item's coverage
+    table (so the caller can union tables rather than sum cardinalities),
+    and the work left, in DFS order.
 
     When the slot's split request ({!Tally.ask_split}) is up at a path
     boundary after the item's first path, and there is work to split off,
@@ -125,17 +127,9 @@ val run_item :
     that starts at those siblings, with the sleep set backtracking would
     give them. A range leaves its two halves. A budget, deadline or
     interrupt noticed at a path boundary leaves one item: the work not yet
-    run. So does the first path boundary after about a second of running
-    (a constant), so that an item returns to its supervisor about once a
-    second however large it is. An item with no work left reports [Verified] unless it found an
-    error; one that a stop cut short inside a path reports
-    [Limits_reached] and leaves nothing (it did not finish: it runs again
-    whole). *)
-
-val reweigh :
-  Search_config.t -> Report.stats -> Fairmc_obs.Metrics.Snapshot.t ->
-  Report.stats * Fairmc_obs.Metrics.Snapshot.t
-(** Totals of a sampling search's done region, reweighed for the config's
-    sampling count: every path weighs [1/count], so a resume that raised
-    the count reports the probe mass of one uninterrupted run. Systematic
-    totals come back unchanged. *)
+    run. So does the first path boundary after [slice] seconds of running
+    ({!slice} by default, [infinity] for never), so that an item returns to
+    its supervisor that often however large it is. An item with no work
+    left reports [Verified] unless it found an error; one that a stop cut
+    short inside a path reports [Limits_reached] and leaves nothing (it did
+    not finish: it runs again whole). *)

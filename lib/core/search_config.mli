@@ -77,17 +77,18 @@ type t = {
           same knob as [workers], kept under the [-j] name. The fan-out is
           the larger of the two, each with [0] (or negative) resolved to
           [Domain.recommended_domain_count ()]; a fan-out of 1 runs the
-          sequential search. *)
+          search in the calling process. *)
   metrics : bool;
       (** collect the full instrument set into {!Report.t.metrics}. Off by
           default: when off, no registry exists and the hot paths pay one
           branch per site (see DESIGN.md, "Observability"). *)
   progress : Fairmc_obs.Progress.t option;
       (** the caller's progress reporter, with its sinks and interval
-          ([None] by default). It is ticked in the calling process: a
-          sequential search ticks it at its poll points (every path start
-          and every 256 steps), a parallel one from the supervisor's loop,
-          with totals summed over the workers' shared {!Tally}. *)
+          ([None] by default). The {!Supervisor} ticks it in the calling
+          process, with the executions and probe mass of its {!Tally}
+          (prior sessions included) over the wall time of every session:
+          once per dispatch turn, and at every poll point (every path
+          start and every 256 steps) of an item it runs in process. *)
   events : Fairmc_obs.Events.stream option;
       (** telemetry event stream (schema [fairmc-events/1]): run/path/error/
           checkpoint lifecycle events plus advisory span and estimate
@@ -105,13 +106,16 @@ type t = {
           as engine-detected errors. *)
   checkpoint : string option;
       (** write a durable-session checkpoint (schema [fairmc-ckpt/2]) to this
-          file so an interrupted run can be continued with [--resume]; written
-          atomically (temp file + rename) at path boundaries, throttled by
-          [checkpoint_interval], and always flushed once when the search stops
-          (see DESIGN.md, "Durable sessions") *)
+          file so an interrupted run can be continued with [--resume]; the
+          {!Supervisor} writes it atomically (temp file + rename) when a
+          work item returns, throttled by [checkpoint_interval], and always
+          once when the search stops (see DESIGN.md, "Durable
+          sessions") *)
   checkpoint_interval : float;
       (** minimum seconds between periodic checkpoint writes; [0] writes at
-          every path boundary (tests). Default 30. *)
+          every path boundary (tests): a search in process returns its item
+          at its first path boundary after this (at most a second). Default
+          30. *)
   static_por : bool;
       (** ChessLang programs loaded through the static-analysis layer
           (lib/static): merge provably thread-local transitions out of the
@@ -121,7 +125,7 @@ type t = {
           the tree shape, so a session must resume with the same setting. *)
   workers : int;
       (** supervised worker {e processes} for {!Supervisor}: 1 (default)
-          runs the sequential search, [n > 1] forks [n] crash-isolated
+          runs the search in the calling process, [n > 1] forks [n] crash-isolated
           workers, [0] (or negative) uses
           [Domain.recommended_domain_count ()]; see [jobs] for how the two
           combine. Every strategy reports bit-identically at every fan-out

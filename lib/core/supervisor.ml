@@ -1,12 +1,15 @@
-(* Parallel search on supervised worker processes. See DESIGN.md, "Parallel
-   search".
+(* Every search's session: its regions, checkpoints, resume and progress,
+   and at a fan-out above one its supervised worker processes. See
+   DESIGN.md, "Parallel search" and "Durable sessions".
 
    Stateless model checking re-executes the program from its initial state
    for every schedule, so workers share nothing but their totals. The
    supervisor keeps the search as a list of regions in DFS order (execution
    order, for sampling), forks worker processes that run the open ones and
    answer in length-prefixed JSON over a pipe pair ({!Worker}), and merges
-   what they explored:
+   what they explored. At a fan-out of one it forks nothing and runs the
+   open regions in its own process, one after another, with the same
+   merge:
 
    - A search starts from one work item: the empty DFS cursor (the whole
      tree), or the range of every sampling execution. When a worker idles
@@ -23,8 +26,8 @@
      region before it is explored, so the counterexample is the one the
      sequential search finds, whatever the fan-out and the timing. A budget
      or time stop before that reports [Limits_reached] and keeps the
-     erroring region open. Round-robin runs a single schedule,
-     sequentially.
+     erroring region open. Round-robin runs a single schedule, in
+     process.
 
    Crash isolation: a worker that segfaults, is OOM-killed, wedges or
    garbles its pipe costs one attempt of one item, not the search.
@@ -56,6 +59,8 @@ module M = Fairmc_obs.Metrics
 module Clock = Fairmc_obs.Clock
 module Progress = Fairmc_obs.Progress
 module Events = Fairmc_obs.Events
+module Span = Fairmc_obs.Span
+module Estimator = Fairmc_obs.Estimator
 
 let resolve_workers (cfg : C.t) =
   let resolve n = if n = 1 then 1 else if n <= 0 then Domain.recommended_domain_count () else n in
@@ -82,9 +87,10 @@ type region = {
   mutable number : int;  (* its dispatch number, once dispatched *)
   mutable attempt : int;  (* of its next (or current) dispatch *)
   mutable ready : float;  (* a retry waits until then *)
+  mutable started : float;  (* the search's time when its attempt began *)
 }
 
-let region state = { state; number = -1; attempt = 0; ready = 0. }
+let region state = { state; number = -1; attempt = 0; ready = 0.; started = 0. }
 
 (* Explored work merged, [a] first in DFS order: one stats merge
    ({!Checkpoint.merge_stats}, which offsets [b]'s first error by [a]'s
@@ -126,10 +132,25 @@ let states_tbl l =
   List.iter (fun s -> Hashtbl.replace tbl s ()) l;
   tbl
 
+(* A sampling path weighs [1/count]. A resume may raise the count: the
+   prior paths are then reweighed, so the mass stays executions/count, as
+   in one uninterrupted run. *)
+let reweigh (cfg : C.t) (s : Report.stats) metrics =
+  if Search.is_systematic cfg then (s, metrics)
+  else begin
+    let mass =
+      s.Report.executions * Estimator.descend Estimator.one (max 1 (Search.sampling_count cfg))
+    in
+    ( { s with Report.probe_mass = mass },
+      match M.Snapshot.find metrics "search/probe_mass" with
+      | Some _ -> M.Snapshot.with_counter metrics "search/probe_mass" mass
+      | None -> metrics )
+  end
+
 (* A checkpoint's done region as explored work, reweighed for the config's
    sampling count. *)
 let explored_of_part (cfg : C.t) (p : CK.part) =
-  let stats, metrics = Search.reweigh cfg p.CK.p_stats p.CK.p_metrics in
+  let stats, metrics = reweigh cfg p.CK.p_stats p.CK.p_metrics in
   let analysis =
     if cfg.C.analyses = [] then None
     else
@@ -138,6 +159,25 @@ let explored_of_part (cfg : C.t) (p : CK.part) =
           potential_deadlock_cycles = AH.cycles p.CK.p_edges }
   in
   ({ Report.verdict = Report.Verified; stats; metrics; analysis }, states_tbl p.CK.p_states)
+
+(* The regions a search starts from: the root item for a fresh search; a
+   resumed payload's regions, a sampling search's cut or extended to its
+   count (the count is a budget: a resume may raise it). *)
+let start_regions (cfg : C.t) (resume : CK.payload option) =
+  match resume with
+  | None -> [ CK.Open (Search.root cfg) ]
+  | Some p when Search.is_systematic cfg -> p.CK.regions
+  | Some p ->
+    let count = Search.sampling_count cfg in
+    let rec fit pos = function
+      | [] -> if pos < count then [ CK.Open (CK.Range (pos, count)) ] else []
+      | (CK.Done d as r) :: rest -> r :: fit (pos + d.CK.p_stats.Report.executions) rest
+      | CK.Open (CK.Range (lo, hi)) :: rest ->
+        if lo < count then CK.Open (CK.Range (lo, min hi count)) :: fit hi rest else fit hi rest
+      | CK.Open (CK.Cursor _) :: _ ->
+        invalid_arg "Supervisor.start_regions: a cursor in a sampling search"
+    in
+    fit 0 p.CK.regions
 
 let part_of (cfg : C.t) ((r : Report.t), tbl) =
   { CK.p_stats = r.Report.stats;
@@ -153,7 +193,8 @@ let rec deciding = function
 
 (* Merge the regions into the final report. The first region that is not
    explored decides: a failed one gives its verdict, with everything before
-   it merged; an open or cut one leaves the search [Limits_reached], with
+   it merged and its error's time counted from the search's start; an open
+   or cut one leaves the search [Limits_reached], with
    every region that ran merged (a failed one without its error: the search
    did not reach it). With every region explored, a systematic search is
    verified; a sampling search's count ran out, as the sequential search
@@ -171,10 +212,11 @@ let finalize (cfg : C.t) regions ~elapsed ~with_gauges =
   in
   let rec scan acc = function
     | { state = Explored e; _ } :: rest -> scan (add acc e) rest
-    | { state = Failed (_, ((w, _) as e)); _ } :: _ ->
+    | { state = Failed (_, ((w, _) as e)); started; _ } :: _ ->
       let r = add acc e in
       ( w.Report.verdict,
-        { r.Report.stats with first_error_time = w.Report.stats.Report.first_error_time },
+        { r.Report.stats with
+          first_error_time = Option.map (( +. ) started) w.Report.stats.Report.first_error_time },
         r )
     | [] ->
       ( (if Search.is_systematic cfg then Report.Verified else Report.Limits_reached),
@@ -202,7 +244,7 @@ let finalize (cfg : C.t) regions ~elapsed ~with_gauges =
     tbl )
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry and checkpoint seams                                      *)
+(* Telemetry seam                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let post_event (cfg : C.t) kind fields =
@@ -210,29 +252,11 @@ let post_event (cfg : C.t) kind fields =
   | None -> ()
   | Some s -> Events.post s ~shard:(-1) ~kind (J.Obj fields)
 
-(* The checkpoint file: the regions as they stand, written after a merged
-   answer (throttled by [checkpoint_interval]) and once when the run stops.
-   A failed save warns and keeps the previous checkpoint (see
-   Checkpoint.save_result). *)
-let checkpoint_write (cfg : C.t) path ~prog ~elapsed ~complete regions =
-  let regions =
-    List.map
-      (fun r ->
-        match r.state with
-        | Explored e -> CK.Done (part_of cfg e)
-        | Queued item | Running item | Failed (item, _) | Cut (item, _) -> CK.Open item)
-      regions
-  in
-  match
-    CK.save_result path
-      { CK.fingerprint = CK.fingerprint cfg ~program:prog.Program.name;
-        payload = { CK.regions; elapsed; complete } }
-  with
-  | Ok () -> ()
-  | Error msg ->
-    Printf.eprintf "fairmc: checkpoint save failed: %s (keeping the previous checkpoint)\n%!"
-      msg;
-    post_event cfg "checkpoint_error" [ ("file", J.Str path); ("error", J.Str msg) ]
+(* The search goes on in this process: at fan-out 1 that is the plan; at a
+   larger one the workers could not be had, and the user is told. *)
+let fall_back (cfg : C.t) reason =
+  Printf.eprintf "fairmc: %s; finishing the search in-process\n%!" reason;
+  post_event cfg "supervisor_fallback" [ ("reason", J.Str reason) ]
 
 (* ------------------------------------------------------------------ *)
 (* Supervision                                                         *)
@@ -405,7 +429,7 @@ let forget_ends s =
 type t = {
   cfg : C.t;
   prog : Program.t;
-  workers : int;
+  workers : int;  (* the fan-out: worker processes, or 1 in process *)
   hosted : bool;
       (* driven by a host beside other work (chessd): no search in the
          host's process, and no complete checkpoint once it ends *)
@@ -416,7 +440,8 @@ type t = {
   item_timeout : float option;
   tally : Tally.t;
   counters : counters;
-  mutable slots : slot array;
+  meters : M.t option;  (* the checkpoint_save span, under [config.metrics] *)
+  mutable slots : slot array;  (* empty when the search runs in process *)
   mutable regions : region list;  (* in DFS order *)
   mutable stopped : bool;
   mutable last_write : float;
@@ -433,11 +458,41 @@ let budget_exhausted t =
 
 let work_remaining t = List.exists queued (deciding t.regions)
 
+let elapsed t = t.prior_elapsed +. (Clock.now () -. t.t0)
+
+(* The checkpoint file: the regions as they stand, written after a merged
+   answer (throttled by [checkpoint_interval]) and once when the run stops.
+   Each save is a [checkpoint_save] span; a failed one warns and keeps the
+   previous checkpoint (see Checkpoint.save_result). *)
 let write t ~complete regions =
   Option.iter
     (fun path ->
-      checkpoint_write t.cfg path ~prog:t.prog ~complete regions
-        ~elapsed:(t.prior_elapsed +. (Clock.now () -. t.t0)))
+      let regions =
+        List.map
+          (fun r ->
+            match r.state with
+            | Explored e -> CK.Done (part_of t.cfg e)
+            | Queued item | Running item | Failed (item, _) | Cut (item, _) -> CK.Open item)
+          regions
+      in
+      let span = Span.start () in
+      let saved =
+        CK.save_result path
+          { CK.fingerprint = CK.fingerprint t.cfg ~program:t.prog.Program.name;
+            payload = { CK.regions; elapsed = elapsed t; complete } }
+      in
+      let buf = Option.map (fun s -> Events.buffer s ~shard:(-1)) t.cfg.C.events in
+      Span.record
+        ?hist:(Option.map (fun reg -> M.histogram reg (Span.hist_name "checkpoint_save")) t.meters)
+        ?events:buf ~phase:"checkpoint_save" ~dur_us:(Span.elapsed_us span) ();
+      let emit kind fields = Option.iter (fun b -> Events.emit b ~kind (J.Obj fields)) buf in
+      (match saved with
+       | Ok () -> emit "checkpoint" [ ("file", J.Str path); ("complete", J.Bool complete) ]
+       | Error msg ->
+         Printf.eprintf "fairmc: checkpoint save failed: %s (keeping the previous checkpoint)\n%!"
+           msg;
+         emit "checkpoint_error" [ ("file", J.Str path); ("error", J.Str msg) ]);
+      Option.iter Events.flush buf)
     t.cfg.C.checkpoint
 
 (* A region's answer: what it explored, and the work it left, which takes
@@ -602,15 +657,20 @@ let cancel_slot t slot =
    | _ -> ());
   if (not t.stopped) && work_remaining t then respawn t slot
 
-(* Mark [r] as running on [slot]; the request goes out once the turn's
-   split requests are up, so the worker reads them at its first path
-   boundary already. *)
-let assign t slot r item =
+(* Mark [r] as running, numbered once: its first dispatch. *)
+let start_region t r item =
   if r.number < 0 then begin
     r.number <- t.counters.c_items;
     t.counters.c_items <- t.counters.c_items + 1
   end;
-  r.state <- Running item;
+  r.started <- elapsed t;
+  r.state <- Running item
+
+(* Mark [r] as running on [slot]; the request goes out once the turn's
+   split requests are up, so the worker reads them at its first path
+   boundary already. *)
+let assign t slot r item =
+  start_region t r item;
   slot.s_region <- Some r;
   slot.s_asked <- false;
   Tally.ask_split slot.s_tally false;
@@ -676,20 +736,37 @@ let read_slot t slot =
     in
     drain ()
 
-(* Last-resort degradation: every worker slot is dead and cannot be
-   respawned. Finish the open regions in-process, in DFS order — same
-   items, same merge — rather than abandoning the search. *)
-let run_inline t =
-  Printf.eprintf "fairmc: no live worker processes; finishing the search in-process\n%!";
-  post t "supervisor_fallback" [ ("reason", J.Str "no live workers") ];
+(* The progress line: the tally's executions and probe mass, prior sessions
+   included, over the wall time of every session. *)
+let tick t () =
+  match t.cfg.C.progress with
+  | None -> ()
+  | Some p ->
+    Progress.tick p (fun () ->
+        Progress.estimate ~executions:(Tally.executions t.tally) ~mass:(Tally.mass t.tally)
+          ~elapsed:(elapsed t) ~jobs:t.workers)
+
+(* Run the open regions in this process, in DFS order, with the merge the
+   workers' answers get: the whole search at fan-out 1, and the rest of one
+   whose workers are gone. The item's polls tick the progress line. An item
+   returns at its first path boundary after [checkpoint_interval] (at most
+   {!Search.slice}) only when the run checkpoints, so that its work reaches
+   the file; otherwise it runs to its end. *)
+let run_in_process t =
+  let slice =
+    match t.cfg.C.checkpoint with
+    | None -> infinity
+    | Some _ -> Float.min Search.slice t.cfg.C.checkpoint_interval
+  in
   let rec go () =
     if not (Checkpoint.interrupted ()) && Clock.now () < t.deadline && not (budget_exhausted t)
     then
       match List.find_opt queued (deciding t.regions) with
       | Some ({ state = Queued item; _ } as r) ->
-        r.state <- Running item;
+        start_region t r item;
         let report, tbl, rest =
-          Search.run_item ~deadline:t.deadline ~shard:0 ~tally:t.tally t.cfg t.prog item
+          Search.run_item ~deadline:t.deadline ~shard:0 ~slice ~tick:(tick t) ~tally:t.tally t.cfg
+            t.prog item
         in
         record t r item (report, tbl) rest;
         go ()
@@ -835,30 +912,24 @@ let force_progress (cfg : C.t) (report : Report.t) ~jobs =
         Progress.estimate ~executions:s.Report.executions ~mass:s.Report.probe_mass
           ~elapsed:s.Report.elapsed ~jobs)
 
-let tick_progress (cfg : C.t) tally ~t0 ~prior_elapsed ~jobs () =
-  match cfg.C.progress with
-  | None -> ()
-  | Some p ->
-    Progress.tick p (fun () ->
-        Progress.estimate ~executions:(Tally.executions tally) ~mass:(Tally.mass tally)
-          ~elapsed:(prior_elapsed +. (Clock.now () -. t0))
-          ~jobs)
-
 (* End the run: tear the workers down, merge the regions into the report,
    write the checkpoint and post the closing events. *)
 let finish t =
   teardown t;
   let ((report, _) as final) =
-    finalize t.cfg t.regions
-      ~elapsed:(t.prior_elapsed +. (Clock.now () -. t.t0))
+    finalize t.cfg t.regions ~elapsed:(elapsed t)
       ~with_gauges:(sup_gauges t.cfg ~workers:t.workers t.counters)
   in
-  force_progress t.cfg report ~jobs:t.workers;
-  (* A search that reached its verdict is recorded as one done region, as
-     the sequential search records it, unless its host keeps the report
-     instead. *)
+  (* A search that reached its verdict is recorded as one done region,
+     unless its host keeps the report instead. *)
   if report.Report.verdict = Report.Limits_reached then write t ~complete:false t.regions
   else if not t.hosted then write t ~complete:true [ region (Explored final) ];
+  let report =
+    match t.meters with
+    | Some reg -> { report with Report.metrics = M.Snapshot.merge report.metrics (M.snapshot reg) }
+    | None -> report
+  in
+  force_progress t.cfg report ~jobs:t.workers;
   post_done t.cfg report ~workers:t.workers t.counters;
   Search.post_run_end t.cfg report;
   Option.iter Events.sync t.cfg.C.events;
@@ -877,8 +948,11 @@ let turn t =
        && ((not (work_remaining t)) || now >= t.deadline || budget_exhausted t)
   then Some (finish t)
   else if not (Array.exists (fun s -> s.s_alive) t.slots) then begin
-    if t.hosted then failwith "no worker process is left, and none could be forked";
-    run_inline t;
+    if Array.length t.slots > 0 then begin
+      if t.hosted then failwith "no worker process is left, and none could be forked";
+      fall_back t.cfg "no live worker processes"
+    end;
+    run_in_process t;
     Some (finish t)
   end
   else begin
@@ -906,7 +980,7 @@ let create ~hosted ?(inherited = fun () -> []) ?resume (cfg : C.t) prog ~workers
          (function
            | CK.Done p -> region (Explored (explored_of_part cfg p))
            | CK.Open item -> region (Queued item))
-         (Search.regions cfg resume))
+         (start_regions cfg resume))
   in
   (* More workers than sampling executions would idle. *)
   let workers =
@@ -917,7 +991,19 @@ let create ~hosted ?(inherited = fun () -> []) ?resume (cfg : C.t) prog ~workers
         0 regions
       |> min workers |> max 1
   in
-  let tally = Tally.create ~slots:(workers + 1) in
+  (* A host runs no search in its process; [chess check] forks only to fan
+     out. Tally slot 0 is this process's: resumed totals, in-process
+     items. *)
+  let forks, tally =
+    if workers = 1 && not hosted then (0, Tally.create ~slots:1)
+    else
+      match Tally.shared ~slots:(workers + 1) with
+      | tally -> (workers, tally)
+      | exception (Sys_error msg | Unix.Unix_error (_, _, msg)) when not hosted ->
+        fall_back cfg ("no tally to share with worker processes (" ^ msg ^ ")");
+        (0, Tally.create ~slots:1)
+  in
+  let workers = max 1 forks in
   List.iter
     (fun r ->
       match r.state with
@@ -952,11 +1038,12 @@ let create ~hosted ?(inherited = fun () -> []) ?resume (cfg : C.t) prog ~workers
       counters =
         { c_spawns = 0; c_restarts = 0; c_timeouts = 0; c_retries = 0; c_crashes = 0;
           c_quarantined = 0; c_items = 0 };
+      meters = (if cfg.C.metrics then Some (M.create ()) else None);
       slots = [||]; regions; stopped = false; last_write = Clock.now ();
       due = neg_infinity; final = None }
   in
   t.slots <-
-    Array.init workers (fun i ->
+    Array.init forks (fun i ->
         match spawn_slot t i with
         | s -> s
         | exception Unix.Unix_error (e, _, _) ->
@@ -992,7 +1079,7 @@ let step t ready =
           worker_died t s ~reason:"item timeout"
         | _ -> ())
       t.slots;
-    tick_progress t.cfg t.tally ~t0:t.t0 ~prior_elapsed:t.prior_elapsed ~jobs:t.workers ();
+    tick t ();
     turn t
 
 let stop t =
@@ -1020,15 +1107,16 @@ let wait t =
   poll ()
 
 let run ?resume (cfg : C.t) prog =
-  let workers = resolve_workers cfg in
-  match cfg.C.mode with
-  | C.Dfs | C.Context_bounded _ | C.Random_walk _ | C.Priority_random _ when workers > 1 ->
-    (* Workers can die mid-write; the parent must get EPIPE from its
-       request writes, not be killed. *)
-    let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-    Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev_sigpipe) @@ fun () ->
-    let t = create ~hosted:false ?resume cfg prog ~workers in
-    Fun.protect ~finally:(fun () -> if t.final = None then kill_workers t) @@ fun () ->
-    let rec go ready = match step t ready with Some r -> r | None -> go (wait t) in
-    go []
-  | _ -> (* one worker, or round-robin's single schedule *) Search.run ?resume { cfg with C.jobs = 1 } prog
+  let t = create ~hosted:false ?resume cfg prog ~workers:(resolve_workers cfg) in
+  (* Workers can die mid-write; the parent must get EPIPE from its request
+     writes, not be killed. *)
+  let sigpipe =
+    if Array.length t.slots > 0 then Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) else None
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if t.final = None then kill_workers t;
+      Option.iter (Sys.set_signal Sys.sigpipe) sigpipe)
+  @@ fun () ->
+  let rec go ready = match step t ready with Some r -> r | None -> go (wait t) in
+  go []

@@ -1,12 +1,16 @@
-(** Parallel search: the schedule space shared out among supervised
-    worker processes.
+(** Every search's session, and its fan-out: the schedule space shared out
+    among supervised worker processes.
 
     Stateless model checking re-executes the program from its initial state
     for every schedule, so workers share nothing but their totals. The
     supervisor keeps the search as a list of regions in DFS order — done
     ones, and open work items: DFS cursors ({!Checkpoint.Cursor}) or ranges
     of sampling executions — and forks worker processes that run the items
-    and answer over the {!Worker} pipe protocol:
+    and answer over the {!Worker} pipe protocol. At a fan-out of one it
+    forks nothing: it runs the items in its own process, in DFS order,
+    through the same {!Search.run_item} and the same merge. The supervisor
+    is the search's only checkpoint writer, resume reader and progress
+    sampler, at every fan-out:
 
     - {b Splitting}: a search starts from one item, the whole tree or every
       sampling execution. When a worker idles with nothing queued, the
@@ -21,7 +25,7 @@
       independent of the worker count and of timing. An error decides the
       verdict only once every region before it is explored; a budget or
       time stop before that reports [Limits_reached] and keeps the erroring
-      region open. Round-robin is a single schedule and runs sequentially.
+      region open. Round-robin is a single schedule and runs in process.
 
     Policies:
 
@@ -41,11 +45,17 @@
     - {b Quarantine}: an item that exhausts its retry budget becomes a
       {!Report.Crash} verdict whose counterexample is the item's schedule
       prefix, replayable to re-enter the crashing subtree.
-    - {b Slices}: an item returns at its first path boundary after about a
-      second of running, handing its rest back as one item, so a search on
-      one worker relays its events and checkpoints as it goes.
+    - {b Slices}: an item on a worker returns at its first path boundary
+      after about a second of running ({!Search.slice}), handing its rest
+      back as one item, so a search on one worker relays its events and
+      checkpoints as it goes. An item in process is cut into slices only
+      when the run checkpoints, at its first path boundary after
+      [min Search.slice config.checkpoint_interval]; otherwise it runs
+      whole, as one tree walk.
     - {b Degradation}: when every worker slot dies and none can be
-      respawned, {!run} finishes the open items in-process.
+      respawned, or the shared {!Tally} cannot be made, {!run} warns, posts
+      a [supervisor_fallback] event and finishes the open items
+      in-process.
 
     Deterministic fault injection ([config.inject_fault]) fires at most
     once, on the first attempt of the item dispatched [fault_seed]-th;
@@ -59,17 +69,19 @@ val resolve_workers : Search_config.t -> int
     [Domain.recommended_domain_count ()]. *)
 
 val run : ?resume:Checkpoint.payload -> Search_config.t -> Program.t -> Report.t
-(** Run the configured search: {!Search.run} when [resolve_workers config <=
-    1] (and for round-robin), the supervised worker pool otherwise, driven
-    by one select loop over a {!t} until it ends. A SIGINT or SIGTERM
-    caught by {!Checkpoint.install_signal_handlers} stops it.
+(** Run the configured search, driving one {!t} until it ends: in this
+    process when [resolve_workers config <= 1] (and for round-robin, one
+    execution), on that many worker processes otherwise. A SIGINT or
+    SIGTERM caught by {!Checkpoint.install_signal_handlers} stops it.
 
     [resume] continues a prior checkpointed session (see {!Checkpoint} and
     DESIGN.md, "Durable sessions"), written at any fan-out. When
-    [config.checkpoint] is set, a parallel search writes its regions as
-    they stand after merged answers (throttled by
+    [config.checkpoint] is set, the search writes its regions as they
+    stand after merged answers (throttled by
     [config.checkpoint_interval]) and once when it stops; a search that
-    reached its verdict is written complete. *)
+    reached its verdict is written complete. Every save is a
+    [checkpoint_save] span and posts a [checkpoint] (or
+    [checkpoint_error]) event on [config.events]. *)
 
 (** {1 A search a host steps}
 

@@ -1,4 +1,5 @@
-(* Search-wide totals in a shared mapping. See tally.mli. *)
+(* Search-wide totals, in a shared mapping when workers share them. See
+   tally.mli. *)
 
 module A = Bigarray.Array1
 
@@ -7,6 +8,11 @@ module A = Bigarray.Array1
 type t = { cells : (int, Bigarray.int_elt, Bigarray.c_layout) A.t; own : int }
 
 let create ~slots =
+  let cells = A.create Bigarray.int Bigarray.c_layout (3 * max 1 slots) in
+  A.fill cells 0;
+  { cells; own = 0 }
+
+let shared ~slots =
   let path = Filename.temp_file "fairmc" ".tally" in
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
   Fun.protect

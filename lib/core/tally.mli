@@ -1,7 +1,9 @@
-(** Search-wide totals shared by the processes of a parallel search.
+(** Search-wide totals of a supervised search, shared by its processes.
 
     One memory mapping, created by the supervisor before its first fork, so
-    every worker process inherits it. Each process owns one slot — an
+    every worker process inherits it ({!shared}); a search that forks no
+    worker keeps its slots in ordinary memory ({!create}). Each process
+    owns one slot — an
     execution count and an {!Fairmc_obs.Estimator} probe mass — and writes
     only that slot; readers sum every slot. A slot also holds a split
     request, which the supervisor raises and the slot's worker reads at
@@ -15,8 +17,14 @@ type t
 (** A view of the mapping that writes through one slot. *)
 
 val create : slots:int -> t
-(** A zeroed shared mapping of [slots] slots, viewed through slot 0. The
-    backing temporary file is unlinked before this returns. *)
+(** [slots] zeroed slots in this process's memory, viewed through slot 0:
+    no process forked after this sees its writes. *)
+
+val shared : slots:int -> t
+(** [slots] zeroed slots in a shared mapping, viewed through slot 0: a
+    process forked after this writes and reads the same cells. The backing
+    temporary file is unlinked before this returns; [Sys_error] or
+    [Unix.Unix_error] when it cannot be made. *)
 
 val slot : t -> int -> t
 (** The same mapping, viewed through another slot. *)

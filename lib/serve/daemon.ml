@@ -92,9 +92,9 @@ let spool_path t id ext = Filename.concat t.cfg.spool (id ^ ext)
 
 let spool_schema = "fairmc-spool/1"
 
-(* Same durability discipline as Checkpoint.save_result: data reaches the
-   disk before the rename publishes it, and the directory entry is synced
-   so a crash cannot leave a published-but-empty file. *)
+(* The checkpoint files' durability discipline: data reaches the disk
+   before the rename publishes it, and the directory entry is synced so a
+   crash cannot leave a published-but-empty file. *)
 let write_spool path text =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let oc = Out_channel.open_bin tmp in

@@ -283,8 +283,8 @@ let unit_tests =
             checkpoint_interval = 0. }
         in
         let run_cut cut resume =
-          Search.run ?resume
-            (with_ck { base with Search_config.max_executions = Some cut })
+          Checker.check ?resume
+            ~config:(with_ck { base with Search_config.max_executions = Some cut })
             prog
         in
         let payload cfg =
@@ -301,7 +301,7 @@ let unit_tests =
         check "second leg limited" true (r2.Report.verdict = Report.Limits_reached);
         check_int "second leg reports cumulative executions" 33
           r2.Report.stats.Report.executions;
-        let final = Search.run ~resume:(payload base) base prog in
+        let final = Checker.check ~config:base ~resume:(payload base) prog in
         Sys.remove file;
         check "same verdict as uninterrupted" true
           (final.Report.verdict = full.Report.verdict);
@@ -310,10 +310,11 @@ let unit_tests =
     Alcotest.test_case "mid-path interrupt resumes exactly" `Quick (fun () ->
         (* Interrupt from inside a path, not at a boundary: the checkpoint
            must exclude the partial path and the resume must re-run it
-           fully. The search polls at every path start and every 256 steps,
-           and every path of this program runs 301 steps, so a reporter
-           that emits at every poll ticks alternately at a path start and
-           at step 255 of that path: tick 14 lands inside the 7th path. *)
+           fully. The supervisor ticks once before its first item, then the
+           search polls at every path start and every 256 steps, and every
+           path of this program runs 301 steps, so a reporter that emits at
+           every tick ticks alternately at a path start and at step 255 of
+           that path: tick 15 lands inside the 7th path. *)
         let prog =
           Program.of_threads ~name:"long-paths" @@ fun () ->
           let a = Sync.int_var ~name:"a" 0 and b = Sync.int_var ~name:"b" 0 in
@@ -334,13 +335,13 @@ let unit_tests =
                    ~sinks:
                      [ (fun _ ->
                          incr ticks;
-                         if !ticks = 14 then CK.request_interrupt ()) ]
+                         if !ticks = 15 then CK.request_interrupt ()) ]
                    ());
             checkpoint = Some file;
             checkpoint_interval = 0. }
         in
         let partial =
-          Fun.protect ~finally:CK.clear_interrupt (fun () -> Search.run cut prog)
+          Fun.protect ~finally:CK.clear_interrupt (fun () -> Checker.check ~config:cut prog)
         in
         check "interrupt stopped the search" true
           (partial.Report.verdict = Report.Limits_reached);
@@ -359,7 +360,7 @@ let unit_tests =
         check_int "the interrupt landed inside the 7th path" 7
           partial.Report.stats.Report.executions;
         check_int "the checkpoint excludes the cut path" 6 (done_executions sq);
-        let resumed = Search.run ~resume:sq base prog in
+        let resumed = Checker.check ~config:base ~resume:sq prog in
         Sys.remove file;
         check "same verdict" true (resumed.Report.verdict = full.Report.verdict);
         check "same stats" true
@@ -383,7 +384,7 @@ let unit_tests =
             checkpoint = Some file;
             checkpoint_interval = 0. }
         in
-        let partial = Search.run cut prog in
+        let partial = Checker.check ~config:cut prog in
         check "stopped one execution short of the error" true
           (partial.Report.verdict = Report.Limits_reached);
         let resumed =
@@ -391,7 +392,7 @@ let unit_tests =
           | Error err -> Alcotest.fail err
           | Ok ck ->
             (match CK.plan_resume ck base ~program:prog.Program.name with
-             | Ok p -> Search.run ~resume:p base prog
+             | Ok p -> Checker.check ~config:base ~resume:p prog
              | Error err -> Alcotest.fail err)
         in
         Sys.remove file;
@@ -414,14 +415,14 @@ let unit_tests =
             checkpoint = Some file;
             checkpoint_interval = 0. }
         in
-        let partial = Search.run cut prog in
+        let partial = Checker.check ~config:cut prog in
         check "cut run limited" true (partial.Report.verdict = Report.Limits_reached);
         let resumed =
           match CK.load file with
           | Error e -> Alcotest.fail e
           | Ok ck ->
             (match CK.plan_resume ck cfg ~program:prog.Program.name with
-             | Ok p -> Search.run ~resume:p cfg prog
+             | Ok p -> Checker.check ~config:cfg ~resume:p prog
              | Error e -> Alcotest.fail e)
         in
         Sys.remove file;
@@ -709,9 +710,81 @@ let budget_tests =
           check "the message names the old schema" true
             (Test_checker.contains e "fairmc-ckpt/1")) ]
 
+(* ------------------------------------------------------------------ *)
+(* One progress sampler                                               *)
+
+let progress_tests =
+  [ Alcotest.test_case "a resumed -j 1 run's progress counts the checkpoint's time" `Quick
+      (fun () ->
+        (* The cut runs all but the last two paths, so it takes longer than
+           the resume: a sample over the resumed session's time alone reads
+           less than the checkpoint's elapsed. *)
+        let prog = W.Dining.program ~n:3 W.Dining.Ordered in
+        let full = Search.run base prog in
+        let file = Filename.temp_file "fairmc" ".ckpt" in
+        Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+        ignore
+          (Checker.check
+             ~config:
+               { base with
+                 Search_config.max_executions = Some (full.Report.stats.Report.executions - 2);
+                 checkpoint = Some file }
+             prog);
+        let payload =
+          match Result.bind (CK.load file) (fun c -> CK.plan_resume c base ~program:prog.Program.name) with
+          | Ok p -> p
+          | Error e -> Alcotest.fail e
+        in
+        let samples = ref [] in
+        let progress =
+          Some
+            (Fairmc_obs.Progress.create ~interval:0.
+               ~sinks:[ (fun s -> samples := s :: !samples) ]
+               ())
+        in
+        let r = Checker.check ~config:{ base with Search_config.progress } ~resume:payload prog in
+        check "the resume reaches the uninterrupted stats" true
+          (strip_time r.Report.stats = strip_time full.Report.stats);
+        check "progress was sampled" true (!samples <> []);
+        List.iter
+          (fun (s : Fairmc_obs.Progress.sample) ->
+            if s.Fairmc_obs.Progress.elapsed < payload.CK.elapsed then
+              Alcotest.failf "a sample reads %.4f s, the checkpoint %.4f s"
+                s.Fairmc_obs.Progress.elapsed payload.CK.elapsed)
+          !samples);
+    Alcotest.test_case "a -j 1 run in slices times its first error from the search's start"
+      `Quick (fun () ->
+        (* race-assert fails on its 6th path; here every path boots through
+           a 10 ms sleep. Checkpointing at every path boundary makes each
+           path a slice of its own, and the error's time must still count
+           the five paths before it. *)
+        let race = W.Litmus.race_assert () in
+        let prog =
+          { race with
+            Program.boot =
+              (fun () ->
+                Unix.sleepf 0.01;
+                race.Program.boot ()) }
+        in
+        let file = Filename.temp_file "fairmc" ".ckpt" in
+        Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+        let r =
+          Checker.check
+            ~config:{ base with Search_config.checkpoint = Some file; checkpoint_interval = 0. }
+            prog
+        in
+        Alcotest.(check (option int))
+          "the 6th path fails" (Some 6) r.Report.stats.Report.first_error_execution;
+        match r.Report.stats.Report.first_error_time with
+        | Some t when t >= 0.06 && t <= r.Report.stats.Report.elapsed -> ()
+        | t ->
+          Alcotest.failf "first error at %s s of %.4f s"
+            (Option.fold ~none:"no time" ~some:string_of_float t)
+            r.Report.stats.Report.elapsed) ]
+
 let suite =
   unit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
   @ codec_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) fuzz_props
-  @ budget_tests
+  @ budget_tests @ progress_tests

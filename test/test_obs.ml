@@ -362,7 +362,7 @@ let progress_tests =
                   Atomic.incr hits;
                   last_execs := s.Fairmc_obs.Progress.executions) }
         in
-        let r = Search.run cfg (W.Dining.coverage_program ~n:2) in
+        let r = Checker.check ~config:cfg (W.Dining.coverage_program ~n:2) in
         check "fired" true (Atomic.get hits > 0);
         check_int "final sample sees all executions" r.Report.stats.executions
           !last_execs);

@@ -292,12 +292,11 @@ let split_everywhere (cfg : Search_config.t) prog =
       let limited = spent () || not (Search.is_systematic cfg) in
       { acc with verdict = (if limited then Report.Limits_reached else Report.Verified) }
   in
-  let root = match Search.regions cfg None with [ Checkpoint.Open i ] -> i | _ -> assert false in
   let r =
     go
       { Report.verdict = Report.Verified; stats = Checkpoint.zero_stats;
         metrics = Fairmc_obs.Metrics.Snapshot.empty; analysis = None }
-      [ root ]
+      [ Search.root cfg ]
   in
   { r with stats = { r.stats with states = Hashtbl.length states } }
 

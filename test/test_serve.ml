@@ -200,15 +200,26 @@ let chessd =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "chessd.exe")
 
-let fresh_dir () =
+(* Remove [path] and everything under it, as far as it can. *)
+let rec rm_rf path =
+  try
+    if (Unix.lstat path).Unix.st_kind = Unix.S_DIR then begin
+      Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Unix.unlink path
+  with Unix.Unix_error _ | Sys_error _ -> ()
+
+(* [f] over a fresh directory, removed with its socket, spool, reports and
+   backlogs when [f] ends, passed or failed. *)
+let with_dir f =
   let dir = Filename.temp_file "fairmc_serve" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  dir
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* A daemon over [dir]'s socket and spool; a fresh directory unless one is
-   given, so a second daemon can take over the first one's spool. *)
-let with_daemon ?(dir = fresh_dir ()) ?(args = []) f =
+(* A daemon over [dir]'s socket and spool, stopped when [f] ends. *)
+let daemon_in dir args f =
   if not (Sys.file_exists chessd) then Alcotest.skip ();
   let socket = Filename.concat dir "d.sock" in
   let spool = Filename.concat dir "spool" in
@@ -234,6 +245,14 @@ let with_daemon ?(dir = fresh_dir ()) ?(args = []) f =
       try ignore (Retry.eintr (fun () -> Unix.waitpid [] pid))
       with Unix.Unix_error _ -> ())
     (fun () -> f ~socket ~pid)
+
+(* A daemon over a fresh directory, or over [dir] so that a second daemon
+   can take over the first one's spool (the caller's [with_dir] removes
+   it). *)
+let with_daemon ?dir ?(args = []) f =
+  match dir with
+  | Some dir -> daemon_in dir args f
+  | None -> with_dir (fun dir -> daemon_in dir args f)
 
 (* (verdict, rendered, report) of the terminal frame. *)
 let rec await_done fd =
@@ -513,7 +532,7 @@ let children_of pid =
 let backlog_tests =
   [ Alcotest.test_case "after a restart, a late subscriber replays the live stream byte for byte"
       `Quick (fun () ->
-        let dir = fresh_dir () in
+        with_dir @@ fun dir ->
         let spec =
           JS.of_config ~program:"dining-3-ordered" { C.default with C.workers = 2 }
         in
@@ -538,7 +557,7 @@ let backlog_tests =
         check_str "ends with run_end" "run_end" (kind_of (List.nth replayed (List.length replayed - 1))));
     Alcotest.test_case "a worker killed mid-job leaves every line sent, no partial line"
       `Quick (fun () ->
-        let dir = fresh_dir () in
+        with_dir @@ fun dir ->
         with_daemon ~dir @@ fun ~socket ~pid ->
         Serve.Client.with_daemon socket @@ fun fd ->
         (* Long enough that its one worker hands back a slice, and its
@@ -632,7 +651,7 @@ let backlog_tests =
           in
           (job, last ())
         in
-        let dir = fresh_dir () in
+        with_dir @@ fun dir ->
         let empty, reports =
           with_daemon ~dir @@ fun ~socket ~pid ->
           Serve.Client.with_daemon socket @@ fun fd ->
@@ -953,7 +972,7 @@ let bound_tests =
         check "nothing restarted" true (children_of pid = []));
     Alcotest.test_case "a spooled job above the fan-out bound is not restored" `Quick
       (fun () ->
-        let dir = fresh_dir () in
+        with_dir @@ fun dir ->
         let spool = Filename.concat dir "spool" in
         Unix.mkdir spool 0o700;
         (* Round-robin is one execution: restored by mistake, it would
@@ -1283,7 +1302,7 @@ let startup_tests =
         if not (Sys.file_exists chessd) then Alcotest.skip ();
         let refused = ref 0 in
         for _ = 1 to 50 do
-          let dir = fresh_dir () in
+          with_dir @@ fun dir ->
           let socket = Filename.concat dir "d.sock" in
           let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
           let pid =
@@ -1306,8 +1325,7 @@ let startup_tests =
               (match Unix.connect fd (Unix.ADDR_UNIX socket) with
                | () -> ()
                | exception Unix.Unix_error _ -> incr refused);
-              Unix.close fd);
-          ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
+              Unix.close fd)
         done;
         Alcotest.(check int) "refused connections" 0 !refused) ]
 

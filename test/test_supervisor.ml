@@ -301,7 +301,7 @@ let save_hardening_tests =
         max_executions = Some 2 }
     in
     let prog = W.Litmus.two_step_threads ~nthreads:2 ~steps:2 in
-    ignore (Search.run cfg prog);
+    ignore (Checker.check ~config:cfg prog);
     match Checkpoint.load path with
     | Ok t ->
       Sys.remove path;
@@ -881,6 +881,50 @@ let validation_tests =
         run_cli ~command:"submit" ~expect:1
           [ "fig3"; "--workers"; "2"; "--socket"; "/nonexistent/chessd.sock" ]) ]
 
+(* ------------------------------------------------------------------ *)
+(* Fan-out 1 needs no file                                             *)
+(* ------------------------------------------------------------------ *)
+
+let no_tmpdir_tests =
+  [ Alcotest.test_case "no temporary directory: -j 1 runs as ever, -j 2 falls back" `Quick
+      (fun () ->
+        if not (Sys.file_exists cli) then Alcotest.skip ();
+        (* Exit status, stderr and event stream of a check whose TMPDIR
+           does not exist. *)
+        let run args =
+          let err = Filename.temp_file "fairmc_notmp" ".err" in
+          let events = Filename.temp_file "fairmc_notmp" ".ndjson" in
+          let rc =
+            Sys.command
+              ("TMPDIR=/nonexistent "
+              ^ Filename.quote_command cli
+                  ([ "check"; "dining-3-ordered"; "-q"; "--events"; events ] @ args)
+              ^ " >/dev/null 2>" ^ Filename.quote err)
+          in
+          let read f =
+            let s = In_channel.with_open_bin f In_channel.input_all in
+            Sys.remove f;
+            s
+          in
+          let err = read err in
+          (rc, err, read events)
+        in
+        let fell_back (_, err, events) =
+          Test_checker.contains err "finishing the search in-process"
+          && Test_checker.contains events "\"supervisor_fallback\""
+        in
+        let (rc, _, _) as j1 = run [] in
+        check_int "-j 1 verifies" 0 rc;
+        check "-j 1 needs no fallback" false (fell_back j1);
+        let (rc, _, _) as j2 = run [ "-j"; "2" ] in
+        check_int "-j 2 verifies" 0 rc;
+        check "-j 2 warns and falls back" true (fell_back j2));
+    Alcotest.test_case "-j 1 forks no worker" `Quick (fun () ->
+        let r = report_of_cli ~expect:0 [ "dining-3-ordered"; "-q"; "--metrics" ] in
+        match field "sup/spawns" (field "metrics" r) with
+        | J.Int n -> check_int "sup/spawns" 0 n
+        | j -> Alcotest.failf "sup/spawns is %s" (J.to_string j)) ]
+
 (* Alcotest numbers the tests by position and the number is part of how a
    run names them: keep existing positions stable and append new tests. *)
 let suite =
@@ -888,4 +932,4 @@ let suite =
   @ dispatch_tests @ budget_tests @ save_hardening_tests @ retry_tests
   @ resource_tests @ protocol_tests @ limit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) fuzz_props
-  @ reassembly_tests @ span_gate_tests @ cancel_tests @ validation_tests
+  @ reassembly_tests @ span_gate_tests @ cancel_tests @ validation_tests @ no_tmpdir_tests
