@@ -66,7 +66,7 @@ type t = {
          of each; every reader (the search, the trace, [deadlocked]) shares
          that one value. *)
   mutable failure : (int * failure) option;
-  trace : Trace.t;
+  mutable trace : Trace.t;  (* a run fast-forwarded along a trace adopts it *)
   mutable steps : int;
   snapshot : (unit -> Fnv.t) option;
   snapshotters : (Fnv.t -> Fnv.t) list;
@@ -294,6 +294,51 @@ let count_op t tid (op : Op.t) =
     t.context_switches <- t.context_switches + 1;
   t.last_stepped <- tid
 
+(* The transition [tid] takes from [p], shared by [step] and
+   [fast_forward]: apply the operation (spawn the child, take alternative
+   [alt], or update the store) and count it. Returns the result the thread
+   receives. *)
+let transition t tid p ~alt =
+  let result =
+    match p.op with
+    | Op.Spawn ->
+      let body =
+        match p.payload with
+        | Some b -> b
+        | None -> failwith "Engine: spawn without a body"
+      in
+      let child = add_thread t body in
+      Runtime.ctx.spawn_result <- child;
+      1
+    | Op.Choose n ->
+      if alt < 0 || alt >= n then invalid_arg "Engine.step: bad alternative";
+      alt
+    | op ->
+      (match Objects.execute t.prog_store ~self:tid op with
+       | true -> 1
+       | false -> 0
+       | exception Objects.Sync_error m ->
+         record_failure t tid (Sync_misuse m);
+         0
+       | exception ((Stack_overflow | Out_of_memory) as e) ->
+         record_failure t tid (Option.get (resource_failure e));
+         0)
+  in
+  count_op t tid p.op;
+  result
+
+(* Deliver [result] to [tid] and run it to its next scheduling point. *)
+let resume t tid p result =
+  t.threads.(tid) <- Running;
+  let c = Runtime.ctx in
+  let saved_tid = c.current_tid in
+  let saved_in = c.in_thread in
+  c.current_tid <- tid;
+  c.in_thread <- true;
+  Effect.Deep.continue p.k result;
+  c.current_tid <- saved_tid;
+  c.in_thread <- saved_in
+
 let step t ~tid ~alt =
   (match t.failure with
    | Some _ -> invalid_arg "Engine.step: execution already failed"
@@ -304,32 +349,7 @@ let step t ~tid ~alt =
     if not (B.mem tid t.enabled) then invalid_arg "Engine.step: thread not enabled";
     let yielded = Objects.would_yield t.prog_store p.op in
     let enabled_before = t.enabled in
-    let result =
-      match p.op with
-      | Op.Spawn ->
-        let body =
-          match p.payload with
-          | Some b -> b
-          | None -> failwith "Engine: spawn without a body"
-        in
-        let child = add_thread t body in
-        Runtime.ctx.spawn_result <- child;
-        1
-      | Op.Choose n ->
-        if alt < 0 || alt >= n then invalid_arg "Engine.step: bad alternative";
-        alt
-      | op ->
-        (match Objects.execute t.prog_store ~self:tid op with
-         | true -> 1
-         | false -> 0
-         | exception Objects.Sync_error m ->
-           record_failure t tid (Sync_misuse m);
-           0
-         | exception ((Stack_overflow | Out_of_memory) as e) ->
-           record_failure t tid (Option.get (resource_failure e));
-           0)
-    in
-    count_op t tid p.op;
+    let result = transition t tid p ~alt in
     Trace.push t.trace
       { Trace.step = t.steps; tid; op = p.op; alt;
         result = result <> 0; yielded; enabled = enabled_before };
@@ -344,20 +364,30 @@ let step t ~tid ~alt =
          match p.op with Op.Spawn -> Runtime.ctx.spawn_result | _ -> result
        in
        f ~tid ~op:p.op ~result);
-    (match t.failure with
-     | Some _ -> ()
-     | None ->
-       t.threads.(tid) <- Running;
-       let c = Runtime.ctx in
-       let saved_tid = c.current_tid in
-       let saved_in = c.in_thread in
-       c.current_tid <- tid;
-       c.in_thread <- true;
-       Effect.Deep.continue p.k result;
-       c.current_tid <- saved_tid;
-       c.in_thread <- saved_in);
+    (match t.failure with Some _ -> () | None -> resume t tid p result);
     (* The stepped thread and any child it spawned have parked or finished. *)
     refresh_enabled t
+
+let fast_forward t trace n =
+  if t.steps > 0 || (not t.live) || Option.is_some t.obs || Option.is_some t.failure then
+    invalid_arg "Engine.fast_forward: not a fresh unobserved run";
+  let misfit () = invalid_arg "Engine.fast_forward: the trace does not fit the run" in
+  Trace.truncate trace n;
+  for i = 0 to n - 1 do
+    let e = Trace.get trace i in
+    let tid = e.Trace.tid in
+    if tid < 0 || tid >= t.nthreads then misfit ();
+    match t.threads.(tid) with
+    | Parked p when Op.equal p.op e.Trace.op && op_enabled t p.op ->
+      let result = transition t tid p ~alt:e.Trace.alt in
+      if Option.is_some t.failure || (if e.Trace.result then result = 0 else result <> 0) then
+        misfit ();
+      t.steps <- t.steps + 1;
+      resume t tid p result
+    | Parked _ | Running | Finished -> misfit ()
+  done;
+  t.trace <- trace;
+  refresh_enabled t
 
 let failure t = t.failure
 

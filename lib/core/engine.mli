@@ -5,9 +5,11 @@
     the scheduler-facing view of the current state — the enabled set, each
     thread's pending operation, and [yield(t)]. The search layer (which owns
     the fair scheduler and the exploration strategy) decides which thread to
-    [step] next. Backtracking discards the run and starts a new one, unless
-    the program offers a capture ({!Program.booted}): then the search
-    {!capture}s states on its stack and {!restore}s one instead.
+    [step] next. Backtracking discards the run and starts a new one, which
+    {!fast_forward}s along the discarded run's trace to the backtrack point
+    without rebuilding that trace. A program that offers a capture
+    ({!Program.booted}) is not re-executed at all: the search {!capture}s
+    states on its stack and {!restore}s one instead.
 
     Exactly one run may be active per process (the engine keeps its ambient
     per-run context in {!Runtime.ctx}); the parallel search forks one worker
@@ -70,6 +72,20 @@ val step : t -> tid:int -> alt:int -> unit
     pending operation and run it to its next scheduling point. Newly spawned
     threads are advanced to their first scheduling point as part of the
     transition. *)
+
+val fast_forward : t -> Trace.t -> int -> unit
+(** [fast_forward t trace n] takes the fresh run [t] along the first [n]
+    events of [trace], the trace of an earlier run of the same program, and
+    makes [trace], truncated to [n], the run's own: the earlier run must be
+    over. Each transition is {!step}'s (the same fiber resume, store update
+    and counters), but builds no trace event, makes no yield test and skips
+    the enabled-set refresh, which runs once, at the end. So the run ends in
+    the state, counters and trace that stepping the same decisions gives.
+    @raise Invalid_argument if [t] has stepped, failed or has a step
+    observer (which would miss the transitions), or if the trace does not
+    fit the run: an event's thread is not parked on the recorded operation,
+    that operation is not enabled, or its transition fails or delivers
+    another result. That is a program whose boot is not deterministic. *)
 
 val failure : t -> (int * failure) option
 (** Safety violation encountered so far, with the offending thread. *)

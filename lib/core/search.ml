@@ -105,6 +105,9 @@ type state = {
   prog : Program.t;
   mutable run : Engine.t option;
       (* the current path's run; kept across paths while it is restorable *)
+  mutable last_trace : Trace.t option;
+      (* the trace of the path before, which the next path fast-forwards
+         along: kept when a run that does not restore ends *)
   mutable frames : frame array;
   mutable nframes : int;
   states : (int64, unit) Hashtbl.t;
@@ -239,6 +242,7 @@ let make_state ?deadline ?(slice_end = infinity) ?tally ?(tick = ignore) ?(shard
   { cfg;
     prog;
     run = None;
+    last_trace = None;
     frames = Array.make 64 dummy_frame;
     nframes = 0;
     states = Hashtbl.create 4096;
@@ -428,10 +432,65 @@ let tail_rng st =
   done;
   Rng.make !key
 
+(* How a path re-establishes its frame prefix. *)
+type start =
+  | Boot  (* from the initial state, through the search loop *)
+  | Restore of int * snap  (* from frame [i]'s snapshot *)
+  | Fast_forward of Trace.t
+      (* along the previous path's trace, to the top frame: only the top
+         frame's decision, the one the backtrack changed, is not on it *)
+
+let initial_budget (cfg : C.t) = match cfg.mode with C.Context_bounded c -> c | _ -> max_int
+
+type prefix = {
+  p_fair : Fair_sched.t;
+  p_budget : int;
+  p_last : int;
+  p_last_yielded : bool;
+  p_yields : int;
+  p_edges : Fair_sched.obs;
+}
+
+(* Every systematic step pushes a frame, so event [i] of a path's trace is
+   frame [i]'s decision. The state the search loop keeps along a prefix
+   follows from its events: the scheduler's inputs are each event's enabled
+   set and yield bit (the next event's enabled set is the state after it),
+   and a [Spawn] adds a thread. *)
+let fast_forward (cfg : C.t) run trace n ~cost =
+  let nthreads0 = Engine.nthreads run in
+  Engine.fast_forward run trace n;
+  let edges = Fair_sched.obs_create () in
+  let obs = Some edges in
+  let fair = ref (Fair_sched.create ~nthreads:nthreads0 ~k:cfg.fair_k ()) in
+  let budget = ref (initial_budget cfg) in
+  let yields = ref 0 in
+  for i = 0 to n - 1 do
+    let e = Trace.get trace i in
+    (match e.Trace.op with Op.Spawn -> fair := Fair_sched.add_thread !fair | _ -> ());
+    if cfg.fair then begin
+      let es_after =
+        if i + 1 < n then (Trace.get trace (i + 1)).Trace.enabled else Engine.enabled_set run
+      in
+      fair :=
+        Fair_sched.step ?obs !fair ~chosen:e.Trace.tid ~yielded:e.Trace.yielded
+          ~es_before:e.Trace.enabled ~es_after
+    end;
+    budget := !budget - cost i;
+    if e.Trace.yielded then incr yields
+  done;
+  let last, last_yielded =
+    if n = 0 then (-1, false)
+    else begin
+      let e = Trace.get trace (n - 1) in
+      (e.Trace.tid, e.Trace.yielded)
+    end
+  in
+  { p_fair = !fair; p_budget = !budget; p_last = last; p_last_yielded = last_yielded;
+    p_yields = !yields; p_edges = edges }
+
 (* Start a path: restore the deepest snapshot on the stack (re-executing
-   only the decisions above it), or boot the program and replay the whole
-   frame prefix. Returns the run and the restored frame's index and
-   snapshot. *)
+   only the decisions above it), or boot the program, to be fast-forwarded
+   along the previous path's trace or to replay the whole frame prefix. *)
 let begin_path st ~systematic =
   let restored = match st.run with Some _ when systematic -> deepest_snap st | _ -> None in
   match (st.run, restored) with
@@ -439,16 +498,18 @@ let begin_path st ~systematic =
     Engine.restore run s.sn_run;
     (* With no sibling left, this frame is never restored again. *)
     if st.frames.(i).rest = [] then st.frames.(i).snap <- None;
-    (run, restored)
+    (run, Restore (i, s))
   | _ ->
     release st;
     let run = Engine.start st.prog in
     st.run <- Some run;
     List.iter (fun (i : AH.instance) -> i.exec_start run) st.analysis;
-    (run, None)
+    let start = match st.last_trace with Some tr -> Fast_forward tr | None -> Boot in
+    st.last_trace <- None;
+    (run, start)
 
 (* The path from [begin_path]'s state until it ends. *)
-let execute_from st ~systematic ~restoring run restored =
+let execute_from st ~systematic ~restoring run start =
   let cfg = st.cfg in
   let spans_on = Option.is_some st.meters || Option.is_some st.span_buf in
   let nframes0 = st.nframes in
@@ -457,19 +518,24 @@ let execute_from st ~systematic ~restoring run restored =
      its replay and fresh segments. *)
   let t_fresh = ref None in
   (* Counts the path accumulates step by step, folded into the search's
-     when it ends. A restored path starts from the counts of its prefix. *)
+     when it ends. A restored or fast-forwarded path starts from the counts
+     of its prefix. *)
   let fair, budget, last, last_yielded, depth, yields, fair_obs =
-    match restored with
-    | None ->
+    match start with
+    | Boot ->
       ( Fair_sched.create ~nthreads:(Engine.nthreads run) ~k:cfg.fair_k (),
-        (match cfg.mode with C.Context_bounded c -> c | _ -> max_int),
-        -1, false, 0, 0, Fair_sched.obs_create () )
-    | Some (i, s) ->
+        initial_budget cfg, -1, false, 0, 0, Fair_sched.obs_create () )
+    | Restore (i, s) ->
       (match st.meters with
        | Some m -> M.add m.m_restored_steps (Engine.steps run)
        | None -> ());
       ( (if Option.is_none st.frames.(i).snap then s.sn_fair else Fair_sched.copy s.sn_fair),
         s.sn_budget, s.sn_last, s.sn_last_yielded, i, s.sn_yields, copy_obs s.sn_obs )
+    | Fast_forward tr ->
+      let n = st.nframes - 1 in
+      let p = fast_forward cfg run tr n ~cost:(fun i -> st.frames.(i).chosen.cost) in
+      (match st.meters with Some m -> M.add m.m_replay_steps n | None -> ());
+      (p.p_fair, p.p_budget, p.p_last, p.p_last_yielded, n, p.p_yields, p.p_edges)
   in
   let fair = ref fair in
   let budget = ref budget in
@@ -499,7 +565,9 @@ let execute_from st ~systematic ~restoring run restored =
   let livelock_bound =
     if cfg.fair then Option.value cfg.livelock_bound ~default:cfg.max_steps else max_int
   in
-  if Option.is_none restored then record_state st run;
+  (* A restored or fast-forwarded prefix's states were recorded when it
+     first ran. *)
+  (match start with Boot -> record_state st run | Restore _ | Fast_forward _ -> ());
   if not systematic then st.rng <- Rng.make (Rng.mix cfg.seed st.next_exec);
   let apply (a : alt) =
     if cfg.sleep_sets && systematic && !depth > 0 && !depth = st.nframes then begin
@@ -712,15 +780,22 @@ let execute_from st ~systematic ~restoring run restored =
   st.max_threads <- Int.max st.max_threads (Engine.nthreads run);
   (outcome, run)
 
-(* Execute one path: replay the frame prefix (systematic modes) or restore a
-   state on it, then extend with fresh decisions until the path ends. A
-   restorable run is kept for the next path; any other is stopped. *)
+(* Execute one path: re-establish the frame prefix (systematic modes), then
+   extend with fresh decisions until the path ends. A restorable run is kept
+   for the next path; any other is stopped, and its trace kept for the next
+   path to fast-forward along, unless an analysis observes the run: an
+   observer must see every transition. *)
 let execute_path st ~systematic =
-  let run, restored = begin_path st ~systematic in
+  let run, start = begin_path st ~systematic in
   let restoring = systematic && Engine.restorable run in
-  match execute_from st ~systematic ~restoring run restored with
+  match execute_from st ~systematic ~restoring run start with
   | result ->
-    if not restoring then release st;
+    if not restoring then begin
+      (match st.analysis with
+       | [] when systematic -> st.last_trace <- Some (Engine.trace run)
+       | _ -> ());
+      release st
+    end;
     result
   | exception e ->
     release st;

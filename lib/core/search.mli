@@ -3,19 +3,30 @@
     Drives {!Engine} executions according to a {!Search_config}: systematic
     modes (DFS, context-bounded) enumerate scheduling decisions depth-first
     with stateless backtracking (each new path re-executes the program from
-    its initial state, replaying the decision prefix); sampling modes
-    (random walk, round-robin, random-priority) run a fixed number of
-    independent executions.
+    its initial state); sampling modes (random walk, round-robin,
+    random-priority) run a fixed number of independent executions.
 
-    When the run is {!Engine.restorable} (a ChessLang program on the VM,
-    no dynamic analysis), the search keeps one run for the whole search
-    and snapshots every frame that still has unexplored siblings: the
-    engine state, a {!Fair_sched.copy} and the path's own locals. A
-    backtrack restores the target frame's snapshot and re-executes only its
-    new decision. A restored prefix still counts in [Report.stats] (its
-    transitions, yields and coverage were recorded when it first ran), so
-    reports are identical either way; only the [search/steps/replay] /
-    [search/steps/restored] split differs.
+    A path re-establishes its decision prefix in one of three ways:
+    - A native path after a backtrack boots the program and
+      {!Engine.fast_forward}s it along the previous path's trace to the
+      backtrack frame (every systematic step pushes a frame, so frame [i]
+      is step [i]), then runs the search loop from there. The scheduler,
+      the preemption budget, the last thread and the yield and edge counts
+      are derived from the recorded events ({!fast_forward}): no frame
+      holds a snapshot, and the new run adopts the old trace.
+    - When the run is {!Engine.restorable} (a ChessLang program on the VM,
+      no dynamic analysis), the search keeps one run for the whole search
+      and snapshots every frame that still has unexplored siblings: the
+      engine state, a {!Fair_sched.copy} and the path's own locals. A
+      backtrack restores the target frame's snapshot and re-executes only
+      its new decision.
+    - An item's first path, and every path of a run with a step observer
+      (a dynamic analysis), replays the prefix through the search loop.
+    A fast-forwarded or restored prefix still counts in [Report.stats]
+    (its transitions and yields; its coverage was recorded when it first
+    ran), so reports are identical whichever way; only the
+    [search/steps/replay] / [search/steps/restored] split and the
+    per-step histograms differ.
 
     When [config.fair] is set, scheduling decisions are restricted to the
     schedulable set [T] of Algorithm 1, computed by {!Fair_sched} along every
@@ -48,9 +59,31 @@ val state_hook : (int64 -> Engine.t -> unit) option ref
 (** Debug/analysis hook invoked on every state recorded during coverage
     collection (signature + live run). Used by tests that cross-check
     stateless coverage against the stateful ground truth (searches that run
-    in this process only — the hook is a plain global). A restoring search
-    does not revisit the states of a restored prefix, so the hook sees each
-    of those once. *)
+    in this process only — the hook is a plain global). A path that
+    restores or fast-forwards its prefix does not revisit the prefix's
+    states, so the hook sees each of those once per work item. *)
+
+type prefix = {
+  p_fair : Fair_sched.t;
+  p_budget : int;  (** the preemption budget left *)
+  p_last : int;  (** the thread of the prefix's last step; -1 for none *)
+  p_last_yielded : bool;  (** whether that step was a yield *)
+  p_yields : int;
+  p_edges : Fair_sched.obs;  (** priority-relation updates along the prefix *)
+}
+(** The search loop's state after a prefix of a path. *)
+
+val fast_forward :
+  Search_config.t -> Engine.t -> Trace.t -> int -> cost:(int -> int) -> prefix
+(** [fast_forward cfg run trace n ~cost] takes the fresh [run] along the
+    first [n] events of [trace] ({!Engine.fast_forward}) and derives the
+    search loop's state after them from the events alone: the scheduler's
+    inputs are each event's enabled set and yield bit, the next event's
+    enabled set (the run's for the last) is the state after it, and a
+    [Spawn] adds a thread. [cost i] is decision [i]'s preemption cost (its
+    frame's). What {!run} computes stepping those decisions itself; exposed
+    for the differential tests.
+    @raise Invalid_argument as {!Engine.fast_forward} does. *)
 
 type replay_outcome =
   | Replayed_failure of Report.counterexample

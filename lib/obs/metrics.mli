@@ -25,11 +25,14 @@
       session started (it replays its checkpointed stack once) — only their
       sum is invariant, and the jobs- and resume-determinism tests fold
       them together. [replay] counts prefix decisions re-executed,
-      [restored] the prefix transitions a restored state skipped (ChessLang
-      on the VM, see {!Fairmc_core.Engine.restore}). For the same reason
-      the per-scheduling-point histograms (["sched/schedulable_size"],
-      ["sched/window/*"]) observe executed steps only: on a restoring
-      search they depend on the sharding too.
+      those a native path fast-forwards along the previous path's trace
+      included (see {!Fairmc_core.Engine.fast_forward}); [restored] the
+      prefix transitions a restored state skipped (ChessLang on the VM, see
+      {!Fairmc_core.Engine.restore}). For the same reason the
+      per-scheduling-point histograms (["sched/schedulable_size"],
+      ["sched/window/*"]) observe the steps the search loop executes only,
+      neither fast-forwarded nor restored ones: they depend on the sharding
+      too.
 
     Naming convention: slash-separated lowercase paths, e.g.
     ["search/steps/replay"], ["sched/yields"], ["engine/op/lock"],

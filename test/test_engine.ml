@@ -33,9 +33,10 @@ let cached_state_exact run =
   done;
   B.equal (Engine.enabled_set run) !scan && Engine.all_finished run = !all_done
 
-(* One random walk of at most 200 steps. Returns the run, its decisions, and
-   whether [cached_state_exact] held after [start] and after every step. *)
-let random_walk prog seed =
+(* One random walk of at most [max] steps. Returns the run, its decisions,
+   and whether [cached_state_exact] held after [start] and after every
+   step. *)
+let random_walk ?(max = 200) prog seed =
   let rng = Fairmc_util.Rng.make (Int64.of_int seed) in
   let run = Engine.start prog in
   let exact = ref (cached_state_exact run) in
@@ -45,7 +46,7 @@ let random_walk prog seed =
     (not (Engine.all_finished run))
     && Engine.failure run = None
     && (not (B.is_empty (Engine.enabled_set run)))
-    && !steps < 200
+    && !steps < max
   do
     let es = Engine.enabled_set run in
     let tid = B.nth es (Fairmc_util.Rng.int rng (B.cardinal es)) in
@@ -103,8 +104,144 @@ let qprops =
             exact && sig1 = sig2 && trace1 = trace2)
           (registry "wsq-1s-correct" :: registry "singularity-lite-2s-1a" :: failing_progs)) ]
 
+(* Everything a run exposes that a fast-forward must reproduce. Read
+   while the run is the active one. *)
+let observe run =
+  ( Engine.state_signature run,
+    (Engine.enabled_set run :> int),
+    List.init (Engine.nthreads run) (Engine.pending run),
+    (Engine.steps run, Engine.sync_ops run, Engine.var_ops run),
+    Array.to_list (Engine.op_counts run),
+    Engine.context_switches run,
+    Trace.decisions (Engine.trace run) )
+
+(* A random walk's decisions, cut before a step that fails: a fast-forward
+   stops short of failures, as every search path does. *)
+let schedule prog seed ~max =
+  let run, decisions, _ = random_walk ~max prog seed in
+  let failed = Engine.failure run <> None in
+  Engine.stop run;
+  if failed then List.filteri (fun i _ -> i < List.length decisions - 1) decisions
+  else decisions
+
+let stepped prog decisions =
+  let run = Engine.start prog in
+  List.iter (fun (tid, alt) -> Engine.step run ~tid ~alt) decisions;
+  run
+
+let native_programs () =
+  List.map (fun (e : Fairmc_workloads.Registry.entry) -> e.program)
+    (Fairmc_workloads.Registry.all ())
+
+(* Minor words per transition of stepping [decisions] after the boot, and of
+   fast-forwarding along the trace that stepping recorded. *)
+let words_per_transition prog decisions =
+  let n = float_of_int (List.length decisions) in
+  let run = Engine.start prog in
+  let w0 = Gc.minor_words () in
+  List.iter (fun (tid, alt) -> Engine.step run ~tid ~alt) decisions;
+  let step_words = (Gc.minor_words () -. w0) /. n in
+  let trace = Engine.trace run in
+  Engine.stop run;
+  let run = Engine.start prog in
+  let w0 = Gc.minor_words () in
+  Engine.fast_forward run trace (List.length decisions);
+  let ff_words = (Gc.minor_words () -. w0) /. n in
+  Engine.stop run;
+  (step_words, ff_words)
+
+let fast_forward_tests =
+  [ Alcotest.test_case "a fast-forward equals stepping, at every prefix" `Quick (fun () ->
+        (* Each native registry program, seeded random schedules. The trace
+           is fast-forwarded along from its longest prefix down, each run
+           adopting and truncating the one before's. *)
+        List.iter
+          (fun prog ->
+            List.iter
+              (fun seed ->
+                let decisions = schedule prog seed ~max:80 in
+                let len = List.length decisions in
+                let trace = ref (Engine.trace (stepped prog decisions)) in
+                for i = len downto 0 do
+                  let prefix = List.filteri (fun j _ -> j < i) decisions in
+                  let reference = stepped prog prefix in
+                  let want = observe reference in
+                  Engine.stop reference;
+                  let run = Engine.start prog in
+                  Engine.fast_forward run !trace i;
+                  if observe run <> want then
+                    Alcotest.failf "%s, seed %d: the fast-forward to step %d differs"
+                      prog.Program.name seed i;
+                  trace := Engine.trace run;
+                  Engine.stop run
+                done)
+              [ 1; 2; 3 ])
+          (native_programs ()));
+    Alcotest.test_case "a boot that is not deterministic makes the fast-forward raise" `Quick
+      (fun () ->
+        (* Every other boot parks thread 0 on a lock instead of a write. *)
+        let flip = ref false in
+        let p =
+          prog "flip-flop" (fun () ->
+              flip := not !flip;
+              let m = Sync.Mutex.create () in
+              let x = Sync.int_var 0 in
+              let first = !flip in
+              [ (fun () ->
+                  if first then Sync.Mutex.lock m else Sync.Svar.set x 1;
+                  Sync.yield ());
+                (fun () -> Sync.yield ()) ])
+        in
+        let run = drive p [ 0; 1 ] in
+        let trace = Engine.trace run in
+        Engine.stop run;
+        let run = Engine.start p in
+        (try
+           Engine.fast_forward run trace 2;
+           Alcotest.fail "fast-forwarded along another boot's trace"
+         with Invalid_argument _ -> ());
+        Engine.stop run;
+        (* The search meets it on its second path, which fast-forwards. *)
+        match Search.run { Search_config.default with fair = false } p with
+        | _ -> Alcotest.fail "searched a program whose boot is not deterministic"
+        | exception Invalid_argument _ -> ());
+    Alcotest.test_case "a fast-forward refuses a stepped or observed run" `Quick (fun () ->
+        let p = registry "fig3" in
+        let run = drive p [ 0 ] in
+        let trace = Engine.trace run in
+        Engine.stop run;
+        let run = drive p [ 0 ] in
+        (try
+           Engine.fast_forward run trace 1;
+           Alcotest.fail "fast-forwarded a run that had stepped"
+         with Invalid_argument _ -> ());
+        Engine.stop run;
+        Engine.set_observer (Some (fun ~tid:_ ~op:_ ~result:_ -> ()));
+        let run = Fun.protect ~finally:(fun () -> Engine.set_observer None) (fun () -> Engine.start p) in
+        (try
+           Engine.fast_forward run trace 1;
+           Alcotest.fail "fast-forwarded an observed run"
+         with Invalid_argument _ -> ());
+        Engine.stop run);
+    Alcotest.test_case "a fast-forwarded transition allocates less than a step" `Quick
+      (fun () ->
+        (* It builds no trace event (8 words): on schedules of the
+           benchmark's native inputs it must save nearly all of them
+           (28.5-34.8 words per step against 20.2-26.7 when pinned). *)
+        List.iter
+          (fun name ->
+            let p = registry name in
+            let decisions = schedule p 7 ~max:2_000 in
+            let step_words, ff_words = words_per_transition p decisions in
+            if ff_words > step_words -. 7. then
+              Alcotest.failf "%s: %.1f minor words per fast-forwarded transition, %.1f per step"
+                name ff_words step_words)
+          [ "wsq-2s-correct"; "dryad-fifo-5"; "dining-2-tryacquire+yield"; "channel-bug4";
+            "ticket-lock" ]) ]
+
 let suite =
   List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
+  @ fast_forward_tests
   @ [ Alcotest.test_case "threads park at their first operation" `Quick (fun () ->
         let p =
           prog "park" (fun () ->

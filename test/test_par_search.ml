@@ -286,10 +286,11 @@ let split_everywhere (cfg : Search_config.t) prog =
       (match r.verdict with
        | Report.Verified | Report.Limits_reached -> go acc (rest @ later)
        | _ -> acc)
-    | _ ->
-      (* Every item ran, or the budget ran out; a sampling search never
-         verifies. *)
-      let limited = spent () || not (Search.is_systematic cfg) in
+    | left ->
+      (* Every item ran, or the budget ran out with items left; a sampling
+         search never verifies. A budget spent by the tree's last path
+         verifies, as it does in [Search.run]. *)
+      let limited = left <> [] || not (Search.is_systematic cfg) in
       { acc with verdict = (if limited then Report.Limits_reached else Report.Verified) }
   in
   let r =

@@ -154,12 +154,13 @@ let fault_matrix_tests =
         (Printf.sprintf "fault %s recovers to the clean report" name) `Quick
         (fun () ->
           let clean = clean () in
+          let ckpt = Filename.temp_file "fairmc_savefail" ".ckpt" in
+          Fun.protect ~finally:(fun () -> try Sys.remove ckpt with Sys_error _ -> ()) @@ fun () ->
           let extra =
             match kind with
             | Search_config.Hang -> [ "--item-timeout"; "0.4" ]
             | Search_config.Save_fail ->
-              [ "--checkpoint"; Filename.temp_file "fairmc_savefail" ".ckpt";
-                "--checkpoint-interval"; "0" ]
+              [ "--checkpoint"; ckpt; "--checkpoint-interval"; "0" ]
             | _ -> []
           in
           let faulted =
@@ -225,22 +226,32 @@ let interrupt_tests =
         if not (Sys.file_exists cli) then Alcotest.skip ();
         let ckpt = Filename.temp_file "fairmc_sigint" ".ckpt" in
         Sys.remove ckpt;
-        let baseline =
-          report_of_cli ~expect:0
-            [ "ticket-lock"; "--coverage"; "--workers"; "2"; "-q" ]
-        in
-        (* Interrupt a supervised checkpointed run mid-search: ticket-lock
-           runs for around a second under two workers, the signal lands at
-           0.3s — mid worker traffic, with checkpoint writes on every item
-           (interval 0). *)
+        let copy = ckpt ^ ".j1" in
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ ckpt; copy ])
+        @@ fun () ->
+        let search = [ "dryad-fifo-5"; "-s"; "cb:1"; "--coverage" ] in
+        let baseline = report_of_cli ~expect:0 (search @ [ "--workers"; "2"; "-q" ]) in
+        (* Interrupt a supervised checkpointed run mid-search: this search
+           runs for about 2 s under two workers (2-vCPU host), and the
+           signal lands once its first checkpoint is written, mid worker
+           traffic, with checkpoint writes on every item (interval 0). *)
         let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
         let pid =
           Unix.create_process cli
-            [| cli; "check"; "ticket-lock"; "--coverage"; "--workers"; "2";
-               "--checkpoint"; ckpt; "--checkpoint-interval"; "0"; "-q" |]
+            (Array.of_list
+               ((cli :: "check" :: search)
+               @ [ "--workers"; "2"; "--checkpoint"; ckpt; "--checkpoint-interval"; "0"; "-q" ]))
             Unix.stdin dev_null dev_null
         in
-        Unix.sleepf 0.3;
+        let rec await_checkpoint tries =
+          if tries > 0 && not (Sys.file_exists ckpt) then begin
+            Unix.sleepf 0.01;
+            await_checkpoint (tries - 1)
+          end
+        in
+        await_checkpoint 1_000;
         Unix.kill pid Sys.sigint;
         let _, status = Retry.eintr (fun () -> Unix.waitpid [] pid) in
         Unix.close dev_null;
@@ -257,20 +268,12 @@ let interrupt_tests =
         (* Durability: the checkpoint resumes under -j, and sequentially, and
            the merged totals equal an uninterrupted run's. The resume keeps
            checkpointing to its file, so the sequential one reads a copy. *)
-        let copy = ckpt ^ ".j1" in
         Out_channel.with_open_bin copy (fun oc ->
             output_string oc (In_channel.with_open_bin ckpt In_channel.input_all));
-        let resumed =
-          report_of_cli ~expect:0
-            [ "ticket-lock"; "--coverage"; "-j"; "2"; "--resume"; ckpt; "-q" ]
-        in
+        let resumed = report_of_cli ~expect:0 (search @ [ "-j"; "2"; "--resume"; ckpt; "-q" ]) in
         assert_reports_equal "resume after SIGINT" baseline resumed;
-        let sequential =
-          report_of_cli ~expect:0 [ "ticket-lock"; "--coverage"; "--resume"; copy; "-q" ]
-        in
-        assert_reports_equal "sequential resume after SIGINT" baseline sequential;
-        Sys.remove ckpt;
-        Sys.remove copy) ]
+        let sequential = report_of_cli ~expect:0 (search @ [ "--resume"; copy; "-q" ]) in
+        assert_reports_equal "sequential resume after SIGINT" baseline sequential) ]
 
 (* ------------------------------------------------------------------ *)
 (* In-process passthrough                                              *)
