@@ -186,10 +186,13 @@ let events_out =
   Arg.(value & opt (some string) None
        & info [ "events" ] ~docv:"FILE"
            ~doc:"Stream NDJSON telemetry events (schema fairmc-events/1) to \
-                 FILE while searching ($(b,-) for stdout): run/path/error/\
-                 checkpoint lifecycle events plus advisory span and worker \
-                 data, one JSON object per line — pipe into $(b,jq) for live \
-                 analysis.")
+                 FILE while searching ($(b,-) for stdout): run/error/\
+                 checkpoint lifecycle events plus advisory worker data, one \
+                 JSON object per line — pipe into $(b,jq) for live analysis. \
+                 The explored paths appear as $(b,run_end)'s $(b,path_digest) \
+                 (also in the report's stats); one $(b,path) event per \
+                 execution and the per-path spans are added only with \
+                 $(b,--trace-spans).")
 
 let watch_flag =
   Arg.(value & flag
@@ -217,7 +220,7 @@ let save_repro =
 let checkpoint_out =
   Arg.(value & opt (some string) None
        & info [ "checkpoint" ] ~docv:"FILE"
-           ~doc:"Write a durable-session checkpoint (schema fairmc-ckpt/2) to \
+           ~doc:"Write a durable-session checkpoint (schema fairmc-ckpt/3) to \
                  FILE at path boundaries, throttled by \
                  $(b,--checkpoint-interval), and once when the search stops — \
                  including on SIGINT/SIGTERM, which end the run gracefully \

@@ -19,7 +19,7 @@ let spool =
   Arg.(value & opt string Daemon.default_config.spool
        & info [ "spool" ] ~docv:"DIR"
            ~doc:"Spool directory (created if missing): one $(i,id).job per \
-                 submission, $(i,id).ckpt while it runs (schema fairmc-ckpt/2), \
+                 submission, $(i,id).ckpt while it runs (schema fairmc-ckpt/3), \
                  $(i,id).report once done. On restart every .job without a \
                  .report is requeued and resumes from its checkpoint.")
 

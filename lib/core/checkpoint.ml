@@ -9,7 +9,7 @@ module MS = Fairmc_obs.Metrics.Snapshot
 module AH = Analysis_hook
 module C = Search_config
 
-let schema = "fairmc-ckpt/2"
+let schema = "fairmc-ckpt/3"
 
 type decision = { c_tid : int; c_alt : int; c_cost : int }
 type frame = { c_chosen : decision; c_rest : decision list; c_sleep : B.t; c_width : int }
@@ -56,6 +56,12 @@ let bool_f o name = as_bool name (field o name)
 let str_f o name = as_str name (field o name)
 let arr_f o name = as_arr name (field o name)
 let float_f o name = as_float name (field o name)
+
+let digest_f o name =
+  let s = str_f o name in
+  match Report.digest_of_hex s with
+  | Some d -> d
+  | None -> fail "field %S: bad path digest %S" name s
 
 let opt_field o name =
   match o with Json.Obj l -> List.assoc_opt name l | _ -> None
@@ -200,7 +206,8 @@ let stats_to_json (s : Report.stats) =
       ("sync_ops_per_exec", Json.Int s.sync_ops_per_exec);
       ("max_threads", Json.Int s.max_threads);
       ("search_elapsed", Json.Float s.search_elapsed);
-      ("probe_mass", Json.Int s.probe_mass) ]
+      ("probe_mass", Json.Int s.probe_mass);
+      ("path_digest", Json.Str (Report.digest_hex s.path_digest)) ]
 
 let stats_of_json o =
   { Report.executions = int_f o "executions";
@@ -217,7 +224,8 @@ let stats_of_json o =
     sync_ops_per_exec = int_f o "sync_ops_per_exec";
     max_threads = int_f o "max_threads";
     search_elapsed = float_f o "search_elapsed";
-    probe_mass = int_f o "probe_mass" }
+    probe_mass = int_f o "probe_mass";
+    path_digest = digest_f o "path_digest" }
 
 (* Metrics entries carry an explicit kind tag: Snapshot.to_json flattens
    counters and gauges to the same representation, which cannot be parsed
@@ -458,7 +466,8 @@ let zero_stats =
     sync_ops_per_exec = 0;
     max_threads = 0;
     search_elapsed = 0.;
-    probe_mass = 0 }
+    probe_mass = 0;
+    path_digest = 0 }
 
 let merge_stats ~(prior : Report.stats) (d : Report.stats) =
   { Report.executions = prior.Report.executions + d.Report.executions;
@@ -485,7 +494,9 @@ let merge_stats ~(prior : Report.stats) (d : Report.stats) =
     search_elapsed = prior.search_elapsed +. d.search_elapsed;
     (* Regions and sessions explore disjoint parts of the tree, so probe
        masses add exactly like executions. *)
-    probe_mass = prior.probe_mass + d.probe_mass }
+    probe_mass = prior.probe_mass + d.probe_mass;
+    (* So do the paths' hashes. *)
+    path_digest = Report.digest_add prior.path_digest d.path_digest }
 
 (* ------------------------------------------------------------------ *)
 (* Graceful interruption.                                              *)

@@ -4,14 +4,15 @@
     state, so its complete progress is captured by a small amount of control
     state: the search's regions in DFS order. A done region holds the
     accumulated statistics/metrics/coverage/analysis totals of the work it
-    covers; an open region is a work item still to run — a DFS cursor (the
+    covers, its paths' digest ([Report.stats.path_digest]) among them; an
+    open region is a work item still to run — a DFS cursor (the
     frame stack, with the untried alternatives and sleep set of every frame)
     or a range of sampling executions. Random choices are keyed by their
     execution index or path, so no generator state is saved. The
     {!Supervisor} writes its regions as they stand, at every fan-out, so
     any checkpoint resumes at any fan-out. This module serializes that
     state to a versioned JSON file
-    (schema [fairmc-ckpt/2], written atomically via a temp file + rename)
+    (schema [fairmc-ckpt/3], written atomically via a temp file + rename)
     and validates it against the requesting configuration on resume, so an
     interrupted [chess check] can continue where it stopped and produce
     bit-identical results (see DESIGN.md, "Durable sessions").
@@ -24,7 +25,9 @@
 module B = Fairmc_util.Bitset
 
 val schema : string
-(** ["fairmc-ckpt/2"]. Files of another schema do not load. *)
+(** ["fairmc-ckpt/3"]: the stats of done regions carry their path digest.
+    Files of another schema do not load; the error names their schema and
+    says to start the search over. *)
 
 (** {1 Serialized search state} *)
 
@@ -144,7 +147,8 @@ val zero_stats : Report.stats
 val merge_stats : prior:Report.stats -> Report.stats -> Report.stats
 (** Combine the statistics of explored work, [prior] first in DFS order:
     the regions of a search, whatever its fan-out and its sessions.
-    Counters add, maxima max, [states] is the larger (each region keeps a
+    Counters add, path digests add modulo 2^61 ({!Report.digest_add}),
+    maxima max, [states] is the larger (each region keeps a
     coverage table of its own: the caller merging them sets the size of
     their union), [first_error_*] are offset into the combined run. *)
 

@@ -35,6 +35,7 @@ type stats = {
   max_threads : int;
   search_elapsed : float;
   probe_mass : int;
+  path_digest : int;
 }
 
 type analysis = {
@@ -103,6 +104,14 @@ let est_total s =
   Fairmc_obs.Estimator.est_total ~mass:s.probe_mass ~executions:s.executions
 
 let eta s = Fairmc_obs.Estimator.eta ~mass:s.probe_mass ~elapsed:(search_time s)
+
+let digest_add a b = (a + b) land ((1 lsl 61) - 1)
+let digest_hex d = Printf.sprintf "%016x" d
+
+let digest_of_hex s =
+  match int_of_string_opt ("0x" ^ s) with
+  | Some d when String.length s = 16 && digest_add d 0 = d -> Some d
+  | _ -> None
 
 (* The lock-graph counters are set-derived, so summing them across shards
    (or across a resumed session and its checkpointed prefix) would
@@ -193,6 +202,7 @@ let stats_to_json s =
       ("max_threads", Json.Int s.max_threads);
       ("search_elapsed_seconds", Json.Float (search_time s));
       ("probe_mass", Json.Int s.probe_mass);
+      ("path_digest", Json.Str (digest_hex s.path_digest));
       ("completion", Json.Float (completion s));
       ("estimated_total_executions", opt_int (est_total s));
       ("eta_seconds", opt_float (eta s)) ]
@@ -260,8 +270,9 @@ let analysis_to_json (a : analysis) =
 (* Schema history: /1 — initial; /2 — adds the "race" verdict kind, the
    top-level "analysis" object (when analyses ran), "verdict_key", and
    (additively, PR 7) the search-phase wall time and progress-estimate
-   fields in "stats". The single source of truth for the tag is
-   [schema_version]; nothing else in the tree spells the string out. *)
+   fields in "stats", and later "path_digest" there too. The single source
+   of truth for the tag is [schema_version]; nothing else in the tree
+   spells the string out. *)
 let schema_version = "fairmc-report/2"
 
 let to_json ?program ?config ?lint t =

@@ -50,6 +50,12 @@ type stats = {
       (** accumulated {!Fairmc_obs.Estimator} probe mass in fixed point
           ([Estimator.one] = fully explored); summed across shards and
           resumed sessions, jobs-deterministic for systematic searches *)
+  path_digest : int;
+      (** the paths [executions] counts, order-free: the sum modulo 2^61
+          ({!digest_add}) of a hash of each path's end, step count and
+          schedule. Merged like [executions], so a search gives the same
+          digest at every fan-out and across resume, and two searches that
+          explored the same multiset of schedules give the same digest *)
 }
 
 type analysis = {
@@ -112,6 +118,18 @@ val fix_lockgraph_counters :
     analysis union (shard merge, checkpoint resume): summing them would
     double-count edges seen on both sides. No-op when the counters are absent
     or no analysis ran. *)
+
+val digest_add : int -> int -> int
+(** Sum modulo 2^61: how path hashes accumulate into [path_digest], and
+    how digests merge. *)
+
+val digest_hex : int -> string
+(** [path_digest] as 16 hex digits: a fixed-width string, since JSON
+    readers that parse numbers as doubles (jq) would round it. *)
+
+val digest_of_hex : string -> int option
+(** The inverse of {!digest_hex}; [None] for anything it does not
+    render. *)
 
 val stats_to_json : stats -> Fairmc_util.Json.t
 

@@ -38,6 +38,11 @@ type frame = {
   mutable snap : snap option;
       (* taken on a restorable run while [rest] is non-empty, dropped with
          the last sibling *)
+  mutable sched : int;
+      (* the schedule hash of the decisions down to and including
+         [chosen], where a restored or fast-forwarded path resumes the
+         fold: set when the frame is pushed or loaded from a cursor, and
+         when it moves on to a sibling *)
 }
 
 (* Why a path ended. *)
@@ -131,10 +136,12 @@ type state = {
   events : Obs.Events.buf option;  (* shard-local telemetry batch buffer *)
   span_buf : Obs.Events.buf option;
       (* [events] again iff the stream has spans on (the trace export wants
-         per-path span slices); [None] for a plain streaming sink, which
-         then pays only one path event per execution *)
+         per-path span slices and path events); [None] for a plain
+         streaming sink, which then pays for no per-path event *)
   analysis : AH.instance list;  (* this shard's dynamic-analysis instances *)
   mutable probe_mass : int;  (* this search's accumulated Estimator mass *)
+  mutable sched : int;  (* the current path's schedule hash so far *)
+  mutable path_digest : int;  (* this search's paths, order-free *)
   mutable analysis_us : int;  (* current path's analysis-observer time *)
   mutable executions : int;
   mutable transitions : int;
@@ -156,7 +163,8 @@ let dummy_frame =
     sleep = B.empty;
     width = 1;
     cum = Obs.Estimator.one;
-    snap = None }
+    snap = None;
+    sched = 0 }
 
 let push_frame st fr =
   if st.nframes = Array.length st.frames then begin
@@ -166,6 +174,15 @@ let push_frame st fr =
   end;
   st.frames.(st.nframes) <- fr;
   st.nframes <- st.nframes + 1
+
+(* A path's schedule hash: FNV-1a-style folding of its (tid, alt)
+   decisions in native-int arithmetic from [sched0], taken [land max_int]
+   when the path ends. *)
+let sched0 = 0x4BF29CE484222325
+let fold_decision h ~tid ~alt = (h lxor (tid + (alt lsl 20))) * 0x100000001B3
+
+(* The schedule hash of frames [0..i]: [sched0] for [i < 0]. *)
+let sched_through st i = if i < 0 then sched0 else st.frames.(i).sched
 
 (* Leaf weight of the current stack: [Estimator.one] above an empty stack. *)
 let top_weight st =
@@ -264,6 +281,8 @@ let make_state ?deadline ?(slice_end = infinity) ?tally ?(tick = ignore) ?(shard
        | _ -> None);
     analysis = List.map (fun (a : AH.t) -> a.create ()) cfg.analyses;
     probe_mass = 0;
+    sched = sched0;
+    path_digest = 0;
     analysis_us = 0;
     executions = 0;
     transitions = 0;
@@ -287,13 +306,16 @@ let load_item st = function
     st.nframes <- 0;
     Array.iter
       (fun (f : CK.frame) ->
+        let chosen = alt_of f.CK.c_chosen in
         push_frame st
-          { chosen = alt_of f.CK.c_chosen;
+          { chosen;
             rest = List.map alt_of f.CK.c_rest;
             sleep = f.CK.c_sleep;
             width = f.CK.c_width;
             cum = Obs.Estimator.descend (top_weight st) f.CK.c_width;
-            snap = None })
+            snap = None;
+            sched =
+              fold_decision (sched_through st (st.nframes - 1)) ~tid:chosen.tid ~alt:chosen.alt })
       frames
   | CK.Range (lo, hi) ->
     st.next_exec <- lo;
@@ -520,6 +542,11 @@ let execute_from st ~systematic ~restoring run start =
   (* Counts the path accumulates step by step, folded into the search's
      when it ends. A restored or fast-forwarded path starts from the counts
      of its prefix. *)
+  st.sched <-
+    (match start with
+     | Boot -> sched0
+     | Restore (i, _) -> sched_through st (i - 1)
+     | Fast_forward _ -> sched_through st (st.nframes - 2));
   let fair, budget, last, last_yielded, depth, yields, fair_obs =
     match start with
     | Boot ->
@@ -607,6 +634,7 @@ let execute_from st ~systematic ~restoring run start =
     let yielded = Engine.would_yield run a.tid in
     let nth_before = Engine.nthreads run in
     budget := !budget - a.cost;
+    st.sched <- fold_decision st.sched ~tid:a.tid ~alt:a.alt;
     Engine.step run ~tid:a.tid ~alt:a.alt;
     for _ = nth_before + 1 to Engine.nthreads run do
       fair := Fair_sched.add_thread !fair
@@ -733,12 +761,14 @@ let execute_from st ~systematic ~restoring run start =
                       sleep = !pending_sleep;
                       width;
                       cum = Obs.Estimator.descend (top_weight st) width;
-                      snap = None }
+                      snap = None;
+                      sched = 0 (* once [a] is applied *) }
                   in
                   push_frame st fr;
                   keep_snap fr;
                   incr depth;
                   apply a;
+                  fr.sched <- st.sched;
                   loop ()
               end
             end
@@ -821,6 +851,7 @@ let backtrack st =
         fr.sleep <- sibling_sleep st.cfg ~chosen:fr.chosen.tid ~next:a.tid fr.sleep;
         fr.chosen <- a;
         fr.rest <- rest;
+        fr.sched <- fold_decision (sched_through st (st.nframes - 2)) ~tid:a.tid ~alt:a.alt;
         true
     end
   in
@@ -841,7 +872,8 @@ let stats_of st =
     sync_ops_per_exec = st.sync_ops_per_exec;
     max_threads = st.max_threads;
     search_elapsed = elapsed st;
-    probe_mass = st.probe_mass }
+    probe_mass = st.probe_mass;
+    path_digest = st.path_digest }
 
 (* Export the plain search statistics and the fair-scheduler accounting as
    derived entries over a registry snapshot. Derived quantities that depend
@@ -964,19 +996,28 @@ let split st =
 let split_wanted st =
   match st.tally with Some t -> Tally.split_asked t && splittable st | None -> false
 
-(* Schedule fingerprint for path events: FNV-1a-style folding in native-int
-   arithmetic — the Int64 {!Fnv} is boxed and costs over a microsecond per
-   path here. One multiply per decision; the hash is a deterministic
-   correlation identifier, nothing more, and it rides the event as a plain
-   JSON int (decimal renders cheaper than hex-in-a-string). *)
-let schedule_hash tr =
-  let len = Trace.length tr in
-  let h = ref 0x4BF29CE484222325 in
-  for i = 0 to len - 1 do
-    let e = Trace.get tr i in
-    h := (!h lxor (e.Trace.tid + (e.Trace.alt lsl 20))) * 0x100000001B3
-  done;
-  !h land max_int
+(* How a path ended, as its [path] event names it and its hash codes it.
+   Only a path a stop cut short ends nondeterministically. *)
+let path_end_info = function
+  | P_terminated -> ("terminated", 0, true)
+  | P_deadlock -> ("deadlock", 1, true)
+  | P_safety _ -> ("safety", 2, true)
+  | P_divergence _ -> ("divergence", 3, true)
+  | P_nonterminating -> ("nonterminating", 4, true)
+  | P_pruned -> ("pruned", 5, true)
+  | P_stopped -> ("stopped", 6, false)
+
+(* A path's term in the digest: its end, step count and schedule hash,
+   mixed (a splitmix-style finalizer in native ints) so that the sum of
+   many carries no structure of the schedules, taken modulo 2^61 (adding
+   0 under {!Report.digest_add}). *)
+let path_hash ~end_ ~steps ~schedule =
+  let fmix h =
+    let h = (h lxor (h lsr 30)) * 0x3F58476D1CE4E5B9 in
+    let h = (h lxor (h lsr 27)) * 0x14D049BB133111EB in
+    h lxor (h lsr 31)
+  in
+  Report.digest_add (fmix (fmix (schedule + end_) lxor steps)) 0
 
 let run_loop_body st =
   let cfg = st.cfg in
@@ -1021,22 +1062,17 @@ let run_loop_body st =
           ?events:st.span_buf ~phase:"analysis" ~dur_us:st.analysis_us ();
         st.analysis_us <- 0
       end;
-      (match st.events with
+      (let end_name, end_, det = path_end_info outcome in
+       let steps = Engine.steps run_ and schedule = st.sched land max_int in
+       st.path_digest <- Report.digest_add st.path_digest (path_hash ~end_ ~steps ~schedule);
+       (* One event per path only where spans are on: a plain stream
+          carries the paths as the digest in [run_end]. *)
+       match st.span_buf with
        | None -> ()
        | Some buf ->
-         let end_name, det =
-           match outcome with
-           | P_terminated -> ("terminated", true)
-           | P_deadlock -> ("deadlock", true)
-           | P_safety _ -> ("safety", true)
-           | P_divergence _ -> ("divergence", true)
-           | P_nonterminating -> ("nonterminating", true)
-           | P_pruned -> ("pruned", true)
-           | P_stopped -> ("stopped", false)
-         in
-         let tr = Engine.trace run_ in
-         Obs.Events.emit_path buf ~det ~end_:end_name ~steps:(Trace.length tr)
-           ~schedule:(schedule_hash tr));
+         Obs.Events.emit buf ~det ~kind:"path"
+           (J.Obj
+              [ ("end", J.Str end_name); ("steps", J.Int steps); ("schedule", J.Int schedule) ]));
       (match outcome with
        | P_terminated | P_pruned -> ()
        | P_deadlock ->
@@ -1157,7 +1193,8 @@ let post_run_end (cfg : C.t) (r : Report.t) =
          [ ("verdict", J.Str (Report.verdict_key r.Report.verdict));
            ("executions", J.Int r.Report.stats.Report.executions);
            ("transitions", J.Int r.Report.stats.Report.transitions);
-           ("probe_mass", J.Int r.Report.stats.Report.probe_mass) ])
+           ("probe_mass", J.Int r.Report.stats.Report.probe_mass);
+           ("path_digest", J.Str (Report.digest_hex r.Report.stats.Report.path_digest)) ])
 
 (* The session-free search: the root item in this process, to its end. *)
 let run cfg prog =

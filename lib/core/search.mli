@@ -28,6 +28,14 @@
     [search/steps/replay] / [search/steps/restored] split and the
     per-step histograms differ.
 
+    Every path that [executions] counts adds a hash of its end, step count
+    and schedule to [Report.stats.path_digest]. The search loop folds each
+    decision it applies into the path's schedule hash, and a frame keeps
+    the hash through its decision, so a restored or fast-forwarded path
+    resumes the fold from its frame instead of rehashing its prefix. The
+    per-path ["path"] event is emitted only on a stream with spans on
+    ({!Fairmc_obs.Events.spans}).
+
     When [config.fair] is set, scheduling decisions are restricted to the
     schedulable set [T] of Algorithm 1, computed by {!Fair_sched} along every
     path. Fair executions that exceed the livelock bound are reported as

@@ -105,7 +105,7 @@ type t = {
           {!Report.Race} verdict, selected by the same DFS-first-error rule
           as engine-detected errors. *)
   checkpoint : string option;
-      (** write a durable-session checkpoint (schema [fairmc-ckpt/2]) to this
+      (** write a durable-session checkpoint (schema [fairmc-ckpt/3]) to this
           file so an interrupted run can be continued with [--resume]; the
           {!Supervisor} writes it atomically (temp file + rename) when a
           work item returns, throttled by [checkpoint_interval], and always

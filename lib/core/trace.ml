@@ -14,11 +14,13 @@ let dummy =
   { step = 0; tid = 0; op = Op.Yield; alt = 0; result = true; yielded = false;
     enabled = Fairmc_util.Bitset.empty }
 
-let create () = { events = Array.make 64 dummy; len = 0 }
+(* Empty until its first push: a run that fast-forwards adopts the
+   previous run's trace instead. *)
+let create () = { events = [||]; len = 0 }
 
 let push t e =
   if t.len = Array.length t.events then begin
-    let a = Array.make (2 * t.len) dummy in
+    let a = Array.make (max 64 (2 * t.len)) dummy in
     Array.blit t.events 0 a 0 t.len;
     t.events <- a
   end;

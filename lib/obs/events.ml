@@ -17,12 +17,8 @@ type event = {
   data : Json.t;
 }
 
-(* A batched event before its sequence number exists. [P_path] is the
-   specialized hot case — one per execution — carrying its fields unboxed
-   so the streaming fast path never builds a [Json.t] at all. *)
-type pending =
-  | P of { p_ts_us : int; p_det : bool; p_kind : string; p_data : Json.t }
-  | P_path of { p_ts_us : int; p_det : bool; p_end : string; p_steps : int; p_schedule : int }
+(* A batched event before its sequence number exists. *)
+type pending = { p_ts_us : int; p_det : bool; p_kind : string; p_data : Json.t }
 
 (* A chunked sink: complete lines, newline-terminated, handed over in runs
    of up to [chunk_cap] bytes, and on [sync]. *)
@@ -77,45 +73,21 @@ let to_json (e : event) =
 (* Render an envelope into [b] without building the intermediate Json.Obj:
    the envelope shape is fixed and this runs once per event on the flush
    path. Field order must match {!to_json}. *)
-let render_head b ~seq ~ts_us ~shard =
+let render b (e : event) =
   Buffer.add_string b {|{"schema":"|};
   Buffer.add_string b schema;
   Buffer.add_string b {|","seq":|};
-  Json.add_int b seq;
+  Json.add_int b e.seq;
   Buffer.add_string b {|,"ts_us":|};
-  Json.add_int b ts_us;
+  Json.add_int b e.ts_us;
   Buffer.add_string b {|,"shard":|};
-  Json.add_int b shard
-
-let render b (e : event) =
-  render_head b ~seq:e.seq ~ts_us:e.ts_us ~shard:e.shard;
+  Json.add_int b e.shard;
   Buffer.add_string b
     (if e.det then {|,"det":true,"kind":|} else {|,"det":false,"kind":|});
   Json.to_buffer b (Json.Str e.kind);
   Buffer.add_string b {|,"data":|};
   Json.to_buffer b e.data;
   Buffer.add_char b '}'
-
-(* The path-event line in one pass: constant fragments fused around the
-   four integers and the end-state name (an internal identifier, never in
-   need of escaping). Shape must match {!path_data} under {!render}. *)
-let render_path b ~seq ~ts_us ~shard ~det ~end_ ~steps ~schedule =
-  render_head b ~seq ~ts_us ~shard;
-  Buffer.add_string b
-    (if det then {|,"det":true,"kind":"path","data":{"end":"|}
-     else {|,"det":false,"kind":"path","data":{"end":"|});
-  Buffer.add_string b end_;
-  Buffer.add_string b {|","steps":|};
-  Json.add_int b steps;
-  Buffer.add_string b {|,"schedule":|};
-  Json.add_int b schedule;
-  Buffer.add_string b "}}"
-
-let path_data ~end_ ~steps ~schedule =
-  Json.Obj
-    [ ("end", Json.Str end_);
-      ("steps", Json.Int steps);
-      ("schedule", Json.Int schedule) ]
 
 let line e =
   let b = Buffer.create 160 in
@@ -145,14 +117,7 @@ let ts_us stream = int_of_float (Clock.elapsed ~since:stream.t0 *. 1e6)
 
 let emit buf ?(det = false) ~kind data =
   buf.pending <-
-    P { p_ts_us = ts_us buf.stream; p_det = det; p_kind = kind; p_data = data }
-    :: buf.pending
-
-let emit_path buf ~det ~end_ ~steps ~schedule =
-  buf.pending <-
-    P_path { p_ts_us = ts_us buf.stream; p_det = det; p_end = end_; p_steps = steps;
-             p_schedule = schedule }
-    :: buf.pending
+    { p_ts_us = ts_us buf.stream; p_det = det; p_kind = kind; p_data = data } :: buf.pending
 
 let chunk_flush c =
   if Buffer.length c.c_buf > 0 then begin
@@ -179,35 +144,17 @@ let line_done stream =
     Buffer.add_char c.c_buf '\n';
     if Buffer.length c.c_buf >= chunk_cap then chunk_flush c
 
-(* Number, write, collect — in batch order. The [event]
-   record (and a [P_path]'s Json data) only materializes when the stream
-   collects; a write-only stream renders straight from the pending cell. *)
+(* Number, write, collect — in batch order. *)
 let publish stream ~shard p =
   let seq = stream.seq in
   stream.seq <- seq + 1;
-  if has_sink stream then begin
-    let b = line_buf stream in
-    (match p with
-     | P q ->
-       render b
-         { seq; ts_us = q.p_ts_us; shard; det = q.p_det; kind = q.p_kind;
-           data = q.p_data }
-     | P_path q ->
-       render_path b ~seq ~ts_us:q.p_ts_us ~shard ~det:q.p_det ~end_:q.p_end
-         ~steps:q.p_steps ~schedule:q.p_schedule);
-    line_done stream
-  end;
-  if stream.collect then begin
-    let e =
-      match p with
-      | P q ->
-        { seq; ts_us = q.p_ts_us; shard; det = q.p_det; kind = q.p_kind;
-          data = q.p_data }
-      | P_path q ->
-        { seq; ts_us = q.p_ts_us; shard; det = q.p_det; kind = "path";
-          data = path_data ~end_:q.p_end ~steps:q.p_steps ~schedule:q.p_schedule }
-    in
-    stream.acc <- e :: stream.acc
+  if has_sink stream || stream.collect then begin
+    let e = { seq; ts_us = p.p_ts_us; shard; det = p.p_det; kind = p.p_kind; data = p.p_data } in
+    if has_sink stream then begin
+      render (line_buf stream) e;
+      line_done stream
+    end;
+    if stream.collect then stream.acc <- e :: stream.acc
   end
 
 let flush buf =
@@ -221,7 +168,7 @@ let flush buf =
     List.iter (publish buf.stream ~shard:buf.shard) (List.rev pending)
 
 let post stream ~shard ?(det = false) ~kind data =
-  publish stream ~shard (P { p_ts_us = ts_us stream; p_det = det; p_kind = kind; p_data = data })
+  publish stream ~shard { p_ts_us = ts_us stream; p_det = det; p_kind = kind; p_data = data }
 
 (* A line as a worker's stream rendered it starts with this, then its
    sequence number: the one field a relay rewrites. *)

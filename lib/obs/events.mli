@@ -22,8 +22,16 @@
     [(kind, data)] pair is jobs-invariant — an error-free systematic search
     emits exactly the same multiset of deterministic [(kind, data)] pairs
     for every [jobs] value, only [seq]/[ts_us]/[shard] and the advisory
-    events (spans, progress, worker/checkpoint lifecycle) differ. See
-    DESIGN.md, "Telemetry". *)
+    events (spans, progress, worker/checkpoint lifecycle) differ.
+
+    The det slice of a plain stream is [run_start], [error] (when the
+    search finds one) and [run_end], whose [path_digest] stands for the
+    explored paths: the order-free sum of a hash of each path's end, step
+    count and schedule ([Report.stats] in lib/core). A stream behind the
+    span gate ({!spans}: one that collects) also carries one det ["path"]
+    event per execution, [{"end": STR, "steps": N, "schedule": N}]; a
+    plain stream does not, so a job's event volume grows with its work
+    items, not its executions. See DESIGN.md, "Telemetry". *)
 
 val schema : string
 (** ["fairmc-events/1"]. *)
@@ -65,12 +73,12 @@ val origin : stream -> float
     it. *)
 
 val spans : stream -> bool
-(** Whether the search emits per-path span events (prefix [replay],
-    [fresh] execution, [analysis]) on this stream: only when it collects
-    ([create ~collect:true], the span trace export), or is the {!worker}
-    stream of one that does. A plain streaming sink pays for one [path]
-    event per execution and nothing more; coarse spans (checkpoint saves)
-    are always emitted. *)
+(** Whether the search emits per-path events on this stream — its ["path"]
+    event and its span events (prefix [replay], [fresh] execution,
+    [analysis]): only when it collects ([create ~collect:true]: the span
+    trace export, tests), or is the {!worker} stream of one that does. A
+    plain streaming sink pays for no per-path event; coarse spans
+    (checkpoint saves) are always emitted. *)
 
 val buffer : stream -> shard:int -> buf
 (** A batch buffer whose events carry [shard]. *)
@@ -78,12 +86,6 @@ val buffer : stream -> shard:int -> buf
 val emit : buf -> ?det:bool -> kind:string -> Fairmc_util.Json.t -> unit
 (** Append to the local batch ([det] defaults to [false]); timestamps are
     taken now, sequence numbers at flush. *)
-
-val emit_path : buf -> det:bool -> end_:string -> steps:int -> schedule:int -> unit
-(** [emit] specialized to the once-per-execution ["path"] event — data
-    [{"end": end_, "steps": steps, "schedule": schedule}] — carrying its
-    fields unboxed so the streaming fast path builds no [Json.t]. [end_]
-    must be an internal identifier (it is rendered unescaped). *)
 
 val flush : buf -> unit
 (** Publish the batch: assign sequence numbers, write the lines. No-op on

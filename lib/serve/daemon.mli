@@ -16,7 +16,7 @@
     report.
 
     {b Durability.} Each job is spooled as [<id>.job]; its supervisor
-    maintains [<id>.ckpt] (schema [fairmc-ckpt/2]) from the work items
+    maintains [<id>.ckpt] (schema [fairmc-ckpt/3]) from the work items
     that return to it, about once a second, and the finished result is
     published as
     [<id>.report], the [Job_done] frame's payload, which the daemon serves

@@ -37,7 +37,8 @@ let gen_stats rng =
     sync_ops_per_exec = R.int rng 64;
     max_threads = R.int rng 16;
     search_elapsed = float_of_int (R.int rng 1024) /. 8.;
-    probe_mass = R.int rng 1_000_000 }
+    probe_mass = R.int rng 1_000_000;
+    path_digest = R.int rng (1 lsl 61) }
 
 let gen_metrics rng =
   MS.of_entries
@@ -661,20 +662,29 @@ let budget_tests =
         let prog = (Option.get (W.Registry.find "dining-2-ordered")).W.Registry.program in
         let full = Search.run Search_config.default prog in
         check_int "the tree" 4 full.Report.stats.Report.executions;
-        List.iter
-          (fun jobs ->
-            List.iter
-              (fun (budget, want) ->
-                let r =
-                  Checker.check
-                    ~config:{ Search_config.default with jobs; max_executions = Some budget }
-                    prog
-                in
-                Alcotest.(check string)
-                  (Printf.sprintf "budget %d at -j %d" budget jobs)
-                  (Report.verdict_key want) (Report.verdict_key r.Report.verdict))
-              [ (3, Report.Limits_reached); (4, Report.Verified); (5, Report.Verified) ])
-          [ 1; 2 ];
+        let run jobs budget =
+          Checker.check ~config:{ Search_config.default with jobs; max_executions = Some budget }
+            prog
+        in
+        let expect jobs cases =
+          List.iter
+            (fun (budget, want) ->
+              Alcotest.(check string)
+                (Printf.sprintf "budget %d at -j %d" budget jobs)
+                (Report.verdict_key want)
+                (Report.verdict_key (run jobs budget).Report.verdict))
+            cases
+        in
+        expect 1 [ (3, Report.Limits_reached); (4, Report.Verified); (5, Report.Verified) ];
+        (* Each of two workers may start a path while the shared tally reads
+           one below the budget: budget 2 runs at most 3 paths, and budget
+           3 may run the whole tree. *)
+        expect 2 [ (2, Report.Limits_reached); (4, Report.Verified); (5, Report.Verified) ];
+        (let r = run 2 3 in
+         match (r.Report.verdict, r.Report.stats.Report.executions) with
+         | Report.Limits_reached, 3 | Report.Verified, 4 -> ()
+         | v, n ->
+           Alcotest.failf "budget 3 at -j 2: %s with %d executions" (Report.verdict_key v) n);
         (* The -j 1 checkpoint at budget 3 is not complete: it resumes to
            verified. *)
         let file = Filename.temp_file "fairmc" ".ckpt" in
@@ -782,9 +792,28 @@ let progress_tests =
             (Option.fold ~none:"no time" ~some:string_of_float t)
             r.Report.stats.Report.elapsed) ]
 
+let digest_tests =
+  [ Alcotest.test_case "a fairmc-ckpt/2 checkpoint is refused with its schema named" `Quick
+      (fun () ->
+        (* The schema before done regions carried their paths' digest. *)
+        let old =
+          match CK.to_json (gen_t 7) with
+          | Json.Obj kv ->
+            Json.Obj
+              (List.map
+                 (fun (k, v) -> if k = "schema" then (k, Json.Str "fairmc-ckpt/2") else (k, v))
+                 kv)
+          | _ -> Alcotest.fail "a checkpoint is not an object"
+        in
+        match CK.of_json old with
+        | Ok _ -> Alcotest.fail "a fairmc-ckpt/2 checkpoint loaded"
+        | Error e ->
+          check "the message names the old schema" true (Test_checker.contains e "fairmc-ckpt/2");
+          check "and says what to do" true (Test_checker.contains e "start the search over")) ]
+
 let suite =
   unit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
   @ codec_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) fuzz_props
-  @ budget_tests @ progress_tests
+  @ budget_tests @ progress_tests @ digest_tests

@@ -785,8 +785,8 @@ let cli_agreement_tests =
           | _ -> J.Null
         in
         let int_field k j = match field k j with J.Int n -> n | _ -> -1 in
-        let summary (key, execs, trans, states, decisions) =
-          Printf.sprintf "%s %d/%d/%d %s" key execs trans states
+        let summary (key, execs, trans, states, digest, decisions) =
+          Printf.sprintf "%s %d/%d/%d %s %s" key execs trans states digest
             (String.concat " "
                (List.map (fun (t, a) -> Printf.sprintf "%d.%d" t a) decisions))
         in
@@ -810,6 +810,7 @@ let cli_agreement_tests =
                       r.stats.executions,
                       r.stats.transitions,
                       r.stats.states,
+                      Report.digest_hex r.stats.path_digest,
                       Option.value ~default:[] (cex_decisions r) )
                 in
                 List.iter
@@ -846,6 +847,7 @@ let cli_agreement_tests =
                           int_field "executions" stats,
                           int_field "transitions" stats,
                           int_field "states" stats,
+                          (match field "path_digest" stats with J.Str d -> d | _ -> "?"),
                           decisions )
                     in
                     Alcotest.(check string) (String.concat " " (extra @ par)) want got)

@@ -31,6 +31,7 @@ let assert_systematic_equiv name cfg prog =
       check_int (tag "transitions") seq.stats.transitions par.stats.transitions;
       check_int (tag "states") seq.stats.states par.stats.states;
       check_int (tag "max depth") seq.stats.max_depth par.stats.max_depth;
+      check_int (tag "path digest") seq.stats.path_digest par.stats.path_digest;
       Alcotest.(check (option int))
         (tag "first error execution")
         seq.stats.first_error_execution par.stats.first_error_execution;
@@ -89,7 +90,10 @@ let suite =
             check_int
               (Printf.sprintf "executions at j=%d" jobs)
               seq.stats.executions par.stats.executions;
-            check_int (Printf.sprintf "states at j=%d" jobs) seq.stats.states par.stats.states)
+            check_int (Printf.sprintf "states at j=%d" jobs) seq.stats.states par.stats.states;
+            check_int
+              (Printf.sprintf "path digest at j=%d" jobs)
+              seq.stats.path_digest par.stats.path_digest)
           [ 2; 3; 4 ]);
     Alcotest.test_case "parallel counterexample replays deterministically" `Quick (fun () ->
         let p = W.Litmus.race_assert () in
@@ -126,7 +130,8 @@ let suite =
         in
         let r = Checker.check ~config:cfg p in
         check "no error" false (Report.found_error r);
-        check_int "21 executions total" 21 r.stats.executions);
+        check_int "21 executions total" 21 r.stats.executions;
+        check_int "the sequential paths" (Search.run cfg p).stats.path_digest r.stats.path_digest);
     Alcotest.test_case "sampling: pinned counterexample at jobs=4" `Quick (fun () ->
         (* Execution i draws from (seed, i) whichever item runs it, so four
            workers find the sequential search's counterexample at its
@@ -151,7 +156,8 @@ let suite =
           Alcotest.(check (option int))
             "the sequential execution index" seq.stats.first_error_execution
             r.stats.first_error_execution;
-          check_int "executions" seq.stats.executions r.stats.executions
+          check_int "executions" seq.stats.executions r.stats.executions;
+          check_int "path digest" seq.stats.path_digest r.stats.path_digest
         | _, v ->
           Alcotest.failf "expected the assertion failure, got %s" (Report.verdict_key v));
     Alcotest.test_case "jobs=0 resolves to the host's domain count" `Quick (fun () ->

@@ -491,18 +491,26 @@ let submit fd spec =
   | P.Submitted { job; _ } -> job
   | m -> Alcotest.failf "unexpected reply: %s" (J.to_string (P.message_to_json m))
 
-(* Watch [job] with events to its end: the Event lines in order, the
-   terminal message, and the event count at which [at] (if given) ran. *)
+(* Watch [job] with events to its end: the Event lines in order and the
+   terminal message. [at] (if given) is a line predicate and an action,
+   run once after the first line that satisfies it. *)
 let watch_events ?at fd job =
   Serve.Client.request fd (P.Watch { job; events = true });
-  let rec go acc n =
-    (match at with Some (k, f) when n = k -> f () | _ -> ());
+  let rec go acc at =
     match Serve.Client.next fd with
-    | P.Watching _ -> go acc n
-    | P.Event line -> go (line :: acc) (n + 1)
+    | P.Watching _ -> go acc at
+    | P.Event line ->
+      let at =
+        match at with
+        | Some (p, f) when p line ->
+          f ();
+          None
+        | at -> at
+      in
+      go (line :: acc) at
     | m -> (List.rev acc, m)
   in
-  go [] 0
+  go [] at
 
 let kind_of line =
   match Fairmc_obs.Events.of_line line with
@@ -510,6 +518,21 @@ let kind_of line =
   | Error e -> Alcotest.failf "not an event line (%s): %S" e line
 
 let backlog_file dir job = Filename.concat (Filename.concat dir "spool") (job ^ ".events")
+
+(* The [data] member [name] of an event line. *)
+let data_of line name =
+  match Fairmc_obs.Events.of_line line with
+  | Ok { Fairmc_obs.Events.data = J.Obj kv; _ } -> List.assoc_opt name kv
+  | Ok _ | Error _ -> None
+
+(* The [stats] member [name] of a report. *)
+let stat_of report name =
+  match report with
+  | J.Obj kv ->
+    (match List.assoc_opt "stats" kv with
+     | Some (J.Obj st) -> List.assoc_opt name st
+     | _ -> None)
+  | _ -> None
 
 (* Processes whose parent is [pid], from /proc. *)
 let children_of pid =
@@ -544,27 +567,51 @@ let backlog_tests =
           (match last with P.Job_done _ -> () | _ -> Alcotest.fail "job did not finish");
           (lines, job)
         in
-        check "the stream spans several chunks" true
-          (List.fold_left (fun a l -> a + String.length l + 1) 0 live
-           > 2 * Fairmc_obs.Events.chunk_cap);
+        check "the run came from its workers" true
+          (List.exists (fun l -> kind_of l = "worker_spawn") live);
+        let file = backlog_file dir job in
+        let read () = In_channel.with_open_bin file In_channel.input_all in
+        check "the backlog is the live stream" true
+          (read () = String.concat "" (List.map (fun l -> l ^ "\n") live));
+        (* A run's stream is a few lines: pad the spooled backlog with
+           advisory lines before its run_end, so that the replay crosses
+           several 64 KiB blocks. *)
+        let n = List.length live in
+        let pad i =
+          Fairmc_obs.Events.line
+            { Fairmc_obs.Events.seq = n - 1 + i; ts_us = 0; shard = 0; det = false; kind = "pad";
+              data = J.Obj [ ("i", J.Int i); ("text", J.Str (String.make 64 'x')) ] }
+        in
+        let spooled =
+          List.filteri (fun i _ -> i < n - 1) live @ List.init 1_500 pad @ [ List.nth live (n - 1) ]
+        in
+        Out_channel.with_open_bin file (fun oc ->
+            List.iter (fun l -> output_string oc l; output_char oc '\n') spooled);
+        check "the backlog spans several chunks" true
+          (String.length (read ()) > 2 * Fairmc_obs.Events.chunk_cap);
         with_daemon ~dir @@ fun ~socket ~pid:_ ->
         Serve.Client.with_daemon socket @@ fun fd ->
         let replayed, last = watch_events fd job in
         (match last with P.Job_done _ -> () | _ -> Alcotest.fail "restored job not done");
-        check "same line count" true (List.length replayed = List.length live);
-        check "byte for byte, in order" true (List.equal String.equal replayed live);
+        check "same line count" true (List.length replayed = List.length spooled);
+        check "byte for byte, in order" true (List.equal String.equal replayed spooled);
         check_str "starts with run_start" "run_start" (kind_of (List.hd replayed));
-        check_str "ends with run_end" "run_end" (kind_of (List.nth replayed (List.length replayed - 1))));
+        let last = List.nth replayed (List.length replayed - 1) in
+        check_str "ends with run_end" "run_end" (kind_of last);
+        check "whose digest stands for the paths" true
+          (match data_of last "path_digest" with
+           | Some (J.Str d) -> Report.digest_of_hex d <> None
+           | _ -> false));
     Alcotest.test_case "a worker killed mid-job leaves every line sent, no partial line"
       `Quick (fun () ->
         with_dir @@ fun dir ->
         with_daemon ~dir @@ fun ~socket ~pid ->
         Serve.Client.with_daemon socket @@ fun fd ->
-        (* Long enough that its one worker hands back a slice, and its
-           events, before it ends. *)
+        (* Long enough (about 4 s) that its one worker hands back a slice
+           and is killed running the next, on a host twice as fast too. *)
         let spec =
           JS.of_config ~program:"wsq-1s-correct"
-            { C.default with C.max_executions = Some 150_000 }
+            { C.default with C.max_executions = Some 300_000 }
         in
         let job = submit fd spec in
         let killed = ref [] in
@@ -572,7 +619,13 @@ let backlog_tests =
           killed := children_of pid;
           List.iter (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ()) !killed
         in
-        let lines, last = watch_events ~at:(2_000, kill) fd job in
+        (* Once the worker has handed back its first slice (about a
+           second in). *)
+        let lines, last =
+          watch_events
+            ~at:((fun l -> kind_of l = "worker_spawn"), fun () -> Unix.sleepf 1.2; kill ())
+            fd job
+        in
         check "a worker was killed" true (!killed <> []);
         (match last with
          | P.Job_done { verdict; _ } -> check_str "the retry finished the job" "limits" verdict
@@ -595,17 +648,20 @@ let backlog_tests =
             let lines, last = watch_events fd job in
             match last with
             | P.Job_done { report; _ } ->
-              check_str (program ^ ": run_end comes last") "run_end"
-                (kind_of (List.nth lines (List.length lines - 1)));
-              let paths = List.length (List.filter (fun l -> kind_of l = "path") lines) in
-              (match report with
-               | J.Obj kv ->
-                 (match List.assoc_opt "stats" kv with
-                  | Some (J.Obj st) ->
-                    check (program ^ ": a path event per execution") true
-                      (List.assoc_opt "executions" st = Some (J.Int paths))
-                  | _ -> Alcotest.fail "report without stats")
-               | _ -> Alcotest.fail "report is not an object")
+              let run_end = List.nth lines (List.length lines - 1) in
+              check_str (program ^ ": run_end comes last") "run_end" (kind_of run_end);
+              (* The paths travel as run_end's digest, not as lines. *)
+              check (program ^ ": no path line") false
+                (List.exists (fun l -> kind_of l = "path") lines);
+              List.iter
+                (fun name ->
+                  check
+                    (Printf.sprintf "%s: run_end's %s is the report's" program name)
+                    true
+                    (match (data_of run_end name, stat_of report name) with
+                     | Some a, Some b -> J.equal a b
+                     | _ -> false))
+                [ "executions"; "path_digest" ]
             | m -> Alcotest.failf "%s: %s" program (J.to_string (P.message_to_json m)))
           [ ("fig3", C.default);
             ("dining-3-ordered", C.default);
@@ -1329,6 +1385,37 @@ let startup_tests =
         done;
         Alcotest.(check int) "refused connections" 0 !refused) ]
 
+(* A job's event volume grows with its work items, not its executions:
+   a fair DFS that would write about 7 MB of path lines a second keeps a
+   backlog of a few lines while it runs. *)
+let volume_tests =
+  [ Alcotest.test_case "a running fair DFS's backlog stays under 64 KiB" `Quick (fun () ->
+        with_dir @@ fun dir ->
+        with_daemon ~dir @@ fun ~socket ~pid ->
+        Serve.Client.with_daemon socket @@ fun fd ->
+        Fun.protect ~finally:(fun () ->
+            List.iter
+              (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ())
+              (children_of pid))
+        @@ fun () ->
+        let job =
+          submit fd
+            (JS.of_config ~program:"wsq-1s-correct"
+               { C.default with C.max_executions = Some 100_000_000 })
+        in
+        Unix.sleepf 3.0;
+        Serve.Client.request fd (P.Status job);
+        (match Serve.Client.next fd with
+         | P.Job_status i -> check "still running" true (i.P.ji_state = P.Running)
+         | m -> Alcotest.failf "status: %s" (J.to_string (P.message_to_json m)));
+        let bytes = (Unix.stat (backlog_file dir job)).Unix.st_size in
+        Serve.Client.request fd (P.Cancel job);
+        (match Serve.Client.next fd with
+         | P.Cancelled _ -> ()
+         | m -> Alcotest.failf "cancel: %s" (J.to_string (P.message_to_json m)));
+        check (Printf.sprintf "the backlog holds %d bytes after 3 s" bytes) true
+          (bytes < 64 * 1024)) ]
+
 let suite =
   identity_tests @ robustness_tests @ dedup_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
@@ -1338,3 +1425,4 @@ let suite =
   @ bound_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) decoder_fuzz_props
   @ cancel_tests @ validation_tests @ fan_out_tests @ supervision_tests @ startup_tests
+  @ volume_tests

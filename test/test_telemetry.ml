@@ -306,7 +306,10 @@ let relay_tests =
         let b = Events.buffer w ~shard:3 in
         let n = 2_000 in
         for i = 1 to n do
-          Events.emit_path b ~det:true ~end_:"terminated" ~steps:i ~schedule:(7 * i);
+          Events.emit b ~det:true ~kind:"path"
+            (Json.Obj
+               [ ("end", Json.Str "terminated"); ("steps", Json.Int i);
+                 ("schedule", Json.Int (7 * i)) ]);
           Events.flush b
         done;
         let worker_lines = List.rev !lines in
@@ -346,8 +349,69 @@ let relay_tests =
         Events.relay c worker_lines;
         check_int "collected" n (List.length (Events.collected c))) ]
 
+(* ------------------------------------------------------------------ *)
+(* The path digest and the span-gated path lines.                      *)
+
+(* The schedule hash a path line carries, recomputed from a decision
+   list: FNV-1a-style folding of (tid, alt) in native ints. *)
+let schedule_hash decisions =
+  List.fold_left
+    (fun h (tid, alt) -> (h lxor (tid + (alt lsl 20))) * 0x100000001B3)
+    0x4BF29CE484222325 decisions
+  land max_int
+
+let data_field (e : Events.event) name =
+  match e.Events.data with Json.Obj kv -> List.assoc_opt name kv | _ -> None
+
+(* The lines a plain (non-collecting) stream writes, parsed back. *)
+let plain_events cfg prog =
+  let lines = ref [] in
+  let stream = Events.create ~write:(fun l -> lines := l :: !lines) () in
+  let r = Checker.check ~config:{ cfg with Search_config.events = Some stream } prog in
+  (r, List.rev_map (fun l -> Result.get_ok (Events.of_line l)) !lines)
+
+let digest_tests =
+  [ Alcotest.test_case "a plain stream has no path line; run_end carries the digest" `Quick
+      (fun () ->
+        let prog () = W.Dining.coverage_program ~n:2 in
+        List.iter
+          (fun workers ->
+            let r, evs = plain_events { base with Search_config.workers } (prog ()) in
+            check "no path line" false
+              (List.exists (fun (e : Events.event) -> e.Events.kind = "path") evs);
+            let run_end = List.find (fun (e : Events.event) -> e.Events.kind = "run_end") evs in
+            check "run_end is det" true run_end.Events.det;
+            check "run_end's digest is the report's" true
+              (data_field run_end "path_digest"
+               = Some (Json.Str (Report.digest_hex r.Report.stats.Report.path_digest))))
+          [ 1; 2 ]);
+    Alcotest.test_case "a span stream has a path line per execution, with its schedule hash"
+      `Quick (fun () ->
+        (* The erroring path's line must carry the hash and length of the
+           counterexample's schedule, whether its prefix was fast-forwarded
+           (DFS), sampled, or finished by a random tail. *)
+        let prog () = W.Dining.program ~n:2 W.Dining.Deadlock in
+        List.iter
+          (fun (what, cfg) ->
+            let r, evs = run_collect cfg (prog ()) in
+            let paths = List.filter (fun (e : Events.event) -> e.Events.kind = "path") evs in
+            check_int (what ^ ": a path line per execution") r.Report.stats.Report.executions
+              (List.length paths);
+            match Report.cex r with
+            | None -> Alcotest.failf "%s: no counterexample" what
+            | Some cex ->
+              let last = List.nth paths (List.length paths - 1) in
+              check_int (what ^ ": steps") cex.Report.length
+                (match data_field last "steps" with Some (Json.Int n) -> n | _ -> -1);
+              check_int (what ^ ": schedule") (schedule_hash cex.Report.decisions)
+                (match data_field last "schedule" with Some (Json.Int n) -> n | _ -> -1))
+          [ ("dfs", base);
+            ("random walk", { base with Search_config.mode = Random_walk 200; seed = 3L });
+            ( "random tail",
+              { base with Search_config.fair = false; depth_bound = Some 2; seed = 5L } ) ]) ]
+
 let suite =
   codec_unit_tests @ determinism_tests @ estimator_unit_tests
   @ estimator_search_tests @ span_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) codec_qprops
-  @ relay_tests
+  @ relay_tests @ digest_tests
