@@ -25,31 +25,32 @@ let resource_failure = function
   | _ -> None
 
 type parked = {
-  op : Op.t;
   k : (int, unit) Effect.Deep.continuation;
   payload : (unit -> unit) option;  (* body captured at a [Spawn] park *)
 }
 
 type tstate =
-  | Parked of parked
-  | Running  (* transient, while its continuation executes *)
+  | Parked of parked  (* a fiber *)
+  | Parked_data  (* a machine thread: plain data in the program *)
+  | Running  (* transient, while a fiber's continuation executes *)
   | Finished
 
 type observer = tid:int -> op:Op.t -> result:int -> unit
 
 (* Raised into a parked continuation to unwind it when its run is
-   abandoned or restored over: OCaml never frees the stack of a
-   continuation that is dropped without being resumed. Never recorded as a
-   failure. *)
+   abandoned: OCaml never frees the stack of a continuation that is dropped
+   without being resumed. Never recorded as a failure. *)
 exception Unwind
 
 type t = {
   prog_store : Objects.t;
   obs : observer option;
-  capture : (unit -> Program.restore) option;
-  mutable unwinding : bool;  (* parked threads are being discontinued *)
+  booted : Program.booted;  (* its machine, snapshot and capture *)
+  mutable unwinding : bool;  (* parked fibers are being discontinued *)
   mutable threads : tstate array;
   mutable prev_op : Op.t option array;
+      (* The operation each thread last parked on: the pending operation of
+         a parked thread of either kind. *)
   mutable op_repeat : int array;
       (* Control abstraction for state signatures: the pending operation
          alone does not identify a thread's control point when two identical
@@ -68,7 +69,6 @@ type t = {
   mutable failure : (int * failure) option;
   mutable trace : Trace.t;  (* a run fast-forwarded along a trace adopts it *)
   mutable steps : int;
-  snapshot : (unit -> Fnv.t) option;
   snapshotters : (Fnv.t -> Fnv.t) list;
   mutable sync_ops : int;
   mutable var_ops : int;
@@ -96,35 +96,44 @@ let finish t tid =
   t.threads.(tid) <- Finished;
   t.nfinished <- t.nfinished + 1
 
-(* Run [body] as thread [tid] until its first scheduling point (or
+(* Thread [tid] ended by raising [exn], which fails the run. *)
+let raised t tid exn =
+  finish t tid;
+  record_failure t tid
+    (match exn with
+     | Runtime.Assertion_failure m -> Assertion m
+     | Objects.Sync_error m -> Sync_misuse m
+     | e -> Option.value (resource_failure e) ~default:(Uncaught (Printexc.to_string e)))
+
+(* [tid] parks on [op], a [Some]. *)
+let note_park t tid op =
+  (* Saturate the counter: straight-line runs of identical operations are
+     short (that is all the disambiguation needs), while an unbounded
+     counter would make single-operation spin loops produce infinitely
+     many signatures, breaking cycle detection. *)
+  (match (t.prev_op.(tid), op) with
+   | Some prev, Some op when Op.equal prev op ->
+     t.op_repeat.(tid) <- Int.min (t.op_repeat.(tid) + 1) 4
+   | _ -> t.op_repeat.(tid) <- 0);
+  t.prev_op.(tid) <- op
+
+(* Run machine thread [tid], handing it [result], to its next scheduling
+   point: one call into the program's own loop. *)
+let run_machine t tid result =
+  match (Option.get t.booted.Program.machine).Program.run tid result with
+  | Some _ as op ->
+    note_park t tid op;
+    t.threads.(tid) <- Parked_data
+  | None -> finish t tid
+  | exception exn -> raised t tid exn
+
+(* Run [body] as fiber [tid] until its first scheduling point (or
    completion). The deep handler stays installed for the thread's lifetime:
    subsequent parks happen during [Effect.Deep.continue] in [step]. *)
 let start_thread t tid body =
-  let note_park t tid op =
-    (* Saturate the counter: straight-line runs of identical operations are
-       short (that is all the disambiguation needs), while an unbounded
-       counter would make single-operation spin loops produce infinitely
-       many signatures, breaking cycle detection. *)
-    (match t.prev_op.(tid) with
-     | Some prev when Op.equal prev op ->
-       t.op_repeat.(tid) <- Int.min (t.op_repeat.(tid) + 1) 4
-     | Some _ | None -> t.op_repeat.(tid) <- 0);
-    t.prev_op.(tid) <- Some op
-  in
   let handler : (unit, unit) Effect.Deep.handler =
     { retc = (fun () -> finish t tid);
-      exnc =
-        (fun exn ->
-          finish t tid;
-          match exn with
-          | _ when t.unwinding -> ()
-          | Runtime.Assertion_failure m -> record_failure t tid (Assertion m)
-          | Objects.Sync_error m -> record_failure t tid (Sync_misuse m)
-          | e ->
-            record_failure t tid
-              (match resource_failure e with
-               | Some f -> f
-               | None -> Uncaught (Printexc.to_string e)));
+      exnc = (fun exn -> if t.unwinding then finish t tid else raised t tid exn);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -146,8 +155,8 @@ let start_thread t tid body =
                     b
                   | _ -> None
                 in
-                note_park t tid op;
-                t.threads.(tid) <- Parked { op; k; payload })
+                note_park t tid (Some op);
+                t.threads.(tid) <- Parked { k; payload })
           | _ -> None) }
   in
   let c = Runtime.ctx in
@@ -159,7 +168,8 @@ let start_thread t tid body =
   c.current_tid <- saved_tid;
   c.in_thread <- saved_in
 
-let add_thread t body =
+(* A new thread's tid, [Running] in the grown table. *)
+let new_thread t =
   if t.nthreads > B.max_capacity then failwith "Engine: too many threads";
   if t.nthreads = Array.length t.threads then begin
     let a = Array.make (2 * t.nthreads) Finished in
@@ -175,6 +185,10 @@ let add_thread t body =
   let tid = t.nthreads in
   t.threads.(tid) <- Running;
   t.nthreads <- tid + 1;
+  tid
+
+let add_thread t body =
+  let tid = new_thread t in
   start_thread t tid body;
   tid
 
@@ -183,7 +197,7 @@ let add_thread t body =
    never materializes is a deadlock, not a no-op. *)
 let finished t tid =
   tid >= 0 && tid < t.nthreads
-  && (match t.threads.(tid) with Finished -> true | Parked _ | Running -> false)
+  && (match t.threads.(tid) with Finished -> true | Parked _ | Parked_data | Running -> false)
 
 (* [Join] is decided here, against the thread table; the store decides every
    other operation and never consults [finished]. *)
@@ -194,17 +208,24 @@ let op_enabled t (op : Op.t) =
   | Join j -> finished t j
   | op -> Objects.enabled t.prog_store ~finished:never_finished op
 
+(* The pending operation of [tid], parked as either kind of thread. *)
+let[@inline] parked_op t tid =
+  match t.threads.(tid) with
+  | Parked _ | Parked_data -> t.prev_op.(tid)
+  | Running | Finished -> None
+
 let refresh_enabled t =
   let es = ref B.empty in
   for tid = 0 to t.nthreads - 1 do
-    match t.threads.(tid) with
-    | Parked p -> if op_enabled t p.op then es := B.add tid !es
-    | Running | Finished -> ()
+    match parked_op t tid with
+    | Some op -> if op_enabled t op then es := B.add tid !es
+    | None -> ()
   done;
   t.enabled <- !es
 
-(* Discontinue every parked thread, as the thread itself: its handlers and
-   finalizers run, and whatever they perform is unwound in turn. *)
+(* Discontinue every parked fiber, as the thread itself: its handlers and
+   finalizers run, and whatever they perform is unwound in turn. A machine
+   thread has no stack to unwind. *)
 let unwind t =
   let c = Runtime.ctx in
   let saved_tid = c.current_tid in
@@ -217,7 +238,7 @@ let unwind t =
       c.current_tid <- tid;
       c.in_thread <- true;
       Effect.Deep.discontinue p.k Unwind
-    | Running | Finished -> ()
+    | Parked_data | Running | Finished -> ()
   done;
   t.unwinding <- false;
   c.current_tid <- saved_tid;
@@ -237,7 +258,7 @@ let start (prog : Program.t) =
   let t =
     { prog_store = store;
       obs = !observer;
-      capture = booted.Program.capture;
+      booted;
       unwinding = false;
       threads = Array.make 8 Finished;
       prev_op = Array.make 8 None;
@@ -248,7 +269,6 @@ let start (prog : Program.t) =
       failure = None;
       trace = Trace.create ();
       steps = 0;
-      snapshot = booted.Program.snapshot;
       snapshotters = c.snapshotters;
       sync_ops = 0;
       var_ops = 0;
@@ -258,7 +278,12 @@ let start (prog : Program.t) =
       live = true }
   in
   active := Some t;
-  List.iter (fun body -> ignore (add_thread t body)) booted.Program.threads;
+  (match booted.Program.machine with
+   | None -> List.iter (fun body -> ignore (add_thread t body)) booted.Program.threads
+   | Some m ->
+     for _ = 1 to m.Program.nthreads do
+       run_machine t (new_thread t) 0
+     done);
   refresh_enabled t;
   t
 
@@ -267,21 +292,17 @@ let steps t = t.steps
 
 let pending t tid =
   if tid < 0 || tid >= t.nthreads then invalid_arg "Engine.pending";
-  match t.threads.(tid) with
-  | Parked p -> Some p.op
-  | Running | Finished -> None
+  parked_op t tid
 
 let enabled_set t = t.enabled
 
 let would_yield t tid =
-  match t.threads.(tid) with
-  | Parked p -> Objects.would_yield t.prog_store p.op
-  | Running | Finished -> false
+  match parked_op t tid with
+  | Some op -> Objects.would_yield t.prog_store op
+  | None -> false
 
 let alternatives t tid =
-  match t.threads.(tid) with
-  | Parked p -> Op.alternatives p.op
-  | Running | Finished -> 1
+  match parked_op t tid with Some op -> Op.alternatives op | None -> 1
 
 let count_op t tid (op : Op.t) =
   (match op with
@@ -294,18 +315,18 @@ let count_op t tid (op : Op.t) =
     t.context_switches <- t.context_switches + 1;
   t.last_stepped <- tid
 
-(* The transition [tid] takes from [p], shared by [step] and
+(* The transition parked thread [tid] takes on [op], shared by [step] and
    [fast_forward]: apply the operation (spawn the child, take alternative
    [alt], or update the store) and count it. Returns the result the thread
    receives. *)
-let transition t tid p ~alt =
+let transition t tid op ~alt =
   let result =
-    match p.op with
+    match op with
     | Op.Spawn ->
       let body =
-        match p.payload with
-        | Some b -> b
-        | None -> failwith "Engine: spawn without a body"
+        match t.threads.(tid) with
+        | Parked { payload = Some b; _ } -> b
+        | _ -> failwith "Engine: spawn without a body"
       in
       let child = add_thread t body in
       Runtime.ctx.spawn_result <- child;
@@ -324,35 +345,40 @@ let transition t tid p ~alt =
          record_failure t tid (Option.get (resource_failure e));
          0)
   in
-  count_op t tid p.op;
+  count_op t tid op;
   result
 
-(* Deliver [result] to [tid] and run it to its next scheduling point. *)
-let resume t tid p result =
-  t.threads.(tid) <- Running;
-  let c = Runtime.ctx in
-  let saved_tid = c.current_tid in
-  let saved_in = c.in_thread in
-  c.current_tid <- tid;
-  c.in_thread <- true;
-  Effect.Deep.continue p.k result;
-  c.current_tid <- saved_tid;
-  c.in_thread <- saved_in
+(* Deliver [result] to parked thread [tid] and run it to its next
+   scheduling point. *)
+let resume t tid result =
+  match t.threads.(tid) with
+  | Parked p ->
+    t.threads.(tid) <- Running;
+    let c = Runtime.ctx in
+    let saved_tid = c.current_tid in
+    let saved_in = c.in_thread in
+    c.current_tid <- tid;
+    c.in_thread <- true;
+    Effect.Deep.continue p.k result;
+    c.current_tid <- saved_tid;
+    c.in_thread <- saved_in
+  | Parked_data -> run_machine t tid result
+  | Running | Finished -> invalid_arg "Engine: resumed a thread that is not parked"
 
 let step t ~tid ~alt =
   (match t.failure with
    | Some _ -> invalid_arg "Engine.step: execution already failed"
    | None -> ());
-  match t.threads.(tid) with
-  | Running | Finished -> invalid_arg "Engine.step: thread not parked"
-  | Parked p ->
+  match parked_op t tid with
+  | None -> invalid_arg "Engine.step: thread not parked"
+  | Some op ->
     if not (B.mem tid t.enabled) then invalid_arg "Engine.step: thread not enabled";
-    let yielded = Objects.would_yield t.prog_store p.op in
+    let yielded = Objects.would_yield t.prog_store op in
     let enabled_before = t.enabled in
-    let result = transition t tid p ~alt in
+    let result = transition t tid op ~alt in
     Trace.push t.trace
-      { Trace.step = t.steps; tid; op = p.op; alt;
-        result = result <> 0; yielded; enabled = enabled_before };
+      { Trace.step = t.steps; tid; op; alt; result = result <> 0; yielded;
+        enabled = enabled_before };
     t.steps <- t.steps + 1;
     (match t.obs with
      | None -> ()
@@ -360,11 +386,9 @@ let step t ~tid ~alt =
        (* After [Trace.push]: an observer that snapshots the trace here sees
           the schedule up to and including this transition. [Spawn] reports
           the child tid, [Choose] the chosen alternative, try/timed ops 0/1. *)
-       let result =
-         match p.op with Op.Spawn -> Runtime.ctx.spawn_result | _ -> result
-       in
-       f ~tid ~op:p.op ~result);
-    (match t.failure with Some _ -> () | None -> resume t tid p result);
+       let result = match op with Op.Spawn -> Runtime.ctx.spawn_result | _ -> result in
+       f ~tid ~op ~result);
+    (match t.failure with Some _ -> () | None -> resume t tid result);
     (* The stepped thread and any child it spawned have parked or finished. *)
     refresh_enabled t
 
@@ -377,14 +401,14 @@ let fast_forward t trace n =
     let e = Trace.get trace i in
     let tid = e.Trace.tid in
     if tid < 0 || tid >= t.nthreads then misfit ();
-    match t.threads.(tid) with
-    | Parked p when Op.equal p.op e.Trace.op && op_enabled t p.op ->
-      let result = transition t tid p ~alt:e.Trace.alt in
+    match parked_op t tid with
+    | Some op when Op.equal op e.Trace.op && op_enabled t op ->
+      let result = transition t tid op ~alt:e.Trace.alt in
       if Option.is_some t.failure || (if e.Trace.result then result = 0 else result <> 0) then
         misfit ();
       t.steps <- t.steps + 1;
-      resume t tid p result
-    | Parked _ | Running | Finished -> misfit ()
+      resume t tid result
+    | Some _ | None -> misfit ()
   done;
   t.trace <- trace;
   refresh_enabled t
@@ -406,16 +430,16 @@ let state_signature t =
   let h = Objects.signature t.prog_store Fnv.init in
   let h = ref (Fnv.int h t.nthreads) in
   for tid = 0 to t.nthreads - 1 do
-    (match t.threads.(tid) with
-     | Finished -> h := Fnv.int !h (-1)
-     | Running -> h := Fnv.int !h (-2)
-     | Parked p ->
-       h := Fnv.string (Fnv.int !h tid) (Op.to_string p.op);
-       h := Fnv.int !h t.op_repeat.(tid);
-       h := Fnv.int !h (Option.value ~default:0 (Hashtbl.find_opt regions tid)))
+    match (t.threads.(tid), parked_op t tid) with
+    | Finished, _ -> h := Fnv.int !h (-1)
+    | _, Some op ->
+      h := Fnv.string (Fnv.int !h tid) (Op.to_string op);
+      h := Fnv.int !h t.op_repeat.(tid);
+      h := Fnv.int !h (Option.value ~default:0 (Hashtbl.find_opt regions tid))
+    | _, None -> h := Fnv.int !h (-2)
   done;
   let h = List.fold_left (fun acc f -> f acc) !h t.snapshotters in
-  match t.snapshot with None -> h | Some f -> Fnv.int h (Int64.to_int (f ()))
+  match t.booted.Program.snapshot with None -> h | Some f -> Fnv.int h (Int64.to_int (f ()))
 
 let sync_ops t = t.sync_ops
 let var_ops t = t.var_ops
@@ -434,11 +458,12 @@ let stop t =
 (* ------------------------------------------------------------------ *)
 (* Capture and restore                                                 *)
 
+(* A machine thread is data: a state of a restorable run is its program's
+   copy plus the engine's counters, and restoring it writes both back. *)
 type snapshot = {
   s_parked : B.t;  (* threads parked at the capture; the rest had finished *)
   s_prev_op : Op.t option array;  (* a parked thread's entry is its pending op *)
   s_op_repeat : int array;
-  s_nthreads : int;
   s_enabled : B.t;
   s_steps : int;  (* also the trace length *)
   s_sync_ops : int;
@@ -447,25 +472,27 @@ type snapshot = {
   s_context_switches : int;
   s_last_stepped : int;
   s_counts : int array;  (* the store's object counts *)
-  s_restore : Program.restore;
+  s_restore : unit -> unit;  (* writes the program's state back *)
 }
 
-let restorable t = Option.is_some t.capture && Option.is_none t.obs
+let restorable t =
+  Option.is_some t.booted.Program.machine
+  && Option.is_some t.booted.Program.capture
+  && Option.is_none t.obs
 
 let capture t =
-  match t.capture with
+  match t.booted.Program.capture with
   | Some capture_prog when restorable t && t.live && Option.is_none t.failure ->
     let parked = ref B.empty in
     for tid = 0 to t.nthreads - 1 do
       match t.threads.(tid) with
-      | Parked _ -> parked := B.add tid !parked
-      | Running -> invalid_arg "Engine.capture: a thread is running"
+      | Parked_data -> parked := B.add tid !parked
+      | Parked _ | Running -> invalid_arg "Engine.capture: a fiber cannot be restored"
       | Finished -> ()
     done;
     { s_parked = !parked;
       s_prev_op = Array.sub t.prev_op 0 t.nthreads;
       s_op_repeat = Array.sub t.op_repeat 0 t.nthreads;
-      s_nthreads = t.nthreads;
       s_enabled = t.enabled;
       s_steps = t.steps;
       s_sync_ops = t.sync_ops;
@@ -479,27 +506,16 @@ let capture t =
 
 let restore t s =
   if not t.live then invalid_arg "Engine.restore: run not live";
-  unwind t;
-  let resume = s.s_restore () in
+  s.s_restore ();
   Objects.restore_counts t.prog_store s.s_counts;
   t.failure <- None;
-  t.nthreads <- s.s_nthreads;
-  (* Re-enter each parked thread as a fresh fiber: it performs its pending
-     operation again and parks. Parking re-notes the thread's operation, so
-     the control abstraction is written back afterwards. *)
-  for tid = 0 to s.s_nthreads - 1 do
-    if B.mem tid s.s_parked then begin
-      t.threads.(tid) <- Running;
-      start_thread t tid (resume tid);
-      match (t.threads.(tid), s.s_prev_op.(tid)) with
-      | Parked p, Some op when Op.equal p.op op -> ()
-      | _ -> invalid_arg "Engine.restore: a thread did not park on its captured operation"
-    end
-    else t.threads.(tid) <- Finished
+  let n = Array.length s.s_prev_op in
+  for tid = 0 to n - 1 do
+    t.threads.(tid) <- (if B.mem tid s.s_parked then Parked_data else Finished)
   done;
-  Array.blit s.s_prev_op 0 t.prev_op 0 s.s_nthreads;
-  Array.blit s.s_op_repeat 0 t.op_repeat 0 s.s_nthreads;
-  t.nfinished <- s.s_nthreads - B.cardinal s.s_parked;
+  Array.blit s.s_prev_op 0 t.prev_op 0 n;
+  Array.blit s.s_op_repeat 0 t.op_repeat 0 n;
+  t.nfinished <- n - B.cardinal s.s_parked;
   t.enabled <- s.s_enabled;
   t.steps <- s.s_steps;
   Trace.truncate t.trace s.s_steps;

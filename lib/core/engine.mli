@@ -1,15 +1,19 @@
 (** One controlled execution of a program.
 
     The engine is the stateless-model-checking substrate: it boots the
-    program fresh, runs every thread inside an effect handler, and exposes
-    the scheduler-facing view of the current state — the enabled set, each
-    thread's pending operation, and [yield(t)]. The search layer (which owns
-    the fair scheduler and the exploration strategy) decides which thread to
-    [step] next. Backtracking discards the run and starts a new one, which
+    program fresh, runs its threads, and exposes the scheduler-facing view
+    of the current state — the enabled set, each thread's pending
+    operation, and [yield(t)]. The search layer (which owns the fair
+    scheduler and the exploration strategy) decides which thread to [step]
+    next. Backtracking discards the run and starts a new one, which
     {!fast_forward}s along the discarded run's trace to the backtrack point
     without rebuilding that trace. A program that offers a capture
     ({!Program.booted}) is not re-executed at all: the search {!capture}s
     states on its stack and {!restore}s one instead.
+
+    One thread table holds fibers (parked continuations) and machine
+    threads ({!Program}); the kind matters only where a parked thread is
+    resumed and where a run is unwound.
 
     Exactly one run may be active per process (the engine keeps its ambient
     per-run context in {!Runtime.ctx}); the parallel search forks one worker
@@ -77,8 +81,8 @@ val fast_forward : t -> Trace.t -> int -> unit
 (** [fast_forward t trace n] takes the fresh run [t] along the first [n]
     events of [trace], the trace of an earlier run of the same program, and
     makes [trace], truncated to [n], the run's own: the earlier run must be
-    over. Each transition is {!step}'s (the same fiber resume, store update
-    and counters), but builds no trace event, makes no yield test and skips
+    over. Each transition is {!step}'s (the same resume, store update and
+    counters), but builds no trace event, makes no yield test and skips
     the enabled-set refresh, which runs once, at the end. So the run ends in
     the state, counters and trace that stepping the same decisions gives.
     @raise Invalid_argument if [t] has stepped, failed or has a step
@@ -92,7 +96,7 @@ val failure : t -> (int * failure) option
 
 val all_finished : t -> bool
 (** Every thread has returned or raised. O(1): a finished-thread count kept
-    up to date by each thread's effect handler, compared with {!nthreads}. *)
+    up to date as threads end, compared with {!nthreads}. *)
 
 val deadlocked : t -> bool
 (** No thread is enabled, yet not all have finished. Under the fair scheduler
@@ -125,20 +129,20 @@ val context_switches : t -> int
 (** Transitions whose thread differs from the previous transition's. *)
 
 val stop : t -> unit
-(** Mark the run as abandoned. Every parked thread is unwound: an exception
+(** Mark the run as abandoned. Every parked fiber is unwound: an exception
     private to the engine is raised at its scheduling point, so its handlers
     and finalizers run once (a continuation dropped without being resumed
     would keep its stack forever). Nothing the unwinding does is recorded as
     a failure, and a sync operation performed while unwinding is unwound
-    too rather than parked. A later {!start} does the same for a run it
-    takes over. *)
+    too rather than parked. A machine thread has no stack to unwind. A
+    later {!start} does the same for a run it takes over. *)
 
 (** {1 Restoring states}
 
-    A program whose state is plain data (the ChessLang VM) offers a
-    capture hook. Then a state of the run can be copied and later written
-    back, so a backtracking search resumes from it instead of re-executing
-    the prefix from the initial state. *)
+    A program whose threads are machine threads (the ChessLang VM) may
+    offer a capture hook. Then a state of the run can be copied and later
+    written back, so a backtracking search resumes from it instead of
+    re-executing the prefix from the initial state. *)
 
 type snapshot
 (** A state of one run: its program state, object counts, thread table,
@@ -146,9 +150,10 @@ type snapshot
     trace length. *)
 
 val restorable : t -> bool
-(** The program offers a capture and no step observer is installed: an
-    observer (dynamic analysis) would miss the transitions of a restored
-    prefix, so observed runs keep replaying. *)
+(** The program's threads are machine threads, it offers a capture, and no
+    step observer is installed: an observer (dynamic analysis) would miss
+    the transitions of a restored prefix, so observed runs keep
+    replaying. *)
 
 val capture : t -> snapshot
 (** Copy the current state. Cost: the program's state plus O(threads +
@@ -157,11 +162,10 @@ val capture : t -> snapshot
     failed. *)
 
 val restore : t -> snapshot -> unit
-(** Return the run to a state {!capture}d from it earlier: unwind every
-    parked thread (as {!stop} does), write the program state and object
-    counts back, re-enter each thread that was parked as a fresh fiber
-    (it performs the same operation again and parks), and reset the
-    counters, enabled set and control abstraction. The trace is truncated
-    to the captured length. A snapshot can be restored any number of times.
-    @raise Invalid_argument if the run was stopped or taken over, or a
-    re-entered thread parks on a different operation than captured. *)
+(** Return the run to a state {!capture}d from it earlier: write the
+    program state, object counts, thread table, counters, enabled set and
+    control abstraction back, and truncate the trace to the captured
+    length. No thread runs: a machine thread is resumed from its data at
+    its next step. Cost: array blits, allocating nothing. A snapshot can be
+    restored any number of times.
+    @raise Invalid_argument if the run was stopped or taken over. *)

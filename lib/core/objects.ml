@@ -147,7 +147,9 @@ let save_counts t = Array.init t.len (fun i -> t.slots.(i).count)
 
 let restore_counts t counts =
   if Array.length counts <> t.len then invalid_arg "Objects.restore_counts";
-  Array.iteri (fun i c -> t.slots.(i).count <- c) counts
+  for i = 0 to t.len - 1 do
+    t.slots.(i).count <- counts.(i)
+  done
 
 let pp_obj t ppf o =
   if o < 0 || o >= t.len then Format.fprintf ppf "#%d" o

@@ -2,35 +2,47 @@
 
     A program is a recipe for (re-)creating its initial state: [boot] is
     called once per execution, allocates every synchronization object and all
-    user data fresh, and returns the bodies of the initial threads. Thread
-    bodies interact with the scheduler exclusively through {!Sync}. This is
-    the stateless-model-checking contract: re-running [boot] must produce an
-    identical initial state, and thread bodies must be deterministic apart
-    from scheduling and explicit [Sync.choose] operations. *)
+    user data fresh, and returns the initial threads. This is the
+    stateless-model-checking contract: re-running [boot] must produce an
+    identical initial state, and threads must be deterministic apart from
+    scheduling and explicit [Sync.choose] operations.
 
-type restore = unit -> int -> unit -> unit
-(** A captured program state. Calling it writes the state back into the
-    live program (any number of times) and returns [resume]: [resume tid]
-    is a fresh body for thread [tid], parked at the capture, that performs
-    the same pending operation again and then continues exactly as the
-    captured thread would have. *)
+    A {e fiber} is an OCaml function whose every {!Sync} operation performs
+    an effect, at which the engine parks its continuation. A {e machine
+    thread} is plain data in a program that interprets it (the ChessLang
+    VM), which the engine runs to its next scheduling point with one call. *)
+
+type machine = {
+  nthreads : int;  (** Its threads, tids [0 .. nthreads - 1]. *)
+  run : int -> int -> Op.t option;
+      (** [run tid result] runs machine thread [tid], handing it [result]
+          (the result of the operation it parked on, as {!Sync} would
+          return it; ignored on the thread's first run), to its next
+          scheduling point. [Some op] is the operation it parks on, [None]
+          says that it halted. The program returns the same [Some] value
+          for the same scheduling point, so a park allocates nothing. A
+          runtime error raises as in a fiber ([Sync.fail]'s exception). *)
+}
 
 type booted = {
   threads : (unit -> unit) list;
-      (** Initial threads, in thread-id order starting at 0. More threads may
-          be created during execution with [Sync.spawn]. *)
+      (** Initial fibers, in thread-id order starting at 0. More may be
+          created during execution with [Sync.spawn]. Empty when [machine]
+          is given. *)
+  machine : machine option;  (** Initial threads as machine threads. *)
   snapshot : (unit -> Fairmc_util.Fnv.t) option;
       (** Optional user-supplied state abstraction, combined by the engine
           with the generic scheduling state to form state signatures for
           coverage measurement (paper §4.2.1 did this manually for two
           programs; programs written in ChessLang get it for free). *)
-  capture : (unit -> restore) option;
-      (** Optional copy of the program's own state, taken while every live
-          thread is parked. Offered by programs whose state is plain data
-          (the ChessLang VM): the search then restores a state on backtrack
-          instead of re-executing its prefix (see {!Engine.capture}). The
-          program must spawn no threads and register no synchronization
-          objects after [boot]. *)
+  capture : (unit -> unit -> unit) option;
+      (** Optional copy of a machine program's own state, taken while every
+          live thread is parked: [capture ()] copies it, and calling the
+          result writes the copy back (any number of times). The search
+          then restores a state on backtrack instead of re-executing its
+          prefix (see {!Engine.capture}). Only read with a [machine], which
+          must spawn no threads and register no synchronization objects
+          after [boot]. *)
 }
 
 type t = {
@@ -46,6 +58,6 @@ type t = {
 val make : name:string -> ?facts:Static_facts.t -> (unit -> booted) -> t
 
 val of_threads : name:string -> ?snapshot:(unit -> Fairmc_util.Fnv.t) -> (unit -> (unit -> unit) list) -> t
-(** Convenience wrapper when boot only builds thread bodies. *)
+(** Convenience wrapper when boot only builds fiber bodies. *)
 
 val with_facts : t -> Static_facts.t -> t

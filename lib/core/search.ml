@@ -1072,7 +1072,9 @@ let run_loop_body st =
        | Some buf ->
          Obs.Events.emit buf ~det ~kind:"path"
            (J.Obj
-              [ ("end", J.Str end_name); ("steps", J.Int steps); ("schedule", J.Int schedule) ]));
+              [ ("end", J.Str end_name);
+                ("steps", J.Int steps);
+                ("schedule", J.Str (Report.digest_hex schedule)) ]));
       (match outcome with
        | P_terminated | P_pruned -> ()
        | P_deadlock ->

@@ -417,14 +417,25 @@ let busy s = s.s_alive && s.s_region <> None
 let idle s = s.s_alive && s.s_region = None
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Every parent-side pipe end of every supervisor in this process. A newly
-   forked worker closes its inherited copies: a worker holding another
-   worker's request pipe open would keep that one from seeing EOF, and the
-   teardown that waits for it would hang. *)
-let open_ends : Unix.file_descr list ref = ref []
-
-let forget_ends s =
-  open_ends := List.filter (fun fd -> fd <> s.s_req && fd <> s.s_resp) !open_ends
+(* Close every descriptor of a newly forked worker from 3 up but its own
+   pipe ends [keep]. A worker holding another worker's request pipe open
+   would keep that one from seeing EOF, and the teardown that waits for it
+   would hang; one holding its host's socket or files would keep them open
+   past the host's own close. *)
+let close_inherited keep =
+  let names =
+    try Sys.readdir "/proc/self/fd"
+    with Sys_error _ -> ( try Sys.readdir "/dev/fd" with Sys_error _ -> [||])
+  in
+  Array.iter
+    (fun name ->
+      match int_of_string_opt name with
+      | Some n when n >= 3 ->
+        (* A descriptor is its number on Unix. *)
+        let fd : Unix.file_descr = Obj.magic n in
+        if not (List.mem fd keep) then close_quietly fd
+      | _ -> ())
+    names
 
 type t = {
   cfg : C.t;
@@ -433,7 +444,6 @@ type t = {
   hosted : bool;
       (* driven by a host beside other work (chessd): no search in the
          host's process, and no complete checkpoint once it ends *)
-  inherited : unit -> Unix.file_descr list;  (* the host's, closed in workers *)
   t0 : float;
   prior_elapsed : float;
   deadline : float;
@@ -533,14 +543,11 @@ let spawn_slot t id =
     List.iter close_quietly [ req_r; req_w; resp_r; resp_w ];
     raise e
   | 0 ->
-    List.iter close_quietly (!open_ends @ t.inherited ());
-    Unix.close req_w;
-    Unix.close resp_r;
+    close_inherited [ req_r; resp_w ];
     child_serve ~cfg:t.cfg ~prog:t.prog ~tally:s_tally ~slot:id ~req:req_r ~resp:resp_w
   | pid ->
     Unix.close req_r;
     Unix.close resp_w;
-    open_ends := req_w :: resp_r :: !open_ends;
     t.counters.c_spawns <- t.counters.c_spawns + 1;
     post t "worker_spawn" [ ("worker", J.Int id); ("pid", J.Int pid) ];
     { s_id = id; s_tally; s_pid = pid; s_req = req_w; s_resp = resp_r;
@@ -571,7 +578,6 @@ let reap t slot =
    was running and the exit-status description for the requeue reason. *)
 let kill_slot t slot =
   (try Unix.kill slot.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
-  forget_ends slot;
   close_quietly slot.s_req;
   close_quietly slot.s_resp;
   let status = reap t slot in
@@ -835,7 +841,6 @@ let teardown t =
       (fun s ->
         (try Worker.send s.s_req (Worker.request_to_json Worker.Quit)
          with Unix.Unix_error _ | Sys_error _ -> ());
-        forget_ends s;
         close_quietly s.s_req)
       alive;
     let give_up = Clock.now () +. 2.0 in
@@ -971,7 +976,7 @@ let turn t =
     None
   end
 
-let create ~hosted ?(inherited = fun () -> []) ?resume (cfg : C.t) prog ~workers =
+let create ~hosted ?resume (cfg : C.t) prog ~workers =
   let t0 = Clock.now () in
   Search.post_run_start cfg prog;
   let regions =
@@ -1025,7 +1030,7 @@ let create ~hosted ?(inherited = fun () -> []) ?resume (cfg : C.t) prog ~workers
       ("item_timeout", match cfg.C.item_timeout with Some t -> J.Float t | None -> J.Null);
       ("fault", match cfg.C.inject_fault with Some f -> J.Str (C.fault_name f) | None -> J.Null) ];
   let t =
-    { cfg; prog; workers; hosted; inherited; t0;
+    { cfg; prog; workers; hosted; t0;
       prior_elapsed = (match resume with Some p -> p.CK.elapsed | None -> 0.);
       deadline = (match cfg.C.time_limit with None -> infinity | Some l -> t0 +. l);
       item_timeout =
@@ -1051,8 +1056,8 @@ let create ~hosted ?(inherited = fun () -> []) ?resume (cfg : C.t) prog ~workers
           dead_slot t i);
   t
 
-let start ?resume ?inherited cfg prog =
-  create ~hosted:true ?inherited ?resume cfg prog ~workers:(resolve_workers cfg)
+let start ?resume cfg prog =
+  create ~hosted:true ?resume cfg prog ~workers:(resolve_workers cfg)
 
 let fds t = Array.fold_left (fun acc s -> if busy s then s.s_resp :: acc else acc) [] t.slots
 let next_turn t = t.due

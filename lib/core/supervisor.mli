@@ -95,18 +95,16 @@ type t
 
 val start :
   ?resume:Checkpoint.payload ->
-  ?inherited:(unit -> Unix.file_descr list) ->
   Search_config.t ->
   Program.t ->
   t
 (** Start the configured search at fan-out [resolve_workers config], round
-    robin included, and fork its workers. A worker closes what [inherited]
-    returns (called in the child, right after the fork: the host's own
-    descriptors) and every pipe end of every other supervisor in the
-    process. Nothing of the search runs in the host's process: a turn
-    raises [Failure] once no worker is left and none can be forked. A
-    search that reached its verdict writes no complete checkpoint; one
-    stopped before writes its regions. *)
+    robin included, and fork its workers. Right after the fork, a worker
+    closes every descriptor from 3 up but its own two pipe ends: the
+    host's and every other worker's. Nothing of the search runs in the
+    host's process: a turn raises [Failure] once no worker is left and none
+    can be forked. A search that reached its verdict writes no complete
+    checkpoint; one stopped before writes its regions. *)
 
 val fds : t -> Unix.file_descr list
 (** The descriptors the search waits on: its busy workers' response

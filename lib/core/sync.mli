@@ -115,9 +115,10 @@ module Svar : sig
 end
 
 module Raw : sig
-  (** Low-level access for interpreters built on the engine (the ChessLang
-      frontend): register bare scheduling-point objects and perform
-      operations directly. Ordinary programs should use the typed API. *)
+  (** Low-level access for interpreters built on the engine: register bare
+      scheduling-point objects (the ChessLang VM) and perform operations
+      directly from a fiber (the AST interpreter the tests keep). Ordinary
+      programs should use the typed API. *)
 
   val var : ?name:string -> unit -> Op.obj
   (** A bare shared-variable identity: a scheduling point with no storage. *)

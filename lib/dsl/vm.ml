@@ -5,11 +5,12 @@
    interpreter cost multiplies through the whole search. This VM executes
    the flat bytecode produced by [Compile], with short sequences fused into
    superinstructions at load time ([Fuse]): one [while]/[match] dispatch
-   over an [int array], an [int array] operand stack, and flat per-thread
-   frames (a single pc + an [int array] of local slots). No strings, no
-   hash tables, no allocation on the per-instruction path. Fused code keeps
-   the canonical pcs of every jump target and parking point, so captures
-   and state signatures are those of the canonical code.
+   over an [int array], and flat per-thread state (a pc, an [int array] of
+   local slots and an [int array] operand stack). No strings, no hash
+   tables, no allocation on the per-instruction path. Fused code keeps the
+   canonical pcs of every jump target and parking point, so captures and
+   state signatures are those of the canonical code. Its threads are
+   machine threads ({!Program.machine}), resumed by a call of [run_thread].
 
    The observable contract with the AST-walking oracle (test/oracle) — same
    [Op.t] stream per schedule, same fuel accounting, same runtime-error
@@ -23,299 +24,324 @@ module C = Compile
 (* Parked threads sit on a SCHED or HALT instruction with an empty operand
    stack (the compiler emits SCHED only at statement boundaries, never
    inside an atomic block), so [cur_pc] + [locals] are the whole
-   per-thread state: [boot]'s capture copies them, and a thread restarted
-   at its SCHED pc performs the same operation again and parks. *)
+   per-thread state: [boot]'s capture copies them, and a thread runs on
+   from the cell after its SCHED. A thread that has not run yet sits at
+   pc -2, so it runs from 0. *)
 type tstate = {
   locals : int array;
   inited : bool array;
+  stack : int array;  (* empty at a park *)
   mutable cur_pc : int;
 }
 
-exception Vm_error of string * Ast.pos
+(* A runtime error of the dispatch loop, as data: raising it makes no call,
+   so the loop's registers need not be saved around one, and [run_thread]
+   renders it. Positions, names and messages index the program's tables. *)
+type fault =
+  | Out_of_fuel of int  (* position *)
+  | Uninitialized of int * int  (* name, position *)
+  | Out_of_bounds of int * int * int * int  (* index, name, size, position *)
+  | Zero_divisor of string  (* "division" or "modulo" *)
+  | Atomic_too_long of int  (* position *)
+  | Assert_failed of int * int  (* message, position *)
+
+exception Vm_error of fault
 
 let silent_fuel = 100_000
-
-let rt_err pos fmt = Format.kasprintf (fun m -> raise (Vm_error (m, pos))) fmt
 
 (* Expression faults without a source position of their own. *)
 let no_pos = { Ast.line = 0; col = 0 }
 
-let out_of_fuel pos_tbl fpos tname =
-  rt_err pos_tbl.(fpos) "thread %s ran %d silent steps without a scheduling point" tname
-    silent_fuel
+let[@inline] fault f = raise (Vm_error f)
 
-let uninitialized pos_tbl name_tbl ~name ~pos =
-  rt_err pos_tbl.(pos) "local %s read before initialization" name_tbl.(name)
+(* Instruction operands and stack offsets are compiler-validated, so the
+   dispatch loop uses unchecked accesses. These helpers are closed, so they
+   inline into the loop: a closure local to [exec] would be allocated on
+   every run of a thread. *)
+let[@inline] arg (code : int array) i = Array.unsafe_get code i
 
-(* [code] is the thread's fused code ({!Fuse}). *)
-let run_thread ?(start = 0) (c : C.t) (ops : Op.t array) (slots : int array)
-    (tc : C.thread_code) (code : int array) (ts : tstate) () =
-  let stack = Array.make (max tc.C.t_stack 1) 0 in
-  let locals = ts.locals and inited = ts.inited in
-  let pos_tbl = c.C.c_pos and name_tbl = c.C.c_names and msg_tbl = c.C.c_msgs in
-  (* Instruction operands and stack offsets are compiler-validated, so the
-     dispatch loop uses unchecked accesses. *)
-  let arg i = Array.unsafe_get code i in
-  (* The init-checked read of the local whose slot, name and position are
-     the operands at [q]. *)
-  let[@inline] local q =
-    let slot = arg q in
-    if not (Array.unsafe_get inited slot) then
-      uninitialized pos_tbl name_tbl ~name:(arg (q + 1)) ~pos:(arg (q + 2));
-    Array.unsafe_get locals slot
-  in
-  let pc = ref start in
+(* The init-checked read of the local whose slot, name and position are
+   the operands at [q]. *)
+let[@inline] local (code : int array) (ts : tstate) q =
+  let slot = arg code q in
+  if not (Array.unsafe_get ts.inited slot) then
+    fault (Uninitialized (arg code (q + 1), arg code (q + 2)));
+  Array.unsafe_get ts.locals slot
+
+(* Run [ts] from the cell after its SCHED, where a PRIM pushes [prim] (the
+   result of the SCHED's operation), to its next SCHED, whose operation it
+   returns from [parks], or to HALT ([None]). [code] is the thread's fused
+   code ({!Fuse}). A runtime error escapes as [Vm_error]: a handler here
+   would slow the dispatch loop, so [run_thread] catches it. *)
+let exec (parks : Op.t option array) (slots : int array) (code : int array) (ts : tstate) prim =
+  let stack = ts.stack and locals = ts.locals and inited = ts.inited in
+  let pc = ref (ts.cur_pc + 2) in
   let sp = ref 0 in
   let fuel = ref silent_fuel in
   let afuel = ref 0 in
-  let prim = ref 0 in
+  let parked = ref None in
   let running = ref true in
-  try
-    while !running do
-      let p = !pc in
-      match arg p with
-      | 0 (* HALT *) ->
-        ts.cur_pc <- p;
-        running := false
-      | 1 (* PUSH c *) ->
-        Array.unsafe_set stack !sp (arg (p + 1));
-        incr sp;
-        pc := p + 2
-      | 2 (* LOAD_G slot *) ->
-        Array.unsafe_set stack !sp (Array.unsafe_get slots (arg (p + 1)));
-        incr sp;
-        pc := p + 2
-      | 3 (* STORE_G slot *) ->
-        decr sp;
-        Array.unsafe_set slots (arg (p + 1)) (Array.unsafe_get stack !sp);
-        pc := p + 2
-      | 4 (* LOAD_L slot name pos *) ->
-        Array.unsafe_set stack !sp (local (p + 1));
-        incr sp;
-        pc := p + 4
-      | 5 (* STORE_L slot *) ->
-        decr sp;
-        let slot = arg (p + 1) in
-        Array.unsafe_set locals slot (Array.unsafe_get stack !sp);
-        Array.unsafe_set inited slot true;
-        pc := p + 2
-      | 6 (* LOAD_GI base size name pos *) ->
-        let iv = Array.unsafe_get stack (!sp - 1) in
-        let size = arg (p + 2) in
-        if iv < 0 || iv >= size then
-          rt_err pos_tbl.(arg (p + 4)) "index %d out of bounds for %s[%d]" iv
-            name_tbl.(arg (p + 3)) size;
-        Array.unsafe_set stack (!sp - 1) (Array.unsafe_get slots (arg (p + 1) + iv));
-        pc := p + 5
-      | 7 (* STORE_GI base size name pos *) ->
-        let v = Array.unsafe_get stack (!sp - 1) in
-        let iv = Array.unsafe_get stack (!sp - 2) in
-        let size = arg (p + 2) in
-        if iv < 0 || iv >= size then
-          rt_err pos_tbl.(arg (p + 4)) "index %d out of bounds for %s[%d]" iv
-            name_tbl.(arg (p + 3)) size;
-        Array.unsafe_set slots (arg (p + 1) + iv) v;
-        sp := !sp - 2;
-        pc := p + 5
-      | 8 (* ADD *) ->
-        let s = !sp - 2 in
-        Array.unsafe_set stack s
-          (Array.unsafe_get stack s + Array.unsafe_get stack (s + 1));
-        sp := s + 1;
-        pc := p + 1
-      | 9 (* SUB *) ->
-        let s = !sp - 2 in
-        Array.unsafe_set stack s
-          (Array.unsafe_get stack s - Array.unsafe_get stack (s + 1));
-        sp := s + 1;
-        pc := p + 1
-      | 10 (* MUL *) ->
-        let s = !sp - 2 in
-        Array.unsafe_set stack s
-          (Array.unsafe_get stack s * Array.unsafe_get stack (s + 1));
-        sp := s + 1;
-        pc := p + 1
-      | 11 (* DIV *) ->
-        let s = !sp - 2 in
-        let vb = Array.unsafe_get stack (s + 1) in
-        if vb = 0 then rt_err no_pos "division by zero";
-        Array.unsafe_set stack s (Array.unsafe_get stack s / vb);
-        sp := s + 1;
-        pc := p + 1
-      | 12 (* MOD *) ->
-        let s = !sp - 2 in
-        let vb = Array.unsafe_get stack (s + 1) in
-        if vb = 0 then rt_err no_pos "modulo by zero";
-        Array.unsafe_set stack s (Array.unsafe_get stack s mod vb);
-        sp := s + 1;
-        pc := p + 1
-      | 13 (* EQ *) ->
-        let s = !sp - 2 in
-        Array.unsafe_set stack s
-          (Bool.to_int (Array.unsafe_get stack s = Array.unsafe_get stack (s + 1)));
-        sp := s + 1;
-        pc := p + 1
-      | 14 (* NE *) ->
-        let s = !sp - 2 in
-        Array.unsafe_set stack s
-          (Bool.to_int (Array.unsafe_get stack s <> Array.unsafe_get stack (s + 1)));
-        sp := s + 1;
-        pc := p + 1
-      | 15 (* LT *) ->
-        let s = !sp - 2 in
-        Array.unsafe_set stack s
-          (Bool.to_int (Array.unsafe_get stack s < Array.unsafe_get stack (s + 1)));
-        sp := s + 1;
-        pc := p + 1
-      | 16 (* LE *) ->
-        let s = !sp - 2 in
-        Array.unsafe_set stack s
-          (Bool.to_int (Array.unsafe_get stack s <= Array.unsafe_get stack (s + 1)));
-        sp := s + 1;
-        pc := p + 1
-      | 17 (* GT *) ->
-        let s = !sp - 2 in
-        Array.unsafe_set stack s
-          (Bool.to_int (Array.unsafe_get stack s > Array.unsafe_get stack (s + 1)));
-        sp := s + 1;
-        pc := p + 1
-      | 18 (* GE *) ->
-        let s = !sp - 2 in
-        Array.unsafe_set stack s
-          (Bool.to_int (Array.unsafe_get stack s >= Array.unsafe_get stack (s + 1)));
-        sp := s + 1;
-        pc := p + 1
-      | 19 (* NOT *) ->
-        let s = !sp - 1 in
-        Array.unsafe_set stack s (Bool.to_int (Array.unsafe_get stack s = 0));
-        pc := p + 1
-      | 20 (* NEG *) ->
-        let s = !sp - 1 in
-        Array.unsafe_set stack s (-Array.unsafe_get stack s);
-        pc := p + 1
-      | 21 (* JMP t *) -> pc := arg (p + 1)
-      | 22 (* JZ t *) ->
-        decr sp;
-        pc := if Array.unsafe_get stack !sp = 0 then arg (p + 1) else p + 2
-      | 23 (* JNZ t *) ->
-        decr sp;
-        pc := if Array.unsafe_get stack !sp <> 0 then arg (p + 1) else p + 2
-      | 24 (* SCHED opidx *) ->
-        ts.cur_pc <- p;
-        prim := Sync.Raw.sched (Array.unsafe_get ops (arg (p + 1)));
-        fuel := silent_fuel;
-        pc := p + 2
-      | 25 (* PRIM *) ->
-        Array.unsafe_set stack !sp !prim;
-        incr sp;
-        pc := p + 1
-      | 26 (* FUEL pos *) ->
-        decr fuel;
-        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
-        pc := p + 2
-      | 27 (* AFUEL pos *) ->
-        decr afuel;
-        if !afuel <= 0 then
-          rt_err pos_tbl.(arg (p + 1)) "atomic block exceeded %d steps"
-            silent_fuel;
-        pc := p + 2
-      | 28 (* ATOMIC_ENTER *) ->
-        afuel := silent_fuel;
-        pc := p + 1
-      | 29 (* ASSERT msg pos *) ->
-        decr sp;
-        if Array.unsafe_get stack !sp = 0 then
-          rt_err pos_tbl.(arg (p + 2)) "%s" msg_tbl.(arg (p + 1));
-        pc := p + 3
-      (* Superinstructions ({!Fuse}); [pc] moves past the cells of the
-         canonical sequence. *)
-      | 30 (* FUEL_LOAD_L fpos slot name pos *) ->
-        decr fuel;
-        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
-        Array.unsafe_set stack !sp (local (p + 2));
-        incr sp;
-        pc := p + 6
-      | 31 (* FUEL_PUSH fpos c *) ->
-        decr fuel;
-        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
-        Array.unsafe_set stack !sp (arg (p + 2));
-        incr sp;
-        pc := p + 4
-      | 32 (* ADD_C c *) ->
-        let s = !sp - 1 in
-        Array.unsafe_set stack s (Array.unsafe_get stack s + arg (p + 1));
-        pc := p + 3
-      | 33 (* MUL_C c *) ->
-        let s = !sp - 1 in
-        Array.unsafe_set stack s (Array.unsafe_get stack s * arg (p + 1));
-        pc := p + 3
-      | 34 (* DIV_C c, c <> 0 *) ->
-        let s = !sp - 1 in
-        Array.unsafe_set stack s (Array.unsafe_get stack s / arg (p + 1));
-        pc := p + 3
-      | 35 (* MOD_C c, c <> 0 *) ->
-        let s = !sp - 1 in
-        Array.unsafe_set stack s (Array.unsafe_get stack s mod arg (p + 1));
-        pc := p + 3
-      | 36 (* ADD_L slot name pos *) ->
-        let s = !sp - 1 in
-        Array.unsafe_set stack s (Array.unsafe_get stack s + local (p + 1));
-        pc := p + 5
-      | 37 (* SUB_L slot name pos *) ->
-        let s = !sp - 1 in
-        Array.unsafe_set stack s (Array.unsafe_get stack s - local (p + 1));
-        pc := p + 5
-      | 38 (* MUL_L slot name pos *) ->
-        let s = !sp - 1 in
-        Array.unsafe_set stack s (Array.unsafe_get stack s * local (p + 1));
-        pc := p + 5
-      | 39 (* DIV_L slot name pos *) ->
-        let s = !sp - 1 in
-        let vb = local (p + 1) in
-        if vb = 0 then rt_err no_pos "division by zero";
-        Array.unsafe_set stack s (Array.unsafe_get stack s / vb);
-        pc := p + 5
-      | 40 (* MOD_L slot name pos *) ->
-        let s = !sp - 1 in
-        let vb = local (p + 1) in
-        if vb = 0 then rt_err no_pos "modulo by zero";
-        Array.unsafe_set stack s (Array.unsafe_get stack s mod vb);
-        pc := p + 5
-      | 41 (* SET_L_LC fpos dst src name pos c *) ->
-        decr fuel;
-        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
-        let v = local (p + 3) + arg (p + 6) in
-        let dst = arg (p + 2) in
-        Array.unsafe_set locals dst v;
-        Array.unsafe_set inited dst true;
-        pc := p + 11
-      | 42 (* IF_EQ_LC fpos slot name pos c t *) ->
-        decr fuel;
-        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
-        pc := if local (p + 2) = arg (p + 5) then p + 11 else arg (p + 6)
-      | 43 (* IF_NE_LC fpos slot name pos c t *) ->
-        decr fuel;
-        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
-        pc := if local (p + 2) <> arg (p + 5) then p + 11 else arg (p + 6)
-      | 44 (* IF_LT_LC fpos slot name pos c t *) ->
-        decr fuel;
-        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
-        pc := if local (p + 2) < arg (p + 5) then p + 11 else arg (p + 6)
-      | 45 (* IF_LE_LC fpos slot name pos c t *) ->
-        decr fuel;
-        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
-        pc := if local (p + 2) <= arg (p + 5) then p + 11 else arg (p + 6)
-      | 46 (* IF_GT_LC fpos slot name pos c t *) ->
-        decr fuel;
-        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
-        pc := if local (p + 2) > arg (p + 5) then p + 11 else arg (p + 6)
-      | 47 (* IF_GE_LC fpos slot name pos c t *) ->
-        decr fuel;
-        if !fuel <= 0 then out_of_fuel pos_tbl (arg (p + 1)) tc.C.t_name;
-        pc := if local (p + 2) >= arg (p + 5) then p + 11 else arg (p + 6)
-      | _ -> assert false
-    done
-  with Vm_error (msg, pos) ->
+  while !running do
+    let p = !pc in
+    match arg code p with
+    | 0 (* HALT *) ->
+      ts.cur_pc <- p;
+      running := false
+    | 1 (* PUSH c *) ->
+      Array.unsafe_set stack !sp (arg code (p + 1));
+      incr sp;
+      pc := p + 2
+    | 2 (* LOAD_G slot *) ->
+      Array.unsafe_set stack !sp (Array.unsafe_get slots (arg code (p + 1)));
+      incr sp;
+      pc := p + 2
+    | 3 (* STORE_G slot *) ->
+      decr sp;
+      Array.unsafe_set slots (arg code (p + 1)) (Array.unsafe_get stack !sp);
+      pc := p + 2
+    | 4 (* LOAD_L slot name pos *) ->
+      Array.unsafe_set stack !sp (local code ts (p + 1));
+      incr sp;
+      pc := p + 4
+    | 5 (* STORE_L slot *) ->
+      decr sp;
+      let slot = arg code (p + 1) in
+      Array.unsafe_set locals slot (Array.unsafe_get stack !sp);
+      Array.unsafe_set inited slot true;
+      pc := p + 2
+    | 6 (* LOAD_GI base size name pos *) ->
+      let iv = Array.unsafe_get stack (!sp - 1) in
+      let size = arg code (p + 2) in
+      if iv < 0 || iv >= size then
+        fault (Out_of_bounds (iv, arg code (p + 3), size, arg code (p + 4)));
+      Array.unsafe_set stack (!sp - 1) (Array.unsafe_get slots (arg code (p + 1) + iv));
+      pc := p + 5
+    | 7 (* STORE_GI base size name pos *) ->
+      let v = Array.unsafe_get stack (!sp - 1) in
+      let iv = Array.unsafe_get stack (!sp - 2) in
+      let size = arg code (p + 2) in
+      if iv < 0 || iv >= size then
+        fault (Out_of_bounds (iv, arg code (p + 3), size, arg code (p + 4)));
+      Array.unsafe_set slots (arg code (p + 1) + iv) v;
+      sp := !sp - 2;
+      pc := p + 5
+    | 8 (* ADD *) ->
+      let s = !sp - 2 in
+      Array.unsafe_set stack s
+        (Array.unsafe_get stack s + Array.unsafe_get stack (s + 1));
+      sp := s + 1;
+      pc := p + 1
+    | 9 (* SUB *) ->
+      let s = !sp - 2 in
+      Array.unsafe_set stack s
+        (Array.unsafe_get stack s - Array.unsafe_get stack (s + 1));
+      sp := s + 1;
+      pc := p + 1
+    | 10 (* MUL *) ->
+      let s = !sp - 2 in
+      Array.unsafe_set stack s
+        (Array.unsafe_get stack s * Array.unsafe_get stack (s + 1));
+      sp := s + 1;
+      pc := p + 1
+    | 11 (* DIV *) ->
+      let s = !sp - 2 in
+      let vb = Array.unsafe_get stack (s + 1) in
+      if vb = 0 then fault (Zero_divisor "division");
+      Array.unsafe_set stack s (Array.unsafe_get stack s / vb);
+      sp := s + 1;
+      pc := p + 1
+    | 12 (* MOD *) ->
+      let s = !sp - 2 in
+      let vb = Array.unsafe_get stack (s + 1) in
+      if vb = 0 then fault (Zero_divisor "modulo");
+      Array.unsafe_set stack s (Array.unsafe_get stack s mod vb);
+      sp := s + 1;
+      pc := p + 1
+    | 13 (* EQ *) ->
+      let s = !sp - 2 in
+      Array.unsafe_set stack s
+        (Bool.to_int (Array.unsafe_get stack s = Array.unsafe_get stack (s + 1)));
+      sp := s + 1;
+      pc := p + 1
+    | 14 (* NE *) ->
+      let s = !sp - 2 in
+      Array.unsafe_set stack s
+        (Bool.to_int (Array.unsafe_get stack s <> Array.unsafe_get stack (s + 1)));
+      sp := s + 1;
+      pc := p + 1
+    | 15 (* LT *) ->
+      let s = !sp - 2 in
+      Array.unsafe_set stack s
+        (Bool.to_int (Array.unsafe_get stack s < Array.unsafe_get stack (s + 1)));
+      sp := s + 1;
+      pc := p + 1
+    | 16 (* LE *) ->
+      let s = !sp - 2 in
+      Array.unsafe_set stack s
+        (Bool.to_int (Array.unsafe_get stack s <= Array.unsafe_get stack (s + 1)));
+      sp := s + 1;
+      pc := p + 1
+    | 17 (* GT *) ->
+      let s = !sp - 2 in
+      Array.unsafe_set stack s
+        (Bool.to_int (Array.unsafe_get stack s > Array.unsafe_get stack (s + 1)));
+      sp := s + 1;
+      pc := p + 1
+    | 18 (* GE *) ->
+      let s = !sp - 2 in
+      Array.unsafe_set stack s
+        (Bool.to_int (Array.unsafe_get stack s >= Array.unsafe_get stack (s + 1)));
+      sp := s + 1;
+      pc := p + 1
+    | 19 (* NOT *) ->
+      let s = !sp - 1 in
+      Array.unsafe_set stack s (Bool.to_int (Array.unsafe_get stack s = 0));
+      pc := p + 1
+    | 20 (* NEG *) ->
+      let s = !sp - 1 in
+      Array.unsafe_set stack s (-Array.unsafe_get stack s);
+      pc := p + 1
+    | 21 (* JMP t *) -> pc := arg code (p + 1)
+    | 22 (* JZ t *) ->
+      decr sp;
+      pc := if Array.unsafe_get stack !sp = 0 then arg code (p + 1) else p + 2
+    | 23 (* JNZ t *) ->
+      decr sp;
+      pc := if Array.unsafe_get stack !sp <> 0 then arg code (p + 1) else p + 2
+    | 24 (* SCHED opidx *) ->
+      ts.cur_pc <- p;
+      parked := Array.unsafe_get parks (arg code (p + 1));
+      running := false
+    | 25 (* PRIM *) ->
+      Array.unsafe_set stack !sp prim;
+      incr sp;
+      pc := p + 1
+    | 26 (* FUEL pos *) ->
+      decr fuel;
+      if !fuel <= 0 then fault (Out_of_fuel (arg code (p + 1)));
+      pc := p + 2
+    | 27 (* AFUEL pos *) ->
+      decr afuel;
+      if !afuel <= 0 then fault (Atomic_too_long (arg code (p + 1)));
+      pc := p + 2
+    | 28 (* ATOMIC_ENTER *) ->
+      afuel := silent_fuel;
+      pc := p + 1
+    | 29 (* ASSERT msg pos *) ->
+      decr sp;
+      if Array.unsafe_get stack !sp = 0 then
+        fault (Assert_failed (arg code (p + 1), arg code (p + 2)));
+      pc := p + 3
+    (* Superinstructions ({!Fuse}); [pc] moves past the cells of the
+       canonical sequence. *)
+    | 30 (* FUEL_LOAD_L fpos slot name pos *) ->
+      decr fuel;
+      if !fuel <= 0 then fault (Out_of_fuel (arg code (p + 1)));
+      Array.unsafe_set stack !sp (local code ts (p + 2));
+      incr sp;
+      pc := p + 6
+    | 31 (* FUEL_PUSH fpos c *) ->
+      decr fuel;
+      if !fuel <= 0 then fault (Out_of_fuel (arg code (p + 1)));
+      Array.unsafe_set stack !sp (arg code (p + 2));
+      incr sp;
+      pc := p + 4
+    | 32 (* ADD_C c *) ->
+      let s = !sp - 1 in
+      Array.unsafe_set stack s (Array.unsafe_get stack s + arg code (p + 1));
+      pc := p + 3
+    | 33 (* MUL_C c *) ->
+      let s = !sp - 1 in
+      Array.unsafe_set stack s (Array.unsafe_get stack s * arg code (p + 1));
+      pc := p + 3
+    | 34 (* DIV_C c, c <> 0 *) ->
+      let s = !sp - 1 in
+      Array.unsafe_set stack s (Array.unsafe_get stack s / arg code (p + 1));
+      pc := p + 3
+    | 35 (* MOD_C c, c <> 0 *) ->
+      let s = !sp - 1 in
+      Array.unsafe_set stack s (Array.unsafe_get stack s mod arg code (p + 1));
+      pc := p + 3
+    | 36 (* ADD_L slot name pos *) ->
+      let s = !sp - 1 in
+      Array.unsafe_set stack s (Array.unsafe_get stack s + local code ts (p + 1));
+      pc := p + 5
+    | 37 (* SUB_L slot name pos *) ->
+      let s = !sp - 1 in
+      Array.unsafe_set stack s (Array.unsafe_get stack s - local code ts (p + 1));
+      pc := p + 5
+    | 38 (* MUL_L slot name pos *) ->
+      let s = !sp - 1 in
+      Array.unsafe_set stack s (Array.unsafe_get stack s * local code ts (p + 1));
+      pc := p + 5
+    | 39 (* DIV_L slot name pos *) ->
+      let s = !sp - 1 in
+      let vb = local code ts (p + 1) in
+      if vb = 0 then fault (Zero_divisor "division");
+      Array.unsafe_set stack s (Array.unsafe_get stack s / vb);
+      pc := p + 5
+    | 40 (* MOD_L slot name pos *) ->
+      let s = !sp - 1 in
+      let vb = local code ts (p + 1) in
+      if vb = 0 then fault (Zero_divisor "modulo");
+      Array.unsafe_set stack s (Array.unsafe_get stack s mod vb);
+      pc := p + 5
+    | 41 (* SET_L_LC fpos dst src name pos c *) ->
+      decr fuel;
+      if !fuel <= 0 then fault (Out_of_fuel (arg code (p + 1)));
+      let v = local code ts (p + 3) + arg code (p + 6) in
+      let dst = arg code (p + 2) in
+      Array.unsafe_set locals dst v;
+      Array.unsafe_set inited dst true;
+      pc := p + 11
+    | 42 (* IF_EQ_LC fpos slot name pos c t *) ->
+      decr fuel;
+      if !fuel <= 0 then fault (Out_of_fuel (arg code (p + 1)));
+      pc := if local code ts (p + 2) = arg code (p + 5) then p + 11 else arg code (p + 6)
+    | 43 (* IF_NE_LC fpos slot name pos c t *) ->
+      decr fuel;
+      if !fuel <= 0 then fault (Out_of_fuel (arg code (p + 1)));
+      pc := if local code ts (p + 2) <> arg code (p + 5) then p + 11 else arg code (p + 6)
+    | 44 (* IF_LT_LC fpos slot name pos c t *) ->
+      decr fuel;
+      if !fuel <= 0 then fault (Out_of_fuel (arg code (p + 1)));
+      pc := if local code ts (p + 2) < arg code (p + 5) then p + 11 else arg code (p + 6)
+    | 45 (* IF_LE_LC fpos slot name pos c t *) ->
+      decr fuel;
+      if !fuel <= 0 then fault (Out_of_fuel (arg code (p + 1)));
+      pc := if local code ts (p + 2) <= arg code (p + 5) then p + 11 else arg code (p + 6)
+    | 46 (* IF_GT_LC fpos slot name pos c t *) ->
+      decr fuel;
+      if !fuel <= 0 then fault (Out_of_fuel (arg code (p + 1)));
+      pc := if local code ts (p + 2) > arg code (p + 5) then p + 11 else arg code (p + 6)
+    | 47 (* IF_GE_LC fpos slot name pos c t *) ->
+      decr fuel;
+      if !fuel <= 0 then fault (Out_of_fuel (arg code (p + 1)));
+      pc := if local code ts (p + 2) >= arg code (p + 5) then p + 11 else arg code (p + 6)
+    | _ -> assert false
+  done;
+  !parked
+
+(* The message and source position of fault [f] in thread [tc]. *)
+let describe (c : C.t) (tc : C.thread_code) f =
+  let at = c.C.c_pos and name = c.C.c_names and spf = Printf.sprintf in
+  match f with
+  | Out_of_fuel pos ->
+    let t = tc.C.t_name in
+    (spf "thread %s ran %d silent steps without a scheduling point" t silent_fuel, at.(pos))
+  | Uninitialized (n, pos) -> (spf "local %s read before initialization" name.(n), at.(pos))
+  | Out_of_bounds (iv, n, size, pos) ->
+    (spf "index %d out of bounds for %s[%d]" iv name.(n) size, at.(pos))
+  | Zero_divisor what -> (what ^ " by zero", no_pos)
+  | Atomic_too_long pos -> (spf "atomic block exceeded %d steps" silent_fuel, at.(pos))
+  | Assert_failed (msg, pos) -> (c.C.c_msgs.(msg), at.(pos))
+
+(* Thread [tid]'s next run, the machine's [run]. *)
+let run_thread c parks slots (codes : int array array) (tstates : tstate array) tid prim =
+  try exec parks slots codes.(tid) tstates.(tid) prim
+  with Vm_error f ->
+    let tc = c.C.c_threads.(tid) in
+    let msg, pos = describe c tc f in
     Sync.fail (Format.asprintf "%s (thread %s, %a)" msg tc.C.t_name Ast.pp_pos pos)
 
 (* Boot: register scheduling objects in declaration order — the same order
@@ -335,26 +361,29 @@ let boot (c : C.t) (codes : int array array) () =
   let mutexes = Array.of_list (List.rev !mutexes) in
   let sems = Array.of_list (List.rev !sems) in
   let events = Array.of_list (List.rev !events) in
-  let ops =
+  (* One [Some op] per operation, returned at each park on it. *)
+  let parks =
     Array.map
-      (function
-        | C.T_lock m -> Op.Lock (Sync.Mutex.id mutexes.(m))
-        | C.T_try_lock m -> Op.Try_lock (Sync.Mutex.id mutexes.(m))
-        | C.T_timed_lock m -> Op.Timed_lock (Sync.Mutex.id mutexes.(m))
-        | C.T_unlock m -> Op.Unlock (Sync.Mutex.id mutexes.(m))
-        | C.T_sem_wait s -> Op.Sem_wait (Sync.Semaphore.id sems.(s))
-        | C.T_sem_timed_wait s -> Op.Sem_timed_wait (Sync.Semaphore.id sems.(s))
-        | C.T_sem_post s -> Op.Sem_post (Sync.Semaphore.id sems.(s))
-        | C.T_ev_wait e -> Op.Ev_wait (Sync.Event.id events.(e))
-        | C.T_ev_timed_wait e -> Op.Ev_timed_wait (Sync.Event.id events.(e))
-        | C.T_ev_set e -> Op.Ev_set (Sync.Event.id events.(e))
-        | C.T_ev_reset e -> Op.Ev_reset (Sync.Event.id events.(e))
-        | C.T_var_read v -> Op.Var_read vars.(v)
-        | C.T_var_write v -> Op.Var_write vars.(v)
-        | C.T_var_rmw v -> Op.Var_rmw vars.(v)
-        | C.T_choose n -> Op.Choose n
-        | C.T_yield -> Op.Yield
-        | C.T_sleep -> Op.Sleep)
+      (fun top ->
+        Some
+          (match top with
+           | C.T_lock m -> Op.Lock (Sync.Mutex.id mutexes.(m))
+           | C.T_try_lock m -> Op.Try_lock (Sync.Mutex.id mutexes.(m))
+           | C.T_timed_lock m -> Op.Timed_lock (Sync.Mutex.id mutexes.(m))
+           | C.T_unlock m -> Op.Unlock (Sync.Mutex.id mutexes.(m))
+           | C.T_sem_wait s -> Op.Sem_wait (Sync.Semaphore.id sems.(s))
+           | C.T_sem_timed_wait s -> Op.Sem_timed_wait (Sync.Semaphore.id sems.(s))
+           | C.T_sem_post s -> Op.Sem_post (Sync.Semaphore.id sems.(s))
+           | C.T_ev_wait e -> Op.Ev_wait (Sync.Event.id events.(e))
+           | C.T_ev_timed_wait e -> Op.Ev_timed_wait (Sync.Event.id events.(e))
+           | C.T_ev_set e -> Op.Ev_set (Sync.Event.id events.(e))
+           | C.T_ev_reset e -> Op.Ev_reset (Sync.Event.id events.(e))
+           | C.T_var_read v -> Op.Var_read vars.(v)
+           | C.T_var_write v -> Op.Var_write vars.(v)
+           | C.T_var_rmw v -> Op.Var_rmw vars.(v)
+           | C.T_choose n -> Op.Choose n
+           | C.T_yield -> Op.Yield
+           | C.T_sleep -> Op.Sleep))
       c.C.c_ops
   in
   let tstates =
@@ -362,7 +391,8 @@ let boot (c : C.t) (codes : int array array) () =
       (fun (tc : C.thread_code) ->
         { locals = Array.make (max tc.C.t_nlocals 1) 0;
           inited = Array.make (max tc.C.t_nlocals 1) false;
-          cur_pc = 0 })
+          stack = Array.make (max tc.C.t_stack 1) 0;
+          cur_pc = -2 })
       c.C.c_threads
   in
   let snapshot () =
@@ -377,34 +407,27 @@ let boot (c : C.t) (codes : int array array) () =
       tstates;
     !h
   in
-  let threads =
-    Array.to_list
-      (Array.mapi (fun i tc -> run_thread c ops slots tc codes.(i) tstates.(i)) c.C.c_threads)
-  in
-  let resume tid =
-    let ts = tstates.(tid) in
-    run_thread ~start:ts.cur_pc c ops slots c.C.c_threads.(tid) codes.(tid) ts
-  in
+  (* The operand stack is empty at a park: a copy shares it. *)
   let capture () =
     let g = Array.copy slots in
     let saved =
       Array.map
-        (fun ts ->
-          { locals = Array.copy ts.locals; inited = Array.copy ts.inited; cur_pc = ts.cur_pc })
+        (fun ts -> { ts with locals = Array.copy ts.locals; inited = Array.copy ts.inited })
         tstates
     in
     fun () ->
       Array.blit g 0 slots 0 (Array.length g);
-      Array.iteri
-        (fun i (sv : tstate) ->
-          let ts = tstates.(i) in
-          Array.blit sv.locals 0 ts.locals 0 (Array.length sv.locals);
-          Array.blit sv.inited 0 ts.inited 0 (Array.length sv.inited);
-          ts.cur_pc <- sv.cur_pc)
-        saved;
-      resume
+      for i = 0 to Array.length saved - 1 do
+        let sv = saved.(i) and ts = tstates.(i) in
+        Array.blit sv.locals 0 ts.locals 0 (Array.length sv.locals);
+        Array.blit sv.inited 0 ts.inited 0 (Array.length sv.inited);
+        ts.cur_pc <- sv.cur_pc
+      done
   in
-  ((slots, tstates), { Program.threads; snapshot = Some snapshot; capture = Some capture })
+  let run = run_thread c parks slots codes tstates in
+  let machine = Some { Program.nthreads = Array.length tstates; run } in
+  ( (slots, tstates),
+    { Program.threads = []; machine; snapshot = Some snapshot; capture = Some capture } )
 
 (* Fusion runs once per program, not per boot. *)
 let fused (c : C.t) = Array.map (fun tc -> Fuse.code tc.C.t_code) c.C.c_threads

@@ -9,12 +9,15 @@
     messages, counterexamples, and checkpoint/resume behavior — while
     re-executing schedules several times faster.
 
-    Its programs offer a capture ({!Fairmc_core.Program.booted}): the
-    global slots and each thread's pc, locals and init flags are copied,
-    and a restored thread restarts at its SCHED instruction (where it
-    parked with an empty operand stack), performs the same operation
-    again and parks. The search therefore restores states on backtrack
-    instead of replaying prefixes.
+    Its threads are machine threads ({!Fairmc_core.Program.machine}):
+    the engine runs one with a call that dispatches from the thread's pc
+    to its next SCHED and returns the operation it parks on, so a step
+    performs no effect and a parked thread is plain data. Its programs
+    also offer a capture ({!Fairmc_core.Program.booted}): the global slots
+    and each thread's pc, locals and init flags are copied (the operand
+    stack is empty at a park), and a restore writes them back; the
+    thread runs on from its SCHED at its next step. The search therefore
+    restores states on backtrack instead of replaying prefixes.
 
     State snapshots hash the flat representation directly (FNV over the
     global slot array, then each thread's pc and local slots; a parked

@@ -29,7 +29,9 @@
     explored paths: the order-free sum of a hash of each path's end, step
     count and schedule ([Report.stats] in lib/core). A stream behind the
     span gate ({!spans}: one that collects) also carries one det ["path"]
-    event per execution, [{"end": STR, "steps": N, "schedule": N}]; a
+    event per execution, [{"end": STR, "steps": N, "schedule": HEX}],
+    its schedule hash as 16 hex digits as [run_end]'s digest is (an int up
+    to 2^62 would lose bits in a reader that parses numbers as doubles); a
     plain stream does not, so a job's event volume grows with its work
     items, not its executions. See DESIGN.md, "Telemetry". *)
 

@@ -338,14 +338,6 @@ let job_events t job backlog chunk =
     let frames = Buffer.contents out in
     List.iter (fun (c, _) -> guarded t c (fun fd -> Worker.write_string fd frames)) watchers
 
-(* The daemon's own descriptors, which a worker it forks closes. Other
-   jobs' worker pipes the supervisors close themselves. *)
-let held_fds t =
-  (t.listen_fd :: List.map (fun c -> c.c_fd) t.clients)
-  @ List.concat_map
-      (fun j -> match j.j_run with Some r -> Option.to_list r.r_backlog | None -> [])
-      t.running
-
 (* Start a queued job: resume from the spooled checkpoint if one fits, and
    run the search on worker processes forked for it. *)
 let start_job t job =
@@ -363,10 +355,7 @@ let start_job t job =
       | Error _ -> None (* none, corrupt or foreign: start over *)
       | Ok c -> Result.to_option (Checkpoint.plan_resume c cfg ~program:program.Program.name)
     in
-    (match
-       Supervisor.start ?resume ~inherited:(fun () -> Option.to_list backlog @ held_fds t) cfg
-         program
-     with
+    (match Supervisor.start ?resume cfg program with
      | sup ->
        job.j_state <- P.Running;
        job.j_run <- Some { r_sup = sup; r_events = events; r_backlog = backlog; r_lint = lint };

@@ -355,6 +355,7 @@ let boot ?(invisible = Stmt_op.no_invisible) (prog : program) (info : Sema.info)
   in
   ( (o, tms),
     { Program.threads = List.map (fun tm -> thread_body info ~invisible o tm) tms;
+      machine = None;
       snapshot = Some (snapshot o tms);
       (* The interpreter's frames hold AST lists: it offers no capture and
          keeps replaying. *)

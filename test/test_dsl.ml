@@ -636,6 +636,33 @@ let prop_restore seed =
     else true
   end
 
+(* A restore writes the VM's arrays and the engine's counters back and
+   runs no thread, so it allocates next to nothing. *)
+let restore_cost_tests =
+  [ Alcotest.test_case "a restore allocates at most 20 minor words" `Quick (fun () ->
+        match
+          List.find_opt Sys.file_exists [ "../../../examples/programs"; "examples/programs" ]
+        with
+        | None -> ()  (* running outside the repo tree *)
+        | Some dir ->
+          List.iter
+            (fun file ->
+              let run = Engine.start (D.load_file (Filename.concat dir file)) in
+              let rng = R.make 29L in
+              ignore (walk rng run 6);
+              let snap = Engine.capture run in
+              ignore (walk rng run 6);
+              let reps = 1_000 in
+              let w0 = Gc.minor_words () in
+              for _ = 1 to reps do
+                Engine.restore run snap
+              done;
+              let words = (Gc.minor_words () -. w0) /. float_of_int reps in
+              Engine.stop run;
+              if words > 20. then
+                Alcotest.failf "%s: %.1f minor words per restore" file words)
+            [ "peterson.chess"; "bounded_buffer.chess" ]) ]
+
 let differential_qprops =
   [ QCheck.Test.make
       ~name:"random programs x random schedules: identical op streams and stores"
@@ -1219,4 +1246,5 @@ let suite =
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) differential_qprops
   @ limit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) restore_qprops
-  @ storage_tests @ cli_agreement_tests @ same_tree_tests @ fusion_tests @ fuzz_tests
+  @ restore_cost_tests @ storage_tests @ cli_agreement_tests @ same_tree_tests @ fusion_tests
+  @ fuzz_tests

@@ -1265,12 +1265,13 @@ let fd_targets pid =
 let supervision_tests =
   [ Alcotest.test_case "jobs' workers: no grandchild, no socket, no other worker's pipe" `Quick
       (fun () ->
+        (* A descriptor left open across exec: chessd inherits it, and its
+           workers must close it with the rest. *)
+        let held = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+        Fun.protect ~finally:(fun () -> Unix.close held) @@ fun () ->
         with_daemon ~args:[ "--max-jobs"; "2" ] @@ fun ~socket ~pid ->
-        (* What chessd inherited from this process, sockets aside, is not
-           its own to close. *)
-        let inherited =
-          List.filter (fun t -> not (String.starts_with ~prefix:"socket:" t)) (fd_targets pid)
-        in
+        check "chessd inherits the open descriptor" true
+          (List.mem "/dev/null" (fd_targets pid));
         Serve.Client.with_daemon socket @@ fun fd ->
         Fun.protect ~finally:(fun () -> kill_all Sys.sigkill (children_of pid)) @@ fun () ->
         let jobs =
@@ -1288,11 +1289,7 @@ let supervision_tests =
             && List.length (children_of pid) = 4)
           500;
         let children = children_of pid in
-        let targets =
-          List.map
-            (fun c -> (c, List.filter (fun t -> not (List.mem t inherited)) (fd_targets c)))
-            children
-        in
+        let targets = List.map (fun c -> (c, fd_targets c)) children in
         List.iter
           (fun (c, fds) ->
             check "no grandchild" true (children_of c = []);
@@ -1302,7 +1299,7 @@ let supervision_tests =
                   Alcotest.failf "worker %d holds %s" c target)
               fds;
             let pipes = List.filter (String.starts_with ~prefix:"pipe:") fds in
-            check "a worker holds its own two pipe ends" true
+            check "a worker holds fds 0-2 and its own two pipe ends only" true
               (List.length pipes = 2 && List.length fds = 2);
             List.iter
               (fun (c', fds') ->

@@ -404,7 +404,9 @@ let digest_tests =
               check_int (what ^ ": steps") cex.Report.length
                 (match data_field last "steps" with Some (Json.Int n) -> n | _ -> -1);
               check_int (what ^ ": schedule") (schedule_hash cex.Report.decisions)
-                (match data_field last "schedule" with Some (Json.Int n) -> n | _ -> -1))
+                (match data_field last "schedule" with
+                 | Some (Json.Str s) when String.length s = 16 -> int_of_string ("0x" ^ s)
+                 | _ -> -1))
           [ ("dfs", base);
             ("random walk", { base with Search_config.mode = Random_walk 200; seed = 3L });
             ( "random tail",
