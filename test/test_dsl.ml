@@ -1246,5 +1246,5 @@ let suite =
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) differential_qprops
   @ limit_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) restore_qprops
-  @ restore_cost_tests @ storage_tests @ cli_agreement_tests @ same_tree_tests @ fusion_tests
-  @ fuzz_tests
+  @ storage_tests @ cli_agreement_tests @ same_tree_tests @ fusion_tests @ fuzz_tests
+  @ restore_cost_tests
