@@ -392,24 +392,53 @@ let step t ~tid ~alt =
     (* The stepped thread and any child it spawned have parked or finished. *)
     refresh_enabled t
 
+(* [fast_forward]'s step, for a parked thread or in place: take event [e] as
+   [tid]'s transition on [op]. Returns the thread's result, or -1 if [op] is
+   not the recorded operation or is disabled, or its transition fails or
+   delivers another result. *)
+let take t tid op (e : Trace.event) =
+  if not (Op.equal op e.Trace.op && op_enabled t op) then -1
+  else begin
+    let result = transition t tid op ~alt:e.Trace.alt in
+    if Option.is_some t.failure || e.Trace.result <> (result <> 0) then -1
+    else begin t.steps <- t.steps + 1; result end
+  end
+
 let fast_forward t trace n =
   if t.steps > 0 || (not t.live) || Option.is_some t.obs || Option.is_some t.failure then
     invalid_arg "Engine.fast_forward: not a fresh unobserved run";
   let misfit () = invalid_arg "Engine.fast_forward: the trace does not fit the run" in
   Trace.truncate trace n;
-  for i = 0 to n - 1 do
-    let e = Trace.get trace i in
-    let tid = e.Trace.tid in
-    if tid < 0 || tid >= t.nthreads then misfit ();
-    match parked_op t tid with
-    | Some op when Op.equal op e.Trace.op && op_enabled t op ->
-      let result = transition t tid op ~alt:e.Trace.alt in
-      if Option.is_some t.failure || (if e.Trace.result then result = 0 else result <> 0) then
-        misfit ();
-      t.steps <- t.steps + 1;
-      resume t tid result
-    | Some _ | None -> misfit ()
-  done;
+  (* [Sync.sched] offers the running thread's [op]. It takes the next event
+     ([next]) in place, with a park's bookkeeping, if that event is its own
+     and no spawn (which starts a fiber). Else it parks, and a misfit
+     ([fits] falls) is raised by the loop, so no thread body can catch it. *)
+  let next = ref 0 and fits = ref true in
+  let in_place op =
+    let tid = Runtime.ctx.current_tid in
+    match op with
+    | Op.Spawn -> -1
+    | _ when !next >= n || (Trace.get trace !next).Trace.tid <> tid -> -1
+    | _ ->
+      note_park t tid (Some op);
+      let result = try take t tid op (Trace.get trace !next) with _ -> -1 in
+      if result < 0 then fits := false else incr next;
+      result
+  in
+  Runtime.ctx.take <- Some in_place;
+  (try
+     while !next < n do
+       let e = Trace.get trace !next in
+       let tid = e.Trace.tid in
+       if tid < 0 || tid >= t.nthreads then misfit ();
+       let result = match parked_op t tid with Some op -> take t tid op e | None -> -1 in
+       if result < 0 then misfit ();
+       incr next;
+       resume t tid result;
+       if not !fits then misfit ()
+     done
+   with exn -> Runtime.ctx.take <- None; raise exn);
+  Runtime.ctx.take <- None;
   t.trace <- trace;
   refresh_enabled t
 

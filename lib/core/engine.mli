@@ -7,7 +7,9 @@
     scheduler and the exploration strategy) decides which thread to [step]
     next. Backtracking discards the run and starts a new one, which
     {!fast_forward}s along the discarded run's trace to the backtrack point
-    without rebuilding that trace. A program that offers a capture
+    without rebuilding that trace; a fast-forwarded fiber takes its own
+    recorded steps in place and parks only where the trace switches
+    threads, spawns or ends. A program that offers a capture
     ({!Program.booted}) is not re-executed at all: the search {!capture}s
     states on its stack and {!restore}s one instead.
 
@@ -81,13 +83,16 @@ val fast_forward : t -> Trace.t -> int -> unit
 (** [fast_forward t trace n] takes the fresh run [t] along the first [n]
     events of [trace], the trace of an earlier run of the same program, and
     makes [trace], truncated to [n], the run's own: the earlier run must be
-    over. Each transition is {!step}'s (the same resume, store update and
-    counters), but builds no trace event, makes no yield test and skips
-    the enabled-set refresh, which runs once, at the end. So the run ends in
-    the state, counters and trace that stepping the same decisions gives.
+    over. Each transition is {!step}'s store update and counters, but
+    builds no trace event, makes no yield test and skips the enabled-set
+    refresh, which runs once, at the end. A fiber parks only where the
+    trace switches threads, spawns or ends: a thread whose next event is its
+    own takes it in place when it offers the recorded operation
+    ([Runtime.ctx.take]), and runs on. So the run ends in the state,
+    counters and trace that stepping the same decisions gives.
     @raise Invalid_argument if [t] has stepped, failed or has a step
     observer (which would miss the transitions), or if the trace does not
-    fit the run: an event's thread is not parked on the recorded operation,
+    fit the run: an event's thread does not offer the recorded operation,
     that operation is not enabled, or its transition fails or delivers
     another result. That is a program whose boot is not deterministic. *)
 

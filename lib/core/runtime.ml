@@ -10,6 +10,7 @@ type ctx = {
   mutable spawn_result : int;
   mutable snapshotters : (Fairmc_util.Fnv.t -> Fairmc_util.Fnv.t) list;
   regions : (int, int) Hashtbl.t;
+  mutable take : (Op.t -> int) option;
 }
 
 let fresh () =
@@ -19,7 +20,8 @@ let fresh () =
     spawn_body = None;
     spawn_result = -1;
     snapshotters = [];
-    regions = Hashtbl.create 16 }
+    regions = Hashtbl.create 16;
+    take = None }
 
 (* One context per process: exactly one of {engine, one thread} executes at
    any instant. *)
@@ -38,4 +40,5 @@ let reset s =
   ctx.spawn_result <- -1;
   ctx.snapshotters <- [];
   Hashtbl.reset ctx.regions;
+  ctx.take <- None;
   ctx

@@ -2,12 +2,13 @@
 
     Threads under test communicate with the engine by performing the
     {!extension-Sched} effect at every visible operation; the engine parks
-    the continuation and later resumes it with the operation's result. The
-    mutable context below carries side-band data (spawn bodies, results,
-    state-snapshot hooks) for the current execution. It is plain process
-    state: a process runs at most one engine at a time, and exactly one of
-    {engine, one thread} executes at any instant. Parallel search forks
-    worker processes ({!Supervisor}), each with its own copy. *)
+    the continuation and later resumes it with the operation's result (or,
+    fast-forwarding, takes it in place: [take]). The mutable context below
+    carries side-band data (spawn bodies, results, state-snapshot hooks) for
+    the current execution. It is plain process state: a process runs at
+    most one engine at a time, and exactly one of {engine, one thread}
+    executes at any instant. Parallel search forks worker processes
+    ({!Supervisor}), each with its own copy. *)
 
 type _ Effect.t +=
   | Sched : Op.t -> int Effect.t
@@ -41,6 +42,11 @@ type ctx = {
           control abstraction hashed into state signatures, the analogue of
           the paper's hand-written state extraction (§4.2.1). Cleared by
           [reset]. *)
+  mutable take : (Op.t -> int) option;
+      (** Set by [Engine.fast_forward] during its loop, else [None]. Offered
+          the running thread's operation by [Sync.sched], it returns the
+          result of the thread's next recorded transition, taken in place,
+          or -1: perform {!extension-Sched} and park. It never raises. *)
 }
 
 val ctx : ctx

@@ -1,9 +1,12 @@
 module Fnv = Fairmc_util.Fnv
 
 let sched op =
-  if not Runtime.ctx.in_thread then
+  let c = Runtime.ctx in
+  if not c.in_thread then
     failwith (Printf.sprintf "Sync: %s called outside of a running thread" (Op.to_string op));
-  Effect.perform (Runtime.Sched op)
+  match c.take with
+  | None -> Effect.perform (Runtime.Sched op)
+  | Some take -> (match take op with -1 -> Effect.perform (Runtime.Sched op) | result -> result)
 
 let sched_bool op = sched op = 1
 

@@ -12,7 +12,13 @@
     other operations only from a running thread.
 
     Yield inference (paper §4): [yield], [sleep], and every [timed_*]
-    operation that times out count as yields for the fair scheduler. *)
+    operation that times out count as yields for the fair scheduler.
+
+    Every scheduling point goes through one function, exposed as
+    {!Raw.sched}: the one site that performs {!Runtime.extension-Sched}.
+    During a fast-forward it first offers the operation to
+    [Runtime.ctx.take], and a thread whose next recorded transition is
+    taken there runs on without parking. *)
 
 val yield : unit -> unit
 (** Explicit processor yield. Signals the fair scheduler that the caller

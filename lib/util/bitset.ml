@@ -2,9 +2,13 @@ type t = int
 
 let max_capacity = Sys.int_size - 2
 
-let check_elt i =
-  if i < 0 || i > max_capacity then
-    invalid_arg (Printf.sprintf "Bitset: element %d out of range [0, %d]" i max_capacity)
+let out_of_range i =
+  invalid_arg (Printf.sprintf "Bitset: element %d out of range [0, %d]" i max_capacity)
+
+(* [0 <= i <= max_capacity] as one test: either bound broken makes the
+   [lor] negative. It inlines into callers; only its failure is a call. *)
+let[@inline] in_range i = i lor (max_capacity - i) >= 0
+let[@inline] check_elt i = if not (in_range i) then out_of_range i
 
 let empty = 0
 let is_empty s = s = 0
@@ -17,9 +21,11 @@ let full n =
   if n < 0 || n > max_capacity + 1 then invalid_arg "Bitset.full";
   if n = 0 then 0 else (1 lsl n) - 1
 
-let mem i s = i >= 0 && i <= max_capacity && s land (1 lsl i) <> 0
+(* The bit test first: most tests in a loop over thread ids miss, and skip
+   the range test. An out-of-range shift gives some word, never a fault. *)
+let[@inline] mem i s = s land (1 lsl i) <> 0 && in_range i
 
-let add i s =
+let[@inline] add i s =
   check_elt i;
   s lor (1 lsl i)
 

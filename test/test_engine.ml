@@ -35,8 +35,11 @@ let cached_state_exact run =
 
 (* One random walk of at most [max] steps. Returns the run, its decisions,
    and whether [cached_state_exact] held after [start] and after every
-   step. *)
-let random_walk ?(max = 200) prog seed =
+   step. With [stay], a step takes the previous step's thread while it is
+   enabled: on the benchmark's native inputs and ticket-lock, 79-95% of an
+   80-step such walk's steps continue the thread before, against 44-72% of
+   a random walk's. *)
+let random_walk ?(max = 200) ?(stay = false) prog seed =
   let rng = Fairmc_util.Rng.make (Int64.of_int seed) in
   let run = Engine.start prog in
   let exact = ref (cached_state_exact run) in
@@ -49,7 +52,11 @@ let random_walk ?(max = 200) prog seed =
     && !steps < max
   do
     let es = Engine.enabled_set run in
-    let tid = B.nth es (Fairmc_util.Rng.int rng (B.cardinal es)) in
+    let tid =
+      match !decisions with
+      | (last, _) :: _ when stay && B.mem last es -> last
+      | _ -> B.nth es (Fairmc_util.Rng.int rng (B.cardinal es))
+    in
     let alt =
       let n = Engine.alternatives run tid in
       if n = 1 then 0 else Fairmc_util.Rng.int rng n
@@ -117,8 +124,8 @@ let observe run =
 
 (* A random walk's decisions, cut before a step that fails: a fast-forward
    stops short of failures, as every search path does. *)
-let schedule prog seed ~max =
-  let run, decisions, _ = random_walk ~max prog seed in
+let schedule ?stay prog seed ~max =
+  let run, decisions, _ = random_walk ~max ?stay prog seed in
   let failed = Engine.failure run <> None in
   Engine.stop run;
   if failed then List.filteri (fun i _ -> i < List.length decisions - 1) decisions
@@ -152,14 +159,16 @@ let words_per_transition prog decisions =
 
 let fast_forward_tests =
   [ Alcotest.test_case "a fast-forward equals stepping, at every prefix" `Quick (fun () ->
-        (* Each native registry program, seeded random schedules. The trace
-           is fast-forwarded along from its longest prefix down, each run
+        (* Each native registry program, seeded random schedules and
+           schedules that stay on a thread while it is enabled (whose steps
+           a fast-forward mostly takes in place). The trace is
+           fast-forwarded along from its longest prefix down, each run
            adopting and truncating the one before's. *)
         List.iter
           (fun prog ->
             List.iter
-              (fun seed ->
-                let decisions = schedule prog seed ~max:80 in
+              (fun (stay, seed) ->
+                let decisions = schedule ~stay prog seed ~max:80 in
                 let len = List.length decisions in
                 let trace = ref (Engine.trace (stepped prog decisions)) in
                 for i = len downto 0 do
@@ -170,12 +179,14 @@ let fast_forward_tests =
                   let run = Engine.start prog in
                   Engine.fast_forward run !trace i;
                   if observe run <> want then
-                    Alcotest.failf "%s, seed %d: the fast-forward to step %d differs"
-                      prog.Program.name seed i;
+                    Alcotest.failf "%s, seed %d%s: the fast-forward to step %d differs"
+                      prog.Program.name seed
+                      (if stay then " (stay on thread)" else "")
+                      i;
                   trace := Engine.trace run;
                   Engine.stop run
                 done)
-              [ 1; 2; 3 ])
+              [ (false, 1); (false, 2); (false, 3); (true, 1); (true, 2); (true, 3) ])
           (native_programs ()));
     Alcotest.test_case "a boot that is not deterministic makes the fast-forward raise" `Quick
       (fun () ->
@@ -227,7 +238,8 @@ let fast_forward_tests =
       (fun () ->
         (* It builds no trace event (8 words): on schedules of the
            benchmark's native inputs it must save nearly all of them
-           (28.5-34.8 words per step against 20.2-26.7 when pinned). *)
+           (29.8-34.1 words per step against 4.3-15.0, 18.5-24.9 when
+           every fast-forwarded step parked). *)
         List.iter
           (fun name ->
             let p = registry name in
@@ -496,4 +508,72 @@ let suite =
         check_int "taken-over run unwound" 4 !finalized;
         check "taken-over run has nothing pending" true (Engine.pending run 0 = None);
         Engine.stop next;
-        check_int "stop unwinds" 6 !finalized) ]
+        check_int "stop unwinds" 6 !finalized);
+    Alcotest.test_case "an in-place misfit parks its thread and raises from the engine" `Quick
+      (fun () ->
+        let hook_unset () = Option.is_none Runtime.ctx.Runtime.take in
+        (* A fitting fast-forward, taken mostly in place, leaves no hook. *)
+        let p = registry "wsq-2s-correct" in
+        let decisions = schedule ~stay:true p 3 ~max:200 in
+        let run = stepped p decisions in
+        let trace = Engine.trace run in
+        Engine.stop run;
+        let run = Engine.start p in
+        Engine.fast_forward run trace (List.length decisions);
+        check "the in-place hook is gone after a fit" true (hook_unset ());
+        Engine.stop run;
+        (* A thread that runs two operations back to back takes the second
+           in place. Every other boot changes that operation, or the result
+           of the same one: the misfit must park the thread and raise from
+           the engine, never inside the thread's [try]. (Stopping the run
+           then unwinds the parked thread through that [try].) *)
+        List.iter
+          (fun second ->
+            let flip = ref false and caught = ref false in
+            let p =
+              prog "flip-flop-in-place" (fun () ->
+                  flip := not !flip;
+                  let m = Sync.Mutex.create () in
+                  let s = Sync.Semaphore.create (if !flip then 1 else 0) in
+                  let x = Sync.int_var 0 in
+                  let first = !flip in
+                  [ (fun () ->
+                      try
+                        Sync.Svar.set x 1;
+                        second first m s x
+                      with _ -> caught := true) ])
+            in
+            let run = drive p [ 0; 0 ] in
+            let trace = Engine.trace run in
+            Engine.stop run;
+            let run = Engine.start p in
+            (try
+               Engine.fast_forward run trace 2;
+               Alcotest.fail "fast-forwarded in place along another boot's trace"
+             with Invalid_argument _ -> ());
+            check "the thread did not see the misfit" false !caught;
+            check "the in-place hook is gone after a misfit" true (hook_unset ());
+            Engine.stop run;
+            (* The next run steps as usual. *)
+            let run = drive (registry "fig3") [ 0; 1 ] in
+            check_int "a following run steps" 2 (Engine.steps run);
+            check_int "and records its steps" 2 (Trace.length (Engine.trace run));
+            Engine.stop run)
+          [ (fun first m _ x -> if first then Sync.Mutex.lock m else Sync.Svar.set x 2);
+            (fun _ _ s _ -> ignore (Sync.Semaphore.try_wait s)) ]);
+    Alcotest.test_case
+      "a fast-forwarded transition that stays on its thread allocates at most 10 minor words"
+      `Quick (fun () ->
+        (* A step that continues the thread before is taken in place: the
+           thread performs no effect and does not park. 4.0-8.1 words per
+           transition on these schedules, 17.6-24.7 when every step
+           parked. *)
+        List.iter
+          (fun name ->
+            let p = registry name in
+            let decisions = schedule ~stay:true p 7 ~max:2_000 in
+            let _, ff_words = words_per_transition p decisions in
+            if ff_words > 10. then
+              Alcotest.failf "%s: %.1f minor words per fast-forwarded transition" name ff_words)
+          [ "wsq-2s-correct"; "dryad-fifo-5"; "dining-2-tryacquire+yield"; "channel-bug4";
+            "ticket-lock" ]) ]

@@ -87,4 +87,17 @@ let unit_tests =
         check "deterministic" true
           (Fnv.string (Fnv.int Fnv.init 3) "abc" = Fnv.string (Fnv.int Fnv.init 3) "abc")) ]
 
-let suite = unit_tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
+let suite =
+  unit_tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qprops
+  @ [ Alcotest.test_case "mem is false outside the range, whatever the word" `Quick
+        (fun () ->
+          (* [mem] tests the bit before the range: a shift by an
+             out-of-range count gives some word, which must not count. *)
+          let all = B.unsafe_of_int (-1) in
+          check "every element is in" true
+            (List.for_all (fun i -> B.mem i all) (List.init (B.max_capacity + 1) Fun.id));
+          List.iter
+            (fun i ->
+              if B.mem i all then Alcotest.failf "mem %d of a word with every bit set" i)
+            [ -1; -2; -64; min_int; B.max_capacity + 1; 63; 64; 65; 127; max_int ]) ]
