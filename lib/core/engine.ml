@@ -32,6 +32,7 @@ type parked = {
 type tstate =
   | Parked of parked  (* a fiber *)
   | Parked_data  (* a machine thread: plain data in the program *)
+  | Offered  (* a running fiber pending inside its [Sync.sched] call: [offer] *)
   | Running  (* transient, while a fiber's continuation executes *)
   | Finished
 
@@ -155,7 +156,8 @@ let start_thread t tid body =
                     b
                   | _ -> None
                 in
-                note_park t tid (Some op);
+                (* An offered thread has recorded its park already. *)
+                (match t.threads.(tid) with Offered -> () | _ -> note_park t tid (Some op));
                 t.threads.(tid) <- Parked { k; payload })
           | _ -> None) }
   in
@@ -197,7 +199,9 @@ let add_thread t body =
    never materializes is a deadlock, not a no-op. *)
 let finished t tid =
   tid >= 0 && tid < t.nthreads
-  && (match t.threads.(tid) with Finished -> true | Parked _ | Parked_data | Running -> false)
+  && (match t.threads.(tid) with
+      | Finished -> true
+      | Parked _ | Parked_data | Offered | Running -> false)
 
 (* [Join] is decided here, against the thread table; the store decides every
    other operation and never consults [finished]. *)
@@ -211,7 +215,7 @@ let op_enabled t (op : Op.t) =
 (* The pending operation of [tid], parked as either kind of thread. *)
 let[@inline] parked_op t tid =
   match t.threads.(tid) with
-  | Parked _ | Parked_data -> t.prev_op.(tid)
+  | Parked _ | Parked_data | Offered -> t.prev_op.(tid)
   | Running | Finished -> None
 
 let refresh_enabled t =
@@ -238,7 +242,7 @@ let unwind t =
       c.current_tid <- tid;
       c.in_thread <- true;
       Effect.Deep.discontinue p.k Unwind
-    | Parked_data | Running | Finished -> ()
+    | Parked_data | Offered | Running | Finished -> ()
   done;
   t.unwinding <- false;
   c.current_tid <- saved_tid;
@@ -363,9 +367,11 @@ let resume t tid result =
     c.current_tid <- saved_tid;
     c.in_thread <- saved_in
   | Parked_data -> run_machine t tid result
-  | Running | Finished -> invalid_arg "Engine: resumed a thread that is not parked"
+  | Offered | Running | Finished -> invalid_arg "Engine: resumed a thread that is not parked"
 
-let step t ~tid ~alt =
+(* [step]'s transition of pending thread [tid], with its trace event and
+   counters. Returns the result the thread receives. *)
+let[@inline] take_step t ~tid ~alt =
   (match t.failure with
    | Some _ -> invalid_arg "Engine.step: execution already failed"
    | None -> ());
@@ -388,9 +394,31 @@ let step t ~tid ~alt =
           the child tid, [Choose] the chosen alternative, try/timed ops 0/1. *)
        let result = match op with Op.Spawn -> Runtime.ctx.spawn_result | _ -> result in
        f ~tid ~op ~result);
-    (match t.failure with Some _ -> () | None -> resume t tid result);
-    (* The stepped thread and any child it spawned have parked or finished. *)
-    refresh_enabled t
+    result
+
+let step t ~tid ~alt =
+  let result = take_step t ~tid ~alt in
+  (match t.failure with Some _ -> () | None -> resume t tid result);
+  (* The stepped thread and any child it spawned have parked or finished. *)
+  refresh_enabled t
+
+let has_fibers t = Option.is_none t.booted.Program.machine
+
+let offer t tid op =
+  (match t.threads.(tid) with Running -> () | _ -> invalid_arg "Engine.offer: not running");
+  note_park t tid (Some op);
+  t.threads.(tid) <- Offered;
+  refresh_enabled t
+
+let step_offered t ~tid ~alt =
+  (match t.threads.(tid) with Offered -> () | _ -> invalid_arg "Engine.step_offered: not offered");
+  let result = take_step t ~tid ~alt in
+  (* A failed transition leaves its thread to park, as [step] does. *)
+  if Option.is_some t.failure then -1
+  else begin
+    t.threads.(tid) <- Running;
+    result
+  end
 
 (* [fast_forward]'s step, for a parked thread or in place: take event [e] as
    [tid]'s transition on [op]. Returns the thread's result, or -1 if [op] is
@@ -516,7 +544,7 @@ let capture t =
     for tid = 0 to t.nthreads - 1 do
       match t.threads.(tid) with
       | Parked_data -> parked := B.add tid !parked
-      | Parked _ | Running -> invalid_arg "Engine.capture: a fiber cannot be restored"
+      | Parked _ | Offered | Running -> invalid_arg "Engine.capture: a fiber cannot be restored"
       | Finished -> ()
     done;
     { s_parked = !parked;

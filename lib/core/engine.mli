@@ -9,9 +9,13 @@
     {!fast_forward}s along the discarded run's trace to the backtrack point
     without rebuilding that trace; a fast-forwarded fiber takes its own
     recorded steps in place and parks only where the trace switches
-    threads, spawns or ends. A program that offers a capture
-    ({!Program.booted}) is not re-executed at all: the search {!capture}s
-    states on its stack and {!restore}s one instead.
+    threads, spawns or ends. The search takes a fresh step that continues
+    the running fiber in place too: the fiber {!offer}s its operation, the
+    search decides, and {!step_offered} applies the decision inside the
+    fiber's [Sync.sched] call, so a fiber parks only to switch. A program
+    that offers a capture ({!Program.booted}) is not re-executed at all:
+    the search {!capture}s states on its stack and {!restore}s one
+    instead.
 
     One thread table holds fibers (parked continuations) and machine
     threads ({!Program}); the kind matters only where a parked thread is
@@ -78,6 +82,25 @@ val step : t -> tid:int -> alt:int -> unit
     pending operation and run it to its next scheduling point. Newly spawned
     threads are advanced to their first scheduling point as part of the
     transition. *)
+
+val has_fibers : t -> bool
+(** The program's threads are fibers, not machine threads. *)
+
+val offer : t -> int -> Op.t -> unit
+(** [offer t tid op]: running fiber [tid] offers [op] inside its
+    [Sync.sched] call ([Runtime.ctx.take]) and is pending on it as a park
+    would leave it (control abstraction, enabled set), without parking. It
+    counts as parked ({!pending}, {!step}, {!state_signature}) until
+    {!step_offered} takes [op] in place or the fiber parks.
+    @raise Invalid_argument if [tid] is not running. *)
+
+val step_offered : t -> tid:int -> alt:int -> int
+(** {!step}'s transition, trace event and counters for the offered thread
+    [tid], taken in place: returns the result the fiber runs on with, or -1
+    if the transition failed, and then the fiber must park (as {!step}
+    leaves a failed thread parked). No enabled-set refresh: the fiber's
+    next offer or park makes it.
+    @raise Invalid_argument as {!step} does, or if [tid] is not offered. *)
 
 val fast_forward : t -> Trace.t -> int -> unit
 (** [fast_forward t trace n] takes the fresh run [t] along the first [n]

@@ -2,8 +2,9 @@
 
     Threads under test communicate with the engine by performing the
     {!extension-Sched} effect at every visible operation; the engine parks
-    the continuation and later resumes it with the operation's result (or,
-    fast-forwarding, takes it in place: [take]). The mutable context below
+    the continuation and later resumes it with the operation's result (or
+    takes it in place, [take]: fast-forwarding, or a fresh step that stays
+    on its thread). The mutable context below
     carries side-band data (spawn bodies, results, state-snapshot hooks) for
     the current execution. It is plain process state: a process runs at
     most one engine at a time, and exactly one of {engine, one thread}
@@ -43,10 +44,13 @@ type ctx = {
           the paper's hand-written state extraction (§4.2.1). Cleared by
           [reset]. *)
   mutable take : (Op.t -> int) option;
-      (** Set by [Engine.fast_forward] during its loop, else [None]. Offered
-          the running thread's operation by [Sync.sched], it returns the
-          result of the thread's next recorded transition, taken in place,
-          or -1: perform {!extension-Sched} and park. It never raises. *)
+      (** Set by [Engine.fast_forward] during its loop, and by the search
+          while its loop runs a fiber program with no step observer; else
+          [None]. Offered the running thread's operation by [Sync.sched], it
+          returns the result of a transition of that thread taken in place
+          (the next recorded one, or the fresh one the search decided), or
+          -1: perform {!extension-Sched} and park. It never raises. Cleared
+          on every exit of either loop, before a run is stopped. *)
 }
 
 val ctx : ctx

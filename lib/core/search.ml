@@ -9,19 +9,23 @@ module CK = Checkpoint
 
 type alt = { tid : int; alt : int; cost : int }
 
-(* The search state just before a frame's decision: the run's snapshot, the
-   scheduler, the path's locals, and the counts the path had accumulated
-   step by step (a path restored here starts from them, so every count
-   still covers whole paths). The path's [crossed_db] is false at every
-   frame: no frame is pushed past the depth bound. *)
+type prefix = {
+  p_fair : Fair_sched.t;
+  p_budget : int;
+  p_last : int;
+  p_last_yielded : bool;
+  p_yields : int;
+  p_edges : Fair_sched.obs;
+}
+
+(* The search state just before a frame's decision: the loop's state, with
+   the counts the path had accumulated step by step (a path started here
+   starts from them, so every count still covers whole paths), and on a
+   restorable run the run's snapshot. The path's [crossed_db] is false at
+   every frame: no frame is pushed past the depth bound. *)
 type snap = {
-  sn_run : Engine.snapshot;
-  sn_fair : Fair_sched.t;
-  sn_budget : int;
-  sn_last : int;
-  sn_last_yielded : bool;
-  sn_yields : int;
-  sn_obs : Fair_sched.obs;
+  sn_run : Engine.snapshot option;
+  sn : prefix;
 }
 
 type frame = {
@@ -36,8 +40,8 @@ type frame = {
          of [1/width], maintained at push so a completed path reads its leaf
          weight in O(1) *)
   mutable snap : snap option;
-      (* taken on a restorable run while [rest] is non-empty, dropped with
-         the last sibling *)
+      (* taken while [rest] is non-empty (on a native frame only when none
+         of the 15 frames below holds one), dropped with the last sibling *)
   mutable sched : int;
       (* the schedule hash of the decisions down to and including
          [chosen], where a restored or fast-forwarded path resumes the
@@ -434,9 +438,10 @@ let release st =
     Engine.stop run
   | None -> ()
 
-(* The deepest frame holding a snapshot: normally the top one, the
-   backtrack target. Frames reloaded from a checkpoint or a work item have
-   none until a path replays them. *)
+(* The deepest frame holding a snapshot: on a restorable run normally the
+   top one, the backtrack target; on a native one at most 15 below it.
+   Frames reloaded from a checkpoint or a work item have none until a path
+   replays them. *)
 let deepest_snap st =
   let rec go i =
     if i < 0 then None
@@ -464,29 +469,25 @@ type start =
 
 let initial_budget (cfg : C.t) = match cfg.mode with C.Context_bounded c -> c | _ -> max_int
 
-type prefix = {
-  p_fair : Fair_sched.t;
-  p_budget : int;
-  p_last : int;
-  p_last_yielded : bool;
-  p_yields : int;
-  p_edges : Fair_sched.obs;
-}
+(* The loop's state at the start of a path that boots [run]. *)
+let initial_prefix (cfg : C.t) run =
+  { p_fair = Fair_sched.create ~nthreads:(Engine.nthreads run) ~k:cfg.fair_k ();
+    p_budget = initial_budget cfg; p_last = -1; p_last_yielded = false; p_yields = 0;
+    p_edges = Fair_sched.obs_create () }
 
 (* Every systematic step pushes a frame, so event [i] of a path's trace is
    frame [i]'s decision. The state the search loop keeps along a prefix
    follows from its events: the scheduler's inputs are each event's enabled
    set and yield bit (the next event's enabled set is the state after it),
    and a [Spawn] adds a thread. *)
-let fast_forward (cfg : C.t) run trace n ~cost =
-  let nthreads0 = Engine.nthreads run in
+let fast_forward ?from (cfg : C.t) run trace n ~cost =
+  let i0, pre = match from with Some f -> f | None -> (0, initial_prefix cfg run) in
+  if i0 < 0 || i0 > n then invalid_arg "Search.fast_forward: start point outside the prefix";
   Engine.fast_forward run trace n;
-  let edges = Fair_sched.obs_create () in
-  let obs = Some edges in
-  let fair = ref (Fair_sched.create ~nthreads:nthreads0 ~k:cfg.fair_k ()) in
-  let budget = ref (initial_budget cfg) in
-  let yields = ref 0 in
-  for i = 0 to n - 1 do
+  let fair = ref pre.p_fair in
+  let budget = ref pre.p_budget in
+  let yields = ref pre.p_yields in
+  for i = i0 to n - 1 do
     let e = Trace.get trace i in
     (match e.Trace.op with Op.Spawn -> fair := Fair_sched.add_thread !fair | _ -> ());
     if cfg.fair then begin
@@ -494,21 +495,35 @@ let fast_forward (cfg : C.t) run trace n ~cost =
         if i + 1 < n then (Trace.get trace (i + 1)).Trace.enabled else Engine.enabled_set run
       in
       fair :=
-        Fair_sched.step ?obs !fair ~chosen:e.Trace.tid ~yielded:e.Trace.yielded
+        Fair_sched.step ~obs:pre.p_edges !fair ~chosen:e.Trace.tid ~yielded:e.Trace.yielded
           ~es_before:e.Trace.enabled ~es_after
     end;
     budget := !budget - cost i;
     if e.Trace.yielded then incr yields
   done;
   let last, last_yielded =
-    if n = 0 then (-1, false)
+    if n = i0 then (pre.p_last, pre.p_last_yielded)
     else begin
       let e = Trace.get trace (n - 1) in
       (e.Trace.tid, e.Trace.yielded)
     end
   in
   { p_fair = !fair; p_budget = !budget; p_last = last; p_last_yielded = last_yielded;
-    p_yields = !yields; p_edges = edges }
+    p_yields = !yields; p_edges = pre.p_edges }
+
+(* A copy a path can step while the snapshot stays. The edge counts are
+   read only with metrics on; without, the path shares the snapshot's
+   cell. *)
+let copy_prefix st (s : prefix) =
+  { s with
+    p_fair = Fair_sched.copy s.p_fair;
+    p_edges = (if Option.is_some st.meters then copy_obs s.p_edges else s.p_edges) }
+
+(* A native frame with siblings takes a snapshot only when none of the 15
+   frames below it holds one, so a fast-forwarded path steps the scheduler
+   over at most 15 events and a deep stack holds a snapshot per 16 frames
+   at most. *)
+let snap_spacing = 16
 
 (* Start a path: restore the deepest snapshot on the stack (re-executing
    only the decisions above it), or boot the program, to be fast-forwarded
@@ -516,8 +531,8 @@ let fast_forward (cfg : C.t) run trace n ~cost =
 let begin_path st ~systematic =
   let restored = match st.run with Some _ when systematic -> deepest_snap st | _ -> None in
   match (st.run, restored) with
-  | Some run, Some (i, s) ->
-    Engine.restore run s.sn_run;
+  | Some run, Some (i, ({ sn_run = Some r; _ } as s)) ->
+    Engine.restore run r;
     (* With no sibling left, this frame is never restored again. *)
     if st.frames.(i).rest = [] then st.frames.(i).snap <- None;
     (run, Restore (i, s))
@@ -530,259 +545,387 @@ let begin_path st ~systematic =
     st.last_trace <- None;
     (run, start)
 
+(* A path's loop state, in one record that the loop and the in-place hook
+   share (no closure per path). [last], [last_yielded] and [yields] count
+   the transition in flight from its start; its scheduler update, counters
+   and coverage wait for [finish_step]. *)
+type path = {
+  run : Engine.t;
+  systematic : bool;
+  restoring : bool;
+  spaced : bool;  (* native frames keep spaced snapshots *)
+  livelock_bound : int;
+  spans_on : bool;
+  mutable t_fresh : Obs.Span.t option;
+      (* set at the first non-replay decision: splits the path's wall time
+         into its replay and fresh segments *)
+  mutable fair : Fair_sched.t;
+  mutable budget : int;
+  mutable last : int;
+  mutable last_yielded : bool;
+  mutable yields : int;
+  fair_obs : Fair_sched.obs;
+  mutable depth : int;
+  mutable crossed_db : bool;
+  mutable rr_next : int;
+  mutable pending_sleep : B.t;
+      (* sleep set of the next fresh node, computed when its parent's
+         decision is applied (we need the parent state's pending
+         operations) *)
+  mutable snapped : int;  (* the deepest frame below [depth] holding a snapshot *)
+  mutable es_before : B.t;  (* of the transition in flight *)
+  mutable nth_before : int;
+  mutable next : alt;
+      (* what the hook left the loop: a decision, [ended_alt] once it ended
+         the path or raised, [no_alt] for nothing *)
+  mutable ended : path_end option;
+  mutable raised : (exn * Printexc.raw_backtrace) option;  (* by the hook *)
+}
+
+(* Told apart by [==]: distinct values, or the compiler may share them. *)
+let no_alt = { tid = -1; alt = 0; cost = 0 }
+let ended_alt = { tid = -2; alt = 0; cost = 0 }
+
+(* Snapshot the state before [fr]'s decision while it has siblings left to
+   explore. *)
+let keep_snap st p fr =
+  match fr.snap with
+  | Some _ -> p.snapped <- p.depth
+  | None ->
+    if fr.rest <> [] && (p.restoring || (p.spaced && p.snapped <= p.depth - snap_spacing))
+    then begin
+      fr.snap <-
+        Some
+          { sn_run = (if p.restoring then Some (Engine.capture p.run) else None);
+            sn =
+              { p_fair = Fair_sched.copy p.fair; p_budget = p.budget; p_last = p.last;
+                p_last_yielded = p.last_yielded; p_yields = p.yields;
+                p_edges =
+                  (if Option.is_some st.meters then copy_obs p.fair_obs else p.fair_obs) } };
+      p.snapped <- p.depth
+    end
+
+(* The first half of applying [a]: the next fresh node's sleep set, the
+   budget, the schedule hash, and the loop's view of the transition. *)
+let[@inline] pre_step st p (a : alt) =
+  let cfg = st.cfg and run = p.run in
+  if cfg.sleep_sets && p.systematic && p.depth > 0 && p.depth = st.nframes then begin
+    (* The next node is fresh: derive its sleep set from this node's. *)
+    let fr = st.frames.(p.depth - 1) in
+    match Engine.pending run a.tid with
+    | None -> p.pending_sleep <- B.empty
+    | Some op_a ->
+      let facts = st.prog.Program.facts in
+      p.pending_sleep <-
+        B.filter
+          (fun u ->
+            match Engine.pending run u with
+            | None -> false
+            | Some op_u ->
+              let indep =
+                Indep.independent ?facts ~t1:a.tid ~op1:op_a ~t2:u ~op2:op_u ~fair:cfg.fair ()
+              in
+              (* Count dependencies the static table finds beyond the
+                 syntactic rule (each fresh node is derived exactly once
+                 search-wide, so the counter sums jobs-invariantly). *)
+              (match facts with
+               | Some f
+                 when (not indep)
+                      && Static_facts.conflict f ~t1:a.tid ~op1:op_a ~t2:u ~op2:op_u
+                      && Option.is_some (Op.obj_of op_a)
+                      && Option.is_some (Op.obj_of op_u)
+                      && Op.obj_of op_a <> Op.obj_of op_u ->
+                 st.conflict_hits <- st.conflict_hits + 1
+               | _ -> ());
+              indep)
+          fr.sleep
+  end
+  else p.pending_sleep <- B.empty;
+  let yielded = Engine.would_yield run a.tid in
+  p.es_before <- Engine.enabled_set run;
+  p.nth_before <- Engine.nthreads run;
+  p.budget <- p.budget - a.cost;
+  st.sched <- fold_decision st.sched ~tid:a.tid ~alt:a.alt;
+  p.last <- a.tid;
+  p.last_yielded <- yielded;
+  if yielded then p.yields <- p.yields + 1
+
+(* The second half, once the transition's thread has offered its next
+   operation, parked or finished: the scheduler update, and the depth and
+   coverage the new state adds. *)
+let[@inline] finish_step st p =
+  let run = p.run in
+  for _ = p.nth_before + 1 to Engine.nthreads run do
+    p.fair <- Fair_sched.add_thread p.fair
+  done;
+  if st.cfg.fair then begin
+    let es_after = Engine.enabled_set run and es_before = p.es_before in
+    match st.meters with
+    | None ->
+      p.fair <-
+        Fair_sched.step p.fair ~chosen:p.last ~yielded:p.last_yielded ~es_before ~es_after
+    | Some m ->
+      p.fair <-
+        Fair_sched.step ~obs:p.fair_obs p.fair ~chosen:p.last ~yielded:p.last_yielded ~es_before
+          ~es_after;
+      M.set_max m.m_pri_edges (Fair_sched.edge_count p.fair);
+      let e, d, s = Fair_sched.sets p.fair ~tid:p.last in
+      M.observe m.m_e_size (B.cardinal e);
+      M.observe m.m_d_size (B.cardinal d);
+      M.observe m.m_s_size (B.cardinal s)
+  end;
+  st.max_depth <- Int.max st.max_depth (Engine.steps run);
+  record_state st run
+
+let random_from st run tset =
+  let tid = B.nth tset (Rng.int st.rng (B.cardinal tset)) in
+  let alts = Engine.alternatives run tid in
+  { tid; alt = (if alts = 1 then 0 else Rng.int st.rng alts); cost = 0 }
+
+let sample st p tset =
+  match st.cfg.mode with
+  | C.Random_walk _ -> random_from st p.run tset
+  | C.Round_robin ->
+    let n = Engine.nthreads p.run in
+    let rec find i =
+      let tid = i mod n in
+      if B.mem tid tset then tid else find (i + 1)
+    in
+    let tid = find p.rr_next in
+    p.rr_next <- tid + 1;
+    { tid; alt = 0; cost = 0 }
+  | C.Priority_random _ ->
+    (* Apt–Olderog-style: fresh random priorities every step. *)
+    let best = ref (-1) and best_p = ref min_int in
+    B.iter
+      (fun tid ->
+        let p = Rng.int st.rng 1_000_000 in
+        if p > !best_p then begin best := tid; best_p := p end)
+      tset;
+    let alts = Engine.alternatives p.run !best in
+    { tid = !best; alt = (if alts = 1 then 0 else Rng.int st.rng alts); cost = 0 }
+  | C.Dfs | C.Context_bounded _ -> assert false
+
+let mark_fresh p =
+  if p.spans_on && Option.is_none p.t_fresh then p.t_fresh <- Some (Obs.Span.start ())
+
+let ended p e =
+  p.ended <- Some e;
+  ended_alt
+
+(* The path's next decision: the alternative to apply, or [ended_alt] with
+   [p.ended] set. Pushes the frame of a fresh decision. *)
+let decide st p =
+  let cfg = st.cfg and run = p.run in
+  match Engine.failure run with
+  | Some (tid, f) -> ended p (P_safety (tid, f))
+  | None ->
+    if Engine.all_finished run then ended p P_terminated
+    else begin
+      let es = Engine.enabled_set run in
+      if B.is_empty es then ended p P_deadlock
+      else begin
+        let steps = Engine.steps run in
+        if cfg.fair && steps >= p.livelock_bound then
+          ended p (P_divergence (classify_divergence run))
+        else if steps >= cfg.max_steps then ended p P_nonterminating
+        else if steps land poll_mask = poll_mask && poll st then ended p P_stopped
+        else begin
+          let tset = if cfg.fair then Fair_sched.schedulable p.fair ~enabled:es else es in
+          (* Theorem 3: T is empty iff ES is empty. *)
+          assert (not (B.is_empty tset));
+          (match st.meters with
+           | Some m -> M.observe m.m_sched_size (B.cardinal tset)
+           | None -> ());
+          if p.systematic && p.depth < st.nframes then begin
+            (match st.meters with Some m -> M.incr m.m_replay_steps | None -> ());
+            let fr = st.frames.(p.depth) in
+            keep_snap st p fr;
+            p.depth <- p.depth + 1;
+            fr.chosen
+          end
+          else if not p.systematic then begin
+            (match st.meters with Some m -> M.incr m.m_sampled_steps | None -> ());
+            mark_fresh p;
+            sample st p tset
+          end
+          else if
+            (not cfg.fair) && (match cfg.depth_bound with Some db -> steps >= db | None -> false)
+          then begin
+            (* The random tail (paper §4.2.1): finish the cut path under
+               random scheduling. *)
+            if not p.crossed_db then begin
+              st.depth_bound_hits <- st.depth_bound_hits + 1;
+              p.crossed_db <- true;
+              st.rng <- tail_rng st
+            end;
+            (match st.meters with Some m -> M.incr m.m_sampled_steps | None -> ());
+            mark_fresh p;
+            random_from st run tset
+          end
+          else begin
+            match
+              compute_alts st ~tset ~sleep:p.pending_sleep ~last:p.last
+                ~last_yielded:p.last_yielded ~budget:p.budget run
+            with
+            | [] ->
+              (* everything pruned by sleep sets *)
+              st.sleep_set_prunes <- st.sleep_set_prunes + 1;
+              ended p P_pruned
+            | a :: rest ->
+              (match st.meters with Some m -> M.incr m.m_fresh_steps | None -> ());
+              mark_fresh p;
+              let width = 1 + List.length rest in
+              let fr =
+                { chosen = a;
+                  rest;
+                  sleep = p.pending_sleep;
+                  width;
+                  cum = Obs.Estimator.descend (top_weight st) width;
+                  snap = None;
+                  sched = fold_decision st.sched ~tid:a.tid ~alt:a.alt }
+              in
+              push_frame st fr;
+              keep_snap st p fr;
+              p.depth <- p.depth + 1;
+              a
+          end
+        end
+      end
+    end
+
+(* [Runtime.ctx.take] while the loop runs a fiber program with no step
+   observer. The thread the loop last stepped offers its next operation:
+   the step just taken is finished and the next decision made here, and a
+   decision for the same thread is taken in place, so the thread runs on.
+   Otherwise the thread parks (returns -1), and the loop applies the
+   decision or ends the path as decided here. A spawn, another thread (a
+   child starting inside a spawn) and a failed transition park as in a
+   step. The decision runs as the engine, outside the thread; whatever it
+   raises is kept for the loop to raise, so no thread body catches it. *)
+let in_place st p op =
+  let c = Runtime.ctx in
+  let tid = c.current_tid in
+  match op with
+  | Op.Spawn -> -1
+  | _ when tid <> p.last -> -1
+  | _ ->
+    c.in_thread <- false;
+    let result =
+      try
+        Engine.offer p.run tid op;
+        finish_step st p;
+        let a = decide st p in
+        if a.tid = tid then begin
+          pre_step st p a;
+          Engine.step_offered p.run ~tid ~alt:a.alt
+        end
+        else begin
+          p.next <- a;
+          -1
+        end
+      with e ->
+        p.raised <- Some (e, Printexc.get_raw_backtrace ());
+        p.next <- ended_alt;
+        -1
+    in
+    c.in_thread <- true;
+    result
+
+(* Decide and apply until the path ends. A step's hook may have finished
+   it and decided what comes next: the loop takes that decision. *)
+let rec loop st p =
+  let a = p.next in
+  let a =
+    if a == no_alt then decide st p
+    else begin
+      p.next <- no_alt;
+      a
+    end
+  in
+  if a == ended_alt then
+    match p.raised with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> Option.get p.ended
+  else begin
+    pre_step st p a;
+    Engine.step p.run ~tid:a.tid ~alt:a.alt;
+    if p.next == no_alt then finish_step st p;
+    loop st p
+  end
+
 (* The path from [begin_path]'s state until it ends. *)
 let execute_from st ~systematic ~restoring run start =
   let cfg = st.cfg in
-  let spans_on = Option.is_some st.meters || Option.is_some st.span_buf in
   let nframes0 = st.nframes in
   let t_path = Obs.Span.start () in
-  (* Set at the first non-replay decision: splits the path's wall time into
-     its replay and fresh segments. *)
-  let t_fresh = ref None in
-  (* Counts the path accumulates step by step, folded into the search's
-     when it ends. A restored or fast-forwarded path starts from the counts
-     of its prefix. *)
+  (* A restored or fast-forwarded path starts from the counts of its
+     prefix, and resumes the schedule hash from its frame. *)
   st.sched <-
     (match start with
      | Boot -> sched0
      | Restore (i, _) -> sched_through st (i - 1)
      | Fast_forward _ -> sched_through st (st.nframes - 2));
-  let fair, budget, last, last_yielded, depth, yields, fair_obs =
+  let pre, depth, snapped =
     match start with
-    | Boot ->
-      ( Fair_sched.create ~nthreads:(Engine.nthreads run) ~k:cfg.fair_k (),
-        initial_budget cfg, -1, false, 0, 0, Fair_sched.obs_create () )
+    | Boot -> (initial_prefix cfg run, 0, min_int)
     | Restore (i, s) ->
       (match st.meters with
        | Some m -> M.add m.m_restored_steps (Engine.steps run)
        | None -> ());
-      ( (if Option.is_none st.frames.(i).snap then s.sn_fair else Fair_sched.copy s.sn_fair),
-        s.sn_budget, s.sn_last, s.sn_last_yielded, i, s.sn_yields, copy_obs s.sn_obs )
+      ((if Option.is_none st.frames.(i).snap then s.sn else copy_prefix st s.sn), i, min_int)
     | Fast_forward tr ->
+      (* From the nearest snapshot at or below the target frame [n] (at
+         most 15 below: [n] had siblings when pushed); a target with no
+         sibling left consumes its own. *)
       let n = st.nframes - 1 in
-      let p = fast_forward cfg run tr n ~cost:(fun i -> st.frames.(i).chosen.cost) in
+      let top = st.frames.(n) in
+      let from =
+        match (top.snap, deepest_snap st) with
+        | Some s, _ when top.rest = [] ->
+          top.snap <- None;
+          Some (n, s.sn)
+        | _, Some (i, s) -> Some (i, copy_prefix st s.sn)
+        | _, None -> None
+      in
+      let p = fast_forward ?from cfg run tr n ~cost:(fun i -> st.frames.(i).chosen.cost) in
       (match st.meters with Some m -> M.add m.m_replay_steps n | None -> ());
-      (p.p_fair, p.p_budget, p.p_last, p.p_last_yielded, n, p.p_yields, p.p_edges)
+      (p, n, match deepest_snap st with Some (i, _) -> i | None -> min_int)
   in
-  let fair = ref fair in
-  let budget = ref budget in
-  let last = ref last in
-  let last_yielded = ref last_yielded in
-  let depth = ref depth in
-  let crossed_db = ref false in
-  let yields = ref yields in
-  let rr_next = ref 0 in
-  (* Snapshot the state before [fr]'s decision while it has siblings left
-     to explore. *)
-  let keep_snap fr =
-    if restoring && fr.rest <> [] && Option.is_none fr.snap then
-      fr.snap <-
-        Some
-          { sn_run = Engine.capture run;
-            sn_fair = Fair_sched.copy !fair;
-            sn_budget = !budget;
-            sn_last = !last;
-            sn_last_yielded = !last_yielded;
-            sn_yields = !yields;
-            sn_obs = copy_obs fair_obs }
-  in
-  (* Sleep set of the next fresh node, computed when its parent's decision is
-     applied (we need the parent state's pending operations). *)
-  let pending_sleep = ref B.empty in
-  let livelock_bound =
-    if cfg.fair then Option.value cfg.livelock_bound ~default:cfg.max_steps else max_int
+  let p =
+    { run; systematic; restoring;
+      spaced = systematic && (not restoring) && st.analysis = [];
+      livelock_bound =
+        (if cfg.fair then Option.value cfg.livelock_bound ~default:cfg.max_steps else max_int);
+      spans_on = Option.is_some st.meters || Option.is_some st.span_buf;
+      t_fresh = None;
+      fair = pre.p_fair; budget = pre.p_budget; last = pre.p_last;
+      last_yielded = pre.p_last_yielded; yields = pre.p_yields; fair_obs = pre.p_edges;
+      depth; crossed_db = false; rr_next = 0; pending_sleep = B.empty; snapped;
+      es_before = B.empty; nth_before = 0; next = no_alt; ended = None; raised = None }
   in
   (* A restored or fast-forwarded prefix's states were recorded when it
      first ran. *)
   (match start with Boot -> record_state st run | Restore _ | Fast_forward _ -> ());
   if not systematic then st.rng <- Rng.make (Rng.mix cfg.seed st.next_exec);
-  let apply (a : alt) =
-    if cfg.sleep_sets && systematic && !depth > 0 && !depth = st.nframes then begin
-      (* The next node is fresh: derive its sleep set from this node's. *)
-      let fr = st.frames.(!depth - 1) in
-      match Engine.pending run a.tid with
-      | None -> pending_sleep := B.empty
-      | Some op_a ->
-        let facts = st.prog.Program.facts in
-        pending_sleep :=
-          B.filter
-            (fun u ->
-              match Engine.pending run u with
-              | None -> false
-              | Some op_u ->
-                let indep =
-                  Indep.independent ?facts ~t1:a.tid ~op1:op_a ~t2:u ~op2:op_u
-                    ~fair:cfg.fair ()
-                in
-                (* Count dependencies the static table finds beyond the
-                   syntactic rule (each fresh node is derived exactly once
-                   search-wide, so the counter sums jobs-invariantly). *)
-                (match facts with
-                 | Some f
-                   when (not indep)
-                        && Static_facts.conflict f ~t1:a.tid ~op1:op_a ~t2:u ~op2:op_u
-                        && Option.is_some (Op.obj_of op_a)
-                        && Option.is_some (Op.obj_of op_u)
-                        && Op.obj_of op_a <> Op.obj_of op_u ->
-                   st.conflict_hits <- st.conflict_hits + 1
-                 | _ -> ());
-                indep)
-            fr.sleep
-    end
-    else pending_sleep := B.empty;
-    let es_before = Engine.enabled_set run in
-    let yielded = Engine.would_yield run a.tid in
-    let nth_before = Engine.nthreads run in
-    budget := !budget - a.cost;
-    st.sched <- fold_decision st.sched ~tid:a.tid ~alt:a.alt;
-    Engine.step run ~tid:a.tid ~alt:a.alt;
-    for _ = nth_before + 1 to Engine.nthreads run do
-      fair := Fair_sched.add_thread !fair
-    done;
-    if cfg.fair then begin
-      let es_after = Engine.enabled_set run in
-      (match st.meters with
-       | None -> fair := Fair_sched.step !fair ~chosen:a.tid ~yielded ~es_before ~es_after
-       | Some m ->
-         fair := Fair_sched.step ~obs:fair_obs !fair ~chosen:a.tid ~yielded ~es_before ~es_after;
-         M.set_max m.m_pri_edges (Fair_sched.edge_count !fair);
-         let e, d, s = Fair_sched.sets !fair ~tid:a.tid in
-         M.observe m.m_e_size (B.cardinal e);
-         M.observe m.m_d_size (B.cardinal d);
-         M.observe m.m_s_size (B.cardinal s))
-    end;
-    last := a.tid;
-    last_yielded := yielded;
-    if yielded then incr yields;
-    st.max_depth <- Int.max st.max_depth (Engine.steps run);
-    record_state st run
+  (* Cleared on every exit, before the run is released: a finalizer
+     running during the unwind must not call into the search. *)
+  if Engine.has_fibers run && st.analysis = [] then Runtime.ctx.take <- Some (in_place st p);
+  let outcome =
+    match loop st p with
+    | o ->
+      Runtime.ctx.take <- None;
+      o
+    | exception e ->
+      Runtime.ctx.take <- None;
+      raise e
   in
-  let random_from tset =
-    let tid = B.nth tset (Rng.int st.rng (B.cardinal tset)) in
-    let alts = Engine.alternatives run tid in
-    { tid; alt = (if alts = 1 then 0 else Rng.int st.rng alts); cost = 0 }
-  in
-  let sample tset =
-    match cfg.mode with
-    | C.Random_walk _ -> random_from tset
-    | C.Round_robin ->
-      let n = Engine.nthreads run in
-      let rec find i =
-        let tid = i mod n in
-        if B.mem tid tset then tid else find (i + 1)
-      in
-      let tid = find !rr_next in
-      rr_next := tid + 1;
-      { tid; alt = 0; cost = 0 }
-    | C.Priority_random _ ->
-      (* Apt–Olderog-style: fresh random priorities every step. *)
-      let best = ref (-1) and best_p = ref min_int in
-      B.iter
-        (fun tid ->
-          let p = Rng.int st.rng 1_000_000 in
-          if p > !best_p then begin best := tid; best_p := p end)
-        tset;
-      let alts = Engine.alternatives run !best in
-      { tid = !best; alt = (if alts = 1 then 0 else Rng.int st.rng alts); cost = 0 }
-    | C.Dfs | C.Context_bounded _ -> assert false
-  in
-  let rec loop () =
-    match Engine.failure run with
-    | Some (tid, f) -> P_safety (tid, f)
-    | None ->
-      if Engine.all_finished run then P_terminated
-      else begin
-        let es = Engine.enabled_set run in
-        if B.is_empty es then P_deadlock
-        else begin
-          let steps = Engine.steps run in
-          if cfg.fair && steps >= livelock_bound then
-            P_divergence (classify_divergence run)
-          else if steps >= cfg.max_steps then P_nonterminating
-          else if steps land poll_mask = poll_mask && poll st then P_stopped
-          else begin
-            let tset = if cfg.fair then Fair_sched.schedulable !fair ~enabled:es else es in
-            (* Theorem 3: T is empty iff ES is empty. *)
-            assert (not (B.is_empty tset));
-            (match st.meters with
-             | Some m -> M.observe m.m_sched_size (B.cardinal tset)
-             | None -> ());
-            if systematic && !depth < st.nframes then begin
-              (match st.meters with Some m -> M.incr m.m_replay_steps | None -> ());
-              let fr = st.frames.(!depth) in
-              keep_snap fr;
-              incr depth;
-              apply fr.chosen;
-              loop ()
-            end
-            else if not systematic then begin
-              (match st.meters with Some m -> M.incr m.m_sampled_steps | None -> ());
-              if spans_on && Option.is_none !t_fresh then
-                t_fresh := Some (Obs.Span.start ());
-              apply (sample tset);
-              loop ()
-            end
-            else begin
-              let beyond_db =
-                (not cfg.fair)
-                && (match cfg.depth_bound with Some db -> steps >= db | None -> false)
-              in
-              if beyond_db then begin
-                (* The random tail (paper §4.2.1): finish the cut path under
-                   random scheduling. *)
-                if not !crossed_db then begin
-                  st.depth_bound_hits <- st.depth_bound_hits + 1;
-                  crossed_db := true;
-                  st.rng <- tail_rng st
-                end;
-                (match st.meters with Some m -> M.incr m.m_sampled_steps | None -> ());
-                if spans_on && Option.is_none !t_fresh then
-                  t_fresh := Some (Obs.Span.start ());
-                apply (random_from tset);
-                loop ()
-              end
-              else begin
-                match
-                  compute_alts st ~tset ~sleep:!pending_sleep ~last:!last
-                    ~last_yielded:!last_yielded ~budget:!budget run
-                with
-                | [] ->
-                  (* everything pruned by sleep sets *)
-                  st.sleep_set_prunes <- st.sleep_set_prunes + 1;
-                  P_pruned
-                | a :: rest ->
-                  (match st.meters with Some m -> M.incr m.m_fresh_steps | None -> ());
-                  if spans_on && Option.is_none !t_fresh then
-                    t_fresh := Some (Obs.Span.start ());
-                  let width = 1 + List.length rest in
-                  let fr =
-                    { chosen = a;
-                      rest;
-                      sleep = !pending_sleep;
-                      width;
-                      cum = Obs.Estimator.descend (top_weight st) width;
-                      snap = None;
-                      sched = 0 (* once [a] is applied *) }
-                  in
-                  push_frame st fr;
-                  keep_snap fr;
-                  incr depth;
-                  apply a;
-                  fr.sched <- st.sched;
-                  loop ()
-              end
-            end
-          end
-        end
-      end
-  in
-  let outcome = loop () in
-  if spans_on then begin
+  if p.spans_on then begin
     let t_end = Obs.Span.start () in
     let total_us = Obs.Span.elapsed_us_between t_path t_end in
     let hist f = Option.map f st.meters in
     let replay_us, fresh_us =
-      match !t_fresh with
+      match p.t_fresh with
       | Some tf ->
         let f = Obs.Span.elapsed_us_between tf t_end in
         (max 0 (total_us - f), Some f)
@@ -798,13 +941,13 @@ let execute_from st ~systematic ~restoring run start =
     | None -> ()
   end;
   st.transitions <- st.transitions + Engine.steps run;
-  st.yields <- st.yields + !yields;
+  st.yields <- st.yields + p.yields;
   (match st.meters with
    | Some m ->
-     let o = m.m_fair_obs in
-     o.edges_added <- o.edges_added + fair_obs.edges_added;
-     o.edges_removed <- o.edges_removed + fair_obs.edges_removed;
-     o.penalties <- o.penalties + fair_obs.penalties
+     let o = m.m_fair_obs and f = p.fair_obs in
+     o.edges_added <- o.edges_added + f.edges_added;
+     o.edges_removed <- o.edges_removed + f.edges_removed;
+     o.penalties <- o.penalties + f.penalties
    | None -> ());
   st.sync_ops_per_exec <- Int.max st.sync_ops_per_exec (Engine.sync_ops run);
   st.max_threads <- Int.max st.max_threads (Engine.nthreads run);

@@ -12,8 +12,11 @@
       backtrack frame (every systematic step pushes a frame, so frame [i]
       is step [i]), then runs the search loop from there. The scheduler,
       the preemption budget, the last thread and the yield and edge counts
-      are derived from the recorded events ({!fast_forward}): no frame
-      holds a snapshot, and the new run adopts the old trace.
+      are derived from the recorded events ({!fast_forward}), starting
+      from the nearest search-side snapshot at or below the backtrack
+      frame: a native frame with siblings keeps one (a {!Fair_sched.copy}
+      and the loop's locals) unless one of the 15 frames below it does, so
+      at most 15 events are stepped. The new run adopts the old trace.
     - When the run is {!Engine.restorable} (a ChessLang program on the VM,
       no dynamic analysis), the search keeps one run for the whole search
       and snapshots every frame that still has unexplored siblings: the
@@ -22,6 +25,12 @@
       its new decision.
     - An item's first path, and every path of a run with a step observer
       (a dynamic analysis), replays the prefix through the search loop.
+    While the loop runs a fiber program with no step observer, the
+    thread it stepped offers its next operation to the loop's hook
+    ([Runtime.ctx.take]): the step is finished and the next decision made
+    there, and a decision for the same thread is taken in place
+    ({!Engine.step_offered}), so a fiber parks only to switch threads. The
+    explored tree is the same either way.
     A fast-forwarded or restored prefix still counts in [Report.stats]
     (its transitions and yields; its coverage was recorded when it first
     ran), so reports are identical whichever way; only the
@@ -82,16 +91,25 @@ type prefix = {
 (** The search loop's state after a prefix of a path. *)
 
 val fast_forward :
-  Search_config.t -> Engine.t -> Trace.t -> int -> cost:(int -> int) -> prefix
+  ?from:int * prefix ->
+  Search_config.t ->
+  Engine.t ->
+  Trace.t ->
+  int ->
+  cost:(int -> int) ->
+  prefix
 (** [fast_forward cfg run trace n ~cost] takes the fresh [run] along the
     first [n] events of [trace] ({!Engine.fast_forward}) and derives the
     search loop's state after them from the events alone: the scheduler's
     inputs are each event's enabled set and yield bit, the next event's
     enabled set (the run's for the last) is the state after it, and a
     [Spawn] adds a thread. [cost i] is decision [i]'s preemption cost (its
-    frame's). What {!run} computes stepping those decisions itself; exposed
-    for the differential tests.
-    @raise Invalid_argument as {!Engine.fast_forward} does. *)
+    frame's). With [~from:(j, s)], [s] is the loop's state after the first
+    [j] events, and only events [j .. n-1] are stepped; [s]'s scheduler and
+    edge counts are updated in place. What {!run} computes stepping those
+    decisions itself; exposed for the differential tests.
+    @raise Invalid_argument as {!Engine.fast_forward} does, or if [j] is
+    not in [0 .. n]. *)
 
 type replay_outcome =
   | Replayed_failure of Report.counterexample

@@ -16,9 +16,10 @@
 
     Every scheduling point goes through one function, exposed as
     {!Raw.sched}: the one site that performs {!Runtime.extension-Sched}.
-    During a fast-forward it first offers the operation to
-    [Runtime.ctx.take], and a thread whose next recorded transition is
-    taken there runs on without parking. *)
+    While a fast-forward or the search loop runs, it first offers the
+    operation to [Runtime.ctx.take], and a thread whose transition is
+    taken there (its next recorded one, or a fresh one the search decides
+    for it) runs on without parking. *)
 
 val yield : unit -> unit
 (** Explicit processor yield. Signals the fair scheduler that the caller

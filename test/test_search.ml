@@ -33,8 +33,9 @@ let loop_view ~fair ~budget ~last ~last_yielded ~yields ~(edges : Fair_sched.obs
 
 (* A seeded random path drawn from the schedulable set, stepped as the
    search loop steps it. Returns the run, each decision's preemption cost,
-   and the loop's view after each prefix (index i: after i steps). A step
-   that fails ends the path without being counted. *)
+   and the loop's view and a copy of its state after each prefix (index i:
+   after i steps). A step that fails ends the path without being
+   counted. *)
 let loop_path (cfg : Search_config.t) prog seed ~max =
   let rng = Fairmc_util.Rng.make (Int64.of_int seed) in
   let run = Engine.start prog in
@@ -43,8 +44,11 @@ let loop_path (cfg : Search_config.t) prog seed ~max =
   let budget = ref (match cfg.mode with Search_config.Context_bounded c -> c | _ -> max_int) in
   let last = ref (-1) and last_yielded = ref false and yields = ref 0 in
   let view () =
-    loop_view ~fair:!fair ~budget:!budget ~last:!last ~last_yielded:!last_yielded
-      ~yields:!yields ~edges
+    ( loop_view ~fair:!fair ~budget:!budget ~last:!last ~last_yielded:!last_yielded
+        ~yields:!yields ~edges,
+      { Search.p_fair = Fair_sched.copy !fair; p_budget = !budget; p_last = !last;
+        p_last_yielded = !last_yielded; p_yields = !yields;
+        p_edges = { edges with Fair_sched.edges_added = edges.edges_added } } )
   in
   let views = ref [ view () ] and costs = ref [] in
   while
@@ -80,7 +84,8 @@ let loop_path (cfg : Search_config.t) prog seed ~max =
       views := view () :: !views
     end
   done;
-  (run, Array.of_list (List.rev !costs), Array.of_list (List.rev !views))
+  let views, states = List.split (List.rev !views) in
+  (run, Array.of_list (List.rev !costs), Array.of_list views, Array.of_list states)
 
 (* Full replay through the search loop: an observer must see every
    transition, so a run with an analysis never fast-forwards. *)
@@ -100,7 +105,10 @@ let fast_forward_tests =
         (* Each native registry program, seeded random fair paths: fair
            cb:2, fair DFS at k = 2, unfair cb:1. The trace is fast-forwarded
            along from its longest prefix down, each run adopting the one
-           before's. *)
+           before's, and each prefix [i] is derived twice: from the initial
+           state, and from the loop's state at an earlier step [j], at most
+           15 below, as a path that starts from a frame's snapshot derives
+           it. *)
         let configs =
           [| { dfs with mode = Search_config.Context_bounded 2 };
              { dfs with fair_k = 2 };
@@ -112,21 +120,31 @@ let fast_forward_tests =
             List.iter
               (fun seed ->
                 let cfg = configs.(seed mod Array.length configs) in
-                let run, costs, views = loop_path cfg prog seed ~max:80 in
+                let run, costs, views, states = loop_path cfg prog seed ~max:80 in
                 let trace = ref (Engine.trace run) in
                 Engine.stop run;
-                for i = Array.length costs downto 0 do
+                let derive ?from i =
                   let run = Engine.start prog in
-                  let p = Search.fast_forward cfg run !trace i ~cost:(fun j -> costs.(j)) in
-                  let got =
-                    loop_view ~fair:p.p_fair ~budget:p.p_budget ~last:p.p_last
-                      ~last_yielded:p.p_last_yielded ~yields:p.p_yields ~edges:p.p_edges
-                  in
-                  if got <> views.(i) then
+                  let p = Search.fast_forward ?from cfg run !trace i ~cost:(fun j -> costs.(j)) in
+                  trace := Engine.trace run;
+                  Engine.stop run;
+                  loop_view ~fair:p.p_fair ~budget:p.p_budget ~last:p.p_last
+                    ~last_yielded:p.p_last_yielded ~yields:p.p_yields ~edges:p.p_edges
+                in
+                for i = Array.length costs downto 0 do
+                  if derive i <> views.(i) then
                     Alcotest.failf "%s, seed %d: the state derived at step %d differs"
                       entry.name seed i;
-                  trace := Engine.trace run;
-                  Engine.stop run
+                  let j = i - ((i + seed) mod (min i 15 + 1)) in
+                  let s = states.(j) in
+                  let from =
+                    { s with
+                      Search.p_fair = Fair_sched.copy s.Search.p_fair;
+                      p_edges = { s.p_edges with Fair_sched.edges_added = s.p_edges.edges_added } }
+                  in
+                  if derive ~from:(j, from) i <> views.(i) then
+                    Alcotest.failf "%s, seed %d: the state derived at step %d from step %d differs"
+                      entry.name seed i j
                 done)
               [ 0; 1; 2; 3; 4; 5 ])
           (W.Registry.all ()));
@@ -134,7 +152,9 @@ let fast_forward_tests =
       (fun () ->
         (* Same verdict and counterexample, stats (coverage included) and
            metric counters, replay and fresh steps included, on every native
-           registry program. *)
+           registry program. The full replay takes no step in place, so the
+           in-place decisions (path ends, prunes, divergences classified in
+           the hook) are held to the loop's too. *)
         let configs =
           [ { dfs with coverage = true; metrics = true; max_executions = Some 200 };
             { dfs with
@@ -146,7 +166,9 @@ let fast_forward_tests =
             { (Search_config.unfair_dfs ~depth_bound:12) with
               metrics = true;
               max_steps = 600;
-              max_executions = Some 200 } ]
+              max_executions = Some 200 };
+            { dfs with mode = Search_config.Random_walk 300; metrics = true };
+            { dfs with livelock_bound = Some 300; metrics = true; max_executions = Some 200 } ]
         in
         List.iter
           (fun (entry : W.Registry.entry) ->
@@ -166,6 +188,60 @@ let fast_forward_tests =
                   (Fairmc_obs.Metrics.Snapshot.counters ff.metrics))
               configs)
           (W.Registry.all ())) ]
+
+(* One thread that chooses three times, two ways each; with [bad], the
+   combination 1, 0, 1 fails. *)
+let three_choices ~bad =
+  Program.of_threads ~name:"three-choices" (fun () ->
+      [ (fun () ->
+          let a = Sync.choose 2 in
+          let b = Sync.choose 2 in
+          let c = Sync.choose 2 in
+          if bad then Sync.check (not (a = 1 && b = 0 && c = 1)) "1, 0, 1") ])
+
+let in_place_tests =
+  [ Alcotest.test_case
+      "a fresh transition that stays on its thread allocates at most 58 minor words" `Quick
+      (fun () ->
+        (* One thread, one path: every transition after the first is fresh
+           and continues the thread before, so it is decided and taken
+           inside the thread's [Sync.sched] call, with no park or resume
+           (68.2 words when each one parked). *)
+        let p =
+          Program.of_threads ~name:"setter" (fun () ->
+              let v = Sync.int_var 0 in
+              [ (fun () ->
+                  for i = 1 to 10_000 do
+                    Sync.Svar.set v i
+                  done) ])
+        in
+        let before = Gc.minor_words () in
+        let r = Search.run Search_config.default p in
+        let per = (Gc.minor_words () -. before) /. float_of_int r.stats.transitions in
+        check "verified" true (r.verdict = Report.Verified);
+        check_int "one path" 1 r.stats.executions;
+        check_int "every write" 10_000 r.stats.transitions;
+        check (Printf.sprintf "%.1f minor words per transition <= 58" per) true (per <= 58.));
+    Alcotest.test_case "choices taken in place explore every combination" `Quick (fun () ->
+        (* The search's hook is unset once a search is over: a finalizer
+           unwound when its run is released must not call into it. *)
+        let run cfg prog =
+          let r = Search.run cfg prog in
+          check "the hook is unset" true (Option.is_none Runtime.ctx.Runtime.take);
+          r
+        in
+        let r = run dfs (three_choices ~bad:false) in
+        check "verified" true (r.verdict = Report.Verified);
+        check_int "2^3 executions" 8 r.stats.executions;
+        let r = run dfs (three_choices ~bad:true) in
+        let full = run { dfs with analyses = [ replays_every_step ] } (three_choices ~bad:true) in
+        check "a safety violation" true
+          (match r.verdict with Report.Safety_violation _ -> true | _ -> false);
+        check "the full replay's counterexample" true (r.verdict = full.verdict);
+        Alcotest.(check (option int))
+          "the full replay's execution" full.stats.first_error_execution
+          r.stats.first_error_execution;
+        check_int "as many executions" full.stats.executions r.stats.executions) ]
 
 let suite =
   [ Alcotest.test_case "DFS counts interleavings of independent threads" `Quick (fun () ->
@@ -332,4 +408,4 @@ let suite =
             ( "dining-2-tryacquire+yield",
               { dfs with fair_k = 2 },
               (1289, 1305056, 320464, 99, 99, 159813) ) ]) ]
-  @ fast_forward_tests
+  @ fast_forward_tests @ in_place_tests

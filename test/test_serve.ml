@@ -1318,8 +1318,10 @@ let supervision_tests =
         check "no child left" true (children_of pid = []));
     Alcotest.test_case "a sequential job over a second comes back in slices, as a direct check"
       `Quick (fun () ->
+        (* 300,000 executions run ~1.7 s on a quiet 2-vCPU host; 120,000
+           ran 0.75 s there, too short to be sliced. *)
         let program = "wsq-1s-correct" in
-        let cfg = { C.default with C.max_executions = Some 120_000 } in
+        let cfg = { C.default with C.max_executions = Some 300_000 } in
         with_daemon @@ fun ~socket ~pid:_ ->
         Serve.Client.with_daemon socket @@ fun fd ->
         let job = submit fd (JS.of_config ~program { cfg with C.metrics = true }) in
